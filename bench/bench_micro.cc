@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <fstream>
 #include <iostream>
+#include <memory>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -58,6 +59,35 @@ workload::SyntheticWorkload MakeSynthetic(size_t tuples, uint64_t seed) {
   spec.domain_size = 6;
   return workload::MakeSyntheticWorkload(spec, rng);
 }
+
+/// A three-attribute synthetic store with no materialized rows: tuple t
+/// cycles through the five value partitions of three attributes, so any
+/// tuple count collapses into five classes (one forced positive from the
+/// start). It isolates costs that scale with tuples from those that scale
+/// with classes.
+class CyclicStore final : public core::TupleStore {
+ public:
+  explicit CyclicStore(size_t tuples)
+      : tuples_(tuples), schema_(rel::Schema::FromNames({"a", "b", "c"})) {}
+  const std::string& name() const override { return name_; }
+  const rel::Schema& schema() const override { return schema_; }
+  size_t num_tuples() const override { return tuples_; }
+  uint32_t code(size_t t, size_t a) const override {
+    // ⊥, {a,b}, {a,c}, {b,c}, ⊤ — the partitions of {a, b, c}.
+    static constexpr uint32_t kCodes[5][3] = {
+        {0, 1, 2}, {0, 0, 1}, {0, 1, 0}, {0, 1, 1}, {0, 0, 0}};
+    return kCodes[t % 5][a];
+  }
+  rel::Value DecodeValue(size_t t, size_t a) const override {
+    return rel::Value(static_cast<int64_t>(code(t, a)));
+  }
+  size_t ApproxBytes() const override { return 0; }
+
+ private:
+  size_t tuples_;
+  std::string name_ = "cyclic";
+  rel::Schema schema_;
+};
 
 void RegisterAll(std::vector<BenchResult>& results) {
   // One size sweep per partition operation. `op` is a generic callable (not
@@ -214,6 +244,20 @@ void RegisterAll(std::vector<BenchResult>& results) {
     results.push_back(gross);
     results.push_back(net);
   }
+  // The per-label cost of a served session: every label runs on a fresh
+  // clone of the session's engine. With a handful of classes this must stay
+  // flat as the tuple count grows.
+  for (size_t tuples : {10000, 100000, 1000000}) {
+    const core::InferenceEngine prototype(
+        std::make_shared<const CyclicStore>(tuples));
+    const size_t target = prototype.InformativeClasses().front();
+    results.push_back(
+        RunBench("LabelOnClone", static_cast<int64_t>(tuples), [&] {
+          core::InferenceEngine engine = prototype;
+          JIM_CHECK_OK(engine.SubmitClassLabel(target, core::Label::kPositive));
+          DoNotOptimize(engine.NumInformativeTuples());
+        }));
+  }
   // Both-label impact of one candidate class — the inner loop of every
   // lookahead strategy (per candidate it needs the impact of both answers).
   // Measures the production path (SimulateLabelBoth over the cached
@@ -334,9 +378,12 @@ struct WorkCounts {
   /// SimulateLabelBoth evaluations one serial lookahead-entropy PickClass
   /// costs on the 10k instance (production path, cutoff pruning on).
   uint64_t simulate_calls_per_pick = 0;
-  /// Of the candidates that decision considered, the fraction whose
-  /// simulation the cutoff skipped: skips / (skips + evaluations).
+  /// Of the candidates that decision considered, the fraction the O(1)
+  /// precheck skipped without scanning: skips / (skips + aborts + evals).
   double cutoff_skip_fraction = 0;
+  /// The fraction abandoned mid-scan (part of the worklist already scanned):
+  /// aborts / (skips + aborts + evals).
+  double cutoff_abort_fraction = 0;
   /// Classes woken (watch-drained and exactly retested) per negative label
   /// over a full 10k-instance session — the pre-watch scan visited the whole
   /// worklist instead.
@@ -357,16 +404,24 @@ WorkCounts MeasureWorkCounts() {
         registry.CounterValue(obs::kCounterEngineSimulateLabelBoth);
     const uint64_t skips_before =
         registry.CounterValue(obs::kCounterEngineCutoffSkips);
+    const uint64_t aborts_before =
+        registry.CounterValue(obs::kCounterEngineCutoffAborts);
     DoNotOptimize(strategy.PickClass(engine));
     const uint64_t sims =
         registry.CounterValue(obs::kCounterEngineSimulateLabelBoth) -
         sims_before;
     const uint64_t skips =
         registry.CounterValue(obs::kCounterEngineCutoffSkips) - skips_before;
+    const uint64_t aborts =
+        registry.CounterValue(obs::kCounterEngineCutoffAborts) -
+        aborts_before;
     counts.simulate_calls_per_pick = sims;
-    if (sims + skips > 0) {
+    const uint64_t candidates = sims + skips + aborts;
+    if (candidates > 0) {
       counts.cutoff_skip_fraction =
-          static_cast<double>(skips) / static_cast<double>(sims + skips);
+          static_cast<double>(skips) / static_cast<double>(candidates);
+      counts.cutoff_abort_fraction =
+          static_cast<double>(aborts) / static_cast<double>(candidates);
     }
   }
   {
@@ -401,6 +456,8 @@ bool WriteJson(const std::vector<BenchResult>& results,
   bench::AppendMetaBlock(json);
   json.KeyValue("simulate_label_calls_per_pick", work.simulate_calls_per_pick);
   json.KeyValue("lookahead_cutoff_skip_fraction", work.cutoff_skip_fraction);
+  json.KeyValue("lookahead_cutoff_abort_fraction",
+                work.cutoff_abort_fraction);
   json.KeyValue("propagate_woken_classes_per_label",
                 work.woken_classes_per_negative_label);
   // Wall-clock speedup of the 10k-tuple lookahead decision at 4 threads vs

@@ -32,6 +32,10 @@
 #                        trusted-reopen and JSON-reader suites, and a
 #                        jim_cli serve --stdio smoke against the round-trip
 #                        instance
+#   - PERFBENCH stage    the serving benchmark package built into
+#                        .bench_build/perfbench, its harness gtests, and a
+#                        2 s travel-durable smoke run that must report
+#                        "correct": true
 #   - audit stage        -DJIM_AUDIT_INVARIANTS=ON build running the parity
 #                        suites with every engine mutation re-deriving its
 #                        CheckInvariants contract
@@ -254,6 +258,19 @@ else
   grep -qF '"live":0' "$smokedir/serve_stdio.txt"
   grep -qF '"verb":"shutdown"' "$smokedir/serve_stdio.txt"
 fi
+
+# --- PERFBENCH stage (serving benchmark harness) -------------------------
+# Builds the benchmark package the way perfbench/run.py does, runs the
+# harness's own gtests, and smoke-runs one short travel-durable pass: its
+# correctness gates (goals identified, transcripts equal across restarts)
+# must hold, i.e. the result line must report "correct": true.
+cmake -S perfbench -B .bench_build/perfbench -DCMAKE_BUILD_TYPE=Release
+cmake --build .bench_build/perfbench -j"$(nproc)"
+ctest --test-dir .bench_build/perfbench --output-on-failure
+python3 perfbench/run.py --workload travel-durable --seed 1 --seconds 2 \
+  --trace 0 > "$smokedir/perfbench.txt"
+tail -n 1 "$smokedir/perfbench.txt" | python3 -c \
+  'import json, sys; sys.exit(0 if json.load(sys.stdin)["correct"] is True else 1)'
 
 # --- invariant-audit stage -----------------------------------------------
 if [[ "${JIM_SKIP_AUDIT:-0}" == "1" ]]; then

@@ -167,7 +167,6 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
 
   session_ = std::make_shared<SessionArrays>();
   session_->class_status.assign(classes->size(), ClassStatus::kInformative);
-  session_->explicit_label.assign(num_tuples, 0);
   // Initially θ_P = ⊤, so K_c = ⊤ ∧ Part(c) = Part(c); every class starts on
   // the worklist.
   knowledge_ = std::make_shared<std::vector<lat::Partition>>();
@@ -483,11 +482,7 @@ util::DynamicBitset InferenceEngine::CertainNonResultTuples() const {
 
 util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
                                         Label label) {
-  // Every mutation below goes through the session arrays — detach once here
-  // (a rejected contradictory label costs an unnecessary copy, which is
-  // fine: rejections are rare and the state must stay unchanged anyway).
-  SessionArrays& session = MutableSession();
-  const ClassStatus before = session.class_status[class_id];
+  const ClassStatus before = session_->class_status[class_id];
   // Relabeling an explicitly labeled class is rejected as contradictory or
   // accepted as a (wasted) repetition.
   if (before == ClassStatus::kLabeledPositive ||
@@ -501,7 +496,6 @@ util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
     }
     ++wasted_interactions_;
     history_.push_back(LabeledExample{tuple_index, label});
-    session.explicit_label[tuple_index] = label == Label::kPositive ? 1 : 2;
     JIM_COUNT(obs::kCounterEngineLabelsAccepted);
     JIM_COUNT(obs::kCounterEngineLabelsWasted);
     return util::OkStatus();
@@ -517,6 +511,8 @@ util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
     }
   }
   JIM_COUNT(obs::kCounterEngineLabelsAccepted);
+  // Only status-changing labels get here: detach the session arrays now.
+  SessionArrays& session = MutableSession();
   // One JIM_COUNT site per name: the macro caches its counter in a
   // function-local static, so the name must be a per-site constant.
   if (label == Label::kPositive) {
@@ -529,7 +525,6 @@ util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
                                        ? ClassStatus::kLabeledPositive
                                        : ClassStatus::kLabeledNegative;
   history_.push_back(LabeledExample{tuple_index, label});
-  session.explicit_label[tuple_index] = label == Label::kPositive ? 1 : 2;
   if (!was_informative) {
     // Consistent label on a grayed-out tuple: accepted, teaches nothing.
     ++wasted_interactions_;
@@ -552,23 +547,23 @@ util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
 
 TupleStatus InferenceEngine::tuple_status(size_t tuple_index) const {
   JIM_CHECK_LT(tuple_index, store_->num_tuples());
-  if (session_->explicit_label[tuple_index] == 1) {
-    return TupleStatus::kLabeledPositive;
+  const ClassStatus status =
+      session_->class_status[(*class_of_tuple_)[tuple_index]];
+  if (IsInformative(status)) return TupleStatus::kInformative;
+  // Only a labeled class holds labeled tuples, and every history entry in it
+  // carries the class's label (a contradiction is rejected unrecorded).
+  const bool labeled =
+      (status == ClassStatus::kLabeledPositive ||
+       status == ClassStatus::kLabeledNegative) &&
+      std::any_of(history_.begin(), history_.end(),
+                  [&](const LabeledExample& example) {
+                    return example.tuple_index == tuple_index;
+                  });
+  if (IsPositive(status)) {
+    return labeled ? TupleStatus::kLabeledPositive
+                   : TupleStatus::kForcedPositive;
   }
-  if (session_->explicit_label[tuple_index] == 2) {
-    return TupleStatus::kLabeledNegative;
-  }
-  switch (session_->class_status[(*class_of_tuple_)[tuple_index]]) {
-    case ClassStatus::kInformative:
-      return TupleStatus::kInformative;
-    case ClassStatus::kForcedPositive:
-    case ClassStatus::kLabeledPositive:
-      return TupleStatus::kForcedPositive;
-    case ClassStatus::kForcedNegative:
-    case ClassStatus::kLabeledNegative:
-      return TupleStatus::kForcedNegative;
-  }
-  return TupleStatus::kInformative;
+  return labeled ? TupleStatus::kLabeledNegative : TupleStatus::kForcedNegative;
 }
 
 util::Status InferenceEngine::SubmitTupleLabel(size_t tuple_index,
@@ -731,7 +726,7 @@ bool InferenceEngine::SimulateLabelBothBounded(
           std::min(result.negative.pruned_tuples + rem, neg_cap));
       if (bound < threshold) {
         *skip_bound = bound;
-        JIM_COUNT(obs::kCounterEngineCutoffSkips);
+        JIM_COUNT(obs::kCounterEngineCutoffAborts);
         return false;
       }
     }
@@ -756,8 +751,8 @@ bool InferenceEngine::SimulateLabelBothBounded(
       }
     }
   }
-  // Counted only on full evaluation, so skip fraction =
-  // cutoff_skips / (cutoff_skips + simulate_label_both) stays exact.
+  // Counted only on full evaluation, so skips, aborts and evaluations
+  // partition the candidates.
   JIM_COUNT(obs::kCounterEngineSimulateLabelBoth);
   *impact = result;
   return true;
@@ -774,7 +769,6 @@ void InferenceEngine::CheckInvariants() const {
   const size_t num_classes = classes_->size();
   JIM_CHECK_EQ(class_of_tuple_->size(), num_tuples);
   JIM_CHECK_EQ(session_->class_status.size(), num_classes);
-  JIM_CHECK_EQ(session_->explicit_label.size(), num_tuples);
   JIM_CHECK_EQ(knowledge_->size(), num_classes);
 
   // Classes partition the tuple set, in agreement with class_of_tuple_.
@@ -904,21 +898,16 @@ void InferenceEngine::CheckInvariants() const {
     }
   }
 
-  // Explicit tuple labels agree with their class's status.
-  for (size_t t = 0; t < num_tuples; ++t) {
-    const uint8_t label = session_->explicit_label[t];
-    if (label == 0) continue;
-    const ClassStatus status = session_->class_status[(*class_of_tuple_)[t]];
-    if (label == 1) {
-      JIM_CHECK(status == ClassStatus::kLabeledPositive)
-          << "tuple " << t << " labeled positive in class with status "
-          << ClassStatusToString(status);
-    } else {
-      JIM_CHECK_EQ(label, uint8_t{2});
-      JIM_CHECK(status == ClassStatus::kLabeledNegative)
-          << "tuple " << t << " labeled negative in class with status "
-          << ClassStatusToString(status);
-    }
+  // Every recorded label sits in a class labeled the same way, i.e. shows
+  // as labeled with that label.
+  for (const LabeledExample& example : history_) {
+    const TupleStatus status = tuple_status(example.tuple_index);
+    JIM_CHECK(status == (example.label == Label::kPositive
+                             ? TupleStatus::kLabeledPositive
+                             : TupleStatus::kLabeledNegative))
+        << "tuple " << example.tuple_index << " labeled "
+        << LabelToString(example.label) << " shows as "
+        << TupleStatusToString(status);
   }
 }
 
@@ -936,16 +925,27 @@ InferenceEngine::Stats InferenceEngine::GetStats() const {
         stats.informative_tuples += members;
         break;
       case ClassStatus::kForcedPositive:
+      case ClassStatus::kLabeledPositive:
         stats.forced_positive_tuples += members;
         break;
       case ClassStatus::kForcedNegative:
+      case ClassStatus::kLabeledNegative:
         stats.forced_negative_tuples += members;
         break;
-      case ClassStatus::kLabeledPositive:
-      case ClassStatus::kLabeledNegative:
-        stats.explicitly_labeled_tuples += members;
-        break;
     }
+  }
+  // Labeled classes split into distinct labeled tuples and forced mates, as
+  // in tuple_status(); no tuple holds both labels, so 2·t + negative dedups.
+  std::vector<size_t> labeled;
+  for (const LabeledExample& e : history_) {
+    labeled.push_back(2 * e.tuple_index + (e.label == Label::kNegative));
+  }
+  std::sort(labeled.begin(), labeled.end());
+  labeled.erase(std::unique(labeled.begin(), labeled.end()), labeled.end());
+  stats.explicitly_labeled_tuples = labeled.size();
+  for (size_t key : labeled) {
+    --(key % 2 == 0 ? stats.forced_positive_tuples
+                    : stats.forced_negative_tuples);
   }
   return stats;
 }

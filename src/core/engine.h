@@ -98,7 +98,7 @@ class InferenceEngine {
 
   /// Copies are cheap clones: the class table and tuple → class map are
   /// shared outright (immutable), and both the per-class knowledge cache and
-  /// the session arrays (statuses, worklist, explicit labels) are
+  /// the per-class session arrays (statuses, worklist, watches) are
   /// copy-on-write — a clone defers those costs until its first label. This
   /// is what lets BatchSessionRunner fan independent sessions out over
   /// clones of one built engine. Clones may be labeled from different
@@ -128,7 +128,8 @@ class InferenceEngine {
   }
 
   /// Status of an individual tuple (see TupleStatus). This is what the demo
-  /// UI renders: explicit labels as +/−, forced tuples grayed out.
+  /// UI renders: explicit labels as +/−, forced tuples grayed out (a labeled
+  /// class's members are looked up in history()).
   TupleStatus tuple_status(size_t tuple_index) const;
 
   /// Ids of classes that are still worth asking about, ascending. Returns a
@@ -283,6 +284,7 @@ class InferenceEngine {
     size_t wasted_interactions = 0;///< accepted labels that taught nothing
     size_t informative_tuples = 0;
     size_t informative_classes = 0;
+    /// The tuple buckets count exactly what tuple_status() shows.
     size_t forced_positive_tuples = 0;
     size_t forced_negative_tuples = 0;
     size_t explicitly_labeled_tuples = 0;
@@ -300,7 +302,7 @@ class InferenceEngine {
   ///   - for every informative class, the cached knowledge K_c equals a
   ///     from-scratch θ_P ∧ Part(c) recompute, and the incremental status of
   ///     every class matches a fresh InferenceState::Classify;
-  ///   - explicit per-tuple labels agree with their class statuses;
+  ///   - every history() entry sits in a class labeled the same way;
   ///   - the worklist position index matches the worklist, every informative
   ///     class is validly watched (a co-block pair of its K_c, or the bottom
   ///     list exactly when K_c is all singletons) and registered on the
@@ -323,9 +325,9 @@ class InferenceEngine {
   /// Worklist-position sentinel for classes not on the worklist.
   static constexpr uint32_t kNoPos = 0xFFFFFFFFu;
 
-  /// The flat per-class/per-tuple session arrays, grouped under one
-  /// copy-on-write holder so a clone shares them until its first Submit
-  /// (EngineCopy is then three shared_ptr bumps, not three vector copies).
+  /// The flat per-class session arrays (labeled tuples live in history_),
+  /// grouped under one copy-on-write holder so a clone shares them until its
+  /// first Submit (EngineCopy is then three shared_ptr bumps, not copies).
   struct SessionArrays {
     std::vector<ClassStatus> class_status;
     /// Ids of informative classes, ascending — the dense worklist the
@@ -335,9 +337,6 @@ class InferenceEngine {
     /// pool): O(1) locate for RemoveFromWorklist, maintained for free by the
     /// compaction loops.
     std::vector<uint32_t> worklist_pos;
-    /// 0 = not explicitly labeled; 1 = labeled positive; 2 = labeled
-    /// negative (per tuple).
-    std::vector<uint8_t> explicit_label;
     /// Watch structure for negative-label propagation: every informative
     /// class is registered on exactly one certificate that must break before
     /// the class can leave the pool on a negative label — a co-block pair of
@@ -403,7 +402,7 @@ class InferenceEngine {
   /// Detaches knowledge_ from any sharers (copy-on-first-mutate) and returns
   /// the sole-owner vector. Everything that writes K_c goes through here.
   std::vector<lat::Partition>& MutableKnowledge();
-  /// Same for the session arrays; every Submit path detaches once up front.
+  /// Same for the session arrays; only a label that changes a status does.
   SessionArrays& MutableSession();
 
   std::shared_ptr<const TupleStore> store_;

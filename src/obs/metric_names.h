@@ -33,11 +33,11 @@ inline constexpr char kCounterEnginePrunedClasses[] =
 /// cutoff optimization must beat (see ROADMAP direction 2).
 inline constexpr char kCounterEngineSimulateLabelBoth[] =
     "engine.simulate_label_both";
-/// Lookahead candidates whose simulation was skipped (or aborted mid-scan)
-/// because their upper bound provably could not beat the best score already
-/// computed — the work the cutoff saves. skip fraction =
-/// cutoff_skips / (cutoff_skips + simulate_label_both).
+/// Lookahead candidates the O(1) precheck skipped because their upper bound
+/// provably could not beat the best score so far; cutoff_aborts counts those
+/// dropped part-way through their scan. Candidates = skips + aborts + evals.
 inline constexpr char kCounterEngineCutoffSkips[] = "engine.cutoff_skips";
+inline constexpr char kCounterEngineCutoffAborts[] = "engine.cutoff_aborts";
 /// Classes woken (watch-list drained and fully retested) by a negative-label
 /// propagation. The watch win is this number staying far below the worklist
 /// size the pre-watch scan visited.

@@ -113,8 +113,8 @@ TEST(EngineCowTest, CloneSharesSessionArraysUntilFirstLabel) {
   const InferenceEngine prototype(workload.instance);
   InferenceEngine clone = prototype;
 
-  // The flat session arrays (worklist, statuses, explicit labels) are shared
-  // by address, like the class table — EngineCopy is pointer bumps only.
+  // The flat session arrays (worklist, statuses, watches) are shared by
+  // address, like the class table — EngineCopy is pointer bumps only.
   EXPECT_EQ(&clone.InformativeClasses(), &prototype.InformativeClasses());
 
   // Any label — even a negative one, which never touches the knowledge
@@ -144,12 +144,78 @@ TEST(EngineCowTest, WastedLabelOnCloneLeavesPrototypeUntouched) {
   const size_t c = AnyInformative(clone);
   ASSERT_TRUE(clone.SubmitClassLabel(c, Label::kPositive).ok());
   // Re-labeling the same class consistently is a wasted interaction — it
-  // mutates only the explicit-label array, which must already be detached.
+  // appends to the clone's own history and writes no session array.
   const size_t tuple = clone.tuple_class(c).tuple_indices.front();
   ASSERT_TRUE(clone.SubmitTupleLabel(tuple, Label::kPositive).ok());
   EXPECT_EQ(clone.GetStats().wasted_interactions, 1u);
   EXPECT_EQ(prototype.tuple_status(tuple), TupleStatus::kInformative);
   EXPECT_EQ(prototype.GetStats().wasted_interactions, 0u);
+}
+
+std::vector<TupleStatus> AllTupleStatuses(const InferenceEngine& engine) {
+  std::vector<TupleStatus> statuses;
+  for (size_t t = 0; t < engine.num_tuples(); ++t) {
+    statuses.push_back(engine.tuple_status(t));
+  }
+  return statuses;
+}
+
+/// First class with at least two members that is still informative.
+size_t MultiMemberInformative(const InferenceEngine& engine) {
+  for (size_t c : engine.InformativeClasses()) {
+    if (engine.tuple_class(c).size() >= 2) return c;
+  }
+  ADD_FAILURE() << "no informative class with two members";
+  return 0;
+}
+
+TEST(EngineCowTest, RepeatedLabelOnCloneSharesSessionArrays) {
+  const auto workload = MakeWorkload(8);
+  InferenceEngine prototype(workload.instance);
+  const size_t c = MultiMemberInformative(prototype);
+  ASSERT_TRUE(prototype.SubmitClassLabel(c, Label::kPositive).ok());
+  const size_t mate = prototype.tuple_class(c).tuple_indices[1];
+  ASSERT_EQ(prototype.tuple_status(mate), TupleStatus::kForcedPositive);
+
+  InferenceEngine clone = prototype;
+  // A consistent relabel of a class-mate changes no class status, so the
+  // clone keeps sharing the session arrays — yet only the clone sees the
+  // class-mate as labeled.
+  ASSERT_TRUE(clone.SubmitTupleLabel(mate, Label::kPositive).ok());
+  EXPECT_EQ(&clone.InformativeClasses(), &prototype.InformativeClasses());
+  EXPECT_EQ(clone.tuple_status(mate), TupleStatus::kLabeledPositive);
+  EXPECT_EQ(prototype.tuple_status(mate), TupleStatus::kForcedPositive);
+  // So does a rejected contradiction.
+  EXPECT_FALSE(clone.SubmitTupleLabel(mate, Label::kNegative).ok());
+  EXPECT_EQ(&clone.InformativeClasses(), &prototype.InformativeClasses());
+}
+
+TEST(EngineCowTest, CloneTupleStatusesStayIsolated) {
+  const auto workload = MakeWorkload(9);
+  InferenceEngine prototype(workload.instance);
+  const size_t shared = MultiMemberInformative(prototype);
+  ASSERT_TRUE(prototype.SubmitClassLabel(shared, Label::kPositive).ok());
+  const std::vector<TupleStatus> prototype_view = AllTupleStatuses(prototype);
+
+  InferenceEngine a = prototype;
+  InferenceEngine b = prototype;
+  // a: a fresh label plus a relabel of a class-mate of the shared label.
+  ASSERT_TRUE(a.SubmitClassLabel(AnyInformative(a), Label::kNegative).ok());
+  const size_t mate = prototype.tuple_class(shared).tuple_indices[1];
+  ASSERT_TRUE(a.SubmitTupleLabel(mate, Label::kPositive).ok());
+  // b: a rejected contradiction, then a different fresh label.
+  EXPECT_FALSE(b.SubmitTupleLabel(mate, Label::kNegative).ok());
+  EXPECT_EQ(AllTupleStatuses(b), prototype_view);
+  ASSERT_FALSE(b.IsDone());
+  ASSERT_TRUE(
+      b.SubmitClassLabel(b.InformativeClasses().back(), Label::kNegative)
+          .ok());
+
+  EXPECT_EQ(AllTupleStatuses(prototype), prototype_view);
+  EXPECT_EQ(a.tuple_status(mate), TupleStatus::kLabeledPositive);
+  EXPECT_EQ(b.tuple_status(mate), TupleStatus::kForcedPositive);
+  EXPECT_EQ(prototype.tuple_status(mate), TupleStatus::kForcedPositive);
+  EXPECT_NE(AllTupleStatuses(a), AllTupleStatuses(b));
 }
 
 TEST(EngineCowTest, SiblingClonesAreIndependent) {

@@ -207,6 +207,150 @@ TEST(EngineTest, CertainAnswersAreMonotoneAndFinal) {
   EXPECT_EQ(final_in, goal.SelectedRows(*instance));
 }
 
+/// GetStats()'s tuple buckets, recounted from tuple_status() over every
+/// tuple.
+struct TupleHistogram {
+  size_t informative = 0;
+  size_t forced_positive = 0;
+  size_t forced_negative = 0;
+  size_t labeled = 0;
+};
+
+TupleHistogram HistogramOf(const InferenceEngine& engine) {
+  TupleHistogram histogram;
+  for (size_t t = 0; t < engine.num_tuples(); ++t) {
+    switch (engine.tuple_status(t)) {
+      case TupleStatus::kInformative:
+        ++histogram.informative;
+        break;
+      case TupleStatus::kForcedPositive:
+        ++histogram.forced_positive;
+        break;
+      case TupleStatus::kForcedNegative:
+        ++histogram.forced_negative;
+        break;
+      case TupleStatus::kLabeledPositive:
+      case TupleStatus::kLabeledNegative:
+        ++histogram.labeled;
+        break;
+    }
+  }
+  return histogram;
+}
+
+void ExpectStatsMatchTupleStatuses(const InferenceEngine& engine) {
+  const TupleHistogram histogram = HistogramOf(engine);
+  const InferenceEngine::Stats stats = engine.GetStats();
+  EXPECT_EQ(stats.informative_tuples, histogram.informative);
+  EXPECT_EQ(stats.forced_positive_tuples, histogram.forced_positive);
+  EXPECT_EQ(stats.forced_negative_tuples, histogram.forced_negative);
+  EXPECT_EQ(stats.explicitly_labeled_tuples, histogram.labeled);
+  EXPECT_EQ(stats.informative_tuples + stats.forced_positive_tuples +
+                stats.forced_negative_tuples +
+                stats.explicitly_labeled_tuples,
+            stats.num_tuples);
+}
+
+TEST(EngineTest, StatsMatchTupleStatusHistogramThroughoutASession) {
+  util::Rng rng(4242);
+  workload::SyntheticSpec spec;
+  spec.num_attributes = 5;
+  spec.num_tuples = 120;
+  spec.domain_size = 3;
+  const auto workload = workload::MakeSyntheticWorkload(spec, rng);
+  InferenceEngine engine(workload.instance);
+  ExactOracle oracle(workload.goal);
+  ExpectStatsMatchTupleStatuses(engine);
+  // Random tuples, not class representatives: the session also relabels
+  // class-mates and labels grayed-out tuples (both wasted but accepted).
+  for (int step = 0; step < 60; ++step) {
+    const size_t t = static_cast<size_t>(rng.UniformInt(
+        0, static_cast<int64_t>(engine.num_tuples()) - 1));
+    ASSERT_TRUE(engine
+                    .SubmitTupleLabel(
+                        t, oracle.LabelFor(workload.instance->row(t)))
+                    .ok());
+    ExpectStatsMatchTupleStatuses(engine);
+  }
+  EXPECT_GT(engine.GetStats().wasted_interactions, 0u);
+}
+
+TEST(EngineTest, StatsMatchTupleStatusHistogramOnFigure1Labels) {
+  InferenceEngine engine(SmallInstance());
+  // The paper's identifying labels for Q2: (3)+, (7)−, (8)−.
+  for (const auto& [tuple, label] :
+       {std::pair{size_t{2}, Label::kPositive},
+        std::pair{size_t{6}, Label::kNegative},
+        std::pair{size_t{7}, Label::kNegative}}) {
+    ASSERT_TRUE(engine.SubmitTupleLabel(tuple, label).ok());
+    ExpectStatsMatchTupleStatuses(engine);
+  }
+  EXPECT_TRUE(engine.IsDone());
+  // Only the three tuples the user labeled count as labeled; class-mate (4)
+  // of (3) is forced, not labeled.
+  EXPECT_EQ(engine.GetStats().explicitly_labeled_tuples, 3u);
+}
+
+TEST(EngineTest, LabeledTupleStandsOutFromItsClassMates) {
+  InferenceEngine engine(SmallInstance());
+  // Rows 8 and 10 (indices 7, 9) form one class.
+  ASSERT_EQ(engine.class_of_tuple(7), engine.class_of_tuple(9));
+  ASSERT_TRUE(engine.SubmitTupleLabel(7, Label::kNegative).ok());
+  EXPECT_EQ(engine.class_status(engine.class_of_tuple(7)),
+            ClassStatus::kLabeledNegative);
+  EXPECT_EQ(engine.tuple_status(7), TupleStatus::kLabeledNegative);
+  EXPECT_EQ(engine.tuple_status(9), TupleStatus::kForcedNegative);
+  EXPECT_EQ(engine.GetStats().explicitly_labeled_tuples, 1u);
+}
+
+TEST(EngineTest, ConsistentRelabelOfClassMateMarksItLabeledAndWasted) {
+  InferenceEngine engine(SmallInstance());
+  ASSERT_TRUE(engine.SubmitTupleLabel(2, Label::kPositive).ok());
+  EXPECT_EQ(engine.tuple_status(3), TupleStatus::kForcedPositive);
+  // Row 4 shares row 3's class: the label is accepted, teaches nothing, and
+  // from now on row 4 shows as labeled too.
+  ASSERT_TRUE(engine.SubmitTupleLabel(3, Label::kPositive).ok());
+  EXPECT_EQ(engine.tuple_status(2), TupleStatus::kLabeledPositive);
+  EXPECT_EQ(engine.tuple_status(3), TupleStatus::kLabeledPositive);
+  const auto stats = engine.GetStats();
+  EXPECT_EQ(stats.wasted_interactions, 1u);
+  EXPECT_EQ(stats.interactions, 2u);
+  EXPECT_EQ(stats.explicitly_labeled_tuples, 2u);
+  // Labeling the same tuple again adds an interaction, not a labeled tuple.
+  ASSERT_TRUE(engine.SubmitTupleLabel(3, Label::kPositive).ok());
+  EXPECT_EQ(engine.GetStats().wasted_interactions, 2u);
+  EXPECT_EQ(engine.GetStats().explicitly_labeled_tuples, 2u);
+  ExpectStatsMatchTupleStatuses(engine);
+}
+
+TEST(EngineTest, RejectedContradictionLeavesEveryTupleStatusUnchanged) {
+  InferenceEngine engine(SmallInstance());
+  ASSERT_TRUE(engine.SubmitTupleLabel(2, Label::kPositive).ok());
+  ASSERT_TRUE(engine.SubmitTupleLabel(11, Label::kNegative).ok());
+  const auto statuses = [&] {
+    std::vector<TupleStatus> all;
+    for (size_t t = 0; t < engine.num_tuples(); ++t) {
+      all.push_back(engine.tuple_status(t));
+    }
+    return all;
+  };
+  const std::vector<TupleStatus> before = statuses();
+  // Each labeled tuple, a class-mate of one, and a tuple forced by
+  // propagation (row 1), each with the opposite label.
+  for (const auto& [tuple, opposite] :
+       {std::pair{size_t{2}, Label::kNegative},
+        std::pair{size_t{3}, Label::kNegative},
+        std::pair{size_t{11}, Label::kPositive},
+        std::pair{size_t{0}, Label::kPositive}}) {
+    EXPECT_EQ(engine.SubmitTupleLabel(tuple, opposite).code(),
+              util::StatusCode::kFailedPrecondition)
+        << "tuple " << tuple;
+  }
+  EXPECT_EQ(statuses(), before);
+  EXPECT_EQ(engine.history().size(), 2u);
+  ExpectStatsMatchTupleStatuses(engine);
+}
+
 TEST(EngineTest, CopyIsIndependent) {
   InferenceEngine engine(SmallInstance());
   InferenceEngine copy = engine;
