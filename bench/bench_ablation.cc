@@ -5,8 +5,6 @@
 //        cap cost, and how much decision latency does it buy?
 //   A2 — entropy family: the generalized (Tsallis) α parameter of
 //        lookahead-entropy. Does the choice of α matter?
-//   A3 — hypothesis-space price: the selection+join extension runs the same
-//        goals in a strictly larger space; how many extra questions?
 
 #include <iostream>
 
@@ -87,39 +85,5 @@ int main() {
   std::cout << alpha_table.ToString()
             << "\nExpected: flat — the pruning-count signal dominates; the "
                "entropy family mostly reorders ties.\n";
-
-  std::cout << "\n== A3: price of the selection+join hypothesis space "
-               "(Figure 1 goals) ==\n\n";
-  util::TablePrinter space_table(
-      {"goal", "pure-join questions", "selection+join questions"});
-  space_table.SetAlignments({util::Align::kLeft, util::Align::kRight,
-                             util::Align::kRight});
-  const auto instance = workload::Figure1InstancePtr();
-  for (const char* goal_text : {workload::kQ1, workload::kQ2}) {
-    const auto join_goal =
-        core::JoinPredicate::Parse(instance->schema(), goal_text).value();
-    core::LookaheadStrategy strategy(
-        core::LookaheadStrategy::Objective::kMinMax);
-    const auto pure = core::RunSession(instance, join_goal, strategy);
-    const auto extended_goal =
-        core::SelectionJoinQuery::Parse(instance->schema(), goal_text)
-            .value();
-    const auto extended = core::RunSelectionSession(instance, extended_goal);
-    space_table.AddRow({goal_text, std::to_string(pure.interactions),
-                        std::to_string(extended.interactions)});
-  }
-  // One goal only the extension can express.
-  {
-    const auto extended_goal = core::SelectionJoinQuery::Parse(
-                                   instance->schema(),
-                                   "To=City && Airline='AF'")
-                                   .value();
-    const auto extended = core::RunSelectionSession(instance, extended_goal);
-    space_table.AddRow({"To=City && Airline='AF'", "(inexpressible)",
-                        std::to_string(extended.interactions)});
-  }
-  std::cout << space_table.ToString()
-            << "\nExpected: the richer space needs more questions on the "
-               "same goals — expressiveness is paid for in labels.\n";
   return 0;
 }

@@ -4,8 +4,7 @@
 //   infer <file.csv> [--strategy=NAME] [--mode=1..4] [--goal=PRED] [--auto]
 //       Interactive join inference over a CSV instance (header row =
 //       attribute names; column types inferred). With --auto a simulated
-//       user labels according to --goal (required then). With --selection
-//       the goal may contain constant selections (e.g. "Airline='AF'").
+//       user labels according to --goal (required then).
 //   classes <file.csv>
 //       Show the tuple equivalence classes JIM reasons over.
 //   eval <file.csv> --query=PRED
@@ -66,7 +65,6 @@
 #include "storage/env.h"
 #include "storage/mapped_store.h"
 #include "storage/metrics_env.h"
-#include "storage/snapshot.h"
 #include "storage/store_writer.h"
 #include "ui/console_ui.h"
 #include "ui/demo_runner.h"
@@ -240,34 +238,6 @@ int CmdEval(const Flags& flags) {
 int CmdInfer(const Flags& flags) {
   auto store = LoadStore(flags);
   if (!store.ok()) return Fail(store.status().ToString());
-
-  // The selection+join extension runs its own loop over Value rows. A
-  // CSV-loaded store already holds its relation; only a mapped instance
-  // needs materializing.
-  if (flags.Has("selection")) {
-    if (!flags.Has("goal")) {
-      return Fail("--selection currently requires --goal (auto mode)");
-    }
-    auto goal = core::SelectionJoinQuery::Parse((*store)->schema(),
-                                                flags.Get("goal"));
-    if (!goal.ok()) return Fail(goal.status().ToString());
-    const auto* relation_store =
-        dynamic_cast<const core::RelationTupleStore*>(store->get());
-    const auto instance =
-        relation_store != nullptr
-            ? relation_store->relation()
-            : std::make_shared<const rel::Relation>(
-                  storage::MaterializeStore(**store));
-    const auto result = core::RunSelectionSession(instance, *goal);
-    std::cout << "questions: " << result.interactions << "\n"
-              << "inferred:  "
-              << (result.result.has_value() ? result.result->ToString()
-                                            : "(empty result set)")
-              << "\n"
-              << "identified goal: "
-              << (result.identified_goal ? "yes" : "NO") << "\n";
-    return result.identified_goal ? 0 : 1;
-  }
 
   ui::DemoOptions options;
   options.strategy = flags.Get("strategy", "lookahead-entropy");

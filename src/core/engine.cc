@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <limits>
 #include <unordered_map>
 
 #include "exec/parallel.h"
@@ -617,48 +618,10 @@ InferenceEngine::LabelImpact InferenceEngine::SimulateLabel(
 
 InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
     size_t class_id) const {
-  return SimulateLabelBothWith(class_id, meet_tmp_, scratch_);
-}
-
-InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBothWith(
-    size_t class_id, lat::Partition& meet_tmp,
-    lat::PartitionScratch& scratch) const {
-  JIM_COUNT(obs::kCounterEngineSimulateLabelBoth);
-  JIM_CHECK_LT(class_id, classes_->size());
-  JIM_CHECK(session_->class_status[class_id] == ClassStatus::kInformative);
-  const lat::Partition& k_labeled = (*knowledge_)[class_id];
-
   LabelImpactPair impact;
-  impact.positive.pruned_classes = impact.negative.pruned_classes = 1;
-  impact.positive.pruned_tuples = impact.negative.pruned_tuples =
-      (*classes_)[class_id].size();
-  for (size_t c : session_->informative) {
-    if (c == class_id) continue;
-    const lat::Partition& k = (*knowledge_)[c];
-    const size_t members = (*classes_)[c].size();
-    // Negative answer: the forbidden zone grows by exactly k_labeled, so the
-    // class is pruned iff its knowledge falls inside it.
-    if (k.RefinesWith(k_labeled, scratch)) {
-      ++impact.negative.pruned_classes;
-      impact.negative.pruned_tuples += members;
-    }
-    // Positive answer: the hypothetical θ_P is k_labeled, and the class's
-    // hypothetical knowledge is k_labeled ∧ k (meeting cached knowledge is
-    // enough — both already lie below the current θ_P).
-    if (k_labeled.RefinesWith(k, scratch)) {
-      // k_labeled ∧ k == k_labeled: forced positive.
-      ++impact.positive.pruned_classes;
-      impact.positive.pruned_tuples += members;
-    } else {
-      k_labeled.MeetInto(k, meet_tmp, scratch);
-      // Testing against the *current* antichain is exact: restricting it to
-      // the new θ_P never changes domination of partitions below that θ_P.
-      if (state_.negatives().DominatedBy(meet_tmp, scratch)) {
-        ++impact.positive.pruned_classes;
-        impact.positive.pruned_tuples += members;
-      }
-    }
-  }
+  SimulateLabelBothBounded(class_id, meet_tmp_, scratch_, nullptr, nullptr,
+                           -std::numeric_limits<double>::infinity(), &impact,
+                           nullptr);
   return impact;
 }
 
@@ -693,15 +656,20 @@ void InferenceEngine::PrepareLookaheadBounds(
 
 bool InferenceEngine::SimulateLabelBothBounded(
     size_t class_id, lat::Partition& meet_tmp, lat::PartitionScratch& scratch,
-    const LookaheadBoundsCache& bounds, const AggregateBoundFn& objective,
+    const LookaheadBoundsCache* bounds, const AggregateBoundFn* objective,
     double threshold, LabelImpactPair* impact, double* skip_bound) const {
   JIM_CHECK_LT(class_id, classes_->size());
   JIM_CHECK(session_->class_status[class_id] == ClassStatus::kInformative);
-  const size_t pos_cap = LookaheadPosCap(bounds, class_id);
-  const size_t neg_cap = LookaheadNegCap(bounds, class_id);
-  {
+  // No bound falls below −∞, so that threshold reads no cap and runs neither
+  // the precheck nor the in-scan abort: the plain simulation.
+  const bool cutoff = threshold > -std::numeric_limits<double>::infinity();
+  size_t pos_cap = 0;
+  size_t neg_cap = 0;
+  if (cutoff) {
+    pos_cap = LookaheadPosCap(*bounds, class_id);
+    neg_cap = LookaheadNegCap(*bounds, class_id);
     // O(1) precheck: can the candidate beat the threshold at all?
-    const double bound = objective.UpperBound(pos_cap, neg_cap);
+    const double bound = objective->UpperBound(pos_cap, neg_cap);
     if (bound < threshold) {
       *skip_bound = bound;
       JIM_COUNT(obs::kCounterEngineCutoffSkips);
@@ -716,12 +684,12 @@ bool InferenceEngine::SimulateLabelBothBounded(
   result.positive.pruned_tuples = result.negative.pruned_tuples =
       (*classes_)[class_id].size();
   for (size_t i = 0; i < informative.size(); ++i) {
-    if ((i & 63u) == 63u) {
+    if (cutoff && (i & 63u) == 63u) {
       // In-scan abort: counts so far plus the remaining worklist tuple mass
       // (still capped) bound anything this candidate can reach. The suffix
       // may re-count the candidate's own class — harmless, bounds only widen.
-      const size_t rem = bounds.suffix_tuples[i];
-      const double bound = objective.UpperBound(
+      const size_t rem = bounds->suffix_tuples[i];
+      const double bound = objective->UpperBound(
           std::min(result.positive.pruned_tuples + rem, pos_cap),
           std::min(result.negative.pruned_tuples + rem, neg_cap));
       if (bound < threshold) {
@@ -734,17 +702,23 @@ bool InferenceEngine::SimulateLabelBothBounded(
     if (c == class_id) continue;
     const lat::Partition& k = (*knowledge_)[c];
     const size_t members = (*classes_)[c].size();
-    // Identical arithmetic to SimulateLabelBothWith — a fully evaluated
-    // candidate's impact pair is bitwise the same.
+    // Negative answer: the forbidden zone grows by exactly k_labeled, so the
+    // class is pruned iff its knowledge falls inside it.
     if (k.RefinesWith(k_labeled, scratch)) {
       ++result.negative.pruned_classes;
       result.negative.pruned_tuples += members;
     }
+    // Positive answer: the hypothetical θ_P is k_labeled, and the class's
+    // hypothetical knowledge is k_labeled ∧ k (meeting cached knowledge is
+    // enough — both already lie below the current θ_P).
     if (k_labeled.RefinesWith(k, scratch)) {
+      // k_labeled ∧ k == k_labeled: forced positive.
       ++result.positive.pruned_classes;
       result.positive.pruned_tuples += members;
     } else {
       k_labeled.MeetInto(k, meet_tmp, scratch);
+      // Testing against the *current* antichain is exact: restricting it to
+      // the new θ_P never changes domination of partitions below that θ_P.
       if (state_.negatives().DominatedBy(meet_tmp, scratch)) {
         ++result.positive.pruned_classes;
         result.positive.pruned_tuples += members;

@@ -199,21 +199,13 @@ class InferenceEngine {
   /// Exactly equal to {SimulateLabel(c, +), SimulateLabel(c, −)}; this is
   /// what turns lookahead scoring from O(candidates × classes × alloc-heavy
   /// meets) into cache-reusing scans. Requires the class to be informative.
+  /// A no-cutoff call into SimulateLabelBothBounded on the engine's own
+  /// kernel working set, so not for concurrent use on one engine.
   struct LabelImpactPair {
     LabelImpact positive;
     LabelImpact negative;
   };
   LabelImpactPair SimulateLabelBoth(size_t class_id) const;
-
-  /// SimulateLabelBoth with a caller-provided kernel working set instead of
-  /// the engine's internal one. Identical result — but since the engine is
-  /// not touched at all (not even its mutable scratch), any number of
-  /// threads may score candidates of one engine concurrently, each thread
-  /// owning its own (meet_tmp, scratch) pair. This is the entry point of the
-  /// parallel lookahead (exec::ScratchPool hands out the pairs).
-  LabelImpactPair SimulateLabelBothWith(size_t class_id,
-                                        lat::Partition& meet_tmp,
-                                        lat::PartitionScratch& scratch) const;
 
   /// Upper-bound oracle for cutoff-pruned lookahead: given caps on the two
   /// pruning counts (n⁺ ≤ pos_cap, n⁻ ≤ neg_cap), returns a value ≥ the
@@ -259,20 +251,27 @@ class InferenceEngine {
                : cache.total_tuples;
   }
 
-  /// Cutoff-pruned SimulateLabelBothWith: evaluates the candidate only if
-  /// its upper bound can still beat `threshold`. Returns true with *impact
-  /// filled when the candidate was fully evaluated (bitwise-identical to
-  /// SimulateLabelBothWith); returns false with *skip_bound set to the bound
-  /// it was skipped under — either the O(1) precheck bound or an in-scan
-  /// abort bound (current counts + remaining-tuples cap) — when the
-  /// candidate provably cannot reach `threshold`. The skip test is strict
+  /// The one impact-pair scan (see SimulateLabelBoth), cut off against
+  /// `threshold`: evaluates the candidate only if its upper bound can still
+  /// beat it. Returns true with *impact filled when the candidate was fully
+  /// evaluated; returns false with *skip_bound set to the bound it was
+  /// skipped under — either the O(1) precheck bound or an in-scan abort
+  /// bound (current counts + remaining-tuples cap) — when the candidate
+  /// provably cannot reach `threshold`. The skip test is strict
   /// (bound < threshold), so a candidate tying the best score is always
-  /// evaluated and argmax tie-breaking is unaffected. Thread-safe under the
-  /// same contract as SimulateLabelBothWith.
+  /// evaluated and argmax tie-breaking is unaffected. A threshold of −∞ is
+  /// the plain simulation: `bounds`, `objective` and `skip_bound` are not
+  /// read (they may be null) and the call always returns true.
+  ///
+  /// The engine itself is not touched — the caller owns the kernel working
+  /// set (meet_tmp, scratch) — so any number of threads may score
+  /// candidates of one engine concurrently, each with its own pair; this is
+  /// the entry point of the parallel lookahead (exec::ScratchPool hands out
+  /// the pairs).
   bool SimulateLabelBothBounded(size_t class_id, lat::Partition& meet_tmp,
                                 lat::PartitionScratch& scratch,
-                                const LookaheadBoundsCache& bounds,
-                                const AggregateBoundFn& objective,
+                                const LookaheadBoundsCache* bounds,
+                                const AggregateBoundFn* objective,
                                 double threshold, LabelImpactPair* impact,
                                 double* skip_bound) const;
 

@@ -23,7 +23,6 @@
 #include "core/inference_state.h"// IWYU pragma: export
 #include "core/join_predicate.h" // IWYU pragma: export
 #include "core/oracle.h"         // IWYU pragma: export
-#include "core/selection_inference.h"  // IWYU pragma: export
 #include "core/session.h"        // IWYU pragma: export
 #include "core/speculation.h"    // IWYU pragma: export
 #include "core/strategies.h"     // IWYU pragma: export

@@ -76,43 +76,6 @@ void SpeculativeSession::Undo() {
   state_.Swap(frame.saved);
 }
 
-InferenceEngine::LabelImpactPair SpeculativeSession::SimulateBoth(
-    size_t class_id) {
-  JIM_CHECK(IsLive(class_id));
-  const lat::Partition& theta = state_.theta_p();
-  // K_labeled = θ_P ∧ Part(c). No per-class cache here, so knowledge
-  // partitions are materialized on the fly — same arithmetic as the engine's
-  // SimulateLabelBothWith over its cached worklist, hence bitwise-identical
-  // counts at depth 0.
-  theta.MeetInto(engine_.tuple_class(class_id).partition, k_labeled_,
-                 scratch_);
-
-  InferenceEngine::LabelImpactPair impact;
-  impact.positive.pruned_classes = impact.negative.pruned_classes = 1;
-  impact.positive.pruned_tuples = impact.negative.pruned_tuples =
-      engine_.tuple_class(class_id).size();
-  for (size_t c = FirstLive(); c != LiveEnd(); c = NextLive(c)) {
-    if (c == class_id) continue;
-    theta.MeetInto(engine_.tuple_class(c).partition, k_other_, scratch_);
-    const size_t members = engine_.tuple_class(c).size();
-    if (k_other_.RefinesWith(k_labeled_, scratch_)) {
-      ++impact.negative.pruned_classes;
-      impact.negative.pruned_tuples += members;
-    }
-    if (k_labeled_.RefinesWith(k_other_, scratch_)) {
-      ++impact.positive.pruned_classes;
-      impact.positive.pruned_tuples += members;
-    } else {
-      k_labeled_.MeetInto(k_other_, meet_tmp_, scratch_);
-      if (state_.negatives().DominatedBy(meet_tmp_, scratch_)) {
-        ++impact.positive.pruned_classes;
-        impact.positive.pruned_tuples += members;
-      }
-    }
-  }
-  return impact;
-}
-
 void SpeculativeSession::CheckInvariants() const {
   state_.CheckInvariants();
   // The list is one ascending cycle through the sentinel of length num_live.

@@ -74,14 +74,6 @@ class SpeculativeSession {
   /// reverse removal order and swaps the pre-label state back. O(removed).
   void Undo();
 
-  /// Both answers' impacts for a live class under the *current* speculative
-  /// state, counting pruned live classes/tuples exactly like
-  /// InferenceEngine::SimulateLabelBoth does against its worklist. At depth
-  /// 0 this is bitwise-identical to engine.SimulateLabelBoth(class_id) —
-  /// the parity tests pin the two together; deeper, it is what a lookahead
-  /// embedded in a speculative search would score with.
-  InferenceEngine::LabelImpactPair SimulateBoth(size_t class_id);
-
   /// Audit: the live list is a consistent ascending cycle through the
   /// sentinel, agrees with num_live(), and matches a from-scratch
   /// classification of the engine's informative classes under state().
@@ -116,8 +108,6 @@ class SpeculativeSession {
   // Scratch for the allocation-free classify/meet kernels.
   lat::PartitionScratch scratch_;
   lat::Partition meet_tmp_;
-  lat::Partition k_labeled_;
-  lat::Partition k_other_;
 };
 
 }  // namespace jim::core

@@ -151,38 +151,8 @@ double LookaheadStrategy::Aggregate(size_t n_plus, size_t n_minus) const {
 
 std::vector<double> LookaheadStrategy::Score(
     const InferenceEngine& engine, const std::vector<size_t>& candidates) {
-  std::vector<double> scores(candidates.size(),
-                             -std::numeric_limits<double>::infinity());
-  // Deterministic candidate cap: score an evenly spaced subsample when the
-  // pool is too large; unsampled candidates keep -inf and are never picked.
-  const size_t n = candidates.size();
-  const size_t cap =
-      max_candidates_ == 0 ? n : std::min(n, max_candidates_);
-  exec::ThreadPool* pool = use_shared_pool_ ? &exec::SharedPool() : pool_;
-  if (pool != nullptr && pool->threads() > 1 && cap > 1) {
-    // Sampled candidate j → slot j*n/cap, strictly increasing in j, so every
-    // chunk writes disjoint score slots and the result vector is identical
-    // to the serial path bit for bit. Each chunk owns one EvalScratch; both
-    // the per-candidate simulation and Aggregate are pure, so scheduling
-    // cannot leak into the scores.
-    scratch_pool_.EnsureSlots(std::min(pool->threads(), cap));
-    pool->ParallelFor(cap, [&](size_t j, size_t chunk) {
-      exec::EvalScratch& slot = scratch_pool_.Slot(chunk);
-      const size_t i = j * n / cap;
-      const auto both = engine.SimulateLabelBothWith(candidates[i],
-                                                     slot.meet_tmp,
-                                                     slot.scratch);
-      scores[i] =
-          Aggregate(both.positive.pruned_tuples, both.negative.pruned_tuples);
-    });
-  } else {
-    for (size_t j = 0; j < cap; ++j) {
-      const size_t i = j * n / cap;
-      const auto both = engine.SimulateLabelBoth(candidates[i]);
-      scores[i] =
-          Aggregate(both.positive.pruned_tuples, both.negative.pruned_tuples);
-    }
-  }
+  std::vector<double> scores;
+  ScanCandidates(engine, candidates, nullptr, scores, nullptr);
   return scores;
 }
 
@@ -217,6 +187,64 @@ class MonotoneBound final : public InferenceEngine::AggregateBoundFn {
 
 }  // namespace
 
+void LookaheadStrategy::ScanCandidates(
+    const InferenceEngine& engine, const std::vector<size_t>& candidates,
+    const InferenceEngine::LookaheadBoundsCache* bounds,
+    std::vector<double>& scores, std::vector<double>* skip_bounds) {
+  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
+  // Deterministic candidate cap: score an evenly spaced subsample when the
+  // pool is too large; unsampled candidates keep -inf and are never picked.
+  // Sampled candidate j → slot j*n/cap, strictly increasing in j, so every
+  // chunk writes disjoint slots and the result is identical to the serial
+  // path bit for bit.
+  const size_t n = candidates.size();
+  const size_t cap = max_candidates_ == 0 ? n : std::min(n, max_candidates_);
+  scores.assign(n, kNegInf);
+  if (skip_bounds != nullptr) {
+    skip_bounds->assign(n, std::numeric_limits<double>::quiet_NaN());
+  }
+  const MonotoneBound objective(*this, objective_ == Objective::kEntropy);
+  // The running best is a relaxed atomic maximum. Serially it is a plain
+  // running maximum, so later candidates face the tightest threshold seen so
+  // far; in parallel a chunk reading a stale (smaller) best merely skips
+  // less. Every skipped candidate's true score stays strictly below the
+  // final maximum, so the argmax over `scores` is the exhaustive one — the
+  // scores it compares are bitwise the exhaustive ones wherever they were
+  // computed, and every candidate achieving the maximum is always computed.
+  // Without bounds the threshold stays −∞ and nothing is ever skipped.
+  std::atomic<double> best{kNegInf};
+  exec::ThreadPool* pool = use_shared_pool_ ? &exec::SharedPool() : pool_;
+  const bool parallel = pool != nullptr && pool->threads() > 1 && cap > 1;
+  scratch_pool_.EnsureSlots(parallel ? std::min(pool->threads(), cap) : 1);
+  auto score_one = [&](size_t j, size_t chunk) {
+    exec::EvalScratch& slot = scratch_pool_.Slot(chunk);
+    const size_t i = j * n / cap;
+    const double threshold =
+        bounds != nullptr ? best.load(std::memory_order_relaxed) : kNegInf;
+    InferenceEngine::LabelImpactPair both;
+    double bound = kNegInf;
+    if (!engine.SimulateLabelBothBounded(candidates[i], slot.meet_tmp,
+                                         slot.scratch, bounds, &objective,
+                                         threshold, &both, &bound)) {
+      (*skip_bounds)[i] = bound;
+      return;
+    }
+    const double score =
+        Aggregate(both.positive.pruned_tuples, both.negative.pruned_tuples);
+    scores[i] = score;
+    double current = best.load(std::memory_order_relaxed);
+    while (current < score &&
+           !best.compare_exchange_weak(current, score,
+                                       std::memory_order_relaxed)) {
+    }
+  };
+  if (parallel) {
+    pool->ParallelFor(cap, score_one);
+  } else {
+    for (size_t j = 0; j < cap; ++j) score_one(j, 0);
+  }
+}
+
 size_t LookaheadStrategy::PickClass(const InferenceEngine& engine) {
   last_skips_.clear();
   last_evaluated_ = 0;
@@ -225,82 +253,24 @@ size_t LookaheadStrategy::PickClass(const InferenceEngine& engine) {
   }
   const std::vector<size_t>& candidates = engine.InformativeClasses();
   JIM_CHECK(!candidates.empty()) << "PickClass on a finished engine";
-  const size_t n = candidates.size();
-  const size_t cap = max_candidates_ == 0 ? n : std::min(n, max_candidates_);
-
   InferenceEngine::LookaheadBoundsCache bounds;
   engine.PrepareLookaheadBounds(bounds);
-  const MonotoneBound objective(*this, objective_ == Objective::kEntropy);
+  std::vector<double> scores;
+  std::vector<double> skip_bounds;
+  ScanCandidates(engine, candidates, &bounds, scores, &skip_bounds);
 
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
-  std::vector<double> scores(n, kNegInf);
-  std::vector<double> skip_bound(n, kNegInf);
-  std::vector<uint8_t> evaluated(n, 0);
-  exec::ThreadPool* pool = use_shared_pool_ ? &exec::SharedPool() : pool_;
-  if (pool != nullptr && pool->threads() > 1 && cap > 1) {
-    // Same disjoint-slot sampling as Score. The running best is a relaxed
-    // atomic maximum: a chunk reading a stale (smaller) best merely skips
-    // less. Every skipped candidate's true score stays strictly below the
-    // final maximum, so the argmax below is the exhaustive one — the scores
-    // it compares are bitwise Score()'s wherever they were computed, and
-    // every candidate achieving the maximum is always computed.
-    scratch_pool_.EnsureSlots(std::min(pool->threads(), cap));
-    std::atomic<double> best{kNegInf};
-    pool->ParallelFor(cap, [&](size_t j, size_t chunk) {
-      exec::EvalScratch& slot = scratch_pool_.Slot(chunk);
-      const size_t i = j * n / cap;
-      const double threshold = best.load(std::memory_order_relaxed);
-      InferenceEngine::LabelImpactPair both;
-      double bound = kNegInf;
-      if (engine.SimulateLabelBothBounded(candidates[i], slot.meet_tmp,
-                                          slot.scratch, bounds, objective,
-                                          threshold, &both, &bound)) {
-        const double score = Aggregate(both.positive.pruned_tuples,
-                                       both.negative.pruned_tuples);
-        scores[i] = score;
-        evaluated[i] = 1;
-        double current = best.load(std::memory_order_relaxed);
-        while (current < score &&
-               !best.compare_exchange_weak(current, score,
-                                           std::memory_order_relaxed)) {
-        }
-      } else {
-        skip_bound[i] = bound;
-      }
-    });
-  } else {
-    // Serial: the best is a monotone running maximum, so later candidates
-    // face the tightest threshold seen so far.
-    scratch_pool_.EnsureSlots(1);
-    exec::EvalScratch& slot = scratch_pool_.Slot(0);
-    double best = kNegInf;
-    for (size_t j = 0; j < cap; ++j) {
-      const size_t i = j * n / cap;
-      InferenceEngine::LabelImpactPair both;
-      double bound = kNegInf;
-      if (engine.SimulateLabelBothBounded(candidates[i], slot.meet_tmp,
-                                          slot.scratch, bounds, objective,
-                                          best, &both, &bound)) {
-        scores[i] = Aggregate(both.positive.pruned_tuples,
-                              both.negative.pruned_tuples);
-        evaluated[i] = 1;
-        best = std::max(best, scores[i]);
-      } else {
-        skip_bound[i] = bound;
-      }
-    }
-  }
-
+  const size_t n = candidates.size();
   size_t best_i = 0;
   for (size_t i = 1; i < n; ++i) {
     if (scores[i] > scores[best_i]) best_i = i;
   }
+  const size_t cap = max_candidates_ == 0 ? n : std::min(n, max_candidates_);
   for (size_t j = 0; j < cap; ++j) {
     const size_t i = j * n / cap;
-    if (evaluated[i]) {
+    if (std::isnan(skip_bounds[i])) {
       ++last_evaluated_;
     } else {
-      last_skips_.push_back(CutoffSkip{candidates[i], skip_bound[i]});
+      last_skips_.push_back(CutoffSkip{candidates[i], skip_bounds[i]});
     }
   }
   return candidates[best_i];

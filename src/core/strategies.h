@@ -83,12 +83,13 @@ class LocalStrategy : public Strategy {
 /// of candidates scored per step (a deterministic sample keeps huge
 /// instances interactive), 0 = unlimited.
 ///
-/// Scoring is embarrassingly parallel — every candidate's SimulateLabelBoth
-/// is independent once each thread owns an exec::EvalScratch — and it runs
-/// on a thread pool (exec::SharedPool() by default). The parallel path is
-/// bitwise-deterministic at any thread count: each candidate's score lands
-/// in its slot of a pre-sized vector, and PickClass's serial argmax (ties
-/// toward the smallest index) is unchanged.
+/// Scoring is embarrassingly parallel — every candidate's impact scan is
+/// independent once each thread owns an exec::EvalScratch — and it runs on
+/// a thread pool (exec::SharedPool() by default). Score and PickClass share
+/// one candidate loop (ScanCandidates); it is bitwise-deterministic at any
+/// thread count: each candidate's score lands in its slot of a pre-sized
+/// vector, and the serial argmax (ties toward the smallest index) is
+/// unchanged.
 class LookaheadStrategy : public Strategy {
  public:
   enum class Objective { kMinMax, kExpected, kEntropy };
@@ -101,7 +102,7 @@ class LookaheadStrategy : public Strategy {
 
   /// Cutoff-pruned argmax (see DESIGN below): candidates whose aggregate
   /// upper bound provably cannot beat the best score found so far are
-  /// skipped without (or part-way through) their SimulateLabelBoth scan.
+  /// skipped without (or part-way through) their impact scan.
   /// The skip test is strict (bound < best), every Aggregate objective here
   /// is monotone in each pruning count, and computed scores are bitwise
   /// those of Score — so the returned class is always identical to
@@ -148,6 +149,17 @@ class LookaheadStrategy : public Strategy {
 
  private:
   double Aggregate(size_t n_plus, size_t n_minus) const;
+  /// The one candidate loop behind Score and PickClass: scores the evenly
+  /// spaced sample of at most max_candidates_ candidates into their slots of
+  /// `scores` (every other slot stays −∞), serially or on the pool. With
+  /// `bounds`, a candidate whose upper bound cannot beat the best score so
+  /// far is skipped and its slot of `skip_bounds` gets that bound (NaN
+  /// elsewhere); without, every sampled candidate is fully evaluated.
+  void ScanCandidates(const InferenceEngine& engine,
+                      const std::vector<size_t>& candidates,
+                      const InferenceEngine::LookaheadBoundsCache* bounds,
+                      std::vector<double>& scores,
+                      std::vector<double>* skip_bounds);
   /// True when Aggregate is monotone nondecreasing in each count, which is
   /// what makes Aggregate(caps) a sound upper bound: min and mean trivially;
   /// total · H_α at fixed total is maximized... (∂/∂n⁺ of the Shannon form is

@@ -36,8 +36,8 @@ namespace jim::core {
 /// Implementations: RelationTupleStore (a materialized denormalized
 /// relation, encoded once at wrap time) and the factorized store behind
 /// query::UniversalTable (mixed-radix row ids over the source relations'
-/// encoded columns — no materialized rows at all). Future backends
-/// (mmap'd columnar files, sharded stores) plug in here.
+/// encoded columns — no materialized rows at all), plus the mmap'd JIMC
+/// file behind storage::MappedTupleStore.
 class TupleStore {
  public:
   virtual ~TupleStore() = default;
@@ -125,7 +125,7 @@ class RelationTupleStore final : public TupleStore {
 ///     codes.
 /// O(N·n) decodes + hashing — test/audit-mode cost, not a hot path. The
 /// parity and storage suites run it over every backend (relation-backed,
-/// factorized, mapped, sharded).
+/// factorized, mapped).
 void CheckStoreInvariants(const TupleStore& store);
 
 /// Wraps `relation` into a RelationTupleStore (large relations encode on

@@ -11,7 +11,7 @@ namespace jim::exec {
 
 /// The per-thread working set of the engine's allocation-free simulation
 /// kernels: one epoch-stamped PartitionScratch plus the meet output buffer
-/// SimulateLabelBothWith writes through. Exactly what one chunk of a
+/// SimulateLabelBothBounded writes through. Exactly what one chunk of a
 /// parallel lookahead needs — and nothing is shared, so chunks never
 /// contend.
 struct EvalScratch {

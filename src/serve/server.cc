@@ -77,7 +77,15 @@ void Server::HandleConnection(uint64_t connection_id,
   bool shutdown_requested = false;
   while (!shutdown_requested) {
     util::StatusOr<std::string> line = connection->ReadLine();
-    if (!line.ok()) break;
+    if (!line.ok()) {
+      // An over-long line cannot be framed past: answer it once, then close.
+      if (line.status().code() == util::StatusCode::kResourceExhausted) {
+        JIM_COUNT(obs::kCounterServeRequests);
+        JIM_COUNT(obs::kCounterServeRequestErrors);
+        (void)connection->WriteLine(ErrorLine(line.status()));
+      }
+      break;
+    }
     if (line.value().empty()) continue;  // blank lines between requests
     std::string response = HandleLine(line.value(), &shutdown_requested);
     if (!connection->WriteLine(response).ok()) break;

@@ -38,6 +38,11 @@ util::Status ErrnoStatus(const char* what, int err) {
   }
 }
 
+util::Status LineTooLong() {
+  return util::ResourceExhaustedError(util::StrFormat(
+      "request line exceeds %zu bytes", kMaxRequestLineBytes));
+}
+
 class TcpConnection final : public Connection {
  public:
   explicit TcpConnection(int fd) : fd_(fd) {}
@@ -46,13 +51,19 @@ class TcpConnection final : public Connection {
 
   util::StatusOr<std::string> ReadLine() override {
     while (true) {
-      size_t newline = buffer_.find('\n');
+      // buffer_[0, scanned_) holds no '\n': only newly received bytes are
+      // searched.
+      const size_t newline = buffer_.find('\n', scanned_);
       if (newline != std::string::npos) {
+        if (newline > kMaxRequestLineBytes) return LineTooLong();
         std::string line = buffer_.substr(0, newline);
         buffer_.erase(0, newline + 1);
+        scanned_ = 0;
         if (!line.empty() && line.back() == '\r') line.pop_back();
         return line;
       }
+      scanned_ = buffer_.size();
+      if (scanned_ > kMaxRequestLineBytes) return LineTooLong();
       char chunk[4096];
       ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
       if (n > 0) {
@@ -98,6 +109,7 @@ class TcpConnection final : public Connection {
  private:
   int fd_;
   std::string buffer_;
+  size_t scanned_ = 0;
   std::atomic<bool> shutdown_{false};
 };
 
@@ -154,7 +166,14 @@ class StreamConnection final : public Connection {
       return util::NotFoundError("connection closed");
     }
     std::string line;
-    if (!std::getline(in_, line)) {
+    char c;
+    while (in_.get(c) && c != '\n') {
+      if (line.size() == kMaxRequestLineBytes) return LineTooLong();
+      line.push_back(c);
+    }
+    // End of input before any byte is a close; a final line without its
+    // '\n' still counts.
+    if (!in_ && line.empty()) {
       return util::NotFoundError("connection closed");
     }
     if (!line.empty() && line.back() == '\r') line.pop_back();

@@ -1,6 +1,7 @@
 #ifndef JIM_SERVE_TRANSPORT_H_
 #define JIM_SERVE_TRANSPORT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <istream>
 #include <memory>
@@ -11,6 +12,11 @@
 
 namespace jim::serve {
 
+/// Longest line a Connection reads, terminator excluded. Fixed, not an
+/// option: requests and responses are a few hundred bytes, and the cap is
+/// what bounds a connection's buffer against a peer that never sends '\n'.
+inline constexpr size_t kMaxRequestLineBytes = size_t{1} << 20;
+
 /// One bidirectional newline-delimited byte stream between the daemon and a
 /// client. ReadLine blocks; ShutdownNow unblocks it from another thread
 /// (the server's teardown path), after which reads and writes fail.
@@ -19,7 +25,9 @@ class Connection {
   virtual ~Connection() = default;
 
   /// Next line, without its terminator. kNotFound("connection closed") on a
-  /// clean peer close or shutdown; other codes for transport errors.
+  /// clean peer close or shutdown; kResourceExhausted for a line longer than
+  /// kMaxRequestLineBytes (the stream cannot be framed past it, so the
+  /// connection is done); other codes for transport errors.
   virtual util::StatusOr<std::string> ReadLine() = 0;
   /// Writes `line` plus '\n' and flushes.
   virtual util::Status WriteLine(std::string_view line) = 0;

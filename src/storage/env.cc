@@ -3,8 +3,8 @@
 // The ONE translation unit in src/storage/ allowed to touch the filesystem
 // directly (tools/lint_determinism.py raw-io rule): every stream, syscall,
 // and std::filesystem mutation the storage tier performs lives here, behind
-// the Env virtual interface, so FaultInjectionEnv can interpose on all of
-// them.
+// the Env virtual interface, so the tests' FaultInjectionEnv
+// (tests/support/fault_env.h) can interpose on all of them.
 
 #include <cerrno>
 #include <chrono>

@@ -17,11 +17,11 @@ namespace jim::storage {
 /// goes through one of these virtual calls — format.cc, store_writer.cc,
 /// mapped_store.cc, and snapshot.cc contain no direct syscalls or stream
 /// objects (tools/lint_determinism.py's raw-io rule enforces this). That
-/// indirection is what makes the durability story *testable*: a
-/// FaultInjectionEnv (fault_env.h) can fail the Nth operation, tear a
-/// write at any byte boundary, refuse mmap, or cut the power and replay
-/// only the durable prefix, while the default PosixEnv preserves the
-/// original behavior byte-for-byte.
+/// indirection is what makes the durability story *testable*: the tests'
+/// FaultInjectionEnv (tests/support/fault_env.h) can fail the Nth
+/// operation, tear a write at any byte boundary, refuse mmap, or cut the
+/// power and replay only the durable prefix, while the default PosixEnv
+/// preserves the original behavior byte-for-byte.
 ///
 /// Every failure is a typed util::Status carrying errno/strerror detail.
 /// The code tells the caller what to do about it:
@@ -91,8 +91,9 @@ class Env {
       const std::string& dir) = 0;
   virtual util::Status RemoveFile(const std::string& path) = 0;
   virtual util::Status CreateDirectories(const std::string& dir) = 0;
-  /// The injectable clock behind RetryWithBackoff: PosixEnv sleeps,
-  /// FaultInjectionEnv only records, so retry tests take no wall time.
+  /// The injectable clock behind RetryWithBackoff: PosixEnv sleeps, the
+  /// tests' FaultInjectionEnv only records, so retry tests take no wall
+  /// time.
   virtual void SleepForMicros(uint64_t micros) = 0;
 };
 

@@ -39,8 +39,7 @@ namespace jim::storage {
 /// any two columns is exactly strict Value equality (NaN occurrences keep
 /// their distinct codes; NULL is the kNullCode sentinel and never equal).
 /// The per-column dictionary pages exist so a reader can decode lazily with
-/// column locality, and their shared-code remap column is what lets
-/// ShardedTupleStore splice several files' code spaces into one.
+/// column locality.
 inline constexpr uint32_t kMagic = 0x434D494Au;  // "JIMC" little-endian
 inline constexpr uint32_t kFormatVersion = 1;
 inline constexpr size_t kHeaderBytes = 48;

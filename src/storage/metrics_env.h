@@ -19,11 +19,13 @@ namespace jim::storage {
 ///   - the process-wide obs registry ("storage.*" counters), mirrored only
 ///     while obs::MetricsEnabled(), so `jim_cli --metrics-out` snapshots
 ///     include the storage tier.
-/// Composes freely: MetricsEnv(&fault_env) counts each *attempted* op,
-/// including the ones the fault schedule fails, and counts the backoff
-/// sleeps RetryWithBackoff takes between attempts — retries become an
-/// observable number instead of an article of faith. Thread-safe to the
-/// same degree as the wrapped Env (the tallies themselves are atomic).
+/// Composes freely: over the tests' FaultInjectionEnv
+/// (tests/support/fault_env.h), MetricsEnv(&fault_env) counts each
+/// *attempted* op, including the ones the fault schedule fails, and counts
+/// the backoff sleeps RetryWithBackoff takes between attempts — retries
+/// become an observable number instead of an article of faith. Thread-safe
+/// to the same degree as the wrapped Env (the tallies themselves are
+/// atomic).
 class MetricsEnv final : public Env {
  public:
   /// Plain-value snapshot of the local tally (see counts()).

@@ -1,6 +1,5 @@
 #include "storage/store_writer.h"
 
-#include <algorithm>
 #include <unordered_map>
 #include <utility>
 #include <vector>
@@ -9,7 +8,6 @@
 #include "storage/env.h"
 #include "storage/format.h"
 #include "util/logging.h"
-#include "util/string_util.h"
 
 namespace jim::storage {
 
@@ -63,14 +61,7 @@ std::string BuildSchemaPayload(const rel::Schema& schema) {
 
 util::Status WriteStore(const core::TupleStore& store, const std::string& path,
                         const StoreWriterOptions& options) {
-  const size_t total = store.num_tuples();
-  if (options.first_tuple > total) {
-    return util::OutOfRangeError(util::StrFormat(
-        "WriteStore: first_tuple %zu exceeds store size %zu",
-        options.first_tuple, total));
-  }
-  const size_t rows =
-      std::min(options.num_tuples, total - options.first_tuple);
+  const size_t rows = store.num_tuples();
   const size_t columns = store.num_attributes();
   if (columns == 0) {
     return util::InvalidArgumentError(
@@ -92,8 +83,7 @@ util::Status WriteStore(const core::TupleStore& store, const std::string& path,
   std::vector<std::vector<uint32_t>> code_arrays(columns);
   for (auto& codes : code_arrays) codes.reserve(rows);
   std::vector<uint32_t> row(columns);
-  for (size_t r = 0; r < rows; ++r) {
-    const size_t t = options.first_tuple + r;
+  for (size_t t = 0; t < rows; ++t) {
     store.TupleCodes(t, row.data());
     for (size_t a = 0; a < columns; ++a) {
       const uint32_t source = row[a];

@@ -12,11 +12,6 @@ namespace jim::storage {
 
 /// Options for WriteStore.
 struct StoreWriterOptions {
-  /// First tuple of the slice to persist.
-  size_t first_tuple = 0;
-  /// Tuple count of the slice; SIZE_MAX means "to the end". Slices are how a
-  /// store gets split into the per-shard files a ShardedTupleStore reopens.
-  size_t num_tuples = static_cast<size_t>(-1);
   /// Overrides the persisted store name (empty keeps store.name()).
   std::string name;
   /// Filesystem to write through (nullptr → DefaultEnv()).
@@ -33,7 +28,7 @@ struct StoreWriterOptions {
 /// failed write never leaves a half-written file under the final name.
 ///
 /// The file's shared-dictionary code space is a dense renumbering of the
-/// codes the slice actually uses (first occurrence wins, row-major scan
+/// codes the store actually uses (first occurrence wins, row-major scan
 /// order), so the file is self-contained: equality structure — the only
 /// thing the inference engine consumes — is preserved exactly, including
 /// NULL sentinels and the one-fresh-code-per-occurrence NaN discipline.

@@ -158,20 +158,6 @@ TEST(DegenerateInstanceTest, NullHeavyInstance) {
   EXPECT_EQ(engine.Result().SelectedRows(*instance).Count(), 0u);
 }
 
-TEST(AdversarialTest, SelectionStateRejectsContradictionsToo) {
-  SelectionInferenceState state(3);
-  using rel::Value;
-  const rel::Tuple t = {Value("a"), Value("a"), Value("b")};
-  ASSERT_TRUE(state.ApplyLabel(t, Label::kPositive).ok());
-  EXPECT_EQ(state.ApplyLabel(t, Label::kNegative).code(),
-            util::StatusCode::kFailedPrecondition);
-  // And vice versa from a negative start.
-  SelectionInferenceState other(3);
-  ASSERT_TRUE(other.ApplyLabel(t, Label::kNegative).ok());
-  EXPECT_EQ(other.ApplyLabel(t, Label::kPositive).code(),
-            util::StatusCode::kFailedPrecondition);
-}
-
 TEST(AdversarialTest, HostileLabelOrderMatchesAnyOrderResult) {
   // Labels are commutative knowledge: any permutation of the same honest
   // label set must yield the same final state.

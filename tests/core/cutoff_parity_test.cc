@@ -215,20 +215,6 @@ TEST(CutoffParityTest, TrailUndoRestoresStateAndLiveList) {
   EXPECT_GT(branches, 0u);
 }
 
-TEST(CutoffParityTest, SpeculativeSimulateMatchesEngineAtDepthZero) {
-  const auto workload = MakeWorkload(42, /*tuples=*/200);
-  const InferenceEngine engine(workload.instance);
-  SpeculativeSession session(engine);
-  for (size_t c : engine.InformativeClasses()) {
-    const auto expected = engine.SimulateLabelBoth(c);
-    const auto actual = session.SimulateBoth(c);
-    EXPECT_EQ(actual.positive.pruned_classes, expected.positive.pruned_classes);
-    EXPECT_EQ(actual.positive.pruned_tuples, expected.positive.pruned_tuples);
-    EXPECT_EQ(actual.negative.pruned_classes, expected.negative.pruned_classes);
-    EXPECT_EQ(actual.negative.pruned_tuples, expected.negative.pruned_tuples);
-  }
-}
-
 /// The pre-trail minimax, verbatim: full-engine rescan per node, an
 /// InferenceState copy per answer branch. Kept here as the oracle the
 /// trail-based solver must agree with.

@@ -18,7 +18,6 @@
 #include "relational/dictionary.h"
 #include "relational/relation.h"
 #include "storage/mapped_store.h"
-#include "storage/sharded_store.h"
 #include "storage/store_writer.h"
 #include "util/check.h"
 #include "util/rng.h"
@@ -92,24 +91,6 @@ TEST(InvariantAuditTest, EveryStoreBackendPassesTheContractAudit) {
   ASSERT_TRUE(mapped.ok()) << mapped.status();
   (*mapped)->CheckInvariants();
   CheckStoreInvariants(**mapped);
-
-  storage::StoreWriterOptions first_half, second_half;
-  first_half.num_tuples = 2;
-  second_half.first_tuple = 2;
-  const std::string path_a =
-      ::testing::TempDir() + "invariant_audit_shard_a.jimc";
-  const std::string path_b =
-      ::testing::TempDir() + "invariant_audit_shard_b.jimc";
-  ASSERT_TRUE(storage::WriteStore(*in_memory, path_a, first_half).ok());
-  ASSERT_TRUE(storage::WriteStore(*in_memory, path_b, second_half).ok());
-  const auto shard_a = storage::MappedTupleStore::Open(path_a);
-  const auto shard_b = storage::MappedTupleStore::Open(path_b);
-  ASSERT_TRUE(shard_a.ok() && shard_b.ok());
-  const auto sharded =
-      storage::ShardedTupleStore::Create("mixed", {*shard_a, *shard_b});
-  ASSERT_TRUE(sharded.ok()) << sharded.status();
-  (*sharded)->CheckInvariants();
-  CheckStoreInvariants(**sharded);
 }
 
 TEST(InvariantAuditTest, EngineAuditHoldsThroughASessionOnEveryPath) {

@@ -2,8 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <vector>
+
 #include "core/session.h"
+#include "exec/thread_pool.h"
 #include "lattice/enumeration.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 #include "workload/travel.h"
@@ -153,6 +160,77 @@ TEST(LookaheadStrategyTest, CandidateCapStillPicksScoredCandidate) {
   // Must not crash and must return an informative class.
   const size_t pick = capped.PickClass(engine);
   EXPECT_EQ(engine.class_status(pick), ClassStatus::kInformative);
+}
+
+TEST(LookaheadStrategyTest, CutoffCountersPartitionTheSampledCandidates) {
+  // The impact-scan counter contract: one PickClass either skips, aborts or
+  // fully evaluates each sampled candidate exactly once, and one Score
+  // evaluates every sampled candidate with no cutoff at all. Checked on
+  // Figure 1 and a synthetic instance, serially and on a pool, before and
+  // after labels (so the antichain is non-empty too).
+  const bool was_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::Instance();
+  const auto counts = [&registry] {
+    return std::array<uint64_t, 3>{
+        registry.CounterValue(obs::kCounterEngineCutoffSkips),
+        registry.CounterValue(obs::kCounterEngineCutoffAborts),
+        registry.CounterValue(obs::kCounterEngineSimulateLabelBoth)};
+  };
+  util::Rng rng(77);
+  workload::SyntheticSpec spec;
+  spec.num_attributes = 6;
+  spec.num_tuples = 3000;
+  spec.domain_size = 4;
+  const auto synthetic = workload::MakeSyntheticWorkload(spec, rng);
+  exec::ThreadPool pool(2);
+  uint64_t skips_and_aborts = 0;
+  for (const auto& instance :
+       {workload::Figure1InstancePtr(), synthetic.instance}) {
+    for (const size_t max_candidates : {size_t{0}, size_t{5}, size_t{256}}) {
+      for (exec::ThreadPool* scoring_pool :
+           {static_cast<exec::ThreadPool*>(nullptr), &pool}) {
+        InferenceEngine engine(instance);
+        LookaheadStrategy strategy(LookaheadStrategy::Objective::kMinMax,
+                                   /*alpha=*/1.0, max_candidates);
+        strategy.set_thread_pool(scoring_pool);
+        for (int step = 0; step < 3 && !engine.IsDone(); ++step) {
+          const std::vector<size_t> candidates = engine.InformativeClasses();
+          const size_t sampled =
+              max_candidates == 0
+                  ? candidates.size()
+                  : std::min(candidates.size(), max_candidates);
+
+          const auto before_pick = counts();
+          const size_t pick = strategy.PickClass(engine);
+          const auto after_pick = counts();
+          EXPECT_EQ((after_pick[0] - before_pick[0]) +
+                        (after_pick[1] - before_pick[1]) +
+                        (after_pick[2] - before_pick[2]),
+                    sampled);
+          EXPECT_EQ(after_pick[2] - before_pick[2],
+                    strategy.last_evaluated());
+          skips_and_aborts += (after_pick[0] - before_pick[0]) +
+                              (after_pick[1] - before_pick[1]);
+
+          strategy.Score(engine, candidates);
+          const auto after_score = counts();
+          EXPECT_EQ(after_score[0], after_pick[0]);
+          EXPECT_EQ(after_score[1], after_pick[1]);
+          EXPECT_EQ(after_score[2] - after_pick[2], sampled);
+
+          ASSERT_TRUE(engine
+                          .SubmitClassLabel(pick, step % 2 == 0
+                                                      ? Label::kNegative
+                                                      : Label::kPositive)
+                          .ok());
+        }
+      }
+    }
+  }
+  // The cutoff actually fired somewhere, so the partition is not vacuous.
+  EXPECT_GT(skips_and_aborts, 0u);
+  obs::SetMetricsEnabled(was_enabled);
 }
 
 TEST(TopKTest, OrderedPrefixAndBounds) {

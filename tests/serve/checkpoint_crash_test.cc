@@ -23,7 +23,7 @@
 #include "gtest/gtest.h"
 #include "serve/checkpoint.h"
 #include "serve/session_manager.h"
-#include "storage/fault_env.h"
+#include "support/fault_env.h"
 #include "util/string_util.h"
 #include "workload/travel.h"
 

@@ -18,6 +18,7 @@
 
 #include <filesystem>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -305,6 +306,66 @@ TEST(ServerE2ETest, AdmissionRejectionCrossesTheWire) {
   EXPECT_EQ(rejected.status().code(),
             util::StatusCode::kResourceExhausted);
   server.Shutdown();
+}
+
+/// The typed code an {"ok":false,...} response line carries (kOk for an
+/// ok line or one that does not parse).
+util::StatusCode ResponseCode(const std::string& line) {
+  auto response = util::ParseJson(line);
+  if (!response.ok() || response->GetBool("ok", false)) {
+    return util::StatusCode::kOk;
+  }
+  return StatusFromErrorName(response->GetString("error", ""), "").code();
+}
+
+TEST(ServerE2ETest, OversizeRequestLineFailsTypedAndClosesTheConnection) {
+  const std::string oversize(kMaxRequestLineBytes + 1, 'x');
+  auto manager = MakeManager(ServeOptions{});
+
+  // TCP: one RESOURCE_EXHAUSTED line, then the daemon closes the
+  // connection; a fresh connection is served as before.
+  {
+    Server server(manager.get(), ListenTcp(0).value());
+    server.Start();
+    const uint16_t port = PortOfAddress(server.address()).value();
+    auto connection = ConnectTcp(port);
+    ASSERT_TRUE(connection.ok()) << connection.status();
+    // The daemon may close before the last bytes are sent; only its answer
+    // matters here.
+    (void)(*connection)->WriteLine(oversize);
+    auto response = (*connection)->ReadLine();
+    ASSERT_TRUE(response.ok()) << response.status();
+    EXPECT_EQ(ResponseCode(*response), util::StatusCode::kResourceExhausted)
+        << *response;
+    EXPECT_FALSE((*connection)->ReadLine().ok());
+    auto fresh = Client::ConnectTcp(port);
+    ASSERT_TRUE(fresh.ok()) << fresh.status();
+    EXPECT_TRUE(fresh->Call(R"({"verb":"ping"})").ok());
+    server.Shutdown();
+  }
+
+  // stdio: the ping after the oversize line is never read, because the one
+  // connection closes; a fresh stdio daemon answers it.
+  {
+    std::istringstream in(oversize + "\n" + R"({"verb":"ping"})" + "\n");
+    std::ostringstream out;
+    Server server(manager.get(), StreamTransport(in, out).value());
+    server.Start();
+    server.Wait();  // the one stdio connection is done
+    const std::vector<std::string> lines = util::Split(out.str(), '\n');
+    ASSERT_EQ(lines.size(), 2u) << out.str();  // one line + trailing ""
+    EXPECT_EQ(ResponseCode(lines[0]), util::StatusCode::kResourceExhausted)
+        << lines[0];
+  }
+  {
+    std::istringstream in(R"({"verb":"ping"})" "\n");
+    std::ostringstream out;
+    Server server(manager.get(), StreamTransport(in, out).value());
+    server.Start();
+    server.Wait();
+    EXPECT_NE(out.str().find(R"("verb":"ping")"), std::string::npos)
+        << out.str();
+  }
 }
 
 }  // namespace

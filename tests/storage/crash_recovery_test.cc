@@ -27,11 +27,11 @@
 #include "relational/catalog.h"
 #include "relational/relation.h"
 #include "storage/env.h"
-#include "storage/fault_env.h"
 #include "storage/mapped_store.h"
 #include "storage/metrics_env.h"
 #include "storage/snapshot.h"
 #include "storage/store_writer.h"
+#include "support/fault_env.h"
 #include "util/status.h"
 
 namespace jim::storage {

@@ -4,7 +4,7 @@
 // refusal), and the PosixEnv errno→Status taxonomy that retry and fallback
 // decisions key on.
 
-#include "storage/fault_env.h"
+#include "support/fault_env.h"
 
 #include <gtest/gtest.h>
 

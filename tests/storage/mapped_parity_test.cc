@@ -1,5 +1,4 @@
-// Randomized round-trip parity: an engine over a MappedTupleStore (and over
-// a 4-shard ShardedTupleStore reassembled from slice files) must be
+// Randomized round-trip parity: an engine over a MappedTupleStore must be
 // indistinguishable from the in-memory store it was written from — identical
 // class tables, byte-identical session transcripts across interaction modes
 // and strategies, identical lookahead picks — at 1, 2, and 8 threads. This
@@ -18,7 +17,6 @@
 #include "query/universal_table.h"
 #include "relational/catalog.h"
 #include "storage/mapped_store.h"
-#include "storage/sharded_store.h"
 #include "storage/store_writer.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -51,42 +49,22 @@ std::string TestPath(const std::string& name) {
   return ::testing::TempDir() + "mapped_parity_" + name + ".jimc";
 }
 
-/// The three lives of one instance: in memory, one mapped file, and four
-/// mapped slice files behind a ShardedTupleStore.
-struct StoreTriple {
+/// The two lives of one instance: in memory and one mapped file.
+struct StorePair {
   std::shared_ptr<const core::TupleStore> original;
   std::shared_ptr<const core::TupleStore> mapped;
-  std::shared_ptr<const core::TupleStore> sharded;
 };
 
-StoreTriple MakeTriple(std::shared_ptr<const core::TupleStore> original,
-                       const std::string& tag) {
-  StoreTriple triple;
-  triple.original = std::move(original);
+StorePair MakePair(std::shared_ptr<const core::TupleStore> original,
+                   const std::string& tag) {
+  StorePair pair;
+  pair.original = std::move(original);
   const std::string path = TestPath(tag);
-  EXPECT_TRUE(WriteStore(*triple.original, path).ok());
+  EXPECT_TRUE(WriteStore(*pair.original, path).ok());
   auto mapped = OpenStore(path);
   EXPECT_TRUE(mapped.ok()) << mapped.status();
-  triple.mapped = *std::move(mapped);
-
-  const size_t n = triple.original->num_tuples();
-  std::vector<std::shared_ptr<const core::TupleStore>> shards;
-  for (size_t s = 0; s < 4; ++s) {
-    StoreWriterOptions options;
-    options.first_tuple = n * s / 4;
-    options.num_tuples = n * (s + 1) / 4 - options.first_tuple;
-    const std::string shard_path =
-        TestPath(tag + "_shard" + std::to_string(s));
-    EXPECT_TRUE(WriteStore(*triple.original, shard_path, options).ok());
-    auto opened = OpenStore(shard_path);
-    EXPECT_TRUE(opened.ok()) << opened.status();
-    shards.push_back(*std::move(opened));
-  }
-  auto sharded = ShardedTupleStore::Create(triple.original->name(),
-                                           std::move(shards));
-  EXPECT_TRUE(sharded.ok()) << sharded.status();
-  triple.sharded = *std::move(sharded);
-  return triple;
+  pair.mapped = *std::move(mapped);
+  return pair;
 }
 
 /// Class tables must agree *bitwise*: same partitions in the same order,
@@ -128,19 +106,17 @@ TEST(MappedParityTest, ClassTablesIdenticalAtAnyThreadCount) {
     spec.domain_size = 3;
     spec.goal_constraints = 2;
     const auto workload = workload::MakeSyntheticWorkload(spec, rng);
-    const StoreTriple triple =
-        MakeTriple(workload.store, "classes_" + std::to_string(seed));
+    const StorePair pair =
+        MakePair(workload.store, "classes_" + std::to_string(seed));
 
-    const InferenceEngine reference(triple.original, /*pool=*/nullptr);
+    const InferenceEngine reference(pair.original, /*pool=*/nullptr);
     for (const size_t threads : {1u, 2u, 8u}) {
       exec::ThreadPool pool(threads);
       exec::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
-      const InferenceEngine mapped(triple.mapped, pool_ptr);
-      const InferenceEngine sharded(triple.sharded, pool_ptr);
+      const InferenceEngine mapped(pair.mapped, pool_ptr);
       const std::string context = util::StrFormat(
           "seed=%zu threads=%zu", size_t{seed}, threads);
       ExpectSameClasses(reference, mapped, context + " mapped");
-      ExpectSameClasses(reference, sharded, context + " sharded");
     }
   }
 }
@@ -161,19 +137,16 @@ TEST(MappedParityTest, UniversalTableSurvivesTheRoundTrip) {
         query::UniversalTable::Build(catalog, {"Flights", "Hotels"}, options)
             .value();
     ASSERT_EQ(table.is_sampled(), cap != 0);
-    const StoreTriple triple =
-        MakeTriple(table.store(), "universal_" + std::to_string(cap));
+    const StorePair pair =
+        MakePair(table.store(), "universal_" + std::to_string(cap));
     const auto goal =
         JoinPredicate::Parse(table.schema(), "Flights.To = Hotels.City")
             .value();
-    const InferenceEngine reference(triple.original, nullptr);
-    const InferenceEngine mapped(triple.mapped, nullptr);
-    const InferenceEngine sharded(triple.sharded, nullptr);
+    const InferenceEngine reference(pair.original, nullptr);
+    const InferenceEngine mapped(pair.mapped, nullptr);
     ExpectSameClasses(reference, mapped, "universal mapped");
-    ExpectSameClasses(reference, sharded, "universal sharded");
 
-    for (const auto* store :
-         {&triple.original, &triple.mapped, &triple.sharded}) {
+    for (const auto* store : {&pair.original, &pair.mapped}) {
       auto strategy = MakeStrategy("lookahead-entropy", 3).value();
       ExactOracle oracle(goal);
       const SessionResult result =
@@ -191,7 +164,7 @@ TEST(MappedParityTest, TranscriptsIdenticalAcrossModesStrategiesThreads) {
   spec.domain_size = 3;
   spec.goal_constraints = 2;
   const auto workload = workload::MakeSyntheticWorkload(spec, rng);
-  const StoreTriple triple = MakeTriple(workload.store, "transcripts");
+  const StorePair pair = MakePair(workload.store, "transcripts");
 
   for (const std::string& strategy_name :
        {std::string("random"), std::string("local-bottom-up"),
@@ -208,11 +181,9 @@ TEST(MappedParityTest, TranscriptsIdenticalAcrossModesStrategiesThreads) {
         return TranscriptJson(RunSession(store, workload.goal, *strategy,
                                          oracle, session_options));
       };
-      const std::string reference = run(triple.original);
-      EXPECT_EQ(reference, run(triple.mapped))
+      const std::string reference = run(pair.original);
+      EXPECT_EQ(reference, run(pair.mapped))
           << strategy_name << " mode " << mode << " (mapped)";
-      EXPECT_EQ(reference, run(triple.sharded))
-          << strategy_name << " mode " << mode << " (sharded)";
     }
   }
 }
@@ -225,9 +196,9 @@ TEST(MappedParityTest, LookaheadPicksIdenticalAtAnyThreadCount) {
   spec.domain_size = 4;
   spec.goal_constraints = 2;
   const auto workload = workload::MakeSyntheticWorkload(spec, rng);
-  const StoreTriple triple = MakeTriple(workload.store, "lookahead");
+  const StorePair pair = MakePair(workload.store, "lookahead");
 
-  const InferenceEngine reference(triple.original, nullptr);
+  const InferenceEngine reference(pair.original, nullptr);
   core::LookaheadStrategy serial_strategy(
       core::LookaheadStrategy::Objective::kEntropy);
   serial_strategy.set_thread_pool(nullptr);
@@ -235,14 +206,12 @@ TEST(MappedParityTest, LookaheadPicksIdenticalAtAnyThreadCount) {
 
   for (const size_t threads : {1u, 2u, 8u}) {
     exec::ThreadPool pool(threads);
-    for (const auto* store : {&triple.mapped, &triple.sharded}) {
-      const InferenceEngine engine(*store, threads > 1 ? &pool : nullptr);
-      core::LookaheadStrategy strategy(
-          core::LookaheadStrategy::Objective::kEntropy);
-      strategy.set_thread_pool(threads > 1 ? &pool : nullptr);
-      EXPECT_EQ(strategy.PickClass(engine), expected_pick)
-          << "threads=" << threads;
-    }
+    const InferenceEngine engine(pair.mapped, threads > 1 ? &pool : nullptr);
+    core::LookaheadStrategy strategy(
+        core::LookaheadStrategy::Objective::kEntropy);
+    strategy.set_thread_pool(threads > 1 ? &pool : nullptr);
+    EXPECT_EQ(strategy.PickClass(engine), expected_pick)
+        << "threads=" << threads;
   }
 }
 
@@ -257,7 +226,7 @@ TEST(MappedParityTest, BatchSessionsRunOverOneSharedMapping) {
   spec.domain_size = 4;
   spec.goal_constraints = 2;
   const auto workload = workload::MakeSyntheticWorkload(spec, rng);
-  const StoreTriple triple = MakeTriple(workload.store, "batch");
+  const StorePair pair = MakePair(workload.store, "batch");
 
   const auto make_specs =
       [&](const std::shared_ptr<const InferenceEngine>& prototype) {
@@ -285,14 +254,14 @@ TEST(MappedParityTest, BatchSessionsRunOverOneSharedMapping) {
       };
 
   const auto reference_prototype =
-      std::make_shared<const InferenceEngine>(triple.original, nullptr);
+      std::make_shared<const InferenceEngine>(pair.original, nullptr);
   const exec::BatchSessionRunner serial_runner(nullptr);
   const auto reference_results =
       serial_runner.Run(make_specs(reference_prototype));
 
   exec::ThreadPool pool(4);
   const auto mapped_prototype =
-      std::make_shared<const InferenceEngine>(triple.mapped, nullptr);
+      std::make_shared<const InferenceEngine>(pair.mapped, nullptr);
   const exec::BatchSessionRunner parallel_runner(&pool);
   const auto mapped_results = parallel_runner.Run(make_specs(mapped_prototype));
 

@@ -14,7 +14,7 @@
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "storage/env.h"
-#include "storage/fault_env.h"
+#include "support/fault_env.h"
 #include "util/status.h"
 
 namespace jim::storage {

@@ -1,4 +1,4 @@
-#include "storage/fault_env.h"
+#include "support/fault_env.h"
 
 #include <algorithm>
 #include <utility>

@@ -1,5 +1,5 @@
-#ifndef JIM_STORAGE_FAULT_ENV_H_
-#define JIM_STORAGE_FAULT_ENV_H_
+#ifndef JIM_TESTS_SUPPORT_FAULT_ENV_H_
+#define JIM_TESTS_SUPPORT_FAULT_ENV_H_
 
 #include <cstdint>
 #include <map>
@@ -13,7 +13,9 @@
 
 namespace jim::storage {
 
-/// A deterministic fault-injecting Env for crash-recovery testing.
+/// A deterministic fault-injecting Env for crash-recovery testing. A
+/// tests-only instrument: it lives in the jim_test_support library, which
+/// only the test binaries link, never in libjim.
 ///
 /// Every Env operation is counted and labeled (the *schedule*), so a test
 /// can first run a storage operation cleanly to learn its syscall schedule,
@@ -173,4 +175,4 @@ class FaultInjectionEnv final : public Env {
 
 }  // namespace jim::storage
 
-#endif  // JIM_STORAGE_FAULT_ENV_H_
+#endif  // JIM_TESTS_SUPPORT_FAULT_ENV_H_
