@@ -317,22 +317,27 @@ void RegisterAll(std::vector<BenchResult>& results) {
                    [&] { DoNotOptimize(strategy.PickClass(engine)); }));
     }
   }
-  // The same 10k-tuple lookahead decision on an explicit exec::ThreadPool at
-  // 1/2/4 threads (arg = thread count; 1 = the serial reference path). The
-  // picked class is bitwise-identical at every count — parallelism only
-  // moves latency — and WriteJson derives lookahead_pick_class_speedup_4t
-  // from the 1- and 4-thread entries.
-  {
-    const auto workload = MakeSynthetic(10000, 7);
+  // One lookahead decision on an explicit exec::ThreadPool at 1/2/4 threads
+  // (arg = thread count; 1 = the serial reference path), over instances
+  // whose informative worklists (9, 27, 41, 65 and 202 classes at 10, 30,
+  // 50, 100 and 10k tuples) fall on both sides of
+  // core::kParallelLookaheadMinCandidates; below it a pooled strategy scores
+  // serially. The picked class is bitwise-identical at every count —
+  // parallelism only moves latency — and WriteJson derives
+  // lookahead_pick_class_speedup_4t from the 10k rows.
+  for (const auto& size : std::vector<std::pair<size_t, std::string>>{
+           {10, "10"}, {30, "30"}, {50, "50"}, {100, "100"}, {10000, "10k"}}) {
+    const auto workload = MakeSynthetic(size.first, 7);
     const core::InferenceEngine engine(workload.instance);
     for (size_t threads : {1, 2, 4}) {
       exec::ThreadPool pool(threads);
       core::LookaheadStrategy strategy(
           core::LookaheadStrategy::Objective::kEntropy);
       strategy.set_thread_pool(threads > 1 ? &pool : nullptr);
-      results.push_back(RunBench("LookaheadPickClassParallel",
-                                 static_cast<int64_t>(threads),
-                                 [&] { DoNotOptimize(strategy.PickClass(engine)); }));
+      results.push_back(RunBench(
+          "LookaheadPickClassParallel" + size.second,
+          static_cast<int64_t>(threads),
+          [&] { DoNotOptimize(strategy.PickClass(engine)); }));
     }
   }
   // Full minimax solves on instances small enough for the exponential
@@ -465,7 +470,7 @@ bool WriteJson(const std::vector<BenchResult>& results,
   double serial_ns = 0;
   double four_thread_ns = 0;
   for (const auto& r : results) {
-    if (r.name != "LookaheadPickClassParallel") continue;
+    if (r.name != "LookaheadPickClassParallel10k") continue;
     if (r.arg == 1) serial_ns = r.ns_per_op;
     if (r.arg == 4) four_thread_ns = r.ns_per_op;
   }

@@ -10,8 +10,10 @@
 #                        with JIM_METRICS=1, CLI transcripts diffed with
 #                        metrics + tracing on vs off, and the emitted
 #                        snapshot checked for engine/exec/storage metrics
-#   - TSAN stage         parallel exec + parity suites plus the concurrent
-#                        metrics-registry test under -DJIM_SANITIZE=thread,
+#   - TSAN stage         parallel exec + parity suites, the concurrent
+#                        metrics-registry test and the session manager
+#                        (concurrent sessions on one shared lookahead pool)
+#                        under -DJIM_SANITIZE=thread,
 #                        plus a guard that every tsan.supp suppression still
 #                        matches a symbol the instrumented binaries
 #                        actually reference
@@ -23,7 +25,7 @@
 #                        with every finding fatal (-fno-sanitize-recover)
 #   - CRASH stage        fault-injection + crash-recovery suites under
 #                        address sanitizer: every syscall index during
-#                        WriteStore/SaveCatalog crashed and replayed,
+#                        WriteStore crashed and replayed,
 #                        old-XOR-new proven on each reopened image
 #   - SERVE stage        the serving daemon under address sanitizer:
 #                        protocol/session-manager suites, the checkpoint
@@ -114,10 +116,7 @@ if [[ "${JIM_SKIP_OBS:-0}" == "1" ]]; then
 else
   (cd build && JIM_METRICS=1 ctest --output-on-failure -j"$(nproc)" \
     -R 'ParallelParity|CutoffParity|EncodedParity|IncrementalParity|MappedParity|KernelParity|FactorizedParity')
-  # One scoring thread: with a pool, the few candidates of this 3-class
-  # instance are scored concurrently against a -inf running best, so whether
-  # any is skipped depends on the core count; serially the skips are fixed.
-  JIM_THREADS=1 ./build/jim_cli infer \
+  ./build/jim_cli infer \
     --load-instance="$smokedir/flights.jimc" --auto \
     --goal="To=City && Airline=Discount" \
     --metrics-out="$smokedir/metrics.json" --trace \
@@ -150,7 +149,8 @@ else
     exec_thread_pool_test exec_scratch_pool_test exec_batch_runner_test \
     core_parallel_parity_test core_cutoff_parity_test core_engine_cow_test \
     core_encoded_parity_test relational_dictionary_test \
-    core_tuple_store_test query_query_test obs_metrics_test
+    core_tuple_store_test query_query_test obs_metrics_test \
+    serve_session_manager_test
   # Stale-suppression guard: every race: pattern in tsan.supp must still
   # match a symbol some instrumented test binary references (nm -C), or the
   # suppression is dead weight hiding future real races — remove it.
@@ -167,7 +167,7 @@ else
   (cd build-tsan && \
     TSAN_OPTIONS="suppressions=$(pwd)/../tsan.supp ${TSAN_OPTIONS:-}" \
     ctest --output-on-failure -j"$(nproc)" \
-    -R 'ThreadPool|ScratchPool|BatchSessionRunner|ParallelParity|CutoffParity|EngineCow|EncodedParity|ParallelEncode|ParallelIngest|ParallelScan|UniversalTable|Catalog|MetricsTest')
+    -R 'ThreadPool|ScratchPool|BatchSessionRunner|ParallelParity|CutoffParity|EngineCow|EncodedParity|ParallelEncode|ParallelIngest|ParallelScan|UniversalTable|Catalog|MetricsTest|SessionManager')
 fi
 
 # --- ASAN stage ----------------------------------------------------------
@@ -183,9 +183,9 @@ else
     relational_dictionary_test core_tuple_store_test \
     query_factorized_parity_test core_encoded_parity_test query_query_test \
     core_engine_cow_test core_cutoff_parity_test storage_jimc_format_test \
-    storage_mapped_parity_test storage_snapshot_test
+    storage_mapped_parity_test
   (cd build-asan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|CutoffParity|UniversalTable|EngineCow|Jimc|MappedParity|Snapshot|ParallelEncode')
+    -R 'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|CutoffParity|UniversalTable|EngineCow|Jimc|MappedParity|ParallelEncode')
 fi
 
 # --- UBSAN stage (address+undefined, findings fatal) ---------------------
@@ -202,10 +202,9 @@ else
     lattice_partition_test lattice_antichain_test lattice_kernel_parity_test \
     lattice_enumeration_test core_tuple_store_test core_invariant_audit_test \
     relational_dictionary_test storage_jimc_format_test \
-    storage_byte_reader_test storage_mapped_parity_test \
-    storage_snapshot_test fuzz_jimc_main
+    storage_byte_reader_test storage_mapped_parity_test fuzz_jimc_main
   (cd build-ubsan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Partition|Antichain|KernelParity|Enumeration|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|Snapshot|InvariantAudit|fuzz_jimc_smoke')
+    -R 'Partition|Antichain|KernelParity|Enumeration|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|InvariantAudit|fuzz_jimc_smoke')
   # The deterministic fuzz driver, long run: 5000 mutated JIMC images and
   # goal strings, every outcome a typed Status, under ASAN+UBSAN with
   # findings fatal. Reproduce any failure with the printed seed.
@@ -214,7 +213,7 @@ fi
 
 # --- CRASH stage (fault injection + crash recovery under ASAN) -----------
 # Reuses the ASAN tree: the crash-point enumeration (every syscall index
-# during WriteStore and SaveCatalog) and the torn-write replays are exactly
+# during WriteStore) and the torn-write replays are exactly
 # where a latent out-of-bounds read in recovery code would hide. The
 # fault-injecting Env lives in the tests-only jim_test_support library.
 if [[ "${JIM_SKIP_CRASH:-0}" == "1" ]]; then

@@ -13,7 +13,7 @@
 //       List the available question-selection strategies.
 //   serve [--load-instance=FILE.jimc] [--port=N | --stdio]
 //         [--checkpoint-dir=DIR] [--max-sessions=N] [--max-steps=N]
-//         [--serve-mode=many|few] [--trusted-reopen] [--max-connections=N]
+//         [--trusted-reopen] [--max-connections=N]
 //       Run the inference daemon (newline-delimited JSON verbs: create,
 //       suggest, label, status, result, close, stats, ping, shutdown).
 //       --port listens on localhost TCP (0 = ephemeral; the bound address
@@ -302,11 +302,6 @@ int CmdServe(const Flags& flags) {
     auto parsed = util::ParseInt64(flags.Get("max-steps"));
     if (!parsed.ok() || *parsed < 1) return Fail("--max-steps: bad value");
     serve_options.default_max_steps = static_cast<uint64_t>(*parsed);
-  }
-  if (flags.Has("serve-mode")) {
-    auto mode = serve::ParseServingMode(flags.Get("serve-mode"));
-    if (!mode.ok()) return Fail(mode.status().ToString());
-    serve_options.mode = *mode;
   }
   if (flags.Has("load-instance")) {
     serve_options.default_instance = flags.Get("load-instance");

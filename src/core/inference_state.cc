@@ -8,18 +8,6 @@
 
 namespace jim::core {
 
-std::string_view TupleClassificationToString(TupleClassification c) {
-  switch (c) {
-    case TupleClassification::kForcedPositive:
-      return "forced-positive";
-    case TupleClassification::kForcedNegative:
-      return "forced-negative";
-    case TupleClassification::kInformative:
-      return "informative";
-  }
-  return "?";
-}
-
 InferenceState::InferenceState(size_t num_attributes)
     : num_attributes_(num_attributes),
       theta_p_(lat::Partition::Top(num_attributes)) {}

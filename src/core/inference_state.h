@@ -24,8 +24,6 @@ enum class TupleClassification {
   kInformative,
 };
 
-std::string_view TupleClassificationToString(TupleClassification c);
-
 /// The complete knowledge accumulated from the user's labels, in canonical
 /// form (see DESIGN.md §1):
 ///

@@ -214,7 +214,8 @@ void LookaheadStrategy::ScanCandidates(
   // Without bounds the threshold stays −∞ and nothing is ever skipped.
   std::atomic<double> best{kNegInf};
   exec::ThreadPool* pool = use_shared_pool_ ? &exec::SharedPool() : pool_;
-  const bool parallel = pool != nullptr && pool->threads() > 1 && cap > 1;
+  const bool parallel = pool != nullptr && pool->threads() > 1 &&
+                        cap >= kParallelLookaheadMinCandidates;
   scratch_pool_.EnsureSlots(parallel ? std::min(pool->threads(), cap) : 1);
   auto score_one = [&](size_t j, size_t chunk) {
     exec::EvalScratch& slot = scratch_pool_.Slot(chunk);

@@ -71,6 +71,16 @@ class LocalStrategy : public Strategy {
   Direction direction_;
 };
 
+/// A lookahead scan with fewer sampled candidates than this scores serially
+/// even when its strategy has a pool: below it, waking the pool's workers
+/// costs more than the scan they would split. Each candidate's scan is
+/// O(informative classes), so small worklists (a handful of classes, a few
+/// µs per pick) stay on the caller's thread and wide ones fan out.
+/// Calibrated with bench_micro's LookaheadPickClassParallel rows (2-thread
+/// break-even at ~27–35 informative classes on 4 vCPUs); mirrors
+/// rel::kParallelIngestMinRows.
+inline constexpr size_t kParallelLookaheadMinCandidates = 32;
+
 /// Lookahead strategy: simulates both answers for each candidate and scores
 /// by how much of the instance gets pruned. `Objective` selects the
 /// aggregation of the two pruning counts (n⁺, n⁻):
@@ -85,11 +95,12 @@ class LocalStrategy : public Strategy {
 ///
 /// Scoring is embarrassingly parallel — every candidate's impact scan is
 /// independent once each thread owns an exec::EvalScratch — and it runs on
-/// a thread pool (exec::SharedPool() by default). Score and PickClass share
-/// one candidate loop (ScanCandidates); it is bitwise-deterministic at any
-/// thread count: each candidate's score lands in its slot of a pre-sized
-/// vector, and the serial argmax (ties toward the smallest index) is
-/// unchanged.
+/// a thread pool (exec::SharedPool() by default) once at least
+/// kParallelLookaheadMinCandidates candidates are sampled. Score and
+/// PickClass share one candidate loop (ScanCandidates); it is
+/// bitwise-deterministic at any thread count: each candidate's score lands
+/// in its slot of a pre-sized vector, and the serial argmax (ties toward the
+/// smallest index) is unchanged.
 class LookaheadStrategy : public Strategy {
  public:
   enum class Objective { kMinMax, kExpected, kEntropy };
@@ -114,8 +125,8 @@ class LookaheadStrategy : public Strategy {
   size_t PickClass(const InferenceEngine& engine) override;
 
   /// Scores candidates on `pool` instead of the process-wide default;
-  /// nullptr forces the serial reference path. The pool is not owned and
-  /// must outlive the strategy's last Score call.
+  /// nullptr forces the serial reference path at every worklist size. The
+  /// pool is not owned and must outlive the strategy's last Score call.
   void set_thread_pool(exec::ThreadPool* pool) {
     pool_ = pool;
     use_shared_pool_ = false;

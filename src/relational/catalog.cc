@@ -35,14 +35,6 @@ util::Status Catalog::Add(Relation relation) {
   return util::OkStatus();
 }
 
-void Catalog::AddOrReplace(Relation relation) {
-  const std::string name = relation.name();
-  relations_.insert_or_assign(
-      name, std::make_shared<const Relation>(std::move(relation)));
-  std::lock_guard<std::mutex> lock(encoded_mutex_);
-  encoded_.erase(name);
-}
-
 util::StatusOr<const Relation*> Catalog::Get(const std::string& name) const {
   auto it = relations_.find(name);
   if (it == relations_.end()) {

@@ -34,13 +34,7 @@ class Catalog {
   /// Registers `relation` under its name. Errors on duplicates.
   util::Status Add(Relation relation);
 
-  /// Replaces or inserts (invalidating any cached encoding of the name).
-  /// Relations are immutable once registered, so replacing installs a *new*
-  /// object: raw pointers from Get() for the replaced name dangle (take
-  /// GetShared when the handle must outlive catalog mutations).
-  void AddOrReplace(Relation relation);
-
-  /// Borrowed pointer, valid until the name is Dropped or replaced.
+  /// Borrowed pointer, valid until the name is Dropped.
   util::StatusOr<const Relation*> Get(const std::string& name) const;
 
   /// Shared handle to the relation (no row copy; safe to outlive *this).
@@ -51,7 +45,7 @@ class Catalog {
   /// and cached (shared by every universal table it participates in). The
   /// cache fill is mutex-guarded, so any number of threads may build
   /// universal tables over one catalog concurrently — only catalog
-  /// *mutations* (Add/Drop/AddOrReplace) require external synchronization,
+  /// *mutations* (Add/Drop) require external synchronization,
   /// like any container.
   util::StatusOr<std::shared_ptr<const EncodedRelation>> GetEncoded(
       const std::string& name) const;

@@ -1,6 +1,5 @@
 #include "relational/join.h"
 
-#include <algorithm>
 #include <unordered_map>
 
 #include "util/hash.h"
@@ -133,86 +132,6 @@ util::StatusOr<Relation> HashJoin(const Relation& left, const Relation& right,
       const Tuple& build_row = build.row(build_index);
       result.AddRowUnchecked(build_left ? ConcatRows(build_row, probe_row)
                                         : ConcatRows(probe_row, build_row));
-    }
-  }
-  return result;
-}
-
-util::StatusOr<Relation> SortMergeJoin(const Relation& left,
-                                       const Relation& right,
-                                       const JoinKeys& keys,
-                                       const JoinOptions& options) {
-  RETURN_IF_ERROR(ValidateKeys(left, right, keys));
-  if (keys.empty()) {
-    return NestedLoopJoin(left, right, keys, options);
-  }
-  Relation result{options.result_name, OutputSchema(left, right, options)};
-
-  // Index vectors sorted by composite key; NULL-keyed rows are dropped
-  // up front (they can never match).
-  auto make_order = [&keys](const Relation& relation, bool left_side) {
-    std::vector<size_t> order;
-    order.reserve(relation.num_rows());
-    for (size_t i = 0; i < relation.num_rows(); ++i) {
-      bool has_null = false;
-      for (const auto& [l, r] : keys) {
-        if (relation.row(i)[left_side ? l : r].is_null()) {
-          has_null = true;
-          break;
-        }
-      }
-      if (!has_null) order.push_back(i);
-    }
-    auto compare_keys = [&](size_t a, size_t b) {
-      for (const auto& [l, r] : keys) {
-        const size_t column = left_side ? l : r;
-        const int c = relation.row(a)[column].Compare(relation.row(b)[column]);
-        if (c != 0) return c < 0;
-      }
-      return false;
-    };
-    std::sort(order.begin(), order.end(), compare_keys);
-    return order;
-  };
-  const std::vector<size_t> left_order = make_order(left, true);
-  const std::vector<size_t> right_order = make_order(right, false);
-
-  auto compare_cross = [&](size_t li, size_t ri) {
-    for (const auto& [l, r] : keys) {
-      const int c = left.row(li)[l].Compare(right.row(ri)[r]);
-      if (c != 0) return c;
-    }
-    return 0;
-  };
-
-  size_t i = 0;
-  size_t j = 0;
-  while (i < left_order.size() && j < right_order.size()) {
-    const int c = compare_cross(left_order[i], right_order[j]);
-    if (c < 0) {
-      ++i;
-    } else if (c > 0) {
-      ++j;
-    } else {
-      // Emit the full group × group block.
-      size_t i_end = i;
-      while (i_end < left_order.size() &&
-             compare_cross(left_order[i_end], right_order[j]) == 0) {
-        ++i_end;
-      }
-      size_t j_end = j;
-      while (j_end < right_order.size() &&
-             compare_cross(left_order[i], right_order[j_end]) == 0) {
-        ++j_end;
-      }
-      for (size_t a = i; a < i_end; ++a) {
-        for (size_t b = j; b < j_end; ++b) {
-          result.AddRowUnchecked(
-              ConcatRows(left.row(left_order[a]), right.row(right_order[b])));
-        }
-      }
-      i = i_end;
-      j = j_end;
     }
   }
   return result;

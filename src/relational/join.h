@@ -30,8 +30,8 @@ struct JoinOptions {
   }
 };
 
-/// Θ(|L|·|R|) baseline; reference implementation the hash and sort-merge
-/// joins are property-tested against.
+/// Θ(|L|·|R|) baseline; reference implementation the hash join is
+/// property-tested against.
 util::StatusOr<Relation> NestedLoopJoin(const Relation& left,
                                         const Relation& right,
                                         const JoinKeys& keys,
@@ -42,12 +42,6 @@ util::StatusOr<Relation> NestedLoopJoin(const Relation& left,
 util::StatusOr<Relation> HashJoin(const Relation& left, const Relation& right,
                                   const JoinKeys& keys,
                                   const JoinOptions& options = {});
-
-/// Sort-merge join on the composite key (copies and sorts both inputs).
-util::StatusOr<Relation> SortMergeJoin(const Relation& left,
-                                       const Relation& right,
-                                       const JoinKeys& keys,
-                                       const JoinOptions& options = {});
 
 /// Full Cartesian product L × R. This is how JIM builds the space of
 /// candidate tuples when the user supplies separate relations with no

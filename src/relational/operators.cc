@@ -1,7 +1,5 @@
 #include "relational/operators.h"
 
-#include "util/string_util.h"
-
 namespace jim::rel {
 
 Relation Select(const Relation& input, const RowPredicate& predicate,
@@ -12,43 +10,6 @@ Relation Select(const Relation& input, const RowPredicate& predicate,
     if (predicate(row)) result.AddRowUnchecked(row);
   }
   return result;
-}
-
-util::StatusOr<Relation> Project(const Relation& input,
-                                 const std::vector<size_t>& indices,
-                                 std::string result_name) {
-  std::vector<Attribute> attributes;
-  attributes.reserve(indices.size());
-  for (size_t index : indices) {
-    if (index >= input.num_attributes()) {
-      return util::OutOfRangeError(util::StrFormat(
-          "projection index %zu out of range (%zu attributes)", index,
-          input.num_attributes()));
-    }
-    attributes.push_back(input.schema().attribute(index));
-  }
-  Relation result{result_name.empty() ? input.name() : std::move(result_name),
-                  Schema(std::move(attributes))};
-  result.Reserve(input.num_rows());
-  for (const Tuple& row : input.rows()) {
-    Tuple projected;
-    projected.reserve(indices.size());
-    for (size_t index : indices) projected.push_back(row[index]);
-    result.AddRowUnchecked(std::move(projected));
-  }
-  return result;
-}
-
-util::StatusOr<Relation> ProjectByName(const Relation& input,
-                                       const std::vector<std::string>& names,
-                                       std::string result_name) {
-  std::vector<size_t> indices;
-  indices.reserve(names.size());
-  for (const std::string& name : names) {
-    ASSIGN_OR_RETURN(size_t index, input.schema().IndexOf(name));
-    indices.push_back(index);
-  }
-  return Project(input, indices, std::move(result_name));
 }
 
 Relation RenameRelation(const Relation& input, std::string new_name) {
@@ -62,14 +23,6 @@ Relation RenameRelation(const Relation& input, std::string new_name) {
     result.AddRowUnchecked(row);
   }
   return result;
-}
-
-size_t CountIf(const Relation& input, const RowPredicate& predicate) {
-  size_t count = 0;
-  for (const Tuple& row : input.rows()) {
-    if (predicate(row)) ++count;
-  }
-  return count;
 }
 
 }  // namespace jim::rel

@@ -3,10 +3,8 @@
 
 #include <functional>
 #include <string>
-#include <vector>
 
 #include "relational/relation.h"
-#include "util/status.h"
 
 namespace jim::rel {
 
@@ -17,22 +15,8 @@ using RowPredicate = std::function<bool(const Tuple&)>;
 Relation Select(const Relation& input, const RowPredicate& predicate,
                 std::string result_name = "");
 
-/// π: keeps columns at `indices` in the given order (duplicates allowed).
-/// Errors on out-of-range indices.
-util::StatusOr<Relation> Project(const Relation& input,
-                                 const std::vector<size_t>& indices,
-                                 std::string result_name = "");
-
-/// π by attribute names (bare or qualified).
-util::StatusOr<Relation> ProjectByName(const Relation& input,
-                                       const std::vector<std::string>& names,
-                                       std::string result_name = "");
-
 /// ρ: a copy with a new relation name and all attributes requalified to it.
 Relation RenameRelation(const Relation& input, std::string new_name);
-
-/// Counts rows satisfying `predicate` without materializing.
-size_t CountIf(const Relation& input, const RowPredicate& predicate);
 
 }  // namespace jim::rel
 

@@ -132,7 +132,6 @@ std::string Server::HandleLine(const std::string& line,
       json.KeyValue("recovered", static_cast<int64_t>(stats.recovered));
       json.KeyValue("evicted", static_cast<int64_t>(stats.evicted));
       json.KeyValue("rejected", static_cast<int64_t>(stats.rejected));
-      json.KeyValue("mode", ServingModeName(manager_->options().mode));
     });
   } else if (verb == "create") {
     auto created = manager_->Create(request.instance, request.strategy,

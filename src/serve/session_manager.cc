@@ -26,22 +26,6 @@ uint64_t SessionIdNumber(const std::string& session_id) {
 
 }  // namespace
 
-util::StatusOr<ServingMode> ParseServingMode(std::string_view text) {
-  if (text == "many" || text == "many-sessions") {
-    return ServingMode::kManySessions;
-  }
-  if (text == "few" || text == "few-sessions") {
-    return ServingMode::kFewSessions;
-  }
-  return util::InvalidArgumentError(
-      util::StrFormat("unknown serving mode '%s' (want 'many' or 'few')",
-                      std::string(text).c_str()));
-}
-
-std::string_view ServingModeName(ServingMode mode) {
-  return mode == ServingMode::kManySessions ? "many" : "few";
-}
-
 SessionManager::SessionManager(ServeOptions options)
     : options_(std::move(options)),
       env_(options_.env != nullptr ? options_.env : storage::DefaultEnv()) {}
@@ -86,18 +70,6 @@ SessionManager::FindSession(const std::string& session_id) {
   return it->second;
 }
 
-void SessionManager::ConfigureStrategy(core::Strategy& strategy) const {
-  auto* lookahead = dynamic_cast<core::LookaheadStrategy*>(&strategy);
-  if (lookahead == nullptr) return;
-  if (options_.mode == ServingMode::kManySessions) {
-    lookahead->set_thread_pool(nullptr);
-  } else if (options_.lookahead_pool != nullptr) {
-    lookahead->set_thread_pool(options_.lookahead_pool);
-  }
-  // kFewSessions with no override keeps the strategy's default
-  // (exec::SharedPool()).
-}
-
 void SessionManager::UpdateLiveGauge() const {
   JIM_GAUGE_SET(obs::kGaugeServeSessionsLive,
                 static_cast<int64_t>(sessions_.size()));
@@ -132,7 +104,6 @@ util::StatusOr<SessionManager::CreateResult> SessionManager::Create(
                      GetOrOpenInstance(instance_name, /*trusted=*/false));
     session = std::make_shared<Session>(*inst->prototype,
                                         std::move(strategy_impl));
-    ConfigureStrategy(*session->strategy);
     if (!goal.empty()) {
       ASSIGN_OR_RETURN(core::JoinPredicate parsed_goal,
                        core::JoinPredicate::Parse(
@@ -353,7 +324,6 @@ SessionManager::ReplayCheckpoint(const SessionCheckpoint& checkpoint,
       core::MakeStrategy(checkpoint.strategy, checkpoint.seed));
   auto session =
       std::make_shared<Session>(*instance.prototype, std::move(strategy));
-  ConfigureStrategy(*session->strategy);
   if (!checkpoint.goal.empty()) {
     ASSIGN_OR_RETURN(core::JoinPredicate goal,
                      core::JoinPredicate::Parse(
@@ -430,8 +400,8 @@ util::Status SessionManager::RecoverSessions() {
 
   // Open every referenced instance once, up front (serial: instance opens
   // share the manager maps), then fan the per-session replays out over a
-  // dedicated pool — never exec::SharedPool(), which kFewSessions
-  // strategies score on from inside the replay bodies.
+  // dedicated pool — never exec::SharedPool(), which lookahead strategies
+  // score on from inside the replay bodies.
   std::vector<const Instance*> instance_of(checkpoints.size(), nullptr);
   {
     std::lock_guard<std::mutex> lock(mutex_);

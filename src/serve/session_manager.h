@@ -8,36 +8,16 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/engine.h"
 #include "core/join_predicate.h"
 #include "core/strategies.h"
-#include "exec/thread_pool.h"
 #include "serve/checkpoint.h"
 #include "storage/env.h"
 #include "util/status.h"
 
 namespace jim::serve {
-
-/// How the manager spends its parallelism budget. The right answer depends
-/// on load, so it is a knob, not a policy:
-///   kManySessions — every session's lookahead scores serially
-///     (LookaheadStrategy::set_thread_pool(nullptr)); throughput comes from
-///     running many sessions' requests concurrently on the server's
-///     connection handlers. The fit for high session counts.
-///   kFewSessions — each request's lookahead fans out over a thread pool
-///     (exec::SharedPool() unless ServeOptions.lookahead_pool overrides),
-///     minimizing per-request latency when only a handful of sessions are
-///     live.
-/// Mode never changes *what* is computed — transcripts are bitwise
-/// identical across modes and thread counts (the parallel lookahead is
-/// deterministic) — only how fast.
-enum class ServingMode { kManySessions, kFewSessions };
-
-util::StatusOr<ServingMode> ParseServingMode(std::string_view text);
-std::string_view ServingModeName(ServingMode mode);
 
 struct ServeOptions {
   storage::Env* env = nullptr;  ///< nullptr → storage::DefaultEnv()
@@ -50,10 +30,6 @@ struct ServeOptions {
   /// Default per-session accepted-label cap (a `create` may lower-or-raise
   /// it per session); labels past the cap are kResourceExhausted.
   uint64_t default_max_steps = 4096;
-  ServingMode mode = ServingMode::kManySessions;
-  /// kFewSessions lookahead pool override (not owned; must outlive the
-  /// manager). nullptr → exec::SharedPool().
-  exec::ThreadPool* lookahead_pool = nullptr;
   /// Reopen instances named by recovered checkpoints in trusted mode
   /// (storage::MappedTupleStore header/table/dict-page checks only) — the
   /// O(sections) warm-restart path for files this daemon already validated
@@ -69,7 +45,10 @@ struct ServeOptions {
 /// over shared read-only stores, strategy state, admission control, and the
 /// checkpoint/recovery path. Thread-safe: the registry is guarded by one
 /// mutex, each session by its own, so requests for different sessions
-/// proceed in parallel (the whole point of kManySessions mode).
+/// proceed in parallel on the server's connection handlers. Sessions keep
+/// their strategy's default pool, exec::SharedPool(): a lookahead pick fans
+/// out onto it only when its worklist is wide enough to pay for the
+/// dispatch (core::kParallelLookaheadMinCandidates).
 ///
 /// Determinism contract: a session is fully determined by (instance,
 /// strategy, seed, label transcript). `suggest` computes the strategy's
@@ -196,8 +175,6 @@ class SessionManager {
                                               bool trusted);
   util::StatusOr<std::shared_ptr<Session>> FindSession(
       const std::string& session_id);
-  /// Applies the serving mode to a freshly made strategy.
-  void ConfigureStrategy(core::Strategy& strategy) const;
   /// Builds a session from its checkpoint: clone, replay every step
   /// (re-driving PickClass where one was recorded), verify convergence.
   util::StatusOr<std::shared_ptr<Session>> ReplayCheckpoint(

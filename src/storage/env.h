@@ -12,16 +12,15 @@
 
 namespace jim::storage {
 
-/// The storage tier's filesystem seam. Every byte the JIMC writer, the
-/// mapped reader, and the catalog snapshot machinery move to or from disk
-/// goes through one of these virtual calls — format.cc, store_writer.cc,
-/// mapped_store.cc, and snapshot.cc contain no direct syscalls or stream
-/// objects (tools/lint_determinism.py's raw-io rule enforces this). That
-/// indirection is what makes the durability story *testable*: the tests'
-/// FaultInjectionEnv (tests/support/fault_env.h) can fail the Nth
-/// operation, tear a write at any byte boundary, refuse mmap, or cut the
-/// power and replay only the durable prefix, while the default PosixEnv
-/// preserves the original behavior byte-for-byte.
+/// The storage tier's filesystem seam. Every byte the JIMC writer and the
+/// mapped reader move to or from disk goes through one of these virtual
+/// calls — format.cc, store_writer.cc and mapped_store.cc contain no direct
+/// syscalls or stream objects (tools/lint_determinism.py's raw-io rule
+/// enforces this). That indirection is what makes the durability story
+/// *testable*: the tests' FaultInjectionEnv (tests/support/fault_env.h) can
+/// fail the Nth operation, tear a write at any byte boundary, refuse mmap,
+/// or cut the power and replay only the durable prefix, while the default
+/// PosixEnv preserves the original behavior byte-for-byte.
 ///
 /// Every failure is a typed util::Status carrying errno/strerror detail.
 /// The code tells the caller what to do about it:

@@ -14,16 +14,6 @@ void HashCombine(size_t& seed, const T& value) {
           (seed >> 4);
 }
 
-/// Hashes a range of elements order-sensitively.
-template <typename It>
-size_t HashRange(It first, It last) {
-  size_t seed = 0xcbf29ce484222325ull;
-  for (; first != last; ++first) {
-    HashCombine(seed, *first);
-  }
-  return seed;
-}
-
 inline constexpr uint64_t kFnv1a64OffsetBasis = 0xcbf29ce484222325ull;
 inline constexpr uint64_t kFnv1a64Prime = 0x100000001b3ull;
 

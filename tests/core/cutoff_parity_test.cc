@@ -17,6 +17,7 @@
 #include "core/jim.h"
 #include "exec/thread_pool.h"
 #include "gtest/gtest.h"
+#include "support/parallel_for_calls.h"
 #include "util/check.h"
 #include "util/logging.h"
 #include "util/rng.h"
@@ -72,7 +73,11 @@ TEST(CutoffParityTest, PickMatchesExhaustiveAcrossThreadCounts) {
         LookaheadStrategy pruned(objective);
         pruned.set_thread_pool(&pool);
         ASSERT_TRUE(pruned.cutoff_enabled());
-        EXPECT_EQ(pruned.PickClass(engine), reference)
+        size_t pick = 0;
+        const uint64_t calls = exec::ParallelForCallsDuring(
+            [&] { pick = pruned.PickClass(engine); });
+        EXPECT_EQ(calls > 0, threads > 1) << "threads=" << threads;
+        EXPECT_EQ(pick, reference)
             << "seed=" << seed << " threads=" << threads;
       }
     }
@@ -103,8 +108,15 @@ TEST(CutoffParityTest, TranscriptsMatchExhaustiveAcrossThreadCounts) {
       exec::ThreadPool pool(threads);
       LookaheadStrategy pruned(LookaheadStrategy::Objective::kEntropy);
       pruned.set_thread_pool(&pool);
-      const SessionResult result =
-          RunSession(workload.instance, workload.goal, pruned);
+      // The engine is built outside the counted region: only the
+      // strategy's scans count.
+      InferenceEngine engine(workload.instance);
+      ExactOracle oracle(workload.goal);
+      SessionResult result;
+      const uint64_t calls = exec::ParallelForCallsDuring([&] {
+        result = RunSessionOnEngine(engine, workload.goal, pruned, oracle);
+      });
+      EXPECT_EQ(calls > 0, threads > 1) << "threads=" << threads;
       EXPECT_EQ(transcript(result), transcript(reference))
           << "seed=" << seed << " threads=" << threads;
     }

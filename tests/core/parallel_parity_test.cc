@@ -11,6 +11,7 @@
 #include "gtest/gtest.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "support/parallel_for_calls.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 #include "workload/travel.h"
@@ -58,8 +59,10 @@ TEST(ParallelParityTest, ScoreIsBitwiseIdenticalAcrossThreadCounts) {
         exec::ThreadPool pool(threads);
         LookaheadStrategy parallel(objective);
         parallel.set_thread_pool(&pool);
-        const std::vector<double> scores =
-            parallel.Score(engine, candidates);
+        std::vector<double> scores;
+        const uint64_t calls = exec::ParallelForCallsDuring(
+            [&] { scores = parallel.Score(engine, candidates); });
+        EXPECT_EQ(calls > 0, threads > 1) << "threads=" << threads;
         ASSERT_EQ(scores.size(), reference.size());
         for (size_t i = 0; i < scores.size(); ++i) {
           // Bitwise equality, not approximate: the parallel path runs the
@@ -85,8 +88,11 @@ TEST(ParallelParityTest, PickClassIsIdenticalAcrossThreadCounts) {
       exec::ThreadPool pool(threads);
       LookaheadStrategy parallel(LookaheadStrategy::Objective::kEntropy);
       parallel.set_thread_pool(&pool);
-      EXPECT_EQ(parallel.PickClass(engine), reference)
-          << "seed=" << seed << " threads=" << threads;
+      size_t pick = 0;
+      const uint64_t calls = exec::ParallelForCallsDuring(
+          [&] { pick = parallel.PickClass(engine); });
+      EXPECT_EQ(calls > 0, threads > 1) << "threads=" << threads;
+      EXPECT_EQ(pick, reference) << "seed=" << seed << " threads=" << threads;
     }
   }
 }
@@ -110,30 +116,38 @@ TEST(ParallelParityTest, CutoffPrunedPickMatchesExhaustiveArgmax) {
       LookaheadStrategy pruned(LookaheadStrategy::Objective::kEntropy);
       pruned.set_thread_pool(&pool);
       ASSERT_TRUE(pruned.cutoff_enabled());
-      EXPECT_EQ(pruned.PickClass(engine), reference)
-          << "seed=" << seed << " threads=" << threads;
+      size_t pick = 0;
+      const uint64_t calls = exec::ParallelForCallsDuring(
+          [&] { pick = pruned.PickClass(engine); });
+      EXPECT_EQ(calls > 0, threads > 1) << "threads=" << threads;
+      EXPECT_EQ(pick, reference) << "seed=" << seed << " threads=" << threads;
     }
   }
 }
 
 TEST(ParallelParityTest, SampledCandidateCapMatchesSerialPath) {
-  // max_candidates smaller than the pool exercises the strided subsample in
-  // both paths; the -inf slots and the sampled scores must line up exactly.
+  // max_candidates smaller than the worklist exercises the strided
+  // subsample in both paths; the -inf slots and the sampled scores must line
+  // up exactly. The cap is just wide enough for the pool to be used.
+  const size_t max_candidates = kParallelLookaheadMinCandidates + 1;
   const auto workload = MakeWorkload(42, /*tuples=*/500);
   const InferenceEngine engine(workload.instance);
   const std::vector<size_t>& candidates = engine.InformativeClasses();
-  ASSERT_GT(candidates.size(), 8u);
+  ASSERT_GT(candidates.size(), 2 * max_candidates);
 
   LookaheadStrategy serial(LookaheadStrategy::Objective::kEntropy,
-                           /*alpha=*/1.0, /*max_candidates=*/7);
+                           /*alpha=*/1.0, max_candidates);
   serial.set_thread_pool(nullptr);
   const std::vector<double> reference = serial.Score(engine, candidates);
 
   exec::ThreadPool pool(8);
   LookaheadStrategy parallel(LookaheadStrategy::Objective::kEntropy,
-                             /*alpha=*/1.0, /*max_candidates=*/7);
+                             /*alpha=*/1.0, max_candidates);
   parallel.set_thread_pool(&pool);
-  const std::vector<double> scores = parallel.Score(engine, candidates);
+  std::vector<double> scores;
+  EXPECT_GT(exec::ParallelForCallsDuring(
+                [&] { scores = parallel.Score(engine, candidates); }),
+            0u);
   EXPECT_EQ(scores, reference);
 }
 
@@ -163,8 +177,15 @@ TEST(ParallelParityTest, FullSessionTranscriptsIdenticalAcrossThreadCounts) {
       exec::ThreadPool pool(threads);
       LookaheadStrategy parallel(LookaheadStrategy::Objective::kEntropy);
       parallel.set_thread_pool(&pool);
-      const SessionResult result =
-          RunSession(workload.instance, workload.goal, parallel);
+      // The engine is built outside the counted region: only the
+      // strategy's scans count.
+      InferenceEngine engine(workload.instance);
+      ExactOracle oracle(workload.goal);
+      SessionResult result;
+      const uint64_t calls = exec::ParallelForCallsDuring([&] {
+        result = RunSessionOnEngine(engine, workload.goal, parallel, oracle);
+      });
+      EXPECT_EQ(calls > 0, threads > 1) << "threads=" << threads;
       EXPECT_EQ(result.interactions, reference.interactions);
       EXPECT_EQ(result.identified_goal, reference.identified_goal);
       EXPECT_EQ(Transcript(result), Transcript(reference))
@@ -198,8 +219,12 @@ TEST(ParallelParityTest, MetricsAndTracingNeverPerturbTranscripts) {
     SessionOptions options;
     options.tracer = &tracer;
     InferenceEngine engine(workload.instance);
-    const SessionResult result = RunSessionOnEngine(
-        engine, workload.goal, parallel, oracle, options);
+    SessionResult result;
+    const uint64_t calls = exec::ParallelForCallsDuring([&] {
+      result = RunSessionOnEngine(engine, workload.goal, parallel, oracle,
+                                  options);
+    });
+    EXPECT_EQ(calls > 0, threads > 1) << "threads=" << threads;
     EXPECT_EQ(Transcript(result), Transcript(reference))
         << "threads=" << threads;
     EXPECT_EQ(tracer.steps().size(), reference.steps.size());
@@ -208,7 +233,9 @@ TEST(ParallelParityTest, MetricsAndTracingNeverPerturbTranscripts) {
 }
 
 TEST(ParallelParityTest, Figure1SessionTranscriptParity) {
-  // The paper's own instance, end to end.
+  // The paper's own instance, end to end. Its worklist is below
+  // kParallelLookaheadMinCandidates, so the pooled runs score serially; the
+  // case still pins that handing a strategy a pool never moves a pick.
   auto instance = workload::Figure1InstancePtr();
   const auto goal =
       JoinPredicate::Parse(instance->schema(), workload::kQ2).value();

@@ -11,6 +11,7 @@
 #include "lattice/enumeration.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
+#include "support/parallel_for_calls.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 #include "workload/travel.h"
@@ -160,6 +161,23 @@ TEST(LookaheadStrategyTest, CandidateCapStillPicksScoredCandidate) {
   // Must not crash and must return an informative class.
   const size_t pick = capped.PickClass(engine);
   EXPECT_EQ(engine.class_status(pick), ClassStatus::kInformative);
+}
+
+TEST(LookaheadStrategyTest, NarrowWorklistsNeverReachThePool) {
+  // Figure 1's worklist is below kParallelLookaheadMinCandidates: waking a
+  // pool would cost more than the scan, so even a 4-thread pool scores
+  // serially, for PickClass and Score alike.
+  const InferenceEngine engine(workload::Figure1InstancePtr());
+  ASSERT_LT(engine.InformativeClasses().size(),
+            kParallelLookaheadMinCandidates);
+  exec::ThreadPool pool(4);
+  LookaheadStrategy strategy(LookaheadStrategy::Objective::kEntropy);
+  strategy.set_thread_pool(&pool);
+  EXPECT_EQ(exec::ParallelForCallsDuring([&] {
+              strategy.PickClass(engine);
+              strategy.Score(engine, engine.InformativeClasses());
+            }),
+            0u);
 }
 
 TEST(LookaheadStrategyTest, CutoffCountersPartitionTheSampledCandidates) {

@@ -1,21 +1,24 @@
-// End-to-end serving test: 64 concurrent sessions over localhost TCP, a
+// End-to-end serving test: concurrent sessions over localhost TCP, a
 // daemon kill + restart mid-stream, and the byte-identical-transcript
-// guarantee. Protocol:
-//   1. For each of 64 session configs (strategies cycling through
-//      lookahead-entropy / lookahead-minmax / local-bottom-up / random,
-//      distinct seeds, goal Q2), capture the full oracle-driven response
-//      transcript from an uninterrupted reference daemon.
-//   2. Daemon A (checkpointing on): 64 client threads create their
-//      sessions and drive i%3 steps each, asserting every response line
+// guarantee. Protocol, run once per serving regime:
+//   1. For each session config (strategies cycling through the instance's
+//      list, distinct seeds, the instance's goal), capture the full
+//      oracle-driven response transcript from an uninterrupted reference
+//      daemon.
+//   2. Daemon A (checkpointing on): one client thread per session creates
+//      its session and drives i%3 steps, asserting every response line
 //      equals the reference's, then daemon A is shut down and destroyed.
 //   3. Daemon B recovers every session from the checkpoint directory; the
 //      clients drive their sessions to completion and every remaining
 //      response line — suggest, label, result — must be byte-identical to
 //      the reference transcript from the step where the kill landed.
-// Both serving modes run the same protocol. Responses carry no session id,
-// which is what makes transcripts diffable across daemons with different
-// id mints.
+// The many-sessions regime is 64 sessions over Figure 1, whose lookahead
+// scans stay serial; the few-sessions regime is 4 lookahead sessions over
+// a wide instance, whose scans fan out onto the shared pool.
+// Responses carry no session id, which is what makes transcripts diffable
+// across daemons with different id mints.
 
+#include <cstdint>
 #include <filesystem>
 #include <memory>
 #include <sstream>
@@ -24,22 +27,29 @@
 #include <vector>
 
 #include "core/jim.h"
+#include "exec/parallel.h"
 #include "gtest/gtest.h"
 #include "serve/client.h"
 #include "serve/server.h"
 #include "serve/session_manager.h"
 #include "serve/transport.h"
+#include "support/parallel_for_calls.h"
 #include "util/bitset.h"
 #include "util/json_reader.h"
+#include "util/rng.h"
 #include "util/string_util.h"
+#include "workload/synthetic.h"
 #include "workload/travel.h"
 
 namespace jim::serve {
 namespace {
 
-constexpr size_t kSessions = 64;
-const char* const kStrategies[] = {"lookahead-entropy", "lookahead-minmax",
-                                   "local-bottom-up", "random"};
+// Session strategies score on exec::SharedPool(); size it before its first
+// use so the few-sessions regime reaches the pooled path on any machine.
+const bool kSharedPoolSized = [] {
+  exec::SetDefaultThreads(4);
+  return true;
+}();
 
 std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "serve_e2e_" + name;
@@ -47,19 +57,54 @@ std::string FreshDir(const std::string& name) {
   return dir;
 }
 
-std::unique_ptr<SessionManager> MakeManager(ServeOptions options) {
-  options.default_instance = "figure1";
+/// An instance the daemon serves, with the goal its sessions are checked
+/// against and the strategies they cycle through.
+struct Instance {
+  std::string name;
+  std::shared_ptr<const core::TupleStore> store;
+  std::string goal;
+  std::vector<std::string> strategies;
+};
+
+Instance Figure1Instance() {
+  return {"figure1",
+          workload::Figure1StorePtr(),
+          workload::kQ2,
+          {"lookahead-entropy", "lookahead-minmax", "local-bottom-up",
+           "random"}};
+}
+
+/// Wide enough that every lookahead worklist it starts with reaches
+/// core::kParallelLookaheadMinCandidates.
+Instance WideInstance() {
+  util::Rng rng(5);
+  workload::SyntheticSpec spec;
+  spec.num_attributes = 6;
+  spec.num_tuples = 300;
+  spec.domain_size = 4;
+  spec.goal_constraints = 2;
+  const auto workload = workload::MakeSyntheticWorkload(spec, rng);
+  return {"synthetic",
+          workload.store,
+          workload.goal.ToString(),
+          {"lookahead-entropy", "lookahead-minmax"}};
+}
+
+std::unique_ptr<SessionManager> MakeManager(
+    ServeOptions options, const Instance& instance = Figure1Instance()) {
+  options.default_instance = instance.name;
   options.max_sessions = 128;
   auto manager = std::make_unique<SessionManager>(std::move(options));
-  manager->RegisterInstance("figure1", workload::Figure1StorePtr());
+  manager->RegisterInstance(instance.name, instance.store);
   return manager;
 }
 
-Request CreateRequestFor(size_t i) {
+Request CreateRequestFor(size_t i,
+                         const Instance& instance = Figure1Instance()) {
   Request request;
   request.verb = "create";
-  request.strategy = kStrategies[i % 4];
-  request.goal = workload::kQ2;
+  request.strategy = instance.strategies[i % instance.strategies.size()];
+  request.goal = instance.goal;
   request.seed = 100 + i;
   return request;
 }
@@ -68,10 +113,10 @@ Request CreateRequestFor(size_t i) {
 /// selected by the goal predicate.
 class Oracle {
  public:
-  Oracle() {
-    store_ = workload::Figure1StorePtr();
+  explicit Oracle(const Instance& instance) {
+    store_ = instance.store;
     const auto goal =
-        core::JoinPredicate::Parse(store_->schema(), workload::kQ2).value();
+        core::JoinPredicate::Parse(store_->schema(), instance.goal).value();
     selected_ = goal.SelectedRows(*store_);
   }
   bool Answer(const std::string& suggest_line) const {
@@ -95,12 +140,15 @@ class Oracle {
 
 /// Captures the uninterrupted response transcript of session config `i`:
 /// suggest,label,suggest,label,...,suggest(done),result — raw lines,
-/// straight from the server's request handler.
+/// straight from the server's request handler. Adds the exec.parallel_for
+/// calls the suggest requests made to `*suggest_pool_calls`.
 std::vector<std::string> ReferenceTranscript(Server& server,
-                                             const Oracle& oracle, size_t i) {
+                                             const Instance& instance,
+                                             const Oracle& oracle, size_t i,
+                                             uint64_t* suggest_pool_calls) {
   bool shutdown_requested = false;
   const std::string create_response =
-      server.HandleLine(RequestToLine(CreateRequestFor(i)),
+      server.HandleLine(RequestToLine(CreateRequestFor(i, instance)),
                         &shutdown_requested);
   auto created = util::ParseJson(create_response);
   EXPECT_TRUE(created.ok() && created->GetBool("ok", false))
@@ -110,8 +158,11 @@ std::vector<std::string> ReferenceTranscript(Server& server,
 
   std::vector<std::string> lines;
   for (size_t step = 0; step < 1000; ++step) {
-    const std::string suggest_response =
-        server.HandleLine(SuggestLine(session), &shutdown_requested);
+    std::string suggest_response;
+    *suggest_pool_calls += exec::ParallelForCallsDuring([&] {
+      suggest_response =
+          server.HandleLine(SuggestLine(session), &shutdown_requested);
+    });
     lines.push_back(suggest_response);
     if (Oracle::Done(suggest_response)) break;
     lines.push_back(server.HandleLine(
@@ -126,20 +177,21 @@ std::vector<std::string> ReferenceTranscript(Server& server,
   return lines;
 }
 
-void RunModeE2E(ServingMode mode) {
-  const Oracle oracle;
-  const std::string tag =
-      std::string(ServingModeName(mode));
+/// Runs the restart protocol over `sessions` sessions of `instance`.
+/// `*suggest_pool_calls` receives the exec.parallel_for calls the reference
+/// daemon's suggest requests made: lookahead scans on the shared pool.
+void RunRestartE2E(const Instance& instance, size_t sessions,
+                   const std::string& tag, uint64_t* suggest_pool_calls) {
+  const Oracle oracle(instance);
 
   // Phase 0: reference transcripts from an uninterrupted daemon.
-  std::vector<std::vector<std::string>> reference(kSessions);
+  std::vector<std::vector<std::string>> reference(sessions);
   {
-    ServeOptions options;
-    options.mode = mode;
-    auto manager = MakeManager(std::move(options));
+    auto manager = MakeManager(ServeOptions{}, instance);
     Server server(manager.get(), ListenTcp(0).value());
-    for (size_t i = 0; i < kSessions; ++i) {
-      reference[i] = ReferenceTranscript(server, oracle, i);
+    for (size_t i = 0; i < sessions; ++i) {
+      reference[i] = ReferenceTranscript(server, instance, oracle, i,
+                                         suggest_pool_calls);
       ASSERT_GE(reference[i].size(), 4u) << "session " << i << " too short";
       // Every transcript ends with a done-suggest and an
       // identified_goal result.
@@ -151,15 +203,14 @@ void RunModeE2E(ServingMode mode) {
   }
 
   const std::string checkpoint_dir = FreshDir(tag);
-  std::vector<std::string> session_ids(kSessions);
+  std::vector<std::string> session_ids(sessions);
 
   // Phase 1: daemon A — concurrent clients drive i%3 steps each, then the
   // daemon dies with every session mid-stream.
   {
     ServeOptions options;
-    options.mode = mode;
     options.checkpoint_dir = checkpoint_dir;
-    auto manager = MakeManager(std::move(options));
+    auto manager = MakeManager(std::move(options), instance);
     ServerOptions server_options;
     server_options.max_connections = 16;  // exercise connection queueing
     Server server(manager.get(), ListenTcp(0).value(), server_options);
@@ -167,11 +218,11 @@ void RunModeE2E(ServingMode mode) {
     const uint16_t port = PortOfAddress(server.address()).value();
 
     std::vector<std::thread> clients;
-    for (size_t i = 0; i < kSessions; ++i) {
+    for (size_t i = 0; i < sessions; ++i) {
       clients.emplace_back([&, i] {
         auto client = Client::ConnectTcp(port);
         ASSERT_TRUE(client.ok()) << client.status();
-        auto session = client->Create(CreateRequestFor(i));
+        auto session = client->Create(CreateRequestFor(i, instance));
         ASSERT_TRUE(session.ok()) << session.status();
         session_ids[i] = *session;
         for (size_t step = 0; step < i % 3; ++step) {
@@ -193,7 +244,7 @@ void RunModeE2E(ServingMode mode) {
       });
     }
     for (std::thread& client : clients) client.join();
-    EXPECT_EQ(manager->GetStats().live, kSessions);
+    EXPECT_EQ(manager->GetStats().live, sessions);
     server.Shutdown();
   }
 
@@ -201,17 +252,16 @@ void RunModeE2E(ServingMode mode) {
   // sessions; every remaining line must equal the reference's.
   {
     ServeOptions options;
-    options.mode = mode;
     options.checkpoint_dir = checkpoint_dir;
-    auto manager = MakeManager(std::move(options));
+    auto manager = MakeManager(std::move(options), instance);
     ASSERT_TRUE(manager->RecoverSessions().ok());
-    EXPECT_EQ(manager->GetStats().recovered, kSessions);
+    EXPECT_EQ(manager->GetStats().recovered, sessions);
     Server server(manager.get(), ListenTcp(0).value());
     server.Start();
     const uint16_t port = PortOfAddress(server.address()).value();
 
     std::vector<std::thread> clients;
-    for (size_t i = 0; i < kSessions; ++i) {
+    for (size_t i = 0; i < sessions; ++i) {
       clients.emplace_back([&, i] {
         auto client = Client::ConnectTcp(port);
         ASSERT_TRUE(client.ok()) << client.status();
@@ -248,11 +298,21 @@ void RunModeE2E(ServingMode mode) {
 }
 
 TEST(ServerE2ETest, ManySessionsModeSurvivesDaemonRestart) {
-  RunModeE2E(ServingMode::kManySessions);
+  // Figure 1's worklists sit below core::kParallelLookaheadMinCandidates:
+  // every lookahead scan stays serial.
+  uint64_t suggest_pool_calls = 0;
+  RunRestartE2E(Figure1Instance(), /*sessions=*/64, "many",
+                &suggest_pool_calls);
+  EXPECT_EQ(suggest_pool_calls, 0u);
 }
 
 TEST(ServerE2ETest, FewSessionsModeSurvivesDaemonRestart) {
-  RunModeE2E(ServingMode::kFewSessions);
+  // The wide instance's worklists reach the constant: lookahead scans fan
+  // out onto exec::SharedPool(), and the transcripts still survive.
+  ASSERT_GT(exec::SharedPool().threads(), 1u);
+  uint64_t suggest_pool_calls = 0;
+  RunRestartE2E(WideInstance(), /*sessions=*/4, "few", &suggest_pool_calls);
+  EXPECT_GT(suggest_pool_calls, 0u);
 }
 
 TEST(ServerE2ETest, ShutdownVerbStopsTheDaemon) {

@@ -1,26 +1,38 @@
 // SessionManager contract tests: session lifecycle against the paper's
 // Figure 1 oracle, admission control (live-session cap, per-session step
-// cap, typed RESOURCE_EXHAUSTED), contradiction rejection, serving-mode
-// transcript parity, suggest idempotence (polling never advances a
-// strategy's RNG), and checkpoint/recovery determinism — a recovered
-// manager's future picks equal the uninterrupted manager's, including for
-// RNG-bearing strategies.
+// cap, typed RESOURCE_EXHAUSTED), contradiction rejection, concurrent
+// sessions on the shared lookahead pool picking what the serial path
+// picks, suggest idempotence (polling never advances a strategy's RNG),
+// and checkpoint/recovery determinism — a recovered manager's future picks
+// equal the uninterrupted manager's, including for RNG-bearing strategies.
 
 #include "serve/session_manager.h"
 
 #include <filesystem>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/jim.h"
+#include "exec/parallel.h"
 #include "gtest/gtest.h"
+#include "support/parallel_for_calls.h"
 #include "util/bitset.h"
+#include "util/rng.h"
 #include "util/string_util.h"
+#include "workload/synthetic.h"
 #include "workload/travel.h"
 
 namespace jim::serve {
 namespace {
+
+// Session strategies score on exec::SharedPool(); size it before its first
+// use so the pooled path exists on any machine.
+const bool kSharedPoolSized = [] {
+  exec::SetDefaultThreads(4);
+  return true;
+}();
 
 std::string FreshDir(const std::string& name) {
   const std::string dir = ::testing::TempDir() + "session_manager_" + name;
@@ -215,44 +227,66 @@ TEST(SessionManagerTest, SuggestIsIdempotentUntilTheNextLabel) {
   }
 }
 
-TEST(SessionManagerTest, ServingModesProduceIdenticalPicks) {
-  // kManySessions (serial lookahead) and kFewSessions (pool fan-out) must
-  // pick identically — mode is a performance knob, not a policy change.
-  std::vector<size_t> picks_by_mode[2];
-  const ServingMode modes[2] = {ServingMode::kManySessions,
-                                ServingMode::kFewSessions};
-  for (int m = 0; m < 2; ++m) {
-    ServeOptions options;
-    options.mode = modes[m];
-    auto manager = MakeManager(std::move(options));
-    auto created =
-        manager->Create("", "lookahead-minmax", workload::kQ2, 1, 0);
-    ASSERT_TRUE(created.ok()) << created.status();
-    auto store = workload::Figure1StorePtr();
-    const auto goal =
-        core::JoinPredicate::Parse(store->schema(), workload::kQ2).value();
-    for (;;) {
-      auto suggested = manager->Suggest(created->session_id);
-      ASSERT_TRUE(suggested.ok());
-      if (suggested->done) break;
-      picks_by_mode[m].push_back(suggested->class_id);
-      ASSERT_TRUE(manager
-                      ->Label(created->session_id, suggested->class_id,
-                              OracleAnswer(*store, goal,
-                                           suggested->tuple_index))
-                      .ok());
-    }
-  }
-  EXPECT_EQ(picks_by_mode[0], picks_by_mode[1]);
-  EXPECT_FALSE(picks_by_mode[0].empty());
-}
+TEST(SessionManagerTest, ConcurrentWideSessionsFanOutAndPickSerially) {
+  // Daemon sessions score lookahead on exec::SharedPool() once a worklist
+  // reaches core::kParallelLookaheadMinCandidates. Four threads drive
+  // sessions over an instance above that size at once; every session must
+  // pick exactly what the serial strategy with its seed picks, and the
+  // shared pool must actually have been used.
+  util::Rng rng(5);
+  workload::SyntheticSpec spec;
+  spec.num_attributes = 6;
+  spec.num_tuples = 300;
+  spec.domain_size = 4;
+  spec.goal_constraints = 2;
+  const auto workload = workload::MakeSyntheticWorkload(spec, rng);
+  ASSERT_GE(core::InferenceEngine(workload.store).InformativeClasses().size(),
+            core::kParallelLookaheadMinCandidates);
+  ASSERT_GT(exec::SharedPool().threads(), 1u);
 
-TEST(SessionManagerTest, ParseServingModeNames) {
-  EXPECT_EQ(ParseServingMode("many").value(), ServingMode::kManySessions);
-  EXPECT_EQ(ParseServingMode("few-sessions").value(),
-            ServingMode::kFewSessions);
-  EXPECT_FALSE(ParseServingMode("medium").ok());
-  EXPECT_EQ(ServingModeName(ServingMode::kFewSessions), "few");
+  ServeOptions options;
+  options.default_instance = "synthetic";
+  SessionManager manager(std::move(options));
+  manager.RegisterInstance("synthetic", workload.store);
+
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<size_t>> picks(kThreads);
+  const auto drive_concurrently = [&] {
+    std::vector<std::thread> threads;
+    for (size_t i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        auto created =
+            manager.Create("", "lookahead-entropy", "", /*seed=*/i + 1, 0);
+        ASSERT_TRUE(created.ok()) << created.status();
+        for (;;) {
+          auto suggested = manager.Suggest(created->session_id);
+          ASSERT_TRUE(suggested.ok()) << suggested.status();
+          if (suggested->done) break;
+          picks[i].push_back(suggested->class_id);
+          ASSERT_TRUE(manager
+                          .Label(created->session_id, suggested->class_id,
+                                 OracleAnswer(*workload.store, workload.goal,
+                                              suggested->tuple_index))
+                          .ok());
+        }
+      });
+    }
+    for (std::thread& thread : threads) thread.join();
+  };
+  EXPECT_GT(exec::ParallelForCallsDuring(drive_concurrently), 0u);
+
+  for (size_t i = 0; i < kThreads; ++i) {
+    auto serial = core::MakeStrategy("lookahead-entropy", i + 1).value();
+    static_cast<core::LookaheadStrategy&>(*serial).set_thread_pool(nullptr);
+    const core::SessionResult reference =
+        core::RunSession(workload.store, workload.goal, *serial);
+    ASSERT_TRUE(reference.identified_goal);
+    std::vector<size_t> expected;
+    for (const core::SessionStep& step : reference.steps) {
+      expected.push_back(step.class_id);
+    }
+    EXPECT_EQ(picks[i], expected) << "session " << i;
+  }
 }
 
 TEST(SessionManagerTest, RecoveryContinuesEverySessionIdentically) {

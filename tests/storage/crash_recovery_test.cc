@@ -1,16 +1,15 @@
-// Exhaustive crash-point enumeration over the storage tier's write paths.
+// Exhaustive crash-point enumeration over the storage tier's write path.
 //
-// The protocol, per path (WriteStore, SaveCatalog): run the old version
-// cleanly through a FaultInjectionEnv to learn its deterministic operation
-// schedule, then re-run the new version once per schedule index with a
-// simulated power cut armed there. Each cut's durable state is replayed
-// into a real directory (strict fsync-barrier semantics, the
-// metadata-flushed extreme, and torn-tail variants of both) and recovery
-// runs on it for real, proving:
+// The protocol (WriteStore): run the old version cleanly through a
+// FaultInjectionEnv to learn its deterministic operation schedule, then
+// re-run the new version once per schedule index with a simulated power cut
+// armed there. Each cut's durable state is replayed into a real directory
+// (strict fsync-barrier semantics, the metadata-flushed extreme, and
+// torn-tail variants of both) and recovery runs on it for real, proving:
 //   - the committed name always reopens as the complete old XOR the
 //     complete new version — never a mix, never a torn image;
-//   - surviving staging files (`*.tmp`) are ignored by recovery, fail
-//     typed (never UB) when opened directly, and are garbage-collected;
+//   - a surviving staging file (`*.tmp`) is never the committed name and
+//     fails typed (never UB) when opened directly;
 //   - every truncated-prefix image of a JIMC file is a typed error.
 // The ci CRASH stage runs this suite under ASan, so "typed error, not UB"
 // is machine-checked.
@@ -24,12 +23,10 @@
 
 #include "core/join_predicate.h"
 #include "core/tuple_store.h"
-#include "relational/catalog.h"
 #include "relational/relation.h"
 #include "storage/env.h"
 #include "storage/mapped_store.h"
 #include "storage/metrics_env.h"
-#include "storage/snapshot.h"
 #include "storage/store_writer.h"
 #include "support/fault_env.h"
 #include "util/status.h"
@@ -154,95 +151,6 @@ TEST(CrashRecoveryTest, EveryWriteStoreCrashPointRecoversOldXorNew) {
   EXPECT_GT(recovered_new, 0u);
 }
 
-TEST(CrashRecoveryTest, EverySaveCatalogCrashPointRecoversOldXorNew) {
-  // The two versions disagree on relation *sets*, not just contents, so a
-  // mixed snapshot cannot pass for either.
-  rel::Catalog v1;
-  {
-    rel::Relation r{"R", rel::Schema::FromNames({"x"})};
-    r.AddRowUnchecked({Value("one")});
-    rel::Relation s{"S", rel::Schema::FromNames({"x"})};
-    s.AddRowUnchecked({Value("s1")});
-    ASSERT_TRUE(v1.Add(std::move(r)).ok());
-    ASSERT_TRUE(v1.Add(std::move(s)).ok());
-  }
-  rel::Catalog v2;
-  {
-    rel::Relation r{"R", rel::Schema::FromNames({"x"})};
-    r.AddRowUnchecked({Value("two")});
-    rel::Relation t{"T", rel::Schema::FromNames({"x"})};
-    t.AddRowUnchecked({Value("t2")});
-    ASSERT_TRUE(v2.Add(std::move(r)).ok());
-    ASSERT_TRUE(v2.Add(std::move(t)).ok());
-  }
-  const std::string snap = "vroot/snap";
-
-  uint64_t n_first = 0;
-  uint64_t n_second = 0;
-  {
-    FaultInjectionEnv probe;
-    SnapshotOptions options;
-    options.env = &probe;
-    ASSERT_TRUE(SaveCatalog(v1, snap, options).ok());
-    n_first = probe.op_count();
-    ASSERT_TRUE(SaveCatalog(v2, snap, options).ok());
-    n_second = probe.op_count() - n_first;
-  }
-  ASSERT_GE(n_second, 12u);
-
-  size_t recovered_old = 0;
-  size_t recovered_new = 0;
-  for (uint64_t k = 0; k < n_second; ++k) {
-    FaultInjectionEnv env;
-    env.set_torn_write_bytes(7);
-    SnapshotOptions options;
-    options.env = &env;
-    ASSERT_TRUE(SaveCatalog(v1, snap, options).ok());
-    ASSERT_EQ(env.op_count(), n_first) << "schedule must be deterministic";
-    env.CrashAtOp(n_first + k);
-    // The re-save usually fails; a cut during best-effort GC is invisible
-    // to the caller (the new snapshot is already durable by then) — the
-    // recovery invariant below is the contract either way.
-    (void)SaveCatalog(v2, snap, options);
-
-    for (const ReplayScenario& scenario : Scenarios(k)) {
-      const std::string dir = FreshDir(
-          "sc_" + std::to_string(k) + "_" + scenario.tag);
-      ASSERT_TRUE(env.ReplayDurableInto(snap, dir, scenario.mode,
-                                        scenario.torn_seed)
-                      .ok());
-      const auto loaded = LoadCatalog(dir);
-      ASSERT_TRUE(loaded.ok())
-          << "crash point " << k << " (" << scenario.tag
-          << "): snapshot unloadable: " << loaded.status();
-      const auto names = loaded->Names();
-      const bool is_old = names == v1.Names();
-      const bool is_new = names == v2.Names();
-      ASSERT_TRUE(is_old || is_new)
-          << "crash point " << k << " (" << scenario.tag
-          << "): mixed relation set";
-      const std::string marker =
-          loaded->GetShared("R").value()->row(0)[0].AsString();
-      EXPECT_EQ(marker, is_old ? "one" : "two")
-          << "crash point " << k << " (" << scenario.tag
-          << "): relation set and contents disagree — mixed snapshot";
-      recovered_old += is_old ? 1 : 0;
-      recovered_new += is_new ? 1 : 0;
-      // LoadCatalog swept every staging leftover the cut stranded.
-      const auto remaining = DefaultEnv()->ListDirectory(dir);
-      ASSERT_TRUE(remaining.ok());
-      for (const std::string& file : *remaining) {
-        EXPECT_FALSE(file.size() > 4 &&
-                     file.compare(file.size() - 4, 4, ".tmp") == 0)
-            << "crash point " << k << " (" << scenario.tag
-            << "): stale staging file survived the load: " << file;
-      }
-    }
-  }
-  EXPECT_GT(recovered_old, 0u);
-  EXPECT_GT(recovered_new, 0u);
-}
-
 TEST(CrashRecoveryTest, EveryTruncatedPrefixImageFailsTyped) {
   const auto store = core::MakeRelationStore(MarkerRelation("one", 4));
   const std::string dir = FreshDir("prefix");
@@ -308,35 +216,6 @@ TEST(CrashRecoveryTest, MmapRefusalDegradesToHeapReaderWithFullParity) {
               predicate->SelectedRows(**mapped));
 }
 
-TEST(CrashRecoveryTest, PlantedStaleTmpIsIgnoredByLoadThenCollected) {
-  rel::Catalog catalog;
-  rel::Relation r{"R", rel::Schema::FromNames({"x"})};
-  r.AddRowUnchecked({Value("live")});
-  ASSERT_TRUE(catalog.Add(std::move(r)).ok());
-  const std::string dir = FreshDir("stale_tmp");
-  ASSERT_TRUE(SaveCatalog(catalog, dir).ok());
-
-  Env& env = *DefaultEnv();
-  const auto plant = [&env, &dir](const std::string& name) {
-    auto file = env.NewWritableFile(dir + "/" + name);
-    ASSERT_TRUE(file.ok());
-    ASSERT_TRUE((*file)->Append("crashed-save junk").ok());
-    ASSERT_TRUE((*file)->Close().ok());
-  };
-  plant("R.g9.jimc.tmp");        // stranded relation staging file
-  plant("catalog.jimm.tmp");     // stranded manifest staging file
-  plant("unrelated.txt.tmp");    // NOT a recognized artifact — must stay
-
-  const auto loaded = LoadCatalog(dir);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->GetShared("R").value()->row(0)[0].AsString(), "live");
-  // Recognized staging orphans were ignored by the load and then swept;
-  // the GC never touches files it cannot attribute to a crashed save.
-  EXPECT_FALSE(std::filesystem::exists(dir + "/R.g9.jimc.tmp"));
-  EXPECT_FALSE(std::filesystem::exists(dir + "/catalog.jimm.tmp"));
-  EXPECT_TRUE(std::filesystem::exists(dir + "/unrelated.txt.tmp"));
-}
-
 TEST(CrashRecoveryTest, TransientFaultsRetryToSuccessInWriteStore) {
   const auto store = core::MakeRelationStore(MarkerRelation("one", 3));
   FaultInjectionEnv fault;
@@ -355,24 +234,6 @@ TEST(CrashRecoveryTest, TransientFaultsRetryToSuccessInWriteStore) {
   const auto reopened = OpenStore("vroot/r.jimc", &env);
   ASSERT_TRUE(reopened.ok()) << reopened.status();
   EXPECT_EQ((*reopened)->DecodeValue(0, 0).AsString(), "one");
-}
-
-TEST(CrashRecoveryTest, TransientFaultsRetryToSuccessInSaveCatalog) {
-  rel::Catalog catalog;
-  rel::Relation r{"R", rel::Schema::FromNames({"x"})};
-  r.AddRowUnchecked({Value("one")});
-  ASSERT_TRUE(catalog.Add(std::move(r)).ok());
-  FaultInjectionEnv env;
-  SnapshotOptions options;
-  options.env = &env;
-  // Fault the creation of the first relation's staging file (mkdir=0,
-  // generation listing=1, create=2).
-  env.FailAtOp(2, util::UnavailableError("injected EMFILE"));
-  ASSERT_TRUE(SaveCatalog(catalog, "vroot/snap", options).ok());
-  EXPECT_EQ(env.sleeps_recorded(), 1u);
-  const auto loaded = LoadCatalog("vroot/snap", options);
-  ASSERT_TRUE(loaded.ok()) << loaded.status();
-  EXPECT_EQ(loaded->GetShared("R").value()->row(0)[0].AsString(), "one");
 }
 
 TEST(CrashRecoveryTest, NonTransientWriteErrorsSurfaceTypedWithoutRetry) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,7 @@
 #include "relational/catalog.h"
 #include "storage/mapped_store.h"
 #include "storage/store_writer.h"
+#include "support/parallel_for_calls.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "workload/synthetic.h"
@@ -113,10 +115,13 @@ TEST(MappedParityTest, ClassTablesIdenticalAtAnyThreadCount) {
     for (const size_t threads : {1u, 2u, 8u}) {
       exec::ThreadPool pool(threads);
       exec::ThreadPool* pool_ptr = threads > 1 ? &pool : nullptr;
-      const InferenceEngine mapped(pair.mapped, pool_ptr);
+      std::optional<InferenceEngine> mapped;
+      const uint64_t calls = exec::ParallelForCallsDuring(
+          [&] { mapped.emplace(pair.mapped, pool_ptr); });
       const std::string context = util::StrFormat(
           "seed=%zu threads=%zu", size_t{seed}, threads);
-      ExpectSameClasses(reference, mapped, context + " mapped");
+      EXPECT_EQ(calls > 0, threads > 1) << context;
+      ExpectSameClasses(reference, *mapped, context + " mapped");
     }
   }
 }
@@ -210,8 +215,11 @@ TEST(MappedParityTest, LookaheadPicksIdenticalAtAnyThreadCount) {
     core::LookaheadStrategy strategy(
         core::LookaheadStrategy::Objective::kEntropy);
     strategy.set_thread_pool(threads > 1 ? &pool : nullptr);
-    EXPECT_EQ(strategy.PickClass(engine), expected_pick)
-        << "threads=" << threads;
+    size_t pick = 0;
+    const uint64_t calls = exec::ParallelForCallsDuring(
+        [&] { pick = strategy.PickClass(engine); });
+    EXPECT_EQ(calls > 0, threads > 1) << "threads=" << threads;
+    EXPECT_EQ(pick, expected_pick) << "threads=" << threads;
   }
 }
 
@@ -263,7 +271,11 @@ TEST(MappedParityTest, BatchSessionsRunOverOneSharedMapping) {
   const auto mapped_prototype =
       std::make_shared<const InferenceEngine>(pair.mapped, nullptr);
   const exec::BatchSessionRunner parallel_runner(&pool);
-  const auto mapped_results = parallel_runner.Run(make_specs(mapped_prototype));
+  std::vector<SessionResult> mapped_results;
+  EXPECT_GT(exec::ParallelForCallsDuring([&] {
+              mapped_results = parallel_runner.Run(make_specs(mapped_prototype));
+            }),
+            0u);
 
   ASSERT_EQ(reference_results.size(), mapped_results.size());
   for (size_t i = 0; i < reference_results.size(); ++i) {
