@@ -260,9 +260,9 @@ void RegisterAll(std::vector<BenchResult>& results) {
   }
   // Both-label impact of one candidate class — the inner loop of every
   // lookahead strategy (per candidate it needs the impact of both answers).
-  // Measures the production path (SimulateLabelBoth over the cached
-  // knowledge partitions); the pre-kernel baseline for the same metric was
-  // two naive SimulateLabel calls.
+  // Measures the production path (SimulateLabelBoth: one pair-mask cache
+  // of the worklist, then one mask scan); the pre-kernel baseline for the
+  // same metric was two naive SimulateLabel calls.
   for (size_t tuples : {1000, 10000}) {
     const auto workload = MakeSynthetic(tuples, 6);
     const core::InferenceEngine engine(workload.instance);
@@ -319,14 +319,19 @@ void RegisterAll(std::vector<BenchResult>& results) {
   }
   // One lookahead decision on an explicit exec::ThreadPool at 1/2/4 threads
   // (arg = thread count; 1 = the serial reference path), over instances
-  // whose informative worklists (9, 27, 41, 65 and 202 classes at 10, 30,
-  // 50, 100 and 10k tuples) fall on both sides of
+  // whose informative worklists (9, 27, 41, 65, 117 and 202 classes at 10,
+  // 30, 50, 100, 300 and 10k tuples) fall on both sides of
   // core::kParallelLookaheadMinCandidates; below it a pooled strategy scores
   // serially. The picked class is bitwise-identical at every count —
   // parallelism only moves latency — and WriteJson derives
   // lookahead_pick_class_speedup_4t from the 10k rows.
   for (const auto& size : std::vector<std::pair<size_t, std::string>>{
-           {10, "10"}, {30, "30"}, {50, "50"}, {100, "100"}, {10000, "10k"}}) {
+           {10, "10"},
+           {30, "30"},
+           {50, "50"},
+           {100, "100"},
+           {300, "300"},
+           {10000, "10k"}}) {
     const auto workload = MakeSynthetic(size.first, 7);
     const core::InferenceEngine engine(workload.instance);
     for (size_t threads : {1, 2, 4}) {

@@ -146,7 +146,7 @@ else
   cmake -B build-tsan -S . -DJIM_SANITIZE=thread -DJIM_WERROR=ON \
     -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j --target \
-    exec_thread_pool_test exec_scratch_pool_test exec_batch_runner_test \
+    exec_thread_pool_test exec_batch_runner_test \
     core_parallel_parity_test core_cutoff_parity_test core_engine_cow_test \
     core_encoded_parity_test relational_dictionary_test \
     core_tuple_store_test query_query_test obs_metrics_test \
@@ -167,7 +167,7 @@ else
   (cd build-tsan && \
     TSAN_OPTIONS="suppressions=$(pwd)/../tsan.supp ${TSAN_OPTIONS:-}" \
     ctest --output-on-failure -j"$(nproc)" \
-    -R 'ThreadPool|ScratchPool|BatchSessionRunner|ParallelParity|CutoffParity|EngineCow|EncodedParity|ParallelEncode|ParallelIngest|ParallelScan|UniversalTable|Catalog|MetricsTest|SessionManager')
+    -R 'ThreadPool|BatchSessionRunner|ParallelParity|CutoffParity|EngineCow|EncodedParity|ParallelEncode|ParallelIngest|ParallelScan|UniversalTable|Catalog|MetricsTest|SessionManager')
 fi
 
 # --- ASAN stage ----------------------------------------------------------

@@ -50,9 +50,11 @@
 //   jim_cli infer flights.csv --save-instance=flights.jimc
 //   jim_cli infer --load-instance=flights.jimc --auto --goal="To=City"
 
+#include <algorithm>
 #include <iostream>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "core/jim.h"
 #include "obs/metrics.h"
@@ -187,7 +189,7 @@ int CmdDemo() {
   return identified ? 0 : 1;
 }
 
-int CmdStrategies() {
+int CmdStrategies(const Flags& /*flags*/) {
   std::cout << "available strategies:\n";
   for (const std::string& name : core::KnownStrategyNames()) {
     std::cout << "  " << name << "\n";
@@ -373,32 +375,76 @@ int CmdCall(const Flags& flags) {
   return 0;
 }
 
+// A subcommand with its usage line and the named flags it reads; any other
+// flag is refused, so a stale or misspelled one cannot be silently ignored.
+// --metrics-out is read by main for every subcommand.
+struct Subcommand {
+  std::string name;
+  std::string usage;
+  std::vector<std::string> flags;
+  int (*run)(const Flags& flags);
+};
+
+const std::vector<Subcommand>& Subcommands() {
+  static const std::vector<Subcommand> kSubcommands = {
+      {"infer",
+       "infer {<file.csv> | --load-instance=FILE.jimc} "
+       "[--save-instance=FILE.jimc] [--strategy=NAME] [--mode=1..4] "
+       "[--goal=PRED] [--auto] [--trace[=FILE]]",
+       {"strategy", "mode", "goal", "auto", "trace", "load-instance",
+        "save-instance"},
+       CmdInfer},
+      {"classes",
+       "classes {<file.csv> | --load-instance=FILE.jimc} "
+       "[--save-instance=FILE.jimc]",
+       {"load-instance", "save-instance"},
+       CmdClasses},
+      {"eval",
+       "eval {<file.csv> | --load-instance=FILE.jimc} "
+       "[--save-instance=FILE.jimc] --query=PRED",
+       {"query", "load-instance", "save-instance"},
+       CmdEval},
+      {"strategies", "strategies", {}, CmdStrategies},
+      {"serve",
+       "serve [--load-instance=FILE.jimc] [--port=N | --stdio] "
+       "[--checkpoint-dir=DIR] [--max-sessions=N] [--max-steps=N] "
+       "[--trusted-reopen] [--max-connections=N]",
+       {"load-instance", "port", "stdio", "checkpoint-dir", "max-sessions",
+        "max-steps", "trusted-reopen", "max-connections"},
+       CmdServe},
+      {"call", "call --port=N '<json-line>' ['<json-line>' ...]", {"port"},
+       CmdCall},
+  };
+  return kSubcommands;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   if (argc < 2) return CmdDemo();
   const std::string command = argv[1];
   const Flags flags = ParseFlags(argc, argv, 2);
+  const Subcommand* subcommand = nullptr;
+  for (const Subcommand& candidate : Subcommands()) {
+    if (candidate.name == command) subcommand = &candidate;
+  }
+  if (subcommand == nullptr) {
+    return Fail("unknown command '" + command + "'");
+  }
+  for (const auto& [name, value] : flags.named) {
+    if (name != "metrics-out" &&
+        std::find(subcommand->flags.begin(), subcommand->flags.end(),
+                  name) == subcommand->flags.end()) {
+      return Fail("unknown flag --" + name + " for '" + command +
+                  "'\nusage: jim_cli " + subcommand->usage +
+                  " [--metrics-out=FILE]");
+    }
+  }
   // Metrics switch on before any work so engine construction, session
   // strategy pools, and storage I/O are all visible in the snapshot.
   if (flags.Has("metrics-out")) obs::SetMetricsEnabled(true);
 
-  int rc;
-  if (command == "strategies") {
-    rc = CmdStrategies();
-  } else if (command == "classes") {
-    rc = CmdClasses(flags);
-  } else if (command == "eval") {
-    rc = CmdEval(flags);
-  } else if (command == "infer") {
-    rc = CmdInfer(flags);
-  } else if (command == "serve") {
-    rc = CmdServe(flags);
-  } else if (command == "call") {
-    rc = CmdCall(flags);
-  } else {
-    return Fail("unknown command '" + command + "'");
-  }
+  const int rc = subcommand->run(flags);
 
   if (flags.Has("metrics-out")) {
     const std::string path = flags.Get("metrics-out");

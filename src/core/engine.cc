@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <cstring>
 #include <limits>
 #include <unordered_map>
@@ -589,52 +590,84 @@ util::Status InferenceEngine::SubmitClassLabel(size_t class_id, Label label) {
   return status;
 }
 
-InferenceEngine::LabelImpact InferenceEngine::SimulateLabel(
-    size_t class_id, Label label) const {
-  // The naive reference implementation (full state copy + rescan); the hot
-  // paths use SimulateLabelBoth, and the parity tests pin the two together.
-  JIM_CHECK_LT(class_id, classes_->size());
-  JIM_CHECK(session_->class_status[class_id] == ClassStatus::kInformative);
-  InferenceState hypothetical = state_;
-  // An informative class accepts either label by definition.
-  JIM_CHECK_OK(hypothetical.ApplyLabel((*classes_)[class_id].partition, label));
-
-  LabelImpact impact;
-  impact.pruned_classes = 1;
-  impact.pruned_tuples = (*classes_)[class_id].size();
-  for (size_t c = 0; c < classes_->size(); ++c) {
-    if (c == class_id ||
-        session_->class_status[c] != ClassStatus::kInformative) {
-      continue;
-    }
-    if (hypothetical.Classify((*classes_)[c].partition) !=
-        TupleClassification::kInformative) {
-      ++impact.pruned_classes;
-      impact.pruned_tuples += (*classes_)[c].size();
-    }
-  }
-  return impact;
-}
-
 InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
     size_t class_id) const {
+  LookaheadBoundsCache cache;
+  PrepareLookaheadBounds(cache);
   LabelImpactPair impact;
-  SimulateLabelBothBounded(class_id, meet_tmp_, scratch_, nullptr, nullptr,
+  SimulateLabelBothBounded(class_id, cache, nullptr,
                            -std::numeric_limits<double>::infinity(), &impact,
                            nullptr);
   return impact;
 }
 
+namespace {
+
+/// Words in the pair mask of a partition over `n` elements: one bit per
+/// pair (i, j), i < j.
+size_t PairMaskWords(size_t n) {
+  return n < 2 ? 0 : (n * (n - 1) / 2 + 63) / 64;
+}
+
+/// Sets the bit of every co-block pair of `p` in the zeroed mask at `mask`,
+/// pairs numbered in row-major order (0,1), (0,2), …, (1,2), ….
+void FillPairMask(const lat::Partition& p, uint64_t* mask) {
+  const std::vector<int>& block_of = p.labels();
+  const size_t n = block_of.size();
+  size_t bit = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j, ++bit) {
+      if (block_of[i] == block_of[j]) {
+        mask[bit >> 6] |= uint64_t{1} << (bit & 63);
+      }
+    }
+  }
+}
+
+/// a ⊆ b: the partition of `a` refines the partition of `b`.
+bool MaskSubset(const uint64_t* a, const uint64_t* b, size_t words) {
+  for (size_t w = 0; w < words; ++w) {
+    if ((a[w] & ~b[w]) != 0) return false;
+  }
+  return true;
+}
+
+/// a ∩ b ⊆ c: the meet of the partitions of `a` and `b` refines that of `c`.
+bool MaskMeetSubset(const uint64_t* a, const uint64_t* b, const uint64_t* c,
+                    size_t words) {
+  for (size_t w = 0; w < words; ++w) {
+    if ((a[w] & b[w] & ~c[w]) != 0) return false;
+  }
+  return true;
+}
+
+}  // namespace
+
 void InferenceEngine::PrepareLookaheadBounds(
     LookaheadBoundsCache& cache) const {
   const size_t n = store_->num_attributes();
   const std::vector<size_t>& informative = session_->informative;
-  // Histogram of worklist tuple mass by rank(K_c), then prefix/suffix in
-  // place. rank = n − #blocks ∈ [0, n).
+  const std::vector<lat::Partition>& members = state_.negatives().members();
+  const size_t words = PairMaskWords(n);
+  cache.mask_words = words;
+  cache.knowledge_masks.assign(informative.size() * words, 0);
+  cache.antichain_masks.assign(members.size() * words, 0);
+  cache.antichain_size = members.size();
+  for (size_t m = 0; m < members.size(); ++m) {
+    FillPairMask(members[m], cache.antichain_masks.data() + m * words);
+  }
+  // Masks and member counts in worklist order, and the histogram of
+  // worklist tuple mass by rank(K_c) (prefix/suffix sums taken in place
+  // below). rank = n − #blocks ∈ [0, n).
+  cache.class_tuples.resize(informative.size());
   cache.tuples_rank_le.assign(n, 0);
   cache.tuples_rank_ge.assign(n, 0);
-  for (size_t c : informative) {
-    cache.tuples_rank_le[(*knowledge_)[c].Rank()] += (*classes_)[c].size();
+  for (size_t i = 0; i < informative.size(); ++i) {
+    const size_t c = informative[i];
+    const lat::Partition& k = (*knowledge_)[c];
+    FillPairMask(k, cache.knowledge_masks.data() + i * words);
+    cache.class_tuples[i] = (*classes_)[c].size();
+    cache.tuples_rank_le[k.Rank()] += cache.class_tuples[i];
   }
   size_t run = 0;
   for (size_t r = n; r-- > 0;) {
@@ -648,26 +681,28 @@ void InferenceEngine::PrepareLookaheadBounds(
   cache.suffix_tuples.assign(informative.size() + 1, 0);
   size_t suffix = 0;
   for (size_t i = informative.size(); i-- > 0;) {
-    suffix += (*classes_)[informative[i]].size();
+    suffix += cache.class_tuples[i];
     cache.suffix_tuples[i] = suffix;
   }
-  cache.antichain_empty = state_.negatives().members().empty();
 }
 
 bool InferenceEngine::SimulateLabelBothBounded(
-    size_t class_id, lat::Partition& meet_tmp, lat::PartitionScratch& scratch,
-    const LookaheadBoundsCache* bounds, const AggregateBoundFn* objective,
-    double threshold, LabelImpactPair* impact, double* skip_bound) const {
+    size_t class_id, const LookaheadBoundsCache& cache,
+    const AggregateBoundFn* objective, double threshold,
+    LabelImpactPair* impact, double* skip_bound) const {
   JIM_CHECK_LT(class_id, classes_->size());
   JIM_CHECK(session_->class_status[class_id] == ClassStatus::kInformative);
+  const size_t size = cache.class_tuples.size();
+  JIM_CHECK_EQ(size, session_->informative.size())
+      << "lookahead cache prepared for another worklist";
   // No bound falls below −∞, so that threshold reads no cap and runs neither
   // the precheck nor the in-scan abort: the plain simulation.
   const bool cutoff = threshold > -std::numeric_limits<double>::infinity();
   size_t pos_cap = 0;
   size_t neg_cap = 0;
   if (cutoff) {
-    pos_cap = LookaheadPosCap(*bounds, class_id);
-    neg_cap = LookaheadNegCap(*bounds, class_id);
+    pos_cap = LookaheadPosCap(cache, class_id);
+    neg_cap = LookaheadNegCap(cache, class_id);
     // O(1) precheck: can the candidate beat the threshold at all?
     const double bound = objective->UpperBound(pos_cap, neg_cap);
     if (bound < threshold) {
@@ -676,19 +711,21 @@ bool InferenceEngine::SimulateLabelBothBounded(
       return false;
     }
   }
-  const lat::Partition& k_labeled = (*knowledge_)[class_id];
-  const std::vector<size_t>& informative = session_->informative;
+  const size_t words = cache.mask_words;
+  const size_t self = session_->worklist_pos[class_id];
+  const uint64_t* k_labeled = cache.knowledge_masks.data() + self * words;
+  const uint64_t* antichain = cache.antichain_masks.data();
 
   LabelImpactPair result;
   result.positive.pruned_classes = result.negative.pruned_classes = 1;
   result.positive.pruned_tuples = result.negative.pruned_tuples =
-      (*classes_)[class_id].size();
-  for (size_t i = 0; i < informative.size(); ++i) {
+      cache.class_tuples[self];
+  for (size_t i = 0; i < size; ++i) {
     if (cutoff && (i & 63u) == 63u) {
       // In-scan abort: counts so far plus the remaining worklist tuple mass
       // (still capped) bound anything this candidate can reach. The suffix
       // may re-count the candidate's own class — harmless, bounds only widen.
-      const size_t rem = bounds->suffix_tuples[i];
+      const size_t rem = cache.suffix_tuples[i];
       const double bound = objective->UpperBound(
           std::min(result.positive.pruned_tuples + rem, pos_cap),
           std::min(result.negative.pruned_tuples + rem, neg_cap));
@@ -698,31 +735,29 @@ bool InferenceEngine::SimulateLabelBothBounded(
         return false;
       }
     }
-    const size_t c = informative[i];
-    if (c == class_id) continue;
-    const lat::Partition& k = (*knowledge_)[c];
-    const size_t members = (*classes_)[c].size();
+    if (i == self) continue;
+    const uint64_t* k = cache.knowledge_masks.data() + i * words;
+    const size_t members = cache.class_tuples[i];
     // Negative answer: the forbidden zone grows by exactly k_labeled, so the
     // class is pruned iff its knowledge falls inside it.
-    if (k.RefinesWith(k_labeled, scratch)) {
+    if (MaskSubset(k, k_labeled, words)) {
       ++result.negative.pruned_classes;
       result.negative.pruned_tuples += members;
     }
     // Positive answer: the hypothetical θ_P is k_labeled, and the class's
     // hypothetical knowledge is k_labeled ∧ k (meeting cached knowledge is
-    // enough — both already lie below the current θ_P).
-    if (k_labeled.RefinesWith(k, scratch)) {
-      // k_labeled ∧ k == k_labeled: forced positive.
+    // enough — both already lie below the current θ_P). It is forced
+    // positive when that meet is k_labeled itself, and forced negative when
+    // the meet lies inside a forbidden zone: testing against the *current*
+    // antichain is exact, since restricting it to the new θ_P never changes
+    // domination of partitions below that θ_P.
+    bool pruned = MaskSubset(k_labeled, k, words);
+    for (size_t m = 0; !pruned && m < cache.antichain_size; ++m) {
+      pruned = MaskMeetSubset(k_labeled, k, antichain + m * words, words);
+    }
+    if (pruned) {
       ++result.positive.pruned_classes;
       result.positive.pruned_tuples += members;
-    } else {
-      k_labeled.MeetInto(k, meet_tmp, scratch);
-      // Testing against the *current* antichain is exact: restricting it to
-      // the new θ_P never changes domination of partitions below that θ_P.
-      if (state_.negatives().DominatedBy(meet_tmp, scratch)) {
-        ++result.positive.pruned_classes;
-        result.positive.pruned_tuples += members;
-      }
     }
   }
   // Counted only on full evaluation, so skips, aborts and evaluations

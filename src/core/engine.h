@@ -1,6 +1,7 @@
 #ifndef JIM_CORE_ENGINE_H_
 #define JIM_CORE_ENGINE_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -180,27 +181,26 @@ class InferenceEngine {
   /// Labels (the representative tuple of) a class.
   util::Status SubmitClassLabel(size_t class_id, Label label);
 
-  /// What would happen if `class_id` got `label`: number of classes/tuples
-  /// leaving the informative pool (the labeled class included). Pure.
+  /// What labeling a class would do: number of classes/tuples leaving the
+  /// informative pool (the labeled class included).
   struct LabelImpact {
     size_t pruned_classes = 0;
     size_t pruned_tuples = 0;
   };
-  LabelImpact SimulateLabel(size_t class_id, Label label) const;
 
-  /// Both answers' impacts in one pass over the cached knowledge partitions
-  /// — no InferenceState copy, no antichain restriction, no allocation:
+  /// Both answers' impacts for an informative class, from the engine's
+  /// cached knowledge partitions — no InferenceState copy, no antichain
+  /// restriction:
   ///   negative answer: the new forbidden zone is K_c, so a still-informative
   ///     class d is pruned iff K_d ≤ K_c;
   ///   positive answer: the new θ_P is K_c, so d is forced positive iff
   ///     K_c ≤ K_d, and otherwise forced negative iff K_c ∧ K_d falls in an
   ///     existing forbidden zone (restricting the antichain cannot change
   ///     that test for partitions below the new θ_P).
-  /// Exactly equal to {SimulateLabel(c, +), SimulateLabel(c, −)}; this is
-  /// what turns lookahead scoring from O(candidates × classes × alloc-heavy
-  /// meets) into cache-reusing scans. Requires the class to be informative.
-  /// A no-cutoff call into SimulateLabelBothBounded on the engine's own
-  /// kernel working set, so not for concurrent use on one engine.
+  /// Exactly what submitting each label would prune. Prepares a
+  /// LookaheadBoundsCache and runs SimulateLabelBothBounded with no cutoff,
+  /// so a caller scoring many classes should prepare the cache once and
+  /// call that instead.
   struct LabelImpactPair {
     LabelImpact positive;
     LabelImpact negative;
@@ -218,9 +218,19 @@ class InferenceEngine {
     virtual double UpperBound(size_t pos_cap, size_t neg_cap) const = 0;
   };
 
-  /// Per-decision cached state for the candidate upper bounds, built once by
+  /// Per-decision cache of one lookahead decision, built once by
   /// PrepareLookaheadBounds and shared (read-only) by every concurrent
-  /// SimulateLabelBothBounded call of that decision:
+  /// SimulateLabelBothBounded call of that decision. It holds everything the
+  /// impact scan reads, plus the cutoff bounds:
+  ///   - pair masks. A partition over n attributes is exactly its set of
+  ///     co-block pairs (i, j), i < j, stored as a bitset of n(n−1)/2 bits
+  ///     in `mask_words` words (pairs in row-major order). Then p ≤ q ⇔
+  ///     pairs(p) ⊆ pairs(q), and p ∧ q has pairs(p) ∩ pairs(q) (the
+  ///     intersection of two equivalence relations is one), so every scan
+  ///     test is a few word operations. `knowledge_masks` holds K_c of the
+  ///     worklist class at position i in row i; `antichain_masks` holds one
+  ///     row per forbidden-zone member;
+  ///   - `class_tuples`: member count of the worklist class at position i;
   ///   - rank-histogram prefix/suffix tuple sums over the worklist, keyed by
   ///     rank(K_c) — K_d ≤ K_c forces rank(K_d) ≤ rank(K_c), so the prefix
   ///     sum at rank(K_c) caps the negative-answer pruning, and (antichain
@@ -229,14 +239,18 @@ class InferenceEngine {
   ///     after position i, at most suffix[i] more tuples can ever be added
   ///     to either count.
   struct LookaheadBoundsCache {
+    size_t mask_words = 0;                  ///< words per pair mask
+    std::vector<uint64_t> knowledge_masks;  ///< by worklist position
+    std::vector<uint64_t> antichain_masks;  ///< by antichain member
+    size_t antichain_size = 0;              ///< antichain members
+    std::vector<size_t> class_tuples;       ///< by worklist position
     std::vector<size_t> tuples_rank_le;  ///< by rank r: Σ tuples, rank(K)≤r
     std::vector<size_t> tuples_rank_ge;  ///< by rank r: Σ tuples, rank(K)≥r
     std::vector<size_t> suffix_tuples;   ///< by worklist position, size+1
     size_t total_tuples = 0;             ///< Σ tuples over the worklist
-    bool antichain_empty = true;
   };
-  /// Fills `cache` for the current worklist. O(worklist). Invalidated by any
-  /// accepted label (like InformativeClasses()).
+  /// Fills `cache` for the current worklist. O(worklist · n² + antichain ·
+  /// n²). Invalidated by any accepted label (like InformativeClasses()).
   void PrepareLookaheadBounds(LookaheadBoundsCache& cache) const;
 
   /// Cheap per-candidate caps from the cache (see LookaheadBoundsCache).
@@ -246,12 +260,13 @@ class InferenceEngine {
   }
   size_t LookaheadPosCap(const LookaheadBoundsCache& cache,
                          size_t class_id) const {
-    return cache.antichain_empty
+    return cache.antichain_size == 0
                ? cache.tuples_rank_ge[(*knowledge_)[class_id].Rank()]
                : cache.total_tuples;
   }
 
-  /// The one impact-pair scan (see SimulateLabelBoth), cut off against
+  /// The one impact-pair scan (see SimulateLabelBoth), over the pair masks
+  /// of `cache` (prepared for the current worklist), cut off against
   /// `threshold`: evaluates the candidate only if its upper bound can still
   /// beat it. Returns true with *impact filled when the candidate was fully
   /// evaluated; returns false with *skip_bound set to the bound it was
@@ -260,17 +275,16 @@ class InferenceEngine {
   /// provably cannot reach `threshold`. The skip test is strict
   /// (bound < threshold), so a candidate tying the best score is always
   /// evaluated and argmax tie-breaking is unaffected. A threshold of −∞ is
-  /// the plain simulation: `bounds`, `objective` and `skip_bound` are not
-  /// read (they may be null) and the call always returns true.
+  /// the plain simulation: the bounds, `objective` and `skip_bound` are not
+  /// read (the latter two may be null) and the call always returns true.
   ///
-  /// The engine itself is not touched — the caller owns the kernel working
-  /// set (meet_tmp, scratch) — so any number of threads may score
-  /// candidates of one engine concurrently, each with its own pair; this is
-  /// the entry point of the parallel lookahead (exec::ScratchPool hands out
-  /// the pairs).
-  bool SimulateLabelBothBounded(size_t class_id, lat::Partition& meet_tmp,
-                                lat::PartitionScratch& scratch,
-                                const LookaheadBoundsCache* bounds,
+  /// Reads only `cache`, the candidate's worklist position and the engine's
+  /// read-only class table, and writes nothing but its outputs, so any
+  /// number of threads may score candidates of one engine concurrently —
+  /// the entry point of the parallel lookahead. O(worklist · (1 +
+  /// antichain) · mask_words) word operations.
+  bool SimulateLabelBothBounded(size_t class_id,
+                                const LookaheadBoundsCache& cache,
                                 const AggregateBoundFn* objective,
                                 double threshold, LabelImpactPair* impact,
                                 double* skip_bound) const;
@@ -425,11 +439,9 @@ class InferenceEngine {
   /// value member (copied with the engine, not COW) rebuilt after every
   /// accepted label.
   std::vector<uint8_t> pair_cover_;
-  /// Scratch state for the allocation-free kernels; mutable because pure
-  /// queries (SimulateLabelBoth) reuse it. Copying an engine copies only
-  /// warmed capacity, never live data.
-  mutable lat::PartitionScratch scratch_;
-  mutable lat::Partition meet_tmp_;
+  /// Scratch state for propagation's allocation-free kernels. Copying an
+  /// engine copies only warmed capacity, never live data.
+  lat::PartitionScratch scratch_;
   LabeledExamples history_;
   size_t wasted_interactions_ = 0;
 };

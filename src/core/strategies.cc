@@ -152,7 +152,7 @@ double LookaheadStrategy::Aggregate(size_t n_plus, size_t n_minus) const {
 std::vector<double> LookaheadStrategy::Score(
     const InferenceEngine& engine, const std::vector<size_t>& candidates) {
   std::vector<double> scores;
-  ScanCandidates(engine, candidates, nullptr, scores, nullptr);
+  ScanCandidates(engine, candidates, scores, nullptr);
   return scores;
 }
 
@@ -189,7 +189,6 @@ class MonotoneBound final : public InferenceEngine::AggregateBoundFn {
 
 void LookaheadStrategy::ScanCandidates(
     const InferenceEngine& engine, const std::vector<size_t>& candidates,
-    const InferenceEngine::LookaheadBoundsCache* bounds,
     std::vector<double>& scores, std::vector<double>* skip_bounds) {
   constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   // Deterministic candidate cap: score an evenly spaced subsample when the
@@ -200,9 +199,10 @@ void LookaheadStrategy::ScanCandidates(
   const size_t n = candidates.size();
   const size_t cap = max_candidates_ == 0 ? n : std::min(n, max_candidates_);
   scores.assign(n, kNegInf);
-  if (skip_bounds != nullptr) {
-    skip_bounds->assign(n, std::numeric_limits<double>::quiet_NaN());
-  }
+  const bool cutoff = skip_bounds != nullptr;
+  if (cutoff) skip_bounds->assign(n, std::numeric_limits<double>::quiet_NaN());
+  InferenceEngine::LookaheadBoundsCache cache;
+  engine.PrepareLookaheadBounds(cache);
   const MonotoneBound objective(*this, objective_ == Objective::kEntropy);
   // The running best is a relaxed atomic maximum. Serially it is a plain
   // running maximum, so later candidates face the tightest threshold seen so
@@ -211,21 +211,18 @@ void LookaheadStrategy::ScanCandidates(
   // final maximum, so the argmax over `scores` is the exhaustive one — the
   // scores it compares are bitwise the exhaustive ones wherever they were
   // computed, and every candidate achieving the maximum is always computed.
-  // Without bounds the threshold stays −∞ and nothing is ever skipped.
+  // Without cutoff the threshold stays −∞ and nothing is ever skipped.
   std::atomic<double> best{kNegInf};
   exec::ThreadPool* pool = use_shared_pool_ ? &exec::SharedPool() : pool_;
   const bool parallel = pool != nullptr && pool->threads() > 1 &&
                         cap >= kParallelLookaheadMinCandidates;
-  scratch_pool_.EnsureSlots(parallel ? std::min(pool->threads(), cap) : 1);
-  auto score_one = [&](size_t j, size_t chunk) {
-    exec::EvalScratch& slot = scratch_pool_.Slot(chunk);
+  auto score_one = [&](size_t j, size_t /*chunk*/) {
     const size_t i = j * n / cap;
     const double threshold =
-        bounds != nullptr ? best.load(std::memory_order_relaxed) : kNegInf;
+        cutoff ? best.load(std::memory_order_relaxed) : kNegInf;
     InferenceEngine::LabelImpactPair both;
     double bound = kNegInf;
-    if (!engine.SimulateLabelBothBounded(candidates[i], slot.meet_tmp,
-                                         slot.scratch, bounds, &objective,
+    if (!engine.SimulateLabelBothBounded(candidates[i], cache, &objective,
                                          threshold, &both, &bound)) {
       (*skip_bounds)[i] = bound;
       return;
@@ -254,11 +251,9 @@ size_t LookaheadStrategy::PickClass(const InferenceEngine& engine) {
   }
   const std::vector<size_t>& candidates = engine.InformativeClasses();
   JIM_CHECK(!candidates.empty()) << "PickClass on a finished engine";
-  InferenceEngine::LookaheadBoundsCache bounds;
-  engine.PrepareLookaheadBounds(bounds);
   std::vector<double> scores;
   std::vector<double> skip_bounds;
-  ScanCandidates(engine, candidates, &bounds, scores, &skip_bounds);
+  ScanCandidates(engine, candidates, scores, &skip_bounds);
 
   const size_t n = candidates.size();
   size_t best_i = 0;

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "core/engine.h"
-#include "exec/scratch_pool.h"
 #include "exec/thread_pool.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -74,12 +73,13 @@ class LocalStrategy : public Strategy {
 /// A lookahead scan with fewer sampled candidates than this scores serially
 /// even when its strategy has a pool: below it, waking the pool's workers
 /// costs more than the scan they would split. Each candidate's scan is
-/// O(informative classes), so small worklists (a handful of classes, a few
-/// µs per pick) stay on the caller's thread and wide ones fan out.
-/// Calibrated with bench_micro's LookaheadPickClassParallel rows (2-thread
-/// break-even at ~27–35 informative classes on 4 vCPUs); mirrors
+/// O(informative classes) word operations, so small worklists (up to ~100
+/// classes, tens of µs per pick) stay on the caller's thread and wide ones
+/// fan out. Calibrated on the pair-mask scan with per-pick timings of the
+/// LookaheadPickClassParallel instances (2- and 4-thread break-even at
+/// ~85–115 informative classes on 4 vCPUs); mirrors
 /// rel::kParallelIngestMinRows.
-inline constexpr size_t kParallelLookaheadMinCandidates = 32;
+inline constexpr size_t kParallelLookaheadMinCandidates = 96;
 
 /// Lookahead strategy: simulates both answers for each candidate and scores
 /// by how much of the instance gets pruned. `Objective` selects the
@@ -93,8 +93,9 @@ inline constexpr size_t kParallelLookaheadMinCandidates = 32;
 /// of candidates scored per step (a deterministic sample keeps huge
 /// instances interactive), 0 = unlimited.
 ///
-/// Scoring is embarrassingly parallel — every candidate's impact scan is
-/// independent once each thread owns an exec::EvalScratch — and it runs on
+/// Scoring is embarrassingly parallel — every candidate's impact scan only
+/// reads the decision's InferenceEngine::LookaheadBoundsCache (pair masks
+/// and bounds, prepared once per Score or PickClass call) — and it runs on
 /// a thread pool (exec::SharedPool() by default) once at least
 /// kParallelLookaheadMinCandidates candidates are sampled. Score and
 /// PickClass share one candidate loop (ScanCandidates); it is
@@ -160,15 +161,15 @@ class LookaheadStrategy : public Strategy {
 
  private:
   double Aggregate(size_t n_plus, size_t n_minus) const;
-  /// The one candidate loop behind Score and PickClass: scores the evenly
-  /// spaced sample of at most max_candidates_ candidates into their slots of
-  /// `scores` (every other slot stays −∞), serially or on the pool. With
-  /// `bounds`, a candidate whose upper bound cannot beat the best score so
-  /// far is skipped and its slot of `skip_bounds` gets that bound (NaN
+  /// The one candidate loop behind Score and PickClass: prepares the
+  /// decision's LookaheadBoundsCache, then scores the evenly spaced sample
+  /// of at most max_candidates_ candidates into their slots of `scores`
+  /// (every other slot stays −∞), serially or on the pool. With
+  /// `skip_bounds`, a candidate whose upper bound cannot beat the best score
+  /// so far is skipped and its slot of `skip_bounds` gets that bound (NaN
   /// elsewhere); without, every sampled candidate is fully evaluated.
   void ScanCandidates(const InferenceEngine& engine,
                       const std::vector<size_t>& candidates,
-                      const InferenceEngine::LookaheadBoundsCache* bounds,
                       std::vector<double>& scores,
                       std::vector<double>* skip_bounds);
   /// True when Aggregate is monotone nondecreasing in each count, which is
@@ -187,8 +188,6 @@ class LookaheadStrategy : public Strategy {
   bool cutoff_enabled_ = true;
   std::vector<CutoffSkip> last_skips_;
   size_t last_evaluated_ = 0;
-  /// One EvalScratch per ParallelFor chunk, reused across Score calls.
-  exec::ScratchPool scratch_pool_;
 };
 
 /// Exact minimax strategy: explores the full game tree of (question, answer)

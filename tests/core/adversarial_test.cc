@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/jim.h"
+#include "support/simulate_label.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 #include "workload/travel.h"
@@ -51,8 +52,8 @@ TEST(AdversarialTest, AdversarialAnswersStillTerminate) {
   while (!engine.IsDone()) {
     const size_t cls = strategy->PickClass(engine);
     // Adversary: choose the answer that leaves MORE informative tuples.
-    const auto plus = engine.SimulateLabel(cls, Label::kPositive);
-    const auto minus = engine.SimulateLabel(cls, Label::kNegative);
+    const auto plus = SimulateLabel(engine, cls, Label::kPositive);
+    const auto minus = SimulateLabel(engine, cls, Label::kNegative);
     const Label worst = plus.pruned_tuples <= minus.pruned_tuples
                             ? Label::kPositive
                             : Label::kNegative;

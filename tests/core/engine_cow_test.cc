@@ -8,6 +8,7 @@
 #include "core/engine.h"
 #include "core/jim.h"
 #include "gtest/gtest.h"
+#include "support/simulate_label.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 
@@ -235,8 +236,8 @@ TEST(EngineCowTest, SiblingClonesAreIndependent) {
   // SimulateLabelBoth on the untouched prototype still agrees with the
   // naive reference (the caches of a/b diverged, the prototype's did not).
   const auto both = prototype.SimulateLabelBoth(c);
-  const auto pos = prototype.SimulateLabel(c, Label::kPositive);
-  const auto neg = prototype.SimulateLabel(c, Label::kNegative);
+  const auto pos = SimulateLabel(prototype, c, Label::kPositive);
+  const auto neg = SimulateLabel(prototype, c, Label::kNegative);
   EXPECT_EQ(both.positive.pruned_tuples, pos.pruned_tuples);
   EXPECT_EQ(both.negative.pruned_tuples, neg.pruned_tuples);
 }

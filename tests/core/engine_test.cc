@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/oracle.h"
+#include "support/simulate_label.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 #include "workload/travel.h"
@@ -79,7 +80,7 @@ TEST(EngineTest, SimulateLabelMatchesActualSubmission) {
     const size_t cls = informative[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(informative.size()) - 1))];
     for (const Label label : {Label::kPositive, Label::kNegative}) {
-      const auto predicted = engine.SimulateLabel(cls, label);
+      const auto predicted = SimulateLabel(engine, cls, label);
       InferenceEngine copy = engine;
       const size_t informative_before = copy.NumInformativeTuples();
       ASSERT_TRUE(copy.SubmitClassLabel(cls, label).ok());

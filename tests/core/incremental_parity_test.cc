@@ -5,14 +5,19 @@
 // over seeded random sessions.
 
 #include <algorithm>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "core/engine.h"
 #include "core/inference_state.h"
+#include "core/oracle.h"
 #include "core/strategies.h"
+#include "exec/thread_pool.h"
+#include "support/simulate_label.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 #include "util/check.h"
@@ -118,8 +123,8 @@ TEST(IncrementalParityTest, SimulateLabelBothMatchesTwoSimulateLabelCalls) {
       const std::vector<size_t> informative = engine.InformativeClasses();
       for (size_t cls : informative) {
         const auto both = engine.SimulateLabelBoth(cls);
-        const auto plus = engine.SimulateLabel(cls, Label::kPositive);
-        const auto minus = engine.SimulateLabel(cls, Label::kNegative);
+        const auto plus = SimulateLabel(engine, cls, Label::kPositive);
+        const auto minus = SimulateLabel(engine, cls, Label::kNegative);
         EXPECT_EQ(both.positive.pruned_classes, plus.pruned_classes);
         EXPECT_EQ(both.positive.pruned_tuples, plus.pruned_tuples);
         EXPECT_EQ(both.negative.pruned_classes, minus.pruned_classes);
@@ -211,8 +216,8 @@ TEST(IncrementalParityTest, LookaheadPickUnchangedByFastPath) {
     size_t best_score = 0;
     bool first = true;
     for (size_t cls : candidates) {
-      const auto plus = engine.SimulateLabel(cls, Label::kPositive);
-      const auto minus = engine.SimulateLabel(cls, Label::kNegative);
+      const auto plus = SimulateLabel(engine, cls, Label::kPositive);
+      const auto minus = SimulateLabel(engine, cls, Label::kNegative);
       const size_t score = std::min(plus.pruned_tuples, minus.pruned_tuples);
       if (first || score > best_score) {
         best = cls;
@@ -224,6 +229,105 @@ TEST(IncrementalParityTest, LookaheadPickUnchangedByFastPath) {
     ASSERT_TRUE(engine.SubmitClassLabel(pick, Label::kNegative).ok());
     ++steps;
   }
+}
+
+TEST(IncrementalParityTest, PairMaskScanMatchesNaiveAcrossMaskWidths) {
+  // The impact scan runs on pair masks of n(n−1)/2 bits. The widths cover
+  // one bit (n = 2), one word (7 and 11 → 21 and 55 bits), the first width
+  // past the 64-bit boundary (12 → 66 bits) and two words (16 → 120 bits).
+  const std::vector<std::pair<size_t, size_t>> widths = {
+      {2, 1}, {7, 1}, {11, 1}, {12, 2}, {16, 2}};
+  const std::vector<LookaheadStrategy::Objective> objectives = {
+      LookaheadStrategy::Objective::kMinMax,
+      LookaheadStrategy::Objective::kExpected,
+      LookaheadStrategy::Objective::kEntropy};
+  exec::ThreadPool pool(2);
+  for (const auto& [n, words] : widths) {
+    for (uint64_t seed : {5u, 6u}) {
+      util::Rng rng(seed * 100 + n);
+      workload::SyntheticSpec spec;
+      spec.num_tuples = 150;
+      spec.num_attributes = n;
+      spec.domain_size = 3;
+      spec.goal_constraints = std::min<size_t>(2, n - 1);
+      const auto workload = workload::MakeSyntheticWorkload(spec, rng);
+      InferenceEngine engine(workload.instance);
+      ExactOracle oracle(workload.goal);
+      bool scanned_with_antichain = false;
+      for (int step = 0; step < 5 && !engine.IsDone(); ++step) {
+        InferenceEngine::LookaheadBoundsCache cache;
+        engine.PrepareLookaheadBounds(cache);
+        ASSERT_EQ(cache.mask_words, words) << "n=" << n;
+        scanned_with_antichain |= !engine.state().negatives().empty();
+
+        const std::vector<size_t> informative = engine.InformativeClasses();
+        std::vector<InferenceEngine::LabelImpactPair> naive;
+        for (size_t cls : informative) {
+          const auto both = engine.SimulateLabelBoth(cls);
+          const auto plus = SimulateLabel(engine, cls, Label::kPositive);
+          const auto minus = SimulateLabel(engine, cls, Label::kNegative);
+          EXPECT_EQ(both.positive.pruned_classes, plus.pruned_classes)
+              << "n=" << n << " class " << cls;
+          EXPECT_EQ(both.positive.pruned_tuples, plus.pruned_tuples)
+              << "n=" << n << " class " << cls;
+          EXPECT_EQ(both.negative.pruned_classes, minus.pruned_classes)
+              << "n=" << n << " class " << cls;
+          EXPECT_EQ(both.negative.pruned_tuples, minus.pruned_tuples)
+              << "n=" << n << " class " << cls;
+          naive.push_back({plus, minus});
+        }
+        for (auto objective : objectives) {
+          // The pick the exhaustive scan makes: argmax of the naive scores,
+          // ties toward the first candidate.
+          LookaheadStrategy reference(objective, 1.0, /*max_candidates=*/0);
+          size_t best = 0;
+          for (size_t i = 1; i < informative.size(); ++i) {
+            const auto score = [&](size_t j) {
+              return reference.ObjectiveValue(naive[j].positive.pruned_tuples,
+                                              naive[j].negative.pruned_tuples);
+            };
+            if (score(i) > score(best)) best = i;
+          }
+          for (exec::ThreadPool* scan_pool : {static_cast<exec::ThreadPool*>(
+                                                  nullptr),
+                                              &pool}) {
+            LookaheadStrategy cutoff(objective, 1.0, /*max_candidates=*/0);
+            cutoff.set_thread_pool(scan_pool);
+            ASSERT_TRUE(cutoff.cutoff_enabled());
+            EXPECT_EQ(cutoff.PickClass(engine), informative[best])
+                << "n=" << n << " step " << step;
+          }
+        }
+        const size_t cls = rng.PickOne(informative);
+        const size_t tuple = engine.tuple_class(cls).tuple_indices.front();
+        ASSERT_TRUE(engine
+                        .SubmitClassLabel(cls, oracle.LabelFor(
+                                                   workload.instance->row(tuple)))
+                        .ok());
+      }
+      // n = 2 has one informative class at most, settled by its first label.
+      if (n > 2) {
+        EXPECT_TRUE(scanned_with_antichain) << "n=" << n << " seed " << seed;
+      }
+    }
+  }
+}
+
+TEST(IncrementalParityTest, SingleAttributeHasZeroWordMasksAndNothingToScan) {
+  // One attribute has no pair: its masks are zero words long. Its only
+  // partition is θ_P's initial top, so every class is forced positive from
+  // the start and no candidate ever reaches the scan.
+  rel::Relation relation{"t", rel::Schema::FromNames({"a"})};
+  ASSERT_TRUE(relation.AddRow({rel::Value("x")}).ok());
+  ASSERT_TRUE(relation.AddRow({rel::Value("y")}).ok());
+  const InferenceEngine engine(
+      std::make_shared<const rel::Relation>(std::move(relation)));
+  EXPECT_TRUE(engine.IsDone());
+  InferenceEngine::LookaheadBoundsCache cache;
+  engine.PrepareLookaheadBounds(cache);
+  EXPECT_EQ(cache.mask_words, 0u);
+  EXPECT_TRUE(cache.knowledge_masks.empty());
+  EXPECT_TRUE(cache.class_tuples.empty());
 }
 
 }  // namespace

@@ -128,9 +128,10 @@ TEST(ParallelParityTest, CutoffPrunedPickMatchesExhaustiveArgmax) {
 TEST(ParallelParityTest, SampledCandidateCapMatchesSerialPath) {
   // max_candidates smaller than the worklist exercises the strided
   // subsample in both paths; the -inf slots and the sampled scores must line
-  // up exactly. The cap is just wide enough for the pool to be used.
+  // up exactly. The cap is just wide enough for the pool to be used, and
+  // seven attributes give a worklist more than twice that wide.
   const size_t max_candidates = kParallelLookaheadMinCandidates + 1;
-  const auto workload = MakeWorkload(42, /*tuples=*/500);
+  const auto workload = MakeWorkload(42, /*tuples=*/500, /*attrs=*/7);
   const InferenceEngine engine(workload.instance);
   const std::vector<size_t>& candidates = engine.InformativeClasses();
   ASSERT_GT(candidates.size(), 2 * max_candidates);

@@ -12,6 +12,7 @@
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "support/parallel_for_calls.h"
+#include "support/simulate_label.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 #include "workload/travel.h"
@@ -122,8 +123,8 @@ TEST(LookaheadStrategyTest, PicksTheBiggestGuaranteedPrune) {
   // Verify it maximizes min(n+, n-) over all informative classes.
   const auto informative = engine.InformativeClasses();
   auto score = [&](size_t cls) {
-    const auto plus = engine.SimulateLabel(cls, Label::kPositive);
-    const auto minus = engine.SimulateLabel(cls, Label::kNegative);
+    const auto plus = SimulateLabel(engine, cls, Label::kPositive);
+    const auto minus = SimulateLabel(engine, cls, Label::kNegative);
     return std::min(plus.pruned_tuples, minus.pruned_tuples);
   };
   const size_t best = score(pick);
