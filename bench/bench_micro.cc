@@ -394,10 +394,6 @@ struct WorkCounts {
   /// The fraction abandoned mid-scan (part of the worklist already scanned):
   /// aborts / (skips + aborts + evals).
   double cutoff_abort_fraction = 0;
-  /// Classes woken (watch-drained and exactly retested) per negative label
-  /// over a full 10k-instance session — the pre-watch scan visited the whole
-  /// worklist instead.
-  double woken_classes_per_negative_label = 0;
 };
 
 WorkCounts MeasureWorkCounts() {
@@ -405,55 +401,30 @@ WorkCounts MeasureWorkCounts() {
   WorkCounts counts;
   auto& registry = obs::MetricsRegistry::Instance();
   const auto workload = MakeSynthetic(10000, 7);
-  {
-    const core::InferenceEngine engine(workload.instance);
-    core::LookaheadStrategy strategy(
-        core::LookaheadStrategy::Objective::kEntropy);
-    strategy.set_thread_pool(nullptr);
-    const uint64_t sims_before =
-        registry.CounterValue(obs::kCounterEngineSimulateLabelBoth);
-    const uint64_t skips_before =
-        registry.CounterValue(obs::kCounterEngineCutoffSkips);
-    const uint64_t aborts_before =
-        registry.CounterValue(obs::kCounterEngineCutoffAborts);
-    DoNotOptimize(strategy.PickClass(engine));
-    const uint64_t sims =
-        registry.CounterValue(obs::kCounterEngineSimulateLabelBoth) -
-        sims_before;
-    const uint64_t skips =
-        registry.CounterValue(obs::kCounterEngineCutoffSkips) - skips_before;
-    const uint64_t aborts =
-        registry.CounterValue(obs::kCounterEngineCutoffAborts) -
-        aborts_before;
-    counts.simulate_calls_per_pick = sims;
-    const uint64_t candidates = sims + skips + aborts;
-    if (candidates > 0) {
-      counts.cutoff_skip_fraction =
-          static_cast<double>(skips) / static_cast<double>(candidates);
-      counts.cutoff_abort_fraction =
-          static_cast<double>(aborts) / static_cast<double>(candidates);
-    }
-  }
-  {
-    core::LookaheadStrategy strategy(
-        core::LookaheadStrategy::Objective::kEntropy);
-    strategy.set_thread_pool(nullptr);
-    const uint64_t wakes_before =
-        registry.CounterValue(obs::kCounterEngineWatchWakes);
-    const uint64_t negatives_before =
-        registry.CounterValue(obs::kCounterEngineLabelsNegative);
-    DoNotOptimize(
-        core::RunSession(workload.instance, workload.goal, strategy)
-            .interactions);
-    const uint64_t wakes =
-        registry.CounterValue(obs::kCounterEngineWatchWakes) - wakes_before;
-    const uint64_t negatives =
-        registry.CounterValue(obs::kCounterEngineLabelsNegative) -
-        negatives_before;
-    if (negatives > 0) {
-      counts.woken_classes_per_negative_label =
-          static_cast<double>(wakes) / static_cast<double>(negatives);
-    }
+  const core::InferenceEngine engine(workload.instance);
+  core::LookaheadStrategy strategy(
+      core::LookaheadStrategy::Objective::kEntropy);
+  strategy.set_thread_pool(nullptr);
+  const uint64_t sims_before =
+      registry.CounterValue(obs::kCounterEngineSimulateLabelBoth);
+  const uint64_t skips_before =
+      registry.CounterValue(obs::kCounterEngineCutoffSkips);
+  const uint64_t aborts_before =
+      registry.CounterValue(obs::kCounterEngineCutoffAborts);
+  DoNotOptimize(strategy.PickClass(engine));
+  const uint64_t sims =
+      registry.CounterValue(obs::kCounterEngineSimulateLabelBoth) - sims_before;
+  const uint64_t skips =
+      registry.CounterValue(obs::kCounterEngineCutoffSkips) - skips_before;
+  const uint64_t aborts =
+      registry.CounterValue(obs::kCounterEngineCutoffAborts) - aborts_before;
+  counts.simulate_calls_per_pick = sims;
+  const uint64_t candidates = sims + skips + aborts;
+  if (candidates > 0) {
+    counts.cutoff_skip_fraction =
+        static_cast<double>(skips) / static_cast<double>(candidates);
+    counts.cutoff_abort_fraction =
+        static_cast<double>(aborts) / static_cast<double>(candidates);
   }
   return counts;
 }
@@ -468,8 +439,6 @@ bool WriteJson(const std::vector<BenchResult>& results,
   json.KeyValue("lookahead_cutoff_skip_fraction", work.cutoff_skip_fraction);
   json.KeyValue("lookahead_cutoff_abort_fraction",
                 work.cutoff_abort_fraction);
-  json.KeyValue("propagate_woken_classes_per_label",
-                work.woken_classes_per_negative_label);
   // Wall-clock speedup of the 10k-tuple lookahead decision at 4 threads vs
   // the serial path (values < 1 mean the box lacks the cores to win).
   double serial_ns = 0;

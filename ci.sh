@@ -122,11 +122,11 @@ else
     --metrics-out="$smokedir/metrics.json" --trace \
     > "$smokedir/observed.txt" 2> "$smokedir/observed.err"
   diff "$smokedir/loaded.txt" "$smokedir/observed.txt"
-  # The family prefixes, plus the two counters the cutoff/watch rework
-  # added: a lookahead session must record skipped candidates and woken
-  # classes, or the pruning instrumentation went silent.
+  # The family prefixes, plus a lookahead and a propagation counter: a
+  # lookahead session must record skipped candidates and classes pruned by
+  # label propagation, or the pruning instrumentation went silent.
   for prefix in '"engine.' '"exec.' '"storage.' \
-      '"engine.cutoff_skips' '"engine.watch_wakes'; do
+      '"engine.cutoff_skips' '"engine.propagate.pruned_classes'; do
     if ! grep -qF "$prefix" "$smokedir/metrics.json"; then
       echo "ERROR: metrics snapshot is missing ${prefix}* metrics —" \
         "instrumentation went silent" >&2

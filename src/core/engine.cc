@@ -58,8 +58,6 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const TupleStore> store,
     // Some tuples may be uninformative from the start (e.g. all-values-equal
     // tuples are selected by every predicate).
     Propagate();
-    RebuildPairCover();
-    InitializeWatches();
   }
   JIM_COUNT(obs::kCounterEngineBuilds);
   JIM_COUNT_N(obs::kCounterEngineClassesBuilt, classes_->size());
@@ -119,6 +117,85 @@ struct RgsKeyEq {
   }
 };
 
+/// Words in the pair mask of a partition over `n` elements: one bit per
+/// pair (i, j), i < j.
+size_t PairMaskWords(size_t n) {
+  return n < 2 ? 0 : (n * (n - 1) / 2 + 63) / 64;
+}
+
+/// Sets the bit of every co-block pair of `p` in the zeroed mask at `mask`,
+/// pairs numbered in row-major order (0,1), (0,2), …, (1,2), ….
+void FillPairMask(const lat::Partition& p, uint64_t* mask) {
+  const std::vector<int>& block_of = p.labels();
+  const size_t n = block_of.size();
+  size_t bit = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j, ++bit) {
+      if (block_of[i] == block_of[j]) {
+        mask[bit >> 6] |= uint64_t{1} << (bit & 63);
+      }
+    }
+  }
+}
+
+/// Smallest i < j co-block with j in the partition over `n` elements whose
+/// pair mask is `mask`; j itself when j is the first element of its block.
+size_t FirstCoBlock(const uint64_t* mask, size_t n, size_t j) {
+  for (size_t i = 0; i < j; ++i) {
+    // Row-major: row i starts at bit i(2n − i − 1)/2 and holds j > i.
+    const size_t bit = i * (2 * n - i - 1) / 2 + (j - i - 1);
+    if ((mask[bit >> 6] >> (bit & 63)) & 1) return i;
+  }
+  return j;
+}
+
+/// rank = n − #blocks: the number of elements that are not the last of
+/// their block, i.e. whose row of pairs (i, j > i) holds a set bit. Walks
+/// the set bits in order (rows are consecutive bit ranges), counting the
+/// distinct rows they fall in.
+size_t MaskRank(const uint64_t* mask, size_t words, size_t n) {
+  size_t rank = 0;
+  size_t row = 0;
+  size_t row_end = n - 1;  // one past the last bit of row `row`
+  size_t counted_row = n;  // no row counted yet
+  for (size_t w = 0; w < words; ++w) {
+    for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+      const size_t bit = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
+      while (bit >= row_end) row_end += n - 1 - ++row;
+      rank += row != counted_row;
+      counted_row = row;
+    }
+  }
+  return rank;
+}
+
+/// a ⊆ b: the partition of `a` refines the partition of `b`.
+bool MaskSubset(const uint64_t* a, const uint64_t* b, size_t words) {
+  for (size_t w = 0; w < words; ++w) {
+    if ((a[w] & ~b[w]) != 0) return false;
+  }
+  return true;
+}
+
+/// a ⊆ z for one of the `count` masks at `zones`: the partition of `a` lies
+/// in a forbidden zone.
+bool MaskInAnyZone(const uint64_t* a, const uint64_t* zones, size_t count,
+                   size_t words) {
+  for (size_t m = 0; m < count; ++m) {
+    if (MaskSubset(a, zones + m * words, words)) return true;
+  }
+  return false;
+}
+
+/// a ∩ b ⊆ c: the meet of the partitions of `a` and `b` refines that of `c`.
+bool MaskMeetSubset(const uint64_t* a, const uint64_t* b, const uint64_t* c,
+                    size_t words) {
+  for (size_t w = 0; w < words; ++w) {
+    if ((a[w] & b[w] & ~c[w]) != 0) return false;
+  }
+  return true;
+}
+
 }  // namespace
 
 void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
@@ -171,70 +248,25 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
   session_->class_status.assign(classes->size(), ClassStatus::kInformative);
   // Initially θ_P = ⊤, so K_c = ⊤ ∧ Part(c) = Part(c); every class starts on
   // the worklist.
-  knowledge_ = std::make_shared<std::vector<lat::Partition>>();
-  knowledge_->reserve(classes->size());
+  mask_words_ = PairMaskWords(n);
+  knowledge_ = std::make_shared<std::vector<uint64_t>>(classes->size() *
+                                                       mask_words_);
   session_->informative.reserve(classes->size());
   session_->worklist_pos.reserve(classes->size());
   for (size_t c = 0; c < classes->size(); ++c) {
-    knowledge_->push_back((*classes)[c].partition);
+    FillPairMask((*classes)[c].partition, knowledge_->data() + c * mask_words_);
     session_->informative.push_back(c);
     session_->worklist_pos.push_back(static_cast<uint32_t>(c));
   }
-  session_->watch_pair.assign(classes->size(), kNoWatch);
-  session_->pair_watchers.resize(n * n);
   classes_ = std::move(classes);
   class_of_tuple_ = std::move(class_of_tuple);
 }
 
-void InferenceEngine::InitializeWatches() {
-  SessionArrays& session = *session_;
-  for (size_t c : session.informative) {
-    const lat::Partition& k = (*knowledge_)[c];
-    size_t wi = 0;
-    size_t wj = 0;
-    if (!k.FirstCoBlockPair(scratch_, &wi, &wj)) {
-      AttachWatch(session, c, kBottomWatch);
-    } else {
-      const uint32_t uncovered = UncoveredPairSlot(k);
-      AttachWatch(session, c,
-                  uncovered != kNoWatch
-                      ? uncovered
-                      : static_cast<uint32_t>(wi * k.num_elements() + wj));
-    }
-  }
-}
-
-uint32_t InferenceEngine::UncoveredPairSlot(const lat::Partition& k) const {
-  const size_t n = k.num_elements();
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (k.SameBlock(i, j) && pair_cover_[i * n + j] == 0) {
-        return static_cast<uint32_t>(i * n + j);
-      }
-    }
-  }
-  return kNoWatch;
-}
-
-void InferenceEngine::AttachWatch(SessionArrays& session, size_t class_id,
-                                  uint32_t slot) {
-  session.watch_pair[class_id] = slot;
-  if (slot == kBottomWatch) {
-    session.bottom_watchers.push_back(static_cast<uint32_t>(class_id));
-  } else {
-    session.pair_watchers[slot].push_back(static_cast<uint32_t>(class_id));
-  }
-}
-
-void InferenceEngine::RebuildPairCover() {
-  state_.negatives().FillPairCover(store_->num_attributes(), pair_cover_);
-}
-
-std::vector<lat::Partition>& InferenceEngine::MutableKnowledge() {
+std::vector<uint64_t>& InferenceEngine::MutableKnowledge() {
   // use_count is exact here: a count of 1 can only race with *this* engine
   // being cloned concurrently, which is already outside the copy contract.
   if (knowledge_.use_count() != 1) {
-    knowledge_ = std::make_shared<std::vector<lat::Partition>>(*knowledge_);
+    knowledge_ = std::make_shared<std::vector<uint64_t>>(*knowledge_);
   } else {
     // Pair with the release-decrement of a sibling clone that just detached
     // (copied the vector and dropped the count to 1): without this fence the
@@ -255,182 +287,76 @@ InferenceEngine::SessionArrays& InferenceEngine::MutableSession() {
 }
 
 size_t InferenceEngine::Propagate() {
-  const lat::Partition& theta = state_.theta_p();
-  std::vector<size_t>& informative = session_->informative;
-  size_t out = 0;
-  size_t pruned = 0;
-  for (size_t c : informative) {
-    const lat::Partition& k = (*knowledge_)[c];
-    if (k == theta) {
-      session_->class_status[c] = ClassStatus::kForcedPositive;
-      session_->worklist_pos[c] = kNoPos;
-      ++pruned;
-    } else if (state_.negatives().DominatedBy(k, scratch_)) {
-      session_->class_status[c] = ClassStatus::kForcedNegative;
-      session_->worklist_pos[c] = kNoPos;
-      ++pruned;
-    } else {
-      session_->worklist_pos[c] = static_cast<uint32_t>(out);
-      informative[out++] = c;
-    }
+  const size_t words = mask_words_;
+  // θ_P's mask, then one mask per forbidden zone (ApplyLabel already
+  // restricted the antichain to θ_P).
+  const std::vector<lat::Partition>& members = state_.negatives().members();
+  std::vector<uint64_t> masks((1 + members.size()) * words, 0);
+  FillPairMask(state_.theta_p(), masks.data());
+  for (size_t m = 0; m < members.size(); ++m) {
+    FillPairMask(members[m], masks.data() + (1 + m) * words);
   }
-  informative.resize(out);
-  JIM_COUNT(obs::kCounterEnginePropagateRuns);
-  JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned);
-  JIM_OBSERVE(obs::kHistEngineWorklistSize, out);
-  return pruned;
-}
-
-size_t InferenceEngine::PropagateAfterPositive() {
-  const lat::Partition& theta = state_.theta_p();
-  const size_t n = store_->num_attributes();
-  // ApplyLabel restricted the antichain to the new θ_P — refresh the pair
-  // cover before using it for exemptions below.
-  RebuildPairCover();
-  // The in-place cache refresh below is the one mutation of K_c anywhere in
-  // the engine — detach from clone sharers first.
-  std::vector<lat::Partition>& knowledge = MutableKnowledge();
+  const uint64_t* theta = masks.data();
+  const uint64_t* zones = theta + words;
+  // The in-place refresh below is the one mutation of K_c anywhere in the
+  // engine — detach from clone sharers first.
+  std::vector<uint64_t>& knowledge = MutableKnowledge();
   SessionArrays& session = *session_;
   std::vector<size_t>& informative = session.informative;
   size_t out = 0;
   size_t pruned = 0;
-  size_t exempt = 0;
   for (size_t c : informative) {
-    lat::Partition& k = knowledge[c];
+    uint64_t* k = knowledge.data() + c * words;
     // The new θ_P refines the old, so meeting the *cached* knowledge with it
     // is the full refresh: K ∧ θ' = (θ ∧ Part(c)) ∧ θ' = θ' ∧ Part(c).
-    k.MeetInto(theta, k, scratch_);
-    if (k == theta) {
+    bool forced_positive = true;
+    for (size_t w = 0; w < words; ++w) {
+      k[w] &= theta[w];
+      forced_positive &= k[w] == theta[w];
+    }
+    if (forced_positive) {
       session.class_status[c] = ClassStatus::kForcedPositive;
-      session.worklist_pos[c] = kNoPos;
-      session.watch_pair[c] = kNoWatch;
-      ++pruned;
-      continue;
-    }
-    // Watch exemption: the class's watched pair is a co-block pair of the
-    // *old* K. If it survived the refresh (still co-block in the new K) and
-    // no antichain member merges it, then no member can dominate the new K —
-    // domination would require covering every co-block pair, this one
-    // included. The kBottomWatch sentinel never exempts: a singleton K is
-    // dominated by any nonempty antichain and must take the full scan.
-    const uint32_t wp = session.watch_pair[c];
-    const bool watch_alive =
-        wp == kBottomWatch
-            ? k.IsSingletons()
-            : wp != kNoWatch && k.SameBlock(wp / n, wp % n);
-    bool dominated;
-    if (watch_alive && wp != kBottomWatch && pair_cover_[wp] == 0) {
-      dominated = false;
-      ++exempt;
-    } else {
-      dominated = state_.negatives().DominatedBy(k, scratch_);
-    }
-    if (dominated) {
+    } else if (MaskInAnyZone(k, zones, members.size(), words)) {
       session.class_status[c] = ClassStatus::kForcedNegative;
+    }
+    if (session.class_status[c] != ClassStatus::kInformative) {
       session.worklist_pos[c] = kNoPos;
-      session.watch_pair[c] = kNoWatch;
       ++pruned;
-      continue;
+    } else {
+      session.worklist_pos[c] = static_cast<uint32_t>(out);
+      informative[out++] = c;
     }
-    if (!watch_alive) {
-      // The refresh merged/split blocks out from under the watch — re-arm on
-      // a pair of the new K (uncovered preferred: it stays exempt next time).
-      size_t wi = 0;
-      size_t wj = 0;
-      if (!k.FirstCoBlockPair(scratch_, &wi, &wj)) {
-        AttachWatch(session, c, kBottomWatch);
-      } else {
-        const uint32_t uncovered = UncoveredPairSlot(k);
-        AttachWatch(session, c,
-                    uncovered != kNoWatch
-                        ? uncovered
-                        : static_cast<uint32_t>(wi * n + wj));
-      }
-    }
-    session.worklist_pos[c] = static_cast<uint32_t>(out);
-    informative[out++] = c;
   }
   informative.resize(out);
-  JIM_COUNT_N(obs::kCounterEngineWatchExemptions, exempt);
   JIM_COUNT(obs::kCounterEnginePropagateRuns);
   JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned);
   JIM_OBSERVE(obs::kHistEngineWorklistSize, out);
   return pruned;
 }
 
-size_t InferenceEngine::PropagateAfterNegative(
-    const lat::Partition& forbidden) {
-  const size_t n = store_->num_attributes();
-  // ApplyLabel already inserted the forbidden zone, so the rebuilt cover is a
-  // superset of pairs(F) — any uncovered pair found below is provably not in
-  // F and safe to re-watch without re-waking this drain.
-  RebuildPairCover();
+size_t InferenceEngine::PropagateAfterNegative(size_t labeled_class) {
+  // θ_P is unchanged, so the labeled class's cached row is still exactly the
+  // forbidden zone ApplyLabel inserted (and nothing on this path mutates
+  // knowledge_).
+  const size_t words = mask_words_;
+  const uint64_t* forbidden = KnowledgeRow(labeled_class);
   SessionArrays& session = *session_;
-  size_t pruned = 0;
-  size_t woken = 0;
-  // θ_P is unchanged, so the only new reason to leave the pool is the fresh
-  // forbidden zone F: a still-informative class is pruned iff K_c ≤ F. If
-  // K_c ≤ F then *every* co-block pair of K_c — its watched pair included —
-  // is co-block in F, so draining the watchers of F's pairs (plus the bottom
-  // list: a singleton K refines everything) wakes a superset of the prunable
-  // classes. Woken classes get the exact witness test; everyone else is
-  // untouched.
-  for (uint32_t c32 : session.bottom_watchers) {
-    const size_t c = c32;
-    if (session.watch_pair[c] != kBottomWatch) continue;  // stale entry
-    ++woken;
-    session.class_status[c] = ClassStatus::kForcedNegative;
-    session.worklist_pos[c] = kNoPos;
-    session.watch_pair[c] = kNoWatch;
-    ++pruned;
-  }
-  session.bottom_watchers.clear();
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j) {
-      if (!forbidden.SameBlock(i, j)) continue;
-      const uint32_t slot = static_cast<uint32_t>(i * n + j);
-      std::vector<uint32_t>& watchers = session.pair_watchers[slot];
-      if (watchers.empty()) continue;
-      for (uint32_t c32 : watchers) {
-        const size_t c = c32;
-        if (session.watch_pair[c] != slot) continue;  // stale entry
-        ++woken;
-        const lat::Partition& k = (*knowledge_)[c];
-        size_t wi = 0;
-        size_t wj = 0;
-        if (!k.FindNonRefinementWitness(forbidden, scratch_, &wi, &wj)) {
-          session.class_status[c] = ClassStatus::kForcedNegative;
-          session.worklist_pos[c] = kNoPos;
-          session.watch_pair[c] = kNoWatch;
-          ++pruned;
-          continue;
-        }
-        // Survivor: re-arm on a pair provably outside F so this drain cannot
-        // revisit it — the witness is co-block in K but not in F by
-        // construction, and any uncovered pair is outside every member.
-        const uint32_t uncovered = UncoveredPairSlot(k);
-        AttachWatch(session, c,
-                    uncovered != kNoWatch
-                        ? uncovered
-                        : static_cast<uint32_t>(wi * n + wj));
-      }
-      watchers.clear();
-    }
-  }
-  if (pruned > 0) {
-    std::vector<size_t>& informative = session.informative;
-    size_t out = 0;
-    for (size_t c : informative) {
-      if (session.class_status[c] != ClassStatus::kInformative) continue;
+  std::vector<size_t>& informative = session.informative;
+  size_t out = 0;
+  for (size_t c : informative) {
+    if (MaskSubset(KnowledgeRow(c), forbidden, words)) {
+      session.class_status[c] = ClassStatus::kForcedNegative;
+      session.worklist_pos[c] = kNoPos;
+    } else {
       session.worklist_pos[c] = static_cast<uint32_t>(out);
       informative[out++] = c;
     }
-    informative.resize(out);
   }
-  JIM_COUNT_N(obs::kCounterEngineWatchWakes, woken);
+  const size_t pruned = informative.size() - out;
+  informative.resize(out);
   JIM_COUNT(obs::kCounterEnginePropagateRuns);
   JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned);
-  JIM_OBSERVE(obs::kHistEngineWorklistSize, session.informative.size());
+  JIM_OBSERVE(obs::kHistEngineWorklistSize, out);
   return pruned;
 }
 
@@ -446,7 +372,6 @@ void InferenceEngine::RemoveFromWorklist(size_t class_id) {
     session.worklist_pos[informative[i]] = static_cast<uint32_t>(i);
   }
   session.worklist_pos[class_id] = kNoPos;
-  session.watch_pair[class_id] = kNoWatch;
 }
 
 size_t InferenceEngine::NumInformativeTuples() const {
@@ -456,6 +381,27 @@ size_t InferenceEngine::NumInformativeTuples() const {
 }
 
 bool InferenceEngine::IsDone() const { return session_->informative.empty(); }
+
+lat::Partition InferenceEngine::ClassKnowledge(size_t class_id) const {
+  const size_t n = store_->num_attributes();
+  const uint64_t* row = KnowledgeRow(class_id);
+  std::vector<int> labels(n);
+  int next = 0;
+  for (size_t j = 0; j < n; ++j) {
+    const size_t first = FirstCoBlock(row, n, j);
+    labels[j] = first < j ? labels[first] : next++;
+  }
+  return lat::Partition::FromLabels(labels);
+}
+
+size_t InferenceEngine::ClassKnowledgeRank(size_t class_id) const {
+  return MaskRank(KnowledgeRow(class_id), mask_words_,
+                  state_.num_attributes());
+}
+
+const void* InferenceEngine::ClassKnowledgeStorage(size_t class_id) const {
+  return KnowledgeRow(class_id);
+}
 
 JoinPredicate InferenceEngine::Result() const {
   return JoinPredicate(store_->schema(), state_.theta_p());
@@ -537,12 +483,9 @@ util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
   // before propagation so reclassification cannot overwrite that status.
   RemoveFromWorklist(class_id);
   if (label == Label::kPositive) {
-    PropagateAfterPositive();
+    Propagate();
   } else {
-    // θ_P is unchanged by a negative label, so the labeled class's cached
-    // knowledge is still exactly the antichain member ApplyLabel inserted
-    // (and nothing on this path mutates knowledge_).
-    PropagateAfterNegative((*knowledge_)[class_id]);
+    PropagateAfterNegative(class_id);
   }
   return util::OkStatus();
 }
@@ -601,73 +544,33 @@ InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
   return impact;
 }
 
-namespace {
-
-/// Words in the pair mask of a partition over `n` elements: one bit per
-/// pair (i, j), i < j.
-size_t PairMaskWords(size_t n) {
-  return n < 2 ? 0 : (n * (n - 1) / 2 + 63) / 64;
-}
-
-/// Sets the bit of every co-block pair of `p` in the zeroed mask at `mask`,
-/// pairs numbered in row-major order (0,1), (0,2), …, (1,2), ….
-void FillPairMask(const lat::Partition& p, uint64_t* mask) {
-  const std::vector<int>& block_of = p.labels();
-  const size_t n = block_of.size();
-  size_t bit = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j, ++bit) {
-      if (block_of[i] == block_of[j]) {
-        mask[bit >> 6] |= uint64_t{1} << (bit & 63);
-      }
-    }
-  }
-}
-
-/// a ⊆ b: the partition of `a` refines the partition of `b`.
-bool MaskSubset(const uint64_t* a, const uint64_t* b, size_t words) {
-  for (size_t w = 0; w < words; ++w) {
-    if ((a[w] & ~b[w]) != 0) return false;
-  }
-  return true;
-}
-
-/// a ∩ b ⊆ c: the meet of the partitions of `a` and `b` refines that of `c`.
-bool MaskMeetSubset(const uint64_t* a, const uint64_t* b, const uint64_t* c,
-                    size_t words) {
-  for (size_t w = 0; w < words; ++w) {
-    if ((a[w] & b[w] & ~c[w]) != 0) return false;
-  }
-  return true;
-}
-
-}  // namespace
-
 void InferenceEngine::PrepareLookaheadBounds(
     LookaheadBoundsCache& cache) const {
   const size_t n = store_->num_attributes();
   const std::vector<size_t>& informative = session_->informative;
   const std::vector<lat::Partition>& members = state_.negatives().members();
-  const size_t words = PairMaskWords(n);
+  const size_t words = mask_words_;
   cache.mask_words = words;
-  cache.knowledge_masks.assign(informative.size() * words, 0);
+  cache.knowledge_masks.resize(informative.size() * words);
   cache.antichain_masks.assign(members.size() * words, 0);
   cache.antichain_size = members.size();
   for (size_t m = 0; m < members.size(); ++m) {
     FillPairMask(members[m], cache.antichain_masks.data() + m * words);
   }
-  // Masks and member counts in worklist order, and the histogram of
-  // worklist tuple mass by rank(K_c) (prefix/suffix sums taken in place
-  // below). rank = n − #blocks ∈ [0, n).
+  // Cached rows, member counts and ranks gathered in worklist order, and
+  // the histogram of worklist tuple mass by rank(K_c) (prefix/suffix sums
+  // taken in place below). rank = n − #blocks ∈ [0, n).
   cache.class_tuples.resize(informative.size());
+  cache.class_rank.resize(informative.size());
   cache.tuples_rank_le.assign(n, 0);
   cache.tuples_rank_ge.assign(n, 0);
   for (size_t i = 0; i < informative.size(); ++i) {
     const size_t c = informative[i];
-    const lat::Partition& k = (*knowledge_)[c];
-    FillPairMask(k, cache.knowledge_masks.data() + i * words);
+    const uint64_t* row = KnowledgeRow(c);
+    std::copy(row, row + words, cache.knowledge_masks.data() + i * words);
     cache.class_tuples[i] = (*classes_)[c].size();
-    cache.tuples_rank_le[k.Rank()] += cache.class_tuples[i];
+    cache.class_rank[i] = MaskRank(row, words, n);
+    cache.tuples_rank_le[cache.class_rank[i]] += cache.class_tuples[i];
   }
   size_t run = 0;
   for (size_t r = n; r-- > 0;) {
@@ -778,7 +681,8 @@ void InferenceEngine::CheckInvariants() const {
   const size_t num_classes = classes_->size();
   JIM_CHECK_EQ(class_of_tuple_->size(), num_tuples);
   JIM_CHECK_EQ(session_->class_status.size(), num_classes);
-  JIM_CHECK_EQ(knowledge_->size(), num_classes);
+  JIM_CHECK_EQ(mask_words_, PairMaskWords(store_->num_attributes()));
+  JIM_CHECK_EQ(knowledge_->size(), num_classes * mask_words_);
 
   // Classes partition the tuple set, in agreement with class_of_tuple_.
   size_t members_total = 0;
@@ -822,62 +726,31 @@ void InferenceEngine::CheckInvariants() const {
   JIM_CHECK_EQ(informative_count, informative.size());
 
   // Position index mirrors the worklist exactly; off-pool classes carry the
-  // sentinels.
-  const size_t n = store_->num_attributes();
+  // sentinel.
   JIM_CHECK_EQ(session_->worklist_pos.size(), num_classes);
-  JIM_CHECK_EQ(session_->watch_pair.size(), num_classes);
-  JIM_CHECK_EQ(session_->pair_watchers.size(), n * n);
   for (size_t i = 0; i < informative.size(); ++i) {
     JIM_CHECK_EQ(session_->worklist_pos[informative[i]],
                  static_cast<uint32_t>(i))
         << "worklist_pos out of sync at position " << i;
   }
   for (size_t c = 0; c < num_classes; ++c) {
-    const uint32_t wp = session_->watch_pair[c];
     if (session_->class_status[c] != ClassStatus::kInformative) {
       JIM_CHECK_EQ(session_->worklist_pos[c], kNoPos)
           << "off-pool class " << c << " still has a worklist position";
-      JIM_CHECK_EQ(wp, kNoWatch)
-          << "off-pool class " << c << " still holds a watch";
-      continue;
     }
-    const lat::Partition& k = (*knowledge_)[c];
-    const uint32_t c32 = static_cast<uint32_t>(c);
-    if (wp == kBottomWatch) {
-      JIM_CHECK(k.IsSingletons())
-          << "class " << c << " on the bottom list with non-singleton K";
-      JIM_CHECK(std::find(session_->bottom_watchers.begin(),
-                          session_->bottom_watchers.end(),
-                          c32) != session_->bottom_watchers.end())
-          << "class " << c << " bottom watch not registered";
-    } else {
-      JIM_CHECK(wp != kNoWatch) << "informative class " << c << " unwatched";
-      const size_t wi = wp / n;
-      const size_t wj = wp % n;
-      JIM_CHECK(wi < wj && wj < n) << "malformed watch slot " << wp;
-      JIM_CHECK(k.SameBlock(wi, wj))
-          << "class " << c << " watches (" << wi << "," << wj
-          << ") which is not co-block in its knowledge";
-      const std::vector<uint32_t>& watchers = session_->pair_watchers[wp];
-      JIM_CHECK(std::find(watchers.begin(), watchers.end(), c32) !=
-                watchers.end())
-          << "class " << c << " watch not registered on slot " << wp;
-    }
-  }
-  // The pair cover is exactly the current antichain's co-block pairs.
-  {
-    std::vector<uint8_t> expected;
-    state_.negatives().FillPairCover(n, expected);
-    JIM_CHECK(expected == pair_cover_) << "pair cover stale";
   }
 
   // Per-class: cached knowledge fresh for informative classes, and every
   // non-explicit status reproducible from a from-scratch classification.
+  std::vector<uint64_t> expected(mask_words_);
   for (size_t c = 0; c < num_classes; ++c) {
     const lat::Partition& part = (*classes_)[c].partition;
     switch (session_->class_status[c]) {
       case ClassStatus::kInformative:
-        JIM_CHECK((*knowledge_)[c] == state_.theta_p().Meet(part))
+        std::fill(expected.begin(), expected.end(), 0);
+        FillPairMask(state_.theta_p().Meet(part), expected.data());
+        JIM_CHECK(std::equal(expected.begin(), expected.end(),
+                             KnowledgeRow(c)))
             << "stale knowledge cache K_" << c;
         JIM_CHECK(state_.Classify(part) == TupleClassification::kInformative)
             << "class " << c << " marked informative but classifies otherwise";

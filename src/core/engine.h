@@ -99,13 +99,13 @@ class InferenceEngine {
 
   /// Copies are cheap clones: the class table and tuple → class map are
   /// shared outright (immutable), and both the per-class knowledge cache and
-  /// the per-class session arrays (statuses, worklist, watches) are
-  /// copy-on-write — a clone defers those costs until its first label. This
-  /// is what lets BatchSessionRunner fan independent sessions out over
-  /// clones of one built engine. Clones may be labeled from different
-  /// threads concurrently (a mutating clone detaches before it writes); only
-  /// cloning an engine *while another thread mutates that same engine* is a
-  /// race, so clone before fanning out.
+  /// the per-class session arrays (statuses, worklist) are copy-on-write — a
+  /// clone defers those costs until its first label. This is what lets
+  /// BatchSessionRunner fan independent sessions out over clones of one
+  /// built engine. Clones may be labeled from different threads concurrently
+  /// (a mutating clone detaches before it writes); only cloning an engine
+  /// *while another thread mutates that same engine* is a race, so clone
+  /// before fanning out.
   InferenceEngine(const InferenceEngine&) = default;
   InferenceEngine& operator=(const InferenceEngine&) = default;
 
@@ -142,14 +142,22 @@ class InferenceEngine {
     return session_->informative;
   }
 
-  /// Cached knowledge partition K_c = θ_P ∧ Part(c) of an *informative*
-  /// class (the cache goes stale — harmlessly — once a class leaves the
-  /// pool). Maintained incrementally: a positive label shrinks θ_P, and
-  /// since the new θ_P refines the old one, K_c' = K_c ∧ θ_P' over the
-  /// already-shrunk cache; negative labels leave θ_P (and the cache) alone.
-  const lat::Partition& ClassKnowledge(size_t class_id) const {
-    return (*knowledge_)[class_id];
-  }
+  /// Knowledge K_c = θ_P ∧ Part(c) of an *informative* class, decoded from
+  /// the engine's cache (which goes stale — harmlessly — once a class leaves
+  /// the pool). The cache stores each K_c as its pair mask (see
+  /// LookaheadBoundsCache) and is maintained incrementally: a positive label
+  /// shrinks θ_P, and since the new θ_P refines the old one, K_c' = K_c ∧ θ_P'
+  /// is one word-wise AND over the cached row; negative labels leave θ_P
+  /// (and the cache) alone.
+  lat::Partition ClassKnowledge(size_t class_id) const;
+
+  /// rank(K_c) = n − #blocks of an informative class's knowledge, read from
+  /// the cached row without decoding it.
+  size_t ClassKnowledgeRank(size_t class_id) const;
+
+  /// Address of the class's cached knowledge row: two engines return the
+  /// same address exactly while they share the copy-on-write cache.
+  const void* ClassKnowledgeStorage(size_t class_id) const;
 
   /// Total member count over informative classes.
   size_t NumInformativeTuples() const;
@@ -189,7 +197,7 @@ class InferenceEngine {
   };
 
   /// Both answers' impacts for an informative class, from the engine's
-  /// cached knowledge partitions — no InferenceState copy, no antichain
+  /// cached knowledge masks — no InferenceState copy, no antichain
   /// restriction:
   ///   negative answer: the new forbidden zone is K_c, so a still-informative
   ///     class d is pruned iff K_d ≤ K_c;
@@ -227,10 +235,12 @@ class InferenceEngine {
   ///     in `mask_words` words (pairs in row-major order). Then p ≤ q ⇔
   ///     pairs(p) ⊆ pairs(q), and p ∧ q has pairs(p) ∩ pairs(q) (the
   ///     intersection of two equivalence relations is one), so every scan
-  ///     test is a few word operations. `knowledge_masks` holds K_c of the
-  ///     worklist class at position i in row i; `antichain_masks` holds one
-  ///     row per forbidden-zone member;
-  ///   - `class_tuples`: member count of the worklist class at position i;
+  ///     test is a few word operations. This is also how the engine stores
+  ///     K_c; `knowledge_masks` gathers the cached row of the worklist class
+  ///     at position i into row i, and `antichain_masks` holds one row per
+  ///     forbidden-zone member;
+  ///   - `class_tuples` / `class_rank`: member count and rank(K_c) of the
+  ///     worklist class at position i;
   ///   - rank-histogram prefix/suffix tuple sums over the worklist, keyed by
   ///     rank(K_c) — K_d ≤ K_c forces rank(K_d) ≤ rank(K_c), so the prefix
   ///     sum at rank(K_c) caps the negative-answer pruning, and (antichain
@@ -244,6 +254,7 @@ class InferenceEngine {
     std::vector<uint64_t> antichain_masks;  ///< by antichain member
     size_t antichain_size = 0;              ///< antichain members
     std::vector<size_t> class_tuples;       ///< by worklist position
+    std::vector<size_t> class_rank;         ///< by worklist position
     std::vector<size_t> tuples_rank_le;  ///< by rank r: Σ tuples, rank(K)≤r
     std::vector<size_t> tuples_rank_ge;  ///< by rank r: Σ tuples, rank(K)≥r
     std::vector<size_t> suffix_tuples;   ///< by worklist position, size+1
@@ -256,12 +267,14 @@ class InferenceEngine {
   /// Cheap per-candidate caps from the cache (see LookaheadBoundsCache).
   size_t LookaheadNegCap(const LookaheadBoundsCache& cache,
                          size_t class_id) const {
-    return cache.tuples_rank_le[(*knowledge_)[class_id].Rank()];
+    return cache
+        .tuples_rank_le[cache.class_rank[session_->worklist_pos[class_id]]];
   }
   size_t LookaheadPosCap(const LookaheadBoundsCache& cache,
                          size_t class_id) const {
     return cache.antichain_size == 0
-               ? cache.tuples_rank_ge[(*knowledge_)[class_id].Rank()]
+               ? cache.tuples_rank_ge
+                     [cache.class_rank[session_->worklist_pos[class_id]]]
                : cache.total_tuples;
   }
 
@@ -312,29 +325,18 @@ class InferenceEngine {
   ///   - the inference state is internally consistent (θ_P / antichain);
   ///   - classes partition the tuple set and agree with class_of_tuple;
   ///   - the worklist is exactly the ascending list of kInformative classes;
-  ///   - for every informative class, the cached knowledge K_c equals a
-  ///     from-scratch θ_P ∧ Part(c) recompute, and the incremental status of
-  ///     every class matches a fresh InferenceState::Classify;
+  ///   - for every informative class, the cached row equals the pair mask
+  ///     of a from-scratch θ_P ∧ Part(c) recompute, and the incremental
+  ///     status of every class matches a fresh InferenceState::Classify;
   ///   - every history() entry sits in a class labeled the same way;
-  ///   - the worklist position index matches the worklist, every informative
-  ///     class is validly watched (a co-block pair of its K_c, or the bottom
-  ///     list exactly when K_c is all singletons) and registered on the
-  ///     matching watcher list, and the pair cover equals a from-scratch
-  ///     recompute over the antichain;
+  ///   - the worklist position index matches the worklist;
   ///   - the copy-on-write holders are attached and correctly sized.
-  /// O(classes · (n² + antichain)); tests call it directly, and every
-  /// construction/labeling runs it under JIM_AUDIT (the parity suites and
-  /// the ci.sh audit stage enable that mode).
+  /// O(classes · n²); tests call it directly, and every construction/
+  /// labeling runs it under JIM_AUDIT (the parity suites and the ci.sh audit
+  /// stage enable that mode).
   void CheckInvariants() const;
 
  private:
-  /// Watch-slot sentinels (values of SessionArrays::watch_pair). Real slots
-  /// encode an attribute pair (i, j), i < j, as i * n + j.
-  static constexpr uint32_t kNoWatch = 0xFFFFFFFFu;
-  /// Classes whose knowledge is all-singletons watch "bottom": a singleton
-  /// partition refines every forbidden zone, so any negative label prunes
-  /// them — they live on one shared list instead of a pair slot.
-  static constexpr uint32_t kBottomWatch = 0xFFFFFFFEu;
   /// Worklist-position sentinel for classes not on the worklist.
   static constexpr uint32_t kNoPos = 0xFFFFFFFFu;
 
@@ -347,20 +349,9 @@ class InferenceEngine {
     /// Propagate variants scan and compact.
     std::vector<size_t> informative;
     /// Position of each class in `informative` (kNoPos once it left the
-    /// pool): O(1) locate for RemoveFromWorklist, maintained for free by the
-    /// compaction loops.
+    /// pool): O(1) locate for RemoveFromWorklist and the lookahead caps,
+    /// maintained for free by the compaction loops.
     std::vector<uint32_t> worklist_pos;
-    /// Watch structure for negative-label propagation: every informative
-    /// class is registered on exactly one certificate that must break before
-    /// the class can leave the pool on a negative label — a co-block pair of
-    /// its (fresh) K_c, or the shared bottom list when K_c is all
-    /// singletons. `watch_pair[c]` is that slot (or kNoWatch off-pool);
-    /// `pair_watchers[slot]` / `bottom_watchers` hold the per-slot class
-    /// lists, with lazy deletion (an entry is live only while watch_pair
-    /// still points at the slot).
-    std::vector<uint32_t> watch_pair;
-    std::vector<std::vector<uint32_t>> pair_watchers;
-    std::vector<uint32_t> bottom_watchers;
   };
 
   void BuildClasses(exec::ThreadPool* pool);
@@ -370,51 +361,32 @@ class InferenceEngine {
 
   /// Reclassification after a state change, over the dense worklist of
   /// still-informative classes only (uninformativeness is monotone, so
-  /// settled classes are never revisited). Each variant compacts the
-  /// worklist in place and returns the number of classes that left the
-  /// pool. Callers must hold the session arrays uniquely (constructor, or
-  /// LabelImpl after MutableSession).
+  /// settled classes are never revisited). Each variant is one pass of word
+  /// operations over the cached pair masks that compacts the worklist in
+  /// place and returns the number of classes that left the pool. Callers
+  /// must hold the session arrays uniquely (constructor, or LabelImpl after
+  /// MutableSession).
   ///
-  /// Full variant (construction): classifies each worklist class from its
-  /// cached knowledge.
+  /// Construction and positive labels: every cached row is refreshed in
+  /// place (K_c ← K_c ∧ θ_P — the new θ_P refines the old one, so this is
+  /// the full recompute), then the class is forced positive iff K_c == θ_P
+  /// and forced negative iff K_c lies inside some forbidden zone.
   size_t Propagate();
-  /// After a positive label: θ_P shrank to the labeled class's knowledge, so
-  /// each cache entry is refreshed in place (K_c ← K_c ∧ θ_P) and the class
-  /// re-tested — forced positive iff K_c == θ_P (one fingerprint compare in
-  /// the common case), else forced negative iff K_c is in a forbidden zone.
-  size_t PropagateAfterPositive();
-  /// After a negative label: θ_P and the cache are untouched; the only new
-  /// way out of the pool is the fresh forbidden zone. Instead of rescanning
-  /// the worklist, this drains exactly the watch lists of `forbidden`'s
-  /// co-block pairs (plus the bottom list): a class whose watched pair is
-  /// split in `forbidden` provably cannot refine it, so only the woken
-  /// classes take the full K_c ≤ `forbidden` test; woken survivors
-  /// re-register on a non-refinement witness pair.
-  size_t PropagateAfterNegative(const lat::Partition& forbidden);
+  /// After a negative label on `labeled_class`: θ_P and the cache are
+  /// untouched, and the only new way out of the pool is the fresh forbidden
+  /// zone F = K_labeled, so a class is pruned iff K_c ⊆ F.
+  size_t PropagateAfterNegative(size_t labeled_class);
   /// Drops `class_id` from the worklist (on explicit labeling) via its
   /// position index — no scan.
   void RemoveFromWorklist(size_t class_id);
 
-  /// Registers every informative class on its watch certificate (a co-block
-  /// pair of K_c, or the bottom list). Construction-time only; labeling
-  /// keeps watches current incrementally.
-  void InitializeWatches();
-  /// First co-block pair of `k` outside pair_cover_, encoded as a slot;
-  /// kNoWatch when every co-block pair is covered (or `k` is singletons).
-  /// Preferring uncovered pairs maximizes the positive-propagation
-  /// exemptions AND (the cover contains every pair of the newest forbidden
-  /// zone) guarantees a negative-drain re-watch never lands on a slot still
-  /// being drained.
-  uint32_t UncoveredPairSlot(const lat::Partition& k) const;
-  /// Points `class_id`'s watch at `slot` (a pair slot or kBottomWatch) and
-  /// appends it to the matching watcher list.
-  void AttachWatch(SessionArrays& session, size_t class_id, uint32_t slot);
-  /// Recomputes pair_cover_ from the current antichain. O(|A| · n²).
-  void RebuildPairCover();
-
+  /// Cached row of `class_id` (mask_words_ words).
+  const uint64_t* KnowledgeRow(size_t class_id) const {
+    return knowledge_->data() + class_id * mask_words_;
+  }
   /// Detaches knowledge_ from any sharers (copy-on-first-mutate) and returns
   /// the sole-owner vector. Everything that writes K_c goes through here.
-  std::vector<lat::Partition>& MutableKnowledge();
+  std::vector<uint64_t>& MutableKnowledge();
   /// Same for the session arrays; only a label that changes a status does.
   SessionArrays& MutableSession();
 
@@ -427,21 +399,14 @@ class InferenceEngine {
   /// Per-session flat arrays, copy-on-write across clones (see
   /// SessionArrays).
   std::shared_ptr<SessionArrays> session_;
-  /// K_c per class; fresh for informative classes (see ClassKnowledge).
+  /// K_c per class as pair masks, mask_words_ words per class, row c at
+  /// c · mask_words_; fresh for informative classes (see ClassKnowledge).
   /// Copy-on-write: clones share the vector until their first knowledge
   /// mutation (a positive label), which makes engine copies cheap enough to
   /// fan batches of sessions out over clones (exec::BatchSessionRunner).
   /// Negative-only histories never pay for a copy at all.
-  std::shared_ptr<std::vector<lat::Partition>> knowledge_;
-  /// Pair cover of the current antichain (see Antichain::FillPairCover),
-  /// sized n·n: pair_cover_[i*n+j] == 1 iff (i, j) is co-block in some
-  /// forbidden-zone member. Derived purely from state_, so it is a plain
-  /// value member (copied with the engine, not COW) rebuilt after every
-  /// accepted label.
-  std::vector<uint8_t> pair_cover_;
-  /// Scratch state for propagation's allocation-free kernels. Copying an
-  /// engine copies only warmed capacity, never live data.
-  lat::PartitionScratch scratch_;
+  std::shared_ptr<std::vector<uint64_t>> knowledge_;
+  size_t mask_words_ = 0;
   LabeledExamples history_;
   size_t wasted_interactions_ = 0;
 };

@@ -94,7 +94,7 @@ std::vector<double> LocalStrategy::Score(
     // Candidates are informative, so the engine's knowledge cache is fresh —
     // no meet needed to read the rank of K = θ_P ∧ Part(t).
     const double rank =
-        static_cast<double>(engine.ClassKnowledge(candidates[i]).Rank());
+        static_cast<double>(engine.ClassKnowledgeRank(candidates[i]));
     scores[i] = direction_ == Direction::kBottomUp ? -rank : rank;
   }
   return scores;

@@ -82,18 +82,6 @@ void Antichain::RestrictTo(const Partition& bound) {
   }
 }
 
-void Antichain::FillPairCover(size_t n, std::vector<uint8_t>& cover) const {
-  cover.assign(n * n, 0);
-  for (const Partition& m : members_) {
-    JIM_CHECK_EQ(m.num_elements(), n);
-    for (size_t i = 0; i < n; ++i) {
-      for (size_t j = i + 1; j < n; ++j) {
-        if (m.SameBlock(i, j)) cover[i * n + j] = 1;
-      }
-    }
-  }
-}
-
 void Antichain::CheckInvariants() const {
   for (size_t i = 0; i < members_.size(); ++i) {
     members_[i].CheckInvariants();

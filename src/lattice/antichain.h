@@ -33,7 +33,7 @@ class Antichain {
 
   /// Allocation-free overload: refinement checks run out of `scratch`
   /// (Partition::RefinesWith), with the same rank early exit. The hot path
-  /// of the engine's incremental classification.
+  /// of InferenceState::ClassifyWith (the speculative session's rescans).
   bool DominatedBy(const Partition& q, PartitionScratch& scratch) const;
 
   /// True iff q is a member.
@@ -54,21 +54,6 @@ class Antichain {
 
   /// Members ordered by rank, descending (ties in insertion order).
   const std::vector<Partition>& members() const { return members_; }
-
-  /// Pair cover: sets cover[i*n + j] = 1 (i < j) for every attribute pair
-  /// that is co-block in at least one member, 0 everywhere else (the vector
-  /// is resized/cleared to n*n). Since q ≤ m requires every co-block pair of
-  /// q to be co-block in m, a partition owning a co-block pair *outside* the
-  /// cover cannot be dominated by any member — the O(1) exemption test the
-  /// engine's watch-based propagation runs instead of a full DominatedBy
-  /// scan. O(size · n²).
-  void FillPairCover(size_t n, std::vector<uint8_t>& cover) const;
-
-  /// Rank of the coarsest member (the first, given the descending order);
-  /// 0 when empty. Upper-bounds the rank of any dominated partition.
-  size_t MaxMemberRank() const {
-    return members_.empty() ? 0 : members_.front().Rank();
-  }
 
   /// Invariant audit (see util/check.h): JIM_CHECK-fails unless members are
   /// each canonical, all of one arity, ordered by descending rank, and

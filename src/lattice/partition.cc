@@ -131,48 +131,6 @@ bool Partition::RefinesWith(const Partition& other,
   return true;
 }
 
-bool Partition::FindNonRefinementWitness(const Partition& other,
-                                         PartitionScratch& scratch, size_t* wi,
-                                         size_t* wj) const {
-  JIM_CHECK_EQ(num_elements(), other.num_elements());
-  // Same scan as RefinesWith, but the table keeps each block's first element
-  // instead of its image block, so a conflict yields the witness pair
-  // directly: the representative and the conflicting element share a block
-  // here and sit in different blocks of `other`.
-  scratch.BeginTable(num_blocks_);
-  for (size_t i = 0; i < block_of_.size(); ++i) {
-    const size_t slot = static_cast<size_t>(block_of_[i]);
-    if (!scratch.Has(slot)) {
-      scratch.Set(slot, static_cast<int>(i));
-    } else {
-      const size_t rep = static_cast<size_t>(scratch.Get(slot));
-      if (other.block_of_[rep] != other.block_of_[i]) {
-        *wi = rep;
-        *wj = i;
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-bool Partition::FirstCoBlockPair(PartitionScratch& scratch, size_t* wi,
-                                 size_t* wj) const {
-  if (IsSingletons()) return false;
-  scratch.BeginTable(num_blocks_);
-  for (size_t i = 0; i < block_of_.size(); ++i) {
-    const size_t slot = static_cast<size_t>(block_of_[i]);
-    if (!scratch.Has(slot)) {
-      scratch.Set(slot, static_cast<int>(i));
-    } else {
-      *wi = static_cast<size_t>(scratch.Get(slot));
-      *wj = i;
-      return true;
-    }
-  }
-  return false;  // unreachable: !IsSingletons() guarantees a repeat
-}
-
 bool Partition::StrictlyRefines(const Partition& other) const {
   return *this != other && Refines(other);
 }

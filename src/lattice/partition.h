@@ -111,40 +111,20 @@ class Partition {
   bool StrictlyRefines(const Partition& other) const;
 
   /// Meet: the coarsest common refinement (intersection of the equivalence
-  /// relations). This is the workhorse of the inference engine
-  /// (K_t = θ_P ∧ Part(t)). Requires equal n.
+  /// relations): the knowledge K_t = θ_P ∧ Part(t) a label on t carries.
+  /// Requires equal n.
   Partition Meet(const Partition& other) const;
 
   /// Allocation-free meet: writes `*this ∧ other` into `out`, reusing `out`'s
   /// storage and `scratch`'s dense pair table (steady state: zero heap
   /// traffic). `out` may alias `*this` or `other` (each element is read
-  /// before it is overwritten), which makes in-place cache updates
-  /// (`K_c ← K_c ∧ θ_P`) a single call. Same result as Meet.
+  /// before it is overwritten). Same result as Meet.
   void MeetInto(const Partition& other, Partition& out,
                 PartitionScratch& scratch) const;
 
   /// Allocation-free Refines: same result, but the block-image table lives in
   /// `scratch`. The hot predicate of DominatedBy scans.
   bool RefinesWith(const Partition& other, PartitionScratch& scratch) const;
-
-  /// Non-refinement witness: finds a pair (i, j), i < j, that is co-block in
-  /// *this but split in `other` — exactly the certificate that *this does NOT
-  /// refine `other`. Returns false (leaving *wi/*wj untouched) when *this ≤
-  /// other, i.e. when no witness exists. Allocation-free (the per-block
-  /// representative table lives in `scratch`); O(n). This is what the
-  /// engine's watch-based propagation re-registers on: as long as the
-  /// watched pair stays split in a forbidden zone, the owning class provably
-  /// cannot fall into it.
-  bool FindNonRefinementWitness(const Partition& other,
-                                PartitionScratch& scratch, size_t* wi,
-                                size_t* wj) const;
-
-  /// First co-block pair (i, j), i < j, in element order — the cheapest
-  /// watchable certificate that this partition carries at least one equality
-  /// constraint. Returns false iff all blocks are singletons. O(n),
-  /// allocation-free via `scratch`.
-  bool FirstCoBlockPair(PartitionScratch& scratch, size_t* wi,
-                        size_t* wj) const;
 
   /// True iff `*this ∧ other == *this` — the forced-positive test
   /// θ_P ∧ Part(t) == θ_P — without materializing the meet. By lattice

@@ -38,15 +38,6 @@ inline constexpr char kCounterEngineSimulateLabelBoth[] =
 /// dropped part-way through their scan. Candidates = skips + aborts + evals.
 inline constexpr char kCounterEngineCutoffSkips[] = "engine.cutoff_skips";
 inline constexpr char kCounterEngineCutoffAborts[] = "engine.cutoff_aborts";
-/// Classes woken (watch-list drained and fully retested) by a negative-label
-/// propagation. The watch win is this number staying far below the worklist
-/// size the pre-watch scan visited.
-inline constexpr char kCounterEngineWatchWakes[] = "engine.watch_wakes";
-/// Worklist classes whose antichain DominatedBy scan was skipped during a
-/// positive-label propagation because their watched pair survived the
-/// knowledge refresh and is covered by no antichain member.
-inline constexpr char kCounterEngineWatchExemptions[] =
-    "engine.watch_exemptions";
 /// Informative-class worklist size observed after each propagation pass.
 inline constexpr char kHistEngineWorklistSize[] = "engine.worklist_size";
 inline constexpr char kHistEngineBuildMicros[] =

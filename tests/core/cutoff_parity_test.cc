@@ -29,7 +29,7 @@ namespace {
 
 // Like the other parity suites, run with the invariant auditor on: every
 // JIM_AUDIT checkpoint (engine construction and labeling) re-derives the
-// watch/worklist/pair-cover contracts while these assertions run.
+// knowledge-cache/worklist contracts while these assertions run.
 const bool kAuditInvariantsOn = [] {
   ::jim::util::SetAuditInvariants(true);
   return true;

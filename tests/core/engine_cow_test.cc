@@ -41,7 +41,8 @@ TEST(EngineCowTest, CloneSharesClassTableAndKnowledge) {
   // not equal copies.
   const size_t c = AnyInformative(prototype);
   EXPECT_EQ(&clone.tuple_class(c), &prototype.tuple_class(c));
-  EXPECT_EQ(&clone.ClassKnowledge(c), &prototype.ClassKnowledge(c));
+  EXPECT_EQ(clone.ClassKnowledgeStorage(c),
+            prototype.ClassKnowledgeStorage(c));
 }
 
 TEST(EngineCowTest, PositiveLabelDetachesKnowledge) {
@@ -57,7 +58,8 @@ TEST(EngineCowTest, PositiveLabelDetachesKnowledge) {
   // The class table is immutable and stays shared...
   EXPECT_EQ(&clone.tuple_class(labeled), &prototype.tuple_class(labeled));
   // ...but the knowledge cache detached: the clone refreshed its own copy.
-  EXPECT_NE(&clone.ClassKnowledge(labeled), &prototype.ClassKnowledge(labeled));
+  EXPECT_NE(clone.ClassKnowledgeStorage(labeled),
+            prototype.ClassKnowledgeStorage(labeled));
 
   // The prototype saw nothing: same informative pool, no history, and its
   // K_c is still the construction-time value Part(c) (θ_P = ⊤).
@@ -77,7 +79,8 @@ TEST(EngineCowTest, NegativeLabelsNeverCopyTheKnowledge) {
   for (int i = 0; i < 3 && !clone.IsDone(); ++i) {
     const size_t c = AnyInformative(clone);
     ASSERT_TRUE(clone.SubmitClassLabel(c, Label::kNegative).ok());
-    EXPECT_EQ(&clone.ClassKnowledge(0), &prototype.ClassKnowledge(0))
+    EXPECT_EQ(clone.ClassKnowledgeStorage(0),
+              prototype.ClassKnowledgeStorage(0))
         << "after negative label " << i;
   }
 }
@@ -114,7 +117,7 @@ TEST(EngineCowTest, CloneSharesSessionArraysUntilFirstLabel) {
   const InferenceEngine prototype(workload.instance);
   InferenceEngine clone = prototype;
 
-  // The flat session arrays (worklist, statuses, watches) are shared by
+  // The flat session arrays (worklist, statuses) are shared by
   // address, like the class table — EngineCopy is pointer bumps only.
   EXPECT_EQ(&clone.InformativeClasses(), &prototype.InformativeClasses());
 

@@ -80,9 +80,12 @@ void ExpectStatusesMatchFreshState(const InferenceEngine& engine) {
     // The cached knowledge of informative classes must be the true
     // K_c = θ_P ∧ Part(c) under the current state.
     if (expected == TupleClassification::kInformative) {
-      EXPECT_EQ(engine.ClassKnowledge(c),
-                fresh.theta_p().Meet(engine.tuple_class(c).partition))
+      const lat::Partition knowledge =
+          fresh.theta_p().Meet(engine.tuple_class(c).partition);
+      EXPECT_EQ(engine.ClassKnowledge(c), knowledge)
           << "stale knowledge cache for class " << c;
+      EXPECT_EQ(engine.ClassKnowledgeRank(c), knowledge.Rank())
+          << "class " << c;
     }
   }
   EXPECT_EQ(engine.InformativeClasses().size(), informative_count);
@@ -275,6 +278,9 @@ TEST(IncrementalParityTest, PairMaskScanMatchesNaiveAcrossMaskWidths) {
           EXPECT_EQ(both.negative.pruned_tuples, minus.pruned_tuples)
               << "n=" << n << " class " << cls;
           naive.push_back({plus, minus});
+          EXPECT_EQ(engine.ClassKnowledgeRank(cls),
+                    engine.ClassKnowledge(cls).Rank())
+              << "n=" << n << " class " << cls;
         }
         for (auto objective : objectives) {
           // The pick the exhaustive scan makes: argmax of the naive scores,
