@@ -1,5 +1,5 @@
-// Ablation bench (DESIGN.md, process step 5): quantifies the design choices
-// of the lookahead machinery rather than a paper figure.
+// Ablation bench: quantifies the design choices of the lookahead machinery
+// rather than a paper figure.
 //   A1 — candidate cap: lookahead strategies score at most `max_candidates`
 //        informative classes per step. How much interaction quality does the
 //        cap cost, and how much decision latency does it buy?

@@ -1,4 +1,4 @@
-// Experiment S5 (DESIGN.md): the crowdsourcing cost argument (paper §1).
+// Experiment S5: the crowdsourcing cost argument (paper §1).
 // "Since our goal is to minimize the number of interactions ... minimizing
 // the number of interactions entails lower financial costs." Prices the
 // same join three ways across worker reliability levels, plus a voting

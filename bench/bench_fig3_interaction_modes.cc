@@ -1,4 +1,4 @@
-// Experiment F3 (DESIGN.md): the four interaction types of paper Figure 3,
+// Experiment F3: the four interaction types of paper Figure 3,
 // run on three scenarios. For each mode we report the user's labeling
 // effort (interactions, mean ± std over simulated-user seeds) and how much
 // of it was wasted on uninformative tuples (only mode 1 can waste effort —

@@ -1,4 +1,4 @@
-// Experiment F4 (DESIGN.md): "Showing the benefit of using a strategy"
+// Experiment F4: "Showing the benefit of using a strategy"
 // (paper Figure 4). After a user infers a query by free labeling, the demo
 // shows how many interactions she *would* have spent had JIM proposed
 // informative tuples — rendered here exactly as the ASCII analogue of the

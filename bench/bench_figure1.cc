@@ -1,4 +1,4 @@
-// Experiment F1/F2 (DESIGN.md): the paper's own worked example, measured.
+// Experiment F1/F2: the paper's own worked example, measured.
 //
 // Regenerates, for the Figure 1 instance:
 //   - the selected sets of Q1/Q2 and the tuple-(12) pruning sets quoted in

@@ -1,4 +1,4 @@
-// Experiment M1 (DESIGN.md): engineering microbenchmarks.
+// Experiment M1: engineering microbenchmarks.
 // Latency of the primitives everything else is built from: partition
 // algebra, tuple-partition extraction, engine construction, label
 // propagation, and one full strategy decision.

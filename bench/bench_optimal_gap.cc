@@ -1,4 +1,4 @@
-// Experiment S4 (DESIGN.md): the optimal strategy. The paper: "there exists
+// Experiment S4: the optimal strategy. The paper: "there exists
 // an algorithm that computes the optimal strategy ... but it requires
 // exponential time, which unfortunately renders it unusable in practice."
 // This bench quantifies both halves of that sentence on tiny instances:

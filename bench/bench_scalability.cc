@@ -1,4 +1,4 @@
-// Experiment S2 (DESIGN.md): efficiency and scalability (paper §1 / [3]).
+// Experiment S2: efficiency and scalability (paper §1 / [3]).
 // Two sweeps:
 //   (a) instance size: #interactions and time per interaction vs #tuples —
 //       interactions should grow slowly (the engine works on tuple classes),

@@ -1,4 +1,4 @@
-// Experiment F5 (DESIGN.md): "Joining sets of pictures" (paper §3,
+// Experiment F5: "Joining sets of pictures" (paper §3,
 // Figure 5). Infers every feature-match join over the 81 Set cards and
 // reports the number of yes/no questions about pairs of pictures — the
 // crowd-task currency the paper cares about.

@@ -1,4 +1,4 @@
-// Experiment S1 (DESIGN.md): "Comparing different strategies" (paper §3).
+// Experiment S1: "Comparing different strategies" (paper §3).
 // The demo's point: "for more complex instances and join queries a lookahead
 // strategy performs better than a local one while for simpler instances and
 // queries a local strategy is better" — in interactions; local strategies

@@ -1,4 +1,4 @@
-// Experiment S3 (DESIGN.md): join inference on benchmark data — the TPC-H
+// Experiment S3: join inference on benchmark data — the TPC-H
 // scenarios of the companion evaluation [3]. For each key/foreign-key goal
 // join, JIM works over the (sampled) universal table of the involved
 // relations and must identify the join from membership answers alone.

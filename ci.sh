@@ -18,7 +18,7 @@
 #                        matches a symbol the instrumented binaries
 #                        actually reference
 #   - ASAN stage         columnar storage/ingest suites plus the cutoff
-#                        parity + trail-undo suite under address
+#                        parity + minimax suite under address
 #   - UBSAN stage        integer-kernel + storage suites AND the
 #                        deterministic fuzz driver (5000 mutated JIMC
 #                        images / goal strings) under address+undefined
@@ -199,12 +199,13 @@ else
   cmake -B build-ubsan -S . -DJIM_SANITIZE="address;undefined" \
     -DJIM_WERROR=ON -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
   cmake --build build-ubsan -j --target \
-    lattice_partition_test lattice_antichain_test lattice_kernel_parity_test \
-    lattice_enumeration_test core_tuple_store_test core_invariant_audit_test \
+    lattice_partition_test lattice_kernel_parity_test \
+    lattice_enumeration_test core_inference_state_test \
+    core_tuple_store_test core_invariant_audit_test \
     relational_dictionary_test storage_jimc_format_test \
     storage_byte_reader_test storage_mapped_parity_test fuzz_jimc_main
   (cd build-ubsan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Partition|Antichain|KernelParity|Enumeration|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|InvariantAudit|fuzz_jimc_smoke')
+    -R 'Partition|Antichain|InferenceState|BruteForceAgreement|KernelParity|Enumeration|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|InvariantAudit|fuzz_jimc_smoke')
   # The deterministic fuzz driver, long run: 5000 mutated JIMC images and
   # goal strings, every outcome a typed Status, under ASAN+UBSAN with
   # findings fatal. Reproduce any failure with the printed seed.
@@ -285,10 +286,10 @@ else
     core_cutoff_parity_test core_encoded_parity_test \
     core_incremental_parity_test lattice_kernel_parity_test \
     query_factorized_parity_test storage_mapped_parity_test \
-    core_engine_cow_test
+    core_engine_cow_test core_inference_state_test
   (cd build-audit && JIM_AUDIT_INVARIANTS=1 \
     ctest --output-on-failure -j"$(nproc)" \
-    -R 'Parity|InvariantAudit|EngineCow')
+    -R 'Parity|InvariantAudit|EngineCow|InferenceState|Antichain')
 fi
 
 # --- clang-tidy stage (advisory, opt-in) ---------------------------------

@@ -8,6 +8,7 @@
 #include <unordered_map>
 
 #include "exec/parallel.h"
+#include "lattice/pair_mask.h"
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -117,85 +118,6 @@ struct RgsKeyEq {
   }
 };
 
-/// Words in the pair mask of a partition over `n` elements: one bit per
-/// pair (i, j), i < j.
-size_t PairMaskWords(size_t n) {
-  return n < 2 ? 0 : (n * (n - 1) / 2 + 63) / 64;
-}
-
-/// Sets the bit of every co-block pair of `p` in the zeroed mask at `mask`,
-/// pairs numbered in row-major order (0,1), (0,2), …, (1,2), ….
-void FillPairMask(const lat::Partition& p, uint64_t* mask) {
-  const std::vector<int>& block_of = p.labels();
-  const size_t n = block_of.size();
-  size_t bit = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j, ++bit) {
-      if (block_of[i] == block_of[j]) {
-        mask[bit >> 6] |= uint64_t{1} << (bit & 63);
-      }
-    }
-  }
-}
-
-/// Smallest i < j co-block with j in the partition over `n` elements whose
-/// pair mask is `mask`; j itself when j is the first element of its block.
-size_t FirstCoBlock(const uint64_t* mask, size_t n, size_t j) {
-  for (size_t i = 0; i < j; ++i) {
-    // Row-major: row i starts at bit i(2n − i − 1)/2 and holds j > i.
-    const size_t bit = i * (2 * n - i - 1) / 2 + (j - i - 1);
-    if ((mask[bit >> 6] >> (bit & 63)) & 1) return i;
-  }
-  return j;
-}
-
-/// rank = n − #blocks: the number of elements that are not the last of
-/// their block, i.e. whose row of pairs (i, j > i) holds a set bit. Walks
-/// the set bits in order (rows are consecutive bit ranges), counting the
-/// distinct rows they fall in.
-size_t MaskRank(const uint64_t* mask, size_t words, size_t n) {
-  size_t rank = 0;
-  size_t row = 0;
-  size_t row_end = n - 1;  // one past the last bit of row `row`
-  size_t counted_row = n;  // no row counted yet
-  for (size_t w = 0; w < words; ++w) {
-    for (uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
-      const size_t bit = w * 64 + static_cast<size_t>(__builtin_ctzll(bits));
-      while (bit >= row_end) row_end += n - 1 - ++row;
-      rank += row != counted_row;
-      counted_row = row;
-    }
-  }
-  return rank;
-}
-
-/// a ⊆ b: the partition of `a` refines the partition of `b`.
-bool MaskSubset(const uint64_t* a, const uint64_t* b, size_t words) {
-  for (size_t w = 0; w < words; ++w) {
-    if ((a[w] & ~b[w]) != 0) return false;
-  }
-  return true;
-}
-
-/// a ⊆ z for one of the `count` masks at `zones`: the partition of `a` lies
-/// in a forbidden zone.
-bool MaskInAnyZone(const uint64_t* a, const uint64_t* zones, size_t count,
-                   size_t words) {
-  for (size_t m = 0; m < count; ++m) {
-    if (MaskSubset(a, zones + m * words, words)) return true;
-  }
-  return false;
-}
-
-/// a ∩ b ⊆ c: the meet of the partitions of `a` and `b` refines that of `c`.
-bool MaskMeetSubset(const uint64_t* a, const uint64_t* b, const uint64_t* c,
-                    size_t words) {
-  for (size_t w = 0; w < words; ++w) {
-    if ((a[w] & b[w] & ~c[w]) != 0) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
@@ -248,13 +170,16 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
   session_->class_status.assign(classes->size(), ClassStatus::kInformative);
   // Initially θ_P = ⊤, so K_c = ⊤ ∧ Part(c) = Part(c); every class starts on
   // the worklist.
-  mask_words_ = PairMaskWords(n);
-  knowledge_ = std::make_shared<std::vector<uint64_t>>(classes->size() *
-                                                       mask_words_);
+  mask_words_ = lat::PairMaskWords(n);
+  knowledge_ = std::make_shared<KnowledgeCache>();
+  knowledge_->rows.resize(classes->size() * mask_words_);
+  knowledge_->rank.resize(classes->size());
   session_->informative.reserve(classes->size());
   session_->worklist_pos.reserve(classes->size());
   for (size_t c = 0; c < classes->size(); ++c) {
-    FillPairMask((*classes)[c].partition, knowledge_->data() + c * mask_words_);
+    const lat::Partition& part = (*classes)[c].partition;
+    lat::FillPairMask(part, knowledge_->rows.data() + c * mask_words_);
+    knowledge_->rank[c] = static_cast<uint32_t>(part.Rank());
     session_->informative.push_back(c);
     session_->worklist_pos.push_back(static_cast<uint32_t>(c));
   }
@@ -262,11 +187,11 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
   class_of_tuple_ = std::move(class_of_tuple);
 }
 
-std::vector<uint64_t>& InferenceEngine::MutableKnowledge() {
+InferenceEngine::KnowledgeCache& InferenceEngine::MutableKnowledge() {
   // use_count is exact here: a count of 1 can only race with *this* engine
   // being cloned concurrently, which is already outside the copy contract.
   if (knowledge_.use_count() != 1) {
-    knowledge_ = std::make_shared<std::vector<uint64_t>>(*knowledge_);
+    knowledge_ = std::make_shared<KnowledgeCache>(*knowledge_);
   } else {
     // Pair with the release-decrement of a sibling clone that just detached
     // (copied the vector and dropped the count to 1): without this fence the
@@ -288,41 +213,44 @@ InferenceEngine::SessionArrays& InferenceEngine::MutableSession() {
 
 size_t InferenceEngine::Propagate() {
   const size_t words = mask_words_;
-  // θ_P's mask, then one mask per forbidden zone (ApplyLabel already
-  // restricted the antichain to θ_P).
-  const std::vector<lat::Partition>& members = state_.negatives().members();
-  std::vector<uint64_t> masks((1 + members.size()) * words, 0);
-  FillPairMask(state_.theta_p(), masks.data());
-  for (size_t m = 0; m < members.size(); ++m) {
-    FillPairMask(members[m], masks.data() + (1 + m) * words);
-  }
-  const uint64_t* theta = masks.data();
-  const uint64_t* zones = theta + words;
+  const size_t n = state_.num_attributes();
+  const uint64_t* theta = state_.theta_mask();
   // The in-place refresh below is the one mutation of K_c anywhere in the
   // engine — detach from clone sharers first.
-  std::vector<uint64_t>& knowledge = MutableKnowledge();
+  KnowledgeCache& knowledge = MutableKnowledge();
   SessionArrays& session = *session_;
   std::vector<size_t>& informative = session.informative;
   size_t out = 0;
   size_t pruned = 0;
   for (size_t c : informative) {
-    uint64_t* k = knowledge.data() + c * words;
+    uint64_t* k = knowledge.rows.data() + c * words;
     // The new θ_P refines the old, so meeting the *cached* knowledge with it
     // is the full refresh: K ∧ θ' = (θ ∧ Part(c)) ∧ θ' = θ' ∧ Part(c).
-    bool forced_positive = true;
+    bool changed = false;
     for (size_t w = 0; w < words; ++w) {
-      k[w] &= theta[w];
-      forced_positive &= k[w] == theta[w];
+      const uint64_t refreshed = k[w] & theta[w];
+      changed |= refreshed != k[w];
+      k[w] = refreshed;
     }
-    if (forced_positive) {
-      session.class_status[c] = ClassStatus::kForcedPositive;
-    } else if (MaskInAnyZone(k, zones, members.size(), words)) {
-      session.class_status[c] = ClassStatus::kForcedNegative;
+    switch (state_.Classify(k)) {
+      case TupleClassification::kForcedPositive:
+        session.class_status[c] = ClassStatus::kForcedPositive;
+        break;
+      case TupleClassification::kForcedNegative:
+        session.class_status[c] = ClassStatus::kForcedNegative;
+        break;
+      case TupleClassification::kInformative:
+        break;
     }
     if (session.class_status[c] != ClassStatus::kInformative) {
       session.worklist_pos[c] = kNoPos;
       ++pruned;
     } else {
+      // rank(K_c) is read per class by every decision; recount it here,
+      // where the row changes, and only for classes that stay.
+      if (changed) {
+        knowledge.rank[c] = static_cast<uint32_t>(lat::MaskRank(k, words, n));
+      }
       session.worklist_pos[c] = static_cast<uint32_t>(out);
       informative[out++] = c;
     }
@@ -344,7 +272,7 @@ size_t InferenceEngine::PropagateAfterNegative(size_t labeled_class) {
   std::vector<size_t>& informative = session.informative;
   size_t out = 0;
   for (size_t c : informative) {
-    if (MaskSubset(KnowledgeRow(c), forbidden, words)) {
+    if (lat::MaskSubset(KnowledgeRow(c), forbidden, words)) {
       session.class_status[c] = ClassStatus::kForcedNegative;
       session.worklist_pos[c] = kNoPos;
     } else {
@@ -383,24 +311,8 @@ size_t InferenceEngine::NumInformativeTuples() const {
 bool InferenceEngine::IsDone() const { return session_->informative.empty(); }
 
 lat::Partition InferenceEngine::ClassKnowledge(size_t class_id) const {
-  const size_t n = store_->num_attributes();
-  const uint64_t* row = KnowledgeRow(class_id);
-  std::vector<int> labels(n);
-  int next = 0;
-  for (size_t j = 0; j < n; ++j) {
-    const size_t first = FirstCoBlock(row, n, j);
-    labels[j] = first < j ? labels[first] : next++;
-  }
-  return lat::Partition::FromLabels(labels);
-}
-
-size_t InferenceEngine::ClassKnowledgeRank(size_t class_id) const {
-  return MaskRank(KnowledgeRow(class_id), mask_words_,
-                  state_.num_attributes());
-}
-
-const void* InferenceEngine::ClassKnowledgeStorage(size_t class_id) const {
-  return KnowledgeRow(class_id);
+  return lat::PairMaskToPartition(KnowledgeRow(class_id),
+                                  state_.num_attributes());
 }
 
 JoinPredicate InferenceEngine::Result() const {
@@ -451,8 +363,9 @@ util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
 
   const bool was_informative = before == ClassStatus::kInformative;
   {
-    util::Status applied =
-        state_.ApplyLabel((*classes_)[class_id].partition, label);
+    // The cached row meets θ_P to θ_P ∧ Part(c) even for a class that left
+    // the worklist, so it stands in for Part(c).
+    util::Status applied = state_.ApplyLabel(KnowledgeRow(class_id), label);
     if (!applied.ok()) {
       JIM_COUNT(obs::kCounterEngineLabelsRejected);
       return applied;
@@ -548,20 +461,15 @@ void InferenceEngine::PrepareLookaheadBounds(
     LookaheadBoundsCache& cache) const {
   const size_t n = store_->num_attributes();
   const std::vector<size_t>& informative = session_->informative;
-  const std::vector<lat::Partition>& members = state_.negatives().members();
   const size_t words = mask_words_;
   cache.mask_words = words;
   cache.knowledge_masks.resize(informative.size() * words);
-  cache.antichain_masks.assign(members.size() * words, 0);
-  cache.antichain_size = members.size();
-  for (size_t m = 0; m < members.size(); ++m) {
-    FillPairMask(members[m], cache.antichain_masks.data() + m * words);
-  }
-  // Cached rows, member counts and ranks gathered in worklist order, and
-  // the histogram of worklist tuple mass by rank(K_c) (prefix/suffix sums
-  // taken in place below). rank = n − #blocks ∈ [0, n).
+  cache.antichain_masks = state_.forbidden_masks();
+  cache.antichain_size = state_.num_forbidden();
+  // Cached rows and member counts gathered in worklist order, and the
+  // histogram of worklist tuple mass by rank(K_c) (prefix/suffix sums taken
+  // in place below). rank = n − #blocks ∈ [0, n).
   cache.class_tuples.resize(informative.size());
-  cache.class_rank.resize(informative.size());
   cache.tuples_rank_le.assign(n, 0);
   cache.tuples_rank_ge.assign(n, 0);
   for (size_t i = 0; i < informative.size(); ++i) {
@@ -569,8 +477,7 @@ void InferenceEngine::PrepareLookaheadBounds(
     const uint64_t* row = KnowledgeRow(c);
     std::copy(row, row + words, cache.knowledge_masks.data() + i * words);
     cache.class_tuples[i] = (*classes_)[c].size();
-    cache.class_rank[i] = MaskRank(row, words, n);
-    cache.tuples_rank_le[cache.class_rank[i]] += cache.class_tuples[i];
+    cache.tuples_rank_le[knowledge_->rank[c]] += cache.class_tuples[i];
   }
   size_t run = 0;
   for (size_t r = n; r-- > 0;) {
@@ -617,7 +524,7 @@ bool InferenceEngine::SimulateLabelBothBounded(
   const size_t words = cache.mask_words;
   const size_t self = session_->worklist_pos[class_id];
   const uint64_t* k_labeled = cache.knowledge_masks.data() + self * words;
-  const uint64_t* antichain = cache.antichain_masks.data();
+  const uint64_t* antichain = cache.antichain_masks;
 
   LabelImpactPair result;
   result.positive.pruned_classes = result.negative.pruned_classes = 1;
@@ -643,7 +550,7 @@ bool InferenceEngine::SimulateLabelBothBounded(
     const size_t members = cache.class_tuples[i];
     // Negative answer: the forbidden zone grows by exactly k_labeled, so the
     // class is pruned iff its knowledge falls inside it.
-    if (MaskSubset(k, k_labeled, words)) {
+    if (lat::MaskSubset(k, k_labeled, words)) {
       ++result.negative.pruned_classes;
       result.negative.pruned_tuples += members;
     }
@@ -654,9 +561,10 @@ bool InferenceEngine::SimulateLabelBothBounded(
     // the meet lies inside a forbidden zone: testing against the *current*
     // antichain is exact, since restricting it to the new θ_P never changes
     // domination of partitions below that θ_P.
-    bool pruned = MaskSubset(k_labeled, k, words);
+    bool pruned = lat::MaskSubset(k_labeled, k, words);
     for (size_t m = 0; !pruned && m < cache.antichain_size; ++m) {
-      pruned = MaskMeetSubset(k_labeled, k, antichain + m * words, words);
+      pruned =
+          lat::MaskMeetSubset(k_labeled, k, antichain + m * words, words);
     }
     if (pruned) {
       ++result.positive.pruned_classes;
@@ -681,8 +589,9 @@ void InferenceEngine::CheckInvariants() const {
   const size_t num_classes = classes_->size();
   JIM_CHECK_EQ(class_of_tuple_->size(), num_tuples);
   JIM_CHECK_EQ(session_->class_status.size(), num_classes);
-  JIM_CHECK_EQ(mask_words_, PairMaskWords(store_->num_attributes()));
-  JIM_CHECK_EQ(knowledge_->size(), num_classes * mask_words_);
+  JIM_CHECK_EQ(mask_words_, lat::PairMaskWords(store_->num_attributes()));
+  JIM_CHECK_EQ(knowledge_->rows.size(), num_classes * mask_words_);
+  JIM_CHECK_EQ(knowledge_->rank.size(), num_classes);
 
   // Classes partition the tuple set, in agreement with class_of_tuple_.
   size_t members_total = 0;
@@ -748,10 +657,14 @@ void InferenceEngine::CheckInvariants() const {
     switch (session_->class_status[c]) {
       case ClassStatus::kInformative:
         std::fill(expected.begin(), expected.end(), 0);
-        FillPairMask(state_.theta_p().Meet(part), expected.data());
+        lat::FillPairMask(state_.theta_p().Meet(part), expected.data());
         JIM_CHECK(std::equal(expected.begin(), expected.end(),
                              KnowledgeRow(c)))
             << "stale knowledge cache K_" << c;
+        JIM_CHECK_EQ(ClassKnowledgeRank(c),
+                     lat::MaskRank(expected.data(), mask_words_,
+                                   store_->num_attributes()))
+            << "stale knowledge rank K_" << c;
         JIM_CHECK(state_.Classify(part) == TupleClassification::kInformative)
             << "class " << c << " marked informative but classifies otherwise";
         break;

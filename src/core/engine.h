@@ -144,20 +144,27 @@ class InferenceEngine {
 
   /// Knowledge K_c = θ_P ∧ Part(c) of an *informative* class, decoded from
   /// the engine's cache (which goes stale — harmlessly — once a class leaves
-  /// the pool). The cache stores each K_c as its pair mask (see
-  /// LookaheadBoundsCache) and is maintained incrementally: a positive label
+  /// the pool). The cache stores each K_c as its pair mask
+  /// (lattice/pair_mask.h) and is maintained incrementally: a positive label
   /// shrinks θ_P, and since the new θ_P refines the old one, K_c' = K_c ∧ θ_P'
   /// is one word-wise AND over the cached row; negative labels leave θ_P
   /// (and the cache) alone.
   lat::Partition ClassKnowledge(size_t class_id) const;
 
-  /// rank(K_c) = n − #blocks of an informative class's knowledge, read from
-  /// the cached row without decoding it.
-  size_t ClassKnowledgeRank(size_t class_id) const;
+  /// rank(K_c) = n − #blocks of an informative class's knowledge, stored
+  /// beside the cached row wherever the row is written.
+  size_t ClassKnowledgeRank(size_t class_id) const {
+    return knowledge_->rank[class_id];
+  }
 
-  /// Address of the class's cached knowledge row: two engines return the
-  /// same address exactly while they share the copy-on-write cache.
-  const void* ClassKnowledgeStorage(size_t class_id) const;
+  /// The class's cached knowledge row (mask_words words). It is K_c for an
+  /// informative class, and θ' ∧ Part(c) for some earlier θ' ⊇ θ_P for any
+  /// other, so InferenceState::Classify and ApplyLabel take it in place of
+  /// Part(c) for every class. Two engines return the same address exactly
+  /// while they share the copy-on-write cache.
+  const uint64_t* KnowledgeRow(size_t class_id) const {
+    return knowledge_->rows.data() + class_id * mask_words_;
+  }
 
   /// Total member count over informative classes.
   size_t NumInformativeTuples() const;
@@ -231,16 +238,13 @@ class InferenceEngine {
   /// SimulateLabelBothBounded call of that decision. It holds everything the
   /// impact scan reads, plus the cutoff bounds:
   ///   - pair masks. A partition over n attributes is exactly its set of
-  ///     co-block pairs (i, j), i < j, stored as a bitset of n(n−1)/2 bits
-  ///     in `mask_words` words (pairs in row-major order). Then p ≤ q ⇔
-  ///     pairs(p) ⊆ pairs(q), and p ∧ q has pairs(p) ∩ pairs(q) (the
-  ///     intersection of two equivalence relations is one), so every scan
-  ///     test is a few word operations. This is also how the engine stores
-  ///     K_c; `knowledge_masks` gathers the cached row of the worklist class
-  ///     at position i into row i, and `antichain_masks` holds one row per
-  ///     forbidden-zone member;
-  ///   - `class_tuples` / `class_rank`: member count and rank(K_c) of the
-  ///     worklist class at position i;
+  ///     co-block pairs, `mask_words` words per row (lattice/pair_mask.h),
+  ///     so every scan test is a few word operations. This is also how the
+  ///     engine stores K_c and the state stores its forbidden zones;
+  ///     `knowledge_masks` gathers the cached row of the worklist class at
+  ///     position i into row i, and `antichain_masks` points at the state's
+  ///     own member rows (no label can land while a decision is scored);
+  ///   - `class_tuples`: member count of the worklist class at position i;
   ///   - rank-histogram prefix/suffix tuple sums over the worklist, keyed by
   ///     rank(K_c) — K_d ≤ K_c forces rank(K_d) ≤ rank(K_c), so the prefix
   ///     sum at rank(K_c) caps the negative-answer pruning, and (antichain
@@ -249,32 +253,29 @@ class InferenceEngine {
   ///     after position i, at most suffix[i] more tuples can ever be added
   ///     to either count.
   struct LookaheadBoundsCache {
-    size_t mask_words = 0;                  ///< words per pair mask
-    std::vector<uint64_t> knowledge_masks;  ///< by worklist position
-    std::vector<uint64_t> antichain_masks;  ///< by antichain member
-    size_t antichain_size = 0;              ///< antichain members
-    std::vector<size_t> class_tuples;       ///< by worklist position
-    std::vector<size_t> class_rank;         ///< by worklist position
+    size_t mask_words = 0;                      ///< words per pair mask
+    std::vector<uint64_t> knowledge_masks;      ///< by worklist position
+    const uint64_t* antichain_masks = nullptr;  ///< by antichain member
+    size_t antichain_size = 0;                  ///< antichain members
+    std::vector<size_t> class_tuples;           ///< by worklist position
     std::vector<size_t> tuples_rank_le;  ///< by rank r: Σ tuples, rank(K)≤r
     std::vector<size_t> tuples_rank_ge;  ///< by rank r: Σ tuples, rank(K)≥r
     std::vector<size_t> suffix_tuples;   ///< by worklist position, size+1
     size_t total_tuples = 0;             ///< Σ tuples over the worklist
   };
-  /// Fills `cache` for the current worklist. O(worklist · n² + antichain ·
-  /// n²). Invalidated by any accepted label (like InformativeClasses()).
+  /// Fills `cache` for the current worklist. O(worklist · mask_words + n).
+  /// Invalidated by any accepted label (like InformativeClasses()).
   void PrepareLookaheadBounds(LookaheadBoundsCache& cache) const;
 
   /// Cheap per-candidate caps from the cache (see LookaheadBoundsCache).
   size_t LookaheadNegCap(const LookaheadBoundsCache& cache,
                          size_t class_id) const {
-    return cache
-        .tuples_rank_le[cache.class_rank[session_->worklist_pos[class_id]]];
+    return cache.tuples_rank_le[ClassKnowledgeRank(class_id)];
   }
   size_t LookaheadPosCap(const LookaheadBoundsCache& cache,
                          size_t class_id) const {
     return cache.antichain_size == 0
-               ? cache.tuples_rank_ge
-                     [cache.class_rank[session_->worklist_pos[class_id]]]
+               ? cache.tuples_rank_ge[ClassKnowledgeRank(class_id)]
                : cache.total_tuples;
   }
 
@@ -380,13 +381,16 @@ class InferenceEngine {
   /// position index — no scan.
   void RemoveFromWorklist(size_t class_id);
 
-  /// Cached row of `class_id` (mask_words_ words).
-  const uint64_t* KnowledgeRow(size_t class_id) const {
-    return knowledge_->data() + class_id * mask_words_;
-  }
+  /// K_c per class as pair masks, with rank(K_c) beside each row; fresh for
+  /// informative classes (see ClassKnowledge).
+  struct KnowledgeCache {
+    std::vector<uint64_t> rows;  ///< mask_words_ words per class, by class id
+    std::vector<uint32_t> rank;  ///< rank(K_c), by class id
+  };
+
   /// Detaches knowledge_ from any sharers (copy-on-first-mutate) and returns
-  /// the sole-owner vector. Everything that writes K_c goes through here.
-  std::vector<uint64_t>& MutableKnowledge();
+  /// the sole-owner cache. Everything that writes K_c goes through here.
+  KnowledgeCache& MutableKnowledge();
   /// Same for the session arrays; only a label that changes a status does.
   SessionArrays& MutableSession();
 
@@ -399,13 +403,12 @@ class InferenceEngine {
   /// Per-session flat arrays, copy-on-write across clones (see
   /// SessionArrays).
   std::shared_ptr<SessionArrays> session_;
-  /// K_c per class as pair masks, mask_words_ words per class, row c at
-  /// c · mask_words_; fresh for informative classes (see ClassKnowledge).
-  /// Copy-on-write: clones share the vector until their first knowledge
-  /// mutation (a positive label), which makes engine copies cheap enough to
-  /// fan batches of sessions out over clones (exec::BatchSessionRunner).
-  /// Negative-only histories never pay for a copy at all.
-  std::shared_ptr<std::vector<uint64_t>> knowledge_;
+  /// Copy-on-write: clones share the knowledge cache until their first
+  /// knowledge mutation (a positive label), which makes engine copies cheap
+  /// enough to fan batches of sessions out over clones
+  /// (exec::BatchSessionRunner). Negative-only histories never pay for a
+  /// copy at all.
+  std::shared_ptr<KnowledgeCache> knowledge_;
   size_t mask_words_ = 0;
   LabeledExamples history_;
   size_t wasted_interactions_ = 0;

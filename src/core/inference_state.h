@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "core/example.h"
-#include "lattice/antichain.h"
 #include "lattice/partition.h"
 #include "util/status.h"
 
@@ -25,15 +24,23 @@ enum class TupleClassification {
 };
 
 /// The complete knowledge accumulated from the user's labels, in canonical
-/// form (see DESIGN.md §1):
+/// form (README, "Performance"):
 ///
 ///   θ_P  — the meet of Part(t) over all positive examples: the most
 ///          constrained predicate consistent with the positives. Every
 ///          consistent predicate refines θ_P; with an honest user θ_P itself
 ///          is always consistent and is what JIM returns on termination.
-///   𝒩   — an antichain of maximal *forbidden* partitions: one M = θ_P ∧
-///          Part(s) per (non-redundant) negative example s. A predicate θ is
-///          inconsistent iff θ ≤ M for some member.
+///   𝒩   — the antichain of maximal *forbidden* partitions: the maximal
+///          elements of {θ_P ∧ Part(s)} over the negative examples s. A
+///          predicate θ is inconsistent iff θ ≤ M for some member.
+///
+/// Both are held as pair masks (lattice/pair_mask.h) in one flat word
+/// vector: θ_P's row, then one row per forbidden member in ascending
+/// lexicographic word order. That order is canonical, so two states hold
+/// equal words() exactly when they carry the same knowledge — the vector is
+/// the minimax search's memo key as it stands, and copying a state is one
+/// vector copy. Every test on the state is word operations: θ ≤ M is a
+/// subset test, θ_P ∧ Part(t) is an AND.
 ///
 /// The state is deliberately independent of the instance: it summarizes
 /// labels in O(poly(#attributes)) space regardless of how many tuples were
@@ -45,9 +52,23 @@ class InferenceState {
   explicit InferenceState(size_t num_attributes);
 
   size_t num_attributes() const { return num_attributes_; }
-  const lat::Partition& theta_p() const { return theta_p_; }
-  const lat::Antichain& negatives() const { return negatives_; }
   bool has_positive_example() const { return has_positive_example_; }
+
+  /// θ_P's pair mask, and θ_P decoded.
+  const uint64_t* theta_mask() const { return words_.data(); }
+  lat::Partition theta_p() const;
+
+  /// The forbidden members: num_forbidden() consecutive rows of
+  /// lat::PairMaskWords(num_attributes()) words at forbidden_masks(), in
+  /// canonical order, and the same decoded.
+  size_t num_forbidden() const { return num_forbidden_; }
+  const uint64_t* forbidden_masks() const {
+    return words_.data() + mask_words_;
+  }
+  std::vector<lat::Partition> Forbidden() const;
+
+  /// θ_P's row followed by the forbidden rows: equal iff the states are.
+  const std::vector<uint64_t>& words() const { return words_; }
 
   /// True iff `candidate` is consistent with every label so far.
   bool IsConsistent(const lat::Partition& candidate) const;
@@ -55,16 +76,11 @@ class InferenceState {
   /// Classifies a tuple by its value partition Part(t).
   TupleClassification Classify(const lat::Partition& tuple_partition) const;
 
-  /// Allocation-free classification: the forced-positive test uses
-  /// MeetEqualsLeft (no meet materialized at all), and only if that fails is
-  /// the knowledge meet computed — into `meet_tmp` via scratch kernels.
-  /// Identical result to Classify.
-  TupleClassification ClassifyWith(const lat::Partition& tuple_partition,
-                                   lat::Partition& meet_tmp,
-                                   lat::PartitionScratch& scratch) const;
-
-  /// The knowledge gained from labeling the tuple: K = θ_P ∧ Part(t).
-  lat::Partition Knowledge(const lat::Partition& tuple_partition) const;
+  /// Same, from a pair-mask row whose meet with θ_P is θ_P ∧ Part(t): the
+  /// mask of Part(t) itself, or any knowledge row θ' ∧ Part(t) computed
+  /// under an earlier state (θ_P only ever refines, so meeting it again is
+  /// exact). Word operations only.
+  TupleClassification Classify(const uint64_t* row) const;
 
   /// Incorporates a label. Errors (kFailedPrecondition) if the label
   /// contradicts the current knowledge — i.e. labels a forced-positive tuple
@@ -73,52 +89,36 @@ class InferenceState {
   /// (interaction mode 1 lets users waste effort that way).
   util::Status ApplyLabel(const lat::Partition& tuple_partition, Label label);
 
-  /// Exact number of consistent predicates, by enumerating refinements of
-  /// θ_P. Exponential; JIM_CHECK-fails if the refinement count exceeds
-  /// `limit`. For tests, the optimal strategy, and exact-entropy scoring.
-  uint64_t CountConsistent(uint64_t limit = 1 << 22) const;
+  /// Same, from a row as accepted by Classify(const uint64_t*).
+  util::Status ApplyLabel(const uint64_t* row, Label label);
 
-  /// Canonical memoization key: θ_P plus the sorted antichain.
+  /// Human-readable canonical rendering: θ_P, then the forbidden members.
   std::string CanonicalKey() const;
 
-  /// Compact memoization key: the canonical label vectors (θ_P, then the
-  /// antichain members in RGS order, -1 separated) with a precomputed 64-bit
-  /// hash. Equality is exact (the hash is only a fast path), so two states
-  /// share a StateKey iff they share a CanonicalKey — without building a
-  /// single string. This is what MinimaxSolver memoizes on.
-  struct StateKey {
-    std::vector<int> encoded;
-    uint64_t hash = 0;
-
-    friend bool operator==(const StateKey& a, const StateKey& b) {
-      return a.hash == b.hash && a.encoded == b.encoded;
-    }
-  };
-  struct StateKeyHash {
-    size_t operator()(const StateKey& key) const {
-      return static_cast<size_t>(key.hash);
-    }
-  };
-  StateKey MakeStateKey() const;
-
-  /// O(1) state exchange (vector-swap of θ_P and the antichain): what the
-  /// speculative-search trail (core/speculation.h) uses to undo a label —
-  /// the pre-label state parks in a pooled frame and swaps back on Undo, so
-  /// an apply/undo pair never reallocates in steady state.
-  void Swap(InferenceState& other) noexcept;
-
-  /// Invariant audit (see util/check.h): θ_P and the antichain are each
-  /// internally canonical, of the right arity, every forbidden member lies
-  /// strictly below θ_P (ApplyLabel always inserts θ_P ∧ Part(s), and
-  /// RestrictTo clips the antichain whenever θ_P shrinks), θ_P itself stays
-  /// consistent, and with no positive example yet θ_P is still ⊤.
-  /// JIM_CHECK-fails on any violation.
+  /// Invariant audit (see util/check.h): every row encodes a partition (its
+  /// pair set is transitively closed), with no positive example yet θ_P is
+  /// still ⊤, every forbidden member lies strictly below θ_P (ApplyLabel
+  /// inserts θ_P ∧ Part(s), and a positive label re-clips every member), the
+  /// members are pairwise incomparable and in canonical order, and θ_P
+  /// itself stays consistent. JIM_CHECK-fails on any violation.
   void CheckInvariants() const;
 
  private:
+  /// Adds the forbidden zone staged as the row past the last member, keeping
+  /// only the maximal members: a zone some member contains is dropped, and
+  /// so are the members it contains.
+  void InsertStagedZone();
+  /// θ_P shrank: meets every member with it, then re-maximalizes (the meets
+  /// can now contain one another).
+  void RestrictToTheta();
+  /// Moves member row `m` towards the front until the rows up to it are in
+  /// canonical order again (one insertion-sort step).
+  void SiftDown(size_t m);
+
   size_t num_attributes_;
-  lat::Partition theta_p_;
-  lat::Antichain negatives_;
+  size_t mask_words_;
+  size_t num_forbidden_ = 0;
+  std::vector<uint64_t> words_;
   bool has_positive_example_ = false;
 };
 

@@ -24,7 +24,6 @@
 #include "core/join_predicate.h" // IWYU pragma: export
 #include "core/oracle.h"         // IWYU pragma: export
 #include "core/session.h"        // IWYU pragma: export
-#include "core/speculation.h"    // IWYU pragma: export
 #include "core/strategies.h"     // IWYU pragma: export
 #include "core/tuple_store.h"    // IWYU pragma: export
 

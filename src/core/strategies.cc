@@ -7,8 +7,8 @@
 #include <limits>
 #include <unordered_map>
 
-#include "core/speculation.h"
 #include "exec/parallel.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace jim::core {
@@ -276,60 +276,87 @@ size_t LookaheadStrategy::PickClass(const InferenceEngine& engine) {
 
 namespace {
 
-/// Memoized minimax over inference states, explored on one
-/// SpeculativeSession: labels are applied and undone on the trail, so a tree
-/// node costs O(classes pruned by its label) bookkeeping instead of the old
-/// full-engine rescan (classify *every* class) plus an InferenceState copy
-/// per answer branch. A state is summarized by its compact StateKey
-/// (canonical label vectors + precomputed hash — no string rendering on the
-/// memo path); the candidate iteration order is the session's ascending live
-/// list, exactly the worklist order the rescan produced, so memoized values
-/// and tie-breaks are unchanged.
+/// Hash of an InferenceState's words (the memo key).
+struct WordsHash {
+  size_t operator()(const std::vector<uint64_t>& words) const {
+    size_t seed = words.size();
+    for (uint64_t w : words) util::HashCombine(seed, w);
+    return seed;
+  }
+};
+
+/// Memoized minimax over inference states. A node is a frame: the state and
+/// its live classes (those still informative under it, ascending). A child
+/// copies its parent's state words, applies the label, and filters the
+/// parent's live list through the new state — classes are classified from
+/// the engine's cached knowledge rows, which meet every speculative θ_P to
+/// θ_P ∧ Part(c). Frames are pooled by depth, so a warm search allocates
+/// only for memo entries. The memo key is the state's words, canonical as
+/// they stand; candidates are visited in the engine's worklist order, so
+/// values and tie-breaks do not depend on the search's bookkeeping.
 class MinimaxSolver {
  public:
   MinimaxSolver(const InferenceEngine& engine, size_t node_budget)
-      : session_(engine), node_budget_(node_budget) {}
+      : engine_(engine), node_budget_(node_budget) {
+    // Every label retires at least its own class, so depth ≤ #live; the
+    // reservation keeps frame references stable across the recursion.
+    frames_.reserve(engine.InformativeClasses().size() + 1);
+    frames_.push_back(Frame{engine.state(), engine.InformativeClasses()});
+  }
 
-  /// Worst-case questions needed from the session's current state.
-  size_t Solve() {
-    InferenceState::StateKey key = session_.state().MakeStateKey();
-    auto it = memo_.find(key);
+  /// Worst-case questions needed from the root state.
+  size_t Solve() { return Solve(0); }
+
+  /// max over the two answers of Solve(root state + answer).
+  size_t WorstAnswer(size_t class_id) { return WorstAnswer(0, class_id); }
+
+ private:
+  struct Frame {
+    InferenceState state;
+    std::vector<size_t> live;
+  };
+
+  size_t Solve(size_t depth) {
+    const Frame& frame = frames_[depth];
+    auto it = memo_.find(frame.state.words());
     if (it != memo_.end()) return it->second;
     JIM_CHECK_LT(nodes_++, node_budget_)
         << "optimal strategy exceeded its node budget";
-
-    // Iterating the live list directly is safe across the recursive
-    // Apply/Undo below: every Apply is undone before the next NextLive read,
-    // and the dancing-links restore is exact.
-    size_t best = session_.num_live() == 0 ? 0 : SIZE_MAX;
-    for (size_t c = session_.FirstLive(); c != session_.LiveEnd();
-         c = session_.NextLive(c)) {
-      const size_t cost = 1 + WorstAnswer(c);
-      best = std::min(best, cost);
+    size_t best = frame.live.empty() ? 0 : SIZE_MAX;
+    for (size_t c : frame.live) {
+      best = std::min(best, 1 + WorstAnswer(depth, c));
       if (best == 1) break;  // cannot do better than one question
     }
-    memo_.emplace(std::move(key), best);
+    memo_.emplace(frame.state.words(), best);
     return best;
   }
 
-  /// max over the two answers of Solve(current state + answer).
-  size_t WorstAnswer(size_t class_id) {
+  size_t WorstAnswer(size_t depth, size_t class_id) {
+    if (frames_.size() == depth + 1) frames_.push_back(frames_[depth]);
+    const Frame& parent = frames_[depth];
+    Frame& child = frames_[depth + 1];
     size_t worst = 0;
     for (Label label : {Label::kPositive, Label::kNegative}) {
-      session_.Apply(class_id, label);
-      worst = std::max(worst, Solve());
-      session_.Undo();
+      child.state = parent.state;
+      JIM_CHECK_OK(child.state.ApplyLabel(engine_.KnowledgeRow(class_id),
+                                          label));
+      child.live.clear();
+      for (size_t c : parent.live) {
+        if (c != class_id && child.state.Classify(engine_.KnowledgeRow(c)) ==
+                                 TupleClassification::kInformative) {
+          child.live.push_back(c);
+        }
+      }
+      worst = std::max(worst, Solve(depth + 1));
     }
     return worst;
   }
 
- private:
-  SpeculativeSession session_;
+  const InferenceEngine& engine_;
   size_t node_budget_;
   size_t nodes_ = 0;
-  std::unordered_map<InferenceState::StateKey, size_t,
-                     InferenceState::StateKeyHash>
-      memo_;
+  std::vector<Frame> frames_;  ///< frames_[d] is the node at depth d
+  std::unordered_map<std::vector<uint64_t>, size_t, WordsHash> memo_;
 };
 
 }  // namespace

@@ -75,91 +75,4 @@ std::vector<Partition> AllPartitions(size_t n) {
   return out;
 }
 
-bool VisitRefinements(const Partition& p,
-                      const std::function<bool(const Partition&)>& visitor) {
-  const auto blocks = p.Blocks();
-  const size_t n = p.num_elements();
-  std::vector<int> labels(n, 0);
-
-  // Recursively choose a partition of each block; label offsets keep the
-  // blocks of distinct p-blocks distinct in the combined labeling.
-  std::function<bool(size_t, int)> recurse = [&](size_t block_index,
-                                                 int label_offset) -> bool {
-    if (block_index == blocks.size()) {
-      return visitor(Partition::FromLabels(labels));
-    }
-    const std::vector<size_t>& block = blocks[block_index];
-    return VisitRgs(block.size(), [&](const std::vector<int>& rgs) {
-      int sub_blocks = 0;
-      for (size_t k = 0; k < block.size(); ++k) {
-        labels[block[k]] = label_offset + rgs[k];
-        sub_blocks = std::max(sub_blocks, rgs[k] + 1);
-      }
-      return recurse(block_index + 1, label_offset + sub_blocks);
-    });
-  };
-  return recurse(0, 0);
-}
-
-uint64_t CountRefinements(const Partition& p) {
-  uint64_t count = 1;
-  for (const auto& block : p.Blocks()) {
-    count *= BellNumber(block.size());
-  }
-  return count;
-}
-
-std::vector<Partition> AllRefinements(const Partition& p, uint64_t limit) {
-  const uint64_t count = CountRefinements(p);
-  JIM_CHECK_LE(count, limit);
-  std::vector<Partition> out;
-  out.reserve(count);
-  VisitRefinements(p, [&out](const Partition& q) {
-    out.push_back(q);
-    return true;
-  });
-  return out;
-}
-
-std::vector<Partition> LowerCovers(const Partition& p) {
-  std::vector<Partition> covers;
-  const auto blocks = p.Blocks();
-  const size_t n = p.num_elements();
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const auto& block = blocks[b];
-    const size_t s = block.size();
-    if (s < 2) continue;
-    // Split `block` into (part containing block[0], the rest); enumerate via
-    // bitmask over members 1..s-1 (1 bit = goes to the second part).
-    const uint64_t masks = uint64_t{1} << (s - 1);
-    for (uint64_t mask = 1; mask < masks; ++mask) {
-      std::vector<int> labels(p.labels());
-      const int new_label = static_cast<int>(p.num_blocks());
-      for (size_t k = 1; k < s; ++k) {
-        if ((mask >> (k - 1)) & 1) {
-          labels[block[k]] = new_label;
-        }
-      }
-      covers.push_back(Partition::FromLabels(labels));
-    }
-  }
-  (void)n;
-  return covers;
-}
-
-std::vector<Partition> UpperCovers(const Partition& p) {
-  std::vector<Partition> covers;
-  const size_t k = p.num_blocks();
-  for (size_t a = 0; a < k; ++a) {
-    for (size_t b = a + 1; b < k; ++b) {
-      std::vector<int> labels(p.labels());
-      for (int& label : labels) {
-        if (label == static_cast<int>(b)) label = static_cast<int>(a);
-      }
-      covers.push_back(Partition::FromLabels(labels));
-    }
-  }
-  return covers;
-}
-
 }  // namespace jim::lat

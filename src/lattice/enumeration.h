@@ -6,7 +6,6 @@
 #include <vector>
 
 #include "lattice/partition.h"
-#include "util/status.h"
 
 namespace jim::lat {
 
@@ -18,37 +17,14 @@ uint64_t BellNumber(size_t n);
 /// Visits every partition of {0..n-1} in restricted-growth-string order.
 /// The visitor returns false to stop early; VisitAllPartitions returns false
 /// iff it was stopped. Exponential (B(n) partitions) — the engine never calls
-/// this on real instances; it exists for the optimal strategy, the exact
-/// consistent-predicate counter, and property tests.
+/// this on real instances; it exists for workload generators and the
+/// brute-force oracles of the tests.
 bool VisitAllPartitions(size_t n,
                         const std::function<bool(const Partition&)>& visitor);
 
 /// Materializes all partitions of {0..n-1}. Requires small n (checked:
 /// n <= 12, B(12) = 4,213,597).
 std::vector<Partition> AllPartitions(size_t n);
-
-/// Visits every refinement q ≤ p (i.e. every sub-predicate of p). The number
-/// of refinements is ∏ B(|block|) over p's blocks — usually far smaller than
-/// B(n). Visitor returns false to stop early; returns false iff stopped.
-bool VisitRefinements(const Partition& p,
-                      const std::function<bool(const Partition&)>& visitor);
-
-/// Number of refinements of p: ∏ B(|block|).
-uint64_t CountRefinements(const Partition& p);
-
-/// All refinements of p, materialized (requires the count to be <= `limit`;
-/// JIM_CHECK-fails otherwise).
-std::vector<Partition> AllRefinements(const Partition& p,
-                                      uint64_t limit = 1 << 20);
-
-/// The lower covers of p: partitions obtained by splitting exactly one block
-/// of p into two non-empty parts (immediate predecessors in the refinement
-/// order). Exponential in the largest block size.
-std::vector<Partition> LowerCovers(const Partition& p);
-
-/// The upper covers of p: partitions obtained by merging exactly two blocks
-/// (immediate successors). Quadratic in the number of blocks.
-std::vector<Partition> UpperCovers(const Partition& p);
 
 }  // namespace jim::lat
 

@@ -12,10 +12,6 @@ namespace jim::lat {
 
 Partition::Partition(std::vector<int> canonical_labels)
     : block_of_(std::move(canonical_labels)) {
-  FinishCanonical();
-}
-
-void Partition::FinishCanonical() {
   int max_label = -1;
   for (int label : block_of_) max_label = std::max(max_label, label);
   num_blocks_ = static_cast<size_t>(max_label + 1);
@@ -115,22 +111,6 @@ bool Partition::Refines(const Partition& other) const {
   return true;
 }
 
-bool Partition::RefinesWith(const Partition& other,
-                            PartitionScratch& scratch) const {
-  JIM_CHECK_EQ(num_elements(), other.num_elements());
-  if (num_blocks_ < other.num_blocks_) return false;
-  scratch.BeginTable(num_blocks_);
-  for (size_t i = 0; i < block_of_.size(); ++i) {
-    const size_t slot = static_cast<size_t>(block_of_[i]);
-    if (!scratch.Has(slot)) {
-      scratch.Set(slot, other.block_of_[i]);
-    } else if (scratch.Get(slot) != other.block_of_[i]) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool Partition::StrictlyRefines(const Partition& other) const {
   return *this != other && Refines(other);
 }
@@ -153,32 +133,6 @@ Partition Partition::Meet(const Partition& other) const {
     labels[i] = it->second;
   }
   return Partition(std::move(labels));
-}
-
-void Partition::MeetInto(const Partition& other, Partition& out,
-                         PartitionScratch& scratch) const {
-  JIM_CHECK_EQ(num_elements(), other.num_elements());
-  const size_t n = num_elements();
-  // Same pair-labeling as Meet, but the (block here, block there) → new-label
-  // map is a dense epoch-stamped table instead of a hash map. The table has
-  // num_blocks² slots at worst — bounded by n², i.e. by the schema width
-  // squared, never by the instance size.
-  const size_t stride = other.num_blocks_;
-  scratch.BeginTable(num_blocks_ * stride);
-  // Aliasing note: out.block_of_[i] is written only after both inputs' slot i
-  // were read, and the loop runs ascending, so out == *this / out == &other
-  // is safe; the bookkeeping fields are rewritten only after the loop.
-  std::vector<int>& labels = out.block_of_;
-  labels.resize(n);
-  int next = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const size_t key =
-        static_cast<size_t>(block_of_[i]) * stride +
-        static_cast<size_t>(other.block_of_[i]);
-    if (!scratch.Has(key)) scratch.Set(key, next++);
-    labels[i] = scratch.Get(key);
-  }
-  out.FinishCanonical();
 }
 
 Partition Partition::Join(const Partition& other) const {
@@ -266,8 +220,7 @@ void Partition::CheckInvariants() const {
   }
   JIM_CHECK_EQ(num_blocks_, static_cast<size_t>(max_seen + 1))
       << "cached block count disagrees with the RGS of " << ToString();
-  // The construction-time fingerprint must equal a from-scratch recompute —
-  // a mismatch means some mutation path skipped FinishCanonical.
+  // The construction-time fingerprint must equal a from-scratch recompute.
   const uint64_t recomputed = util::Fnv1a64(
       block_of_.begin(), block_of_.end(),
       util::kFnv1a64OffsetBasis ^ (block_of_.size() * util::kFnv1a64Prime));

@@ -1,7 +1,6 @@
 #ifndef JIM_LATTICE_PARTITION_H_
 #define JIM_LATTICE_PARTITION_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <utility>
@@ -10,44 +9,6 @@
 #include "util/status.h"
 
 namespace jim::lat {
-
-class Partition;
-
-/// Reusable buffers for the allocation-free partition kernels (MeetInto,
-/// RefinesWith, Antichain::DominatedBy). One scratch can be shared by any
-/// number of sequential kernel calls; each call logically clears it in O(1)
-/// via epoch stamping (a slot is valid only if its stamp equals the current
-/// epoch), so the buffers are never memset on the hot path.
-///
-/// Not thread-safe; use one scratch per thread.
-class PartitionScratch {
- public:
-  /// Starts a fresh logical table with at least `size` slots. Growth is
-  /// amortized: once warmed up to the largest size in play, calls allocate
-  /// nothing.
-  void BeginTable(size_t size) {
-    if (stamp_.size() < size) {
-      stamp_.resize(size, 0);
-      value_.resize(size, 0);
-    }
-    if (++epoch_ == 0) {  // stamp wrap-around: invalidate everything once
-      std::fill(stamp_.begin(), stamp_.end(), 0);
-      epoch_ = 1;
-    }
-  }
-
-  bool Has(size_t slot) const { return stamp_[slot] == epoch_; }
-  int Get(size_t slot) const { return value_[slot]; }
-  void Set(size_t slot, int value) {
-    stamp_[slot] = epoch_;
-    value_[slot] = value;
-  }
-
- private:
-  std::vector<uint32_t> stamp_;
-  std::vector<int> value_;
-  uint32_t epoch_ = 0;
-};
 
 /// A partition of {0, 1, ..., n-1}, the canonical form of an equi-join
 /// predicate over n attributes (two attributes in the same block must carry
@@ -115,25 +76,6 @@ class Partition {
   /// Requires equal n.
   Partition Meet(const Partition& other) const;
 
-  /// Allocation-free meet: writes `*this ∧ other` into `out`, reusing `out`'s
-  /// storage and `scratch`'s dense pair table (steady state: zero heap
-  /// traffic). `out` may alias `*this` or `other` (each element is read
-  /// before it is overwritten). Same result as Meet.
-  void MeetInto(const Partition& other, Partition& out,
-                PartitionScratch& scratch) const;
-
-  /// Allocation-free Refines: same result, but the block-image table lives in
-  /// `scratch`. The hot predicate of DominatedBy scans.
-  bool RefinesWith(const Partition& other, PartitionScratch& scratch) const;
-
-  /// True iff `*this ∧ other == *this` — the forced-positive test
-  /// θ_P ∧ Part(t) == θ_P — without materializing the meet. By lattice
-  /// identity, a ∧ b == a ⇔ a ≤ b, so this is exactly an allocation-free
-  /// refinement check.
-  bool MeetEqualsLeft(const Partition& other, PartitionScratch& scratch) const {
-    return RefinesWith(other, scratch);
-  }
-
   /// Cheap 64-bit content hash, computed once at construction (FNV-1a over
   /// the canonical RGS, length-seeded). Equal partitions always have equal
   /// fingerprints, so `fingerprint mismatch ⇒ not equal` gives equality and
@@ -188,10 +130,6 @@ class Partition {
   explicit Partition(std::vector<int> canonical_labels);
 
   static std::vector<int> Canonicalize(const std::vector<int>& labels);
-
-  /// Recomputes num_blocks_ and fingerprint_ from block_of_ (which must
-  /// already be a canonical RGS). Shared by the constructor and MeetInto.
-  void FinishCanonical();
 
   std::vector<int> block_of_;
   size_t num_blocks_ = 0;

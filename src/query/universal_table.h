@@ -20,7 +20,7 @@ struct UniversalTableOptions {
   /// Cap on the candidate-tuple count. When the full cross product of the
   /// involved relations exceeds this, a uniform sample of row-id draws is
   /// taken instead (the inference is then exact w.r.t. the sample — see
-  /// DESIGN.md). 0 means no cap.
+  /// README, "Architecture: the tuple data path"). 0 means no cap.
   size_t sample_cap = 100'000;
   /// Seed for the sampling RNG.
   uint64_t seed = 99;

@@ -34,8 +34,7 @@ std::string TupleRepresentationKey(const Tuple& tuple);
 ///
 /// This is the storage substrate for JIM. The demo paper's system sits on a
 /// live database; here the catalog is CSV/in-memory, which is equivalent for
-/// the inference algorithm (it only consumes tuples — see DESIGN.md §3,
-/// Substitutions).
+/// the inference algorithm (it only consumes tuples).
 class Relation {
  public:
   Relation() = default;

@@ -16,7 +16,7 @@
 ///   operands into the failure message.
 ///
 /// On top of the assertions sits the *invariant auditor*: load-bearing
-/// structures (lat::Partition, lat::Antichain, core::InferenceEngine,
+/// structures (lat::Partition, core::InferenceState, core::InferenceEngine,
 /// rel::Dictionary, the TupleStore backends) expose a `CheckInvariants()`
 /// method that re-derives their internal contracts from scratch and
 /// JIM_CHECK-fails on any disagreement. Tests call these directly; production

@@ -18,8 +18,8 @@ inline constexpr uint64_t kFnv1a64OffsetBasis = 0xcbf29ce484222325ull;
 inline constexpr uint64_t kFnv1a64Prime = 0x100000001b3ull;
 
 /// FNV-1a over a range of integral values, one 32-bit word per element.
-/// The shared recipe behind Partition::Fingerprint and the inference
-/// StateKey hash; `seed` lets callers fold extra context (e.g. length) in.
+/// The recipe behind Partition::Fingerprint; `seed` lets callers fold extra
+/// context (e.g. length) in.
 template <typename It>
 uint64_t Fnv1a64(It first, It last, uint64_t seed = kFnv1a64OffsetBasis) {
   uint64_t h = seed;

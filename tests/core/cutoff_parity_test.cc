@@ -1,13 +1,12 @@
-// Cutoff-pruned lookahead and the speculative trail, pinned against their
+// Cutoff-pruned lookahead and the minimax solver, pinned against their
 // exhaustive references:
 //   - PickClass with cutoff pruning returns the exact class the exhaustive
 //     argmax returns, serially and at 1/2/8 threads;
 //   - full session transcripts are byte-identical either way;
 //   - bound soundness: every skipped candidate's true score is ≤ the bound
 //     it was skipped under (the cutoff never discards a potential winner);
-//   - SpeculativeSession apply/undo round-trips restore the state and the
-//     live list exactly, and the trail-based minimax agrees with a naive
-//     state-copying reference solver.
+//   - the minimax solver agrees with a naive reference solver that
+//     rescans every class and keys its memo on CanonicalKey strings.
 
 #include <algorithm>
 #include <memory>
@@ -182,54 +181,9 @@ TEST(CutoffParityTest, CutoffDisablesItselfForNonMonotoneObjectives) {
   EXPECT_TRUE(negative_alpha.last_skips().empty());
 }
 
-TEST(CutoffParityTest, TrailUndoRestoresStateAndLiveList) {
-  const auto workload = MakeWorkload(31, /*tuples=*/120, /*attrs=*/5);
-  const InferenceEngine engine(workload.instance);
-  SpeculativeSession session(engine);
-  session.CheckInvariants();
-
-  const std::string key0 = session.state().CanonicalKey();
-  const std::vector<size_t> live0 = session.LiveClasses();
-  ASSERT_EQ(live0, engine.InformativeClasses());
-
-  // Depth-3 apply/undo walk over a few branches: after every unwind the
-  // state key and the live list must be bit-for-bit the originals.
-  const std::vector<Label> labels = {Label::kPositive, Label::kNegative};
-  size_t branches = 0;
-  for (size_t i = 0; i < std::min<size_t>(live0.size(), 3); ++i) {
-    for (Label first : labels) {
-      session.Apply(live0[i], first);
-      session.CheckInvariants();
-      const std::string key1 = session.state().CanonicalKey();
-      const std::vector<size_t> live1 = session.LiveClasses();
-      EXPECT_LT(live1.size(), live0.size());
-      if (!live1.empty()) {
-        for (Label second : labels) {
-          session.Apply(live1.front(), second);
-          session.CheckInvariants();
-          if (session.num_live() > 0) {
-            session.Apply(session.FirstLive(), Label::kNegative);
-            session.Undo();
-          }
-          session.Undo();
-          EXPECT_EQ(session.state().CanonicalKey(), key1);
-          EXPECT_EQ(session.LiveClasses(), live1);
-          ++branches;
-        }
-      }
-      session.Undo();
-      session.CheckInvariants();
-      EXPECT_EQ(session.state().CanonicalKey(), key0);
-      EXPECT_EQ(session.LiveClasses(), live0);
-      EXPECT_EQ(session.depth(), 0u);
-    }
-  }
-  EXPECT_GT(branches, 0u);
-}
-
-/// The pre-trail minimax, verbatim: full-engine rescan per node, an
-/// InferenceState copy per answer branch. Kept here as the oracle the
-/// trail-based solver must agree with.
+/// The naive minimax: full-engine rescan per node from the class partitions,
+/// an InferenceState copy per answer branch, a string memo key. Kept here
+/// as the oracle the library's solver must agree with.
 class NaiveMinimaxReference {
  public:
   explicit NaiveMinimaxReference(const InferenceEngine& engine)

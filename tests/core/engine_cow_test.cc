@@ -41,8 +41,8 @@ TEST(EngineCowTest, CloneSharesClassTableAndKnowledge) {
   // not equal copies.
   const size_t c = AnyInformative(prototype);
   EXPECT_EQ(&clone.tuple_class(c), &prototype.tuple_class(c));
-  EXPECT_EQ(clone.ClassKnowledgeStorage(c),
-            prototype.ClassKnowledgeStorage(c));
+  EXPECT_EQ(clone.KnowledgeRow(c),
+            prototype.KnowledgeRow(c));
 }
 
 TEST(EngineCowTest, PositiveLabelDetachesKnowledge) {
@@ -58,8 +58,8 @@ TEST(EngineCowTest, PositiveLabelDetachesKnowledge) {
   // The class table is immutable and stays shared...
   EXPECT_EQ(&clone.tuple_class(labeled), &prototype.tuple_class(labeled));
   // ...but the knowledge cache detached: the clone refreshed its own copy.
-  EXPECT_NE(clone.ClassKnowledgeStorage(labeled),
-            prototype.ClassKnowledgeStorage(labeled));
+  EXPECT_NE(clone.KnowledgeRow(labeled),
+            prototype.KnowledgeRow(labeled));
 
   // The prototype saw nothing: same informative pool, no history, and its
   // K_c is still the construction-time value Part(c) (θ_P = ⊤).
@@ -79,8 +79,8 @@ TEST(EngineCowTest, NegativeLabelsNeverCopyTheKnowledge) {
   for (int i = 0; i < 3 && !clone.IsDone(); ++i) {
     const size_t c = AnyInformative(clone);
     ASSERT_TRUE(clone.SubmitClassLabel(c, Label::kNegative).ok());
-    EXPECT_EQ(clone.ClassKnowledgeStorage(0),
-              prototype.ClassKnowledgeStorage(0))
+    EXPECT_EQ(clone.KnowledgeRow(0),
+              prototype.KnowledgeRow(0))
         << "after negative label " << i;
   }
 }

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/jim.h"
+#include "support/refinements.h"
 #include "workload/travel.h"
 
 namespace jim::core {
@@ -97,7 +98,7 @@ TEST_F(Figure1Test, ClaimE_ThreeLabelsIdentifyQ2) {
   // "there is only one consistent join predicate (i.e., the above Q2)"
   EXPECT_TRUE(engine.IsDone());
   EXPECT_EQ(engine.Result().partition(), q2_.partition());
-  EXPECT_EQ(engine.state().CountConsistent(), 1u);
+  EXPECT_EQ(CountConsistent(engine.state()), 1u);
 }
 
 /// Tuples grayed out (forced either way) but not explicitly labeled.

@@ -13,7 +13,6 @@
 #include "core/engine.h"
 #include "core/tuple_store.h"
 #include "gtest/gtest.h"
-#include "lattice/antichain.h"
 #include "lattice/partition.h"
 #include "relational/dictionary.h"
 #include "relational/relation.h"
@@ -60,11 +59,18 @@ TEST(InvariantAuditTest, LatticeStructuresPassOnHealthyInputs) {
   lat::Partition::Singletons(5).CheckInvariants();
   lat::Partition::FromPairs(5, {{0, 2}, {1, 4}}).value().CheckInvariants();
 
-  lat::Antichain antichain;
-  antichain.Insert(lat::Partition::FromPairs(4, {{0, 1}}).value());
-  antichain.Insert(lat::Partition::FromPairs(4, {{2, 3}}).value());
-  antichain.Insert(lat::Partition::FromPairs(4, {{0, 2}, {1, 3}}).value());
-  antichain.CheckInvariants();
+  InferenceState state(4);
+  for (const auto& pairs :
+       std::vector<std::vector<std::pair<size_t, size_t>>>{
+           {{0, 1}}, {{2, 3}}, {{0, 2}, {1, 3}}}) {
+    ASSERT_TRUE(
+        state
+            .ApplyLabel(lat::Partition::FromPairs(4, pairs).value(),
+                        Label::kNegative)
+            .ok());
+  }
+  EXPECT_EQ(state.num_forbidden(), 3u);
+  state.CheckInvariants();
 }
 
 TEST(InvariantAuditTest, DictionaryWithNaNsAndDuplicatesPasses) {

@@ -74,7 +74,10 @@ TEST(LocalStrategyTest, DeterministicAndDirectional) {
 
   // bottom-up picks a minimal-rank knowledge class; top-down a maximal one.
   const auto rank_of = [&](size_t cls) {
-    return engine.state().Knowledge(engine.tuple_class(cls).partition).Rank();
+    return engine.state()
+        .theta_p()
+        .Meet(engine.tuple_class(cls).partition)
+        .Rank();
   };
   const size_t td = top_down.PickClass(engine);
   EXPECT_LE(rank_of(bu1), rank_of(td));

@@ -1,13 +1,16 @@
-// Randomized parity tests: the allocation-free scratch kernels must compute
-// exactly what the naive allocating reference implementations compute, over
+// Randomized parity tests: the pair-mask kernels (lattice/pair_mask.h) must
+// compute exactly what the Partition reference operations compute, over
 // seeded random partitions of varying sizes (including the degenerate ones:
-// singletons, top, n = 1).
+// singletons, top, n = 1, and masks of more than one word). The forbidden
+// antichain that InferenceState keeps as mask rows is checked the same way.
 
+#include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "lattice/antichain.h"
+#include "core/inference_state.h"
+#include "lattice/pair_mask.h"
 #include "lattice/partition.h"
 #include "util/rng.h"
 #include "util/check.h"
@@ -35,46 +38,74 @@ Partition RandomPartition(size_t n, util::Rng& rng) {
   return Partition::FromLabels(labels);
 }
 
-TEST(KernelParityTest, MeetIntoMatchesMeet) {
+std::vector<uint64_t> MaskOf(const Partition& p) {
+  std::vector<uint64_t> mask(PairMaskWords(p.num_elements()), 0);
+  FillPairMask(p, mask.data());
+  return mask;
+}
+
+TEST(KernelParityTest, MaskRoundTripAndRank) {
   util::Rng rng(2024);
-  PartitionScratch scratch;
-  Partition out;  // deliberately reused across all trials
+  for (size_t n : {1, 2, 3, 5, 8, 12, 13, 21, 40}) {
+    for (int trial = 0; trial < 200; ++trial) {
+      const Partition p = RandomPartition(n, rng);
+      const std::vector<uint64_t> mask = MaskOf(p);
+      EXPECT_EQ(PairMaskToPartition(mask.data(), n), p) << p.ToString();
+      EXPECT_EQ(MaskRank(mask.data(), mask.size(), n), p.Rank())
+          << p.ToString();
+    }
+  }
+}
+
+TEST(KernelParityTest, MeetIntoMatchesMeet) {
+  // The meet kernel is the word-wise AND of the operands' masks, here
+  // written into one output buffer reused across all trials.
+  util::Rng rng(2024);
+  std::vector<uint64_t> out;
   for (size_t n : {1, 2, 3, 5, 8, 13, 21, 40}) {
     for (int trial = 0; trial < 200; ++trial) {
       const Partition a = RandomPartition(n, rng);
       const Partition b = RandomPartition(n, rng);
       const Partition reference = a.Meet(b);
-      a.MeetInto(b, out, scratch);
-      EXPECT_EQ(out, reference) << a.ToString() << " ∧ " << b.ToString();
-      EXPECT_EQ(out.num_blocks(), reference.num_blocks());
-      EXPECT_EQ(out.Fingerprint(), reference.Fingerprint());
+      const std::vector<uint64_t> mask_a = MaskOf(a);
+      const std::vector<uint64_t> mask_b = MaskOf(b);
+      out.resize(mask_a.size());
+      for (size_t w = 0; w < out.size(); ++w) out[w] = mask_a[w] & mask_b[w];
+      EXPECT_EQ(out, MaskOf(reference))
+          << a.ToString() << " ∧ " << b.ToString();
+      EXPECT_EQ(MaskRank(out.data(), out.size(), n), reference.Rank());
+      const Partition decoded = PairMaskToPartition(out.data(), n);
+      EXPECT_EQ(decoded, reference);
+      EXPECT_EQ(decoded.num_blocks(), reference.num_blocks());
+      EXPECT_EQ(decoded.Fingerprint(), reference.Fingerprint());
     }
   }
 }
 
 TEST(KernelParityTest, MeetIntoSupportsAliasing) {
   util::Rng rng(77);
-  PartitionScratch scratch;
-  for (size_t n : {1, 4, 9, 17}) {
-    for (int trial = 0; trial < 100; ++trial) {
+  for (size_t n : {1, 4, 9, 12, 17, 40}) {
+    for (int trial = 0; trial < 200; ++trial) {
       const Partition a = RandomPartition(n, rng);
       const Partition b = RandomPartition(n, rng);
-      const Partition reference = a.Meet(b);
-      // out aliases the left operand (the K_c ← K_c ∧ θ_P cache refresh).
-      Partition left = a;
-      left.MeetInto(b, left, scratch);
-      EXPECT_EQ(left, reference);
-      // out aliases the right operand.
-      Partition right = b;
-      a.MeetInto(right, right, scratch);
+      const std::vector<uint64_t> reference = MaskOf(a.Meet(b));
+      // Output aliases the left operand, as the engine refreshes
+      // K_c ← K_c ∧ θ_P in place.
+      std::vector<uint64_t> left = MaskOf(a);
+      const std::vector<uint64_t> mask_b = MaskOf(b);
+      for (size_t w = 0; w < left.size(); ++w) left[w] &= mask_b[w];
+      EXPECT_EQ(left, reference) << a.ToString() << " ∧ " << b.ToString();
+      // Output aliases the right operand.
+      const std::vector<uint64_t> mask_a = MaskOf(a);
+      std::vector<uint64_t> right = MaskOf(b);
+      for (size_t w = 0; w < right.size(); ++w) right[w] &= mask_a[w];
       EXPECT_EQ(right, reference);
     }
   }
 }
 
-TEST(KernelParityTest, RefinesWithMatchesRefines) {
+TEST(KernelParityTest, MaskSubsetMatchesRefines) {
   util::Rng rng(31337);
-  PartitionScratch scratch;
   for (size_t n : {1, 2, 4, 7, 12, 25}) {
     for (int trial = 0; trial < 300; ++trial) {
       const Partition a = RandomPartition(n, rng);
@@ -82,24 +113,36 @@ TEST(KernelParityTest, RefinesWithMatchesRefines) {
       // a.Meet(x) finer, so all three relations (≤, ≥, incomparable) occur.
       const Partition x = RandomPartition(n, rng);
       for (const Partition& b : {x, a.Join(x), a.Meet(x), a}) {
-        EXPECT_EQ(a.RefinesWith(b, scratch), a.Refines(b))
+        const std::vector<uint64_t> ma = MaskOf(a);
+        const std::vector<uint64_t> mb = MaskOf(b);
+        EXPECT_EQ(MaskSubset(ma.data(), mb.data(), ma.size()), a.Refines(b))
             << a.ToString() << " vs " << b.ToString();
-        EXPECT_EQ(b.RefinesWith(a, scratch), b.Refines(a));
+        EXPECT_EQ(MaskSubset(mb.data(), ma.data(), ma.size()), b.Refines(a));
       }
     }
   }
 }
 
 TEST(KernelParityTest, MeetEqualsLeftMatchesMaterializedMeet) {
+  // The forced-positive test θ_P ∧ Part(t) == θ_P runs as θ_P ⊆ Part(t),
+  // with no meet materialized; the forced-negative test (θ_P ∧ Part(t)) ≤ M
+  // as one three-operand word test.
   util::Rng rng(99);
-  PartitionScratch scratch;
-  for (size_t n : {1, 3, 6, 11, 20}) {
+  for (size_t n : {1, 3, 6, 11, 12, 20}) {
     for (int trial = 0; trial < 300; ++trial) {
       const Partition a = RandomPartition(n, rng);
       const Partition x = RandomPartition(n, rng);
+      const Partition m = RandomPartition(n, rng);
       for (const Partition& b : {x, a.Join(x), a}) {
-        EXPECT_EQ(a.MeetEqualsLeft(b, scratch), a.Meet(b) == a)
+        const std::vector<uint64_t> ma = MaskOf(a);
+        const std::vector<uint64_t> mb = MaskOf(b);
+        const std::vector<uint64_t> mm = MaskOf(m);
+        EXPECT_EQ(MaskSubset(ma.data(), mb.data(), ma.size()), a.Meet(b) == a)
             << a.ToString() << " vs " << b.ToString();
+        EXPECT_EQ(MaskMeetSubset(ma.data(), mb.data(), mm.data(), ma.size()),
+                  a.Meet(b).Refines(m))
+            << a.ToString() << " ∧ " << b.ToString() << " vs "
+            << m.ToString();
       }
     }
   }
@@ -126,25 +169,35 @@ TEST(KernelParityTest, FingerprintIsContentDetermined) {
 }
 
 TEST(KernelParityTest, AntichainDominatedByScratchOverloadMatches) {
+  // The antichain of maximal forbidden zones lives in InferenceState as
+  // pair-mask rows. With θ_P = ⊤ (negatives only), a partition is dominated
+  // iff it refines some inserted negative; both the Partition entry points
+  // and the word-level row overload must agree with that brute force.
   util::Rng rng(1234);
-  PartitionScratch scratch;
-  const size_t n = 6;
-  for (int trial = 0; trial < 100; ++trial) {
-    Antichain chain;
-    std::vector<Partition> inserted;
-    for (int i = 0; i < 10; ++i) {
-      const Partition p = RandomPartition(n, rng);
-      chain.Insert(p);
-      inserted.push_back(p);
-    }
-    for (int probe = 0; probe < 50; ++probe) {
-      const Partition q = RandomPartition(n, rng);
-      bool brute = false;
-      for (const Partition& m : inserted) {
-        if (q.Refines(m)) brute = true;
+  for (size_t n : {6, 12}) {
+    for (int trial = 0; trial < 100; ++trial) {
+      core::InferenceState state(n);
+      std::vector<Partition> inserted;
+      for (int i = 0; i < 10; ++i) {
+        const Partition p = RandomPartition(n, rng);
+        if (state.ApplyLabel(p, core::Label::kNegative).ok()) {
+          inserted.push_back(p);
+        }
       }
-      EXPECT_EQ(chain.DominatedBy(q), brute) << q.ToString();
-      EXPECT_EQ(chain.DominatedBy(q, scratch), brute) << q.ToString();
+      for (int probe = 0; probe < 50; ++probe) {
+        const Partition q = RandomPartition(n, rng);
+        bool brute = false;
+        for (const Partition& m : inserted) {
+          if (q.Refines(m)) brute = true;
+        }
+        EXPECT_EQ(state.IsConsistent(q), !brute) << q.ToString();
+        const core::TupleClassification expected =
+            q.num_blocks() == 1 ? core::TupleClassification::kForcedPositive
+            : brute             ? core::TupleClassification::kForcedNegative
+                                : core::TupleClassification::kInformative;
+        EXPECT_EQ(state.Classify(q), expected) << q.ToString();
+        EXPECT_EQ(state.Classify(MaskOf(q).data()), expected) << q.ToString();
+      }
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "lattice/enumeration.h"
+#include "lattice/union_find.h"
 #include "util/rng.h"
 
 namespace jim::lat {
@@ -189,6 +190,26 @@ TEST(PartitionOrderTest, BottomAndTopAreExtremes) {
       return true;
     });
   }
+}
+
+TEST(UnionFindTest, BasicMerging) {
+  UnionFind uf(5);
+  EXPECT_EQ(uf.num_sets(), 5u);
+  EXPECT_TRUE(uf.Union(0, 1));
+  EXPECT_TRUE(uf.Union(1, 2));
+  EXPECT_FALSE(uf.Union(0, 2));  // already connected
+  EXPECT_TRUE(uf.Connected(0, 2));
+  EXPECT_FALSE(uf.Connected(0, 3));
+  EXPECT_EQ(uf.num_sets(), 3u);
+}
+
+TEST(UnionFindTest, FindIsStableWithinSet) {
+  UnionFind uf(10);
+  uf.Union(2, 7);
+  uf.Union(7, 9);
+  const size_t root = uf.Find(2);
+  EXPECT_EQ(uf.Find(7), root);
+  EXPECT_EQ(uf.Find(9), root);
 }
 
 }  // namespace
