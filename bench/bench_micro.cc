@@ -4,9 +4,11 @@
 // propagation, and one full strategy decision.
 //
 // Self-contained harness (no external benchmark library): each case is
-// calibrated to run for a minimum wall time, then reported as ns/op both as
-// a human-readable table and as machine-readable BENCH_micro.json written
-// via util::JsonWriter — the seed of the perf trajectory.
+// calibrated to a batch of at least a minimum wall time, then timed as 5
+// batches of that size and reported as the fastest batch's ns/op (see
+// bench::RunBench), both as a human-readable table and as machine-readable
+// BENCH_micro.json written via util::JsonWriter — the seed of the perf
+// trajectory.
 
 #include <algorithm>
 #include <cstdint>

@@ -7,6 +7,7 @@
 #include <cstdlib>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -112,35 +113,40 @@ struct BenchResult {
   double ns_per_op = 0;
 };
 
-/// Runs `body` repeatedly until at least `min_seconds` of wall time has
-/// accumulated (with geometric iteration growth), then reports the mean
-/// latency per call. Templated on the callable so the body inlines into the
-/// timed loop (a std::function indirection would bias nanosecond-scale
-/// cases).
+/// Runs `body` repeatedly until one batch takes at least `min_seconds` of
+/// wall time (with geometric iteration growth), then times 5 more batches of
+/// that calibrated size and reports the fastest batch's latency per call:
+/// the minimum of 5 batch means. That drops a batch a busy host slowed, not
+/// a slowdown lasting the whole run, so compare commits over alternating
+/// runs. Templated on the callable so the body inlines into the timed loop
+/// (a std::function indirection would bias nanosecond-scale cases).
 template <typename Body>
 BenchResult RunBench(const std::string& name, int64_t arg, const Body& body,
                      double min_seconds = 0.05) {
+  constexpr int kBatches = 5;
   size_t iterations = 1;
-  double elapsed = 0;
-  size_t total_iterations = 0;
   util::Stopwatch total;
   for (;;) {
     util::Stopwatch watch;
     for (size_t i = 0; i < iterations; ++i) body();
-    elapsed = watch.ElapsedSeconds();
-    total_iterations = iterations;
+    const double elapsed = watch.ElapsedSeconds();
     if (elapsed >= min_seconds || total.ElapsedSeconds() > 2.0) break;
     const double scale = elapsed > 0 ? (1.4 * min_seconds / elapsed) : 10.0;
     iterations = static_cast<size_t>(static_cast<double>(iterations) *
                                      std::min(scale, 10.0)) +
                  1;
   }
+  double fastest = std::numeric_limits<double>::infinity();
+  for (int batch = 0; batch < kBatches; ++batch) {
+    util::Stopwatch watch;
+    for (size_t i = 0; i < iterations; ++i) body();
+    fastest = std::min(fastest, watch.ElapsedSeconds());
+  }
   BenchResult result;
   result.name = name;
   result.arg = arg;
-  result.iterations = total_iterations;
-  result.ns_per_op = elapsed * 1e9 /
-                     static_cast<double>(std::max<size_t>(total_iterations, 1));
+  result.iterations = iterations;
+  result.ns_per_op = fastest * 1e9 / static_cast<double>(iterations);
   return result;
 }
 

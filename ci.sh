@@ -22,7 +22,9 @@
 #   - UBSAN stage        integer-kernel + storage suites AND the
 #                        deterministic fuzz driver (5000 mutated JIMC
 #                        images / goal strings) under address+undefined
-#                        with every finding fatal (-fno-sanitize-recover)
+#                        with every finding fatal (-fno-sanitize-recover);
+#                        the suites run the code → pair mask fill at
+#                        zero-, one- and two-word widths
 #   - CRASH stage        fault-injection + crash-recovery suites under
 #                        address sanitizer: every syscall index during
 #                        WriteStore crashed and replayed,
@@ -203,9 +205,10 @@ else
     lattice_enumeration_test core_inference_state_test \
     core_tuple_store_test core_invariant_audit_test \
     relational_dictionary_test storage_jimc_format_test \
-    storage_byte_reader_test storage_mapped_parity_test fuzz_jimc_main
+    storage_byte_reader_test storage_mapped_parity_test \
+    core_encoded_parity_test fuzz_jimc_main
   (cd build-ubsan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Partition|Antichain|InferenceState|BruteForceAgreement|KernelParity|Enumeration|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|InvariantAudit|fuzz_jimc_smoke')
+    -R 'Partition|Antichain|InferenceState|BruteForceAgreement|KernelParity|Enumeration|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|EncodedParity|InvariantAudit|fuzz_jimc_smoke')
   # The deterministic fuzz driver, long run: 5000 mutated JIMC images and
   # goal strings, every outcome a typed Status, under ASAN+UBSAN with
   # findings fatal. Reproduce any failure with the printed seed.

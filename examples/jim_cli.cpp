@@ -209,7 +209,7 @@ int CmdClasses(const Flags& flags) {
                        util::Align::kRight, util::Align::kLeft});
   for (size_t c = 0; c < engine.num_classes(); ++c) {
     const auto& cls = engine.tuple_class(c);
-    table.AddRow({std::to_string(c), cls.partition.ToString(),
+    table.AddRow({std::to_string(c), engine.ClassPartition(c).ToString(),
                   std::to_string(cls.size()),
                   ui::RenderTuple(**store, cls.tuple_indices[0])});
   }

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <unordered_map>
 
@@ -61,7 +60,7 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const TupleStore> store,
     Propagate();
   }
   JIM_COUNT(obs::kCounterEngineBuilds);
-  JIM_COUNT_N(obs::kCounterEngineClassesBuilt, classes_->size());
+  JIM_COUNT_N(obs::kCounterEngineClassesBuilt, num_classes());
   JIM_AUDIT(CheckInvariants());
 }
 
@@ -71,65 +70,18 @@ InferenceEngine::InferenceEngine(std::shared_ptr<const TupleStore> store)
 InferenceEngine::InferenceEngine(std::shared_ptr<const rel::Relation> relation)
     : InferenceEngine(MakeRelationStore(std::move(relation))) {}
 
-namespace {
-
-/// Canonical RGS labels of one tuple's code vector, written into `labels`:
-/// the integer-kernel equivalent of TuplePartition — attributes grouped by
-/// equal codes in first-occurrence order, every NULL (kNullCode) its own
-/// singleton. Quadratic in the (small) attribute count, linear-time in
-/// practice thanks to the early `assigned` skips; no sorting, no hashing of
-/// Values. Returns an FNV-1a hash of the labels for the grouping map.
-uint64_t CodesToRgs(const uint32_t* codes, size_t n, uint16_t* labels) {
-  constexpr uint16_t kUnset = 0xFFFF;
-  for (size_t i = 0; i < n; ++i) labels[i] = kUnset;
-  uint16_t next = 0;
-  for (size_t i = 0; i < n; ++i) {
-    if (labels[i] != kUnset) continue;
-    labels[i] = next;
-    const uint32_t code = codes[i];
-    if (code != rel::kNullCode) {
-      for (size_t j = i + 1; j < n; ++j) {
-        if (labels[j] == kUnset && codes[j] == code) labels[j] = next;
-      }
-    }
-    ++next;
-  }
-  return util::Fnv1a64(labels, labels + n,
-                       util::kFnv1a64OffsetBasis ^
-                           (uint64_t{n} * 0x9e3779b97f4a7c15ull));
-}
-
-/// View key into the flat per-tuple RGS buffer, with its precomputed hash.
-struct RgsKey {
-  const uint16_t* labels;
-  uint32_t n;
-  uint64_t hash;
-};
-struct RgsKeyHash {
-  size_t operator()(const RgsKey& key) const {
-    return static_cast<size_t>(key.hash);
-  }
-};
-struct RgsKeyEq {
-  bool operator()(const RgsKey& a, const RgsKey& b) const {
-    return a.hash == b.hash && a.n == b.n &&
-           (a.n == 0 ||
-            std::memcmp(a.labels, b.labels, a.n * sizeof(uint16_t)) == 0);
-  }
-};
-
-}  // namespace
-
 void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
   const size_t num_tuples = store_->num_tuples();
   const size_t n = store_->num_attributes();
-  JIM_CHECK_LT(n, size_t{0xFFFF}) << "attribute count exceeds the RGS width";
+  mask_words_ = lat::PairMaskWords(n);
+  const size_t words = mask_words_;
 
-  // Phase 1 (parallel, deterministic): per-tuple canonical RGS labels and
-  // hashes, written by tuple index into flat buffers — pure integer work
-  // over the store's codes, no allocation past the per-chunk code buffer.
-  std::vector<uint16_t> rgs(num_tuples * n);
-  std::vector<uint64_t> hashes(num_tuples);
+  // Phase 1 (parallel, deterministic): each tuple's Part(t) pair mask,
+  // written by tuple index into one flat buffer — pure integer work over the
+  // store's codes. 8 B per tuple up to n = 11; only past n = 34 would it
+  // exceed a 2n-byte label vector plus an 8-byte hash, and no workload or
+  // test here is that wide.
+  std::vector<uint64_t> masks(num_tuples * words);
   const size_t chunks =
       pool == nullptr ? 1 : std::max<size_t>(1, pool->threads());
   std::vector<std::vector<uint32_t>> code_buffers(
@@ -137,7 +89,7 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
   const auto extract = [&](size_t t, size_t chunk) {
     uint32_t* codes = code_buffers[chunk].data();
     store_->TupleCodes(t, codes);
-    hashes[t] = CodesToRgs(codes, n, rgs.data() + t * n);
+    lat::FillCodePairMask(codes, n, rel::kNullCode, masks.data() + t * words);
   };
   if (pool != nullptr && pool->threads() > 1 && num_tuples > 1) {
     pool->ParallelFor(num_tuples, extract);
@@ -145,46 +97,53 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
     for (size_t t = 0; t < num_tuples; ++t) extract(t, 0);
   }
 
-  // Phase 2 (serial merge): group equal label vectors; class ids are
-  // assigned in first-occurrence tuple order, so the table is
+  // Phase 2 (serial merge): group equal masks in a map keyed by the first
+  // tuple holding each, hashed and compared by the bytes of its row. Class
+  // ids are assigned in first-occurrence tuple order, so the table is
   // bitwise-identical at any thread count.
-  std::unordered_map<RgsKey, size_t, RgsKeyHash, RgsKeyEq> class_ids;
-  auto classes = std::make_shared<std::vector<TupleClass>>();
-  auto class_of_tuple = std::make_shared<std::vector<size_t>>();
-  class_of_tuple->resize(num_tuples);
-  std::vector<int> labels(n);
-  for (size_t t = 0; t < num_tuples; ++t) {
-    const uint16_t* tuple_rgs = rgs.data() + t * n;
-    const RgsKey key{tuple_rgs, static_cast<uint32_t>(n), hashes[t]};
-    auto [it, inserted] = class_ids.emplace(key, classes->size());
-    if (inserted) {
-      for (size_t a = 0; a < n; ++a) labels[a] = tuple_rgs[a];
-      classes->push_back(
-          TupleClass{lat::Partition::FromLabels(labels), {}});
+  const auto row = [&](size_t t) { return masks.data() + t * words; };
+  const auto row_hash = [&](size_t t) {
+    uint64_t h = util::kFnv1a64OffsetBasis;
+    for (const uint64_t* w = row(t); w != row(t + 1); ++w) {
+      h = (h ^ *w) * 0x9e3779b97f4a7c15ull;
+      h ^= h >> 29;
     }
-    (*classes)[it->second].tuple_indices.push_back(t);
-    (*class_of_tuple)[t] = it->second;
+    return static_cast<size_t>(h);
+  };
+  const auto row_eq = [&](size_t a, size_t b) {
+    return std::equal(row(a), row(a + 1), row(b));
+  };
+  std::unordered_map<size_t, size_t, decltype(row_hash), decltype(row_eq)>
+      class_of_first(/*bucket_count=*/16, row_hash, row_eq);
+  auto table = std::make_shared<ClassTable>();
+  table->class_of_tuple.resize(num_tuples);
+  for (size_t t = 0; t < num_tuples; ++t) {
+    auto [it, inserted] = class_of_first.try_emplace(t, table->classes.size());
+    if (inserted) {
+      table->classes.emplace_back();
+      table->part_rows.insert(table->part_rows.end(), row(t), row(t + 1));
+    }
+    table->classes[it->second].tuple_indices.push_back(t);
+    table->class_of_tuple[t] = it->second;
   }
 
-  session_ = std::make_shared<SessionArrays>();
-  session_->class_status.assign(classes->size(), ClassStatus::kInformative);
   // Initially θ_P = ⊤, so K_c = ⊤ ∧ Part(c) = Part(c); every class starts on
   // the worklist.
-  mask_words_ = lat::PairMaskWords(n);
+  const size_t num_classes = table->classes.size();
   knowledge_ = std::make_shared<KnowledgeCache>();
-  knowledge_->rows.resize(classes->size() * mask_words_);
-  knowledge_->rank.resize(classes->size());
-  session_->informative.reserve(classes->size());
-  session_->worklist_pos.reserve(classes->size());
-  for (size_t c = 0; c < classes->size(); ++c) {
-    const lat::Partition& part = (*classes)[c].partition;
-    lat::FillPairMask(part, knowledge_->rows.data() + c * mask_words_);
-    knowledge_->rank[c] = static_cast<uint32_t>(part.Rank());
+  knowledge_->rows = table->part_rows;
+  knowledge_->rank.resize(num_classes);
+  session_ = std::make_shared<SessionArrays>();
+  session_->class_status.assign(num_classes, ClassStatus::kInformative);
+  session_->informative.reserve(num_classes);
+  session_->worklist_pos.reserve(num_classes);
+  for (size_t c = 0; c < num_classes; ++c) {
+    knowledge_->rank[c] = static_cast<uint32_t>(
+        lat::MaskRank(knowledge_->rows.data() + c * words, words, n));
     session_->informative.push_back(c);
     session_->worklist_pos.push_back(static_cast<uint32_t>(c));
   }
-  classes_ = std::move(classes);
-  class_of_tuple_ = std::move(class_of_tuple);
+  table_ = std::move(table);
 }
 
 InferenceEngine::KnowledgeCache& InferenceEngine::MutableKnowledge() {
@@ -304,11 +263,17 @@ void InferenceEngine::RemoveFromWorklist(size_t class_id) {
 
 size_t InferenceEngine::NumInformativeTuples() const {
   size_t count = 0;
-  for (size_t c : session_->informative) count += (*classes_)[c].size();
+  for (size_t c : session_->informative) count += tuple_class(c).size();
   return count;
 }
 
 bool InferenceEngine::IsDone() const { return session_->informative.empty(); }
+
+lat::Partition InferenceEngine::ClassPartition(size_t class_id) const {
+  return lat::PairMaskToPartition(
+      table_->part_rows.data() + class_id * mask_words_,
+      state_.num_attributes());
+}
 
 lat::Partition InferenceEngine::ClassKnowledge(size_t class_id) const {
   return lat::PairMaskToPartition(KnowledgeRow(class_id),
@@ -321,9 +286,9 @@ JoinPredicate InferenceEngine::Result() const {
 
 util::DynamicBitset InferenceEngine::CertainResultTuples() const {
   util::DynamicBitset certain(store_->num_tuples());
-  for (size_t c = 0; c < classes_->size(); ++c) {
+  for (size_t c = 0; c < num_classes(); ++c) {
     if (IsPositive(session_->class_status[c])) {
-      for (size_t t : (*classes_)[c].tuple_indices) certain.Set(t);
+      for (size_t t : tuple_class(c).tuple_indices) certain.Set(t);
     }
   }
   return certain;
@@ -331,10 +296,10 @@ util::DynamicBitset InferenceEngine::CertainResultTuples() const {
 
 util::DynamicBitset InferenceEngine::CertainNonResultTuples() const {
   util::DynamicBitset certain(store_->num_tuples());
-  for (size_t c = 0; c < classes_->size(); ++c) {
+  for (size_t c = 0; c < num_classes(); ++c) {
     if (session_->class_status[c] == ClassStatus::kForcedNegative ||
         session_->class_status[c] == ClassStatus::kLabeledNegative) {
-      for (size_t t : (*classes_)[c].tuple_indices) certain.Set(t);
+      for (size_t t : tuple_class(c).tuple_indices) certain.Set(t);
     }
   }
   return certain;
@@ -406,7 +371,7 @@ util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
 TupleStatus InferenceEngine::tuple_status(size_t tuple_index) const {
   JIM_CHECK_LT(tuple_index, store_->num_tuples());
   const ClassStatus status =
-      session_->class_status[(*class_of_tuple_)[tuple_index]];
+      session_->class_status[class_of_tuple(tuple_index)];
   if (IsInformative(status)) return TupleStatus::kInformative;
   // Only a labeled class holds labeled tuples, and every history entry in it
   // carries the class's label (a contradiction is rejected unrecorded).
@@ -430,18 +395,18 @@ util::Status InferenceEngine::SubmitTupleLabel(size_t tuple_index,
     return util::OutOfRangeError("tuple index out of range");
   }
   const util::Status status =
-      LabelImpl((*class_of_tuple_)[tuple_index], tuple_index, label);
+      LabelImpl(class_of_tuple(tuple_index), tuple_index, label);
   // Audited on rejection too: a refused label must leave the engine intact.
   JIM_AUDIT(CheckInvariants());
   return status;
 }
 
 util::Status InferenceEngine::SubmitClassLabel(size_t class_id, Label label) {
-  if (class_id >= classes_->size()) {
+  if (class_id >= num_classes()) {
     return util::OutOfRangeError("class id out of range");
   }
   const util::Status status =
-      LabelImpl(class_id, (*classes_)[class_id].tuple_indices.front(), label);
+      LabelImpl(class_id, tuple_class(class_id).tuple_indices.front(), label);
   JIM_AUDIT(CheckInvariants());
   return status;
 }
@@ -476,7 +441,7 @@ void InferenceEngine::PrepareLookaheadBounds(
     const size_t c = informative[i];
     const uint64_t* row = KnowledgeRow(c);
     std::copy(row, row + words, cache.knowledge_masks.data() + i * words);
-    cache.class_tuples[i] = (*classes_)[c].size();
+    cache.class_tuples[i] = tuple_class(c).size();
     cache.tuples_rank_le[knowledge_->rank[c]] += cache.class_tuples[i];
   }
   size_t run = 0;
@@ -500,7 +465,7 @@ bool InferenceEngine::SimulateLabelBothBounded(
     size_t class_id, const LookaheadBoundsCache& cache,
     const AggregateBoundFn* objective, double threshold,
     LabelImpactPair* impact, double* skip_bound) const {
-  JIM_CHECK_LT(class_id, classes_->size());
+  JIM_CHECK_LT(class_id, num_classes());
   JIM_CHECK(session_->class_status[class_id] == ClassStatus::kInformative);
   const size_t size = cache.class_tuples.size();
   JIM_CHECK_EQ(size, session_->informative.size())
@@ -582,29 +547,26 @@ void InferenceEngine::CheckInvariants() const {
   state_.CheckInvariants();
 
   // COW holders attached and sized for this instance.
-  JIM_CHECK(store_ != nullptr && classes_ != nullptr &&
-            class_of_tuple_ != nullptr && session_ != nullptr &&
+  JIM_CHECK(store_ != nullptr && table_ != nullptr && session_ != nullptr &&
             knowledge_ != nullptr);
   const size_t num_tuples = store_->num_tuples();
-  const size_t num_classes = classes_->size();
-  JIM_CHECK_EQ(class_of_tuple_->size(), num_tuples);
+  const size_t num_classes = table_->classes.size();
+  JIM_CHECK_EQ(table_->class_of_tuple.size(), num_tuples);
   JIM_CHECK_EQ(session_->class_status.size(), num_classes);
   JIM_CHECK_EQ(mask_words_, lat::PairMaskWords(store_->num_attributes()));
+  JIM_CHECK_EQ(table_->part_rows.size(), num_classes * mask_words_);
   JIM_CHECK_EQ(knowledge_->rows.size(), num_classes * mask_words_);
   JIM_CHECK_EQ(knowledge_->rank.size(), num_classes);
 
-  // Classes partition the tuple set, in agreement with class_of_tuple_.
+  // Classes partition the tuple set, in agreement with class_of_tuple.
   size_t members_total = 0;
   for (size_t c = 0; c < num_classes; ++c) {
-    const TupleClass& tuple_class = (*classes_)[c];
-    tuple_class.partition.CheckInvariants();
-    JIM_CHECK_EQ(tuple_class.partition.num_elements(),
-                 store_->num_attributes());
-    JIM_CHECK(!tuple_class.tuple_indices.empty()) << "empty class " << c;
-    members_total += tuple_class.size();
-    for (size_t t : tuple_class.tuple_indices) {
+    const TupleClass& members = tuple_class(c);
+    JIM_CHECK(!members.tuple_indices.empty()) << "empty class " << c;
+    members_total += members.size();
+    for (size_t t : members.tuple_indices) {
       JIM_CHECK_LT(t, num_tuples);
-      JIM_CHECK_EQ((*class_of_tuple_)[t], c)
+      JIM_CHECK_EQ(class_of_tuple(t), c)
           << "tuple " << t << " listed in class " << c
           << " but mapped elsewhere";
     }
@@ -653,7 +615,14 @@ void InferenceEngine::CheckInvariants() const {
   // non-explicit status reproducible from a from-scratch classification.
   std::vector<uint64_t> expected(mask_words_);
   for (size_t c = 0; c < num_classes; ++c) {
-    const lat::Partition& part = (*classes_)[c].partition;
+    // The Part(c) row is a partition's mask: re-encoding its decode is exact.
+    const lat::Partition part = ClassPartition(c);
+    part.CheckInvariants();
+    std::fill(expected.begin(), expected.end(), 0);
+    lat::FillPairMask(part, expected.data());
+    JIM_CHECK(std::equal(expected.begin(), expected.end(),
+                         table_->part_rows.data() + c * mask_words_))
+        << "Part(c) row " << c << " is not the mask of a partition";
     switch (session_->class_status[c]) {
       case ClassStatus::kInformative:
         std::fill(expected.begin(), expected.end(), 0);
@@ -709,11 +678,11 @@ void InferenceEngine::CheckInvariants() const {
 InferenceEngine::Stats InferenceEngine::GetStats() const {
   Stats stats;
   stats.num_tuples = store_->num_tuples();
-  stats.num_classes = classes_->size();
+  stats.num_classes = num_classes();
   stats.interactions = history_.size();
   stats.wasted_interactions = wasted_interactions_;
-  for (size_t c = 0; c < classes_->size(); ++c) {
-    const size_t members = (*classes_)[c].size();
+  for (size_t c = 0; c < num_classes(); ++c) {
+    const size_t members = tuple_class(c).size();
     switch (session_->class_status[c]) {
       case ClassStatus::kInformative:
         ++stats.informative_classes;

@@ -19,13 +19,14 @@
 namespace jim::core {
 
 /// An equivalence class of tuples: all tuples of the instance sharing the
-/// same value partition Part(t). Tuples in one class are interchangeable for
-/// inference — labeling any member forces the labels of all the others — so
-/// the engine reasons over classes and the paper's "label propagation"
-/// (graying out uninformative tuples) falls out for free.
+/// same value partition Part(t), i.e. the same pair mask. Tuples in one class
+/// are interchangeable for inference — labeling any member forces the labels
+/// of all the others — so the engine reasons over classes and the paper's
+/// "label propagation" (graying out uninformative tuples) falls out for
+/// free. Part(c) is a mask row of the engine's class table, decoded by
+/// InferenceEngine::ClassPartition.
 struct TupleClass {
-  lat::Partition partition;
-  std::vector<size_t> tuple_indices;
+  std::vector<size_t> tuple_indices;  ///< members, ascending
 
   size_t size() const { return tuple_indices.size(); }
 };
@@ -74,9 +75,10 @@ inline bool IsPositive(ClassStatus status) {
 /// (and effectively grays out) tuples that became uninformative.
 ///
 /// The engine consumes the instance through the TupleStore seam: class
-/// construction (Part(t) for every tuple) runs on integer codes — a
-/// sort-free per-tuple grouping, ParallelFor'd over the exec pool with
-/// deterministic first-occurrence class ids — and never touches a Value.
+/// construction computes each tuple's Part(t) pair mask straight from its
+/// integer codes (two attributes co-block iff their codes are equal and not
+/// NULL), ParallelFor'd over the exec pool, then groups tuples by mask with
+/// deterministic first-occurrence class ids — it never touches a Value.
 ///
 /// The engine is strategy-agnostic: strategies (src/core/strategies.h) pick
 /// which informative class to ask about next; interaction modes 1-4 of the
@@ -84,8 +86,8 @@ inline bool IsPositive(ClassStatus status) {
 class InferenceEngine {
  public:
   /// Builds the engine over `store`. `pool` runs the per-tuple Part(t)
-  /// extraction (nullptr = serial); class ids are assigned in
-  /// first-occurrence tuple order by a serial merge, so the result is
+  /// mask extraction (nullptr = serial); a serial merge groups equal masks
+  /// and assigns class ids in first-occurrence tuple order, so the result is
   /// bitwise-identical at any thread count.
   InferenceEngine(std::shared_ptr<const TupleStore> store,
                   exec::ThreadPool* pool);
@@ -97,15 +99,15 @@ class InferenceEngine {
   /// cell through one shared dictionary) and builds over that.
   explicit InferenceEngine(std::shared_ptr<const rel::Relation> relation);
 
-  /// Copies are cheap clones: the class table and tuple → class map are
-  /// shared outright (immutable), and both the per-class knowledge cache and
-  /// the per-class session arrays (statuses, worklist) are copy-on-write — a
-  /// clone defers those costs until its first label. This is what lets
-  /// BatchSessionRunner fan independent sessions out over clones of one
-  /// built engine. Clones may be labeled from different threads concurrently
-  /// (a mutating clone detaches before it writes); only cloning an engine
-  /// *while another thread mutates that same engine* is a race, so clone
-  /// before fanning out.
+  /// Copies are cheap clones: the class table (members, tuple → class map,
+  /// Part(c) rows) is shared outright (immutable), and both the per-class
+  /// knowledge cache and the per-class session arrays (statuses, worklist)
+  /// are copy-on-write — a clone defers those costs until its first label.
+  /// This is what lets BatchSessionRunner fan independent sessions out over
+  /// clones of one built engine. Clones may be labeled from different threads
+  /// concurrently (a mutating clone detaches before it writes); only cloning
+  /// an engine *while another thread mutates that same engine* is a race, so
+  /// clone before fanning out.
   InferenceEngine(const InferenceEngine&) = default;
   InferenceEngine& operator=(const InferenceEngine&) = default;
 
@@ -117,15 +119,17 @@ class InferenceEngine {
   const InferenceState& state() const { return state_; }
 
   size_t num_tuples() const { return store_->num_tuples(); }
-  size_t num_classes() const { return classes_->size(); }
+  size_t num_classes() const { return table_->classes.size(); }
   const TupleClass& tuple_class(size_t class_id) const {
-    return (*classes_)[class_id];
+    return table_->classes[class_id];
   }
+  /// Part(c), decoded from the class table's mask row.
+  lat::Partition ClassPartition(size_t class_id) const;
   ClassStatus class_status(size_t class_id) const {
     return session_->class_status[class_id];
   }
   size_t class_of_tuple(size_t tuple_index) const {
-    return (*class_of_tuple_)[tuple_index];
+    return table_->class_of_tuple[tuple_index];
   }
 
   /// Status of an individual tuple (see TupleStatus). This is what the demo
@@ -324,7 +328,8 @@ class InferenceEngine {
   /// Invariant audit (see util/check.h), re-deriving the engine's contracts
   /// from scratch and JIM_CHECK-failing on any disagreement:
   ///   - the inference state is internally consistent (θ_P / antichain);
-  ///   - classes partition the tuple set and agree with class_of_tuple;
+  ///   - classes partition the tuple set and agree with class_of_tuple,
+  ///     and every Part(c) row is the mask of a partition;
   ///   - the worklist is exactly the ascending list of kInformative classes;
   ///   - for every informative class, the cached row equals the pair mask
   ///     of a from-scratch θ_P ∧ Part(c) recompute, and the incremental
@@ -394,12 +399,17 @@ class InferenceEngine {
   /// Same for the session arrays; only a label that changes a status does.
   SessionArrays& MutableSession();
 
+  /// The class table, immutable once BuildClasses returns, so every clone of
+  /// an engine shares it outright.
+  struct ClassTable {
+    std::vector<TupleClass> classes;
+    std::vector<size_t> class_of_tuple;  ///< by tuple index
+    std::vector<uint64_t> part_rows;     ///< Part(c), mask_words_ per class
+  };
+
   std::shared_ptr<const TupleStore> store_;
   InferenceState state_;
-  /// The class table and the tuple → class map are immutable once
-  /// BuildClasses returns, so every clone of an engine shares them outright.
-  std::shared_ptr<const std::vector<TupleClass>> classes_;
-  std::shared_ptr<const std::vector<size_t>> class_of_tuple_;
+  std::shared_ptr<const ClassTable> table_;
   /// Per-session flat arrays, copy-on-write across clones (see
   /// SessionArrays).
   std::shared_ptr<SessionArrays> session_;

@@ -196,7 +196,7 @@ class NaiveMinimaxReference {
     std::vector<size_t> live;
     for (size_t c = 0; c < engine_.num_classes(); ++c) {
       if (engine_.class_status(c) != ClassStatus::kInformative) continue;
-      if (state.Classify(engine_.tuple_class(c).partition) ==
+      if (state.Classify(engine_.ClassPartition(c)) ==
           TupleClassification::kInformative) {
         live.push_back(c);
       }
@@ -207,7 +207,7 @@ class NaiveMinimaxReference {
       for (Label label : {Label::kPositive, Label::kNegative}) {
         InferenceState next = state;
         JIM_CHECK_OK(
-            next.ApplyLabel(engine_.tuple_class(c).partition, label));
+            next.ApplyLabel(engine_.ClassPartition(c), label));
         worst = std::max(worst, Solve(next));
       }
       best = std::min(best, 1 + worst);
@@ -261,7 +261,7 @@ TEST(CutoffParityTest, OptimalStrategyScoresUnchangedOnFigure1) {
     for (Label label : {Label::kPositive, Label::kNegative}) {
       InferenceState next = engine.state();
       ASSERT_TRUE(
-          next.ApplyLabel(engine.tuple_class(candidates[i]).partition, label)
+          next.ApplyLabel(engine.ClassPartition(candidates[i]), label)
               .ok());
       worst = std::max(worst, naive.Solve(next));
     }

@@ -8,9 +8,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/jim.h"
@@ -61,7 +63,7 @@ void ExpectClassesMatchReference(const InferenceEngine& engine,
   const ReferenceClasses reference = BuildReferenceClasses(relation);
   ASSERT_EQ(engine.num_classes(), reference.partitions.size()) << context;
   for (size_t c = 0; c < engine.num_classes(); ++c) {
-    EXPECT_EQ(engine.tuple_class(c).partition, reference.partitions[c])
+    EXPECT_EQ(engine.ClassPartition(c), reference.partitions[c])
         << context << " class " << c;
   }
   for (size_t t = 0; t < relation.num_rows(); ++t) {
@@ -71,25 +73,32 @@ void ExpectClassesMatchReference(const InferenceEngine& engine,
 }
 
 TEST(EncodedParityTest, ClassesMatchValueRowReferenceAtAnyThreadCount) {
+  // (seed, attribute count): three seeds at 5-7 attributes, then 1, 11, 12
+  // and 16 attributes for zero-word, full one-word and two-word pair masks.
+  std::vector<std::pair<uint64_t, size_t>> inputs;
   for (uint64_t seed : {3u, 19u, 271u}) {
+    inputs.emplace_back(seed, 5 + seed % 3);
+  }
+  for (size_t n : {1u, 11u, 12u, 16u}) inputs.emplace_back(n, n);
+  for (const auto& [seed, n] : inputs) {
     util::Rng rng(seed);
     workload::SyntheticSpec spec;
-    spec.num_attributes = 5 + seed % 3;
+    spec.num_attributes = n;
     spec.num_tuples = 400;
     spec.domain_size = 3;
-    spec.goal_constraints = 2;
+    spec.goal_constraints = std::min<size_t>(2, n - 1);
     const auto workload = workload::MakeSyntheticWorkload(spec, rng);
 
     const InferenceEngine serial(workload.store, /*pool=*/nullptr);
     ExpectClassesMatchReference(serial, *workload.instance,
-                                util::StrFormat("seed=%zu serial",
-                                                size_t{seed}));
+                                util::StrFormat("seed=%zu n=%zu serial",
+                                                size_t{seed}, n));
     for (size_t threads : {2u, 8u}) {
       exec::ThreadPool pool(threads);
       const InferenceEngine parallel(workload.store, &pool);
       ExpectClassesMatchReference(
           parallel, *workload.instance,
-          util::StrFormat("seed=%zu threads=%zu", size_t{seed},
+          util::StrFormat("seed=%zu n=%zu threads=%zu", size_t{seed}, n,
                           size_t{threads}));
       // Bitwise-identical knowledge too, not just equal partitions.
       ASSERT_EQ(parallel.num_classes(), serial.num_classes());

@@ -66,7 +66,14 @@ TEST(EngineCowTest, PositiveLabelDetachesKnowledge) {
   EXPECT_EQ(prototype.history().size(), 0u);
   EXPECT_EQ(prototype.class_status(labeled), ClassStatus::kInformative);
   EXPECT_EQ(prototype.ClassKnowledge(labeled),
-            prototype.tuple_class(labeled).partition);
+            prototype.ClassPartition(labeled));
+
+  // Part(c) lives in the shared class table, so it is the same in both
+  // engines for every class, even though their knowledge rows now differ.
+  for (size_t c = 0; c < prototype.num_classes(); ++c) {
+    EXPECT_EQ(clone.ClassPartition(c), prototype.ClassPartition(c))
+        << "class " << c;
+  }
 }
 
 TEST(EngineCowTest, NegativeLabelsNeverCopyTheKnowledge) {

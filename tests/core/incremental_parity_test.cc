@@ -54,7 +54,7 @@ void ExpectStatusesMatchFreshState(const InferenceEngine& engine) {
   for (const LabeledExample& example : engine.history()) {
     const size_t cls = engine.class_of_tuple(example.tuple_index);
     ASSERT_TRUE(
-        fresh.ApplyLabel(engine.tuple_class(cls).partition, example.label)
+        fresh.ApplyLabel(engine.ClassPartition(cls), example.label)
             .ok());
   }
   size_t informative_count = 0;
@@ -65,7 +65,7 @@ void ExpectStatusesMatchFreshState(const InferenceEngine& engine) {
       continue;  // explicit labels are engine bookkeeping, not classification
     }
     const TupleClassification expected =
-        fresh.Classify(engine.tuple_class(c).partition);
+        fresh.Classify(engine.ClassPartition(c));
     switch (expected) {
       case TupleClassification::kInformative:
         EXPECT_EQ(status, ClassStatus::kInformative) << "class " << c;
@@ -82,7 +82,7 @@ void ExpectStatusesMatchFreshState(const InferenceEngine& engine) {
     // K_c = θ_P ∧ Part(c) under the current state.
     if (expected == TupleClassification::kInformative) {
       const lat::Partition knowledge =
-          fresh.theta_p().Meet(engine.tuple_class(c).partition);
+          fresh.theta_p().Meet(engine.ClassPartition(c));
       EXPECT_EQ(engine.ClassKnowledge(c), knowledge)
           << "stale knowledge cache for class " << c;
       EXPECT_EQ(engine.ClassKnowledgeRank(c), knowledge.Rank())

@@ -76,7 +76,7 @@ TEST(LocalStrategyTest, DeterministicAndDirectional) {
   const auto rank_of = [&](size_t cls) {
     return engine.state()
         .theta_p()
-        .Meet(engine.tuple_class(cls).partition)
+        .Meet(engine.ClassPartition(cls))
         .Rank();
   };
   const size_t td = top_down.PickClass(engine);

@@ -76,8 +76,7 @@ void ExpectSameClasses(const InferenceEngine& expected,
                        const std::string& context) {
   ASSERT_EQ(expected.num_classes(), actual.num_classes()) << context;
   for (size_t c = 0; c < expected.num_classes(); ++c) {
-    EXPECT_EQ(expected.tuple_class(c).partition,
-              actual.tuple_class(c).partition)
+    EXPECT_EQ(expected.ClassPartition(c), actual.ClassPartition(c))
         << context << " class " << c;
     EXPECT_EQ(expected.tuple_class(c).tuple_indices,
               actual.tuple_class(c).tuple_indices)

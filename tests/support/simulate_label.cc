@@ -11,14 +11,14 @@ InferenceEngine::LabelImpact SimulateLabel(const InferenceEngine& engine,
   InferenceState hypothetical = engine.state();
   // An informative class accepts either label by definition.
   JIM_CHECK_OK(
-      hypothetical.ApplyLabel(engine.tuple_class(class_id).partition, label));
+      hypothetical.ApplyLabel(engine.ClassPartition(class_id), label));
 
   InferenceEngine::LabelImpact impact;
   impact.pruned_classes = 1;
   impact.pruned_tuples = engine.tuple_class(class_id).size();
   for (size_t c = 0; c < engine.num_classes(); ++c) {
     if (c == class_id || !IsInformative(engine.class_status(c))) continue;
-    if (hypothetical.Classify(engine.tuple_class(c).partition) !=
+    if (hypothetical.Classify(engine.ClassPartition(c)) !=
         TupleClassification::kInformative) {
       ++impact.pruned_classes;
       impact.pruned_tuples += engine.tuple_class(c).size();
