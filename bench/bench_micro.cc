@@ -396,6 +396,10 @@ struct WorkCounts {
   /// The fraction abandoned mid-scan (part of the worklist already scanned):
   /// aborts / (skips + aborts + evals).
   double cutoff_abort_fraction = 0;
+  /// engine.class_table_bytes of the instance behind each BuildClasses* row,
+  /// by row name: a count of the class table's layout that, unlike the
+  /// rows' timings, repeats exactly run to run.
+  std::unordered_map<std::string, int64_t> class_table_bytes;
 };
 
 WorkCounts MeasureWorkCounts() {
@@ -420,6 +424,15 @@ WorkCounts MeasureWorkCounts() {
       registry.CounterValue(obs::kCounterEngineCutoffSkips) - skips_before;
   const uint64_t aborts =
       registry.CounterValue(obs::kCounterEngineCutoffAborts) - aborts_before;
+  for (size_t tuples : {10000, 100000}) {
+    const core::InferenceEngine built(MakeSynthetic(tuples, 9).store,
+                                      /*pool=*/nullptr);
+    const int64_t bytes =
+        registry.GetGauge(obs::kGaugeEngineClassTableBytes).Value();
+    const std::string suffix = tuples == 10000 ? "10k" : "100k";
+    counts.class_table_bytes["BuildClasses" + suffix] = bytes;
+    if (tuples == 100000) counts.class_table_bytes["MmapBuildClasses"] = bytes;
+  }
   counts.simulate_calls_per_pick = sims;
   const uint64_t candidates = sims + skips + aborts;
   if (candidates > 0) {
@@ -441,6 +454,10 @@ bool WriteJson(const std::vector<BenchResult>& results,
   json.KeyValue("lookahead_cutoff_skip_fraction", work.cutoff_skip_fraction);
   json.KeyValue("lookahead_cutoff_abort_fraction",
                 work.cutoff_abort_fraction);
+  json.KeyValue("class_table_bytes_10k",
+                work.class_table_bytes.at("BuildClasses10k"));
+  json.KeyValue("class_table_bytes_100k",
+                work.class_table_bytes.at("BuildClasses100k"));
   // Wall-clock speedup of the 10k-tuple lookahead decision at 4 threads vs
   // the serial path (values < 1 mean the box lacks the cores to win).
   double serial_ns = 0;
@@ -570,13 +587,19 @@ int main(int argc, char** argv) {
   RegisterAll(results);
   const WorkCounts work = MeasureWorkCounts();
 
-  jim::util::TablePrinter table({"benchmark", "arg", "iterations", "ns/op"});
+  jim::util::TablePrinter table(
+      {"benchmark", "arg", "iterations", "ns/op", "class table bytes"});
   table.SetAlignments({jim::util::Align::kLeft, jim::util::Align::kRight,
-                       jim::util::Align::kRight, jim::util::Align::kRight});
+                       jim::util::Align::kRight, jim::util::Align::kRight,
+                       jim::util::Align::kRight});
   for (const auto& r : results) {
+    const auto bytes = work.class_table_bytes.find(r.name);
     table.AddRow({r.name, r.arg >= 0 ? std::to_string(r.arg) : "-",
                   std::to_string(r.iterations),
-                  jim::util::StrFormat("%.1f", r.ns_per_op)});
+                  jim::util::StrFormat("%.1f", r.ns_per_op),
+                  bytes == work.class_table_bytes.end()
+                      ? "-"
+                      : std::to_string(bytes->second)});
   }
   std::cout << table.ToString();
 

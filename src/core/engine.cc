@@ -4,7 +4,6 @@
 #include <atomic>
 #include <cstdint>
 #include <limits>
-#include <unordered_map>
 
 #include "exec/parallel.h"
 #include "lattice/pair_mask.h"
@@ -15,6 +14,76 @@
 #include "util/logging.h"
 
 namespace jim::core {
+namespace {
+
+/// `store`, checked before the engine sizes anything from it: tuple and class
+/// ids are uint32_t in the class table and in session checkpoints, so a
+/// larger count would truncate them silently.
+std::shared_ptr<const TupleStore> CheckedStore(
+    std::shared_ptr<const TupleStore> store) {
+  JIM_CHECK(store != nullptr);
+  JIM_CHECK_LT(store->num_tuples(), size_t{1} << 32)
+      << "tuple store too large: tuple and class ids are uint32_t";
+  return store;
+}
+
+/// The distinct pair-mask rows seen so far, each under the id of its first
+/// FindOrAdd (0, 1, …): an open-addressing table of ids over one flat row
+/// buffer.
+class MaskRowIndex {
+ public:
+  explicit MaskRowIndex(size_t words) : words_(words), slots_(16, kEmpty) {}
+
+  size_t size() const { return size_; }
+  const uint64_t* row(size_t id) const { return rows_.data() + id * words_; }
+
+  /// The id of `probe` (`words` words), added under the next id if new.
+  uint32_t FindOrAdd(const uint64_t* probe) {
+    size_t slot = Hash(probe) & (slots_.size() - 1);
+    for (; slots_[slot] != kEmpty; slot = (slot + 1) & (slots_.size() - 1)) {
+      if (std::equal(probe, probe + words_, row(slots_[slot]))) {
+        return slots_[slot];
+      }
+    }
+    const uint32_t id = static_cast<uint32_t>(size_++);
+    slots_[slot] = id;
+    rows_.insert(rows_.end(), probe, probe + words_);
+    if (2 * size_ > slots_.size()) Grow();
+    return id;
+  }
+
+  /// Every row, by id, in a vector sized exactly.
+  std::vector<uint64_t> Rows() const { return {rows_.begin(), rows_.end()}; }
+
+ private:
+  static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
+
+  size_t Hash(const uint64_t* words) const {
+    uint64_t h = util::kFnv1a64OffsetBasis;
+    for (size_t w = 0; w < words_; ++w) {
+      h = (h ^ words[w]) * 0x9e3779b97f4a7c15ull;
+      h ^= h >> 29;
+    }
+    return static_cast<size_t>(h);
+  }
+
+  void Grow() {
+    std::vector<uint32_t> slots(2 * slots_.size(), kEmpty);
+    for (uint32_t id = 0; id < size_; ++id) {
+      size_t slot = Hash(row(id)) & (slots.size() - 1);
+      while (slots[slot] != kEmpty) slot = (slot + 1) & (slots.size() - 1);
+      slots[slot] = id;
+    }
+    slots_ = std::move(slots);
+  }
+
+  size_t words_;
+  std::vector<uint32_t> slots_;  ///< ids; a power-of-two count, ≤ half full
+  std::vector<uint64_t> rows_;   ///< words_ per id
+  size_t size_ = 0;
+};
+
+}  // namespace
 
 std::string_view ClassStatusToString(ClassStatus status) {
   switch (status) {
@@ -50,8 +119,8 @@ std::string_view TupleStatusToString(TupleStatus status) {
 
 InferenceEngine::InferenceEngine(std::shared_ptr<const TupleStore> store,
                                  exec::ThreadPool* pool)
-    : store_(std::move(store)), state_(store_->num_attributes()) {
-  JIM_CHECK(store_ != nullptr);
+    : store_(CheckedStore(std::move(store))),
+      state_(store_->num_attributes()) {
   {
     JIM_SPAN(obs::kHistEngineBuildMicros);
     BuildClasses(pool);
@@ -75,61 +144,81 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
   const size_t n = store_->num_attributes();
   mask_words_ = lat::PairMaskWords(n);
   const size_t words = mask_words_;
-
-  // Phase 1 (parallel, deterministic): each tuple's Part(t) pair mask,
-  // written by tuple index into one flat buffer — pure integer work over the
-  // store's codes. 8 B per tuple up to n = 11; only past n = 34 would it
-  // exceed a 2n-byte label vector plus an 8-byte hash, and no workload or
-  // test here is that wide.
-  std::vector<uint64_t> masks(num_tuples * words);
-  const size_t chunks =
-      pool == nullptr ? 1 : std::max<size_t>(1, pool->threads());
-  std::vector<std::vector<uint32_t>> code_buffers(
-      chunks, std::vector<uint32_t>(n));
-  const auto extract = [&](size_t t, size_t chunk) {
-    uint32_t* codes = code_buffers[chunk].data();
-    store_->TupleCodes(t, codes);
-    lat::FillCodePairMask(codes, n, rel::kNullCode, masks.data() + t * words);
-  };
-  if (pool != nullptr && pool->threads() > 1 && num_tuples > 1) {
-    pool->ParallelFor(num_tuples, extract);
-  } else {
-    for (size_t t = 0; t < num_tuples; ++t) extract(t, 0);
-  }
-
-  // Phase 2 (serial merge): group equal masks in a map keyed by the first
-  // tuple holding each, hashed and compared by the bytes of its row. Class
-  // ids are assigned in first-occurrence tuple order, so the table is
-  // bitwise-identical at any thread count.
-  const auto row = [&](size_t t) { return masks.data() + t * words; };
-  const auto row_hash = [&](size_t t) {
-    uint64_t h = util::kFnv1a64OffsetBasis;
-    for (const uint64_t* w = row(t); w != row(t + 1); ++w) {
-      h = (h ^ *w) * 0x9e3779b97f4a7c15ull;
-      h ^= h >> 29;
-    }
-    return static_cast<size_t>(h);
-  };
-  const auto row_eq = [&](size_t a, size_t b) {
-    return std::equal(row(a), row(a + 1), row(b));
-  };
-  std::unordered_map<size_t, size_t, decltype(row_hash), decltype(row_eq)>
-      class_of_first(/*bucket_count=*/16, row_hash, row_eq);
   auto table = std::make_shared<ClassTable>();
-  table->class_of_tuple.resize(num_tuples);
-  for (size_t t = 0; t < num_tuples; ++t) {
-    auto [it, inserted] = class_of_first.try_emplace(t, table->classes.size());
-    if (inserted) {
-      table->classes.emplace_back();
-      table->part_rows.insert(table->part_rows.end(), row(t), row(t + 1));
+  std::vector<uint32_t>& class_of_tuple = table->class_of_tuple;
+  class_of_tuple.resize(num_tuples);
+
+  // The tuples split into static contiguous chunks, one per pool thread.
+  const size_t chunks =
+      pool == nullptr ? 1 : std::max<size_t>(1, std::min(pool->threads(),
+                                                         num_tuples));
+  const auto chunk_begin = [&](size_t j) { return j * num_tuples / chunks; };
+  const auto for_each_chunk = [&](const auto& body) {
+    if (chunks > 1) {
+      pool->ParallelFor(chunks, [&](size_t j, size_t) { body(j); });
+    } else {
+      body(0);
     }
-    table->classes[it->second].tuple_indices.push_back(t);
-    table->class_of_tuple[t] = it->second;
+  };
+
+  // Phase 1 (parallel): each chunk computes its tuples' Part(t) masks one at
+  // a time into a probe row and groups them in its own index, writing each
+  // tuple's chunk-local id (first-occurrence order within the chunk) into
+  // class_of_tuple. No per-tuple mask is kept.
+  std::vector<MaskRowIndex> local(chunks, MaskRowIndex(words));
+  for_each_chunk([&](size_t j) {
+    std::vector<uint32_t> codes(n);
+    std::vector<uint64_t> probe(words);
+    for (size_t t = chunk_begin(j); t < chunk_begin(j + 1); ++t) {
+      store_->TupleCodes(t, codes.data());
+      std::fill(probe.begin(), probe.end(), 0);  // the fill only ORs bits in
+      lat::FillCodePairMask(codes.data(), n, rel::kNullCode, probe.data());
+      class_of_tuple[t] = local[j].FindOrAdd(probe.data());
+    }
+  });
+
+  // Phase 2 (serial): merge the chunks' distinct rows in chunk order. A
+  // class's first chunk holds its first tuple, and within a chunk local ids
+  // follow first occurrence, so the global ids follow first-occurrence tuple
+  // order — bitwise-identical at any thread count.
+  MaskRowIndex global(words);
+  std::vector<std::vector<uint32_t>> remap(chunks);
+  for (size_t j = 0; j < chunks; ++j) {
+    remap[j].resize(local[j].size());
+    for (size_t id = 0; id < local[j].size(); ++id) {
+      remap[j][id] = global.FindOrAdd(local[j].row(id));
+    }
   }
+  local.clear();
+  const size_t num_classes = global.size();
+  table->part_rows = global.Rows();
+
+  // Phase 3: remap to global ids (parallel), then lay the members out in
+  // CSR form with a counting pass (serial; ascending t keeps each class's
+  // members ascending).
+  for_each_chunk([&](size_t j) {
+    for (size_t t = chunk_begin(j); t < chunk_begin(j + 1); ++t) {
+      class_of_tuple[t] = remap[j][class_of_tuple[t]];
+    }
+  });
+  std::vector<uint32_t>& offsets = table->offsets;
+  offsets.assign(num_classes + 1, 0);
+  for (uint32_t c : class_of_tuple) ++offsets[c + 1];
+  for (size_t c = 0; c < num_classes; ++c) offsets[c + 1] += offsets[c];
+  std::vector<uint32_t> next(offsets.begin(), offsets.end() - 1);
+  table->members.resize(num_tuples);
+  for (size_t t = 0; t < num_tuples; ++t) {
+    table->members[next[class_of_tuple[t]]++] = static_cast<uint32_t>(t);
+  }
+  JIM_GAUGE_SET(obs::kGaugeEngineClassTableBytes,
+                static_cast<int64_t>(
+                    sizeof(uint32_t) * (table->class_of_tuple.capacity() +
+                                        table->members.capacity() +
+                                        table->offsets.capacity()) +
+                    sizeof(uint64_t) * table->part_rows.capacity()));
 
   // Initially θ_P = ⊤, so K_c = ⊤ ∧ Part(c) = Part(c); every class starts on
   // the worklist.
-  const size_t num_classes = table->classes.size();
   knowledge_ = std::make_shared<KnowledgeCache>();
   knowledge_->rows = table->part_rows;
   knowledge_->rank.resize(num_classes);
@@ -284,25 +373,25 @@ JoinPredicate InferenceEngine::Result() const {
   return JoinPredicate(store_->schema(), state_.theta_p());
 }
 
-util::DynamicBitset InferenceEngine::CertainResultTuples() const {
-  util::DynamicBitset certain(store_->num_tuples());
-  for (size_t c = 0; c < num_classes(); ++c) {
-    if (IsPositive(session_->class_status[c])) {
-      for (size_t t : tuple_class(c).tuple_indices) certain.Set(t);
-    }
+util::DynamicBitset InferenceEngine::TuplesOfClasses(
+    bool (*in_set)(ClassStatus)) const {
+  const std::vector<uint32_t>& class_of_tuple = table_->class_of_tuple;
+  util::DynamicBitset tuples(class_of_tuple.size());
+  for (size_t t = 0; t < class_of_tuple.size(); ++t) {
+    if (in_set(session_->class_status[class_of_tuple[t]])) tuples.Set(t);
   }
-  return certain;
+  return tuples;
+}
+
+util::DynamicBitset InferenceEngine::CertainResultTuples() const {
+  return TuplesOfClasses(IsPositive);
 }
 
 util::DynamicBitset InferenceEngine::CertainNonResultTuples() const {
-  util::DynamicBitset certain(store_->num_tuples());
-  for (size_t c = 0; c < num_classes(); ++c) {
-    if (session_->class_status[c] == ClassStatus::kForcedNegative ||
-        session_->class_status[c] == ClassStatus::kLabeledNegative) {
-      for (size_t t : tuple_class(c).tuple_indices) certain.Set(t);
-    }
-  }
-  return certain;
+  return TuplesOfClasses([](ClassStatus status) {
+    return status == ClassStatus::kForcedNegative ||
+           status == ClassStatus::kLabeledNegative;
+  });
 }
 
 util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
@@ -550,29 +639,42 @@ void InferenceEngine::CheckInvariants() const {
   JIM_CHECK(store_ != nullptr && table_ != nullptr && session_ != nullptr &&
             knowledge_ != nullptr);
   const size_t num_tuples = store_->num_tuples();
-  const size_t num_classes = table_->classes.size();
+  JIM_CHECK(!table_->offsets.empty());
+  const size_t num_classes = table_->offsets.size() - 1;
   JIM_CHECK_EQ(table_->class_of_tuple.size(), num_tuples);
+  JIM_CHECK_EQ(table_->members.size(), num_tuples);
   JIM_CHECK_EQ(session_->class_status.size(), num_classes);
   JIM_CHECK_EQ(mask_words_, lat::PairMaskWords(store_->num_attributes()));
   JIM_CHECK_EQ(table_->part_rows.size(), num_classes * mask_words_);
   JIM_CHECK_EQ(knowledge_->rows.size(), num_classes * mask_words_);
   JIM_CHECK_EQ(knowledge_->rank.size(), num_classes);
 
-  // Classes partition the tuple set, in agreement with class_of_tuple.
-  size_t members_total = 0;
+  // Classes partition the tuple set, in agreement with class_of_tuple:
+  // non-empty runs of ascending members covering the permutation, with
+  // class ids in first-occurrence order.
+  JIM_CHECK_EQ(table_->offsets.front(), 0u);
+  JIM_CHECK_EQ(table_->offsets.back(), num_tuples)
+      << "classes do not partition the tuple set";
   for (size_t c = 0; c < num_classes; ++c) {
-    const TupleClass& members = tuple_class(c);
-    JIM_CHECK(!members.tuple_indices.empty()) << "empty class " << c;
-    members_total += members.size();
-    for (size_t t : members.tuple_indices) {
+    JIM_CHECK_LT(table_->offsets[c], table_->offsets[c + 1])
+        << "empty class " << c;
+    const ClassMembers members = tuple_class(c).tuple_indices;
+    if (c > 0) {
+      JIM_CHECK_LT(tuple_class(c - 1).tuple_indices.front(), members.front())
+          << "class " << c << " is out of first-occurrence order";
+    }
+    for (size_t i = 0; i < members.size(); ++i) {
+      const size_t t = members[i];
       JIM_CHECK_LT(t, num_tuples);
+      if (i > 0) {
+        JIM_CHECK_LT(members[i - 1], t)
+            << "class " << c << " members not strictly ascending";
+      }
       JIM_CHECK_EQ(class_of_tuple(t), c)
           << "tuple " << t << " listed in class " << c
           << " but mapped elsewhere";
     }
   }
-  JIM_CHECK_EQ(members_total, num_tuples)
-      << "classes do not partition the tuple set";
 
   // Worklist = ascending ids of exactly the kInformative classes.
   const std::vector<size_t>& informative = session_->informative;

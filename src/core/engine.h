@@ -1,6 +1,7 @@
 #ifndef JIM_CORE_ENGINE_H_
 #define JIM_CORE_ENGINE_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -18,15 +19,43 @@
 
 namespace jim::core {
 
+/// The member tuple ids of one class: a read-only view over a contiguous
+/// run of the class table's member permutation (see InferenceEngine's
+/// ClassTable). Valid while the engine — or any clone sharing its table —
+/// lives.
+class ClassMembers {
+ public:
+  using const_iterator = const uint32_t*;
+
+  ClassMembers(const uint32_t* begin, const uint32_t* end)
+      : begin_(begin), end_(end) {}
+
+  const uint32_t* begin() const { return begin_; }
+  const uint32_t* end() const { return end_; }
+  const uint32_t* data() const { return begin_; }
+  size_t size() const { return static_cast<size_t>(end_ - begin_); }
+  uint32_t operator[](size_t i) const { return begin_[i]; }
+  uint32_t front() const { return *begin_; }
+
+  friend bool operator==(const ClassMembers& a, const ClassMembers& b) {
+    return std::equal(a.begin_, a.end_, b.begin_, b.end_);
+  }
+
+ private:
+  const uint32_t* begin_;
+  const uint32_t* end_;
+};
+
 /// An equivalence class of tuples: all tuples of the instance sharing the
 /// same value partition Part(t), i.e. the same pair mask. Tuples in one class
 /// are interchangeable for inference — labeling any member forces the labels
 /// of all the others — so the engine reasons over classes and the paper's
 /// "label propagation" (graying out uninformative tuples) falls out for
-/// free. Part(c) is a mask row of the engine's class table, decoded by
-/// InferenceEngine::ClassPartition.
+/// free. A TupleClass is a view into the engine's class table: its members
+/// are a run of the table's member permutation, and Part(c) is a mask row
+/// of the table, decoded by InferenceEngine::ClassPartition.
 struct TupleClass {
-  std::vector<size_t> tuple_indices;  ///< members, ascending
+  ClassMembers tuple_indices;  ///< members, ascending
 
   size_t size() const { return tuple_indices.size(); }
 };
@@ -77,18 +106,22 @@ inline bool IsPositive(ClassStatus status) {
 /// The engine consumes the instance through the TupleStore seam: class
 /// construction computes each tuple's Part(t) pair mask straight from its
 /// integer codes (two attributes co-block iff their codes are equal and not
-/// NULL), ParallelFor'd over the exec pool, then groups tuples by mask with
+/// NULL) and groups tuples by mask, chunk by chunk over the exec pool, with
 /// deterministic first-occurrence class ids — it never touches a Value.
+/// Tuple and class ids are uint32_t in the class table (and in session
+/// checkpoints), so a store must hold fewer than 2^32 tuples.
 ///
 /// The engine is strategy-agnostic: strategies (src/core/strategies.h) pick
 /// which informative class to ask about next; interaction modes 1-4 of the
 /// demonstration are built on top in src/core/session.h.
 class InferenceEngine {
  public:
-  /// Builds the engine over `store`. `pool` runs the per-tuple Part(t)
-  /// mask extraction (nullptr = serial); a serial merge groups equal masks
-  /// and assigns class ids in first-occurrence tuple order, so the result is
-  /// bitwise-identical at any thread count.
+  /// Builds the engine over `store` (JIM_CHECK-fails on a null store or one
+  /// of 2^32 tuples or more, before anything is allocated). `pool` runs the
+  /// class construction (nullptr = serial): each static chunk of tuples
+  /// groups its own Part(t) masks, and a short serial merge of the chunks'
+  /// distinct masks assigns class ids in first-occurrence tuple order, so
+  /// the result is bitwise-identical at any thread count.
   InferenceEngine(std::shared_ptr<const TupleStore> store,
                   exec::ThreadPool* pool);
 
@@ -119,9 +152,12 @@ class InferenceEngine {
   const InferenceState& state() const { return state_; }
 
   size_t num_tuples() const { return store_->num_tuples(); }
-  size_t num_classes() const { return table_->classes.size(); }
-  const TupleClass& tuple_class(size_t class_id) const {
-    return table_->classes[class_id];
+  size_t num_classes() const { return table_->offsets.size() - 1; }
+  /// The class's members, a view into the shared class table.
+  TupleClass tuple_class(size_t class_id) const {
+    const uint32_t* members = table_->members.data();
+    return TupleClass{ClassMembers(members + table_->offsets[class_id],
+                                   members + table_->offsets[class_id + 1])};
   }
   /// Part(c), decoded from the class table's mask row.
   lat::Partition ClassPartition(size_t class_id) const;
@@ -400,12 +436,20 @@ class InferenceEngine {
   SessionArrays& MutableSession();
 
   /// The class table, immutable once BuildClasses returns, so every clone of
-  /// an engine shares it outright.
+  /// an engine shares it outright. Membership is in CSR form: class c's
+  /// members are members[offsets[c], offsets[c + 1]), ascending, so the
+  /// whole table is 8 bytes per tuple plus (4 + 8 · mask_words_) bytes per
+  /// class, plus 4.
   struct ClassTable {
-    std::vector<TupleClass> classes;
-    std::vector<size_t> class_of_tuple;  ///< by tuple index
-    std::vector<uint64_t> part_rows;     ///< Part(c), mask_words_ per class
+    std::vector<uint32_t> class_of_tuple;  ///< by tuple index
+    std::vector<uint32_t> members;    ///< tuple ids, grouped by class
+    std::vector<uint32_t> offsets;    ///< num_classes + 1 run starts
+    std::vector<uint64_t> part_rows;  ///< Part(c), mask_words_ per class
   };
+
+  /// The tuples whose class status satisfies `in_set`: one pass over
+  /// class_of_tuple.
+  util::DynamicBitset TuplesOfClasses(bool (*in_set)(ClassStatus)) const;
 
   std::shared_ptr<const TupleStore> store_;
   InferenceState state_;

@@ -42,6 +42,11 @@ inline constexpr char kCounterEngineCutoffAborts[] = "engine.cutoff_aborts";
 inline constexpr char kHistEngineWorklistSize[] = "engine.worklist_size";
 inline constexpr char kHistEngineBuildMicros[] =
     "engine.build_classes_micros";
+/// Bytes held by the last-built class table (tuple → class map, member
+/// permutation, offsets, Part(c) rows) — a deterministic count of its
+/// layout.
+inline constexpr char kGaugeEngineClassTableBytes[] =
+    "engine.class_table_bytes";
 
 // --- exec::ThreadPool / BatchSessionRunner ------------------------------
 inline constexpr char kCounterExecPoolsCreated[] = "exec.pools.created";

@@ -75,12 +75,18 @@ std::string RequestToLine(const Request& request) {
   json.KeyValue("verb", request.verb);
   if (!request.session.empty()) json.KeyValue("session", request.session);
   if (!request.instance.empty()) json.KeyValue("instance", request.instance);
-  if (request.verb == "create") {
+  // A create line always spells out its strategy and seed; any other verb
+  // ignores them but still round-trips them when they were set.
+  const bool create = request.verb == "create";
+  const Request defaults;
+  if (create || request.strategy != defaults.strategy) {
     json.KeyValue("strategy", request.strategy);
-    if (!request.goal.empty()) json.KeyValue("goal", request.goal);
-    json.KeyValue("seed", request.seed);
-    if (request.max_steps != 0) json.KeyValue("max_steps", request.max_steps);
   }
+  if (!request.goal.empty()) json.KeyValue("goal", request.goal);
+  if (create || request.seed != defaults.seed) {
+    json.KeyValue("seed", request.seed);
+  }
+  if (request.max_steps != 0) json.KeyValue("max_steps", request.max_steps);
   if (request.has_class_id) json.KeyValue("class", request.class_id);
   if (request.has_answer) json.KeyValue("answer", request.answer);
   json.EndObject();

@@ -42,7 +42,9 @@ struct Request {
 util::StatusOr<Request> ParseRequest(std::string_view line);
 
 /// Serializes `request` back to a protocol line (used by the client driver;
-/// only members that deviate from their defaults are emitted).
+/// only members that deviate from their defaults are emitted, except that a
+/// `create` line always carries `strategy` and `seed`). ParseRequest of the
+/// line yields `request` again, member for member.
 std::string RequestToLine(const Request& request);
 
 /// The error-response line for `status`:

@@ -173,7 +173,7 @@ util::StatusOr<SessionManager::SuggestResult> SessionManager::Suggest(
     session->has_pending_pick = true;
   }
   result.class_id = session->pending_pick;
-  const core::TupleClass& tuple_class =
+  const core::TupleClass tuple_class =
       session->engine.tuple_class(result.class_id);
   result.tuple_index = tuple_class.tuple_indices[0];
   result.class_size = tuple_class.size();
@@ -218,6 +218,8 @@ util::StatusOr<SessionManager::LabelResult> SessionManager::Label(
       class_id, positive ? core::Label::kPositive : core::Label::kNegative));
   core::InferenceEngine::Stats after = trial.GetStats();
 
+  // Class and tuple ids fit the checkpoint's uint32_t fields: the engine
+  // admits only stores of fewer than 2^32 tuples.
   CheckpointStep step;
   step.suggested_class = session->has_pending_pick
                              ? static_cast<uint32_t>(session->pending_pick)

@@ -112,6 +112,79 @@ TEST(EncodedParityTest, ClassesMatchValueRowReferenceAtAnyThreadCount) {
   }
 }
 
+/// `tuples` rows over `n` integer attributes. Rows before `uniform_prefix`
+/// alternate between all cells equal and all cells distinct (two masks);
+/// the rest draw each cell from {0, 1, 2} or NULL.
+std::shared_ptr<const rel::Relation> IntRelation(size_t n, size_t tuples,
+                                                 size_t uniform_prefix,
+                                                 uint64_t seed) {
+  rel::Schema schema;
+  for (size_t a = 0; a < n; ++a) {
+    schema.AddAttribute({"a" + std::to_string(a), rel::ValueType::kInt64, ""});
+  }
+  rel::Relation relation{"ints", schema};
+  util::Rng rng(seed);
+  for (size_t t = 0; t < tuples; ++t) {
+    rel::Tuple row;
+    for (size_t a = 0; a < n; ++a) {
+      const int64_t draw = rng.UniformInt(0, 3);
+      if (t < uniform_prefix) {
+        row.emplace_back(static_cast<int64_t>(t % 2 == 0 ? 0 : a));
+      } else if (draw == 3) {
+        row.push_back(rel::Value::Null());
+      } else {
+        row.emplace_back(draw);
+      }
+    }
+    relation.AddRowUnchecked(std::move(row));
+  }
+  return std::make_shared<const rel::Relation>(std::move(relation));
+}
+
+TEST(EncodedParityTest, ClassTableIdenticalOnPoolsOfOneToFourThreads) {
+  // Zero-, one- and two-word masks (n = 1, 5, 12) at 0, 1, 2, 3 (= threads
+  // − 1 for some pool) and 10007 tuples, plus an instance whose later
+  // classes first occur in the last chunk at every thread count: class ids,
+  // ascending members, class_of_tuple and Part(c) all match the
+  // TuplePartition reference on pools of 1-4 threads.
+  struct Input {
+    std::string name;
+    std::shared_ptr<const rel::Relation> relation;
+  };
+  std::vector<Input> inputs;
+  for (size_t n : {1u, 5u, 12u}) {
+    for (size_t tuples : {0u, 1u, 2u, 3u, 10007u}) {
+      inputs.push_back({util::StrFormat("n=%zu tuples=%zu", n, tuples),
+                        IntRelation(n, tuples, 0, 31 * n + tuples)});
+    }
+  }
+  inputs.push_back({"late classes", IntRelation(5, 1000, 900, 5)});
+  for (const Input& input : inputs) {
+    const auto store = MakeRelationStore(input.relation, /*pool=*/nullptr);
+    const ReferenceClasses reference = BuildReferenceClasses(*input.relation);
+    std::vector<std::vector<uint32_t>> reference_members(
+        reference.partitions.size());
+    for (size_t t = 0; t < reference.class_of_tuple.size(); ++t) {
+      reference_members[reference.class_of_tuple[t]].push_back(
+          static_cast<uint32_t>(t));
+    }
+    for (size_t threads = 1; threads <= 4; ++threads) {
+      exec::ThreadPool pool(threads);
+      const InferenceEngine engine(store, &pool);
+      const std::string context =
+          util::StrFormat("%s threads=%zu", input.name.c_str(), threads);
+      ExpectClassesMatchReference(engine, *input.relation, context);
+      ASSERT_EQ(engine.num_classes(), reference_members.size()) << context;
+      for (size_t c = 0; c < engine.num_classes(); ++c) {
+        const ClassMembers members = engine.tuple_class(c).tuple_indices;
+        EXPECT_EQ(std::vector<uint32_t>(members.begin(), members.end()),
+                  reference_members[c])
+            << context << " class " << c;
+      }
+    }
+  }
+}
+
 TEST(EncodedParityTest, NullsAndTypeCollisionsPartitionLikeValues) {
   using rel::Value;
   rel::Relation relation{"nulls",

@@ -40,7 +40,8 @@ TEST(EngineCowTest, CloneSharesClassTableAndKnowledge) {
   // Shared storage is observable through accessor addresses: same objects,
   // not equal copies.
   const size_t c = AnyInformative(prototype);
-  EXPECT_EQ(&clone.tuple_class(c), &prototype.tuple_class(c));
+  EXPECT_EQ(clone.tuple_class(c).tuple_indices.data(),
+            prototype.tuple_class(c).tuple_indices.data());
   EXPECT_EQ(clone.KnowledgeRow(c),
             prototype.KnowledgeRow(c));
 }
@@ -56,7 +57,8 @@ TEST(EngineCowTest, PositiveLabelDetachesKnowledge) {
   ASSERT_TRUE(clone.SubmitClassLabel(labeled, Label::kPositive).ok());
 
   // The class table is immutable and stays shared...
-  EXPECT_EQ(&clone.tuple_class(labeled), &prototype.tuple_class(labeled));
+  EXPECT_EQ(clone.tuple_class(labeled).tuple_indices.data(),
+            prototype.tuple_class(labeled).tuple_indices.data());
   // ...but the knowledge cache detached: the clone refreshed its own copy.
   EXPECT_NE(clone.KnowledgeRow(labeled),
             prototype.KnowledgeRow(labeled));

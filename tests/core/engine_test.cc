@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include "core/oracle.h"
+#include "lattice/pair_mask.h"
+#include "obs/metric_names.h"
+#include "obs/metrics.h"
 #include "support/simulate_label.h"
+#include "util/check.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 #include "workload/travel.h"
@@ -31,6 +35,61 @@ TEST(EngineTest, BuildsClassesByValuePartition) {
     total += engine.tuple_class(c).size();
   }
   EXPECT_EQ(total, 12u);
+}
+
+TEST(EngineTest, ClassTableBytesStayWithinTheCsrLayout) {
+  // 4 B of class_of_tuple and 4 B of member permutation per tuple; an
+  // offset and a Part(c) row per class; one closing offset.
+  const bool was_enabled = obs::MetricsEnabled();
+  obs::SetMetricsEnabled(true);
+  for (size_t n : {3u, 6u, 12u}) {
+    util::Rng rng(90 + n);
+    workload::SyntheticSpec spec;
+    spec.num_attributes = n;
+    spec.num_tuples = 3000;
+    spec.domain_size = 3;
+    const auto workload = workload::MakeSyntheticWorkload(spec, rng);
+    const InferenceEngine engine(workload.store, /*pool=*/nullptr);
+    const int64_t bytes = obs::MetricsRegistry::Instance()
+                              .GetGauge(obs::kGaugeEngineClassTableBytes)
+                              .Value();
+    const size_t tuples = engine.num_tuples();
+    const size_t classes = engine.num_classes();
+    EXPECT_GE(bytes, static_cast<int64_t>(8 * tuples)) << "n=" << n;
+    EXPECT_LE(bytes, static_cast<int64_t>(
+                         8 * tuples +
+                         (4 + 8 * lat::PairMaskWords(n)) * classes + 4))
+        << "n=" << n;
+  }
+  obs::SetMetricsEnabled(was_enabled);
+}
+
+TEST(EngineDeathTest, StoreOfTwoToThe32TuplesIsRejectedBeforeBuilding) {
+  // Tuple and class ids are uint32_t in the class table and in checkpoints.
+  // This store reports 2^32 tuples and fails loudly if any code is read, so
+  // the only acceptable death is the size check.
+  class HugeStore final : public TupleStore {
+   public:
+    const std::string& name() const override { return name_; }
+    const rel::Schema& schema() const override { return schema_; }
+    size_t num_tuples() const override { return size_t{1} << 32; }
+    uint32_t code(size_t, size_t) const override {
+      JIM_CHECK(false) << "HugeStore serves no codes";
+      return 0;
+    }
+    rel::Value DecodeValue(size_t, size_t) const override {
+      JIM_CHECK(false) << "HugeStore serves no values";
+      return rel::Value::Null();
+    }
+    size_t ApproxBytes() const override { return 0; }
+
+   private:
+    std::string name_ = "huge";
+    rel::Schema schema_ = rel::Schema::FromNames({"a", "b", "c"});
+  };
+  const auto store = std::make_shared<const HugeStore>();
+  EXPECT_DEATH(InferenceEngine(store, /*pool=*/nullptr),
+               "tuple store too large");
 }
 
 TEST(EngineTest, InitiallyAllInformativeOnFigure1) {

@@ -1,6 +1,6 @@
 // libFuzzer entry point over the same targets as fuzz_jimc_main: the first
-// input byte routes between the JIMC reader and the goal parser, the rest is
-// the payload. Built only under -DJIM_BUILD_LIBFUZZER=ON (needs a compiler
+// input byte routes between the JIMC reader, the goal parser and the
+// request-line parser, the rest is the payload. Built only under -DJIM_BUILD_LIBFUZZER=ON (needs a compiler
 // with -fsanitize=fuzzer, i.e. clang); the deterministic driver is the
 // default path on GCC-only boxes.
 
@@ -13,8 +13,10 @@
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   if (size == 0) return 0;
-  if ((data[0] & 1) != 0) {
+  if (data[0] % 3 == 1) {
     jim::fuzz::FuzzGoalParse(data + 1, size - 1);
+  } else if (data[0] % 3 == 2) {
+    jim::fuzz::FuzzRequestLine(data + 1, size - 1);
   } else {
     const char* tmpdir = std::getenv("TMPDIR");
     static const std::string scratch =

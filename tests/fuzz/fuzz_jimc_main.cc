@@ -1,4 +1,5 @@
-// Deterministic fuzz driver for the JIMC reader and the --goal parser.
+// Deterministic fuzz driver for the JIMC reader, the --goal parser and the
+// serving protocol's request parser.
 //
 // No fuzzing runtime, no wall clock, no address-dependent state: the whole
 // run is a pure function of (--seed, --iterations), so any finding
@@ -6,8 +7,9 @@
 // mutates one of a few WriteStore-produced seed images (byte flips,
 // truncations, extensions, header scribbles, cross-image splices, window
 // zeroing — the 18-case corruption matrix of jimc_format_test generalized
-// to arbitrary damage) and one goal string, then drives the fuzz targets,
-// which JIM_CHECK the "typed Status or safe object" contract. ci.sh runs
+// to arbitrary damage), one goal string and one request line, then drives
+// the fuzz targets, which JIM_CHECK the "typed Status or safe object"
+// contract. ci.sh runs
 // this under ASAN+UBSAN for thousands of iterations; a ctest smoke entry
 // keeps it from bit-rotting in plain builds.
 
@@ -254,6 +256,56 @@ std::string MutateGoal(util::Rng& rng) {
   return text;
 }
 
+std::string MutateRequestLine(util::Rng& rng) {
+  static const std::vector<std::string> kSeeds = {
+      R"({"verb":"create","instance":"travel.jimc","strategy":"lookahead-entropy","goal":"To=City","seed":7,"max_steps":64})",
+      R"({"verb":"suggest","session":"s1"})",
+      R"({"verb":"label","session":"s1","class":12,"answer":true})",
+      R"({"verb":"status","session":"s\u00e9\"1"})",
+      R"({"verb":"ping","seed":5,"strategy":"random","goal":""})",
+      R"({"verb":"stats"})",
+      "",
+  };
+  static const std::vector<std::string> kTokens = {
+      "{",       "}",         "[",        "]",         ",",
+      ":",       "\"",       "\\",     "\\u0000", "\\ud800",
+      "null",    "true",      "false",    "-1",        "0",
+      "1e3",     "1.5",       "18446744073709551615",  "9223372036854775807",
+      "\"verb\"", "\"class\"", "\"answer\"", "\"seed\"", "\"max_steps\"",
+      "\"session\"", " ",     "\n",      "\xC3",     "\xE2\x89\x88",
+  };
+  std::string text = rng.PickOne(kSeeds);
+  const int64_t rounds = rng.UniformInt(0, 5);
+  for (int64_t round = 0; round < rounds; ++round) {
+    switch (rng.UniformInt(0, 3)) {
+      case 0:  // append a token
+        text += rng.PickOne(kTokens);
+        break;
+      case 1: {  // insert a token mid-line
+        const size_t at = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(text.size())));
+        text.insert(at, rng.PickOne(kTokens));
+        break;
+      }
+      case 2: {  // delete a window
+        if (text.empty()) break;
+        const size_t at = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(text.size()) - 1));
+        text.erase(at, static_cast<size_t>(rng.UniformInt(1, 8)));
+        break;
+      }
+      case 3: {  // scribble a raw byte (NUL and invalid UTF-8 included)
+        if (text.empty()) break;
+        text[static_cast<size_t>(rng.UniformInt(
+            0, static_cast<int64_t>(text.size()) - 1))] =
+            static_cast<char>(rng.UniformInt(0, 255));
+        break;
+      }
+    }
+  }
+  return text;
+}
+
 int Run(uint64_t seed, int64_t iterations) {
   const char* tmpdir = std::getenv("TMPDIR");
   const std::string scratch =
@@ -267,6 +319,7 @@ int Run(uint64_t seed, int64_t iterations) {
   util::Rng rng(seed);
   int64_t images_accepted = 0, images_rejected = 0;
   int64_t goals_parsed = 0, goals_rejected = 0;
+  int64_t requests_parsed = 0, requests_rejected = 0;
   for (int64_t i = 0; i < iterations; ++i) {
     Image image = seeds[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(seeds.size()) - 1))];
@@ -283,6 +336,13 @@ int Run(uint64_t seed, int64_t iterations) {
     } else {
       ++goals_rejected;
     }
+    const std::string line = MutateRequestLine(rng);
+    if (FuzzRequestLine(reinterpret_cast<const uint8_t*>(line.data()),
+                        line.size()) == 1) {
+      ++requests_parsed;
+    } else {
+      ++requests_rejected;
+    }
   }
   std::remove(scratch.c_str());
 
@@ -297,11 +357,16 @@ int Run(uint64_t seed, int64_t iterations) {
   std::printf("  goal strings: %lld parsed, %lld rejected as typed errors\n",
               static_cast<long long>(goals_parsed),
               static_cast<long long>(goals_rejected));
+  std::printf("  request lines: %lld parsed, %lld rejected as typed errors\n",
+              static_cast<long long>(requests_parsed),
+              static_cast<long long>(requests_rejected));
   // Both targets must have exercised both outcomes, or the mutators have
   // degenerated (a fuzzer that only ever rejects is testing one branch).
   JIM_CHECK_GT(images_rejected, 0);
   JIM_CHECK_GT(goals_parsed, 0);
   JIM_CHECK_GT(goals_rejected, 0);
+  JIM_CHECK_GT(requests_parsed, 0);
+  JIM_CHECK_GT(requests_rejected, 0);
   if (iterations >= 100) JIM_CHECK_GT(images_accepted, 0);
   std::printf("OK\n");
   return 0;

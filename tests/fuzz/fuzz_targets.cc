@@ -6,6 +6,7 @@
 #include "core/join_predicate.h"
 #include "relational/dictionary.h"
 #include "relational/schema.h"
+#include "serve/protocol.h"
 #include "storage/mapped_store.h"
 #include "util/check.h"
 #include "util/status.h"
@@ -118,6 +119,40 @@ int FuzzGoalParse(const uint8_t* data, size_t size) {
         << "goal round trip changed the predicate: " << predicate.ToString()
         << " vs " << reparsed->ToString();
   }
+  return 1;
+}
+
+int FuzzRequestLine(const uint8_t* data, size_t size) {
+  const std::string line(reinterpret_cast<const char*>(data), size);
+  auto parsed = serve::ParseRequest(line);
+  if (!parsed.ok()) {
+    // Malformed JSON, a missing verb and a wrongly-typed member are all the
+    // client's bad input.
+    JIM_CHECK(parsed.status().code() == util::StatusCode::kInvalidArgument)
+        << "unexpected request rejection code: "
+        << parsed.status().ToString();
+    JIM_CHECK(!parsed.status().message().empty())
+        << "request rejection without a diagnostic message";
+    return 0;
+  }
+  const serve::Request& request = *parsed;
+  const std::string rendered = serve::RequestToLine(request);
+  auto reparsed = serve::ParseRequest(rendered);
+  JIM_CHECK(reparsed.ok()) << "RequestToLine of an accepted request does "
+                              "not re-parse: "
+                           << rendered;
+  const serve::Request& again = *reparsed;
+  JIM_CHECK(again.verb == request.verb && again.session == request.session &&
+            again.instance == request.instance &&
+            again.strategy == request.strategy && again.goal == request.goal &&
+            again.seed == request.seed &&
+            again.max_steps == request.max_steps &&
+            again.class_id == request.class_id &&
+            again.has_class_id == request.has_class_id &&
+            again.answer == request.answer &&
+            again.has_answer == request.has_answer)
+      << "request round trip changed a member: " << line << " -> "
+      << rendered;
   return 1;
 }
 

@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <string>
 
-// The two fuzz targets behind both drivers (the deterministic
+// The fuzz targets behind both drivers (the deterministic
 // fuzz_jimc_main and the optional libFuzzer entry point). Each target's
 // contract is "any byte string in, no undefined behavior out": every
 // rejection must be a *typed* util::Status, every acceptance must yield an
@@ -28,6 +28,12 @@ int FuzzJimcImage(const uint8_t* data, size_t size,
 /// must hold a canonical partition and survive a ToSqlWhere → Parse round
 /// trip. Returns 1 if parsed, 0 if rejected.
 int FuzzGoalParse(const uint8_t* data, size_t size);
+
+/// Feeds `size` bytes as one serving-protocol request line to
+/// serve::ParseRequest. Rejections must be kInvalidArgument with a message;
+/// accepted requests must survive a RequestToLine → ParseRequest round trip
+/// with every member unchanged. Returns 1 if parsed, 0 if rejected.
+int FuzzRequestLine(const uint8_t* data, size_t size);
 
 }  // namespace jim::fuzz
 
