@@ -21,7 +21,8 @@
 #                        parity + minimax suite under address
 #   - UBSAN stage        integer-kernel + storage suites AND the
 #                        deterministic fuzz driver (5000 mutated JIMC
-#                        images / goal strings / request lines) under
+#                        images / goal strings / request lines /
+#                        checkpoint files) under
 #                        address+undefined
 #                        with every finding fatal (-fno-sanitize-recover);
 #                        the suites run the code → pair mask fill at
@@ -211,9 +212,9 @@ else
   (cd build-ubsan && ctest --output-on-failure -j"$(nproc)" \
     -R 'Partition|Antichain|InferenceState|BruteForceAgreement|KernelParity|Enumeration|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|EncodedParity|InvariantAudit|fuzz_jimc_smoke')
   # The deterministic fuzz driver, long run: 5000 mutated JIMC images, goal
-  # strings and request lines, every outcome a typed Status, under
-  # ASAN+UBSAN with findings fatal. Reproduce any failure with the printed
-  # seed.
+  # strings, request lines and checkpoint files, every outcome a typed
+  # Status, under ASAN+UBSAN with findings fatal. Reproduce any failure with
+  # the printed seed.
   ./build-ubsan/fuzz_jimc_main --seed=1 --iterations=5000
 fi
 

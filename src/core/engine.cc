@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <limits>
 
@@ -219,59 +218,30 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
 
   // Initially θ_P = ⊤, so K_c = ⊤ ∧ Part(c) = Part(c); every class starts on
   // the worklist.
-  knowledge_ = std::make_shared<KnowledgeCache>();
-  knowledge_->rows = table->part_rows;
-  knowledge_->rank.resize(num_classes);
-  session_ = std::make_shared<SessionArrays>();
-  session_->class_status.assign(num_classes, ClassStatus::kInformative);
-  session_->informative.reserve(num_classes);
-  session_->worklist_pos.reserve(num_classes);
+  knowledge_rows_ = table->part_rows;
+  knowledge_rank_.resize(num_classes);
+  class_status_.assign(num_classes, ClassStatus::kInformative);
+  informative_.reserve(num_classes);
+  worklist_pos_.reserve(num_classes);
   for (size_t c = 0; c < num_classes; ++c) {
-    knowledge_->rank[c] = static_cast<uint32_t>(
-        lat::MaskRank(knowledge_->rows.data() + c * words, words, n));
-    session_->informative.push_back(c);
-    session_->worklist_pos.push_back(static_cast<uint32_t>(c));
+    knowledge_rank_[c] = static_cast<uint32_t>(
+        lat::MaskRank(knowledge_rows_.data() + c * words, words, n));
+    informative_.push_back(c);
+    worklist_pos_.push_back(static_cast<uint32_t>(c));
   }
   table_ = std::move(table);
 }
 
-InferenceEngine::KnowledgeCache& InferenceEngine::MutableKnowledge() {
-  // use_count is exact here: a count of 1 can only race with *this* engine
-  // being cloned concurrently, which is already outside the copy contract.
-  if (knowledge_.use_count() != 1) {
-    knowledge_ = std::make_shared<KnowledgeCache>(*knowledge_);
-  } else {
-    // Pair with the release-decrement of a sibling clone that just detached
-    // (copied the vector and dropped the count to 1): without this fence the
-    // in-place mutation below would be unordered against that copy's reads.
-    std::atomic_thread_fence(std::memory_order_acquire);
-  }
-  return *knowledge_;
-}
-
-InferenceEngine::SessionArrays& InferenceEngine::MutableSession() {
-  // Same copy-on-write protocol as MutableKnowledge.
-  if (session_.use_count() != 1) {
-    session_ = std::make_shared<SessionArrays>(*session_);
-  } else {
-    std::atomic_thread_fence(std::memory_order_acquire);
-  }
-  return *session_;
-}
-
-size_t InferenceEngine::Propagate() {
+InferenceEngine::LabelImpact InferenceEngine::Propagate() {
   const size_t words = mask_words_;
   const size_t n = state_.num_attributes();
   const uint64_t* theta = state_.theta_mask();
-  // The in-place refresh below is the one mutation of K_c anywhere in the
-  // engine — detach from clone sharers first.
-  KnowledgeCache& knowledge = MutableKnowledge();
-  SessionArrays& session = *session_;
-  std::vector<size_t>& informative = session.informative;
   size_t out = 0;
-  size_t pruned = 0;
-  for (size_t c : informative) {
-    uint64_t* k = knowledge.rows.data() + c * words;
+  LabelImpact pruned;
+  for (size_t c : informative_) {
+    // The in-place refresh below is the one mutation of K_c anywhere in the
+    // engine.
+    uint64_t* k = knowledge_rows_.data() + c * words;
     // The new θ_P refines the old, so meeting the *cached* knowledge with it
     // is the full refresh: K ∧ θ' = (θ ∧ Part(c)) ∧ θ' = θ' ∧ Part(c).
     bool changed = false;
@@ -282,81 +252,81 @@ size_t InferenceEngine::Propagate() {
     }
     switch (state_.Classify(k)) {
       case TupleClassification::kForcedPositive:
-        session.class_status[c] = ClassStatus::kForcedPositive;
+        class_status_[c] = ClassStatus::kForcedPositive;
         break;
       case TupleClassification::kForcedNegative:
-        session.class_status[c] = ClassStatus::kForcedNegative;
+        class_status_[c] = ClassStatus::kForcedNegative;
         break;
       case TupleClassification::kInformative:
         break;
     }
-    if (session.class_status[c] != ClassStatus::kInformative) {
-      session.worklist_pos[c] = kNoPos;
-      ++pruned;
+    if (class_status_[c] != ClassStatus::kInformative) {
+      worklist_pos_[c] = kNoPos;
+      ++pruned.pruned_classes;
+      pruned.pruned_tuples += tuple_class(c).size();
     } else {
       // rank(K_c) is read per class by every decision; recount it here,
       // where the row changes, and only for classes that stay.
       if (changed) {
-        knowledge.rank[c] = static_cast<uint32_t>(lat::MaskRank(k, words, n));
+        knowledge_rank_[c] = static_cast<uint32_t>(lat::MaskRank(k, words, n));
       }
-      session.worklist_pos[c] = static_cast<uint32_t>(out);
-      informative[out++] = c;
+      worklist_pos_[c] = static_cast<uint32_t>(out);
+      informative_[out++] = c;
     }
   }
-  informative.resize(out);
+  informative_.resize(out);
   JIM_COUNT(obs::kCounterEnginePropagateRuns);
-  JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned);
+  JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned.pruned_classes);
   JIM_OBSERVE(obs::kHistEngineWorklistSize, out);
   return pruned;
 }
 
-size_t InferenceEngine::PropagateAfterNegative(size_t labeled_class) {
+InferenceEngine::LabelImpact InferenceEngine::PropagateAfterNegative(
+    size_t labeled_class) {
   // θ_P is unchanged, so the labeled class's cached row is still exactly the
-  // forbidden zone ApplyLabel inserted (and nothing on this path mutates
-  // knowledge_).
+  // forbidden zone ApplyLabel inserted (and nothing on this path writes a
+  // knowledge row).
   const size_t words = mask_words_;
   const uint64_t* forbidden = KnowledgeRow(labeled_class);
-  SessionArrays& session = *session_;
-  std::vector<size_t>& informative = session.informative;
   size_t out = 0;
-  for (size_t c : informative) {
+  LabelImpact pruned;
+  for (size_t c : informative_) {
     if (lat::MaskSubset(KnowledgeRow(c), forbidden, words)) {
-      session.class_status[c] = ClassStatus::kForcedNegative;
-      session.worklist_pos[c] = kNoPos;
+      class_status_[c] = ClassStatus::kForcedNegative;
+      worklist_pos_[c] = kNoPos;
+      ++pruned.pruned_classes;
+      pruned.pruned_tuples += tuple_class(c).size();
     } else {
-      session.worklist_pos[c] = static_cast<uint32_t>(out);
-      informative[out++] = c;
+      worklist_pos_[c] = static_cast<uint32_t>(out);
+      informative_[out++] = c;
     }
   }
-  const size_t pruned = informative.size() - out;
-  informative.resize(out);
+  informative_.resize(out);
   JIM_COUNT(obs::kCounterEnginePropagateRuns);
-  JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned);
+  JIM_COUNT_N(obs::kCounterEnginePrunedClasses, pruned.pruned_classes);
   JIM_OBSERVE(obs::kHistEngineWorklistSize, out);
   return pruned;
 }
 
 void InferenceEngine::RemoveFromWorklist(size_t class_id) {
-  SessionArrays& session = *session_;
-  std::vector<size_t>& informative = session.informative;
-  const uint32_t pos = session.worklist_pos[class_id];
-  JIM_CHECK(pos != kNoPos && pos < informative.size() &&
-            informative[pos] == class_id)
+  const uint32_t pos = worklist_pos_[class_id];
+  JIM_CHECK(pos != kNoPos && pos < informative_.size() &&
+            informative_[pos] == class_id)
       << "worklist position index out of sync for class " << class_id;
-  informative.erase(informative.begin() + pos);
-  for (size_t i = pos; i < informative.size(); ++i) {
-    session.worklist_pos[informative[i]] = static_cast<uint32_t>(i);
+  informative_.erase(informative_.begin() + pos);
+  for (size_t i = pos; i < informative_.size(); ++i) {
+    worklist_pos_[informative_[i]] = static_cast<uint32_t>(i);
   }
-  session.worklist_pos[class_id] = kNoPos;
+  worklist_pos_[class_id] = kNoPos;
 }
 
 size_t InferenceEngine::NumInformativeTuples() const {
   size_t count = 0;
-  for (size_t c : session_->informative) count += tuple_class(c).size();
+  for (size_t c : informative_) count += tuple_class(c).size();
   return count;
 }
 
-bool InferenceEngine::IsDone() const { return session_->informative.empty(); }
+bool InferenceEngine::IsDone() const { return informative_.empty(); }
 
 lat::Partition InferenceEngine::ClassPartition(size_t class_id) const {
   return lat::PairMaskToPartition(
@@ -378,7 +348,7 @@ util::DynamicBitset InferenceEngine::TuplesOfClasses(
   const std::vector<uint32_t>& class_of_tuple = table_->class_of_tuple;
   util::DynamicBitset tuples(class_of_tuple.size());
   for (size_t t = 0; t < class_of_tuple.size(); ++t) {
-    if (in_set(session_->class_status[class_of_tuple[t]])) tuples.Set(t);
+    if (in_set(class_status_[class_of_tuple[t]])) tuples.Set(t);
   }
   return tuples;
 }
@@ -395,8 +365,8 @@ util::DynamicBitset InferenceEngine::CertainNonResultTuples() const {
 }
 
 util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
-                                        Label label) {
-  const ClassStatus before = session_->class_status[class_id];
+                                        Label label, LabelImpact& impact) {
+  const ClassStatus before = class_status_[class_id];
   // Relabeling an explicitly labeled class is rejected as contradictory or
   // accepted as a (wasted) repetition.
   if (before == ClassStatus::kLabeledPositive ||
@@ -426,8 +396,6 @@ util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
     }
   }
   JIM_COUNT(obs::kCounterEngineLabelsAccepted);
-  // Only status-changing labels get here: detach the session arrays now.
-  SessionArrays& session = MutableSession();
   // One JIM_COUNT site per name: the macro caches its counter in a
   // function-local static, so the name must be a per-site constant.
   if (label == Label::kPositive) {
@@ -436,9 +404,9 @@ util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
     JIM_COUNT(obs::kCounterEngineLabelsNegative);
   }
 
-  session.class_status[class_id] = label == Label::kPositive
-                                       ? ClassStatus::kLabeledPositive
-                                       : ClassStatus::kLabeledNegative;
+  class_status_[class_id] = label == Label::kPositive
+                                ? ClassStatus::kLabeledPositive
+                                : ClassStatus::kLabeledNegative;
   history_.push_back(LabeledExample{tuple_index, label});
   if (!was_informative) {
     // Consistent label on a grayed-out tuple: accepted, teaches nothing.
@@ -449,18 +417,16 @@ util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,
   // The labeled class leaves the pool as kLabeled*; pull it off the worklist
   // before propagation so reclassification cannot overwrite that status.
   RemoveFromWorklist(class_id);
-  if (label == Label::kPositive) {
-    Propagate();
-  } else {
-    PropagateAfterNegative(class_id);
-  }
+  impact = label == Label::kPositive ? Propagate()
+                                     : PropagateAfterNegative(class_id);
+  ++impact.pruned_classes;
+  impact.pruned_tuples += tuple_class(class_id).size();
   return util::OkStatus();
 }
 
 TupleStatus InferenceEngine::tuple_status(size_t tuple_index) const {
   JIM_CHECK_LT(tuple_index, store_->num_tuples());
-  const ClassStatus status =
-      session_->class_status[class_of_tuple(tuple_index)];
+  const ClassStatus status = class_status_[class_of_tuple(tuple_index)];
   if (IsInformative(status)) return TupleStatus::kInformative;
   // Only a labeled class holds labeled tuples, and every history entry in it
   // carries the class's label (a contradiction is rejected unrecorded).
@@ -479,24 +445,29 @@ TupleStatus InferenceEngine::tuple_status(size_t tuple_index) const {
 }
 
 util::Status InferenceEngine::SubmitTupleLabel(size_t tuple_index,
-                                               Label label) {
-  if (tuple_index >= store_->num_tuples()) {
-    return util::OutOfRangeError("tuple index out of range");
+                                               Label label,
+                                               LabelImpact* impact) {
+  LabelImpact pruned;
+  util::Status status = util::OutOfRangeError("tuple index out of range");
+  if (tuple_index < store_->num_tuples()) {
+    status = LabelImpl(class_of_tuple(tuple_index), tuple_index, label, pruned);
+    // Audited on rejection too: a refused label must leave the engine intact.
+    JIM_AUDIT(CheckInvariants());
   }
-  const util::Status status =
-      LabelImpl(class_of_tuple(tuple_index), tuple_index, label);
-  // Audited on rejection too: a refused label must leave the engine intact.
-  JIM_AUDIT(CheckInvariants());
+  if (impact != nullptr) *impact = pruned;
   return status;
 }
 
-util::Status InferenceEngine::SubmitClassLabel(size_t class_id, Label label) {
-  if (class_id >= num_classes()) {
-    return util::OutOfRangeError("class id out of range");
+util::Status InferenceEngine::SubmitClassLabel(size_t class_id, Label label,
+                                               LabelImpact* impact) {
+  LabelImpact pruned;
+  util::Status status = util::OutOfRangeError("class id out of range");
+  if (class_id < num_classes()) {
+    status = LabelImpl(class_id, tuple_class(class_id).tuple_indices.front(),
+                       label, pruned);
+    JIM_AUDIT(CheckInvariants());
   }
-  const util::Status status =
-      LabelImpl(class_id, tuple_class(class_id).tuple_indices.front(), label);
-  JIM_AUDIT(CheckInvariants());
+  if (impact != nullptr) *impact = pruned;
   return status;
 }
 
@@ -514,7 +485,7 @@ InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
 void InferenceEngine::PrepareLookaheadBounds(
     LookaheadBoundsCache& cache) const {
   const size_t n = store_->num_attributes();
-  const std::vector<size_t>& informative = session_->informative;
+  const std::vector<size_t>& informative = informative_;
   const size_t words = mask_words_;
   cache.mask_words = words;
   cache.knowledge_masks.resize(informative.size() * words);
@@ -531,7 +502,7 @@ void InferenceEngine::PrepareLookaheadBounds(
     const uint64_t* row = KnowledgeRow(c);
     std::copy(row, row + words, cache.knowledge_masks.data() + i * words);
     cache.class_tuples[i] = tuple_class(c).size();
-    cache.tuples_rank_le[knowledge_->rank[c]] += cache.class_tuples[i];
+    cache.tuples_rank_le[knowledge_rank_[c]] += cache.class_tuples[i];
   }
   size_t run = 0;
   for (size_t r = n; r-- > 0;) {
@@ -555,9 +526,9 @@ bool InferenceEngine::SimulateLabelBothBounded(
     const AggregateBoundFn* objective, double threshold,
     LabelImpactPair* impact, double* skip_bound) const {
   JIM_CHECK_LT(class_id, num_classes());
-  JIM_CHECK(session_->class_status[class_id] == ClassStatus::kInformative);
+  JIM_CHECK(class_status_[class_id] == ClassStatus::kInformative);
   const size_t size = cache.class_tuples.size();
-  JIM_CHECK_EQ(size, session_->informative.size())
+  JIM_CHECK_EQ(size, informative_.size())
       << "lookahead cache prepared for another worklist";
   // No bound falls below −∞, so that threshold reads no cap and runs neither
   // the precheck nor the in-scan abort: the plain simulation.
@@ -576,7 +547,7 @@ bool InferenceEngine::SimulateLabelBothBounded(
     }
   }
   const size_t words = cache.mask_words;
-  const size_t self = session_->worklist_pos[class_id];
+  const size_t self = worklist_pos_[class_id];
   const uint64_t* k_labeled = cache.knowledge_masks.data() + self * words;
   const uint64_t* antichain = cache.antichain_masks;
 
@@ -635,19 +606,18 @@ bool InferenceEngine::SimulateLabelBothBounded(
 void InferenceEngine::CheckInvariants() const {
   state_.CheckInvariants();
 
-  // COW holders attached and sized for this instance.
-  JIM_CHECK(store_ != nullptr && table_ != nullptr && session_ != nullptr &&
-            knowledge_ != nullptr);
+  // The class table and the per-class arrays sized for this instance.
+  JIM_CHECK(store_ != nullptr && table_ != nullptr);
   const size_t num_tuples = store_->num_tuples();
   JIM_CHECK(!table_->offsets.empty());
   const size_t num_classes = table_->offsets.size() - 1;
   JIM_CHECK_EQ(table_->class_of_tuple.size(), num_tuples);
   JIM_CHECK_EQ(table_->members.size(), num_tuples);
-  JIM_CHECK_EQ(session_->class_status.size(), num_classes);
+  JIM_CHECK_EQ(class_status_.size(), num_classes);
   JIM_CHECK_EQ(mask_words_, lat::PairMaskWords(store_->num_attributes()));
   JIM_CHECK_EQ(table_->part_rows.size(), num_classes * mask_words_);
-  JIM_CHECK_EQ(knowledge_->rows.size(), num_classes * mask_words_);
-  JIM_CHECK_EQ(knowledge_->rank.size(), num_classes);
+  JIM_CHECK_EQ(knowledge_rows_.size(), num_classes * mask_words_);
+  JIM_CHECK_EQ(knowledge_rank_.size(), num_classes);
 
   // Classes partition the tuple set, in agreement with class_of_tuple:
   // non-empty runs of ascending members covering the permutation, with
@@ -677,7 +647,7 @@ void InferenceEngine::CheckInvariants() const {
   }
 
   // Worklist = ascending ids of exactly the kInformative classes.
-  const std::vector<size_t>& informative = session_->informative;
+  const std::vector<size_t>& informative = informative_;
   for (size_t i = 0; i < informative.size(); ++i) {
     JIM_CHECK_LT(informative[i], num_classes);
     if (i > 0) {
@@ -690,25 +660,25 @@ void InferenceEngine::CheckInvariants() const {
     const bool on_worklist = std::binary_search(
         informative.begin(), informative.end(), c);
     const bool is_informative =
-        session_->class_status[c] == ClassStatus::kInformative;
+        class_status_[c] == ClassStatus::kInformative;
     JIM_CHECK_EQ(on_worklist, is_informative)
         << "worklist/status disagreement on class " << c << " ("
-        << ClassStatusToString(session_->class_status[c]) << ")";
+        << ClassStatusToString(class_status_[c]) << ")";
     if (is_informative) ++informative_count;
   }
   JIM_CHECK_EQ(informative_count, informative.size());
 
   // Position index mirrors the worklist exactly; off-pool classes carry the
   // sentinel.
-  JIM_CHECK_EQ(session_->worklist_pos.size(), num_classes);
+  JIM_CHECK_EQ(worklist_pos_.size(), num_classes);
   for (size_t i = 0; i < informative.size(); ++i) {
-    JIM_CHECK_EQ(session_->worklist_pos[informative[i]],
+    JIM_CHECK_EQ(worklist_pos_[informative[i]],
                  static_cast<uint32_t>(i))
         << "worklist_pos out of sync at position " << i;
   }
   for (size_t c = 0; c < num_classes; ++c) {
-    if (session_->class_status[c] != ClassStatus::kInformative) {
-      JIM_CHECK_EQ(session_->worklist_pos[c], kNoPos)
+    if (class_status_[c] != ClassStatus::kInformative) {
+      JIM_CHECK_EQ(worklist_pos_[c], kNoPos)
           << "off-pool class " << c << " still has a worklist position";
     }
   }
@@ -725,7 +695,7 @@ void InferenceEngine::CheckInvariants() const {
     JIM_CHECK(std::equal(expected.begin(), expected.end(),
                          table_->part_rows.data() + c * mask_words_))
         << "Part(c) row " << c << " is not the mask of a partition";
-    switch (session_->class_status[c]) {
+    switch (class_status_[c]) {
       case ClassStatus::kInformative:
         std::fill(expected.begin(), expected.end(), 0);
         lat::FillPairMask(state_.theta_p().Meet(part), expected.data());
@@ -785,7 +755,7 @@ InferenceEngine::Stats InferenceEngine::GetStats() const {
   stats.wasted_interactions = wasted_interactions_;
   for (size_t c = 0; c < num_classes(); ++c) {
     const size_t members = tuple_class(c).size();
-    switch (session_->class_status[c]) {
+    switch (class_status_[c]) {
       case ClassStatus::kInformative:
         ++stats.informative_classes;
         stats.informative_tuples += members;

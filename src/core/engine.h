@@ -21,7 +21,7 @@ namespace jim::core {
 
 /// The member tuple ids of one class: a read-only view over a contiguous
 /// run of the class table's member permutation (see InferenceEngine's
-/// ClassTable). Valid while the engine — or any clone sharing its table —
+/// ClassTable). Valid while the engine — or any copy sharing its table —
 /// lives.
 class ClassMembers {
  public:
@@ -132,15 +132,15 @@ class InferenceEngine {
   /// cell through one shared dictionary) and builds over that.
   explicit InferenceEngine(std::shared_ptr<const rel::Relation> relation);
 
-  /// Copies are cheap clones: the class table (members, tuple → class map,
-  /// Part(c) rows) is shared outright (immutable), and both the per-class
-  /// knowledge cache and the per-class session arrays (statuses, worklist)
-  /// are copy-on-write — a clone defers those costs until its first label.
-  /// This is what lets BatchSessionRunner fan independent sessions out over
-  /// clones of one built engine. Clones may be labeled from different threads
-  /// concurrently (a mutating clone detaches before it writes); only cloning
-  /// an engine *while another thread mutates that same engine* is a race, so
-  /// clone before fanning out.
+  /// An engine is a plain value over one shared, immutable class table
+  /// (members, tuple → class map, Part(c) rows) and one shared store: a
+  /// copy shares those two outright and copies the per-class session state
+  /// — statuses, worklist, worklist positions, K_c rows and ranks —
+  /// O(classes), never O(tuples). This is what lets BatchSessionRunner fan
+  /// independent sessions out over copies of one built engine. Copies share
+  /// nothing they write, so they may be labeled from different threads
+  /// concurrently; copying an engine *while another thread mutates that same
+  /// engine* is a race, so copy before fanning out.
   InferenceEngine(const InferenceEngine&) = default;
   InferenceEngine& operator=(const InferenceEngine&) = default;
 
@@ -162,7 +162,7 @@ class InferenceEngine {
   /// Part(c), decoded from the class table's mask row.
   lat::Partition ClassPartition(size_t class_id) const;
   ClassStatus class_status(size_t class_id) const {
-    return session_->class_status[class_id];
+    return class_status_[class_id];
   }
   size_t class_of_tuple(size_t tuple_index) const {
     return table_->class_of_tuple[tuple_index];
@@ -174,12 +174,11 @@ class InferenceEngine {
   TupleStatus tuple_status(size_t tuple_index) const;
 
   /// Ids of classes that are still worth asking about, ascending. Returns a
-  /// reference to the engine's live worklist: any Submit*Label call compacts
-  /// it (and, on a clone, detaches the copy-on-write session arrays),
-  /// invalidating the reference — copy first if you need the list across a
-  /// labeling.
+  /// reference to the engine's live worklist, which any accepted
+  /// Submit*Label call compacts in place — copy first if you need the list
+  /// as it was before a labeling.
   const std::vector<size_t>& InformativeClasses() const {
-    return session_->informative;
+    return informative_;
   }
 
   /// Knowledge K_c = θ_P ∧ Part(c) of an *informative* class, decoded from
@@ -194,16 +193,15 @@ class InferenceEngine {
   /// rank(K_c) = n − #blocks of an informative class's knowledge, stored
   /// beside the cached row wherever the row is written.
   size_t ClassKnowledgeRank(size_t class_id) const {
-    return knowledge_->rank[class_id];
+    return knowledge_rank_[class_id];
   }
 
   /// The class's cached knowledge row (mask_words words). It is K_c for an
   /// informative class, and θ' ∧ Part(c) for some earlier θ' ⊇ θ_P for any
   /// other, so InferenceState::Classify and ApplyLabel take it in place of
-  /// Part(c) for every class. Two engines return the same address exactly
-  /// while they share the copy-on-write cache.
+  /// Part(c) for every class.
   const uint64_t* KnowledgeRow(size_t class_id) const {
-    return knowledge_->rows.data() + class_id * mask_words_;
+    return knowledge_rows_.data() + class_id * mask_words_;
   }
 
   /// Total member count over informative classes.
@@ -226,22 +224,26 @@ class InferenceEngine {
   /// After IsDone() this identifies the goal up to instance-equivalence.
   JoinPredicate Result() const;
 
-  /// Labels the tuple (mode-1 entry point: any tuple, informative or not).
-  /// Returns kFailedPrecondition and leaves the engine unchanged when the
-  /// label contradicts earlier labels. A consistent label on an
-  /// uninformative tuple is accepted, counted as a wasted interaction, and
-  /// does not change the state.
-  util::Status SubmitTupleLabel(size_t tuple_index, Label label);
-
-  /// Labels (the representative tuple of) a class.
-  util::Status SubmitClassLabel(size_t class_id, Label label);
-
-  /// What labeling a class would do: number of classes/tuples leaving the
-  /// informative pool (the labeled class included).
+  /// What labeling a class does (or would do): number of classes/tuples
+  /// leaving the informative pool, the labeled class included.
   struct LabelImpact {
     size_t pruned_classes = 0;
     size_t pruned_tuples = 0;
   };
+
+  /// Labels the tuple (mode-1 entry point: any tuple, informative or not).
+  /// Returns kFailedPrecondition and leaves the engine unchanged when the
+  /// label contradicts earlier labels. A consistent label on an
+  /// uninformative tuple is accepted, counted as a wasted interaction, and
+  /// does not change the state. A non-null `impact` receives what the label
+  /// pruned, counted during propagation: zero for a wasted or refused label,
+  /// so an accepted label was wasted iff impact->pruned_classes == 0.
+  util::Status SubmitTupleLabel(size_t tuple_index, Label label,
+                                LabelImpact* impact = nullptr);
+
+  /// Labels (the representative tuple of) a class; `impact` as above.
+  util::Status SubmitClassLabel(size_t class_id, Label label,
+                                LabelImpact* impact = nullptr);
 
   /// Both answers' impacts for an informative class, from the engine's
   /// cached knowledge masks — no InferenceState copy, no antichain
@@ -372,7 +374,7 @@ class InferenceEngine {
   ///     status of every class matches a fresh InferenceState::Classify;
   ///   - every history() entry sits in a class labeled the same way;
   ///   - the worklist position index matches the worklist;
-  ///   - the copy-on-write holders are attached and correctly sized.
+  ///   - the class table and the per-class arrays are correctly sized.
   /// O(classes · n²); tests call it directly, and every construction/
   /// labeling runs it under JIM_AUDIT (the parity suites and the ci.sh audit
   /// stage enable that mode).
@@ -382,60 +384,34 @@ class InferenceEngine {
   /// Worklist-position sentinel for classes not on the worklist.
   static constexpr uint32_t kNoPos = 0xFFFFFFFFu;
 
-  /// The flat per-class session arrays (labeled tuples live in history_),
-  /// grouped under one copy-on-write holder so a clone shares them until its
-  /// first Submit (EngineCopy is then three shared_ptr bumps, not copies).
-  struct SessionArrays {
-    std::vector<ClassStatus> class_status;
-    /// Ids of informative classes, ascending — the dense worklist the
-    /// Propagate variants scan and compact.
-    std::vector<size_t> informative;
-    /// Position of each class in `informative` (kNoPos once it left the
-    /// pool): O(1) locate for RemoveFromWorklist and the lookahead caps,
-    /// maintained for free by the compaction loops.
-    std::vector<uint32_t> worklist_pos;
-  };
-
   void BuildClasses(exec::ThreadPool* pool);
   /// Shared implementation of the two Submit entry points; `tuple_index` is
   /// the tuple recorded in the history (the one actually shown to the user).
-  util::Status LabelImpl(size_t class_id, size_t tuple_index, Label label);
+  /// Returns what the label pruned through `impact` (left zeroed unless the
+  /// labeled class was informative).
+  util::Status LabelImpl(size_t class_id, size_t tuple_index, Label label,
+                         LabelImpact& impact);
 
   /// Reclassification after a state change, over the dense worklist of
   /// still-informative classes only (uninformativeness is monotone, so
   /// settled classes are never revisited). Each variant is one pass of word
   /// operations over the cached pair masks that compacts the worklist in
-  /// place and returns the number of classes that left the pool. Callers
-  /// must hold the session arrays uniquely (constructor, or LabelImpl after
-  /// MutableSession).
+  /// place and returns the classes and tuples that left the pool.
   ///
   /// Construction and positive labels: every cached row is refreshed in
   /// place (K_c ← K_c ∧ θ_P — the new θ_P refines the old one, so this is
   /// the full recompute), then the class is forced positive iff K_c == θ_P
   /// and forced negative iff K_c lies inside some forbidden zone.
-  size_t Propagate();
+  LabelImpact Propagate();
   /// After a negative label on `labeled_class`: θ_P and the cache are
   /// untouched, and the only new way out of the pool is the fresh forbidden
   /// zone F = K_labeled, so a class is pruned iff K_c ⊆ F.
-  size_t PropagateAfterNegative(size_t labeled_class);
+  LabelImpact PropagateAfterNegative(size_t labeled_class);
   /// Drops `class_id` from the worklist (on explicit labeling) via its
   /// position index — no scan.
   void RemoveFromWorklist(size_t class_id);
 
-  /// K_c per class as pair masks, with rank(K_c) beside each row; fresh for
-  /// informative classes (see ClassKnowledge).
-  struct KnowledgeCache {
-    std::vector<uint64_t> rows;  ///< mask_words_ words per class, by class id
-    std::vector<uint32_t> rank;  ///< rank(K_c), by class id
-  };
-
-  /// Detaches knowledge_ from any sharers (copy-on-first-mutate) and returns
-  /// the sole-owner cache. Everything that writes K_c goes through here.
-  KnowledgeCache& MutableKnowledge();
-  /// Same for the session arrays; only a label that changes a status does.
-  SessionArrays& MutableSession();
-
-  /// The class table, immutable once BuildClasses returns, so every clone of
+  /// The class table, immutable once BuildClasses returns, so every copy of
   /// an engine shares it outright. Membership is in CSR form: class c's
   /// members are members[offsets[c], offsets[c + 1]), ascending, so the
   /// whole table is 8 bytes per tuple plus (4 + 8 · mask_words_) bytes per
@@ -454,16 +430,21 @@ class InferenceEngine {
   std::shared_ptr<const TupleStore> store_;
   InferenceState state_;
   std::shared_ptr<const ClassTable> table_;
-  /// Per-session flat arrays, copy-on-write across clones (see
-  /// SessionArrays).
-  std::shared_ptr<SessionArrays> session_;
-  /// Copy-on-write: clones share the knowledge cache until their first
-  /// knowledge mutation (a positive label), which makes engine copies cheap
-  /// enough to fan batches of sessions out over clones
-  /// (exec::BatchSessionRunner). Negative-only histories never pay for a
-  /// copy at all.
-  std::shared_ptr<KnowledgeCache> knowledge_;
   size_t mask_words_ = 0;
+  // The session state: O(classes), copied with the engine (labeled tuples
+  // live in history_).
+  std::vector<ClassStatus> class_status_;  ///< by class id
+  /// Ids of informative classes, ascending — the dense worklist the
+  /// Propagate variants scan and compact.
+  std::vector<size_t> informative_;
+  /// Position of each class in informative_ (kNoPos once it left the pool):
+  /// O(1) locate for RemoveFromWorklist and the lookahead caps, maintained
+  /// for free by the compaction loops.
+  std::vector<uint32_t> worklist_pos_;
+  /// K_c as pair masks, mask_words_ words per class; fresh for informative
+  /// classes (see ClassKnowledge).
+  std::vector<uint64_t> knowledge_rows_;
+  std::vector<uint32_t> knowledge_rank_;  ///< rank(K_c)
   LabeledExamples history_;
   size_t wasted_interactions_ = 0;
 };

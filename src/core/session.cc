@@ -170,7 +170,7 @@ SessionResult RunSessionOnEngine(InferenceEngine& engine,
     const uint64_t simulate_spent =
         options.tracer != nullptr ? SimulateCallsSoFar() - simulate_before : 0;
 
-    const auto stats_before = engine.GetStats();
+    const size_t worklist_before = engine.InformativeClasses().size();
     // Decode-on-demand: the only Value materialization in a session is the
     // tuple actually shown to the (simulated) user.
     const Label label = oracle.LabelFor(store.DecodeTuple(tuple_index));
@@ -180,7 +180,9 @@ SessionResult RunSessionOnEngine(InferenceEngine& engine,
     step.tuple_index = tuple_index;
     step.label = label;
 
-    const util::Status status = engine.SubmitClassLabel(class_id, label);
+    InferenceEngine::LabelImpact impact;
+    const util::Status status =
+        engine.SubmitClassLabel(class_id, label, &impact);
     if (!status.ok()) {
       // Only a noisy oracle can contradict itself. Skip the submission (the
       // real system would re-ask); count the wasted interaction.
@@ -189,22 +191,19 @@ SessionResult RunSessionOnEngine(InferenceEngine& engine,
       result.steps.push_back(step);
       if (options.tracer != nullptr) {
         RecordTraceStep(*options.tracer, result.steps.size() - 1, step,
-                        /*accepted=*/false, stats_before.informative_classes,
-                        stats_before.informative_classes, simulate_spent);
+                        /*accepted=*/false, worklist_before, worklist_before,
+                        simulate_spent);
       }
       continue;
     }
-    const auto stats_after = engine.GetStats();
-    step.pruned_classes = (stats_before.informative_classes -
-                           stats_after.informative_classes);
-    step.pruned_tuples =
-        (stats_before.informative_tuples - stats_after.informative_tuples);
+    step.pruned_classes = impact.pruned_classes;
+    step.pruned_tuples = impact.pruned_tuples;
     step.micros = step_clock.ElapsedMicros();
     result.steps.push_back(step);
     if (options.tracer != nullptr) {
       RecordTraceStep(*options.tracer, result.steps.size() - 1, step,
-                      /*accepted=*/true, stats_before.informative_classes,
-                      stats_after.informative_classes, simulate_spent);
+                      /*accepted=*/true, worklist_before,
+                      engine.InformativeClasses().size(), simulate_spent);
     }
   }
 

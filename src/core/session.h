@@ -104,10 +104,10 @@ SessionResult RunSession(std::shared_ptr<const rel::Relation> relation,
                          const JoinPredicate& goal, Strategy& strategy,
                          Oracle& oracle, const SessionOptions& options = {});
 
-/// Same, but drives an engine the caller already built — typically a cheap
-/// clone of a prototype (engine copies share the class table and the K_c
-/// cache copy-on-write), which skips the O(N·n²) class construction per
-/// session. This is the unit of work exec::BatchSessionRunner fans out. The
+/// Same, but drives an engine the caller already built — typically a copy of
+/// a prototype (an engine copy shares the class table and copies only
+/// O(classes) of session state), which skips the O(N·n²) class construction
+/// per session. This is the unit of work exec::BatchSessionRunner fans out. The
 /// engine must be fresh (no labels yet) for the session trace to mean what
 /// the benches assume.
 SessionResult RunSessionOnEngine(InferenceEngine& engine,

@@ -16,7 +16,7 @@ core::SessionResult RunOne(const SessionSpec& spec) {
   JIM_COUNT(obs::kCounterExecBatchSessions);
   JIM_CHECK(spec.prototype != nullptr);
   JIM_CHECK(spec.make_strategy != nullptr);
-  core::InferenceEngine engine = *spec.prototype;  // cheap COW clone
+  core::InferenceEngine engine = *spec.prototype;  // O(classes) copy
   std::unique_ptr<core::Strategy> strategy = spec.make_strategy();
   std::unique_ptr<core::Oracle> oracle =
       spec.make_oracle ? spec.make_oracle()

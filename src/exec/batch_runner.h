@@ -23,9 +23,9 @@ struct SessionSpec {
               core::JoinPredicate goal_in)
       : prototype(std::move(prototype_in)), goal(std::move(goal_in)) {}
 
-  /// The prototype engine, built once per instance and cloned per session
-  /// (cheap: the class table is shared, the knowledge cache copy-on-write).
-  /// Many specs typically point at one prototype.
+  /// The prototype engine, built once per instance and copied per session
+  /// (O(classes): the class table and the store are shared). Many specs
+  /// typically point at one prototype.
   std::shared_ptr<const core::InferenceEngine> prototype;
   core::JoinPredicate goal;
   std::function<std::unique_ptr<core::Strategy>()> make_strategy;

@@ -213,10 +213,10 @@ util::StatusOr<SessionManager::LabelResult> SessionManager::Label(
   // path through the engine is ever needed), and a contradiction rejection
   // discards the clone without touching the session.
   core::InferenceEngine trial = session->engine;
-  core::InferenceEngine::Stats before = trial.GetStats();
+  core::InferenceEngine::LabelImpact impact;
   RETURN_IF_ERROR(trial.SubmitClassLabel(
-      class_id, positive ? core::Label::kPositive : core::Label::kNegative));
-  core::InferenceEngine::Stats after = trial.GetStats();
+      class_id, positive ? core::Label::kPositive : core::Label::kNegative,
+      &impact));
 
   // Class and tuple ids fit the checkpoint's uint32_t fields: the engine
   // admits only stores of fewer than 2^32 tuples.
@@ -239,10 +239,10 @@ util::StatusOr<SessionManager::LabelResult> SessionManager::Label(
 
   LabelResult result;
   result.step = session->checkpoint.steps.size();
-  result.pruned_classes =
-      before.informative_classes - after.informative_classes;
-  result.pruned_tuples = before.informative_tuples - after.informative_tuples;
-  result.wasted = after.wasted_interactions > before.wasted_interactions;
+  result.pruned_classes = impact.pruned_classes;
+  result.pruned_tuples = impact.pruned_tuples;
+  // Only a label on a class that already left the pool prunes nothing.
+  result.wasted = impact.pruned_classes == 0;
   result.done = session->engine.IsDone();
   return result;
 }
@@ -396,6 +396,14 @@ util::Status SessionManager::RecoverSessions() {
     }
     ASSIGN_OR_RETURN(SessionCheckpoint checkpoint,
                      ReadCheckpoint(*env_, path));
+    // Every later write and Close() of the session goes to the file its id
+    // names, so a checkpoint under another name would be left behind.
+    if (entry != CheckpointFileName(checkpoint.session_id)) {
+      return util::InvalidArgumentError(util::StrFormat(
+          "%s: checkpoint holds session id '%s', which belongs in %s",
+          path.c_str(), checkpoint.session_id.c_str(),
+          CheckpointFileName(checkpoint.session_id).c_str()));
+    }
     checkpoints.push_back(std::move(checkpoint));
   }
   if (checkpoints.empty()) return util::OkStatus();

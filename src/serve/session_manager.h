@@ -41,14 +41,14 @@ struct ServeOptions {
   storage::RetryPolicy retry;
 };
 
-/// Owns the live sessions of a serving daemon: per-session engine clones
-/// over shared read-only stores, strategy state, admission control, and the
-/// checkpoint/recovery path. Thread-safe: the registry is guarded by one
-/// mutex, each session by its own, so requests for different sessions
-/// proceed in parallel on the server's connection handlers. Sessions keep
-/// their strategy's default pool, exec::SharedPool(): a lookahead pick fans
-/// out onto it only when its worklist is wide enough to pay for the
-/// dispatch (core::kParallelLookaheadMinCandidates).
+/// Owns the live sessions of a serving daemon: per-session engine copies
+/// over shared read-only stores and class tables, strategy state, admission
+/// control, and the checkpoint/recovery path. Thread-safe: the registry is
+/// guarded by one mutex, each session by its own, so requests for different
+/// sessions proceed in parallel on the server's connection handlers.
+/// Sessions keep their strategy's default pool, exec::SharedPool(): a
+/// lookahead pick fans out onto it only when its worklist is wide enough to
+/// pay for the dispatch (core::kParallelLookaheadMinCandidates).
 ///
 /// Determinism contract: a session is fully determined by (instance,
 /// strategy, seed, label transcript). `suggest` computes the strategy's
@@ -74,8 +74,9 @@ class SessionManager {
 
   /// Rebuilds every checkpointed session from `checkpoint_dir` (no-op when
   /// checkpointing is off). Call once, before serving. Fails loudly —
-  /// kInvalidArgument for a corrupt checkpoint, kInternal for a replay
-  /// divergence — rather than silently dropping a user's session.
+  /// kInvalidArgument for a corrupt checkpoint or one whose session id does
+  /// not match its file name, kInternal for a replay divergence — rather
+  /// than silently dropping a user's session.
   util::Status RecoverSessions();
 
   struct CreateResult {
@@ -147,7 +148,8 @@ class SessionManager {
  private:
   struct Instance {
     std::shared_ptr<const core::TupleStore> store;
-    /// Built once per instance; sessions start as COW clones of it.
+    /// Built once per instance; sessions start as copies of it, sharing its
+    /// class table.
     std::shared_ptr<const core::InferenceEngine> prototype;
   };
 

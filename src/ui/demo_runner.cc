@@ -124,13 +124,12 @@ util::StatusOr<core::JoinPredicate> RunConsoleDemo(
 
   while (!engine.IsDone()) {
     // Trace bookkeeping is tracer-gated so an untraced demo never reads the
-    // clock or walks the class table beyond what the UI itself needs.
+    // clock or the metrics registry.
     std::optional<util::Stopwatch> step_clock;
-    core::InferenceEngine::Stats stats_before;
+    const size_t worklist_before = engine.InformativeClasses().size();
     uint64_t simulate_before = 0;
     if (options.tracer != nullptr) {
       step_clock.emplace();
-      stats_before = engine.GetStats();
       simulate_before = SimulateCallsSoFar();
     }
 
@@ -223,6 +222,7 @@ util::StatusOr<core::JoinPredicate> RunConsoleDemo(
 
     // Resolve the answer to a tuple and submit.
     util::Status status;
+    InferenceEngine::LabelImpact impact;
     size_t submitted_class = 0;
     size_t submitted_tuple = 0;
     if (free_mode) {
@@ -232,7 +232,7 @@ util::StatusOr<core::JoinPredicate> RunConsoleDemo(
       }
       submitted_tuple = answer->number - 1;
       submitted_class = engine.class_of_tuple(submitted_tuple);
-      status = engine.SubmitTupleLabel(submitted_tuple, answer->label);
+      status = engine.SubmitTupleLabel(submitted_tuple, answer->label, &impact);
     } else if (options.mode == InteractionMode::kTopK) {
       if (answer->number == 0 || answer->number > proposed_classes.size()) {
         out << "option number out of range\n";
@@ -240,28 +240,23 @@ util::StatusOr<core::JoinPredicate> RunConsoleDemo(
       }
       submitted_class = proposed_classes[answer->number - 1];
       submitted_tuple = engine.tuple_class(submitted_class).tuple_indices[0];
-      status = engine.SubmitClassLabel(submitted_class, answer->label);
+      status = engine.SubmitClassLabel(submitted_class, answer->label, &impact);
     } else {
       submitted_class = proposed_classes[0];
       submitted_tuple = engine.tuple_class(submitted_class).tuple_indices[0];
-      status = engine.SubmitClassLabel(submitted_class, answer->label);
+      status = engine.SubmitClassLabel(submitted_class, answer->label, &impact);
     }
     if (options.tracer != nullptr) {
-      const auto stats_after = engine.GetStats();
       obs::TraceStep event;
       event.step = trace_steps++;
       event.class_id = submitted_class;
       event.tuple_index = submitted_tuple;
       event.positive = answer->label == Label::kPositive;
       event.accepted = status.ok();
-      if (status.ok()) {
-        event.pruned_classes = stats_before.informative_classes -
-                               stats_after.informative_classes;
-        event.pruned_tuples =
-            stats_before.informative_tuples - stats_after.informative_tuples;
-      }
-      event.worklist_before = stats_before.informative_classes;
-      event.worklist_after = stats_after.informative_classes;
+      event.pruned_classes = impact.pruned_classes;
+      event.pruned_tuples = impact.pruned_tuples;
+      event.worklist_before = worklist_before;
+      event.worklist_after = engine.InformativeClasses().size();
       event.simulate_label_calls = SimulateCallsSoFar() - simulate_before;
       event.micros = step_clock->ElapsedMicros();
       options.tracer->RecordStep(event);

@@ -132,8 +132,8 @@ TEST(InvariantAuditTest, EngineAuditHoldsThroughASessionOnEveryPath) {
   }
   EXPECT_GT(labeled, 0);
 
-  // A copy-on-write clone and its original must both audit clean after the
-  // clone diverges.
+  // An engine copy and its original must both audit clean after the copy
+  // diverges.
   InferenceEngine clone(engine);
   if (!clone.InformativeClasses().empty()) {
     const size_t cls = clone.InformativeClasses().front();

@@ -5,10 +5,12 @@
 // that set alone the oracle derives which tuples are certainly in / out of
 // the result, which are still informative, when inference is done, and
 // what the result must be — nothing of the engine's caches or propagation
-// is consulted.
+// is consulted. Every label's reported LabelImpact is checked against the
+// engine's own before/after counts and its SimulateLabelBoth prediction.
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -191,6 +193,43 @@ void ExpectEngineMatchesOracle(const InferenceEngine& engine,
   EXPECT_TRUE(result_consistent) << result.ToString();
 }
 
+/// Submits `label` on tuple `t` and checks the impact the engine reports:
+/// zero on a refusal; on an accepted label, equal to the before/after
+/// GetStats() diff (zero exactly when the label was wasted) and, when the
+/// tuple's class was informative, to SimulateLabelBoth's prediction for
+/// that answer.
+util::Status SubmitCheckingImpact(InferenceEngine& engine, size_t t,
+                                  Label label, const std::string& where) {
+  SCOPED_TRACE(where + " impact");
+  const InferenceEngine::Stats before = engine.GetStats();
+  const size_t cls = engine.class_of_tuple(t);
+  std::optional<InferenceEngine::LabelImpact> predicted;
+  if (engine.class_status(cls) == ClassStatus::kInformative) {
+    const InferenceEngine::LabelImpactPair both = engine.SimulateLabelBoth(cls);
+    predicted = label == Label::kPositive ? both.positive : both.negative;
+  }
+  // Non-zero on entry, so a report the engine forgets to write shows.
+  InferenceEngine::LabelImpact impact{7, 7};
+  const util::Status status = engine.SubmitTupleLabel(t, label, &impact);
+  const InferenceEngine::Stats after = engine.GetStats();
+  if (!status.ok()) {
+    EXPECT_EQ(impact.pruned_classes, 0u);
+    EXPECT_EQ(impact.pruned_tuples, 0u);
+    return status;
+  }
+  EXPECT_EQ(impact.pruned_classes,
+            before.informative_classes - after.informative_classes);
+  EXPECT_EQ(impact.pruned_tuples,
+            before.informative_tuples - after.informative_tuples);
+  EXPECT_EQ(impact.pruned_classes == 0,
+            after.wasted_interactions == before.wasted_interactions + 1);
+  if (predicted.has_value()) {
+    EXPECT_EQ(impact.pruned_classes, predicted->pruned_classes);
+    EXPECT_EQ(impact.pruned_tuples, predicted->pruned_tuples);
+  }
+  return status;
+}
+
 workload::SyntheticWorkload MakeInstance(size_t n, util::Rng& rng) {
   workload::SyntheticSpec spec;
   spec.num_attributes = n;
@@ -242,12 +281,14 @@ TEST(SessionOracleTest, EverySessionStepMatchesTheBruteForceSweep) {
             std::vector<LabeledExample> with_opposite = accepted;
             with_opposite.push_back({t, opposite});
             ASSERT_FALSE(oracle.AnyConsistent(with_opposite));
-            EXPECT_FALSE(engine.SubmitTupleLabel(t, opposite).ok()) << where;
+            EXPECT_FALSE(SubmitCheckingImpact(engine, t, opposite, where).ok())
+                << where;
             ++rejected;
             ExpectEngineMatchesOracle(engine, oracle, accepted,
                                       where + " (rejected)");
             const size_t wasted_before = engine.GetStats().wasted_interactions;
-            ASSERT_TRUE(engine.SubmitTupleLabel(t, forced).ok()) << where;
+            ASSERT_TRUE(SubmitCheckingImpact(engine, t, forced, where).ok())
+                << where;
             EXPECT_EQ(engine.GetStats().wasted_interactions,
                       wasted_before + 1)
                 << where;
@@ -261,7 +302,8 @@ TEST(SessionOracleTest, EverySessionStepMatchesTheBruteForceSweep) {
           ASSERT_FALSE(sweep.certain_in[t] || sweep.certain_out[t])
               << where << ": strategy picked a settled tuple";
           const Label label = user.LabelFor(workload.instance->row(t));
-          ASSERT_TRUE(engine.SubmitTupleLabel(t, label).ok()) << where;
+          ASSERT_TRUE(SubmitCheckingImpact(engine, t, label, where).ok())
+              << where;
           accepted.push_back({t, label});
           ExpectEngineMatchesOracle(engine, oracle, accepted, where);
           if (HasFatalFailure()) return;

@@ -1,5 +1,5 @@
-// Deterministic fuzz driver for the JIMC reader, the --goal parser and the
-// serving protocol's request parser.
+// Deterministic fuzz driver for the JIMC reader, the --goal parser, the
+// serving protocol's request parser and the session checkpoint decoder.
 //
 // No fuzzing runtime, no wall clock, no address-dependent state: the whole
 // run is a pure function of (--seed, --iterations), so any finding
@@ -7,9 +7,9 @@
 // mutates one of a few WriteStore-produced seed images (byte flips,
 // truncations, extensions, header scribbles, cross-image splices, window
 // zeroing — the 18-case corruption matrix of jimc_format_test generalized
-// to arbitrary damage), one goal string and one request line, then drives
-// the fuzz targets, which JIM_CHECK the "typed Status or safe object"
-// contract. ci.sh runs
+// to arbitrary damage), one goal string, one request line and one
+// checkpoint file, then drives the fuzz targets, which JIM_CHECK the
+// "typed Status or safe object" contract. ci.sh runs
 // this under ASAN+UBSAN for thousands of iterations; a ctest smoke entry
 // keeps it from bit-rotting in plain builds.
 
@@ -27,6 +27,7 @@
 #include "core/tuple_store.h"
 #include "fuzz/fuzz_targets.h"
 #include "relational/relation.h"
+#include "serve/checkpoint.h"
 #include "storage/format.h"
 #include "storage/store_writer.h"
 #include "util/check.h"
@@ -306,6 +307,72 @@ std::string MutateRequestLine(util::Rng& rng) {
   return text;
 }
 
+/// Two encoded seed checkpoints: an empty transcript and a three-step one
+/// with a suggestion-less step and a goal.
+std::vector<std::string> SeedCheckpoints() {
+  serve::SessionCheckpoint empty;
+  empty.session_id = "s1";
+  empty.instance = "travel.jimc";
+  empty.strategy = "random";
+  empty.max_steps = 4096;
+  serve::SessionCheckpoint labeled = empty;
+  labeled.session_id = "s12";
+  labeled.strategy = "lookahead-entropy";
+  labeled.goal = "To=City";
+  labeled.seed = 7;
+  labeled.steps = {{3, 3, 17, 1}, {serve::kNoSuggestion, 5, 40, 0},
+                   {0, 0, 0, 1}};
+  return {serve::EncodeCheckpoint(empty), serve::EncodeCheckpoint(labeled)};
+}
+
+/// Damages one seed checkpoint; half the mutants get their trailing
+/// checksum re-fixed so the damage reaches the field parser.
+std::string MutateCheckpoint(util::Rng& rng,
+                             const std::vector<std::string>& seeds) {
+  std::string bytes = rng.PickOne(seeds);
+  const int64_t rounds = rng.UniformInt(0, 3);
+  for (int64_t round = 0; round < rounds; ++round) {
+    switch (rng.UniformInt(0, 3)) {
+      case 0: {  // byte scribbles, small values favoured (lengths, counts)
+        const int64_t writes = rng.UniformInt(1, 4);
+        for (int64_t w = 0; w < writes && !bytes.empty(); ++w) {
+          bytes[static_cast<size_t>(rng.UniformInt(
+              0, static_cast<int64_t>(bytes.size()) - 1))] =
+              static_cast<char>(rng.Bernoulli(0.5) ? rng.UniformInt(0, 4)
+                                                   : rng.UniformInt(0, 255));
+        }
+        break;
+      }
+      case 1:  // truncation (empty file included)
+        bytes.resize(static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(bytes.size()))));
+        break;
+      case 2: {  // insert junk mid-file
+        const size_t at = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(bytes.size())));
+        bytes.insert(at, static_cast<size_t>(rng.UniformInt(1, 16)),
+                     static_cast<char>(rng.UniformInt(0, 255)));
+        break;
+      }
+      case 3: {  // delete a window
+        if (bytes.empty()) break;
+        const size_t at = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int64_t>(bytes.size()) - 1));
+        bytes.erase(at, static_cast<size_t>(rng.UniformInt(1, 16)));
+        break;
+      }
+    }
+  }
+  if (bytes.size() >= sizeof(uint64_t) && rng.Bernoulli(0.5)) {
+    const size_t body = bytes.size() - sizeof(uint64_t);
+    const uint64_t checksum = storage::Fnv1a64(bytes.data(), body);
+    for (size_t b = 0; b < sizeof(checksum); ++b) {  // little-endian
+      bytes[body + b] = static_cast<char>(checksum >> (8 * b));
+    }
+  }
+  return bytes;
+}
+
 int Run(uint64_t seed, int64_t iterations) {
   const char* tmpdir = std::getenv("TMPDIR");
   const std::string scratch =
@@ -316,10 +383,16 @@ int Run(uint64_t seed, int64_t iterations) {
   seeds.push_back(SeedImage(0, scratch));
   seeds.push_back(SeedImage(1, scratch));
 
+  const std::vector<std::string> checkpoint_seeds = SeedCheckpoints();
+
   util::Rng rng(seed);
+  // Checkpoints draw from their own stream, so the other targets' inputs
+  // for a (seed, iterations) pair are what they were without it.
+  util::Rng checkpoint_rng(seed ^ 0x4A494D53u);
   int64_t images_accepted = 0, images_rejected = 0;
   int64_t goals_parsed = 0, goals_rejected = 0;
   int64_t requests_parsed = 0, requests_rejected = 0;
+  int64_t checkpoints_decoded = 0, checkpoints_rejected = 0;
   for (int64_t i = 0; i < iterations; ++i) {
     Image image = seeds[static_cast<size_t>(
         rng.UniformInt(0, static_cast<int64_t>(seeds.size()) - 1))];
@@ -343,6 +416,14 @@ int Run(uint64_t seed, int64_t iterations) {
     } else {
       ++requests_rejected;
     }
+    const std::string checkpoint =
+        MutateCheckpoint(checkpoint_rng, checkpoint_seeds);
+    if (FuzzCheckpoint(reinterpret_cast<const uint8_t*>(checkpoint.data()),
+                       checkpoint.size()) == 1) {
+      ++checkpoints_decoded;
+    } else {
+      ++checkpoints_rejected;
+    }
   }
   std::remove(scratch.c_str());
 
@@ -360,13 +441,18 @@ int Run(uint64_t seed, int64_t iterations) {
   std::printf("  request lines: %lld parsed, %lld rejected as typed errors\n",
               static_cast<long long>(requests_parsed),
               static_cast<long long>(requests_rejected));
-  // Both targets must have exercised both outcomes, or the mutators have
+  std::printf("  checkpoints: %lld decoded, %lld rejected as typed errors\n",
+              static_cast<long long>(checkpoints_decoded),
+              static_cast<long long>(checkpoints_rejected));
+  // Every target must have exercised both outcomes, or the mutators have
   // degenerated (a fuzzer that only ever rejects is testing one branch).
   JIM_CHECK_GT(images_rejected, 0);
   JIM_CHECK_GT(goals_parsed, 0);
   JIM_CHECK_GT(goals_rejected, 0);
   JIM_CHECK_GT(requests_parsed, 0);
   JIM_CHECK_GT(requests_rejected, 0);
+  JIM_CHECK_GT(checkpoints_decoded, 0);
+  JIM_CHECK_GT(checkpoints_rejected, 0);
   if (iterations >= 100) JIM_CHECK_GT(images_accepted, 0);
   std::printf("OK\n");
   return 0;

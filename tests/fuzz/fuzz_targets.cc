@@ -6,6 +6,7 @@
 #include "core/join_predicate.h"
 #include "relational/dictionary.h"
 #include "relational/schema.h"
+#include "serve/checkpoint.h"
 #include "serve/protocol.h"
 #include "storage/mapped_store.h"
 #include "util/check.h"
@@ -153,6 +154,26 @@ int FuzzRequestLine(const uint8_t* data, size_t size) {
             again.has_answer == request.has_answer)
       << "request round trip changed a member: " << line << " -> "
       << rendered;
+  return 1;
+}
+
+int FuzzCheckpoint(const uint8_t* data, size_t size) {
+  const std::string_view bytes(reinterpret_cast<const char*>(data), size);
+  auto decoded = serve::DecodeCheckpoint(bytes, "fuzz checkpoint");
+  if (!decoded.ok()) {
+    // A checkpoint file is daemon input: every way it can be bad — short,
+    // torn, bit-rotted, hand-built — is the file's fault.
+    JIM_CHECK(decoded.status().code() == util::StatusCode::kInvalidArgument)
+        << "unexpected checkpoint rejection code: "
+        << decoded.status().ToString();
+    JIM_CHECK(!decoded.status().message().empty())
+        << "checkpoint rejection without a diagnostic message";
+    return 0;
+  }
+  // The format has one encoding per checkpoint, so whatever decodes must
+  // re-encode to the very bytes it came from.
+  JIM_CHECK(serve::EncodeCheckpoint(*decoded) == bytes)
+      << "checkpoint re-encodes differently (" << size << " bytes in)";
   return 1;
 }
 

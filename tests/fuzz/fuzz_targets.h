@@ -35,6 +35,12 @@ int FuzzGoalParse(const uint8_t* data, size_t size);
 /// with every member unchanged. Returns 1 if parsed, 0 if rejected.
 int FuzzRequestLine(const uint8_t* data, size_t size);
 
+/// Feeds `size` bytes as a session checkpoint file to
+/// serve::DecodeCheckpoint. Rejections must be kInvalidArgument with a
+/// message; accepted bytes must re-encode byte-identically through
+/// serve::EncodeCheckpoint. Returns 1 if decoded, 0 if rejected.
+int FuzzCheckpoint(const uint8_t* data, size_t size);
+
 }  // namespace jim::fuzz
 
 #endif  // JIM_TESTS_FUZZ_FUZZ_TARGETS_H_

@@ -409,5 +409,37 @@ TEST(SessionManagerTest, RecoveryFailsLoudOnCorruptCheckpoint) {
   EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
 }
 
+TEST(SessionManagerTest, RecoveryRejectsACheckpointUnderAnotherSessionsName) {
+  const std::string dir = FreshDir("misnamed");
+  ServeOptions options;
+  options.checkpoint_dir = dir;
+  {
+    auto manager = MakeManager(options);
+    for (int i = 0; i < 7; ++i) {
+      ASSERT_TRUE(manager->Create("", "random", "", 1, 0).ok());
+    }
+  }
+  // A checksum-valid file whose name and content disagree: session_s3.jims
+  // holding s7's checkpoint. Recovered as s7, its next label would write
+  // session_s7.jims too, and Close("s7") would leave session_s3.jims behind
+  // to resurrect the session.
+  const std::string s3 = dir + "/" + CheckpointFileName("s3");
+  const std::string s7 = dir + "/" + CheckpointFileName("s7");
+  auto s7_bytes = storage::DefaultEnv()->ReadFileToString(s7);
+  ASSERT_TRUE(s7_bytes.ok());
+  ASSERT_TRUE(storage::WriteFileAtomically(*storage::DefaultEnv(), s3,
+                                           *s7_bytes)
+                  .ok());
+  ASSERT_TRUE(storage::DefaultEnv()->RemoveFile(s7).ok());
+
+  auto recovered = MakeManager(options);
+  const util::Status status = recovered->RecoverSessions();
+  ASSERT_FALSE(status.ok());
+  EXPECT_EQ(status.code(), util::StatusCode::kInvalidArgument);
+  EXPECT_NE(status.message().find(s3), std::string::npos)
+      << status.ToString();
+  EXPECT_EQ(recovered->GetStats().live, 0u);
+}
+
 }  // namespace
 }  // namespace jim::serve
