@@ -319,6 +319,15 @@ void RegisterAll(std::vector<BenchResult>& results) {
                    [&] { DoNotOptimize(strategy.PickClass(engine)); }));
     }
   }
+  // The fixed cost of one ParallelFor (arg = thread count): an empty body
+  // over one item per thread, so every chunk is dispatched and nothing else
+  // is timed. 1 thread is the inline path.
+  for (size_t threads : {1, 2, 4}) {
+    exec::ThreadPool pool(threads);
+    results.push_back(
+        RunBench("ParallelForEmpty", static_cast<int64_t>(threads),
+                 [&] { pool.ParallelFor(threads, [](size_t, size_t) {}); }));
+  }
   // One lookahead decision on an explicit exec::ThreadPool at 1/2/4 threads
   // (arg = thread count; 1 = the serial reference path), over instances
   // whose informative worklists (9, 27, 41, 65, 117 and 202 classes at 10,

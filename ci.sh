@@ -11,9 +11,10 @@
 #                        metrics + tracing on vs off, and the emitted
 #                        snapshot checked for engine/exec/storage metrics
 #   - TSAN stage         parallel exec + parity suites, the concurrent
-#                        metrics-registry test and the session manager
+#                        metrics-registry test, the session manager
 #                        (concurrent sessions on one shared lookahead pool)
-#                        under -DJIM_SANITIZE=thread,
+#                        and the server's connection handlers (unit suite
+#                        and TCP e2e) under -DJIM_SANITIZE=thread,
 #                        plus a guard that every tsan.supp suppression still
 #                        matches a symbol the instrumented binaries
 #                        actually reference
@@ -151,10 +152,10 @@ else
     -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
   cmake --build build-tsan -j --target \
     exec_thread_pool_test exec_batch_runner_test \
-    core_parallel_parity_test core_cutoff_parity_test core_engine_cow_test \
+    core_parallel_parity_test core_cutoff_parity_test core_engine_copy_test \
     core_encoded_parity_test relational_dictionary_test \
     core_tuple_store_test query_query_test obs_metrics_test \
-    serve_session_manager_test
+    serve_session_manager_test serve_server_test serve_server_e2e_test
   # Stale-suppression guard: every race: pattern in tsan.supp must still
   # match a symbol some instrumented test binary references (nm -C), or the
   # suppression is dead weight hiding future real races — remove it.
@@ -171,7 +172,7 @@ else
   (cd build-tsan && \
     TSAN_OPTIONS="suppressions=$(pwd)/../tsan.supp ${TSAN_OPTIONS:-}" \
     ctest --output-on-failure -j"$(nproc)" \
-    -R 'ThreadPool|BatchSessionRunner|ParallelParity|CutoffParity|EngineCow|EncodedParity|ParallelEncode|ParallelIngest|ParallelScan|UniversalTable|Catalog|MetricsTest|SessionManager')
+    -R 'ThreadPool|BatchSessionRunner|ParallelParity|CutoffParity|EngineCopy|EncodedParity|ParallelEncode|ParallelIngest|ParallelScan|UniversalTable|Catalog|MetricsTest|SessionManager|Server')
 fi
 
 # --- ASAN stage ----------------------------------------------------------
@@ -186,10 +187,10 @@ else
   cmake --build build-asan -j --target \
     relational_dictionary_test core_tuple_store_test \
     query_factorized_parity_test core_encoded_parity_test query_query_test \
-    core_engine_cow_test core_cutoff_parity_test storage_jimc_format_test \
+    core_engine_copy_test core_cutoff_parity_test storage_jimc_format_test \
     storage_mapped_parity_test
   (cd build-asan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|CutoffParity|UniversalTable|EngineCow|Jimc|MappedParity|ParallelEncode')
+    -R 'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|CutoffParity|UniversalTable|EngineCopy|Jimc|MappedParity|ParallelEncode')
 fi
 
 # --- UBSAN stage (address+undefined, findings fatal) ---------------------
@@ -253,7 +254,7 @@ else
     -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
   cmake --build build-asan -j --target \
     serve_protocol_test serve_session_manager_test \
-    serve_checkpoint_crash_test serve_server_e2e_test \
+    serve_checkpoint_crash_test serve_server_test serve_server_e2e_test \
     util_json_reader_test storage_trusted_reopen_test
   (cd build-asan && ctest --output-on-failure -j"$(nproc)" \
     -R 'Protocol|SessionManager|Serve|JsonReader|TrustedReopen')
@@ -292,10 +293,10 @@ else
     core_cutoff_parity_test core_encoded_parity_test \
     core_incremental_parity_test lattice_kernel_parity_test \
     query_factorized_parity_test storage_mapped_parity_test \
-    core_engine_cow_test core_inference_state_test
+    core_engine_copy_test core_inference_state_test
   (cd build-audit && JIM_AUDIT_INVARIANTS=1 \
     ctest --output-on-failure -j"$(nproc)" \
-    -R 'Parity|InvariantAudit|EngineCow|InferenceState|Antichain')
+    -R 'Parity|InvariantAudit|EngineCopy|InferenceState|Antichain')
 fi
 
 # --- clang-tidy stage (advisory, opt-in) ---------------------------------

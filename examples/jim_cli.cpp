@@ -308,6 +308,17 @@ int CmdServe(const Flags& flags) {
   if (flags.Has("load-instance")) {
     serve_options.default_instance = flags.Get("load-instance");
   }
+  serve::ServerOptions server_options;
+  if (flags.Has("max-connections")) {
+    // Each connection is served by a thread of its own, hence the bound.
+    auto parsed = util::ParseInt64(flags.Get("max-connections"));
+    if (!parsed.ok() || *parsed < 1 ||
+        *parsed > static_cast<int64_t>(serve::kMaxConnections)) {
+      return Fail(util::StrFormat("--max-connections: must be in [1, %zu]",
+                                  serve::kMaxConnections));
+    }
+    server_options.max_connections = static_cast<size_t>(*parsed);
+  }
 
   serve::SessionManager manager(std::move(serve_options));
   if (flags.Has("load-instance")) {
@@ -339,14 +350,6 @@ int CmdServe(const Flags& flags) {
   }
   if (!transport.ok()) return Fail(transport.status().ToString());
 
-  serve::ServerOptions server_options;
-  if (flags.Has("max-connections")) {
-    auto parsed = util::ParseInt64(flags.Get("max-connections"));
-    if (!parsed.ok() || *parsed < 1) {
-      return Fail("--max-connections: bad value");
-    }
-    server_options.max_connections = static_cast<size_t>(*parsed);
-  }
   serve::Server server(&manager, std::move(*transport), server_options);
   server.Start();
   if (stdio) {

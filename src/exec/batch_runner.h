@@ -40,10 +40,7 @@ struct SessionSpec {
 /// Determinism: results land in the output vector at their spec's index and
 /// every session is self-contained (own engine clone, own strategy/oracle
 /// with spec-chosen seeds), so the output is identical at any thread count
-/// — only wall-clock changes. Sessions whose strategies score on the
-/// process-wide lookahead pool compose fine with this runner's own pool
-/// (two distinct pools never deadlock); do NOT pass SharedPool() as the
-/// runner's pool in that configuration.
+/// — only wall-clock changes.
 class BatchSessionRunner {
  public:
   /// `pool` is borrowed, not owned; nullptr runs the batch serially (the

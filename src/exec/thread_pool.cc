@@ -1,21 +1,54 @@
 #include "exec/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
 #include <exception>
-#include <utility>
+#include <vector>
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
-#include "util/logging.h"
 
 namespace jim::exec {
 
-namespace {
-/// The pool whose ParallelFor chunk is running on this thread, if any. A
-/// body that re-enters ParallelFor on the same pool would park every worker
-/// behind the queued inner chunks — detect it instead of deadlocking.
-thread_local const ThreadPool* tl_active_pool = nullptr;
-}  // namespace
+using Body = std::function<void(size_t index, size_t chunk)>;
+
+/// One ParallelFor's chunks. Lives on the calling thread's stack; while it
+/// is published, the caller clears the slot only once every joined worker
+/// has left.
+struct ThreadPool::Job {
+  /// Runs chunk j, which owns the index range [j*n/chunks, (j+1)*n/chunks).
+  void Run(size_t j) {
+    try {
+      const size_t end = (j + 1) * n / chunks;
+      for (size_t i = j * n / chunks; i < end; ++i) body(i, j);
+    } catch (...) {
+      failures[j] = std::current_exception();
+    }
+  }
+
+  /// Claims and runs chunks until none is left.
+  void ClaimAndRun() {
+    size_t j;
+    while ((j = next.fetch_add(1)) < chunks) Run(j);
+  }
+
+  /// Rethrows the lowest failing chunk's exception, whatever the schedule.
+  void RethrowFirstFailure() const {
+    for (const std::exception_ptr& failure : failures) {
+      if (failure) std::rethrow_exception(failure);
+    }
+  }
+
+  const Body& body;
+  const size_t n;
+  const size_t chunks;
+  /// Chunk j's exception, written only by the thread that ran chunk j.
+  std::vector<std::exception_ptr> failures;
+  /// Next unclaimed chunk id.
+  std::atomic<size_t> next{0};
+  /// Workers currently claiming chunks (guarded by the pool's mutex_).
+  size_t joined = 0;
+};
 
 ThreadPool::ThreadPool(size_t threads) {
   const size_t workers = threads > 1 ? threads - 1 : 0;
@@ -36,94 +69,55 @@ ThreadPool::~ThreadPool() {
   for (std::thread& worker : workers_) worker.join();
 }
 
-void ThreadPool::Submit(std::function<void()> task) {
-  JIM_CHECK(!workers_.empty()) << "Submit on a 1-thread pool";
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    JIM_CHECK(!stopping_) << "Submit on a stopping pool";
-    tasks_.push(std::move(task));
-  }
-  JIM_COUNT(obs::kCounterExecTasksSubmitted);
-  wake_.notify_one();
-}
-
-void ThreadPool::Drain() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  drained_.wait(lock, [this] { return tasks_.empty() && active_ == 0; });
-}
-
 void ThreadPool::WorkerLoop() {
+  uint64_t seen = 0;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    std::function<void()> task;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      wake_.wait(lock, [this] { return stopping_ || !tasks_.empty(); });
-      if (tasks_.empty()) return;  // stopping_ and drained
-      task = std::move(tasks_.front());
-      tasks_.pop();
-      ++active_;
-    }
-    task();  // tasks are wrapped by ParallelFor and never throw out
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      if (tasks_.empty() && active_ == 0) drained_.notify_all();
-    }
+    wake_.wait(lock, [&] { return stopping_ || generation_ != seen; });
+    if (stopping_) return;
+    seen = generation_;
+    Job* job = job_;
+    // A late waker (every chunk claimed) stays out: no one waits on it.
+    if (job == nullptr || job->next.load() >= job->chunks) continue;
+    ++job->joined;
+    lock.unlock();
+    job->ClaimAndRun();
+    lock.lock();
+    if (--job->joined == 0) left_.notify_one();
   }
 }
 
-void ThreadPool::ParallelFor(
-    size_t n, const std::function<void(size_t index, size_t chunk)>& body) {
+void ThreadPool::ParallelFor(size_t n, const Body& body) {
   if (n == 0) return;
-  JIM_CHECK(tl_active_pool != this)
-      << "nested ParallelFor on the same pool would deadlock; use a second "
-         "pool for the inner level";
   const size_t chunks = std::min(threads(), n);
   JIM_COUNT(obs::kCounterExecParallelForCalls);
   JIM_COUNT_N(obs::kCounterExecParallelForChunks, chunks);
   JIM_OBSERVE(obs::kHistExecParallelForItems, n);
 
-  // Per-call completion latch + first-failure slot (ordered by chunk id so
-  // the rethrown exception is deterministic, not a scheduling artifact).
-  struct Latch {
-    std::mutex mutex;
-    std::condition_variable done;
-    size_t remaining;
-    size_t failed_chunk;
-    std::exception_ptr failure;
-  } latch;
-  latch.remaining = chunks;
-  latch.failed_chunk = chunks;
-
-  // Chunk j owns the contiguous index range [j*n/chunks, (j+1)*n/chunks).
-  const auto run_chunk = [this, &latch, &body, n, chunks](size_t j) {
-    std::exception_ptr failure;
-    const ThreadPool* previous = tl_active_pool;
-    tl_active_pool = this;
-    try {
-      const size_t begin = j * n / chunks;
-      const size_t end = (j + 1) * n / chunks;
-      for (size_t i = begin; i < end; ++i) body(i, j);
-    } catch (...) {
-      failure = std::current_exception();
+  Job job{body, n, chunks, std::vector<std::exception_ptr>(chunks)};
+  bool published = false;
+  if (chunks > 1) {
+    std::lock_guard<std::mutex> lock(mutex_);
+    if (job_ == nullptr) {
+      job_ = &job;
+      ++generation_;
+      published = true;
     }
-    tl_active_pool = previous;
-    std::lock_guard<std::mutex> lock(latch.mutex);
-    if (failure && j < latch.failed_chunk) {
-      latch.failed_chunk = j;
-      latch.failure = failure;
-    }
-    if (--latch.remaining == 0) latch.done.notify_one();
-  };
-
-  for (size_t j = 1; j < chunks; ++j) {
-    Submit([&run_chunk, j] { run_chunk(j); });
   }
-  run_chunk(0);
-
-  std::unique_lock<std::mutex> lock(latch.mutex);
-  latch.done.wait(lock, [&latch] { return latch.remaining == 0; });
-  if (latch.failure) std::rethrow_exception(latch.failure);
+  if (published) {
+    wake_.notify_all();
+    job.ClaimAndRun();
+    // Every chunk was claimed by this thread (done) or by a joined worker,
+    // so once none is joined the loop is complete.
+    std::unique_lock<std::mutex> lock(mutex_);
+    left_.wait(lock, [&job] { return job.joined == 0; });
+    job_ = nullptr;
+  } else {
+    // One chunk, or the slot is taken (another caller's loop, or this loop
+    // re-entered from a chunk body): the same chunks, in order, right here.
+    for (size_t j = 0; j < chunks; ++j) job.Run(j);
+  }
+  job.RethrowFirstFailure();
 }
 
 }  // namespace jim::exec

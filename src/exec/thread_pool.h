@@ -3,26 +3,20 @@
 
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
 #include <vector>
 
 namespace jim::exec {
 
-/// A fixed-size pool of worker threads behind a condition-variable task
-/// queue. `threads` is the *total* parallelism of a ParallelFor: the pool
-/// spawns `threads - 1` workers and the calling thread always executes the
-/// first chunk itself, so `ThreadPool(1)` owns no threads at all and runs
-/// everything inline (the serial reference path the parity tests pin the
-/// parallel results against).
-///
-/// The pool itself is thread-safe: any number of threads may Submit or run
-/// ParallelFor concurrently (each ParallelFor tracks its own completion
-/// state, so concurrent loops interleave safely on the shared queue).
-/// Destruction drains nothing: it waits for queued tasks to finish, then
-/// joins the workers.
+/// A fixed-size fork-join pool with one job slot. `threads` is the *total*
+/// parallelism of a ParallelFor: the pool spawns `threads - 1` workers and
+/// the calling thread claims chunks alongside them, so `ThreadPool(1)` owns
+/// no threads at all and runs everything inline (the serial reference path
+/// the parity tests pin the parallel results against). Thread-safe; no
+/// loop may be running when it is destroyed.
 class ThreadPool {
  public:
   explicit ThreadPool(size_t threads);
@@ -34,46 +28,39 @@ class ThreadPool {
   /// Total parallelism (workers + the calling thread), always ≥ 1.
   size_t threads() const { return workers_.size() + 1; }
 
-  /// Enqueues a task for some worker. Fire-and-forget: completion is the
-  /// caller's business (ParallelFor layers a completion latch on top).
-  /// Requires threads() > 1 — a 1-thread pool has nobody to run it.
-  void Submit(std::function<void()> task);
-
-  /// Blocks until the queue is empty and every in-flight task has returned
-  /// — the graceful-shutdown primitive for fire-and-forget Submit users
-  /// (serve::Server drains its connection handlers with this). Callers must
-  /// stop Submitting first; a task that keeps Submitting makes Drain wait
-  /// for that work too.
-  void Drain();
-
-  /// Runs `body(i)` for every i in [0, n), blocking until all calls have
-  /// returned. Work is split *statically* into min(threads(), n) contiguous
-  /// chunks; chunk j additionally learns its id via `body(i, j)`-style
-  /// overloads below, which lets callers pin per-chunk scratch state without
-  /// locks. Chunk 0 runs on the calling thread.
+  /// Runs `body(i, chunk)` for every i in [0, n), blocking until all calls
+  /// have returned. Work is split *statically* into min(threads(), n)
+  /// contiguous chunks; `chunk` is the id of the chunk owning i, which lets
+  /// callers pin per-chunk scratch state without locks. A call that finds
+  /// the slot taken — another thread's loop, or a chunk body re-entering
+  /// this pool — runs every chunk itself, in chunk order, so no call ever
+  /// waits on another caller's loop.
   ///
   /// Determinism: the index → chunk assignment depends only on (n,
-  /// threads()), never on scheduling, and callers that write results by
-  /// index get bitwise-identical output at any thread count.
-  ///
-  /// Exceptions thrown by `body` are captured; the first one (in chunk
-  /// order) is rethrown on the calling thread after every chunk has
-  /// finished.
+  /// threads()), never on scheduling or on whether the loop ran inline, so
+  /// results written by index are bitwise-identical at any thread count.
+  /// Exceptions thrown by `body` end their chunk; the first one (in chunk
+  /// order) is rethrown after every chunk has finished.
   void ParallelFor(size_t n,
                    const std::function<void(size_t index, size_t chunk)>& body);
 
  private:
+  struct Job;
+
   void WorkerLoop();
 
-  std::vector<std::thread> workers_;
   std::mutex mutex_;
+  /// Workers wait here for a new `generation_` (or `stopping_`).
   std::condition_variable wake_;
-  /// Signaled whenever the pool may have gone idle (see Drain).
-  std::condition_variable drained_;
-  std::queue<std::function<void()>> tasks_;
-  /// Tasks currently executing on some worker.
-  size_t active_ = 0;
+  /// The publishing caller waits here for its joined workers to leave.
+  std::condition_variable left_;
+  /// The job slot, guarded by mutex_: the published loop, null between
+  /// loops.
+  Job* job_ = nullptr;
+  uint64_t generation_ = 0;
   bool stopping_ = false;
+  /// Last: the workers use every member above.
+  std::vector<std::thread> workers_;
 };
 
 }  // namespace jim::exec

@@ -52,7 +52,6 @@ inline constexpr char kGaugeEngineClassTableBytes[] =
 inline constexpr char kCounterExecPoolsCreated[] = "exec.pools.created";
 inline constexpr char kCounterExecWorkersSpawned[] =
     "exec.pools.workers_spawned";
-inline constexpr char kCounterExecTasksSubmitted[] = "exec.tasks.submitted";
 inline constexpr char kCounterExecParallelForCalls[] =
     "exec.parallel_for.calls";
 inline constexpr char kCounterExecParallelForChunks[] =

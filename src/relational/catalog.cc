@@ -68,9 +68,7 @@ util::StatusOr<std::shared_ptr<const EncodedRelation>> Catalog::GetEncoded(
   // wins, so concurrent first-use is merely redundant work, never UB.
   // Large relations encode on the shared pool (codes are bitwise-identical
   // to serial at any thread count); small ones stay serial so a tiny
-  // catalog never spins the process-wide pool up. Caveat: like any shared
-  // pool use, first-time GetEncoded must not be called from inside a
-  // SharedPool ParallelFor task (nested use of one pool is rejected).
+  // catalog never spins the process-wide pool up.
   exec::ThreadPool* pool = it->second->num_rows() >= kParallelIngestMinRows
                                ? &exec::SharedPool()
                                : nullptr;

@@ -7,6 +7,7 @@
 #include "obs/metrics.h"
 #include "util/json_writer.h"
 #include "util/logging.h"
+#include "util/stopwatch.h"
 #include "util/string_util.h"
 
 namespace jim::serve {
@@ -28,28 +29,37 @@ Server::Server(SessionManager* manager, std::unique_ptr<Transport> transport,
                ServerOptions options)
     : manager_(manager),
       transport_(std::move(transport)),
-      options_(options),
-      handler_pool_(options_.max_connections + 1) {}
+      connections_(options.max_connections, nullptr) {
+  JIM_CHECK(options.max_connections >= 1 &&
+            options.max_connections <= kMaxConnections)
+      << "max_connections out of range: " << options.max_connections;
+}
 
 Server::~Server() { Shutdown(); }
 
 void Server::Start() {
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (started_) return;
-    started_ = true;
+  std::lock_guard<std::mutex> lock(mutex_);
+  if (!handlers_.empty()) return;
+  for (size_t slot = 0; slot < connections_.size(); ++slot) {
+    handlers_.emplace_back([this, slot] { HandlerLoop(slot); });
   }
-  accept_thread_ = std::thread([this] { AcceptLoop(); });
 }
 
-void Server::AcceptLoop() {
+void Server::HandlerLoop(size_t slot) {
   while (true) {
     util::StatusOr<std::unique_ptr<Connection>> accepted =
         transport_->Accept();
-    if (!accepted.ok()) {
-      if (accepted.status().code() == util::StatusCode::kUnavailable) {
-        continue;  // transient (EMFILE etc.); the listener is still up
+    if (accepted.ok()) {
+      Serve(slot, std::move(accepted).value());
+    } else if (accepted.status().code() == util::StatusCode::kUnavailable) {
+      // Transient (EMFILE etc.); the listener is still up. Back off so a
+      // failure that persists does not spin a core.
+      std::unique_lock<std::mutex> lock(mutex_);
+      if (util::WaitForMicros(stopped_, lock, kAcceptRetryDelayMicros,
+                              [this] { return stopping_; })) {
+        return;
       }
+    } else {
       // kOutOfRange is the clean shutdown/exhaustion verdict; anything else
       // is worth a log line but ends the loop the same way.
       if (accepted.status().code() != util::StatusCode::kOutOfRange) {
@@ -58,22 +68,15 @@ void Server::AcceptLoop() {
       }
       return;
     }
-    Connection* connection = accepted.value().release();
-    uint64_t id;
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      id = next_connection_++;
-      connections_[id] = connection;
-      if (stopping_) connection->ShutdownNow();
-    }
-    handler_pool_.Submit([this, id, connection] {
-      HandleConnection(id, std::unique_ptr<Connection>(connection));
-    });
   }
 }
 
-void Server::HandleConnection(uint64_t connection_id,
-                              std::unique_ptr<Connection> connection) {
+void Server::Serve(size_t slot, std::unique_ptr<Connection> connection) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    connections_[slot] = connection.get();
+    if (stopping_) connection->ShutdownNow();
+  }
   bool shutdown_requested = false;
   while (!shutdown_requested) {
     util::StatusOr<std::string> line = connection->ReadLine();
@@ -92,7 +95,7 @@ void Server::HandleConnection(uint64_t connection_id,
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    connections_.erase(connection_id);
+    connections_[slot] = nullptr;
   }
   connection.reset();
   // RequestShutdown only after the connection is deregistered and the
@@ -111,7 +114,6 @@ std::string Server::HandleLine(const std::string& line,
   const Request& request = parsed.value();
   const std::string& verb = request.verb;
 
-  auto fail = [](util::Status status) { return status; };
   util::Status error = util::OkStatus();
   std::string response;
 
@@ -138,7 +140,7 @@ std::string Server::HandleLine(const std::string& line,
                                     request.goal, request.seed,
                                     request.max_steps);
     if (!created.ok()) {
-      error = fail(created.status());
+      error = created.status();
     } else {
       response = OkLine([&](util::JsonWriter& json) {
         json.KeyValue("session", created->session_id);
@@ -155,7 +157,7 @@ std::string Server::HandleLine(const std::string& line,
     } else if (verb == "suggest") {
       auto suggested = manager_->Suggest(request.session);
       if (!suggested.ok()) {
-        error = fail(suggested.status());
+        error = suggested.status();
       } else {
         response = OkLine([&](util::JsonWriter& json) {
           json.KeyValue("done", suggested->done);
@@ -181,7 +183,7 @@ std::string Server::HandleLine(const std::string& line,
         auto labeled = manager_->Label(request.session, request.class_id,
                                        request.answer);
         if (!labeled.ok()) {
-          error = fail(labeled.status());
+          error = labeled.status();
         } else {
           response = OkLine([&](util::JsonWriter& json) {
             json.KeyValue("step", labeled->step);
@@ -195,7 +197,7 @@ std::string Server::HandleLine(const std::string& line,
     } else if (verb == "status") {
       auto status = manager_->Status(request.session);
       if (!status.ok()) {
-        error = fail(status.status());
+        error = status.status();
       } else {
         response = OkLine([&](util::JsonWriter& json) {
           json.KeyValue("steps", status->steps);
@@ -211,7 +213,7 @@ std::string Server::HandleLine(const std::string& line,
     } else if (verb == "result") {
       auto result = manager_->Result(request.session);
       if (!result.ok()) {
-        error = fail(result.status());
+        error = result.status();
       } else {
         response = OkLine([&](util::JsonWriter& json) {
           json.KeyValue("done", result->done);
@@ -225,7 +227,7 @@ std::string Server::HandleLine(const std::string& line,
     } else {  // close
       util::Status closed = manager_->Close(request.session);
       if (!closed.ok()) {
-        error = fail(closed);
+        error = closed;
       } else {
         response = OkLine([&](util::JsonWriter& json) {
           json.KeyValue("session", request.session);
@@ -249,16 +251,18 @@ void Server::RequestShutdown() {
   std::lock_guard<std::mutex> lock(mutex_);
   if (stopping_) return;
   stopping_ = true;
+  stopped_.notify_all();
   transport_->ShutdownNow();
-  for (auto& [id, connection] : connections_) connection->ShutdownNow();
+  for (Connection* connection : connections_) {
+    if (connection != nullptr) connection->ShutdownNow();
+  }
 }
 
 void Server::Wait() {
   std::lock_guard<std::mutex> lock(wait_mutex_);
-  if (accept_thread_.joinable()) accept_thread_.join();
-  // All Submits come from the accept thread, so after the join nothing new
-  // can enter the pool and Drain observes the final set of handlers.
-  handler_pool_.Drain();
+  for (std::thread& handler : handlers_) {
+    if (handler.joinable()) handler.join();
+  }
 }
 
 void Server::Shutdown() {

@@ -409,9 +409,8 @@ util::Status SessionManager::RecoverSessions() {
   if (checkpoints.empty()) return util::OkStatus();
 
   // Open every referenced instance once, up front (serial: instance opens
-  // share the manager maps), then fan the per-session replays out over a
-  // dedicated pool — never exec::SharedPool(), which lookahead strategies
-  // score on from inside the replay bodies.
+  // share the manager maps), then fan the per-session replays out over the
+  // shared pool.
   std::vector<const Instance*> instance_of(checkpoints.size(), nullptr);
   {
     std::lock_guard<std::mutex> lock(mutex_);
@@ -424,10 +423,7 @@ util::Status SessionManager::RecoverSessions() {
   }
   std::vector<std::shared_ptr<Session>> replayed(checkpoints.size());
   std::vector<util::Status> statuses(checkpoints.size());
-  exec::ThreadPool replay_pool(
-      std::max<size_t>(1, std::min(checkpoints.size(),
-                                   exec::DefaultThreads())));
-  replay_pool.ParallelFor(checkpoints.size(), [&](size_t i, size_t) {
+  exec::SharedPool().ParallelFor(checkpoints.size(), [&](size_t i, size_t) {
     auto session = ReplayCheckpoint(checkpoints[i], *instance_of[i]);
     if (session.ok()) {
       replayed[i] = std::move(session).value();

@@ -5,10 +5,12 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <iostream>
+#include <iterator>
 
 #include "util/string_util.h"
 
@@ -37,6 +39,11 @@ util::Status ErrnoStatus(const char* what, int err) {
       return util::InternalError(std::move(message));
   }
 }
+
+/// accept(2) errors about one pending connection or a passing shortage.
+constexpr int kRetryableAcceptErrors[] = {
+    ECONNABORTED, EPROTO,   ENOPROTOOPT, EHOSTDOWN, ENONET, EHOSTUNREACH,
+    EOPNOTSUPP,   ENETDOWN, ENETUNREACH, ENOBUFS,   ENOMEM, EPERM};
 
 util::Status LineTooLong() {
   return util::ResourceExhaustedError(util::StrFormat(
@@ -133,8 +140,12 @@ class TcpTransport final : public Transport {
       if (shutdown_.load(std::memory_order_acquire)) {
         return util::OutOfRangeError("transport shut down");
       }
-      if (errno == EINTR) continue;
-      return ErrnoStatus("accept", errno);
+      const int err = errno;
+      if (err == EINTR) continue;
+      const bool retry = std::count(std::begin(kRetryableAcceptErrors),
+                                    std::end(kRetryableAcceptErrors), err) != 0;
+      util::Status status = ErrnoStatus("accept", err);
+      return retry ? util::UnavailableError(status.message()) : status;
     }
   }
 

@@ -42,8 +42,10 @@ class Transport {
  public:
   virtual ~Transport() = default;
 
-  /// Blocks for the next client. kOutOfRange("transport shut down") once
-  /// ShutdownNow was called (or the transport is exhausted, for stdio).
+  /// Blocks for the next client; several handler threads call it at once.
+  /// kOutOfRange("transport shut down") once ShutdownNow was called (or the
+  /// transport is exhausted, for stdio); kUnavailable for a transient
+  /// failure (out of fds, an aborted pending connection) worth a retry.
   virtual util::StatusOr<std::unique_ptr<Connection>> Accept() = 0;
   /// Thread-safe: unblocks a concurrent Accept and stops the transport.
   virtual void ShutdownNow() = 0;
@@ -61,7 +63,7 @@ util::StatusOr<uint16_t> PortOfAddress(const std::string& address);
 /// A transport serving exactly one connection over the given streams
 /// (default std::cin/std::cout — the `jim_cli serve --stdio` mode). The
 /// second Accept reports the transport exhausted, which is what lets the
-/// server's accept loop terminate after the one session of a piped run.
+/// server's handlers terminate after the one session of a piped run.
 util::StatusOr<std::unique_ptr<Transport>> StdioTransport();
 util::StatusOr<std::unique_ptr<Transport>> StreamTransport(std::istream& in,
                                                            std::ostream& out);

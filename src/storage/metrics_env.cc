@@ -45,6 +45,7 @@ class MetricsWritableFile final : public WritableFile {
 
   util::Status Close() override {
     Bump(env_->counts_.closes);
+    JIM_COUNT(obs::kCounterStorageCloses);
     util::Status status = base_->Close();
     env_->CountFailure(status);
     return status;

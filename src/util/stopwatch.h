@@ -2,7 +2,9 @@
 #define JIM_UTIL_STOPWATCH_H_
 
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 
 namespace jim::util {
 
@@ -28,6 +30,15 @@ class Stopwatch {
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;
 };
+
+/// Waits on `cv` until `done()` holds or `micros` have passed; returns
+/// done(). The timed wait for code that may not name a clock (serve/).
+template <typename Done>
+bool WaitForMicros(std::condition_variable& cv,
+                   std::unique_lock<std::mutex>& lock, int64_t micros,
+                   Done done) {
+  return cv.wait_for(lock, std::chrono::microseconds(micros), done);
+}
 
 }  // namespace jim::util
 

@@ -32,7 +32,7 @@ size_t AnyInformative(const InferenceEngine& engine) {
   return informative.front();
 }
 
-TEST(EngineCowTest, CloneSharesClassTableAndKnowledge) {
+TEST(EngineCopyTest, CloneSharesTheImmutableClassTable) {
   const auto workload = MakeWorkload(1);
   const InferenceEngine prototype(workload.instance);
   const InferenceEngine clone = prototype;
@@ -44,7 +44,7 @@ TEST(EngineCowTest, CloneSharesClassTableAndKnowledge) {
             prototype.tuple_class(c).tuple_indices.data());
 }
 
-TEST(EngineCowTest, PositiveLabelDetachesKnowledge) {
+TEST(EngineCopyTest, PositiveLabelOnCloneLeavesPrototypeUntouched) {
   const auto workload = MakeWorkload(2);
   const InferenceEngine prototype(workload.instance);
   InferenceEngine clone = prototype;
@@ -73,7 +73,7 @@ TEST(EngineCowTest, PositiveLabelDetachesKnowledge) {
   }
 }
 
-TEST(EngineCowTest, NegativeLabelsNeverCopyTheKnowledge) {
+TEST(EngineCopyTest, NegativeLabelsLeaveKnowledgeUnchanged) {
   const auto workload = MakeWorkload(3);
   const InferenceEngine prototype(workload.instance);
   InferenceEngine clone = prototype;
@@ -90,7 +90,7 @@ TEST(EngineCowTest, NegativeLabelsNeverCopyTheKnowledge) {
   }
 }
 
-TEST(EngineCowTest, CloneBehavesExactlyLikeAFreshEngine) {
+TEST(EngineCopyTest, CloneBehavesExactlyLikeAFreshEngine) {
   const auto workload = MakeWorkload(4);
   const InferenceEngine prototype(workload.instance);
 
@@ -117,7 +117,7 @@ TEST(EngineCowTest, CloneBehavesExactlyLikeAFreshEngine) {
   EXPECT_EQ(prototype.history().size(), 0u);  // never touched
 }
 
-TEST(EngineCowTest, CloneSharesSessionArraysUntilFirstLabel) {
+TEST(EngineCopyTest, CloneIsIndependentOfThePrototype) {
   const auto workload = MakeWorkload(6);
   const InferenceEngine prototype(workload.instance);
   InferenceEngine clone = prototype;
@@ -131,7 +131,7 @@ TEST(EngineCowTest, CloneSharesSessionArraysUntilFirstLabel) {
   EXPECT_EQ(prototype.GetStats().explicitly_labeled_tuples, 0u);
 }
 
-TEST(EngineCowTest, WastedLabelOnCloneLeavesPrototypeUntouched) {
+TEST(EngineCopyTest, WastedLabelOnCloneLeavesPrototypeUntouched) {
   const auto workload = MakeWorkload(7);
   const InferenceEngine prototype(workload.instance);
   InferenceEngine clone = prototype;
@@ -164,7 +164,7 @@ size_t MultiMemberInformative(const InferenceEngine& engine) {
   return 0;
 }
 
-TEST(EngineCowTest, RepeatedLabelOnCloneSharesSessionArrays) {
+TEST(EngineCopyTest, RepeatedLabelOnCloneIsSeenOnlyByTheClone) {
   const auto workload = MakeWorkload(8);
   InferenceEngine prototype(workload.instance);
   const size_t c = MultiMemberInformative(prototype);
@@ -181,7 +181,7 @@ TEST(EngineCowTest, RepeatedLabelOnCloneSharesSessionArrays) {
   EXPECT_FALSE(clone.SubmitTupleLabel(mate, Label::kNegative).ok());
 }
 
-TEST(EngineCowTest, CloneTupleStatusesStayIsolated) {
+TEST(EngineCopyTest, CloneTupleStatusesStayIsolated) {
   const auto workload = MakeWorkload(9);
   InferenceEngine prototype(workload.instance);
   const size_t shared = MultiMemberInformative(prototype);
@@ -209,7 +209,7 @@ TEST(EngineCowTest, CloneTupleStatusesStayIsolated) {
   EXPECT_NE(AllTupleStatuses(a), AllTupleStatuses(b));
 }
 
-TEST(EngineCowTest, SiblingClonesAreIndependent) {
+TEST(EngineCopyTest, SiblingClonesAreIndependent) {
   const auto workload = MakeWorkload(5);
   const InferenceEngine prototype(workload.instance);
   InferenceEngine a = prototype;

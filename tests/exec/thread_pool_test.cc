@@ -2,8 +2,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <future>
+#include <mutex>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -112,24 +116,6 @@ TEST(ThreadPoolTest, ReuseAcrossManyRounds) {
   EXPECT_EQ(total.load(), 200L * (16 * 17 / 2));
 }
 
-TEST(ThreadPoolTest, SubmitRunsTasks) {
-  ThreadPool pool(3);
-  std::atomic<int> ran{0};
-  std::atomic<int> remaining{50};
-  std::mutex mutex;
-  std::condition_variable done;
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([&] {
-      ++ran;
-      std::lock_guard<std::mutex> lock(mutex);
-      if (--remaining == 0) done.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(mutex);
-  done.wait(lock, [&remaining] { return remaining.load() == 0; });
-  EXPECT_EQ(ran.load(), 50);
-}
-
 TEST(ThreadPoolTest, ConcurrentParallelForsFromManyThreads) {
   // Independent ParallelFor calls may share one pool; each tracks its own
   // completion. Drive the shared pool from several caller threads at once.
@@ -153,34 +139,94 @@ TEST(ThreadPoolTest, ConcurrentParallelForsFromManyThreads) {
   }
 }
 
-TEST(ThreadPoolTest, DrainWaitsForSubmittedTasks) {
-  // Drain must observe both queued tasks and ones already running (the
-  // serve daemon's Wait() relies on this to let in-flight connection
-  // handlers finish after the accept thread stops submitting).
-  ThreadPool pool(4);
-  std::atomic<int> completed{0};
-  std::atomic<bool> release{false};
-  for (int i = 0; i < 16; ++i) {
-    pool.Submit([&] {
-      while (!release.load()) std::this_thread::yield();
-      ++completed;
+TEST(ThreadPoolTest, ParallelForOnABusyPoolRunsInline) {
+  // While one loop holds the pool (both its chunks blocked), a second
+  // caller's loop must not wait for it: it runs every chunk itself, in
+  // chunk order, with the same chunk ids a parallel run would see. The
+  // waits are bounded, so a pool that queues the second loop behind the
+  // first fails here instead of hanging.
+  ThreadPool pool(2);
+  std::mutex mutex;
+  std::condition_variable changed;
+  size_t entered = 0;
+  bool release = false;
+  std::thread holder([&] {
+    pool.ParallelFor(2, [&](size_t, size_t) {
+      std::unique_lock<std::mutex> lock(mutex);
+      ++entered;
+      changed.notify_all();
+      changed.wait(lock, [&] { return release; });
     });
-  }
-  std::thread releaser([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-    release = true;
   });
-  pool.Drain();
-  EXPECT_EQ(completed.load(), 16);
-  releaser.join();
+  {
+    std::unique_lock<std::mutex> lock(mutex);
+    ASSERT_TRUE(changed.wait_for(lock, std::chrono::seconds(10),
+                                 [&] { return entered == 2; }));
+  }
+
+  const size_t n = 7;
+  std::vector<size_t> chunk_of(n);
+  std::vector<std::thread::id> ran_on(n);
+  std::promise<std::thread::id> caller;
+  std::future<std::thread::id> finished = caller.get_future();
+  std::thread second([&] {
+    pool.ParallelFor(n, [&](size_t i, size_t chunk) {
+      chunk_of[i] = chunk;
+      ran_on[i] = std::this_thread::get_id();
+    });
+    caller.set_value(std::this_thread::get_id());
+  });
+  const bool completed = finished.wait_for(std::chrono::seconds(5)) ==
+                         std::future_status::ready;
+  {
+    std::lock_guard<std::mutex> lock(mutex);
+    release = true;
+  }
+  changed.notify_all();
+  holder.join();
+  second.join();
+
+  ASSERT_TRUE(completed) << "ParallelFor waited on another caller's loop";
+  const std::thread::id caller_id = finished.get();
+  for (size_t i = 0; i < n; ++i) {
+    EXPECT_EQ(chunk_of[i], i < 3 ? 0u : 1u) << "i=" << i;
+    EXPECT_EQ(ran_on[i], caller_id) << "i=" << i;
+  }
 }
 
-TEST(ThreadPoolTest, DrainOnIdlePoolReturnsImmediately) {
-  ThreadPool pool(2);
-  pool.Drain();
-  pool.Submit([] {});
-  pool.Drain();
-  pool.Drain();
+TEST(ThreadPoolTest, NestedParallelForOnTheSamePoolRunsInline) {
+  // A chunk body may re-enter its own pool: the inner loop finds the slot
+  // taken and runs inline, with the chunking of an outer-level call.
+  ThreadPool pool(4);
+  std::vector<std::vector<size_t>> inner_chunks(8, std::vector<size_t>(10));
+  pool.ParallelFor(8, [&](size_t i, size_t) {
+    pool.ParallelFor(10, [&](size_t k, size_t chunk) {
+      inner_chunks[i][k] = chunk;
+    });
+  });
+  for (size_t i = 0; i < 8; ++i) {
+    for (size_t k = 0; k < 10; ++k) {
+      // Chunk j owns [j*10/4, (j+1)*10/4): {0,1} {2,3,4} {5,6} {7,8,9}.
+      const size_t expected = k < 2 ? 0 : k < 5 ? 1 : k < 7 ? 2 : 3;
+      EXPECT_EQ(inner_chunks[i][k], expected) << "i=" << i << " k=" << k;
+    }
+  }
+
+  // The inline path rethrows the lowest failing chunk, like the parallel
+  // one.
+  std::vector<std::string> errors(4);
+  pool.ParallelFor(4, [&](size_t i, size_t) {
+    try {
+      pool.ParallelFor(4, [](size_t, size_t chunk) {
+        if (chunk == 1 || chunk == 3) {
+          throw std::runtime_error("chunk " + std::to_string(chunk));
+        }
+      });
+    } catch (const std::runtime_error& e) {
+      errors[i] = e.what();
+    }
+  });
+  EXPECT_EQ(errors, std::vector<std::string>(4, "chunk 1"));
 }
 
 }  // namespace

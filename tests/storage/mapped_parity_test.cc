@@ -247,7 +247,7 @@ TEST(MappedParityTest, BatchSessionsRunOverOneSharedMapping) {
             spec.make_strategy = [name, seed] {
               auto strategy = MakeStrategy(name, seed).value();
               // Pin lookahead scoring serial: the runner's pool drives the
-              // fan-out, and nested pools are the two-pool pattern anyway.
+              // fan-out.
               if (auto* lookahead = dynamic_cast<core::LookaheadStrategy*>(
                       strategy.get())) {
                 lookahead->set_thread_pool(nullptr);

@@ -120,6 +120,7 @@ TEST(MetricsEnvTest, MirrorsIntoTheRegistryOnlyWhenEnabled) {
   }
   EXPECT_EQ(registry.CounterValue(obs::kCounterStorageCreates), 0u);
   EXPECT_EQ(registry.CounterValue(obs::kCounterStorageAppendBytes), 0u);
+  EXPECT_EQ(registry.CounterValue(obs::kCounterStorageCloses), 0u);
 
   obs::SetMetricsEnabled(true);
   {
@@ -130,6 +131,7 @@ TEST(MetricsEnvTest, MirrorsIntoTheRegistryOnlyWhenEnabled) {
   EXPECT_EQ(registry.CounterValue(obs::kCounterStorageCreates), 1u);
   EXPECT_EQ(registry.CounterValue(obs::kCounterStorageAppendBytes), 3u);
   EXPECT_EQ(registry.CounterValue(obs::kCounterStorageFsyncs), 1u);
+  EXPECT_EQ(registry.CounterValue(obs::kCounterStorageCloses), 1u);
 
   registry.ResetForTesting();
   obs::SetMetricsEnabled(was_enabled);
