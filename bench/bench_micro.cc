@@ -385,7 +385,9 @@ void RegisterAll(std::vector<BenchResult>& results) {
         core::JoinPredicate::Parse(instance->schema(), workload::kQ2).value();
     results.push_back(RunBench("Figure1FullSession", -1, [&] {
       auto strategy = core::MakeStrategy("lookahead-entropy").value();
-      DoNotOptimize(core::RunSession(instance, goal, *strategy).interactions);
+      DoNotOptimize(
+          core::RunSession(core::MakeRelationStore(instance), goal, *strategy)
+              .interactions);
     }));
   }
 }

@@ -5,6 +5,10 @@
 # After tier-1, the correctness-tooling stages:
 #   - determinism lint   tools/lint_determinism.py over src/ (hash-order
 #                        iteration, pointer keys, wall clocks, guard drift)
+#   - REACH stage        tools/reach_sweep.py: every libjim function that no
+#                        shipped binary (examples, benches, perfbench) keeps
+#                        must be an allowlisted test hook or a named compiler
+#                        false positive (tools/reach_sweep_allowlist.txt)
 #   - round-trip smoke   jim_cli save → load must transcript-diff clean
 #   - OBS stage          observability determinism: parity suites re-run
 #                        with JIM_METRICS=1, CLI transcripts diffed with
@@ -50,7 +54,7 @@
 #
 # Sanitizer stages probe the toolchain first (compile-and-link of a trivial
 # program under the flag) and auto-skip with a loud warning when the
-# runtime is missing — JIM_SKIP_TSAN/ASAN/UBSAN/CRASH/AUDIT=1 still
+# runtime is missing — JIM_SKIP_REACH/TSAN/ASAN/UBSAN/CRASH/AUDIT=1 still
 # force-skip.
 set -euxo pipefail
 cd "$(dirname "$0")"
@@ -82,6 +86,17 @@ cmake --build build -j
 
 # --- determinism lint ----------------------------------------------------
 python3 tools/lint_determinism.py
+
+# --- REACH stage (reachability sweep) -------------------------------------
+# Builds the examples, the benches and the perfbench package into
+# build-reach/ with one section per function and no inlining, links them
+# with --gc-sections, and fails on any libjim function none of them keeps
+# that tools/reach_sweep_allowlist.txt does not list (or on a stale entry).
+if [[ "${JIM_SKIP_REACH:-0}" == "1" ]]; then
+  warn_skip "JIM_SKIP_REACH=1" "REACH"
+else
+  python3 tools/reach_sweep.py
+fi
 
 # --- persistent-storage round-trip smoke ---------------------------------
 # Save an instance from CSV, reopen it from the JIMC file, and demand

@@ -337,6 +337,8 @@ int CmdServe(const Flags& flags) {
       util::UnimplementedError("no transport");
   if (stdio) {
     transport = serve::StdioTransport();
+    // The stdio transport yields exactly one connection: one handler.
+    server_options.max_connections = 1;
   } else {
     int64_t port = 0;
     if (flags.Has("port")) {

@@ -334,34 +334,8 @@ lat::Partition InferenceEngine::ClassPartition(size_t class_id) const {
       state_.num_attributes());
 }
 
-lat::Partition InferenceEngine::ClassKnowledge(size_t class_id) const {
-  return lat::PairMaskToPartition(KnowledgeRow(class_id),
-                                  state_.num_attributes());
-}
-
 JoinPredicate InferenceEngine::Result() const {
   return JoinPredicate(store_->schema(), state_.theta_p());
-}
-
-util::DynamicBitset InferenceEngine::TuplesOfClasses(
-    bool (*in_set)(ClassStatus)) const {
-  const std::vector<uint32_t>& class_of_tuple = table_->class_of_tuple;
-  util::DynamicBitset tuples(class_of_tuple.size());
-  for (size_t t = 0; t < class_of_tuple.size(); ++t) {
-    if (in_set(class_status_[class_of_tuple[t]])) tuples.Set(t);
-  }
-  return tuples;
-}
-
-util::DynamicBitset InferenceEngine::CertainResultTuples() const {
-  return TuplesOfClasses(IsPositive);
-}
-
-util::DynamicBitset InferenceEngine::CertainNonResultTuples() const {
-  return TuplesOfClasses([](ClassStatus status) {
-    return status == ClassStatus::kForcedNegative ||
-           status == ClassStatus::kLabeledNegative;
-  });
 }
 
 util::Status InferenceEngine::LabelImpl(size_t class_id, size_t tuple_index,

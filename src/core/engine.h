@@ -14,7 +14,6 @@
 #include "exec/thread_pool.h"
 #include "lattice/partition.h"
 #include "relational/relation.h"
-#include "util/bitset.h"
 #include "util/status.h"
 
 namespace jim::core {
@@ -181,25 +180,20 @@ class InferenceEngine {
     return informative_;
   }
 
-  /// Knowledge K_c = θ_P ∧ Part(c) of an *informative* class, decoded from
-  /// the engine's cache (which goes stale — harmlessly — once a class leaves
-  /// the pool). The cache stores each K_c as its pair mask
-  /// (lattice/pair_mask.h) and is maintained incrementally: a positive label
-  /// shrinks θ_P, and since the new θ_P refines the old one, K_c' = K_c ∧ θ_P'
-  /// is one word-wise AND over the cached row; negative labels leave θ_P
-  /// (and the cache) alone.
-  lat::Partition ClassKnowledge(size_t class_id) const;
-
   /// rank(K_c) = n − #blocks of an informative class's knowledge, stored
   /// beside the cached row wherever the row is written.
   size_t ClassKnowledgeRank(size_t class_id) const {
     return knowledge_rank_[class_id];
   }
 
-  /// The class's cached knowledge row (mask_words words). It is K_c for an
-  /// informative class, and θ' ∧ Part(c) for some earlier θ' ⊇ θ_P for any
-  /// other, so InferenceState::Classify and ApplyLabel take it in place of
-  /// Part(c) for every class.
+  /// The class's cached knowledge row (mask_words words). For an
+  /// informative class it is K_c = θ_P ∧ Part(c) as a pair mask
+  /// (lattice/pair_mask.h), maintained incrementally: a positive label
+  /// shrinks θ_P, and since the new θ_P refines the old one, K_c' = K_c ∧ θ_P'
+  /// is one word-wise AND over the cached row; negative labels leave θ_P
+  /// (and the cache) alone. For any other class it is θ' ∧ Part(c) for some
+  /// earlier θ' ⊇ θ_P, so InferenceState::Classify and ApplyLabel take it in
+  /// place of Part(c) for every class.
   const uint64_t* KnowledgeRow(size_t class_id) const {
     return knowledge_rows_.data() + class_id * mask_words_;
   }
@@ -210,15 +204,6 @@ class InferenceEngine {
   /// True when every class is labeled or forced: all consistent predicates
   /// are instance-equivalent and Result() is the canonical answer.
   bool IsDone() const;
-
-  /// Tuples already *certain* to belong to the final join result (labeled
-  /// positive or forced positive), regardless of how inference ends — the
-  /// "certain answers" the demo can show at any point. Monotone: the set
-  /// only grows as labels arrive.
-  util::DynamicBitset CertainResultTuples() const;
-
-  /// Tuples certain to be excluded from the final join result.
-  util::DynamicBitset CertainNonResultTuples() const;
 
   /// The inferred predicate so far: θ_P, the maximal consistent predicate.
   /// After IsDone() this identifies the goal up to instance-equivalence.
@@ -423,10 +408,6 @@ class InferenceEngine {
     std::vector<uint64_t> part_rows;  ///< Part(c), mask_words_ per class
   };
 
-  /// The tuples whose class status satisfies `in_set`: one pass over
-  /// class_of_tuple.
-  util::DynamicBitset TuplesOfClasses(bool (*in_set)(ClassStatus)) const;
-
   std::shared_ptr<const TupleStore> store_;
   InferenceState state_;
   std::shared_ptr<const ClassTable> table_;
@@ -442,7 +423,7 @@ class InferenceEngine {
   /// for free by the compaction loops.
   std::vector<uint32_t> worklist_pos_;
   /// K_c as pair masks, mask_words_ words per class; fresh for informative
-  /// classes (see ClassKnowledge).
+  /// classes (see KnowledgeRow).
   std::vector<uint64_t> knowledge_rows_;
   std::vector<uint32_t> knowledge_rank_;  ///< rank(K_c)
   LabeledExamples history_;

@@ -16,10 +16,6 @@ inline std::string_view LabelToString(Label label) {
   return label == Label::kPositive ? "+" : "-";
 }
 
-inline Label Negate(Label label) {
-  return label == Label::kPositive ? Label::kNegative : Label::kPositive;
-}
-
 /// One labeled example: a tuple of the instance plus its user label.
 struct LabeledExample {
   size_t tuple_index = 0;

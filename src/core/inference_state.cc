@@ -31,29 +31,6 @@ lat::Partition InferenceState::theta_p() const {
   return lat::PairMaskToPartition(theta_mask(), num_attributes_);
 }
 
-std::vector<lat::Partition> InferenceState::Forbidden() const {
-  std::vector<lat::Partition> members;
-  members.reserve(num_forbidden_);
-  for (size_t m = 0; m < num_forbidden_; ++m) {
-    members.push_back(lat::PairMaskToPartition(
-        forbidden_masks() + m * mask_words_, num_attributes_));
-  }
-  return members;
-}
-
-bool InferenceState::IsConsistent(const lat::Partition& candidate) const {
-  JIM_CHECK_EQ(candidate.num_elements(), num_attributes_);
-  const std::vector<uint64_t> mask = MaskOf(candidate);
-  if (!lat::MaskSubset(mask.data(), theta_mask(), mask_words_)) return false;
-  for (size_t m = 0; m < num_forbidden_; ++m) {
-    if (lat::MaskSubset(mask.data(), forbidden_masks() + m * mask_words_,
-                        mask_words_)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 TupleClassification InferenceState::Classify(
     const lat::Partition& tuple_partition) const {
   JIM_CHECK_EQ(tuple_partition.num_elements(), num_attributes_);
@@ -77,12 +54,6 @@ TupleClassification InferenceState::Classify(const uint64_t* row) const {
     }
   }
   return TupleClassification::kInformative;
-}
-
-util::Status InferenceState::ApplyLabel(const lat::Partition& tuple_partition,
-                                        Label label) {
-  JIM_CHECK_EQ(tuple_partition.num_elements(), num_attributes_);
-  return ApplyLabel(MaskOf(tuple_partition).data(), label);
 }
 
 util::Status InferenceState::ApplyLabel(const uint64_t* row, Label label) {
@@ -182,16 +153,6 @@ void InferenceState::RestrictToTheta() {
   }
   num_forbidden_ = kept;
   words_.resize((1 + kept) * words);
-}
-
-std::string InferenceState::CanonicalKey() const {
-  std::string out = theta_p().ToString() + "#[";
-  const std::vector<lat::Partition> members = Forbidden();
-  for (size_t m = 0; m < members.size(); ++m) {
-    if (m > 0) out += ", ";
-    out += members[m].ToString();
-  }
-  return out + "]";
 }
 
 void InferenceState::CheckInvariants() const {

@@ -2,7 +2,6 @@
 #define JIM_CORE_INFERENCE_STATE_H_
 
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "core/example.h"
@@ -60,18 +59,14 @@ class InferenceState {
 
   /// The forbidden members: num_forbidden() consecutive rows of
   /// lat::PairMaskWords(num_attributes()) words at forbidden_masks(), in
-  /// canonical order, and the same decoded.
+  /// canonical order.
   size_t num_forbidden() const { return num_forbidden_; }
   const uint64_t* forbidden_masks() const {
     return words_.data() + mask_words_;
   }
-  std::vector<lat::Partition> Forbidden() const;
 
   /// θ_P's row followed by the forbidden rows: equal iff the states are.
   const std::vector<uint64_t>& words() const { return words_; }
-
-  /// True iff `candidate` is consistent with every label so far.
-  bool IsConsistent(const lat::Partition& candidate) const;
 
   /// Classifies a tuple by its value partition Part(t).
   TupleClassification Classify(const lat::Partition& tuple_partition) const;
@@ -82,18 +77,13 @@ class InferenceState {
   /// exact). Word operations only.
   TupleClassification Classify(const uint64_t* row) const;
 
-  /// Incorporates a label. Errors (kFailedPrecondition) if the label
+  /// Incorporates a label on a tuple, given a row as accepted by
+  /// Classify(const uint64_t*). Errors (kFailedPrecondition) if the label
   /// contradicts the current knowledge — i.e. labels a forced-positive tuple
   /// negative or vice versa; the state is unchanged in that case. Labeling
   /// consistently with a forced classification is accepted as a no-op
   /// (interaction mode 1 lets users waste effort that way).
-  util::Status ApplyLabel(const lat::Partition& tuple_partition, Label label);
-
-  /// Same, from a row as accepted by Classify(const uint64_t*).
   util::Status ApplyLabel(const uint64_t* row, Label label);
-
-  /// Human-readable canonical rendering: θ_P, then the forbidden members.
-  std::string CanonicalKey() const;
 
   /// Invariant audit (see util/check.h): every row encodes a partition (its
   /// pair set is transitively closed), with no positive example yet θ_P is

@@ -7,10 +7,6 @@
 
 namespace jim::core {
 
-JoinPredicate::JoinPredicate(rel::Schema schema)
-    : schema_(std::move(schema)),
-      partition_(lat::Partition::Singletons(schema_.num_attributes())) {}
-
 JoinPredicate::JoinPredicate(rel::Schema schema, lat::Partition partition)
     : schema_(std::move(schema)), partition_(std::move(partition)) {
   JIM_CHECK_EQ(schema_.num_attributes(), partition_.num_elements());

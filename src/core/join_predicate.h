@@ -25,9 +25,6 @@ namespace jim::core {
 /// predicate's partition: Selects(t) ⇔ partition() ≤ Part(t).
 class JoinPredicate {
  public:
-  /// The empty predicate (no constraints — selects every tuple).
-  explicit JoinPredicate(rel::Schema schema);
-
   JoinPredicate(rel::Schema schema, lat::Partition partition);
 
   /// Parses "To=City && Airline=Discount" (also accepts "AND", "and", "∧",

@@ -7,14 +7,12 @@
 #include "core/example.h"
 #include "core/join_predicate.h"
 #include "relational/relation.h"
-#include "util/rng.h"
 
 namespace jim::core {
 
 /// The labeling user. The paper's own experiments use "a program that labels
 /// tuples w.r.t. a goal join query" — that program is ExactOracle below; the
-/// console UI substitutes a human; the crowd substrate wraps NoisyOracle
-/// workers behind majority voting.
+/// console UI substitutes a human.
 class Oracle {
  public:
   virtual ~Oracle() = default;
@@ -40,28 +38,6 @@ class ExactOracle : public Oracle {
 
  private:
   JoinPredicate goal_;
-};
-
-/// Labels according to the goal but flips each answer independently with
-/// probability `error_rate` — a model of an unreliable crowd worker.
-class NoisyOracle : public Oracle {
- public:
-  NoisyOracle(JoinPredicate goal, double error_rate, uint64_t seed)
-      : goal_(std::move(goal)), error_rate_(error_rate), rng_(seed) {}
-
-  std::string_view name() const override { return "noisy"; }
-  Label LabelFor(const rel::Tuple& tuple) override {
-    const Label truth =
-        goal_.Selects(tuple) ? Label::kPositive : Label::kNegative;
-    return rng_.Bernoulli(error_rate_) ? Negate(truth) : truth;
-  }
-
-  double error_rate() const { return error_rate_; }
-
- private:
-  JoinPredicate goal_;
-  double error_rate_;
-  util::Rng rng_;
 };
 
 }  // namespace jim::core

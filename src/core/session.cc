@@ -5,7 +5,6 @@
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "util/json_writer.h"
 #include "util/logging.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -123,13 +122,6 @@ SessionResult RunSession(std::shared_ptr<const TupleStore> store,
   return RunSessionOnEngine(engine, goal, strategy, oracle, options);
 }
 
-SessionResult RunSession(std::shared_ptr<const rel::Relation> relation,
-                         const JoinPredicate& goal, Strategy& strategy,
-                         Oracle& oracle, const SessionOptions& options) {
-  return RunSession(MakeRelationStore(std::move(relation)), goal, strategy,
-                    oracle, options);
-}
-
 SessionResult RunSessionOnEngine(InferenceEngine& engine,
                                  const JoinPredicate& goal, Strategy& strategy,
                                  Oracle& oracle,
@@ -226,35 +218,6 @@ SessionResult RunSession(std::shared_ptr<const TupleStore> store,
   ExactOracle oracle(goal);
   return RunSession(std::move(store), goal, strategy, oracle,
                     SessionOptions{});
-}
-
-SessionResult RunSession(std::shared_ptr<const rel::Relation> relation,
-                         const JoinPredicate& goal, Strategy& strategy) {
-  return RunSession(MakeRelationStore(std::move(relation)), goal, strategy);
-}
-
-std::string SessionResultToJson(const SessionResult& result) {
-  util::JsonWriter json;
-  json.BeginObject()
-      .KeyValue("interactions", result.interactions)
-      .KeyValue("wasted_interactions", result.wasted_interactions)
-      .KeyValue("identified_goal", result.identified_goal)
-      .KeyValue("total_seconds", result.total_seconds);
-  json.Key("result").Value(
-      result.result.has_value() ? result.result->ToString() : "");
-  json.Key("steps").BeginArray();
-  for (const SessionStep& step : result.steps) {
-    json.BeginObject()
-        .KeyValue("tuple", step.tuple_index)
-        .KeyValue("class", step.class_id)
-        .KeyValue("label", LabelToString(step.label))
-        .KeyValue("pruned_tuples", step.pruned_tuples)
-        .KeyValue("pruned_classes", step.pruned_classes)
-        .KeyValue("micros", step.micros)
-        .EndObject();
-  }
-  json.EndArray().EndObject();
-  return json.str();
 }
 
 }  // namespace jim::core

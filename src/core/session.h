@@ -99,11 +99,6 @@ SessionResult RunSession(std::shared_ptr<const TupleStore> store,
                          const JoinPredicate& goal, Strategy& strategy,
                          Oracle& oracle, const SessionOptions& options = {});
 
-/// Convenience: wraps `relation` into a RelationTupleStore first.
-SessionResult RunSession(std::shared_ptr<const rel::Relation> relation,
-                         const JoinPredicate& goal, Strategy& strategy,
-                         Oracle& oracle, const SessionOptions& options = {});
-
 /// Same, but drives an engine the caller already built — typically a copy of
 /// a prototype (an engine copy shares the class table and copies only
 /// O(classes) of session state), which skips the O(N·n²) class construction
@@ -118,13 +113,6 @@ SessionResult RunSessionOnEngine(InferenceEngine& engine,
 /// Convenience: exact oracle for `goal`, default options with mode 4.
 SessionResult RunSession(std::shared_ptr<const TupleStore> store,
                          const JoinPredicate& goal, Strategy& strategy);
-SessionResult RunSession(std::shared_ptr<const rel::Relation> relation,
-                         const JoinPredicate& goal, Strategy& strategy);
-
-/// Serializes a session trace to compact JSON (for external analysis of
-/// bench runs): interactions, per-step asked tuple/label/pruning/latency,
-/// the inferred predicate, and the identification verdict.
-std::string SessionResultToJson(const SessionResult& result);
 
 }  // namespace jim::core
 

@@ -116,24 +116,4 @@ CrowdRunResult RunTransitiveCrowdJoin(const rel::Relation& items,
   return result;
 }
 
-CrowdRunResult RunAllPairsCrowdJoin(const rel::Relation& items,
-                                    const core::JoinPredicate& pair_goal,
-                                    const CrowdOptions& options) {
-  JIM_CHECK(options.workers_per_question % 2 == 1);
-  const size_t n = items.num_rows();
-  util::Rng rng(options.seed);
-  CrowdRunResult result;
-  bool all_correct = true;
-  for (size_t a = 0; a < n; ++a) {
-    for (size_t b = a + 1; b < n; ++b) {
-      const bool truth = pair_goal.Selects(PairTuple(items, a, b));
-      const bool answer =
-          AskPair(items, a, b, pair_goal, options, rng, &result);
-      if (answer != truth) all_correct = false;
-    }
-  }
-  result.correct = all_correct;
-  return result;
-}
-
 }  // namespace jim::crowd

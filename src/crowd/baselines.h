@@ -28,12 +28,6 @@ CrowdRunResult RunTransitiveCrowdJoin(const rel::Relation& items,
                                       const core::JoinPredicate& pair_goal,
                                       const CrowdOptions& options);
 
-/// The same task without transitivity: ask all n·(n-1)/2 pairs. The naive
-/// cost the transitive baseline and JIM both beat.
-CrowdRunResult RunAllPairsCrowdJoin(const rel::Relation& items,
-                                    const core::JoinPredicate& pair_goal,
-                                    const CrowdOptions& options);
-
 }  // namespace jim::crowd
 
 #endif  // JIM_CROWD_BASELINES_H_

@@ -2,8 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdint>
 #include <exception>
-#include <vector>
+#include <mutex>
 
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
@@ -22,7 +23,11 @@ struct ThreadPool::Job {
       const size_t end = (j + 1) * n / chunks;
       for (size_t i = j * n / chunks; i < end; ++i) body(i, j);
     } catch (...) {
-      failures[j] = std::current_exception();
+      std::lock_guard<std::mutex> lock(failure_mutex);
+      if (j < failed_chunk) {
+        failed_chunk = j;
+        failure = std::current_exception();
+      }
     }
   }
 
@@ -34,16 +39,17 @@ struct ThreadPool::Job {
 
   /// Rethrows the lowest failing chunk's exception, whatever the schedule.
   void RethrowFirstFailure() const {
-    for (const std::exception_ptr& failure : failures) {
-      if (failure) std::rethrow_exception(failure);
-    }
+    if (failure) std::rethrow_exception(failure);
   }
 
   const Body& body;
   const size_t n;
   const size_t chunks;
-  /// Chunk j's exception, written only by the thread that ran chunk j.
-  std::vector<std::exception_ptr> failures;
+  /// The lowest failing chunk so far and its exception; taken only on the
+  /// throw path.
+  std::mutex failure_mutex{};
+  size_t failed_chunk = SIZE_MAX;
+  std::exception_ptr failure{};
   /// Next unclaimed chunk id.
   std::atomic<size_t> next{0};
   /// Workers currently claiming chunks (guarded by the pool's mutex_).
@@ -94,7 +100,7 @@ void ThreadPool::ParallelFor(size_t n, const Body& body) {
   JIM_COUNT_N(obs::kCounterExecParallelForChunks, chunks);
   JIM_OBSERVE(obs::kHistExecParallelForItems, n);
 
-  Job job{body, n, chunks, std::vector<std::exception_ptr>(chunks)};
+  Job job{body, n, chunks};
   bool published = false;
   if (chunks > 1) {
     std::lock_guard<std::mutex> lock(mutex_);

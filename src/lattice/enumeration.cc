@@ -1,6 +1,7 @@
 #include "lattice/enumeration.h"
 
 #include <algorithm>
+#include <vector>
 
 #include "util/logging.h"
 
@@ -62,17 +63,6 @@ bool VisitAllPartitions(size_t n,
   return VisitRgs(n, [&visitor](const std::vector<int>& rgs) {
     return visitor(Partition::FromLabels(rgs));
   });
-}
-
-std::vector<Partition> AllPartitions(size_t n) {
-  JIM_CHECK_LE(n, size_t{12});
-  std::vector<Partition> out;
-  out.reserve(BellNumber(n));
-  VisitAllPartitions(n, [&out](const Partition& p) {
-    out.push_back(p);
-    return true;
-  });
-  return out;
 }
 
 }  // namespace jim::lat

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <vector>
 
 #include "lattice/partition.h"
 
@@ -21,10 +20,6 @@ uint64_t BellNumber(size_t n);
 /// brute-force oracles of the tests.
 bool VisitAllPartitions(size_t n,
                         const std::function<bool(const Partition&)>& visitor);
-
-/// Materializes all partitions of {0..n-1}. Requires small n (checked:
-/// n <= 12, B(12) = 4,213,597).
-std::vector<Partition> AllPartitions(size_t n);
 
 }  // namespace jim::lat
 

@@ -36,12 +36,6 @@ std::vector<int> Partition::Canonicalize(const std::vector<int>& labels) {
   return canonical;
 }
 
-Partition Partition::Singletons(size_t n) {
-  std::vector<int> labels(n);
-  for (size_t i = 0; i < n; ++i) labels[i] = static_cast<int>(i);
-  return Partition(std::move(labels));
-}
-
 Partition Partition::Top(size_t n) {
   return Partition(std::vector<int>(n, 0));
 }
@@ -65,34 +59,6 @@ util::StatusOr<Partition> Partition::FromPairs(
   return Partition(Canonicalize(labels));
 }
 
-util::StatusOr<Partition> Partition::FromBlocks(
-    size_t n, const std::vector<std::vector<size_t>>& blocks) {
-  std::vector<int> labels(n, -1);
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    if (blocks[b].empty()) {
-      return util::InvalidArgumentError("empty block in partition");
-    }
-    for (size_t element : blocks[b]) {
-      if (element >= n) {
-        return util::OutOfRangeError(
-            util::StrFormat("element %zu out of range for n=%zu", element, n));
-      }
-      if (labels[element] != -1) {
-        return util::InvalidArgumentError(
-            util::StrFormat("element %zu appears in two blocks", element));
-      }
-      labels[element] = static_cast<int>(b);
-    }
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (labels[i] == -1) {
-      return util::InvalidArgumentError(
-          util::StrFormat("element %zu missing from blocks", i));
-    }
-  }
-  return Partition(Canonicalize(labels));
-}
-
 bool Partition::Refines(const Partition& other) const {
   JIM_CHECK_EQ(num_elements(), other.num_elements());
   // A refinement splits blocks, so it cannot have fewer of them.
@@ -109,10 +75,6 @@ bool Partition::Refines(const Partition& other) const {
     }
   }
   return true;
-}
-
-bool Partition::StrictlyRefines(const Partition& other) const {
-  return *this != other && Refines(other);
 }
 
 Partition Partition::Meet(const Partition& other) const {
@@ -166,18 +128,6 @@ std::vector<std::vector<size_t>> Partition::Blocks() const {
   // RGS labeling already orders blocks by first (= smallest) member, and
   // members are pushed in ascending order.
   return blocks;
-}
-
-std::vector<std::pair<size_t, size_t>> Partition::Pairs() const {
-  std::vector<std::pair<size_t, size_t>> pairs;
-  for (const auto& block : Blocks()) {
-    for (size_t a = 0; a < block.size(); ++a) {
-      for (size_t b = a + 1; b < block.size(); ++b) {
-        pairs.emplace_back(block[a], block[b]);
-      }
-    }
-  }
-  return pairs;
 }
 
 std::vector<std::pair<size_t, size_t>> Partition::GeneratorPairs() const {

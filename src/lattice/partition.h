@@ -29,9 +29,6 @@ class Partition {
   /// The partition of the empty set (n = 0).
   Partition() = default;
 
-  /// Finest partition: n singleton blocks (the empty join predicate).
-  static Partition Singletons(size_t n);
-
   /// Coarsest partition: one block (all attributes pairwise equal).
   static Partition Top(size_t n);
 
@@ -42,11 +39,6 @@ class Partition {
   /// transitive closure is taken automatically. Pairs must be within range.
   static util::StatusOr<Partition> FromPairs(
       size_t n, const std::vector<std::pair<size_t, size_t>>& pairs);
-
-  /// From explicit blocks. Every element of {0..n-1} must appear exactly
-  /// once across `blocks` (empty blocks are rejected).
-  static util::StatusOr<Partition> FromBlocks(
-      size_t n, const std::vector<std::vector<size_t>>& blocks);
 
   size_t num_elements() const { return block_of_.size(); }
   size_t num_blocks() const { return num_blocks_; }
@@ -60,27 +52,14 @@ class Partition {
   /// lattice-theoretic rank function used by the local strategies.
   size_t Rank() const { return block_of_.size() - num_blocks_; }
 
-  bool SameBlock(size_t i, size_t j) const {
-    return block_of_[i] == block_of_[j];
-  }
-
   /// True iff this partition refines `other` (this ≤ other): every block of
   /// *this is contained in a block of `other`. Requires equal n.
   bool Refines(const Partition& other) const;
-
-  /// Proper refinement: Refines(other) && *this != other.
-  bool StrictlyRefines(const Partition& other) const;
 
   /// Meet: the coarsest common refinement (intersection of the equivalence
   /// relations): the knowledge K_t = θ_P ∧ Part(t) a label on t carries.
   /// Requires equal n.
   Partition Meet(const Partition& other) const;
-
-  /// Cheap 64-bit content hash, computed once at construction (FNV-1a over
-  /// the canonical RGS, length-seeded). Equal partitions always have equal
-  /// fingerprints, so `fingerprint mismatch ⇒ not equal` gives equality and
-  /// hashing an O(1) fast path.
-  uint64_t Fingerprint() const { return fingerprint_; }
 
   /// Join: the finest common coarsening (transitive closure of the union of
   /// the equivalence relations). Requires equal n.
@@ -88,10 +67,6 @@ class Partition {
 
   /// Blocks in canonical order (by smallest member); members ascending.
   std::vector<std::vector<size_t>> Blocks() const;
-
-  /// All co-block pairs (i, j) with i < j — the explicit equality
-  /// constraints of the corresponding join predicate.
-  std::vector<std::pair<size_t, size_t>> Pairs() const;
 
   /// A minimal set of pairs generating this partition (spanning-tree pairs
   /// per block): what a human would write in a WHERE clause.
@@ -120,11 +95,6 @@ class Partition {
   friend bool operator!=(const Partition& a, const Partition& b) {
     return !(a == b);
   }
-  /// Lexicographic order on the RGS — an arbitrary but stable total order
-  /// (used for deterministic tie-breaking; unrelated to refinement).
-  friend bool operator<(const Partition& a, const Partition& b) {
-    return a.block_of_ < b.block_of_;
-  }
 
  private:
   explicit Partition(std::vector<int> canonical_labels);
@@ -133,6 +103,9 @@ class Partition {
 
   std::vector<int> block_of_;
   size_t num_blocks_ = 0;
+  /// 64-bit content hash, computed once at construction (FNV-1a over the
+  /// canonical RGS, length-seeded): equal partitions have equal
+  /// fingerprints, so a mismatch rejects equality in O(1).
   uint64_t fingerprint_ = 0xcbf29ce484222325ull;  // fingerprint of empty RGS
 };
 

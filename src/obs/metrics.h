@@ -71,7 +71,6 @@ class Counter {
 class Gauge {
  public:
   void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t delta) { value_.fetch_add(delta, std::memory_order_relaxed); }
   int64_t Value() const { return value_.load(std::memory_order_relaxed); }
   void Reset() { Set(0); }
 

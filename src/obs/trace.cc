@@ -30,16 +30,6 @@ void SessionTracer::EndSession(bool identified_goal, size_t interactions,
   total_seconds_ = total_seconds;
 }
 
-void SessionTracer::Clear() {
-  meta_ = SessionMeta{};
-  steps_.clear();
-  ended_ = false;
-  identified_goal_ = false;
-  interactions_ = 0;
-  wasted_interactions_ = 0;
-  total_seconds_ = 0.0;
-}
-
 void SessionTracer::AppendTo(util::JsonWriter& json) const {
   json.BeginObject();
   json.Key("session").BeginObject();

@@ -52,10 +52,6 @@ class SessionTracer {
   void EndSession(bool identified_goal, size_t interactions,
                   size_t wasted_interactions, double total_seconds);
 
-  /// Drops all recorded state so the tracer can be reused for another
-  /// session.
-  void Clear();
-
   const SessionMeta& meta() const { return meta_; }
   const std::vector<TraceStep>& steps() const { return steps_; }
   bool ended() const { return ended_; }

@@ -143,7 +143,7 @@ class FactorizedTupleStore final : public core::TupleStore {
 };
 
 /// Dense representation id per row: equal ids ⇔ equal representation keys
-/// (the dedup equality of Relation::DeduplicateRows — NULLs compare equal).
+/// (rel::TupleRepresentationKey's equality — NULLs compare equal).
 std::vector<uint32_t> RepresentationIds(const rel::Relation& relation) {
   std::unordered_map<std::string, uint32_t> ids;
   std::vector<uint32_t> rep;
@@ -328,20 +328,17 @@ util::StatusOr<UniversalTable> UniversalTable::Build(
              std::shared_ptr<const std::vector<uint32_t>>>
         kept_cache;
     for (Occurrence& source : occurrences) {
-      if (options.deduplicate) {
-        // One representation-key pass per distinct relation; occurrences of
-        // one relation (self-joins) share the resulting kept list.
-        auto [cached, inserted] = kept_cache.try_emplace(source.relation.get());
-        if (inserted) {
-          std::vector<uint32_t> kept =
-              RepresentationKeptRows(*source.relation);
-          if (!kept.empty()) {
-            cached->second = std::make_shared<const std::vector<uint32_t>>(
-                std::move(kept));
-          }
+      // One representation-key pass per distinct relation; occurrences of
+      // one relation (self-joins) share the resulting kept list.
+      auto [cached, inserted] = kept_cache.try_emplace(source.relation.get());
+      if (inserted) {
+        std::vector<uint32_t> kept = RepresentationKeptRows(*source.relation);
+        if (!kept.empty()) {
+          cached->second = std::make_shared<const std::vector<uint32_t>>(
+              std::move(kept));
         }
-        source.kept_rows = cached->second;
       }
+      source.kept_rows = cached->second;
       source.size = source.kept_rows == nullptr ? source.relation->num_rows()
                                                 : source.kept_rows->size();
       num_tuples *= source.size;
@@ -393,36 +390,34 @@ util::StatusOr<UniversalTable> UniversalTable::Build(
     }
     JIM_CHECK_EQ(width, k);
 
-    if (options.deduplicate) {
-      // One representation-id pass per distinct relation; occurrences
-      // borrow the cached vector (no copies).
-      std::vector<const std::vector<uint32_t>*> rep(k);
-      std::map<const rel::Relation*, std::vector<uint32_t>> rep_cache;
-      for (size_t i = 0; i < k; ++i) {
-        auto [cached, inserted] =
-            rep_cache.try_emplace(occurrences[i].relation.get());
-        if (inserted) {
-          cached->second = RepresentationIds(*occurrences[i].relation);
-        }
-        rep[i] = &cached->second;
+    // One representation-id pass per distinct relation; occurrences
+    // borrow the cached vector (no copies).
+    std::vector<const std::vector<uint32_t>*> rep(k);
+    std::map<const rel::Relation*, std::vector<uint32_t>> rep_cache;
+    for (size_t i = 0; i < k; ++i) {
+      auto [cached, inserted] =
+          rep_cache.try_emplace(occurrences[i].relation.get());
+      if (inserted) {
+        cached->second = RepresentationIds(*occurrences[i].relation);
       }
-      std::unordered_set<std::vector<uint32_t>, RepTupleHash> seen;
-      seen.reserve(rows);
-      std::vector<uint32_t> compacted;
-      compacted.reserve(row_ids.size());
-      std::vector<uint32_t> key(k);
-      for (size_t t = 0; t < rows; ++t) {
-        for (size_t i = 0; i < k; ++i) {
-          key[i] = (*rep[i])[row_ids[t * k + i]];
-        }
-        if (seen.insert(key).second) {
-          compacted.insert(compacted.end(), row_ids.begin() + t * k,
-                           row_ids.begin() + (t + 1) * k);
-        }
-      }
-      row_ids = std::move(compacted);
-      rows = row_ids.size() / k;
+      rep[i] = &cached->second;
     }
+    std::unordered_set<std::vector<uint32_t>, RepTupleHash> seen;
+    seen.reserve(rows);
+    std::vector<uint32_t> compacted;
+    compacted.reserve(row_ids.size());
+    std::vector<uint32_t> key(k);
+    for (size_t t = 0; t < rows; ++t) {
+      for (size_t i = 0; i < k; ++i) {
+        key[i] = (*rep[i])[row_ids[t * k + i]];
+      }
+      if (seen.insert(key).second) {
+        compacted.insert(compacted.end(), row_ids.begin() + t * k,
+                         row_ids.begin() + (t + 1) * k);
+      }
+    }
+    row_ids = std::move(compacted);
+    rows = row_ids.size() / k;
     num_tuples = rows;
   }
 
@@ -431,15 +426,6 @@ util::StatusOr<UniversalTable> UniversalTable::Build(
       std::move(row_ids));
   JIM_CHECK_EQ(table.store_->num_attributes(), table.provenance_.size());
   return table;
-}
-
-rel::Relation UniversalTable::Materialize() const {
-  rel::Relation relation{"universal", store_->schema()};
-  relation.Reserve(store_->num_tuples());
-  for (size_t t = 0; t < store_->num_tuples(); ++t) {
-    relation.AddRowUnchecked(store_->DecodeTuple(t));
-  }
-  return relation;
 }
 
 JoinQuery UniversalTable::ToJoinQuery(

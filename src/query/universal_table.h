@@ -24,9 +24,6 @@ struct UniversalTableOptions {
   size_t sample_cap = 100'000;
   /// Seed for the sampling RNG.
   uint64_t seed = 99;
-  /// Deduplicate identical candidate tuples after the product
-  /// (representation-level equality, see rel::TupleRepresentationKey).
-  bool deduplicate = true;
 };
 
 /// The denormalized instance JIM works on when the user brings several
@@ -84,12 +81,6 @@ class UniversalTable {
   bool is_sampled() const { return is_sampled_; }
   /// Size of the un-sampled cross product.
   size_t full_product_size() const { return full_product_size_; }
-
-  /// Decodes every candidate tuple into a materialized Relation — the O(N·n)
-  /// representation the factorized store exists to avoid. For tests,
-  /// display, and export only; identical (rows, order, schema) to what the
-  /// historical materializing builder produced.
-  rel::Relation Materialize() const;
 
   /// Translates a predicate inferred over this table back into a
   /// multi-relation join query: each equality between attributes of

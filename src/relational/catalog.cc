@@ -4,24 +4,6 @@
 
 namespace jim::rel {
 
-Catalog::Catalog(const Catalog& other) {
-  std::lock_guard<std::mutex> lock(other.encoded_mutex_);
-  relations_ = other.relations_;
-  encoded_ = other.encoded_;
-}
-
-Catalog& Catalog::operator=(const Catalog& other) {
-  if (this == &other) return *this;
-  // Consistent-order double lock is unnecessary: assignment of a catalog
-  // that is concurrently *mutated* is outside the contract (like any
-  // container); the lock only keeps the encoded cache snapshot coherent
-  // against concurrent GetEncoded fills on `other`.
-  std::lock_guard<std::mutex> lock(other.encoded_mutex_);
-  relations_ = other.relations_;
-  encoded_ = other.encoded_;
-  return *this;
-}
-
 util::Status Catalog::Add(Relation relation) {
   const std::string name = relation.name();
   if (name.empty()) {
@@ -55,9 +37,9 @@ util::StatusOr<std::shared_ptr<const Relation>> Catalog::GetShared(
 util::StatusOr<std::shared_ptr<const EncodedRelation>> Catalog::GetEncoded(
     const std::string& name) const {
   {
-    std::lock_guard<std::mutex> lock(encoded_mutex_);
-    auto cached = encoded_.find(name);
-    if (cached != encoded_.end()) return cached->second;
+    std::lock_guard<std::mutex> lock(cache_->mutex);
+    auto cached = cache_->encoded.find(name);
+    if (cached != cache_->encoded.end()) return cached->second;
   }
   auto it = relations_.find(name);
   if (it == relations_.end()) {
@@ -74,18 +56,9 @@ util::StatusOr<std::shared_ptr<const EncodedRelation>> Catalog::GetEncoded(
                                : nullptr;
   auto encoded = std::make_shared<const EncodedRelation>(
       EncodedRelation::FromRelation(*it->second, pool));
-  std::lock_guard<std::mutex> lock(encoded_mutex_);
-  auto [cached, inserted] = encoded_.emplace(name, std::move(encoded));
+  std::lock_guard<std::mutex> lock(cache_->mutex);
+  auto [cached, inserted] = cache_->encoded.emplace(name, std::move(encoded));
   return cached->second;
-}
-
-util::Status Catalog::Drop(const std::string& name) {
-  if (relations_.erase(name) == 0) {
-    return util::NotFoundError("no relation named '" + name + "'");
-  }
-  std::lock_guard<std::mutex> lock(encoded_mutex_);
-  encoded_.erase(name);
-  return util::OkStatus();
 }
 
 std::vector<std::string> Catalog::Names() const {

@@ -26,15 +26,15 @@ namespace jim::rel {
 class Catalog {
  public:
   Catalog() = default;
-  /// Copies share the (immutable) relations and whatever encodings the
-  /// source had cached so far; the cache mutex itself is per-instance.
-  Catalog(const Catalog& other);
-  Catalog& operator=(const Catalog& other);
+  Catalog(Catalog&&) = default;
+  Catalog& operator=(Catalog&&) = default;
+  Catalog(const Catalog&) = delete;
+  Catalog& operator=(const Catalog&) = delete;
 
   /// Registers `relation` under its name. Errors on duplicates.
   util::Status Add(Relation relation);
 
-  /// Borrowed pointer, valid until the name is Dropped.
+  /// Borrowed pointer, valid while the catalog lives.
   util::StatusOr<const Relation*> Get(const std::string& name) const;
 
   /// Shared handle to the relation (no row copy; safe to outlive *this).
@@ -44,9 +44,8 @@ class Catalog {
   /// The relation's columnar dictionary-encoded mirror, built on first use
   /// and cached (shared by every universal table it participates in). The
   /// cache fill is mutex-guarded, so any number of threads may build
-  /// universal tables over one catalog concurrently — only catalog
-  /// *mutations* (Add/Drop) require external synchronization,
-  /// like any container.
+  /// universal tables over one catalog concurrently — only Add requires
+  /// external synchronization, like any container mutation.
   util::StatusOr<std::shared_ptr<const EncodedRelation>> GetEncoded(
       const std::string& name) const;
 
@@ -54,21 +53,22 @@ class Catalog {
     return relations_.count(name) > 0;
   }
 
-  util::Status Drop(const std::string& name);
-
   /// Names in lexicographic order.
   std::vector<std::string> Names() const;
 
   size_t size() const { return relations_.size(); }
 
  private:
+  /// Lazily built encodings, guarded by `mutex` (GetEncoded may be called
+  /// from concurrent universal-table builds). Held by pointer so the
+  /// catalog stays movable.
+  struct EncodedCache {
+    std::mutex mutex;
+    std::map<std::string, std::shared_ptr<const EncodedRelation>> encoded;
+  };
+
   std::map<std::string, std::shared_ptr<const Relation>> relations_;
-  /// Lazily built encodings; mutable because encoding is a cache fill, not
-  /// an observable mutation. Guarded by encoded_mutex_ (GetEncoded may be
-  /// called from concurrent universal-table builds).
-  mutable std::mutex encoded_mutex_;
-  mutable std::map<std::string, std::shared_ptr<const EncodedRelation>>
-      encoded_;
+  std::unique_ptr<EncodedCache> cache_ = std::make_unique<EncodedCache>();
 };
 
 }  // namespace jim::rel

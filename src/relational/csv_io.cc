@@ -87,23 +87,4 @@ util::StatusOr<Relation> LoadRelationFromCsvFile(const std::string& path,
   return RelationFromCsv(relation_name, content, delim);
 }
 
-std::string RelationToCsv(const Relation& relation, char delim) {
-  std::string out =
-      util::FormatCsvLine(relation.schema().Names(), delim) + "\n";
-  for (const Tuple& row : relation.rows()) {
-    std::vector<std::string> fields;
-    fields.reserve(row.size());
-    for (const Value& value : row) {
-      fields.push_back(value.is_null() ? "" : value.ToString());
-    }
-    out += util::FormatCsvLine(fields, delim) + "\n";
-  }
-  return out;
-}
-
-util::Status SaveRelationToCsvFile(const Relation& relation,
-                                   const std::string& path, char delim) {
-  return util::WriteStringToFile(path, RelationToCsv(relation, delim));
-}
-
 }  // namespace jim::rel

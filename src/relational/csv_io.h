@@ -23,13 +23,6 @@ util::StatusOr<Relation> LoadRelationFromCsvFile(const std::string& path,
                                                  std::string_view name = "",
                                                  char delim = ',');
 
-/// Serializes the relation (header + rows). NULLs serialize as empty fields.
-std::string RelationToCsv(const Relation& relation, char delim = ',');
-
-/// Writes the relation to a file.
-util::Status SaveRelationToCsvFile(const Relation& relation,
-                                   const std::string& path, char delim = ',');
-
 }  // namespace jim::rel
 
 #endif  // JIM_RELATIONAL_CSV_IO_H_

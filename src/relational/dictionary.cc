@@ -14,8 +14,8 @@ uint32_t Dictionary::GetOrAdd(const Value& value) {
   // semantics the partition kernels need (NaN ≠ NaN, like NULL ≠ NULL). Mint
   // it directly: NaNs all hash alike but never compare equal, so letting
   // them into the map would grow one bucket's collision chain per
-  // occurrence (quadratic encoding on NaN-heavy columns), and Find could
-  // never return them anyway.
+  // occurrence (quadratic encoding on NaN-heavy columns), and a lookup
+  // could never return them anyway.
   const bool is_nan = value.type() == ValueType::kDouble &&
                       std::isnan(value.AsDouble());
   if (!is_nan) {
@@ -27,13 +27,6 @@ uint32_t Dictionary::GetOrAdd(const Value& value) {
       << "dictionary overflow: too many distinct values for uint32 codes";
   values_.push_back(value);
   return static_cast<uint32_t>(values_.size() - 1);
-}
-
-std::optional<uint32_t> Dictionary::Find(const Value& value) const {
-  if (value.is_null()) return std::nullopt;
-  auto it = code_of_.find(value);
-  if (it == code_of_.end()) return std::nullopt;
-  return it->second;
 }
 
 void Dictionary::CheckInvariants() const {
@@ -48,8 +41,8 @@ void Dictionary::CheckInvariants() const {
       ++nan_values;
       continue;
     }
-    const std::optional<uint32_t> found = Find(value);
-    JIM_CHECK(found.has_value() && *found == c)
+    const auto found = code_of_.find(value);
+    JIM_CHECK(found != code_of_.end() && found->second == c)
         << "value→code lookup of '" << value.ToString()
         << "' does not return its code " << c;
   }
@@ -127,10 +120,6 @@ EncodedColumn EncodeColumn(const Relation& relation, size_t column,
     if (code != kNullCode) code = remaps[chunk][code];
   });
   return encoded;
-}
-
-EncodedRelation EncodedRelation::FromRelation(const Relation& relation) {
-  return FromRelation(relation, /*pool=*/nullptr);
 }
 
 EncodedRelation EncodedRelation::FromRelation(const Relation& relation,

@@ -2,7 +2,6 @@
 #define JIM_RELATIONAL_DICTIONARY_H_
 
 #include <cstdint>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -35,9 +34,6 @@ class Dictionary {
   /// Insertion order is deterministic: codes are dense and first-come.
   uint32_t GetOrAdd(const Value& value);
 
-  /// Code of `value` if present (NULL never is).
-  std::optional<uint32_t> Find(const Value& value) const;
-
   /// The value behind `code`. Requires code < size().
   const Value& value(uint32_t code) const { return values_[code]; }
 
@@ -65,11 +61,6 @@ struct EncodedColumn {
 
   size_t num_rows() const { return codes.size(); }
   size_t num_distinct() const { return dictionary.size(); }
-  /// The row's value; Value::Null() for the sentinel.
-  Value Decode(size_t row) const {
-    const uint32_t code = codes[row];
-    return code == kNullCode ? Value::Null() : dictionary.value(code);
-  }
   size_t ApproxBytes() const {
     return codes.capacity() * sizeof(uint32_t) + dictionary.ApproxBytes();
   }
@@ -106,12 +97,8 @@ std::vector<std::vector<uint32_t>> MergeChunkDictionaries(
 /// shared dictionary (see query::UniversalTable).
 class EncodedRelation {
  public:
-  static EncodedRelation FromRelation(const Relation& relation);
-
-  /// Parallel variant: every column's encode runs through the chunked
-  /// per-thread-dictionary path (see EncodeColumn(…, pool)); the mirror is
-  /// bitwise-identical to the serial one at any thread count. This is what
-  /// Catalog::GetEncoded uses for large relations.
+  /// Encodes every column through EncodeColumn(…, pool): nullptr encodes
+  /// serially, and the mirror is bitwise-identical at any thread count.
   static EncodedRelation FromRelation(const Relation& relation,
                                       exec::ThreadPool* pool);
 

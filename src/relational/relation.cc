@@ -1,39 +1,11 @@
 #include "relational/relation.h"
 
 #include <algorithm>
-#include <unordered_set>
 
-#include "util/hash.h"
 #include "util/string_util.h"
 #include "util/table_printer.h"
 
 namespace jim::rel {
-
-size_t TupleHash(const Tuple& tuple) {
-  size_t seed = 0x51ab5d1fba5c931dull;
-  for (const Value& value : tuple) {
-    util::HashCombine(seed, value.Hash());
-  }
-  return seed;
-}
-
-bool TupleEquals(const Tuple& a, const Tuple& b) {
-  if (a.size() != b.size()) return false;
-  for (size_t i = 0; i < a.size(); ++i) {
-    if (!a[i].Equals(b[i])) return false;
-  }
-  return true;
-}
-
-int TupleCompare(const Tuple& a, const Tuple& b) {
-  const size_t n = std::min(a.size(), b.size());
-  for (size_t i = 0; i < n; ++i) {
-    const int c = a[i].Compare(b[i]);
-    if (c != 0) return c;
-  }
-  if (a.size() == b.size()) return 0;
-  return a.size() < b.size() ? -1 : 1;
-}
 
 util::Status Relation::AddRow(Tuple row) {
   if (row.size() != schema_.num_attributes()) {
@@ -54,12 +26,6 @@ util::Status Relation::AddRow(Tuple row) {
   return util::OkStatus();
 }
 
-void Relation::SortRows() {
-  std::sort(rows_.begin(), rows_.end(), [](const Tuple& a, const Tuple& b) {
-    return TupleCompare(a, b) < 0;
-  });
-}
-
 std::string TupleRepresentationKey(const Tuple& tuple) {
   std::string key;
   for (const Value& value : tuple) {
@@ -75,20 +41,6 @@ std::string TupleRepresentationKey(const Tuple& tuple) {
     key += payload;
   }
   return key;
-}
-
-void Relation::DeduplicateRows() {
-  // Representation-level equality: render values (NULL == NULL here) so that
-  // dedup treats two all-NULL rows as duplicates.
-  std::unordered_set<std::string> seen;
-  std::vector<Tuple> kept;
-  kept.reserve(rows_.size());
-  for (Tuple& row : rows_) {
-    if (seen.insert(TupleRepresentationKey(row)).second) {
-      kept.push_back(std::move(row));
-    }
-  }
-  rows_ = std::move(kept);
 }
 
 std::string Relation::ToString(size_t max_rows) const {

@@ -13,21 +13,10 @@ namespace jim::rel {
 /// One row: values positionally aligned with a Schema.
 using Tuple = std::vector<Value>;
 
-/// Hash of a full tuple (order-sensitive).
-size_t TupleHash(const Tuple& tuple);
-
-/// True iff all corresponding fields are Equals (strict; any NULL ⇒ false on
-/// that field).
-bool TupleEquals(const Tuple& a, const Tuple& b);
-
-/// Lexicographic comparison using Value::Compare.
-int TupleCompare(const Tuple& a, const Tuple& b);
-
 /// Representation-level key of a tuple: two tuples get equal keys iff they
 /// render identically field by field (same types, same printed payloads —
-/// NULLs *are* equal here, unlike join semantics). This is the equality
-/// Relation::DeduplicateRows uses; the factorized universal-table builder
-/// shares it so its dedup is byte-identical to the materialized path.
+/// NULLs *are* equal here, unlike join semantics). This is the equality the
+/// universal-table builder deduplicates candidate tuples by.
 std::string TupleRepresentationKey(const Tuple& tuple);
 
 /// An in-memory table: a name, a schema, and rows.
@@ -61,14 +50,6 @@ class Relation {
   void AddRowUnchecked(Tuple row) { rows_.push_back(std::move(row)); }
 
   void Reserve(size_t n) { rows_.reserve(n); }
-  void Clear() { rows_.clear(); }
-
-  /// Sorts rows lexicographically (stable order for reproducible output).
-  void SortRows();
-
-  /// Removes duplicate rows (by representation: NULLs considered identical
-  /// here, unlike join semantics). Keeps first occurrences; preserves order.
-  void DeduplicateRows();
 
   /// Renders the first `max_rows` rows as an aligned ASCII table.
   std::string ToString(size_t max_rows = 50) const;

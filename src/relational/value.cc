@@ -37,31 +37,6 @@ bool Value::Equals(const Value& other) const {
   return false;
 }
 
-int Value::Compare(const Value& other) const {
-  if (type() != other.type()) {
-    return static_cast<int>(type()) < static_cast<int>(other.type()) ? -1 : 1;
-  }
-  switch (type()) {
-    case ValueType::kNull:
-      return 0;
-    case ValueType::kInt64: {
-      const int64_t a = AsInt64();
-      const int64_t b = other.AsInt64();
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-    case ValueType::kDouble: {
-      const double a = AsDouble();
-      const double b = other.AsDouble();
-      return a < b ? -1 : (a > b ? 1 : 0);
-    }
-    case ValueType::kString:
-      return AsString().compare(other.AsString()) < 0
-                 ? -1
-                 : (AsString() == other.AsString() ? 0 : 1);
-  }
-  return 0;
-}
-
 size_t Value::Hash() const {
   size_t seed = static_cast<size_t>(type());
   switch (type()) {
@@ -92,17 +67,6 @@ std::string Value::ToString() const {
       return AsString();
   }
   return "?";
-}
-
-std::string Value::ToSqlLiteral() const {
-  if (type() != ValueType::kString) return ToString();
-  std::string out = "'";
-  for (char c : AsString()) {
-    if (c == '\'') out += "''";
-    else out.push_back(c);
-  }
-  out += "'";
-  return out;
 }
 
 Value ParseValueAs(std::string_view text, ValueType type) {

@@ -18,9 +18,7 @@ std::string_view ValueTypeToString(ValueType type);
 /// Equality is *strict*: values of different types never compare equal
 /// (columns get a single inferred type on load, so cross-type joins are not
 /// meaningful), and NULL ≠ NULL, matching SQL join semantics — a tuple never
-/// satisfies an equality on NULLs. `Compare` defines a total order (with
-/// nulls first, then by type id, then by payload) used for sorting and
-/// sort-merge joins.
+/// satisfies an equality on NULLs.
 class Value {
  public:
   /// NULL value.
@@ -45,22 +43,12 @@ class Value {
   /// Strict typed equality; NULL is not equal to anything, itself included.
   bool Equals(const Value& other) const;
 
-  /// Total order: -1 / 0 / +1. Nulls sort first and compare equal to each
-  /// other *for ordering purposes only* (Equals stays false).
-  int Compare(const Value& other) const;
-
   size_t Hash() const;
 
   /// Unquoted rendering ("NULL", "42", "3.14", "Paris").
   std::string ToString() const;
 
-  /// SQL-literal rendering ("NULL", "42", "3.14", "'Paris'").
-  std::string ToSqlLiteral() const;
-
   friend bool operator==(const Value& a, const Value& b) { return a.Equals(b); }
-  friend bool operator<(const Value& a, const Value& b) {
-    return a.Compare(b) < 0;
-  }
 
  private:
   std::variant<std::monostate, int64_t, double, std::string> data_;

@@ -34,10 +34,6 @@ std::string LabelLine(const std::string& session, uint64_t class_id,
   return json.str();
 }
 
-std::string StatusLine(const std::string& session) {
-  return SessionVerbLine("status", session);
-}
-
 std::string ResultLine(const std::string& session) {
   return SessionVerbLine("result", session);
 }
@@ -80,23 +76,6 @@ util::StatusOr<std::string> Client::Create(const Request& create_request) {
     return util::InternalError("create response carries no session id");
   }
   return session;
-}
-
-util::StatusOr<util::JsonValue> Client::Suggest(const std::string& session) {
-  return Call(SuggestLine(session));
-}
-
-util::StatusOr<util::JsonValue> Client::Label(const std::string& session,
-                                              uint64_t class_id, bool answer) {
-  return Call(LabelLine(session, class_id, answer));
-}
-
-util::StatusOr<util::JsonValue> Client::Status(const std::string& session) {
-  return Call(StatusLine(session));
-}
-
-util::StatusOr<util::JsonValue> Client::Result(const std::string& session) {
-  return Call(ResultLine(session));
 }
 
 util::Status Client::Close(const std::string& session) {

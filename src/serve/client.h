@@ -35,11 +35,6 @@ class Client {
 
   /// Convenience verbs. Create returns the minted session id.
   util::StatusOr<std::string> Create(const Request& create_request);
-  util::StatusOr<util::JsonValue> Suggest(const std::string& session);
-  util::StatusOr<util::JsonValue> Label(const std::string& session,
-                                        uint64_t class_id, bool answer);
-  util::StatusOr<util::JsonValue> Status(const std::string& session);
-  util::StatusOr<util::JsonValue> Result(const std::string& session);
   util::Status Close(const std::string& session);
 
  private:
@@ -51,7 +46,6 @@ class Client {
 std::string SuggestLine(const std::string& session);
 std::string LabelLine(const std::string& session, uint64_t class_id,
                       bool answer);
-std::string StatusLine(const std::string& session);
 std::string ResultLine(const std::string& session);
 std::string CloseLine(const std::string& session);
 

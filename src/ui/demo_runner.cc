@@ -84,13 +84,6 @@ uint64_t SimulateCallsSoFar() {
 }  // namespace
 
 util::StatusOr<core::JoinPredicate> RunConsoleDemo(
-    std::shared_ptr<const rel::Relation> relation, DemoOptions options,
-    std::istream& in, std::ostream& out) {
-  return RunConsoleDemo(core::MakeRelationStore(std::move(relation)),
-                        std::move(options), in, out);
-}
-
-util::StatusOr<core::JoinPredicate> RunConsoleDemo(
     std::shared_ptr<const core::TupleStore> store, DemoOptions options,
     std::istream& in, std::ostream& out) {
   ASSIGN_OR_RETURN(auto strategy,

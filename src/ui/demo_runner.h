@@ -41,7 +41,7 @@ inline constexpr std::string_view kInputEndedMessage =
 inline constexpr std::string_view kUserQuitMessage =
     "user quit before completion";
 
-/// Drives one inference session over `relation` through the console:
+/// Drives one inference session over `store` through the console:
 /// renders the instance, asks membership questions (reading "+", "-",
 /// "t"=show table, "p"=progress, "q"=quit from `in`), propagates labels,
 /// and prints the inferred join query at the end.
@@ -58,11 +58,6 @@ inline constexpr std::string_view kUserQuitMessage =
 /// the strategy name is unknown.
 util::StatusOr<core::JoinPredicate> RunConsoleDemo(
     std::shared_ptr<const core::TupleStore> store, DemoOptions options,
-    std::istream& in, std::ostream& out);
-
-/// Convenience: wraps `relation` into a RelationTupleStore first.
-util::StatusOr<core::JoinPredicate> RunConsoleDemo(
-    std::shared_ptr<const rel::Relation> relation, DemoOptions options,
     std::istream& in, std::ostream& out);
 
 }  // namespace jim::ui

@@ -3,18 +3,14 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <string>
 #include <vector>
 
 #include "util/logging.h"
 
 namespace jim::util {
 
-/// Fixed-size-at-construction bitset with set-algebra operations.
-///
-/// Used by the inference engine to represent sets of tuple classes (selected
-/// sets, pruned sets) where std::vector<bool> is too slow for the heavy
-/// subset/intersection traffic of lookahead strategies.
+/// Fixed-size-at-construction bitset: the row set a join predicate selects
+/// (JoinPredicate::SelectedRows), one bit per tuple.
 class DynamicBitset {
  public:
   DynamicBitset() : size_(0) {}
@@ -59,14 +55,6 @@ class DynamicBitset {
     return total;
   }
 
-  bool Any() const {
-    for (uint64_t w : words_) {
-      if (w != 0) return true;
-    }
-    return false;
-  }
-  bool None() const { return !Any(); }
-
   /// Index of the first set bit, or size() if none.
   size_t FindFirst() const { return FindNext(0); }
 
@@ -85,52 +73,6 @@ class DynamicBitset {
     }
   }
 
-  DynamicBitset& operator&=(const DynamicBitset& other) {
-    JIM_DCHECK(size_ == other.size_);
-    for (size_t i = 0; i < words_.size(); ++i) words_[i] &= other.words_[i];
-    return *this;
-  }
-  DynamicBitset& operator|=(const DynamicBitset& other) {
-    JIM_DCHECK(size_ == other.size_);
-    for (size_t i = 0; i < words_.size(); ++i) words_[i] |= other.words_[i];
-    return *this;
-  }
-  DynamicBitset& operator^=(const DynamicBitset& other) {
-    JIM_DCHECK(size_ == other.size_);
-    for (size_t i = 0; i < words_.size(); ++i) words_[i] ^= other.words_[i];
-    return *this;
-  }
-
-  friend DynamicBitset operator&(DynamicBitset a, const DynamicBitset& b) {
-    a &= b;
-    return a;
-  }
-  friend DynamicBitset operator|(DynamicBitset a, const DynamicBitset& b) {
-    a |= b;
-    return a;
-  }
-  friend DynamicBitset operator^(DynamicBitset a, const DynamicBitset& b) {
-    a ^= b;
-    return a;
-  }
-
-  /// True iff every set bit of *this is also set in `other`.
-  bool IsSubsetOf(const DynamicBitset& other) const {
-    JIM_DCHECK(size_ == other.size_);
-    for (size_t i = 0; i < words_.size(); ++i) {
-      if ((words_[i] & ~other.words_[i]) != 0) return false;
-    }
-    return true;
-  }
-
-  bool Intersects(const DynamicBitset& other) const {
-    JIM_DCHECK(size_ == other.size_);
-    for (size_t i = 0; i < words_.size(); ++i) {
-      if ((words_[i] & other.words_[i]) != 0) return true;
-    }
-    return false;
-  }
-
   friend bool operator==(const DynamicBitset& a, const DynamicBitset& b) {
     return a.size_ == b.size_ && a.words_ == b.words_;
   }
@@ -144,18 +86,6 @@ class DynamicBitset {
     }
     return out;
   }
-
-  /// "0101..." with position 0 leftmost.
-  std::string ToString() const {
-    std::string text(size_, '0');
-    for (size_t i = 0; i < size_; ++i) {
-      if (Test(i)) text[i] = '1';
-    }
-    return text;
-  }
-
-  /// Hash over the word representation.
-  size_t Hash() const;
 
  private:
   static constexpr size_t kBitsPerWord = 64;

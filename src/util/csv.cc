@@ -5,13 +5,8 @@
 
 namespace jim::util {
 
-namespace {
-
-/// Shared CSV state machine. Parses `content` (which may contain newlines)
-/// into records. If `single_line` is true, newlines outside quotes are an
-/// error instead of record separators.
-StatusOr<std::vector<std::vector<std::string>>> ParseImpl(
-    std::string_view content, char delim, bool single_line) {
+StatusOr<std::vector<std::vector<std::string>>> ParseCsv(
+    std::string_view content, char delim) {
   std::vector<std::vector<std::string>> records;
   std::vector<std::string> fields;
   std::string current;
@@ -68,9 +63,6 @@ StatusOr<std::vector<std::vector<std::string>>> ParseImpl(
       // Normalized below by the '\n' branch.
       continue;
     } else if (c == '\n') {
-      if (single_line) {
-        return InvalidArgumentError("newline in single-line CSV input");
-      }
       end_record();
     } else {
       current.push_back(c);
@@ -82,51 +74,8 @@ StatusOr<std::vector<std::vector<std::string>>> ParseImpl(
   }
   // Emit the final record unless the input ended with a newline and the
   // trailing record is completely empty.
-  if (any_char_in_record || !fields.empty() ||
-      (single_line && records.empty())) {
-    end_record();
-  }
-  if (single_line && records.empty()) {
-    records.push_back({});
-  }
+  if (any_char_in_record || !fields.empty()) end_record();
   return records;
-}
-
-}  // namespace
-
-StatusOr<std::vector<std::string>> ParseCsvLine(std::string_view line,
-                                                char delim) {
-  auto records = ParseImpl(line, delim, /*single_line=*/true);
-  if (!records.ok()) return records.status();
-  if (records->empty()) return std::vector<std::string>{std::string()};
-  return std::move((*records)[0]);
-}
-
-StatusOr<std::vector<std::vector<std::string>>> ParseCsv(
-    std::string_view content, char delim) {
-  return ParseImpl(content, delim, /*single_line=*/false);
-}
-
-std::string FormatCsvLine(const std::vector<std::string>& fields, char delim) {
-  std::string line;
-  for (size_t i = 0; i < fields.size(); ++i) {
-    if (i > 0) line.push_back(delim);
-    const std::string& field = fields[i];
-    const bool needs_quotes =
-        field.find_first_of(std::string({delim, '"', '\n', '\r'})) !=
-        std::string::npos;
-    if (!needs_quotes) {
-      line += field;
-      continue;
-    }
-    line.push_back('"');
-    for (char c : field) {
-      if (c == '"') line.push_back('"');
-      line.push_back(c);
-    }
-    line.push_back('"');
-  }
-  return line;
 }
 
 StatusOr<std::string> ReadFileToString(const std::string& path) {
@@ -137,18 +86,6 @@ StatusOr<std::string> ReadFileToString(const std::string& path) {
   std::ostringstream buffer;
   buffer << file.rdbuf();
   return buffer.str();
-}
-
-Status WriteStringToFile(const std::string& path, std::string_view content) {
-  std::ofstream file(path, std::ios::binary | std::ios::trunc);
-  if (!file) {
-    return InternalError("cannot open file for writing: " + path);
-  }
-  file.write(content.data(), static_cast<std::streamsize>(content.size()));
-  if (!file) {
-    return InternalError("short write to file: " + path);
-  }
-  return OkStatus();
 }
 
 }  // namespace jim::util

@@ -12,24 +12,13 @@ namespace jim::util {
 /// RFC-4180-style CSV support: fields containing the delimiter, quotes, or
 /// newlines are double-quoted; embedded quotes are doubled ("").
 
-/// Parses one CSV record (no trailing newline) into fields.
-StatusOr<std::vector<std::string>> ParseCsvLine(std::string_view line,
-                                                char delim = ',');
-
 /// Parses a whole document. Handles quoted fields spanning multiple lines.
 /// Skips a UTF-8 BOM and ignores a final empty line.
 StatusOr<std::vector<std::vector<std::string>>> ParseCsv(
     std::string_view content, char delim = ',');
 
-/// Serializes one record, quoting fields only when needed.
-std::string FormatCsvLine(const std::vector<std::string>& fields,
-                          char delim = ',');
-
 /// Reads an entire file into a string.
 StatusOr<std::string> ReadFileToString(const std::string& path);
-
-/// Writes `content` to `path`, replacing any existing file.
-Status WriteStringToFile(const std::string& path, std::string_view content);
 
 }  // namespace jim::util
 

@@ -345,24 +345,9 @@ int64_t JsonValue::AsInt64() const {
   return int_;
 }
 
-double JsonValue::AsDouble() const {
-  if (!is_number()) std::abort();
-  return double_;
-}
-
 const std::string& JsonValue::AsString() const {
   if (!is_string()) std::abort();
   return string_;
-}
-
-const std::vector<JsonValue>& JsonValue::AsArray() const {
-  if (!is_array()) std::abort();
-  return array_;
-}
-
-const std::map<std::string, JsonValue>& JsonValue::AsObject() const {
-  if (!is_object()) std::abort();
-  return object_;
 }
 
 std::vector<JsonValue>& JsonValue::MutableArray() {

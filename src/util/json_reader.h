@@ -15,10 +15,11 @@ namespace jim::util {
 /// newline-delimited JSON, so the repo needs a reader to pair with
 /// util::JsonWriter; this one is deliberately small: recursive descent,
 /// typed kInvalidArgument errors naming the offset, objects backed by a
-/// std::map so iteration (and re-serialization) is deterministic.
+/// std::map.
 ///
-/// Numbers keep both views: an integral token that fits int64 reports
-/// is_int() and AsInt64(); every number reports AsDouble().
+/// An integral number token that fits int64 reports is_int() and AsInt64().
+/// The protocol reads no other number and no array element, so those are
+/// parsed and validated but not exposed.
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -45,10 +46,7 @@ class JsonValue {
   /// error, same contract as StatusOr::value).
   bool AsBool() const;
   int64_t AsInt64() const;
-  double AsDouble() const;
   const std::string& AsString() const;
-  const std::vector<JsonValue>& AsArray() const;
-  const std::map<std::string, JsonValue>& AsObject() const;
 
   std::vector<JsonValue>& MutableArray();
   std::map<std::string, JsonValue>& MutableObject();

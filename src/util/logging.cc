@@ -13,8 +13,7 @@ namespace {
 
 /// -1 = not yet resolved; otherwise the LogLevel value. The JIM_LOG_LEVEL
 /// environment variable is consulted once, on the first threshold read, so
-/// processes can raise/lower verbosity without a code change. SetLogLevel
-/// writes the value directly and thereby overrides the env var.
+/// processes can raise/lower verbosity without a code change.
 std::atomic<int> g_log_level{-1};
 
 LogLevel ResolveDefaultLevel() {
@@ -45,10 +44,6 @@ const char* LevelTag(LogLevel level) {
 }
 
 }  // namespace
-
-void SetLogLevel(LogLevel level) {
-  g_log_level.store(static_cast<int>(level));
-}
 
 LogLevel GetLogLevel() {
   int state = g_log_level.load();

@@ -13,11 +13,9 @@ namespace jim::util {
 /// Severity levels for the process-wide logger.
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3, kFatal = 4 };
 
-/// Sets the minimum severity that is emitted to stderr. The default is
-/// kInfo, overridable at startup through the JIM_LOG_LEVEL environment
-/// variable (resolved lazily on the first threshold read; an explicit
-/// SetLogLevel always wins).
-void SetLogLevel(LogLevel level);
+/// The minimum severity that is emitted to stderr: kInfo, unless the
+/// JIM_LOG_LEVEL environment variable names another level (resolved lazily
+/// on the first read).
 LogLevel GetLogLevel();
 
 /// Parses a log-level spelling: full names ("debug", "info", "warning",

@@ -68,16 +68,6 @@ bool Rng::Bernoulli(double p) {
   return UniformDouble() < p;
 }
 
-int64_t Rng::Zipf(int64_t n, double theta) {
-  JIM_CHECK_GT(n, 0);
-  theta = std::clamp(theta, 0.0, 0.999);
-  // Inverse-CDF of a continuous approximation: x = n * u^(1/(1-theta)).
-  const double u = UniformDouble();
-  const double x = std::pow(u, 1.0 / (1.0 - theta)) * static_cast<double>(n);
-  int64_t result = static_cast<int64_t>(x);
-  return std::min(result, n - 1);
-}
-
 std::vector<size_t> Rng::SampleIndices(size_t n, size_t k) {
   std::vector<size_t> picked;
   if (k >= n) {

@@ -40,11 +40,6 @@ class Rng {
   /// True with probability `p` (clamped to [0,1]).
   bool Bernoulli(double p);
 
-  /// Geometric-ish skewed integer in [0, n): zipf-like selection used by
-  /// workload generators to create skewed value distributions.
-  /// `theta` in (0,1): 0 = uniform-ish, closer to 1 = more skew.
-  int64_t Zipf(int64_t n, double theta);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void Shuffle(std::vector<T>& items) {

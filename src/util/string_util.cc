@@ -53,12 +53,6 @@ std::string ToLower(std::string_view input) {
   return result;
 }
 
-std::string ToUpper(std::string_view input) {
-  std::string result(input);
-  for (char& c : result) c = static_cast<char>(std::toupper(static_cast<unsigned char>(c)));
-  return result;
-}
-
 bool StartsWith(std::string_view text, std::string_view prefix) {
   return text.size() >= prefix.size() &&
          text.compare(0, prefix.size(), prefix) == 0;
@@ -122,20 +116,6 @@ StatusOr<double> ParseDouble(std::string_view text) {
 std::string FormatDouble(double value) {
   std::string text = StrFormat("%.6g", value);
   return text;
-}
-
-std::string WithThousandsSeparators(int64_t n) {
-  const bool negative = n < 0;
-  std::string digits = std::to_string(negative ? -n : n);
-  std::string grouped;
-  int count = 0;
-  for (auto it = digits.rbegin(); it != digits.rend(); ++it) {
-    if (count > 0 && count % 3 == 0) grouped.push_back(',');
-    grouped.push_back(*it);
-    ++count;
-  }
-  if (negative) grouped.push_back('-');
-  return std::string(grouped.rbegin(), grouped.rend());
 }
 
 }  // namespace jim::util

@@ -20,9 +20,8 @@ std::string Join(const std::vector<std::string>& parts, std::string_view sep);
 /// Removes leading and trailing ASCII whitespace.
 std::string_view StripWhitespace(std::string_view input);
 
-/// ASCII case conversions.
+/// ASCII lower-casing.
 std::string ToLower(std::string_view input);
-std::string ToUpper(std::string_view input);
 
 bool StartsWith(std::string_view text, std::string_view prefix);
 bool EndsWith(std::string_view text, std::string_view suffix);
@@ -38,9 +37,6 @@ StatusOr<double> ParseDouble(std::string_view text);
 /// Formats a double compactly (up to 6 significant digits, no trailing
 /// zeros), matching how values print in examples and bench tables.
 std::string FormatDouble(double value);
-
-/// Renders `n` with thousands separators: 1234567 -> "1,234,567".
-std::string WithThousandsSeparators(int64_t n);
 
 }  // namespace jim::util
 

@@ -71,14 +71,10 @@ rel::Catalog TravelCatalog() {
   return catalog;
 }
 
-namespace {
-
-/// Shared generator behind LargeTravelInstance and LargeTravelCatalog; the
-/// RNG consumption order is fixed (all flights, then all hotels), so both
-/// entry points describe the same scenario for one seed.
-std::pair<rel::Relation, rel::Relation> MakeLargeTravelRelations(
-    size_t num_flights, size_t num_hotels, size_t num_cities,
-    size_t num_airlines, util::Rng& rng) {
+rel::Catalog LargeTravelCatalog(size_t num_flights, size_t num_hotels,
+                                size_t num_cities, size_t num_airlines,
+                                util::Rng& rng) {
+  // The RNG is consumed in a fixed order: all flights, then all hotels.
   using rel::Value;
   auto city = [&](size_t i) { return util::StrFormat("City%zu", i); };
   auto airline = [&](size_t i) { return util::StrFormat("Airline%zu", i); };
@@ -110,27 +106,6 @@ std::pair<rel::Relation, rel::Relation> MakeLargeTravelRelations(
     JIM_CHECK_OK(hotels.AddRow({Value(city(where)), Value(discount)}));
   }
 
-  return {std::move(flights), std::move(hotels)};
-}
-
-}  // namespace
-
-rel::Relation LargeTravelInstance(size_t num_flights, size_t num_hotels,
-                                  size_t num_cities, size_t num_airlines,
-                                  util::Rng& rng) {
-  auto [flights, hotels] = MakeLargeTravelRelations(
-      num_flights, num_hotels, num_cities, num_airlines, rng);
-  auto product = rel::CrossProduct(
-      flights, hotels, rel::JoinOptions::Named("FlightHotel"));
-  JIM_CHECK(product.ok());
-  return *std::move(product);
-}
-
-rel::Catalog LargeTravelCatalog(size_t num_flights, size_t num_hotels,
-                                size_t num_cities, size_t num_airlines,
-                                util::Rng& rng) {
-  auto [flights, hotels] = MakeLargeTravelRelations(
-      num_flights, num_hotels, num_cities, num_airlines, rng);
   rel::Catalog catalog;
   JIM_CHECK_OK(catalog.Add(std::move(flights)));
   JIM_CHECK_OK(catalog.Add(std::move(hotels)));

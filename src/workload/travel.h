@@ -35,17 +35,11 @@ inline constexpr const char* kQ2 = "To=City && Airline=Discount";
 rel::Catalog TravelCatalog();
 
 /// A scaled-up travel scenario: `num_flights` flights over `num_cities`
-/// cities and `num_airlines` airlines crossed with `num_hotels` hotels
-/// (discounts name airlines, as in the paper). The instance is the full
-/// cross product: num_flights × num_hotels rows.
-rel::Relation LargeTravelInstance(size_t num_flights, size_t num_hotels,
-                                  size_t num_cities, size_t num_airlines,
-                                  util::Rng& rng);
-
-/// The same scaled-up scenario as *separate* Flights/Hotels relations in a
-/// catalog — the input of the factorized universal-table ingest path, whose
-/// memory stays O(num_flights + num_hotels) while the candidate count is
-/// the full num_flights × num_hotels product (bench_scalability's
+/// cities and `num_airlines` airlines, and `num_hotels` hotels (discounts
+/// name airlines, as in the paper), as separate Flights/Hotels relations in
+/// a catalog — the input of the factorized universal-table ingest path,
+/// whose memory stays O(num_flights + num_hotels) while the candidate count
+/// is the full num_flights × num_hotels product (bench_scalability's
 /// above-the-cap sweep builds on this).
 rel::Catalog LargeTravelCatalog(size_t num_flights, size_t num_hotels,
                                 size_t num_cities, size_t num_airlines,

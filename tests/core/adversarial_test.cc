@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/jim.h"
+#include "support/core_views.h"
 #include "support/simulate_label.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
@@ -25,16 +26,16 @@ TEST(AdversarialTest, RandomDishonestLabelsNeverCorruptState) {
       const size_t tuple = static_cast<size_t>(rng.UniformInt(0, 11));
       const Label label =
           rng.Bernoulli(0.5) ? Label::kPositive : Label::kNegative;
-      const std::string key_before = engine.state().CanonicalKey();
+      const std::string key_before = CanonicalKey(engine.state());
       const util::Status status = engine.SubmitTupleLabel(tuple, label);
       if (!status.ok()) {
         ++rejected;
         EXPECT_EQ(status.code(), util::StatusCode::kFailedPrecondition);
-        EXPECT_EQ(engine.state().CanonicalKey(), key_before)
+        EXPECT_EQ(CanonicalKey(engine.state()), key_before)
             << "state changed on a rejected label";
       }
       // The invariant of the honest core: θ_P is always consistent.
-      EXPECT_TRUE(engine.state().IsConsistent(engine.state().theta_p()));
+      EXPECT_TRUE(IsConsistent(engine.state(), engine.state().theta_p()));
     }
     // Random labeling of 40 tuples over 12 rows virtually always trips at
     // least one contradiction.
@@ -180,7 +181,7 @@ TEST(AdversarialTest, HostileLabelOrderMatchesAnyOrderResult) {
                               : Label::kNegative;
       ASSERT_TRUE(engine.SubmitClassLabel(cls, label).ok());
     }
-    const std::string key = engine.state().CanonicalKey();
+    const std::string key = CanonicalKey(engine.state());
     if (trial == 0) {
       reference_key = key;
     } else {

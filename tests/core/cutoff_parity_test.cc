@@ -16,6 +16,7 @@
 #include "core/jim.h"
 #include "exec/thread_pool.h"
 #include "gtest/gtest.h"
+#include "support/core_views.h"
 #include "support/parallel_for_calls.h"
 #include "util/check.h"
 #include "util/logging.h"
@@ -91,7 +92,8 @@ TEST(CutoffParityTest, TranscriptsMatchExhaustiveAcrossThreadCounts) {
     exhaustive.set_thread_pool(nullptr);
     exhaustive.set_cutoff_enabled(false);
     const SessionResult reference =
-        RunSession(workload.instance, workload.goal, exhaustive);
+        RunSession(core::MakeRelationStore(workload.instance),
+                   workload.goal, exhaustive);
     ASSERT_TRUE(reference.identified_goal);
 
     auto transcript = [](const SessionResult& result) {
@@ -190,7 +192,7 @@ class NaiveMinimaxReference {
       : engine_(engine) {}
 
   size_t Solve(const InferenceState& state) {
-    const std::string key = state.CanonicalKey();
+    const std::string key = CanonicalKey(state);
     auto it = memo_.find(key);
     if (it != memo_.end()) return it->second;
     std::vector<size_t> live;
@@ -207,7 +209,7 @@ class NaiveMinimaxReference {
       for (Label label : {Label::kPositive, Label::kNegative}) {
         InferenceState next = state;
         JIM_CHECK_OK(
-            next.ApplyLabel(engine_.ClassPartition(c), label));
+            ApplyLabel(next, engine_.ClassPartition(c), label));
         worst = std::max(worst, Solve(next));
       }
       best = std::min(best, 1 + worst);
@@ -261,7 +263,7 @@ TEST(CutoffParityTest, OptimalStrategyScoresUnchangedOnFigure1) {
     for (Label label : {Label::kPositive, Label::kNegative}) {
       InferenceState next = engine.state();
       ASSERT_TRUE(
-          next.ApplyLabel(engine.ClassPartition(candidates[i]), label)
+          ApplyLabel(next, engine.ClassPartition(candidates[i]), label)
               .ok());
       worst = std::max(worst, naive.Solve(next));
     }

@@ -19,6 +19,9 @@
 #include "exec/thread_pool.h"
 #include "query/universal_table.h"
 #include "relational/catalog.h"
+#include "support/core_views.h"
+#include "support/materialize.h"
+#include "support/noisy_oracle.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "workload/synthetic.h"
@@ -103,7 +106,7 @@ TEST(EncodedParityTest, ClassesMatchValueRowReferenceAtAnyThreadCount) {
       // Bitwise-identical knowledge too, not just equal partitions.
       ASSERT_EQ(parallel.num_classes(), serial.num_classes());
       for (size_t c = 0; c < serial.num_classes(); ++c) {
-        EXPECT_EQ(parallel.ClassKnowledge(c), serial.ClassKnowledge(c));
+        EXPECT_EQ(ClassKnowledge(parallel, c), ClassKnowledge(serial, c));
         EXPECT_EQ(parallel.tuple_class(c).tuple_indices,
                   serial.tuple_class(c).tuple_indices);
       }
@@ -224,7 +227,7 @@ TEST(EncodedParityTest, TranscriptsIdenticalAcrossModesAndStrategies) {
           .value();
   ASSERT_TRUE(table.is_sampled());
   const auto materialized =
-      std::make_shared<const rel::Relation>(table.Materialize());
+      std::make_shared<const rel::Relation>(Materialize(table));
   const auto goal =
       JoinPredicate::Parse(table.schema(), "Flights.To = Hotels.City")
           .value();
@@ -245,8 +248,8 @@ TEST(EncodedParityTest, TranscriptsIdenticalAcrossModesAndStrategies) {
       auto strategy_legacy = MakeStrategy(strategy_name, 5).value();
       ExactOracle oracle_legacy(goal);
       const SessionResult legacy =
-          RunSession(materialized, goal, *strategy_legacy, oracle_legacy,
-                     session_options);
+          RunSession(core::MakeRelationStore(materialized), goal,
+                     *strategy_legacy, oracle_legacy, session_options);
 
       EXPECT_EQ(TranscriptJson(encoded), TranscriptJson(legacy))
           << strategy_name << " mode " << mode;
@@ -261,7 +264,7 @@ TEST(EncodedParityTest, OptimalStrategyTranscriptParityOnFigure1) {
   const auto table =
       query::UniversalTable::Build(catalog, {"Flights", "Hotels"}).value();
   const auto materialized =
-      std::make_shared<const rel::Relation>(table.Materialize());
+      std::make_shared<const rel::Relation>(Materialize(table));
   const auto goal =
       JoinPredicate::Parse(table.schema(),
                            "Flights.To = Hotels.City && "
@@ -279,8 +282,9 @@ TEST(EncodedParityTest, OptimalStrategyTranscriptParityOnFigure1) {
 
     auto strategy_legacy = MakeStrategy("optimal").value();
     ExactOracle oracle_legacy(goal);
-    const SessionResult legacy = RunSession(
-        materialized, goal, *strategy_legacy, oracle_legacy, session_options);
+    const SessionResult legacy =
+        RunSession(core::MakeRelationStore(materialized), goal,
+                   *strategy_legacy, oracle_legacy, session_options);
 
     EXPECT_EQ(TranscriptJson(encoded), TranscriptJson(legacy))
         << "mode " << mode;
@@ -295,7 +299,7 @@ TEST(EncodedParityTest, NoisyOracleTranscriptParity) {
   const auto table =
       query::UniversalTable::Build(catalog, {"Flights", "Hotels"}).value();
   const auto materialized =
-      std::make_shared<const rel::Relation>(table.Materialize());
+      std::make_shared<const rel::Relation>(Materialize(table));
   const auto goal =
       JoinPredicate::Parse(table.schema(), "Flights.To = Hotels.City")
           .value();
@@ -308,7 +312,8 @@ TEST(EncodedParityTest, NoisyOracleTranscriptParity) {
   auto strategy_legacy = MakeStrategy("lookahead-entropy").value();
   NoisyOracle oracle_legacy(goal, 0.2, 11);
   const SessionResult legacy =
-      RunSession(materialized, goal, *strategy_legacy, oracle_legacy, {});
+      RunSession(core::MakeRelationStore(materialized), goal,
+                 *strategy_legacy, oracle_legacy, {});
 
   EXPECT_EQ(TranscriptJson(encoded), TranscriptJson(legacy));
 }

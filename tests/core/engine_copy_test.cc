@@ -8,6 +8,7 @@
 #include "core/engine.h"
 #include "core/jim.h"
 #include "gtest/gtest.h"
+#include "support/core_views.h"
 #include "support/simulate_label.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
@@ -62,7 +63,7 @@ TEST(EngineCopyTest, PositiveLabelOnCloneLeavesPrototypeUntouched) {
   // K_c is still the construction-time value Part(c) (θ_P = ⊤).
   EXPECT_EQ(prototype.history().size(), 0u);
   EXPECT_EQ(prototype.class_status(labeled), ClassStatus::kInformative);
-  EXPECT_EQ(prototype.ClassKnowledge(labeled),
+  EXPECT_EQ(ClassKnowledge(prototype, labeled),
             prototype.ClassPartition(labeled));
 
   // Part(c) lives in the shared class table, so it is the same in both
@@ -85,7 +86,7 @@ TEST(EngineCopyTest, NegativeLabelsLeaveKnowledgeUnchanged) {
   }
   EXPECT_TRUE(clone.Result() == prototype.Result());
   for (size_t c : clone.InformativeClasses()) {
-    EXPECT_EQ(clone.ClassKnowledge(c), prototype.ClassKnowledge(c))
+    EXPECT_EQ(ClassKnowledge(clone, c), ClassKnowledge(prototype, c))
         << "class " << c;
   }
 }

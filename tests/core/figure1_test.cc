@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/jim.h"
+#include "support/core_views.h"
 #include "support/refinements.h"
 #include "workload/travel.h"
 
@@ -137,8 +138,8 @@ TEST_F(Figure1Test, ClaimG_PositiveExamplesAloneCannotSeparateQ2FromQ1) {
   for (size_t t : q2_.SelectedRows(*relation_).ToVector()) {
     ASSERT_TRUE(engine.SubmitTupleLabel(t, Label::kPositive).ok());
   }
-  EXPECT_TRUE(engine.state().IsConsistent(q1_.partition()));
-  EXPECT_TRUE(engine.state().IsConsistent(q2_.partition()));
+  EXPECT_TRUE(IsConsistent(engine.state(), q1_.partition()));
+  EXPECT_TRUE(IsConsistent(engine.state(), q2_.partition()));
   EXPECT_FALSE(engine.IsDone());
 }
 
@@ -146,7 +147,8 @@ TEST_F(Figure1Test, EndToEndSessionInfersQ2WithEveryStrategy) {
   for (const std::string& name : KnownStrategyNames()) {
     auto strategy = MakeStrategy(name, /*seed=*/42);
     ASSERT_TRUE(strategy.ok()) << name;
-    SessionResult result = RunSession(relation_, q2_, **strategy);
+    SessionResult result = RunSession(core::MakeRelationStore(relation_),
+                                      q2_, **strategy);
     EXPECT_TRUE(result.identified_goal) << name;
     EXPECT_TRUE(
         InstanceEquivalent(*relation_, *result.result, q2_)) << name;

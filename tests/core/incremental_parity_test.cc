@@ -18,6 +18,7 @@
 #include "core/oracle.h"
 #include "core/strategies.h"
 #include "exec/thread_pool.h"
+#include "support/core_views.h"
 #include "support/simulate_label.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
@@ -54,7 +55,7 @@ void ExpectStatusesMatchFreshState(const InferenceEngine& engine) {
   for (const LabeledExample& example : engine.history()) {
     const size_t cls = engine.class_of_tuple(example.tuple_index);
     ASSERT_TRUE(
-        fresh.ApplyLabel(engine.ClassPartition(cls), example.label)
+        ApplyLabel(fresh, engine.ClassPartition(cls), example.label)
             .ok());
   }
   size_t informative_count = 0;
@@ -83,7 +84,7 @@ void ExpectStatusesMatchFreshState(const InferenceEngine& engine) {
     if (expected == TupleClassification::kInformative) {
       const lat::Partition knowledge =
           fresh.theta_p().Meet(engine.ClassPartition(c));
-      EXPECT_EQ(engine.ClassKnowledge(c), knowledge)
+      EXPECT_EQ(ClassKnowledge(engine, c), knowledge)
           << "stale knowledge cache for class " << c;
       EXPECT_EQ(engine.ClassKnowledgeRank(c), knowledge.Rank())
           << "class " << c;
@@ -178,14 +179,14 @@ TEST(IncrementalParityTest, StateKeyMatchesCanonicalKey) {
   for (int session = 0; session < 6; ++session) {
     InferenceEngine engine(workload.instance);
     states.push_back(engine.state());
-    canonical.push_back(engine.state().CanonicalKey());
+    canonical.push_back(CanonicalKey(engine.state()));
     while (!engine.IsDone()) {
       const size_t cls = rng.PickOne(engine.InformativeClasses());
       const Label label =
           rng.UniformInt(0, 1) == 0 ? Label::kPositive : Label::kNegative;
       ASSERT_TRUE(engine.SubmitClassLabel(cls, label).ok());
       states.push_back(engine.state());
-      canonical.push_back(engine.state().CanonicalKey());
+      canonical.push_back(CanonicalKey(engine.state()));
     }
   }
   for (size_t i = 0; i < states.size(); ++i) {
@@ -273,7 +274,7 @@ TEST(IncrementalParityTest, PairMaskScanMatchesNaiveAcrossMaskWidths) {
               << "n=" << n << " class " << cls;
           naive.push_back({plus, minus});
           EXPECT_EQ(engine.ClassKnowledgeRank(cls),
-                    engine.ClassKnowledge(cls).Rank())
+                    ClassKnowledge(engine, cls).Rank())
               << "n=" << n << " class " << cls;
         }
         for (auto objective : objectives) {

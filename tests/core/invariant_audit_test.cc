@@ -18,6 +18,8 @@
 #include "relational/relation.h"
 #include "storage/mapped_store.h"
 #include "storage/store_writer.h"
+#include "support/core_views.h"
+#include "support/refinements.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
@@ -56,18 +58,16 @@ TEST(InvariantAuditTest, AuditGateTogglesAndSticks) {
 
 TEST(InvariantAuditTest, LatticeStructuresPassOnHealthyInputs) {
   lat::Partition::Top(5).CheckInvariants();
-  lat::Partition::Singletons(5).CheckInvariants();
+  lat::Singletons(5).CheckInvariants();
   lat::Partition::FromPairs(5, {{0, 2}, {1, 4}}).value().CheckInvariants();
 
   InferenceState state(4);
   for (const auto& pairs :
        std::vector<std::vector<std::pair<size_t, size_t>>>{
            {{0, 1}}, {{2, 3}}, {{0, 2}, {1, 3}}}) {
-    ASSERT_TRUE(
-        state
-            .ApplyLabel(lat::Partition::FromPairs(4, pairs).value(),
-                        Label::kNegative)
-            .ok());
+    ASSERT_TRUE(ApplyLabel(state, lat::Partition::FromPairs(4, pairs).value(),
+                           Label::kNegative)
+                    .ok());
   }
   EXPECT_EQ(state.num_forbidden(), 3u);
   state.CheckInvariants();

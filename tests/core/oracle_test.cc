@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "core/session.h"
+#include "support/noisy_oracle.h"
 #include "util/rng.h"
 #include "workload/travel.h"
 

@@ -171,7 +171,8 @@ TEST(ParallelParityTest, FullSessionTranscriptsIdenticalAcrossThreadCounts) {
     LookaheadStrategy serial(LookaheadStrategy::Objective::kEntropy);
     serial.set_thread_pool(nullptr);
     const SessionResult reference =
-        RunSession(workload.instance, workload.goal, serial);
+        RunSession(core::MakeRelationStore(workload.instance),
+                   workload.goal, serial);
     ASSERT_TRUE(reference.identified_goal);
 
     for (size_t threads : {1u, 2u, 8u}) {
@@ -207,7 +208,8 @@ TEST(ParallelParityTest, MetricsAndTracingNeverPerturbTranscripts) {
   LookaheadStrategy serial(LookaheadStrategy::Objective::kEntropy);
   serial.set_thread_pool(nullptr);
   const SessionResult reference =
-      RunSession(workload.instance, workload.goal, serial);
+      RunSession(core::MakeRelationStore(workload.instance),
+                 workload.goal, serial);
   ASSERT_TRUE(reference.identified_goal);
 
   obs::SetMetricsEnabled(true);
@@ -243,13 +245,15 @@ TEST(ParallelParityTest, Figure1SessionTranscriptParity) {
 
   LookaheadStrategy serial(LookaheadStrategy::Objective::kMinMax);
   serial.set_thread_pool(nullptr);
-  const SessionResult reference = RunSession(instance, goal, serial);
+  const SessionResult reference = RunSession(core::MakeRelationStore(instance),
+                                             goal, serial);
 
   for (size_t threads : {2u, 8u}) {
     exec::ThreadPool pool(threads);
     LookaheadStrategy parallel(LookaheadStrategy::Objective::kMinMax);
     parallel.set_thread_pool(&pool);
-    const SessionResult result = RunSession(instance, goal, parallel);
+    const SessionResult result = RunSession(core::MakeRelationStore(instance),
+                                            goal, parallel);
     EXPECT_EQ(Transcript(result), Transcript(reference));
   }
 }

@@ -21,6 +21,7 @@
 #include "core/strategies.h"
 #include "lattice/enumeration.h"
 #include "lattice/partition.h"
+#include "support/core_views.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
@@ -130,8 +131,8 @@ void ExpectEngineMatchesOracle(const InferenceEngine& engine,
   const BruteForceOracle::Sweep sweep = oracle.Run(accepted);
   ASSERT_FALSE(sweep.consistent.empty()) << "honest labels lost the goal";
 
-  const util::DynamicBitset in = engine.CertainResultTuples();
-  const util::DynamicBitset out = engine.CertainNonResultTuples();
+  const util::DynamicBitset in = CertainResultTuples(engine);
+  const util::DynamicBitset out = CertainNonResultTuples(engine);
   std::vector<size_t> informative_classes;
   size_t informative_tuples = 0;
   size_t certain_in = 0;

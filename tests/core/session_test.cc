@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/core_views.h"
+#include "support/noisy_oracle.h"
 #include "util/rng.h"
 #include "workload/setgame.h"
 #include "workload/synthetic.h"
@@ -30,8 +32,9 @@ TEST_P(ModeTest, IdentifiesGoal) {
     SessionOptions options;
     options.mode = static_cast<InteractionMode>(GetParam());
     options.user_seed = user_seed;
-    const SessionResult result = RunSession(fixture.instance, fixture.goal,
-                                            *strategy, oracle, options);
+    const SessionResult result =
+        RunSession(core::MakeRelationStore(fixture.instance), fixture.goal,
+                   *strategy, oracle, options);
     EXPECT_TRUE(result.identified_goal) << "user_seed=" << user_seed;
     EXPECT_EQ(result.interactions, result.steps.size());
     EXPECT_GE(result.interactions, 1u);
@@ -59,7 +62,8 @@ TEST(SessionTest, Mode1CanWasteEffortOthersCannot) {
     ExactOracle oracle(fixture.goal);
     SessionOptions options;
     options.mode = static_cast<InteractionMode>(mode);
-    const auto result = RunSession(fixture.instance, fixture.goal, *strategy,
+    const auto result = RunSession(core::MakeRelationStore(fixture.instance),
+                                   fixture.goal, *strategy,
                                    oracle, options);
     EXPECT_EQ(result.wasted_interactions, 0u) << "mode " << mode;
   }
@@ -71,7 +75,8 @@ TEST(SessionTest, Mode1CanWasteEffortOthersCannot) {
     SessionOptions options;
     options.mode = InteractionMode::kLabelAll;
     options.user_seed = seed;
-    const auto result = RunSession(fixture.instance, fixture.goal, *strategy,
+    const auto result = RunSession(core::MakeRelationStore(fixture.instance),
+                                   fixture.goal, *strategy,
                                    oracle, options);
     if (result.wasted_interactions > 0) {
       wasted_somewhere = true;
@@ -84,7 +89,8 @@ TEST(SessionTest, Mode1CanWasteEffortOthersCannot) {
 TEST(SessionTest, StepsRecordPruning) {
   const Fixture fixture;
   auto strategy = MakeStrategy("lookahead-entropy").value();
-  const auto result = RunSession(fixture.instance, fixture.goal, *strategy);
+  const auto result = RunSession(core::MakeRelationStore(fixture.instance),
+                                 fixture.goal, *strategy);
   size_t total_pruned = 0;
   for (const auto& step : result.steps) {
     total_pruned += step.pruned_tuples;
@@ -101,11 +107,13 @@ TEST(SessionTest, TopKModeRespectsK) {
   SessionOptions options;
   options.mode = InteractionMode::kTopK;
   options.top_k = 1;
-  const auto topk = RunSession(fixture.instance, fixture.goal, *strategy_a,
+  const auto topk = RunSession(core::MakeRelationStore(fixture.instance),
+                               fixture.goal, *strategy_a,
                                oracle, options);
   auto strategy_b = MakeStrategy("lookahead-minmax").value();
   options.mode = InteractionMode::kMostInformative;
-  const auto most = RunSession(fixture.instance, fixture.goal, *strategy_b,
+  const auto most = RunSession(core::MakeRelationStore(fixture.instance),
+                               fixture.goal, *strategy_b,
                                oracle, options);
   ASSERT_EQ(topk.steps.size(), most.steps.size());
   for (size_t i = 0; i < topk.steps.size(); ++i) {
@@ -119,8 +127,8 @@ TEST(SessionTest, NoisyOracleSessionTerminates) {
     auto strategy = MakeStrategy("lookahead-entropy", seed).value();
     NoisyOracle oracle(fixture.goal, /*error_rate=*/0.3, seed);
     SessionOptions options;
-    const auto result = RunSession(fixture.instance, fixture.goal, *strategy,
-                                   oracle, options);
+    const auto result = RunSession(core::MakeRelationStore(fixture.instance),
+                                   fixture.goal, *strategy, oracle, options);
     // Termination and a well-formed result are guaranteed; identification
     // is not (the oracle lies).
     EXPECT_TRUE(result.result.has_value());
@@ -134,7 +142,8 @@ TEST(SessionTest, EmptyGoalAndFullGoalAreInferable) {
     const auto goal =
         JoinPredicate::Parse(fixture.instance->schema(), goal_text).value();
     auto strategy = MakeStrategy("lookahead-entropy").value();
-    const auto result = RunSession(fixture.instance, goal, *strategy);
+    const auto result = RunSession(core::MakeRelationStore(fixture.instance),
+                                   goal, *strategy);
     EXPECT_TRUE(result.identified_goal) << "goal '" << goal_text << "'";
   }
 }
@@ -142,7 +151,8 @@ TEST(SessionTest, EmptyGoalAndFullGoalAreInferable) {
 TEST(SessionTest, JsonExportIsWellFormed) {
   const Fixture fixture;
   auto strategy = MakeStrategy("lookahead-entropy").value();
-  const auto result = RunSession(fixture.instance, fixture.goal, *strategy);
+  const auto result = RunSession(core::MakeRelationStore(fixture.instance),
+                                 fixture.goal, *strategy);
   const std::string json = SessionResultToJson(result);
   // Spot-check structure (a full JSON parser is out of scope).
   EXPECT_EQ(json.front(), '{');
@@ -169,7 +179,8 @@ TEST(SessionTest, LargerInstanceFewQuestions) {
   auto instance = workload::SetPairInstance(/*sample_size=*/0, rng);
   const auto goal = workload::SameColorAndShadingGoal(instance->schema());
   auto strategy = MakeStrategy("lookahead-entropy").value();
-  const auto result = RunSession(instance, goal, *strategy);
+  const auto result = RunSession(core::MakeRelationStore(instance),
+                                 goal, *strategy);
   EXPECT_TRUE(result.identified_goal);
   EXPECT_LE(result.interactions, 20u);
   EXPECT_EQ(instance->num_rows(), 6561u);

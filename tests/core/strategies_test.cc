@@ -51,7 +51,8 @@ TEST_P(StrategyIdentifiesGoal, OnRandomWorkloads) {
 
     auto strategy = MakeStrategy(name, seed * 13 + 1).value();
     const SessionResult result =
-        RunSession(workload.instance, workload.goal, *strategy);
+        RunSession(core::MakeRelationStore(workload.instance),
+                   workload.goal, *strategy);
     EXPECT_TRUE(result.identified_goal)
         << name << " seed=" << seed << " goal=" << workload.goal.ToString();
     // Never more questions than tuple classes.
@@ -92,8 +93,8 @@ TEST(RandomStrategyTest, SameSeedSameSequence) {
       JoinPredicate::Parse(instance->schema(), workload::kQ2).value();
   RandomStrategy a(99);
   RandomStrategy b(99);
-  const auto result_a = RunSession(instance, goal, a);
-  const auto result_b = RunSession(instance, goal, b);
+  const auto result_a = RunSession(core::MakeRelationStore(instance), goal, a);
+  const auto result_b = RunSession(core::MakeRelationStore(instance), goal, b);
   ASSERT_EQ(result_a.steps.size(), result_b.steps.size());
   for (size_t i = 0; i < result_a.steps.size(); ++i) {
     EXPECT_EQ(result_a.steps[i].class_id, result_b.steps[i].class_id);
@@ -286,7 +287,8 @@ TEST(OptimalStrategyTest, WorstCaseOnFigure1) {
   lat::VisitAllPartitions(5, [&](const lat::Partition& goal_partition) {
     const JoinPredicate goal(instance->schema(), goal_partition);
     OptimalStrategy strategy;
-    const auto result = RunSession(instance, goal, strategy);
+    const auto result = RunSession(core::MakeRelationStore(instance),
+                                   goal, strategy);
     EXPECT_LE(result.interactions, worst)
         << "goal " << goal_partition.ToString();
     EXPECT_TRUE(result.identified_goal);
@@ -306,7 +308,8 @@ TEST(OptimalStrategyTest, NoHeuristicBeatsOptimalWorstCase) {
     lat::VisitAllPartitions(5, [&](const lat::Partition& goal_partition) {
       const JoinPredicate goal(instance->schema(), goal_partition);
       auto strategy = MakeStrategy(name, 5).value();
-      const auto result = RunSession(instance, goal, *strategy);
+      const auto result = RunSession(core::MakeRelationStore(instance),
+                                     goal, *strategy);
       heuristic_worst = std::max(heuristic_worst, result.interactions);
       return true;
     });

@@ -96,10 +96,8 @@ TEST(TransitiveBaselineTest, BeatsAllPairsInQuestions) {
   CrowdOptions options;
   options.worker_error_rate = 0.0;
   const auto transitive = RunTransitiveCrowdJoin(cards, goal, options);
-  const auto naive = RunAllPairsCrowdJoin(cards, goal, options);
-  EXPECT_EQ(naive.questions, 81u * 80u / 2u);
-  EXPECT_LT(transitive.questions, naive.questions);
-  EXPECT_TRUE(naive.correct);
+  // Asking every pair of the 81 cards costs 81·80/2 questions.
+  EXPECT_LT(transitive.questions, 81u * 80u / 2u);
   EXPECT_TRUE(transitive.correct);
 }
 

@@ -7,6 +7,7 @@
 #include "core/jim.h"
 #include "exec/thread_pool.h"
 #include "gtest/gtest.h"
+#include "support/noisy_oracle.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
 #include "workload/travel.h"
@@ -79,7 +80,8 @@ TEST(BatchSessionRunnerTest, MatchesDirectRunSessionJobByJob) {
   for (const SessionSpec& spec : specs) {
     auto strategy = spec.make_strategy();
     direct.push_back(
-        core::RunSession(workload.instance, spec.goal, *strategy));
+        core::RunSession(core::MakeRelationStore(workload.instance),
+                         spec.goal, *strategy));
   }
   ExpectSameSessions(batch, direct);
 }
@@ -136,8 +138,9 @@ TEST(BatchSessionRunnerTest, CustomOracleFactoryIsUsed) {
 
   auto strategy = core::MakeStrategy("local-bottom-up").value();
   auto oracle = make_oracle();
-  const SessionResult direct = core::RunSession(
-      instance, goal, *strategy, *oracle, core::SessionOptions{});
+  const SessionResult direct =
+      core::RunSession(core::MakeRelationStore(instance), goal, *strategy,
+                       *oracle, core::SessionOptions{});
   ExpectSameSessions(batch, {direct});
 }
 

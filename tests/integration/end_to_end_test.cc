@@ -2,6 +2,9 @@
 // inference → SQL → evaluation, plus randomized end-to-end sweeps that chain
 // every subsystem the way the examples do.
 
+#include <fstream>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "core/jim.h"
@@ -18,19 +21,38 @@ namespace jim {
 namespace {
 
 TEST(EndToEnd, CsvRoundTripThenInference) {
-  // Persist Figure 1 to CSV, reload, and infer — storage must be
-  // transparent to the engine.
+  // Load Figure 1 from a CSV file and infer — storage must be transparent
+  // to the engine.
   const std::string path = ::testing::TempDir() + "/figure1.csv";
-  ASSERT_TRUE(
-      rel::SaveRelationToCsvFile(workload::Figure1Instance(), path).ok());
+  std::ofstream(path) << "From,To,Airline,City,Discount\n"
+                         "Paris,Lille,AF,NYC,AA\n"
+                         "Paris,Lille,AF,Paris,None\n"
+                         "Paris,Lille,AF,Lille,AF\n"
+                         "Lille,NYC,AA,NYC,AA\n"
+                         "Lille,NYC,AA,Paris,None\n"
+                         "Lille,NYC,AA,Lille,AF\n"
+                         "NYC,Paris,AA,NYC,AA\n"
+                         "NYC,Paris,AA,Paris,None\n"
+                         "NYC,Paris,AA,Lille,AF\n"
+                         "Paris,NYC,AF,NYC,AA\n"
+                         "Paris,NYC,AF,Paris,None\n"
+                         "Paris,NYC,AF,Lille,AF\n";
   auto reloaded = rel::LoadRelationFromCsvFile(path, "FlightHotel");
   ASSERT_TRUE(reloaded.ok());
   auto instance = std::make_shared<const rel::Relation>(*std::move(reloaded));
+  const rel::Relation figure1 = workload::Figure1Instance();
+  ASSERT_EQ(instance->num_rows(), figure1.num_rows());
+  for (size_t r = 0; r < figure1.num_rows(); ++r) {
+    EXPECT_EQ(rel::TupleRepresentationKey(instance->row(r)),
+              rel::TupleRepresentationKey(figure1.row(r)))
+        << "row " << r;
+  }
 
   const auto goal =
       core::JoinPredicate::Parse(instance->schema(), workload::kQ2).value();
   auto strategy = core::MakeStrategy("lookahead-entropy").value();
-  const auto result = core::RunSession(instance, goal, *strategy);
+  const auto result = core::RunSession(core::MakeRelationStore(instance),
+                                       goal, *strategy);
   EXPECT_TRUE(result.identified_goal);
   std::remove(path.c_str());
 }
@@ -83,7 +105,8 @@ TEST(EndToEnd, RandomizedWorkloadsAcrossAllStrategies) {
           std::string("lookahead-entropy")}) {
       auto strategy = core::MakeStrategy(name, seed).value();
       const auto result =
-          core::RunSession(workload.instance, workload.goal, *strategy);
+          core::RunSession(core::MakeRelationStore(workload.instance),
+                           workload.goal, *strategy);
       ASSERT_TRUE(result.identified_goal)
           << name << " failed on seed " << seed;
       EXPECT_LE(result.interactions, probe.num_classes());
@@ -103,7 +126,8 @@ TEST(EndToEnd, InferenceResultIsCanonicalMaximal) {
   const auto workload = workload::MakeSyntheticWorkload(spec, rng);
   auto strategy = core::MakeStrategy("lookahead-minmax").value();
   const auto result =
-      core::RunSession(workload.instance, workload.goal, *strategy);
+      core::RunSession(core::MakeRelationStore(workload.instance),
+                       workload.goal, *strategy);
   ASSERT_TRUE(result.identified_goal);
   // The goal refines the returned θ_P (maximality).
   EXPECT_TRUE(

@@ -21,7 +21,8 @@ TEST(SmokeTest, Figure1InferenceEndToEnd) {
   const auto goal =
       core::JoinPredicate::Parse(instance->schema(), workload::kQ2).value();
   auto strategy = core::MakeStrategy("lookahead-entropy").value();
-  const auto result = core::RunSession(instance, goal, *strategy);
+  const auto result = core::RunSession(core::MakeRelationStore(instance),
+                                       goal, *strategy);
 
   EXPECT_TRUE(result.identified_goal);
   EXPECT_GT(result.interactions, 0u);

@@ -86,9 +86,9 @@ TEST(RefinementsTest, TopYieldsWholeLattice) {
 }
 
 TEST(RefinementsTest, BottomYieldsItself) {
-  const auto refinements = AllRefinementsOf(Partition::Singletons(5));
+  const auto refinements = AllRefinementsOf(Singletons(5));
   ASSERT_EQ(refinements.size(), 1u);
-  EXPECT_EQ(refinements[0], Partition::Singletons(5));
+  EXPECT_EQ(refinements[0], Singletons(5));
 }
 
 TEST(RefinementsTest, ExactlyTheRefinementsByBruteForce) {

@@ -4,13 +4,14 @@
 
 #include "lattice/enumeration.h"
 #include "lattice/union_find.h"
+#include "support/refinements.h"
 #include "util/rng.h"
 
 namespace jim::lat {
 namespace {
 
 TEST(PartitionTest, SingletonsAndTop) {
-  const Partition bottom = Partition::Singletons(4);
+  const Partition bottom = Singletons(4);
   EXPECT_EQ(bottom.num_blocks(), 4u);
   EXPECT_EQ(bottom.Rank(), 0u);
   EXPECT_TRUE(bottom.IsSingletons());
@@ -23,9 +24,8 @@ TEST(PartitionTest, SingletonsAndTop) {
 }
 
 TEST(PartitionTest, EqualityOperators) {
-  // Regression: StrictlyRefines is implemented via `*this != other`, and
-  // C++17 does not synthesize operator!= from operator== — the seed shipped
-  // without it and failed to compile.
+  // Regression: C++17 does not synthesize operator!= from operator== — the
+  // seed used it without defining it and failed to compile.
   const Partition a = Partition::FromLabels({0, 0, 1});
   const Partition b = Partition::FromLabels({5, 5, 2});  // same block set
   const Partition c = Partition::FromLabels({0, 1, 1});
@@ -33,16 +33,15 @@ TEST(PartitionTest, EqualityOperators) {
   EXPECT_FALSE(a != b);
   EXPECT_TRUE(a != c);
   EXPECT_FALSE(a == c);
-  // Equal partitions refine but never strictly refine each other.
+  // Equal partitions refine each other.
   EXPECT_TRUE(a.Refines(b));
-  EXPECT_FALSE(a.StrictlyRefines(b));
 }
 
 TEST(PartitionTest, EmptyPartition) {
   const Partition empty;
   EXPECT_EQ(empty.num_elements(), 0u);
   EXPECT_EQ(empty.num_blocks(), 0u);
-  EXPECT_EQ(Partition::Singletons(0), empty);
+  EXPECT_EQ(Singletons(0), empty);
 }
 
 TEST(PartitionTest, FromLabelsCanonicalizes) {
@@ -51,28 +50,19 @@ TEST(PartitionTest, FromLabelsCanonicalizes) {
   const Partition b = Partition::FromLabels({0, 1, 0, 2});
   EXPECT_EQ(a, b);
   EXPECT_EQ(a.Hash(), b.Hash());
-  EXPECT_TRUE(a.SameBlock(0, 2));
-  EXPECT_FALSE(a.SameBlock(0, 1));
+  EXPECT_EQ(a.block_of(0), a.block_of(2));
+  EXPECT_NE(a.block_of(0), a.block_of(1));
 }
 
 TEST(PartitionTest, FromPairsTakesTransitiveClosure) {
   const Partition p = Partition::FromPairs(5, {{0, 1}, {1, 2}}).value();
-  EXPECT_TRUE(p.SameBlock(0, 2));
+  EXPECT_EQ(p.block_of(0), p.block_of(2));
   EXPECT_EQ(p.num_blocks(), 3u);
   EXPECT_EQ(p.ToString(), "{0,1,2|3|4}");
 }
 
 TEST(PartitionTest, FromPairsRejectsOutOfRange) {
   EXPECT_FALSE(Partition::FromPairs(3, {{0, 3}}).ok());
-}
-
-TEST(PartitionTest, FromBlocksValidation) {
-  EXPECT_EQ(Partition::FromBlocks(4, {{0, 2}, {1}, {3}}).value().ToString(),
-            "{0,2|1|3}");
-  EXPECT_FALSE(Partition::FromBlocks(4, {{0, 2}, {1}}).ok());      // missing 3
-  EXPECT_FALSE(Partition::FromBlocks(4, {{0, 1}, {1, 2}, {3}}).ok());  // dup
-  EXPECT_FALSE(Partition::FromBlocks(3, {{0, 1, 2}, {}}).ok());    // empty
-  EXPECT_FALSE(Partition::FromBlocks(2, {{0, 5}}).ok());           // range
 }
 
 TEST(PartitionTest, RefinesBasics) {
@@ -84,8 +74,6 @@ TEST(PartitionTest, RefinesBasics) {
   EXPECT_TRUE(fine.Refines(coarse));
   EXPECT_FALSE(coarse.Refines(mid));
   EXPECT_TRUE(mid.Refines(mid));
-  EXPECT_TRUE(mid.StrictlyRefines(coarse));
-  EXPECT_FALSE(mid.StrictlyRefines(mid));
 }
 
 TEST(PartitionTest, IncomparableElements) {
@@ -98,7 +86,7 @@ TEST(PartitionTest, IncomparableElements) {
 TEST(PartitionTest, MeetAndJoinExamples) {
   const Partition a = Partition::FromLabels({0, 0, 1, 1});  // {01|23}
   const Partition b = Partition::FromLabels({0, 1, 1, 0});  // {03|12}
-  EXPECT_EQ(a.Meet(b), Partition::Singletons(4));
+  EXPECT_EQ(a.Meet(b), Singletons(4));
   EXPECT_EQ(a.Join(b), Partition::Top(4));
 }
 
@@ -106,8 +94,6 @@ TEST(PartitionTest, BlocksAndPairs) {
   const Partition p = Partition::FromLabels({0, 1, 0, 2, 1});
   EXPECT_EQ(p.Blocks(),
             (std::vector<std::vector<size_t>>{{0, 2}, {1, 4}, {3}}));
-  EXPECT_EQ(p.Pairs(), (std::vector<std::pair<size_t, size_t>>{{0, 2},
-                                                               {1, 4}}));
   EXPECT_EQ(p.GeneratorPairs(),
             (std::vector<std::pair<size_t, size_t>>{{0, 2}, {1, 4}}));
 }
@@ -182,7 +168,7 @@ INSTANTIATE_TEST_SUITE_P(SmallUniverses, LatticeLawsTest,
 
 TEST(PartitionOrderTest, BottomAndTopAreExtremes) {
   for (size_t n : {1u, 3u, 6u}) {
-    const Partition bottom = Partition::Singletons(n);
+    const Partition bottom = Singletons(n);
     const Partition top = Partition::Top(n);
     VisitAllPartitions(n, [&](const Partition& p) {
       EXPECT_TRUE(bottom.Refines(p));

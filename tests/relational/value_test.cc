@@ -31,18 +31,6 @@ TEST(ValueTest, NullNeverEqualsAnything) {
   EXPECT_FALSE(Value(int64_t{0}).Equals(Value()));
 }
 
-TEST(ValueTest, CompareTotalOrder) {
-  // Nulls first, then by type id, then payload.
-  EXPECT_LT(Value().Compare(Value(int64_t{0})), 0);
-  EXPECT_LT(Value(int64_t{5}).Compare(Value(int64_t{9})), 0);
-  EXPECT_GT(Value(int64_t{9}).Compare(Value(int64_t{5})), 0);
-  EXPECT_EQ(Value(int64_t{5}).Compare(Value(int64_t{5})), 0);
-  EXPECT_EQ(Value().Compare(Value()), 0);  // for ordering only
-  EXPECT_LT(Value(int64_t{999}).Compare(Value(0.5)), 0);  // int type < double
-  EXPECT_LT(Value(99.9).Compare(Value("a")), 0);          // double < string
-  EXPECT_LT(Value("abc").Compare(Value("abd")), 0);
-}
-
 TEST(ValueTest, HashConsistentWithEquals) {
   EXPECT_EQ(Value(int64_t{7}).Hash(), Value(int64_t{7}).Hash());
   EXPECT_EQ(Value("x").Hash(), Value("x").Hash());
@@ -54,13 +42,6 @@ TEST(ValueTest, ToStringForms) {
   EXPECT_EQ(Value(int64_t{-3}).ToString(), "-3");
   EXPECT_EQ(Value(2.5).ToString(), "2.5");
   EXPECT_EQ(Value("Paris").ToString(), "Paris");
-}
-
-TEST(ValueTest, SqlLiterals) {
-  EXPECT_EQ(Value().ToSqlLiteral(), "NULL");
-  EXPECT_EQ(Value(int64_t{3}).ToSqlLiteral(), "3");
-  EXPECT_EQ(Value("Paris").ToSqlLiteral(), "'Paris'");
-  EXPECT_EQ(Value("O'Hare").ToSqlLiteral(), "'O''Hare'");
 }
 
 TEST(ParseValueAsTest, TypedParsing) {

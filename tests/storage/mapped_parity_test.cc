@@ -19,6 +19,7 @@
 #include "relational/catalog.h"
 #include "storage/mapped_store.h"
 #include "storage/store_writer.h"
+#include "support/core_views.h"
 #include "support/parallel_for_calls.h"
 #include "util/rng.h"
 #include "util/string_util.h"
@@ -81,7 +82,7 @@ void ExpectSameClasses(const InferenceEngine& expected,
     EXPECT_EQ(expected.tuple_class(c).tuple_indices,
               actual.tuple_class(c).tuple_indices)
         << context << " class " << c;
-    EXPECT_EQ(expected.ClassKnowledge(c), actual.ClassKnowledge(c))
+    EXPECT_EQ(ClassKnowledge(expected, c), ClassKnowledge(actual, c))
         << context << " class " << c;
   }
   for (size_t t = 0; t < expected.num_tuples(); ++t) {

@@ -3,9 +3,27 @@
 #include <vector>
 
 #include "lattice/enumeration.h"
+#include "support/core_views.h"
 #include "util/logging.h"
 
 namespace jim::lat {
+
+Partition Singletons(size_t n) {
+  std::vector<int> labels(n);
+  for (size_t i = 0; i < n; ++i) labels[i] = static_cast<int>(i);
+  return Partition::FromLabels(labels);
+}
+
+std::vector<Partition> AllPartitions(size_t n) {
+  JIM_CHECK_LE(n, size_t{12});
+  std::vector<Partition> out;
+  out.reserve(BellNumber(n));
+  VisitAllPartitions(n, [&out](const Partition& p) {
+    out.push_back(p);
+    return true;
+  });
+  return out;
+}
 
 bool VisitRefinements(const Partition& p,
                       const std::function<bool(const Partition&)>& visitor) {
@@ -48,7 +66,7 @@ uint64_t CountConsistent(const InferenceState& state, uint64_t limit) {
   JIM_CHECK_LE(lat::CountRefinements(theta_p), limit);
   uint64_t count = 0;
   lat::VisitRefinements(theta_p, [&](const lat::Partition& q) {
-    if (state.IsConsistent(q)) ++count;
+    if (IsConsistent(state, q)) ++count;
     return true;
   });
   return count;

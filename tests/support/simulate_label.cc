@@ -1,5 +1,6 @@
 #include "support/simulate_label.h"
 
+#include "support/core_views.h"
 #include "util/check.h"
 
 namespace jim::core {
@@ -11,7 +12,7 @@ InferenceEngine::LabelImpact SimulateLabel(const InferenceEngine& engine,
   InferenceState hypothetical = engine.state();
   // An informative class accepts either label by definition.
   JIM_CHECK_OK(
-      hypothetical.ApplyLabel(engine.ClassPartition(class_id), label));
+      ApplyLabel(hypothetical, engine.ClassPartition(class_id), label));
 
   InferenceEngine::LabelImpact impact;
   impact.pruned_classes = 1;

@@ -77,7 +77,7 @@ TEST(ConsoleDemoTest, Mode4ScriptedSessionInfersQ2) {
   DemoOptions options;
   options.strategy = "lookahead-entropy";
   options.render.color = false;
-  const auto result = RunConsoleDemo(workload::Figure1InstancePtr(),
+  const auto result = RunConsoleDemo(workload::Figure1StorePtr(),
                                      std::move(options), in, out);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->ToSqlWhere(), "To = City AND Airline = Discount");
@@ -91,7 +91,7 @@ TEST(ConsoleDemoTest, Mode2FreeLabelingByRow) {
   DemoOptions options;
   options.mode = core::InteractionMode::kGrayOut;
   options.render.color = false;
-  const auto result = RunConsoleDemo(workload::Figure1InstancePtr(),
+  const auto result = RunConsoleDemo(workload::Figure1StorePtr(),
                                      std::move(options), in, out);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->ToSqlWhere(), "To = City AND Airline = Discount");
@@ -109,7 +109,8 @@ TEST(ConsoleDemoTest, AutoOracleRunsUnattended) {
         core::JoinPredicate::Parse(instance->schema(), workload::kQ2)
             .value());
     const auto result =
-        RunConsoleDemo(instance, std::move(options), in, out);
+        RunConsoleDemo(core::MakeRelationStore(instance), std::move(options),
+                       in, out);
     ASSERT_TRUE(result.ok()) << "mode " << mode << ": "
                              << result.status().ToString();
     EXPECT_TRUE(core::InstanceEquivalent(
@@ -126,7 +127,7 @@ TEST(ConsoleDemoTest, QuitAndEofAreHandled) {
     std::ostringstream out;
     DemoOptions options;
     options.render.color = false;
-    const auto result = RunConsoleDemo(workload::Figure1InstancePtr(),
+    const auto result = RunConsoleDemo(workload::Figure1StorePtr(),
                                        std::move(options), in, out);
     EXPECT_FALSE(result.ok());
   }
@@ -135,7 +136,7 @@ TEST(ConsoleDemoTest, QuitAndEofAreHandled) {
     std::ostringstream out;
     DemoOptions options;
     options.render.color = false;
-    const auto result = RunConsoleDemo(workload::Figure1InstancePtr(),
+    const auto result = RunConsoleDemo(workload::Figure1StorePtr(),
                                        std::move(options), in, out);
     EXPECT_FALSE(result.ok());
   }
@@ -148,7 +149,7 @@ TEST(ConsoleDemoTest, GarbageInputIsReprompted) {
   DemoOptions options;
   options.mode = core::InteractionMode::kGrayOut;
   options.render.color = false;
-  const auto result = RunConsoleDemo(workload::Figure1InstancePtr(),
+  const auto result = RunConsoleDemo(workload::Figure1StorePtr(),
                                      std::move(options), in, out);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_NE(out.str().find("could not parse"), std::string::npos);
@@ -160,7 +161,7 @@ TEST(ConsoleDemoTest, UnknownStrategyErrors) {
   std::ostringstream out;
   DemoOptions options;
   options.strategy = "definitely-not-a-strategy";
-  const auto result = RunConsoleDemo(workload::Figure1InstancePtr(),
+  const auto result = RunConsoleDemo(workload::Figure1StorePtr(),
                                      std::move(options), in, out);
   EXPECT_FALSE(result.ok());
 }

@@ -58,13 +58,5 @@ TEST(LogPrefixTest, ThreadIdIsStablePerThread) {
   EXPECT_EQ(internal_logging::LogThreadId(), id);
 }
 
-TEST(LogLevelTest, SetOverridesAndSticks) {
-  const LogLevel before = GetLogLevel();
-  SetLogLevel(LogLevel::kError);
-  EXPECT_EQ(GetLogLevel(), LogLevel::kError);
-  SetLogLevel(before);
-  EXPECT_EQ(GetLogLevel(), before);
-}
-
 }  // namespace
 }  // namespace jim::util

@@ -107,19 +107,6 @@ TEST(RngTest, SampleIndicesWholePopulation) {
   EXPECT_EQ(sample, (std::vector<size_t>{0, 1, 2, 3, 4}));
 }
 
-TEST(RngTest, ZipfInRangeAndSkewed) {
-  Rng rng(37);
-  std::vector<int> counts(10, 0);
-  for (int i = 0; i < 20000; ++i) {
-    const int64_t v = rng.Zipf(10, 0.9);
-    ASSERT_GE(v, 0);
-    ASSERT_LT(v, 10);
-    ++counts[static_cast<size_t>(v)];
-  }
-  // Strong skew: the smallest value should dominate the largest.
-  EXPECT_GT(counts[0], counts[9] * 2);
-}
-
 TEST(RngTest, PickOneAlwaysReturnsMember) {
   Rng rng(41);
   const std::vector<std::string> items = {"a", "b", "c"};

@@ -30,9 +30,8 @@ TEST(StripWhitespaceTest, AllSides) {
   EXPECT_EQ(StripWhitespace("a b"), "a b");
 }
 
-TEST(CaseTest, ToLowerUpper) {
+TEST(CaseTest, ToLower) {
   EXPECT_EQ(ToLower("MiXeD 123"), "mixed 123");
-  EXPECT_EQ(ToUpper("MiXeD 123"), "MIXED 123");
 }
 
 TEST(AffixTest, StartsEndsWith) {
@@ -76,14 +75,6 @@ TEST(FormatDoubleTest, Compact) {
   EXPECT_EQ(FormatDouble(3.0), "3");
   EXPECT_EQ(FormatDouble(0.5), "0.5");
   EXPECT_EQ(FormatDouble(1234560), "1.23456e+06");
-}
-
-TEST(ThousandsTest, GroupsDigits) {
-  EXPECT_EQ(WithThousandsSeparators(0), "0");
-  EXPECT_EQ(WithThousandsSeparators(999), "999");
-  EXPECT_EQ(WithThousandsSeparators(1000), "1,000");
-  EXPECT_EQ(WithThousandsSeparators(1234567), "1,234,567");
-  EXPECT_EQ(WithThousandsSeparators(-1234567), "-1,234,567");
 }
 
 }  // namespace

@@ -51,13 +51,16 @@ TEST(TravelTest, CatalogProductIsFigure1) {
 
 TEST(TravelTest, LargeInstanceShape) {
   util::Rng rng(1);
-  const rel::Relation instance = LargeTravelInstance(
+  const rel::Catalog catalog = LargeTravelCatalog(
       /*num_flights=*/20, /*num_hotels=*/10, /*num_cities=*/5,
       /*num_airlines=*/3, rng);
-  EXPECT_EQ(instance.num_rows(), 200u);
-  EXPECT_EQ(instance.num_attributes(), 5u);
+  const rel::Relation& flights = *catalog.Get("Flights").value();
+  const rel::Relation& hotels = *catalog.Get("Hotels").value();
+  EXPECT_EQ(flights.num_rows(), 20u);
+  EXPECT_EQ(hotels.num_rows(), 10u);
+  EXPECT_EQ(flights.num_attributes() + hotels.num_attributes(), 5u);
   // From ≠ To by construction.
-  for (const auto& row : instance.rows()) {
+  for (const auto& row : flights.rows()) {
     EXPECT_FALSE(row[0].Equals(row[1]));
   }
 }
@@ -101,7 +104,8 @@ TEST(SyntheticTest, PlantedGoalIsInferable) {
   const SyntheticWorkload workload = MakeSyntheticWorkload(spec, rng);
   auto strategy = core::MakeStrategy("lookahead-entropy").value();
   const auto result =
-      core::RunSession(workload.instance, workload.goal, *strategy);
+      core::RunSession(core::MakeRelationStore(workload.instance),
+                       workload.goal, *strategy);
   EXPECT_TRUE(result.identified_goal);
 }
 
