@@ -300,25 +300,6 @@ void RegisterAll(std::vector<BenchResult>& results) {
   };
   strategy_sweep("LookaheadPickClass", "lookahead-entropy", 7);
   strategy_sweep("LocalDecision", "local-bottom-up", 8);
-  // Cutoff-pruned vs exhaustive lookahead decision on the serial path
-  // (arg 1 = cutoff pruning on, the production default; arg 0 = the
-  // exhaustive reference scan). Same pick either way — the cutoff only
-  // skips candidates that provably cannot win — so the ratio is pure
-  // work saved; WriteJson derives lookahead_cutoff_speedup_{10k,100k}.
-  for (size_t tuples : {10000, 100000}) {
-    const auto workload = MakeSynthetic(tuples, 7);
-    const core::InferenceEngine engine(workload.instance);
-    const char* suffix = tuples == 10000 ? "10k" : "100k";
-    for (int cutoff : {0, 1}) {
-      core::LookaheadStrategy strategy(
-          core::LookaheadStrategy::Objective::kEntropy);
-      strategy.set_thread_pool(nullptr);
-      strategy.set_cutoff_enabled(cutoff == 1);
-      results.push_back(
-          RunBench(std::string("LookaheadPickClassCutoff") + suffix, cutoff,
-                   [&] { DoNotOptimize(strategy.PickClass(engine)); }));
-    }
-  }
   // The fixed cost of one ParallelFor (arg = thread count): an empty body
   // over one item per thread, so every chunk is dispatched and nothing else
   // is timed. 1 thread is the inline path.
@@ -399,14 +380,8 @@ void RegisterAll(std::vector<BenchResult>& results) {
 /// more".
 struct WorkCounts {
   /// SimulateLabelBoth evaluations one serial lookahead-entropy PickClass
-  /// costs on the 10k instance (production path, cutoff pruning on).
+  /// costs on the 10k instance: its sampled candidate count.
   uint64_t simulate_calls_per_pick = 0;
-  /// Of the candidates that decision considered, the fraction the O(1)
-  /// precheck skipped without scanning: skips / (skips + aborts + evals).
-  double cutoff_skip_fraction = 0;
-  /// The fraction abandoned mid-scan (part of the worklist already scanned):
-  /// aborts / (skips + aborts + evals).
-  double cutoff_abort_fraction = 0;
   /// engine.class_table_bytes of the instance behind each BuildClasses* row,
   /// by row name: a count of the class table's layout that, unlike the
   /// rows' timings, repeats exactly run to run.
@@ -424,17 +399,9 @@ WorkCounts MeasureWorkCounts() {
   strategy.set_thread_pool(nullptr);
   const uint64_t sims_before =
       registry.CounterValue(obs::kCounterEngineSimulateLabelBoth);
-  const uint64_t skips_before =
-      registry.CounterValue(obs::kCounterEngineCutoffSkips);
-  const uint64_t aborts_before =
-      registry.CounterValue(obs::kCounterEngineCutoffAborts);
   DoNotOptimize(strategy.PickClass(engine));
   const uint64_t sims =
       registry.CounterValue(obs::kCounterEngineSimulateLabelBoth) - sims_before;
-  const uint64_t skips =
-      registry.CounterValue(obs::kCounterEngineCutoffSkips) - skips_before;
-  const uint64_t aborts =
-      registry.CounterValue(obs::kCounterEngineCutoffAborts) - aborts_before;
   for (size_t tuples : {10000, 100000}) {
     const core::InferenceEngine built(MakeSynthetic(tuples, 9).store,
                                       /*pool=*/nullptr);
@@ -445,13 +412,6 @@ WorkCounts MeasureWorkCounts() {
     if (tuples == 100000) counts.class_table_bytes["MmapBuildClasses"] = bytes;
   }
   counts.simulate_calls_per_pick = sims;
-  const uint64_t candidates = sims + skips + aborts;
-  if (candidates > 0) {
-    counts.cutoff_skip_fraction =
-        static_cast<double>(skips) / static_cast<double>(candidates);
-    counts.cutoff_abort_fraction =
-        static_cast<double>(aborts) / static_cast<double>(candidates);
-  }
   return counts;
 }
 
@@ -462,9 +422,6 @@ bool WriteJson(const std::vector<BenchResult>& results,
   json.KeyValue("benchmark", "micro");
   bench::AppendMetaBlock(json);
   json.KeyValue("simulate_label_calls_per_pick", work.simulate_calls_per_pick);
-  json.KeyValue("lookahead_cutoff_skip_fraction", work.cutoff_skip_fraction);
-  json.KeyValue("lookahead_cutoff_abort_fraction",
-                work.cutoff_abort_fraction);
   json.KeyValue("class_table_bytes_10k",
                 work.class_table_bytes.at("BuildClasses10k"));
   json.KeyValue("class_table_bytes_100k",
@@ -544,17 +501,6 @@ bool WriteJson(const std::vector<BenchResult>& results,
   if (mmap_open_ns > 0 && ingest_100k_ns > 0) {
     json.KeyValue("mmap_cold_open_vs_ingest_speedup",
                   ingest_100k_ns / mmap_open_ns);
-  }
-  // Exhaustive-scan vs cutoff-pruned lookahead decision (same pick, work
-  // saved only; values > 1 mean the cutoff wins).
-  for (const auto& size : sizes) {
-    const double exhaustive_ns =
-        find_ns("LookaheadPickClassCutoff" + size.first, 0);
-    const double pruned_ns = find_ns("LookaheadPickClassCutoff" + size.first, 1);
-    if (exhaustive_ns > 0 && pruned_ns > 0) {
-      json.KeyValue("lookahead_cutoff_speedup_" + size.first,
-                    exhaustive_ns / pruned_ns);
-    }
   }
   json.Key("results");
   json.BeginArray();

@@ -158,89 +158,6 @@ IngestPoint MeasurePoint(size_t flights, size_t hotels,
   return p;
 }
 
-/// One point of the S2e cutoff sweep: the same lookahead-entropy session
-/// with cutoff pruning on vs off. Seeds are shared, and cutoff pruning is
-/// pick-preserving, so the interaction columns must agree; only the
-/// per-step latency moves.
-struct CutoffMeasurement {
-  size_t tuples = 0;
-  double interactions = 0;
-  double exhaustive_us_per_step = 0;
-  double pruned_us_per_step = 0;
-  double speedup = 0;
-};
-
-CutoffMeasurement MeasureCutoffCell(const exec::BatchSessionRunner& runner,
-                                    size_t num_tuples, size_t repetitions) {
-  CutoffMeasurement cell;
-  cell.tuples = num_tuples;
-
-  std::vector<std::shared_ptr<const core::InferenceEngine>> prototypes;
-  std::vector<core::JoinPredicate> goals;
-  for (size_t rep = 0; rep < repetitions; ++rep) {
-    util::Rng rng(4000 + rep * 17 + num_tuples);
-    workload::SyntheticSpec spec;
-    spec.num_attributes = 6;
-    spec.num_tuples = num_tuples;
-    spec.domain_size = 6;
-    spec.goal_constraints = 2;
-    const auto workload = workload::MakeSyntheticWorkload(spec, rng);
-    prototypes.push_back(
-        std::make_shared<const core::InferenceEngine>(workload.instance));
-    goals.push_back(workload.goal);
-  }
-
-  // Interleave (cutoff off, cutoff on) per repetition so both modes see the
-  // same instances under the same load.
-  std::vector<exec::SessionSpec> specs;
-  specs.reserve(2 * repetitions);
-  for (const bool cutoff_on : {false, true}) {
-    for (size_t rep = 0; rep < repetitions; ++rep) {
-      exec::SessionSpec spec(prototypes[rep], goals[rep]);
-      spec.make_strategy = [cutoff_on] {
-        auto strategy = std::make_unique<core::LookaheadStrategy>(
-            core::LookaheadStrategy::Objective::kEntropy);
-        strategy->set_cutoff_enabled(cutoff_on);
-        return std::unique_ptr<core::Strategy>(std::move(strategy));
-      };
-      specs.push_back(std::move(spec));
-    }
-  }
-  const std::vector<core::SessionResult> results = runner.Run(specs);
-
-  bench::Series interactions;
-  bench::Series exhaustive_micros;
-  bench::Series pruned_micros;
-  for (size_t mode = 0; mode < 2; ++mode) {
-    for (size_t rep = 0; rep < repetitions; ++rep) {
-      const core::SessionResult& result = results[mode * repetitions + rep];
-      const core::SessionResult& twin =
-          results[(1 - mode) * repetitions + rep];
-      // Pick-preserving contract: both modes ask the same questions.
-      JIM_CHECK(result.interactions == twin.interactions);
-      double total_micros = 0;
-      for (const auto& step : result.steps) {
-        total_micros += static_cast<double>(step.micros);
-      }
-      const double per_step =
-          result.steps.empty()
-              ? 0
-              : total_micros / static_cast<double>(result.steps.size());
-      (mode == 0 ? exhaustive_micros : pruned_micros).Add(per_step);
-      if (mode == 0) {
-        interactions.Add(static_cast<double>(result.interactions));
-      }
-    }
-  }
-  cell.interactions = interactions.Mean();
-  cell.exhaustive_us_per_step = exhaustive_micros.Mean();
-  cell.pruned_us_per_step = pruned_micros.Mean();
-  cell.speedup = cell.pruned_us_per_step > 0
-                     ? cell.exhaustive_us_per_step / cell.pruned_us_per_step
-                     : 0;
-  return cell;
-}
-
 CellMeasurement MeasureCell(const exec::BatchSessionRunner& runner,
                             const std::vector<std::string>& strategies,
                             size_t num_tuples, size_t num_attributes,
@@ -490,33 +407,6 @@ int main(int argc, char** argv) {
                "dictionary index — sessions start in O(1) w.r.t. the "
                "candidate count.\n";
 
-  // S2e: cutoff-pruned lookahead vs exhaustive scoring, full sessions.
-  // Pruning is pick-preserving (strict-inequality skip rule), so the
-  // interaction column is shared; only per-step latency moves.
-  std::cout << "\n== S2e: cutoff-pruned lookahead vs exhaustive scoring "
-               "(lookahead-entropy, attrs=6) ==\n\n";
-  util::TablePrinter cutoff_table({"tuples", "interactions",
-                                   "exhaustive us/step", "pruned us/step",
-                                   "speedup"});
-  cutoff_table.SetAlignments({util::Align::kRight, util::Align::kRight,
-                              util::Align::kRight, util::Align::kRight,
-                              util::Align::kRight});
-  std::vector<CutoffMeasurement> cutoff_cells;
-  for (size_t tuples : tuple_sweep) {
-    const CutoffMeasurement cell =
-        MeasureCutoffCell(runner, tuples, repetitions);
-    cutoff_table.AddRow({std::to_string(cell.tuples),
-                         util::StrFormat("%.1f", cell.interactions),
-                         util::StrFormat("%.0f", cell.exhaustive_us_per_step),
-                         util::StrFormat("%.0f", cell.pruned_us_per_step),
-                         util::StrFormat("%.2fx", cell.speedup)});
-    cutoff_cells.push_back(cell);
-  }
-  std::cout << cutoff_table.ToString()
-            << "\nExpected shape: the speedup column grows with the class "
-               "count — more candidates means more of the scan falls under "
-               "the running best's upper bound.\n";
-
   util::JsonWriter json;
   json.BeginObject();
   json.KeyValue("benchmark", "scalability");
@@ -539,18 +429,6 @@ int main(int argc, char** argv) {
         .KeyValue("build_classes_ms", m.build_classes_millis)
         .KeyValue("store_bytes", m.store_bytes)
         .KeyValue("materialized_bytes", m.materialized_bytes)
-        .EndObject();
-  }
-  for (const CutoffMeasurement& m : cutoff_cells) {
-    json.BeginObject()
-        .KeyValue("sweep", "cutoff_pruning")
-        .KeyValue("tuples", m.tuples)
-        .KeyValue("attributes", 6)
-        .KeyValue("strategy", "lookahead-entropy")
-        .KeyValue("interactions", m.interactions)
-        .KeyValue("exhaustive_us_per_step", m.exhaustive_us_per_step)
-        .KeyValue("pruned_us_per_step", m.pruned_us_per_step)
-        .KeyValue("cutoff_speedup", m.speedup)
         .EndObject();
   }
   for (const OnDiskMeasurement& m : ondisk_cells) {

@@ -22,8 +22,9 @@
 #                        plus a guard that every tsan.supp suppression still
 #                        matches a symbol the instrumented binaries
 #                        actually reference
-#   - ASAN stage         columnar storage/ingest suites plus the cutoff
-#                        parity + minimax suite under address
+#   - ASAN stage         columnar storage/ingest suites plus the lookahead
+#                        pick parity + minimax suite (CutoffParity) under
+#                        address
 #   - UBSAN stage        integer-kernel + storage suites AND the
 #                        deterministic fuzz driver (5000 mutated JIMC
 #                        images / goal strings / request lines /
@@ -143,10 +144,10 @@ else
     > "$smokedir/observed.txt" 2> "$smokedir/observed.err"
   diff "$smokedir/loaded.txt" "$smokedir/observed.txt"
   # The family prefixes, plus a lookahead and a propagation counter: a
-  # lookahead session must record skipped candidates and classes pruned by
-  # label propagation, or the pruning instrumentation went silent.
+  # lookahead session must record its candidate scans and the classes
+  # pruned by label propagation, or the instrumentation went silent.
   for prefix in '"engine.' '"exec.' '"storage.' \
-      '"engine.cutoff_skips' '"engine.propagate.pruned_classes'; do
+      '"engine.simulate_label_both' '"engine.propagate.pruned_classes'; do
     if ! grep -qF "$prefix" "$smokedir/metrics.json"; then
       echo "ERROR: metrics snapshot is missing ${prefix}* metrics —" \
         "instrumentation went silent" >&2

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <limits>
 
 #include "exec/parallel.h"
 #include "lattice/pair_mask.h"
@@ -265,8 +264,9 @@ InferenceEngine::LabelImpact InferenceEngine::Propagate() {
       ++pruned.pruned_classes;
       pruned.pruned_tuples += tuple_class(c).size();
     } else {
-      // rank(K_c) is read per class by every decision; recount it here,
-      // where the row changes, and only for classes that stay.
+      // rank(K_c) is read per class by every local-strategy decision;
+      // recount it here, where the row changes, and only for classes that
+      // stay.
       if (changed) {
         knowledge_rank_[c] = static_cast<uint32_t>(lat::MaskRank(k, words, n));
       }
@@ -447,134 +447,159 @@ util::Status InferenceEngine::SubmitClassLabel(size_t class_id, Label label,
 
 InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
     size_t class_id) const {
-  LookaheadBoundsCache cache;
-  PrepareLookaheadBounds(cache);
-  LabelImpactPair impact;
-  SimulateLabelBothBounded(class_id, cache, nullptr,
-                           -std::numeric_limits<double>::infinity(), &impact,
-                           nullptr);
-  return impact;
+  LookaheadColumns columns;
+  PrepareLookaheadColumns(columns);
+  return SimulateLabelBoth(class_id, columns);
 }
 
-void InferenceEngine::PrepareLookaheadBounds(
-    LookaheadBoundsCache& cache) const {
-  const size_t n = store_->num_attributes();
-  const std::vector<size_t>& informative = informative_;
-  const size_t words = mask_words_;
-  cache.mask_words = words;
-  cache.knowledge_masks.resize(informative.size() * words);
-  cache.antichain_masks = state_.forbidden_masks();
-  cache.antichain_size = state_.num_forbidden();
-  // Cached rows and member counts gathered in worklist order, and the
-  // histogram of worklist tuple mass by rank(K_c) (prefix/suffix sums taken
-  // in place below). rank = n − #blocks ∈ [0, n).
-  cache.class_tuples.resize(informative.size());
-  cache.tuples_rank_le.assign(n, 0);
-  cache.tuples_rank_ge.assign(n, 0);
-  for (size_t i = 0; i < informative.size(); ++i) {
-    const size_t c = informative[i];
-    const uint64_t* row = KnowledgeRow(c);
-    std::copy(row, row + words, cache.knowledge_masks.data() + i * words);
-    cache.class_tuples[i] = tuple_class(c).size();
-    cache.tuples_rank_le[knowledge_rank_[c]] += cache.class_tuples[i];
-  }
-  size_t run = 0;
-  for (size_t r = n; r-- > 0;) {
-    run += cache.tuples_rank_le[r];
-    cache.tuples_rank_ge[r] = run;
-  }
-  cache.total_tuples = run;
-  for (size_t r = 1; r < n; ++r) {
-    cache.tuples_rank_le[r] += cache.tuples_rank_le[r - 1];
-  }
-  cache.suffix_tuples.assign(informative.size() + 1, 0);
-  size_t suffix = 0;
-  for (size_t i = informative.size(); i-- > 0;) {
-    suffix += cache.class_tuples[i];
-    cache.suffix_tuples[i] = suffix;
-  }
-}
+namespace {
 
-bool InferenceEngine::SimulateLabelBothBounded(
-    size_t class_id, const LookaheadBoundsCache& cache,
-    const AggregateBoundFn* objective, double threshold,
-    LabelImpactPair* impact, double* skip_bound) const {
-  JIM_CHECK_LT(class_id, num_classes());
-  JIM_CHECK(class_status_[class_id] == ClassStatus::kInformative);
-  const size_t size = cache.class_tuples.size();
-  JIM_CHECK_EQ(size, informative_.size())
-      << "lookahead cache prepared for another worklist";
-  // No bound falls below −∞, so that threshold reads no cap and runs neither
-  // the precheck nor the in-scan abort: the plain simulation.
-  const bool cutoff = threshold > -std::numeric_limits<double>::infinity();
-  size_t pos_cap = 0;
-  size_t neg_cap = 0;
-  if (cutoff) {
-    pos_cap = LookaheadPosCap(cache, class_id);
-    neg_cap = LookaheadNegCap(cache, class_id);
-    // O(1) precheck: can the candidate beat the threshold at all?
-    const double bound = objective->UpperBound(pos_cap, neg_cap);
-    if (bound < threshold) {
-      *skip_bound = bound;
-      JIM_COUNT(obs::kCounterEngineCutoffSkips);
-      return false;
-    }
-  }
-  const size_t words = cache.mask_words;
-  const size_t self = worklist_pos_[class_id];
-  const uint64_t* k_labeled = cache.knowledge_masks.data() + self * words;
-  const uint64_t* antichain = cache.antichain_masks;
+constexpr size_t kTile = InferenceEngine::LookaheadColumns::kTileWords;
 
-  LabelImpactPair result;
-  result.positive.pruned_classes = result.negative.pruned_classes = 1;
-  result.positive.pruned_tuples = result.negative.pruned_tuples =
-      cache.class_tuples[self];
+}  // namespace
+
+void InferenceEngine::PrepareLookaheadColumns(
+    LookaheadColumns& columns) const {
+  const size_t n = state_.num_attributes();
+  const size_t size = informative_.size();
+  columns.positions = size;
+  columns.tiles = (size + 64 * kTile - 1) / (64 * kTile);
+  columns.pairs = n < 2 ? 0 : n * (n - 1) / 2;
+  columns.bits.assign(columns.tiles * columns.pairs * kTile, 0);
+  columns.live.assign(columns.tiles * kTile, 0);
+  columns.class_tuples.resize(size);
   for (size_t i = 0; i < size; ++i) {
-    if (cutoff && (i & 63u) == 63u) {
-      // In-scan abort: counts so far plus the remaining worklist tuple mass
-      // (still capped) bound anything this candidate can reach. The suffix
-      // may re-count the candidate's own class — harmless, bounds only widen.
-      const size_t rem = cache.suffix_tuples[i];
-      const double bound = objective->UpperBound(
-          std::min(result.positive.pruned_tuples + rem, pos_cap),
-          std::min(result.negative.pruned_tuples + rem, neg_cap));
-      if (bound < threshold) {
-        *skip_bound = bound;
-        JIM_COUNT(obs::kCounterEngineCutoffAborts);
-        return false;
+    const size_t c = informative_[i];
+    columns.class_tuples[i] = static_cast<uint32_t>(tuple_class(c).size());
+    // Position i is bit i % 64 of word i / 64, which is lane word % kTile
+    // of tile word / kTile.
+    const size_t word = i / 64;
+    const uint64_t bit = uint64_t{1} << (i % 64);
+    columns.live[word] |= bit;
+    uint64_t* lane = columns.bits.data() +
+                     (word / kTile) * columns.pairs * kTile + word % kTile;
+    const uint64_t* k = KnowledgeRow(c);
+    for (size_t j = 0; j < mask_words_; ++j) {
+      for (uint64_t rest = k[j]; rest != 0; rest &= rest - 1) {
+        lane[(j * 64 + static_cast<size_t>(__builtin_ctzll(rest))) * kTile] |=
+            bit;
       }
     }
-    if (i == self) continue;
-    const uint64_t* k = cache.knowledge_masks.data() + i * words;
-    const size_t members = cache.class_tuples[i];
-    // Negative answer: the forbidden zone grows by exactly k_labeled, so the
-    // class is pruned iff its knowledge falls inside it.
-    if (lat::MaskSubset(k, k_labeled, words)) {
-      ++result.negative.pruned_classes;
-      result.negative.pruned_tuples += members;
-    }
-    // Positive answer: the hypothetical θ_P is k_labeled, and the class's
-    // hypothetical knowledge is k_labeled ∧ k (meeting cached knowledge is
-    // enough — both already lie below the current θ_P). It is forced
-    // positive when that meet is k_labeled itself, and forced negative when
-    // the meet lies inside a forbidden zone: testing against the *current*
-    // antichain is exact, since restricting it to the new θ_P never changes
-    // domination of partitions below that θ_P.
-    bool pruned = lat::MaskSubset(k_labeled, k, words);
-    for (size_t m = 0; !pruned && m < cache.antichain_size; ++m) {
-      pruned =
-          lat::MaskMeetSubset(k_labeled, k, antichain + m * words, words);
-    }
-    if (pruned) {
-      ++result.positive.pruned_classes;
-      result.positive.pruned_tuples += members;
+  }
+}
+
+namespace {
+
+/// One candidate's scan of InferenceEngine::LookaheadColumns: its row k
+/// and the antichain, tile by tile.
+struct TileScan {
+  const InferenceEngine::LookaheadColumns& columns;
+  const uint64_t* k;
+  size_t words;         ///< pair-mask words
+  uint64_t last_pairs;  ///< the real pairs of the last mask word
+  const uint64_t* forbidden;
+  size_t num_forbidden;
+
+  /// acc ∧= col[p] (kHas) or acc ∧= ¬col[p] (!kHas) for every pair p set
+  /// in the mask words pair_word(j), where col[p] is the tile's lanes at
+  /// tile + p · kTile.
+  template <size_t kLanes, bool kHas, typename PairWord>
+  void And(uint64_t (&acc)[kLanes], const uint64_t* tile,
+           const PairWord& pair_word) const {
+    for (size_t j = 0; j < words; ++j) {
+      for (uint64_t pairs = pair_word(j); pairs != 0; pairs &= pairs - 1) {
+        const uint64_t* column =
+            tile +
+            (j * 64 + static_cast<size_t>(__builtin_ctzll(pairs))) * kTile;
+        for (size_t i = 0; i < kLanes; ++i) {
+          acc[i] &= kHas ? column[i] : ~column[i];
+        }
+      }
     }
   }
-  // Counted only on full evaluation, so skips, aborts and evaluations
-  // partition the candidates.
+
+  /// Adds the classes at the set bits of `set` (tile `t`) to `impact`.
+  template <size_t kLanes>
+  void Count(const uint64_t (&set)[kLanes], size_t t,
+             InferenceEngine::LabelImpact& impact) const {
+    for (size_t i = 0; i < kLanes; ++i) {
+      const uint32_t* word_tuples =
+          columns.class_tuples.data() + (t * kTile + i) * 64;
+      for (uint64_t rest = set[i]; rest != 0; rest &= rest - 1) {
+        ++impact.pruned_classes;
+        impact.pruned_tuples +=
+            word_tuples[static_cast<size_t>(__builtin_ctzll(rest))];
+      }
+    }
+  }
+
+  /// Scans tile t, whose positions all lie in its first kLanes words.
+  template <size_t kLanes>
+  void Run(size_t t, InferenceEngine::LabelImpactPair& result) const {
+    const uint64_t* tile = columns.bits.data() + t * columns.pairs * kTile;
+    const uint64_t* live = columns.live.data() + t * kTile;
+    // Negative answer: the forbidden zone grows by exactly k, so d is
+    // pruned iff K_d holds no pair outside k.
+    uint64_t negative[kLanes];
+    std::copy(live, live + kLanes, negative);
+    And<kLanes, false>(negative, tile, [this](size_t j) {
+      return ~k[j] & (j + 1 == words ? last_pairs : ~uint64_t{0});
+    });
+    // Positive answer: the hypothetical θ_P is k, and d's hypothetical
+    // knowledge is k ∧ K_d. d is forced positive when that meet is k itself
+    // (K_d holds every pair of k), and forced negative when the meet lies
+    // inside a forbidden zone F (K_d holds no pair of k∖F).
+    uint64_t positive[kLanes];
+    std::copy(live, live + kLanes, positive);
+    And<kLanes, true>(positive, tile, [this](size_t j) { return k[j]; });
+    for (size_t f = 0; f < num_forbidden; ++f) {
+      const uint64_t* zone = forbidden + f * words;
+      uint64_t inside[kLanes];
+      std::copy(live, live + kLanes, inside);
+      And<kLanes, false>(inside, tile,
+                         [this, zone](size_t j) { return k[j] & ~zone[j]; });
+      for (size_t i = 0; i < kLanes; ++i) positive[i] |= inside[i];
+    }
+    Count(negative, t, result.negative);
+    Count(positive, t, result.positive);
+  }
+};
+
+}  // namespace
+
+InferenceEngine::LabelImpactPair InferenceEngine::SimulateLabelBoth(
+    size_t class_id, const LookaheadColumns& columns) const {
+  JIM_CHECK_LT(class_id, num_classes());
+  JIM_CHECK(class_status_[class_id] == ClassStatus::kInformative);
+  JIM_CHECK_EQ(columns.positions, informative_.size())
+      << "lookahead columns prepared for another worklist";
+  const TileScan scan{
+      columns,
+      KnowledgeRow(class_id),
+      mask_words_,
+      columns.pairs % 64 == 0 ? ~uint64_t{0}
+                              : (uint64_t{1} << (columns.pairs % 64)) - 1,
+      state_.forbidden_masks(),
+      state_.num_forbidden()};
+  LabelImpactPair result;
+  // Every tile but the last is full; the last scans only the words its
+  // positions use, rounded up to a power of two.
+  static_assert(kTile == 8, "the dispatch below covers 1, 2, 4 or 8 lanes");
+  const size_t used_words = (columns.positions + 63) / 64;
+  for (size_t t = 0; t < columns.tiles; ++t) {
+    const size_t lanes = std::min(kTile, used_words - t * kTile);
+    if (lanes > 4) {
+      scan.Run<8>(t, result);
+    } else if (lanes > 2) {
+      scan.Run<4>(t, result);
+    } else if (lanes > 1) {
+      scan.Run<2>(t, result);
+    } else {
+      scan.Run<1>(t, result);
+    }
+  }
   JIM_COUNT(obs::kCounterEngineSimulateLabelBoth);
-  *impact = result;
-  return true;
+  return result;
 }
 
 void InferenceEngine::CheckInvariants() const {

@@ -239,96 +239,55 @@ class InferenceEngine {
   ///     K_c ≤ K_d, and otherwise forced negative iff K_c ∧ K_d falls in an
   ///     existing forbidden zone (restricting the antichain cannot change
   ///     that test for partitions below the new θ_P).
-  /// Exactly what submitting each label would prune. Prepares a
-  /// LookaheadBoundsCache and runs SimulateLabelBothBounded with no cutoff,
-  /// so a caller scoring many classes should prepare the cache once and
-  /// call that instead.
+  /// Exactly what submitting each label would prune. Prepares the
+  /// decision's LookaheadColumns and scans them, so a caller scoring many
+  /// classes should prepare the columns once and call the overload below.
   struct LabelImpactPair {
     LabelImpact positive;
     LabelImpact negative;
   };
   LabelImpactPair SimulateLabelBoth(size_t class_id) const;
 
-  /// Upper-bound oracle for cutoff-pruned lookahead: given caps on the two
-  /// pruning counts (n⁺ ≤ pos_cap, n⁻ ≤ neg_cap), returns a value ≥ the
-  /// aggregate score of any feasible (n⁺, n⁻). Implemented by the strategy
-  /// over its (monotone) objective; the engine only ever *compares* bounds,
-  /// so a looser implementation costs skips, never correctness.
-  class AggregateBoundFn {
-   public:
-    virtual ~AggregateBoundFn() = default;
-    virtual double UpperBound(size_t pos_cap, size_t neg_cap) const = 0;
+  /// The worklist transposed, built once per lookahead decision by
+  /// PrepareLookaheadColumns and only read by every SimulateLabelBoth call
+  /// of that decision. A partition over n attributes is its set of co-block
+  /// pairs (lattice/pair_mask.h); column p is a bitset over worklist
+  /// positions holding the classes whose K_c contains pair p. Each of the
+  /// three impact tests is then an AND over whole columns — 64 classes per
+  /// word operation — instead of a subset test per class:
+  ///   K_d ≤ k      ⇔ d ∈ ⋀_{p∉k} ¬col[p];
+  ///   k ≤ K_d      ⇔ d ∈ ⋀_{p∈k} col[p];
+  ///   k ∧ K_d ≤ F  ⇔ d ∈ ⋀_{p∈k∖F} ¬col[p].
+  /// The columns are cut into tiles of kTileWords words (512 positions), and
+  /// a tile's columns are stored together, so a scan keeps each set of a
+  /// tile in registers while it ANDs in the tile's columns, with no
+  /// branches and no scratch buffer.
+  struct LookaheadColumns {
+    static constexpr size_t kTileWords = 8;
+    size_t positions = 0;  ///< worklist size m the columns describe
+    size_t tiles = 0;      ///< ⌈m / (64 · kTileWords)⌉
+    size_t pairs = 0;      ///< n(n−1)/2 columns
+    /// Column p of tile t: kTileWords words at (t · pairs + p) · kTileWords.
+    std::vector<uint64_t> bits;
+    /// The worklist's positions, kTileWords words per tile (a last, partial
+    /// tile's tail bits are clear).
+    std::vector<uint64_t> live;
+    std::vector<uint32_t> class_tuples;  ///< member count by position
   };
+  /// Fills `columns` for the current worklist, reusing its buffers.
+  /// O(worklist · (n² + mask_words)). Invalidated by any accepted label
+  /// (like InformativeClasses()).
+  void PrepareLookaheadColumns(LookaheadColumns& columns) const;
 
-  /// Per-decision cache of one lookahead decision, built once by
-  /// PrepareLookaheadBounds and shared (read-only) by every concurrent
-  /// SimulateLabelBothBounded call of that decision. It holds everything the
-  /// impact scan reads, plus the cutoff bounds:
-  ///   - pair masks. A partition over n attributes is exactly its set of
-  ///     co-block pairs, `mask_words` words per row (lattice/pair_mask.h),
-  ///     so every scan test is a few word operations. This is also how the
-  ///     engine stores K_c and the state stores its forbidden zones;
-  ///     `knowledge_masks` gathers the cached row of the worklist class at
-  ///     position i into row i, and `antichain_masks` points at the state's
-  ///     own member rows (no label can land while a decision is scored);
-  ///   - `class_tuples`: member count of the worklist class at position i;
-  ///   - rank-histogram prefix/suffix tuple sums over the worklist, keyed by
-  ///     rank(K_c) — K_d ≤ K_c forces rank(K_d) ≤ rank(K_c), so the prefix
-  ///     sum at rank(K_c) caps the negative-answer pruning, and (antichain
-  ///     empty) the suffix sum caps the positive-answer pruning;
-  ///   - tuple suffix sums by worklist position, for the in-scan abort:
-  ///     after position i, at most suffix[i] more tuples can ever be added
-  ///     to either count.
-  struct LookaheadBoundsCache {
-    size_t mask_words = 0;                      ///< words per pair mask
-    std::vector<uint64_t> knowledge_masks;      ///< by worklist position
-    const uint64_t* antichain_masks = nullptr;  ///< by antichain member
-    size_t antichain_size = 0;                  ///< antichain members
-    std::vector<size_t> class_tuples;           ///< by worklist position
-    std::vector<size_t> tuples_rank_le;  ///< by rank r: Σ tuples, rank(K)≤r
-    std::vector<size_t> tuples_rank_ge;  ///< by rank r: Σ tuples, rank(K)≥r
-    std::vector<size_t> suffix_tuples;   ///< by worklist position, size+1
-    size_t total_tuples = 0;             ///< Σ tuples over the worklist
-  };
-  /// Fills `cache` for the current worklist. O(worklist · mask_words + n).
-  /// Invalidated by any accepted label (like InformativeClasses()).
-  void PrepareLookaheadBounds(LookaheadBoundsCache& cache) const;
-
-  /// Cheap per-candidate caps from the cache (see LookaheadBoundsCache).
-  size_t LookaheadNegCap(const LookaheadBoundsCache& cache,
-                         size_t class_id) const {
-    return cache.tuples_rank_le[ClassKnowledgeRank(class_id)];
-  }
-  size_t LookaheadPosCap(const LookaheadBoundsCache& cache,
-                         size_t class_id) const {
-    return cache.antichain_size == 0
-               ? cache.tuples_rank_ge[ClassKnowledgeRank(class_id)]
-               : cache.total_tuples;
-  }
-
-  /// The one impact-pair scan (see SimulateLabelBoth), over the pair masks
-  /// of `cache` (prepared for the current worklist), cut off against
-  /// `threshold`: evaluates the candidate only if its upper bound can still
-  /// beat it. Returns true with *impact filled when the candidate was fully
-  /// evaluated; returns false with *skip_bound set to the bound it was
-  /// skipped under — either the O(1) precheck bound or an in-scan abort
-  /// bound (current counts + remaining-tuples cap) — when the candidate
-  /// provably cannot reach `threshold`. The skip test is strict
-  /// (bound < threshold), so a candidate tying the best score is always
-  /// evaluated and argmax tie-breaking is unaffected. A threshold of −∞ is
-  /// the plain simulation: the bounds, `objective` and `skip_bound` are not
-  /// read (the latter two may be null) and the call always returns true.
-  ///
-  /// Reads only `cache`, the candidate's worklist position and the engine's
-  /// read-only class table, and writes nothing but its outputs, so any
-  /// number of threads may score candidates of one engine concurrently —
-  /// the entry point of the parallel lookahead. O(worklist · (1 +
-  /// antichain) · mask_words) word operations.
-  bool SimulateLabelBothBounded(size_t class_id,
-                                const LookaheadBoundsCache& cache,
-                                const AggregateBoundFn* objective,
-                                double threshold, LabelImpactPair* impact,
-                                double* skip_bound) const;
+  /// The one impact-pair scan (see SimulateLabelBoth), over `columns`
+  /// prepared for the current worklist. The candidate's own row is read
+  /// straight from KnowledgeRow, and both sets contain the candidate once.
+  /// Reads only `columns`, the engine's rows and its antichain, and writes
+  /// nothing, so any number of threads may score candidates of one engine
+  /// concurrently — the entry point of the parallel lookahead.
+  /// O((n² + |K_c| · antichain) · ⌈m/64⌉) word operations.
+  LabelImpactPair SimulateLabelBoth(size_t class_id,
+                                    const LookaheadColumns& columns) const;
 
   /// Progress counters for the demo UI and session traces.
   struct Stats {
@@ -419,8 +378,8 @@ class InferenceEngine {
   /// Propagate variants scan and compact.
   std::vector<size_t> informative_;
   /// Position of each class in informative_ (kNoPos once it left the pool):
-  /// O(1) locate for RemoveFromWorklist and the lookahead caps, maintained
-  /// for free by the compaction loops.
+  /// O(1) locate for RemoveFromWorklist, maintained for free by the
+  /// compaction loops.
   std::vector<uint32_t> worklist_pos_;
   /// K_c as pair masks, mask_words_ words per class; fresh for informative
   /// classes (see KnowledgeRow).

@@ -1,7 +1,6 @@
 #include "core/strategies.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -151,46 +150,6 @@ double LookaheadStrategy::Aggregate(size_t n_plus, size_t n_minus) const {
 
 std::vector<double> LookaheadStrategy::Score(
     const InferenceEngine& engine, const std::vector<size_t>& candidates) {
-  std::vector<double> scores;
-  ScanCandidates(engine, candidates, scores, nullptr);
-  return scores;
-}
-
-bool LookaheadStrategy::CutoffUsable() const {
-  if (objective_ != Objective::kEntropy) return true;
-  // The Shannon branch fires for α ≈ 1 > 0; plain Tsallis needs α > 0 for
-  // monotonicity (α ≤ 0 puts negative exponents on the counts).
-  return alpha_ > 0;
-}
-
-namespace {
-
-/// Strategy-objective adapter for the engine's bounded simulation: the upper
-/// bound at (pos_cap, neg_cap) is the objective itself (monotone — see
-/// LookaheadStrategy::CutoffUsable), widened for the entropy family by a
-/// multiplicative ulp-scale slack so floating-point rounding of log/pow can
-/// never make the "bound" dip below an achievable score.
-class MonotoneBound final : public InferenceEngine::AggregateBoundFn {
- public:
-  MonotoneBound(const LookaheadStrategy& strategy, bool slack)
-      : strategy_(strategy), slack_(slack) {}
-  double UpperBound(size_t pos_cap, size_t neg_cap) const override {
-    const double value = strategy_.ObjectiveValue(pos_cap, neg_cap);
-    if (!slack_) return value;  // min/mean: exact in double up to 2^53
-    return value * (1.0 + 1e-9) + 1e-9;
-  }
-
- private:
-  const LookaheadStrategy& strategy_;
-  const bool slack_;
-};
-
-}  // namespace
-
-void LookaheadStrategy::ScanCandidates(
-    const InferenceEngine& engine, const std::vector<size_t>& candidates,
-    std::vector<double>& scores, std::vector<double>* skip_bounds) {
-  constexpr double kNegInf = -std::numeric_limits<double>::infinity();
   // Deterministic candidate cap: score an evenly spaced subsample when the
   // pool is too large; unsampled candidates keep -inf and are never picked.
   // Sampled candidate j → slot j*n/cap, strictly increasing in j, so every
@@ -198,78 +157,25 @@ void LookaheadStrategy::ScanCandidates(
   // path bit for bit.
   const size_t n = candidates.size();
   const size_t cap = max_candidates_ == 0 ? n : std::min(n, max_candidates_);
-  scores.assign(n, kNegInf);
-  const bool cutoff = skip_bounds != nullptr;
-  if (cutoff) skip_bounds->assign(n, std::numeric_limits<double>::quiet_NaN());
-  InferenceEngine::LookaheadBoundsCache cache;
-  engine.PrepareLookaheadBounds(cache);
-  const MonotoneBound objective(*this, objective_ == Objective::kEntropy);
-  // The running best is a relaxed atomic maximum. Serially it is a plain
-  // running maximum, so later candidates face the tightest threshold seen so
-  // far; in parallel a chunk reading a stale (smaller) best merely skips
-  // less. Every skipped candidate's true score stays strictly below the
-  // final maximum, so the argmax over `scores` is the exhaustive one — the
-  // scores it compares are bitwise the exhaustive ones wherever they were
-  // computed, and every candidate achieving the maximum is always computed.
-  // Without cutoff the threshold stays −∞ and nothing is ever skipped.
-  std::atomic<double> best{kNegInf};
+  std::vector<double> scores(n, -std::numeric_limits<double>::infinity());
+  engine.PrepareLookaheadColumns(columns_);
   exec::ThreadPool* pool = use_shared_pool_ ? &exec::SharedPool() : pool_;
   const bool parallel = pool != nullptr && pool->threads() > 1 &&
                         cap >= kParallelLookaheadMinCandidates;
   auto score_one = [&](size_t j, size_t /*chunk*/) {
     const size_t i = j * n / cap;
-    const double threshold =
-        cutoff ? best.load(std::memory_order_relaxed) : kNegInf;
-    InferenceEngine::LabelImpactPair both;
-    double bound = kNegInf;
-    if (!engine.SimulateLabelBothBounded(candidates[i], cache, &objective,
-                                         threshold, &both, &bound)) {
-      (*skip_bounds)[i] = bound;
-      return;
-    }
-    const double score =
+    const InferenceEngine::LabelImpactPair both =
+        engine.SimulateLabelBoth(candidates[i], columns_);
+    scores[i] =
         Aggregate(both.positive.pruned_tuples, both.negative.pruned_tuples);
-    scores[i] = score;
-    double current = best.load(std::memory_order_relaxed);
-    while (current < score &&
-           !best.compare_exchange_weak(current, score,
-                                       std::memory_order_relaxed)) {
-    }
   };
   if (parallel) {
     pool->ParallelFor(cap, score_one);
   } else {
     for (size_t j = 0; j < cap; ++j) score_one(j, 0);
   }
-}
-
-size_t LookaheadStrategy::PickClass(const InferenceEngine& engine) {
-  last_skips_.clear();
-  last_evaluated_ = 0;
-  if (!cutoff_enabled_ || !CutoffUsable()) {
-    return Strategy::PickClass(engine);
-  }
-  const std::vector<size_t>& candidates = engine.InformativeClasses();
-  JIM_CHECK(!candidates.empty()) << "PickClass on a finished engine";
-  std::vector<double> scores;
-  std::vector<double> skip_bounds;
-  ScanCandidates(engine, candidates, scores, &skip_bounds);
-
-  const size_t n = candidates.size();
-  size_t best_i = 0;
-  for (size_t i = 1; i < n; ++i) {
-    if (scores[i] > scores[best_i]) best_i = i;
-  }
-  const size_t cap = max_candidates_ == 0 ? n : std::min(n, max_candidates_);
-  for (size_t j = 0; j < cap; ++j) {
-    const size_t i = j * n / cap;
-    if (std::isnan(skip_bounds[i])) {
-      ++last_evaluated_;
-    } else {
-      last_skips_.push_back(CutoffSkip{candidates[i], skip_bounds[i]});
-    }
-  }
-  return candidates[best_i];
+  last_evaluated_ = cap;
+  return scores;
 }
 
 // --------------------------------------------------------------- Optimal --

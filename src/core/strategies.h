@@ -72,13 +72,15 @@ class LocalStrategy : public Strategy {
 
 /// A lookahead scan with fewer sampled candidates than this scores serially
 /// even when its strategy has a pool: below it, waking the pool's workers
-/// costs more than the scan they would split. Each candidate's scan is
-/// O(informative classes) word operations, so small worklists (up to ~100
-/// classes, tens of µs per pick) stay on the caller's thread and wide ones
-/// fan out. Calibrated on the pair-mask scan with per-pick timings of the
-/// LookaheadPickClassParallel instances (2- and 4-thread break-even at
-/// ~85–115 informative classes on 4 vCPUs); mirrors
-/// rel::kParallelIngestMinRows.
+/// costs more than the scan they would split. Re-measured for the transposed
+/// scan (4 vCPUs, 2-thread pool, lookahead-wide sessions): a serial pick
+/// costs ~0.1–0.2 µs per candidate on narrow worklists and ~0.6 µs at 256,
+/// ~20 µs at 96. Served, the next-question p50 read alike with the threshold
+/// at 48, 96 and 126 (104/109/112 µs medians, inside their spread) and
+/// 123 µs with no fan-out, so 96 stays, in that flat range. (An in-process
+/// replay whose caller never sleeps breaks even only near ~220 candidates:
+/// the woken worker rarely claims a chunk before the caller has run them
+/// all.) Mirrors rel::kParallelIngestMinRows.
 inline constexpr size_t kParallelLookaheadMinCandidates = 96;
 
 /// Lookahead strategy: simulates both answers for each candidate and scores
@@ -89,19 +91,19 @@ inline constexpr size_t kParallelLookaheadMinCandidates = 96;
 ///   kEntropy   — (n⁺+n⁻) · H_α(n⁺/(n⁺+n⁻)): the generalized-entropy
 ///                objective the paper alludes to (Tsallis family; α = 1 is
 ///                Shannon entropy).
-/// O(#classes) simulations per candidate; `max_candidates` bounds the number
-/// of candidates scored per step (a deterministic sample keeps huge
-/// instances interactive), 0 = unlimited.
+/// `max_candidates` bounds the number of candidates scored per step (a
+/// deterministic sample keeps huge instances interactive), 0 = unlimited.
+/// The pick is Strategy::PickClass, the argmax of Score.
 ///
-/// Scoring is embarrassingly parallel — every candidate's impact scan only
-/// reads the decision's InferenceEngine::LookaheadBoundsCache (pair masks
-/// and bounds, prepared once per Score or PickClass call) — and it runs on
-/// a thread pool (exec::SharedPool() by default) once at least
-/// kParallelLookaheadMinCandidates candidates are sampled. Score and
-/// PickClass share one candidate loop (ScanCandidates); it is
-/// bitwise-deterministic at any thread count: each candidate's score lands
-/// in its slot of a pre-sized vector, and the serial argmax (ties toward the
-/// smallest index) is unchanged.
+/// Each Score call transposes the worklist once into the strategy's
+/// InferenceEngine::LookaheadColumns (a buffer reused across calls), then
+/// scores every sampled candidate in full with column word operations.
+/// Scoring is embarrassingly parallel — a candidate's scan only reads the
+/// columns — and it runs on a thread pool (exec::SharedPool() by default)
+/// once at least kParallelLookaheadMinCandidates candidates are sampled. It
+/// is bitwise-deterministic at any thread count: each candidate's score
+/// lands in its slot of a pre-sized vector, and the serial argmax (ties
+/// toward the smallest index) is unchanged.
 class LookaheadStrategy : public Strategy {
  public:
   enum class Objective { kMinMax, kExpected, kEntropy };
@@ -112,19 +114,6 @@ class LookaheadStrategy : public Strategy {
   std::vector<double> Score(const InferenceEngine& engine,
                             const std::vector<size_t>& candidates) override;
 
-  /// Cutoff-pruned argmax (see DESIGN below): candidates whose aggregate
-  /// upper bound provably cannot beat the best score found so far are
-  /// skipped without (or part-way through) their impact scan.
-  /// The skip test is strict (bound < best), every Aggregate objective here
-  /// is monotone in each pruning count, and computed scores are bitwise
-  /// those of Score — so the returned class is always identical to
-  /// Strategy::PickClass over an exhaustive Score, at any thread count
-  /// (serially the best is a monotone running maximum; in parallel it is a
-  /// relaxed atomic maximum, and a stale read only costs a missed skip).
-  /// Falls back to the exhaustive path when cutoff is disabled or the
-  /// objective is non-monotone (Tsallis α ≤ 0).
-  size_t PickClass(const InferenceEngine& engine) override;
-
   /// Scores candidates on `pool` instead of the process-wide default;
   /// nullptr forces the serial reference path at every worklist size. The
   /// pool is not owned and must outlive the strategy's last Score call.
@@ -133,51 +122,18 @@ class LookaheadStrategy : public Strategy {
     use_shared_pool_ = false;
   }
 
-  /// Cutoff pruning is on by default; benches and parity tests switch it off
-  /// to get the exhaustive reference path.
-  void set_cutoff_enabled(bool enabled) { cutoff_enabled_ = enabled; }
-  bool cutoff_enabled() const { return cutoff_enabled_; }
-
-  /// The aggregate objective itself, exposed so tests can recompute a
-  /// skipped candidate's true score and check it against the bound it was
-  /// skipped under (bound soundness).
+  /// The aggregate objective itself, exposed so tests can score naive
+  /// impacts the way Score does.
   double ObjectiveValue(size_t n_plus, size_t n_minus) const {
     return Aggregate(n_plus, n_minus);
   }
-  Objective objective() const { return objective_; }
-  double alpha() const { return alpha_; }
 
-  /// Instrumentation from the most recent PickClass call (empty after Score
-  /// or when the cutoff was bypassed): which sampled candidates were skipped
-  /// and under what bound, in candidate order, plus how many were fully
-  /// evaluated. Skip *counts* may vary with thread count (the parallel best
-  /// evolves nondeterministically); the returned pick never does.
-  struct CutoffSkip {
-    size_t class_id = 0;
-    double bound = 0;
-  };
-  const std::vector<CutoffSkip>& last_skips() const { return last_skips_; }
+  /// Candidates the most recent Score (or PickClass) call evaluated: the
+  /// sampled count, min(|candidates|, max_candidates).
   size_t last_evaluated() const { return last_evaluated_; }
 
  private:
   double Aggregate(size_t n_plus, size_t n_minus) const;
-  /// The one candidate loop behind Score and PickClass: prepares the
-  /// decision's LookaheadBoundsCache, then scores the evenly spaced sample
-  /// of at most max_candidates_ candidates into their slots of `scores`
-  /// (every other slot stays −∞), serially or on the pool. With
-  /// `skip_bounds`, a candidate whose upper bound cannot beat the best score
-  /// so far is skipped and its slot of `skip_bounds` gets that bound (NaN
-  /// elsewhere); without, every sampled candidate is fully evaluated.
-  void ScanCandidates(const InferenceEngine& engine,
-                      const std::vector<size_t>& candidates,
-                      std::vector<double>& scores,
-                      std::vector<double>* skip_bounds);
-  /// True when Aggregate is monotone nondecreasing in each count, which is
-  /// what makes Aggregate(caps) a sound upper bound: min and mean trivially;
-  /// total · H_α at fixed total is maximized... (∂/∂n⁺ of the Shannon form is
-  /// ln(total/n⁺) ≥ 0, Tsallis α > 0 likewise). Tsallis α ≤ 0 is not, so the
-  /// cutoff turns itself off there.
-  bool CutoffUsable() const;
 
   Objective objective_;
   double alpha_;
@@ -185,8 +141,7 @@ class LookaheadStrategy : public Strategy {
   std::string name_;
   exec::ThreadPool* pool_ = nullptr;  ///< not owned (see set_thread_pool)
   bool use_shared_pool_ = true;
-  bool cutoff_enabled_ = true;
-  std::vector<CutoffSkip> last_skips_;
+  InferenceEngine::LookaheadColumns columns_;  ///< reused by every Score
   size_t last_evaluated_ = 0;
 };
 

@@ -29,15 +29,10 @@ inline constexpr char kCounterEnginePropagateRuns[] =
     "engine.propagate.runs";
 inline constexpr char kCounterEnginePrunedClasses[] =
     "engine.propagate.pruned_classes";
-/// One Add per SimulateLabelBoth evaluation — the baseline any lookahead
-/// cutoff optimization must beat (see ROADMAP direction 2).
+/// One Add per candidate scan (SimulateLabelBoth): a lookahead Score or
+/// PickClass adds exactly its sampled candidate count.
 inline constexpr char kCounterEngineSimulateLabelBoth[] =
     "engine.simulate_label_both";
-/// Lookahead candidates the O(1) precheck skipped because their upper bound
-/// provably could not beat the best score so far; cutoff_aborts counts those
-/// dropped part-way through their scan. Candidates = skips + aborts + evals.
-inline constexpr char kCounterEngineCutoffSkips[] = "engine.cutoff_skips";
-inline constexpr char kCounterEngineCutoffAborts[] = "engine.cutoff_aborts";
 /// Informative-class worklist size observed after each propagation pass.
 inline constexpr char kHistEngineWorklistSize[] = "engine.worklist_size";
 inline constexpr char kHistEngineBuildMicros[] =

@@ -110,14 +110,13 @@ class Parser {
   Status ParseArray(size_t depth, JsonValue& out) {
     ++pos_;  // '['
     out = JsonValue::Array();
-    auto& elements = out.MutableArray();
     SkipWhitespace();
     if (Consume(']')) return OkStatus();
     while (true) {
       SkipWhitespace();
+      // Elements are validated, not kept (see JsonValue).
       JsonValue element;
       RETURN_IF_ERROR(ParseValue(depth + 1, element));
-      elements.push_back(std::move(element));
       SkipWhitespace();
       if (Consume(',')) continue;
       if (Consume(']')) return OkStatus();
@@ -279,11 +278,11 @@ class Parser {
     }
     errno = 0;
     char* end = nullptr;
-    double d = std::strtod(token.c_str(), &end);
+    std::strtod(token.c_str(), &end);
     if (end != token.c_str() + token.size() || errno == ERANGE) {
       return Error("number out of range");
     }
-    out = JsonValue::Double(d);
+    out = JsonValue::Number();
     return OkStatus();
   }
 
@@ -305,14 +304,12 @@ JsonValue JsonValue::Int(int64_t n) {
   v.kind_ = Kind::kNumber;
   v.int_valid_ = true;
   v.int_ = n;
-  v.double_ = static_cast<double>(n);
   return v;
 }
 
-JsonValue JsonValue::Double(double d) {
+JsonValue JsonValue::Number() {
   JsonValue v;
   v.kind_ = Kind::kNumber;
-  v.double_ = d;
   return v;
 }
 
@@ -348,11 +345,6 @@ int64_t JsonValue::AsInt64() const {
 const std::string& JsonValue::AsString() const {
   if (!is_string()) std::abort();
   return string_;
-}
-
-std::vector<JsonValue>& JsonValue::MutableArray() {
-  if (!is_array()) std::abort();
-  return array_;
 }
 
 std::map<std::string, JsonValue>& JsonValue::MutableObject() {

@@ -5,7 +5,6 @@
 #include <map>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "util/status.h"
 
@@ -19,7 +18,8 @@ namespace jim::util {
 ///
 /// An integral number token that fits int64 reports is_int() and AsInt64().
 /// The protocol reads no other number and no array element, so those are
-/// parsed and validated but not exposed.
+/// parsed and validated but not stored: any other number is a bare
+/// is_number(), and an array a bare is_array().
 class JsonValue {
  public:
   enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
@@ -28,7 +28,8 @@ class JsonValue {
   static JsonValue Null() { return JsonValue(); }
   static JsonValue Bool(bool b);
   static JsonValue Int(int64_t n);
-  static JsonValue Double(double d);
+  /// A number that is not an int64 (fractional, exponent or out of range).
+  static JsonValue Number();
   static JsonValue Str(std::string s);
   static JsonValue Array();
   static JsonValue Object();
@@ -48,7 +49,6 @@ class JsonValue {
   int64_t AsInt64() const;
   const std::string& AsString() const;
 
-  std::vector<JsonValue>& MutableArray();
   std::map<std::string, JsonValue>& MutableObject();
 
   /// Object member lookup: nullptr when absent or when this is not an
@@ -67,9 +67,7 @@ class JsonValue {
   bool bool_ = false;
   bool int_valid_ = false;
   int64_t int_ = 0;
-  double double_ = 0;
   std::string string_;
-  std::vector<JsonValue> array_;
   std::map<std::string, JsonValue> object_;
 };
 

@@ -102,10 +102,6 @@ JsonWriter& JsonWriter::Value(int64_t number) {
   return *this;
 }
 
-JsonWriter& JsonWriter::Value(int number) {
-  return Value(static_cast<int64_t>(number));
-}
-
 JsonWriter& JsonWriter::Value(size_t number) {
   return Value(static_cast<int64_t>(number));
 }

@@ -26,7 +26,6 @@ class JsonWriter {
   JsonWriter& Value(std::string_view text);
   JsonWriter& Value(const char* text);
   JsonWriter& Value(int64_t number);
-  JsonWriter& Value(int number);
   JsonWriter& Value(size_t number);
   JsonWriter& Value(double number);
   JsonWriter& Value(bool flag);

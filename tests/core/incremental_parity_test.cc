@@ -6,6 +6,7 @@
 // over seeded random sessions.
 
 #include <algorithm>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <utility>
@@ -253,9 +254,9 @@ TEST(IncrementalParityTest, PairMaskScanMatchesNaiveAcrossMaskWidths) {
       ExactOracle oracle(workload.goal);
       bool scanned_with_antichain = false;
       for (int step = 0; step < 5 && !engine.IsDone(); ++step) {
-        InferenceEngine::LookaheadBoundsCache cache;
-        engine.PrepareLookaheadBounds(cache);
-        ASSERT_EQ(cache.mask_words, words) << "n=" << n;
+        InferenceEngine::LookaheadColumns columns;
+        engine.PrepareLookaheadColumns(columns);
+        ASSERT_EQ((columns.pairs + 63) / 64, words) << "n=" << n;
         scanned_with_antichain |= engine.state().num_forbidden() > 0;
 
         const std::vector<size_t> informative = engine.InformativeClasses();
@@ -292,10 +293,9 @@ TEST(IncrementalParityTest, PairMaskScanMatchesNaiveAcrossMaskWidths) {
           for (exec::ThreadPool* scan_pool : {static_cast<exec::ThreadPool*>(
                                                   nullptr),
                                               &pool}) {
-            LookaheadStrategy cutoff(objective, 1.0, /*max_candidates=*/0);
-            cutoff.set_thread_pool(scan_pool);
-            ASSERT_TRUE(cutoff.cutoff_enabled());
-            EXPECT_EQ(cutoff.PickClass(engine), informative[best])
+            LookaheadStrategy strategy(objective, 1.0, /*max_candidates=*/0);
+            strategy.set_thread_pool(scan_pool);
+            EXPECT_EQ(strategy.PickClass(engine), informative[best])
                 << "n=" << n << " step " << step;
           }
         }
@@ -314,6 +314,87 @@ TEST(IncrementalParityTest, PairMaskScanMatchesNaiveAcrossMaskWidths) {
   }
 }
 
+TEST(IncrementalParityTest, RaggedColumnsMatchNaiveAcrossBlockBoundaries) {
+  // The transposed scan reads 64 worklist positions per column word and
+  // 512 per tile, so a worklist's last word and last tile are usually
+  // partial. A worklist is labeled down one answer at a time, across 512
+  // (1-word pair masks, seven attributes) or from above 128 (2-word masks,
+  // twelve attributes), then across 128 and 64, with a growing antichain;
+  // at every step, every candidate's impacts over the shared columns equal
+  // the naive ones.
+  struct Case {
+    size_t attributes;
+    size_t domain;  ///< seven attributes need six values for 512 classes
+    size_t tuples;
+    size_t wider_than;
+  };
+  for (const Case& c : {Case{7, 6, 1220, 512}, Case{12, 3, 200, 128}}) {
+    const size_t n = c.attributes;
+    util::Rng rng(n);
+    workload::SyntheticSpec spec;
+    spec.num_tuples = c.tuples;
+    spec.num_attributes = n;
+    spec.domain_size = c.domain;
+    const auto workload = workload::MakeSyntheticWorkload(spec, rng);
+    InferenceEngine engine(workload.instance);
+    ASSERT_GT(engine.InformativeClasses().size(), c.wider_than) << "n=" << n;
+    // Worklist widths seen with a partial last word and a non-empty
+    // antichain: above 512, in (128, 512], in (64, 128] and in (0, 64].
+    bool ragged_with_antichain[4] = {false, false, false, false};
+    InferenceEngine::LookaheadColumns columns;
+    while (engine.InformativeClasses().size() > 40) {
+      const std::vector<size_t> informative = engine.InformativeClasses();
+      const size_t size = informative.size();
+      engine.PrepareLookaheadColumns(columns);
+      ASSERT_EQ(columns.tiles, (size + 511) / 512);
+      if (engine.state().num_forbidden() > 0 && size % 64 != 0) {
+        ragged_with_antichain[size > 512 ? 0 : size > 128 ? 1
+                              : size > 64  ? 2 : 3] = true;
+      }
+      // The next answer (a negative one on ties) halves the distance to one
+      // tile while the worklist spans two, then prunes about a quarter of
+      // it down to 128 and an eighth below.
+      const size_t target = size > 512   ? (size - 512) / 2 + 1
+                            : size > 128 ? size / 4
+                                         : std::max<size_t>(1, size / 8);
+      const auto distance = [target](size_t pruned) {
+        return pruned > target ? pruned - target : target - pruned;
+      };
+      size_t next = informative.front();
+      Label answer = Label::kNegative;
+      size_t best = SIZE_MAX;
+      for (size_t cls : informative) {
+        const auto both = engine.SimulateLabelBoth(cls, columns);
+        const auto plus = SimulateLabel(engine, cls, Label::kPositive);
+        const auto minus = SimulateLabel(engine, cls, Label::kNegative);
+        ASSERT_EQ(both.positive.pruned_classes, plus.pruned_classes)
+            << "n=" << n << " m=" << size << " class " << cls;
+        ASSERT_EQ(both.positive.pruned_tuples, plus.pruned_tuples)
+            << "n=" << n << " m=" << size << " class " << cls;
+        ASSERT_EQ(both.negative.pruned_classes, minus.pruned_classes)
+            << "n=" << n << " m=" << size << " class " << cls;
+        ASSERT_EQ(both.negative.pruned_tuples, minus.pruned_tuples)
+            << "n=" << n << " m=" << size << " class " << cls;
+        if (2 * distance(minus.pruned_classes) < best) {
+          best = 2 * distance(minus.pruned_classes);
+          next = cls;
+          answer = Label::kNegative;
+        }
+        if (2 * distance(plus.pruned_classes) + 1 < best) {
+          best = 2 * distance(plus.pruned_classes) + 1;
+          next = cls;
+          answer = Label::kPositive;
+        }
+      }
+      ASSERT_TRUE(engine.SubmitClassLabel(next, answer).ok());
+    }
+    for (size_t range = c.wider_than >= 512 ? 0 : 1; range < 4; ++range) {
+      EXPECT_TRUE(ragged_with_antichain[range])
+          << "n=" << n << " width range " << range;
+    }
+  }
+}
+
 TEST(IncrementalParityTest, SingleAttributeHasZeroWordMasksAndNothingToScan) {
   // One attribute has no pair: its masks are zero words long. Its only
   // partition is θ_P's initial top, so every class is forced positive from
@@ -324,11 +405,11 @@ TEST(IncrementalParityTest, SingleAttributeHasZeroWordMasksAndNothingToScan) {
   const InferenceEngine engine(
       std::make_shared<const rel::Relation>(std::move(relation)));
   EXPECT_TRUE(engine.IsDone());
-  InferenceEngine::LookaheadBoundsCache cache;
-  engine.PrepareLookaheadBounds(cache);
-  EXPECT_EQ(cache.mask_words, 0u);
-  EXPECT_TRUE(cache.knowledge_masks.empty());
-  EXPECT_TRUE(cache.class_tuples.empty());
+  InferenceEngine::LookaheadColumns columns;
+  engine.PrepareLookaheadColumns(columns);
+  EXPECT_EQ(columns.pairs, 0u);
+  EXPECT_TRUE(columns.bits.empty());
+  EXPECT_TRUE(columns.class_tuples.empty());
 }
 
 }  // namespace

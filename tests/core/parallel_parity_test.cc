@@ -97,34 +97,6 @@ TEST(ParallelParityTest, PickClassIsIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(ParallelParityTest, CutoffPrunedPickMatchesExhaustiveArgmax) {
-  // PickClass defaults to cutoff pruning (skip candidates whose upper bound
-  // cannot beat the running best); the pick must be the one an exhaustive
-  // Score argmax produces, at every thread count. Deeper cutoff coverage
-  // (bound soundness, transcripts) lives in cutoff_parity_test.cc.
-  for (uint64_t seed : {7u, 21u, 77u}) {
-    const auto workload = MakeWorkload(seed);
-    const InferenceEngine engine(workload.instance);
-
-    LookaheadStrategy exhaustive(LookaheadStrategy::Objective::kEntropy);
-    exhaustive.set_thread_pool(nullptr);
-    exhaustive.set_cutoff_enabled(false);
-    const size_t reference = exhaustive.PickClass(engine);
-
-    for (size_t threads : {1u, 2u, 8u}) {
-      exec::ThreadPool pool(threads);
-      LookaheadStrategy pruned(LookaheadStrategy::Objective::kEntropy);
-      pruned.set_thread_pool(&pool);
-      ASSERT_TRUE(pruned.cutoff_enabled());
-      size_t pick = 0;
-      const uint64_t calls = exec::ParallelForCallsDuring(
-          [&] { pick = pruned.PickClass(engine); });
-      EXPECT_EQ(calls > 0, threads > 1) << "threads=" << threads;
-      EXPECT_EQ(pick, reference) << "seed=" << seed << " threads=" << threads;
-    }
-  }
-}
-
 TEST(ParallelParityTest, SampledCandidateCapMatchesSerialPath) {
   // max_candidates smaller than the worklist exercises the strided
   // subsample in both paths; the -inf slots and the sampled scores must line

@@ -26,9 +26,9 @@
 #include "relational/relation.h"
 #include "storage/env.h"
 #include "storage/mapped_store.h"
-#include "storage/metrics_env.h"
 #include "storage/store_writer.h"
 #include "support/fault_env.h"
+#include "support/tally_env.h"
 #include "util/status.h"
 
 namespace jim::storage {
@@ -219,9 +219,9 @@ TEST(CrashRecoveryTest, MmapRefusalDegradesToHeapReaderWithFullParity) {
 TEST(CrashRecoveryTest, TransientFaultsRetryToSuccessInWriteStore) {
   const auto store = core::MakeRelationStore(MarkerRelation("one", 3));
   FaultInjectionEnv fault;
-  // A MetricsEnv between the writer and the fault schedule turns "did the
+  // A TallyEnv between the writer and the fault schedule turns "did the
   // write retry" into an exact count, independent of the injectable clock.
-  MetricsEnv env(&fault);
+  TallyEnv env(&fault);
   StoreWriterOptions options;
   options.env = &env;
   // Fault the first append of the store image (create=0, append=1).

@@ -13,7 +13,7 @@
 #include <utility>
 
 #include "storage/env.h"
-#include "storage/metrics_env.h"
+#include "support/tally_env.h"
 #include "util/status.h"
 
 namespace jim::storage {
@@ -63,10 +63,10 @@ TEST(FaultEnvTest, ModelFilesAreVirtualAndReadable) {
 
 TEST(FaultEnvTest, FailAtOpIsOneShotAndRetryRecovers) {
   FaultInjectionEnv fault;
-  // MetricsEnv in front of the fault schedule: the retry count is asserted
-  // twice below — once from the injectable clock, once from the metrics
+  // A TallyEnv in front of the fault schedule: the retry count is asserted
+  // twice below — once from the injectable clock, once from the seam's
   // tally — so the two observability paths cross-check each other.
-  MetricsEnv env(&fault);
+  TallyEnv env(&fault);
   // Fault the append (op #1 of the atomic write: create=0, append=1).
   fault.FailAtOp(1, util::UnavailableError("injected EINTR"));
   RetryPolicy policy;

@@ -1,7 +1,7 @@
 // MetricsEnv: the observability decorator of the storage seam. These tests
-// pin the dual-sink contract — the always-on local tally that fault suites
-// assert retry counts against, and the obs-registry mirror that only moves
-// while metrics are enabled — and that forwarding is otherwise transparent.
+// pin its registry mirror — every attempted op, byte, failure and retry
+// lands in the "storage.*" counters, which only move while metrics are
+// enabled — and that forwarding is otherwise transparent.
 
 #include "storage/metrics_env.h"
 
@@ -15,6 +15,7 @@
 #include "obs/metrics.h"
 #include "storage/env.h"
 #include "support/fault_env.h"
+#include "support/tally_env.h"
 #include "util/status.h"
 
 namespace jim::storage {
@@ -29,12 +30,31 @@ util::Status WriteThrough(Env& env, const std::string& path,
   return (*file)->Close();
 }
 
-TEST(MetricsEnvTest, CountsTheWritePath) {
+/// Every case starts from a zeroed registry with metrics on, so
+/// RegistryStorageCounts() reads exactly what the case's MetricsEnv
+/// mirrored.
+class MetricsEnvTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    was_enabled_ = obs::MetricsEnabled();
+    obs::SetMetricsEnabled(true);
+    obs::MetricsRegistry::Instance().ResetForTesting();
+  }
+  void TearDown() override {
+    obs::MetricsRegistry::Instance().ResetForTesting();
+    obs::SetMetricsEnabled(was_enabled_);
+  }
+
+ private:
+  bool was_enabled_ = false;
+};
+
+TEST_F(MetricsEnvTest, CountsTheWritePath) {
   FaultInjectionEnv fault;  // virtual filesystem — nothing touches disk
   MetricsEnv env(&fault);
   ASSERT_TRUE(WriteThrough(env, "v/a.txt", "hello", /*sync=*/true).ok());
 
-  const MetricsEnv::Counts counts = env.counts();
+  const StorageCounts counts = RegistryStorageCounts();
   EXPECT_EQ(counts.creates, 1u);
   EXPECT_EQ(counts.appends, 1u);
   EXPECT_EQ(counts.append_bytes, 5u);
@@ -43,11 +63,11 @@ TEST(MetricsEnvTest, CountsTheWritePath) {
   EXPECT_EQ(counts.failures, 0u);
   EXPECT_EQ(counts.ops(), 4u);
 
-  env.ResetCounts();
-  EXPECT_EQ(env.counts().ops(), 0u);
+  obs::MetricsRegistry::Instance().ResetForTesting();
+  EXPECT_EQ(RegistryStorageCounts().ops(), 0u);
 }
 
-TEST(MetricsEnvTest, CountsTheReadPath) {
+TEST_F(MetricsEnvTest, CountsTheReadPath) {
   FaultInjectionEnv fault;
   MetricsEnv env(&fault);
   ASSERT_TRUE(WriteThrough(env, "v/a.txt", "payload", /*sync=*/false).ok());
@@ -56,7 +76,7 @@ TEST(MetricsEnvTest, CountsTheReadPath) {
   ASSERT_TRUE(env.FileSize("v/a.txt").ok());
   ASSERT_TRUE(env.ListDirectory("v").ok());
 
-  const MetricsEnv::Counts counts = env.counts();
+  const StorageCounts counts = RegistryStorageCounts();
   EXPECT_EQ(counts.reads, 1u);
   EXPECT_EQ(counts.read_bytes, 7u);
   EXPECT_EQ(counts.stats, 1u);
@@ -64,7 +84,7 @@ TEST(MetricsEnvTest, CountsTheReadPath) {
   EXPECT_EQ(counts.failures, 0u);
 }
 
-TEST(MetricsEnvTest, FailuresAreCountedAndForwardedVerbatim) {
+TEST_F(MetricsEnvTest, FailuresAreCountedAndForwardedVerbatim) {
   FaultInjectionEnv fault;
   MetricsEnv env(&fault);
   // Op #0 is the create below.
@@ -76,19 +96,21 @@ TEST(MetricsEnvTest, FailuresAreCountedAndForwardedVerbatim) {
   const auto missing = env.ReadFileToString("v/never_written.txt");
   EXPECT_FALSE(missing.ok());
 
-  const MetricsEnv::Counts counts = env.counts();
+  const StorageCounts counts = RegistryStorageCounts();
   EXPECT_EQ(counts.creates, 1u);  // attempted ops count even when they fail
   EXPECT_EQ(counts.reads, 1u);
   EXPECT_EQ(counts.read_bytes, 0u);  // no bytes on a failed read
   EXPECT_EQ(counts.failures, 2u);
 }
 
-TEST(MetricsEnvTest, RetriesBecomeSleepCounts) {
+TEST_F(MetricsEnvTest, RetriesBecomeSleepCounts) {
   // The composition the fault suites rely on: MetricsEnv(&fault_env) sees
   // each attempted operation plus the backoff sleeps between attempts, so
   // "how many retries did recovery take" is a number, not an inference.
+  // The TallyEnv between them totals the backoff the registry does not.
   FaultInjectionEnv fault;
-  MetricsEnv env(&fault);
+  TallyEnv tally(&fault);
+  MetricsEnv env(&tally);
   // Fault the append of the first attempt (create=0, append=1).
   fault.FailAtOp(1, util::UnavailableError("injected EINTR"));
 
@@ -98,21 +120,19 @@ TEST(MetricsEnvTest, RetriesBecomeSleepCounts) {
   });
   ASSERT_TRUE(status.ok()) << status;
 
-  const MetricsEnv::Counts counts = env.counts();
+  const StorageCounts counts = RegistryStorageCounts();
   EXPECT_EQ(counts.sleeps, 1u);  // one transient fault → one retry
-  EXPECT_GT(counts.micros_slept, 0u);
+  EXPECT_GT(tally.counts().micros_slept, 0u);
   EXPECT_GE(counts.failures, 1u);  // at least the faulted append
   EXPECT_EQ(counts.sleeps, fault.sleeps_recorded());
-  EXPECT_EQ(counts.micros_slept, fault.micros_slept());
+  EXPECT_EQ(tally.counts().micros_slept, fault.micros_slept());
   EXPECT_EQ(env.ReadFileToString("v/b.txt").value(), "payload");
 }
 
-TEST(MetricsEnvTest, MirrorsIntoTheRegistryOnlyWhenEnabled) {
-  const bool was_enabled = obs::MetricsEnabled();
+TEST_F(MetricsEnvTest, MirrorsIntoTheRegistryOnlyWhenEnabled) {
   auto& registry = obs::MetricsRegistry::Instance();
 
   obs::SetMetricsEnabled(false);
-  registry.ResetForTesting();
   {
     FaultInjectionEnv fault;
     MetricsEnv env(&fault);
@@ -132,12 +152,9 @@ TEST(MetricsEnvTest, MirrorsIntoTheRegistryOnlyWhenEnabled) {
   EXPECT_EQ(registry.CounterValue(obs::kCounterStorageAppendBytes), 3u);
   EXPECT_EQ(registry.CounterValue(obs::kCounterStorageFsyncs), 1u);
   EXPECT_EQ(registry.CounterValue(obs::kCounterStorageCloses), 1u);
-
-  registry.ResetForTesting();
-  obs::SetMetricsEnabled(was_enabled);
 }
 
-TEST(MetricsEnvTest, WrapsDefaultEnvForRealIo) {
+TEST_F(MetricsEnvTest, WrapsDefaultEnvForRealIo) {
   // nullptr base → DefaultEnv(): a real round-trip through the posix
   // backend, counted.
   MetricsEnv env;
@@ -146,7 +163,7 @@ TEST(MetricsEnvTest, WrapsDefaultEnvForRealIo) {
   EXPECT_EQ(env.ReadFileToString(path).value(), "real");
   ASSERT_TRUE(env.RemoveFile(path).ok());
 
-  const MetricsEnv::Counts counts = env.counts();
+  const StorageCounts counts = RegistryStorageCounts();
   EXPECT_EQ(counts.creates, 1u);
   EXPECT_EQ(counts.reads, 1u);
   EXPECT_EQ(counts.read_bytes, 4u);

@@ -1,5 +1,8 @@
 #include "support/simulate_label.h"
 
+#include <algorithm>
+#include <limits>
+
 #include "support/core_views.h"
 #include "util/check.h"
 
@@ -26,6 +29,26 @@ InferenceEngine::LabelImpact SimulateLabel(const InferenceEngine& engine,
     }
   }
   return impact;
+}
+
+NaiveLookaheadStrategy::NaiveLookaheadStrategy(
+    LookaheadStrategy::Objective objective, double alpha,
+    size_t max_candidates)
+    : objective_(objective, alpha, max_candidates),
+      max_candidates_(max_candidates) {}
+
+std::vector<double> NaiveLookaheadStrategy::Score(
+    const InferenceEngine& engine, const std::vector<size_t>& candidates) {
+  const size_t n = candidates.size();
+  const size_t cap = max_candidates_ == 0 ? n : std::min(n, max_candidates_);
+  std::vector<double> scores(n, -std::numeric_limits<double>::infinity());
+  for (size_t j = 0; j < cap; ++j) {
+    const size_t i = j * n / cap;
+    scores[i] = objective_.ObjectiveValue(
+        SimulateLabel(engine, candidates[i], Label::kPositive).pruned_tuples,
+        SimulateLabel(engine, candidates[i], Label::kNegative).pruned_tuples);
+  }
+  return scores;
 }
 
 }  // namespace jim::core

@@ -2,8 +2,11 @@
 #define JIM_TESTS_SUPPORT_SIMULATE_LABEL_H_
 
 #include <cstddef>
+#include <string_view>
+#include <vector>
 
 #include "core/engine.h"
+#include "core/strategies.h"
 
 namespace jim::core {
 
@@ -14,6 +17,26 @@ namespace jim::core {
 /// included. Built on the engine's public API only.
 InferenceEngine::LabelImpact SimulateLabel(const InferenceEngine& engine,
                                            size_t class_id, Label label);
+
+/// LookaheadStrategy from first principles: Score runs SimulateLabel for
+/// both answers of the same evenly spaced sample of at most
+/// `max_candidates` candidates (0 = all) and aggregates the counts with
+/// LookaheadStrategy::ObjectiveValue; unsampled slots stay −∞. Its
+/// PickClass — Strategy's argmax over Score — is therefore the pick a
+/// LookaheadStrategy with the same arguments must make.
+class NaiveLookaheadStrategy final : public Strategy {
+ public:
+  explicit NaiveLookaheadStrategy(LookaheadStrategy::Objective objective,
+                                  double alpha = 1.0,
+                                  size_t max_candidates = 256);
+  std::string_view name() const override { return "naive-lookahead"; }
+  std::vector<double> Score(const InferenceEngine& engine,
+                            const std::vector<size_t>& candidates) override;
+
+ private:
+  LookaheadStrategy objective_;  ///< read for ObjectiveValue only
+  size_t max_candidates_;
+};
 
 }  // namespace jim::core
 

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
 #include <string>
 
@@ -13,7 +14,7 @@ TEST(JsonWriterTest, FlatObject) {
   JsonWriter json;
   json.BeginObject()
       .KeyValue("name", "jim")
-      .KeyValue("tuples", 42)
+      .KeyValue("tuples", int64_t{42})
       .KeyValue("done", true)
       .EndObject();
   EXPECT_EQ(json.str(), R"({"name":"jim","tuples":42,"done":true})");
@@ -22,14 +23,14 @@ TEST(JsonWriterTest, FlatObject) {
 TEST(JsonWriterTest, NestedObjectsAndArrays) {
   JsonWriter json;
   json.BeginObject();
-  json.Key("meta").BeginObject().KeyValue("threads", 4).EndObject();
+  json.Key("meta").BeginObject().KeyValue("threads", int64_t{4}).EndObject();
   json.Key("results").BeginArray();
-  json.BeginObject().KeyValue("arg", 1).EndObject();
-  json.BeginObject().KeyValue("arg", 2).EndObject();
+  json.BeginObject().KeyValue("arg", int64_t{1}).EndObject();
+  json.BeginObject().KeyValue("arg", int64_t{2}).EndObject();
   json.EndArray();
   json.Key("buckets").BeginArray();
-  json.BeginArray().Value(1).Value(3).EndArray();
-  json.BeginArray().Value(7).Value(1).EndArray();
+  json.BeginArray().Value(int64_t{1}).Value(int64_t{3}).EndArray();
+  json.BeginArray().Value(int64_t{7}).Value(int64_t{1}).EndArray();
   json.EndArray();
   json.EndObject();
   EXPECT_EQ(json.str(),
@@ -96,7 +97,7 @@ TEST(JsonWriterTest, TopLevelScalarAndChaining) {
   EXPECT_EQ(json.str(), R"("just a string")");
 
   JsonWriter chained;
-  chained.BeginArray().Value(1).Value("two").Value(3.0).EndArray();
+  chained.BeginArray().Value(int64_t{1}).Value("two").Value(3.0).EndArray();
   EXPECT_EQ(chained.str(), R"([1,"two",3])");
 }
 

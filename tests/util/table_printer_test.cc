@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "util/json_writer.h"
 
 namespace jim::util {
@@ -55,13 +57,13 @@ TEST(JsonWriterTest, ObjectsArraysAndEscaping) {
   JsonWriter json;
   json.BeginObject()
       .KeyValue("name", "va\"lue")
-      .KeyValue("count", 42)
+      .KeyValue("count", int64_t{42})
       .KeyValue("ratio", 0.5)
       .KeyValue("flag", true)
       .Key("items")
       .BeginArray()
-      .Value(1)
-      .Value(2)
+      .Value(int64_t{1})
+      .Value(int64_t{2})
       .EndArray()
       .EndObject();
   EXPECT_EQ(json.str(),
@@ -71,7 +73,7 @@ TEST(JsonWriterTest, ObjectsArraysAndEscaping) {
 TEST(JsonWriterTest, NestedStructures) {
   JsonWriter json;
   json.BeginArray();
-  for (int i = 0; i < 2; ++i) {
+  for (int64_t i = 0; i < 2; ++i) {
     json.BeginObject().KeyValue("i", i).EndObject();
   }
   json.EndArray();
