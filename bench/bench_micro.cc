@@ -1,7 +1,7 @@
 // Experiment M1: engineering microbenchmarks.
 // Latency of the primitives everything else is built from: partition
-// algebra, tuple-partition extraction, engine construction, label
-// propagation, and one full strategy decision.
+// algebra, engine construction (the class build), label propagation, and
+// one full strategy decision.
 //
 // Self-contained harness (no external benchmark library): each case is
 // calibrated to a batch of at least a minimum wall time, then timed as 5
@@ -118,17 +118,6 @@ void RegisterAll(std::vector<BenchResult>& results) {
                   [](const lat::Partition& a, const lat::Partition& b) {
                     return a.Refines(b);
                   });
-  for (size_t n : {5, 10, 20}) {
-    util::Rng rng(4);
-    rel::Tuple tuple;
-    for (size_t i = 0; i < n; ++i) {
-      // In-place construction: moving a temporary Value trips GCC 12's
-      // variant/string -Wmaybe-uninitialized false positive under -Werror.
-      tuple.emplace_back(rng.UniformInt(0, 4));
-    }
-    results.push_back(RunBench("TuplePartition", static_cast<int64_t>(n),
-                               [&] { DoNotOptimize(core::TuplePartition(tuple)); }));
-  }
   results.push_back(
       RunBench("BellNumber", -1, [] { DoNotOptimize(lat::BellNumber(20)); }));
   for (size_t tuples : {1000, 10000, 100000}) {
@@ -145,11 +134,8 @@ void RegisterAll(std::vector<BenchResult>& results) {
   //   IngestEncode      — dictionary-encoding a materialized relation into a
   //                       RelationTupleStore (arg = tuples);
   //   BuildClasses{10k,100k} — code-kernel Part(t) extraction + grouping at
-  //                       controlled thread counts (arg = threads);
-  //   BuildClassesLegacy{10k,100k} — the pre-columnar reference: Part(t) via
-  //                       Value::Equals (TuplePartition) per row, classes
-  //                       grouped in a Partition-keyed hash map.
-  // WriteJson derives tuples/sec and the legacy→codes speedup from these.
+  //                       controlled thread counts (arg = threads).
+  // WriteJson derives tuples/sec from these.
   for (size_t tuples : {10000, 100000}) {
     const auto workload = MakeSynthetic(tuples, 9);
     const char* suffix = tuples == 10000 ? "10k" : "100k";
@@ -184,16 +170,6 @@ void RegisterAll(std::vector<BenchResult>& results) {
                                            ->num_tuples());
                                  }));
     }
-    results.push_back(RunBench(
-        std::string("BuildClassesLegacy") + suffix,
-        static_cast<int64_t>(tuples), [&] {
-          std::unordered_map<lat::Partition, size_t, lat::PartitionHash> ids;
-          for (size_t t = 0; t < workload.instance->num_rows(); ++t) {
-            ids.emplace(core::TuplePartition(workload.instance->row(t)),
-                        ids.size());
-          }
-          DoNotOptimize(ids.size());
-        }));
   }
   // The persistent tier: cold-opening the 100k instance from a JIMC file
   // (mmap + full validation pass) vs re-encoding it in memory
@@ -439,8 +415,7 @@ bool WriteJson(const std::vector<BenchResult>& results,
     json.KeyValue("lookahead_pick_class_speedup_4t",
                   serial_ns / four_thread_ns);
   }
-  // Ingest/BuildClasses throughput + the speedup of the code-kernel class
-  // construction over the legacy Value-row path (same instance).
+  // Ingest/BuildClasses throughput.
   const auto find_ns = [&results](const std::string& name,
                                   int64_t arg) -> double {
     for (const auto& r : results) {
@@ -459,8 +434,6 @@ bool WriteJson(const std::vector<BenchResult>& results,
     }
     const double build_1t = find_ns("BuildClasses" + size.first, 1);
     const double build_4t = find_ns("BuildClasses" + size.first, 4);
-    const double legacy = find_ns("BuildClassesLegacy" + size.first,
-                                  static_cast<int64_t>(size.second));
     if (build_1t > 0) {
       json.KeyValue("build_classes_tuples_per_sec_" + size.first + "_1t",
                     size.second * 1e9 / build_1t);
@@ -468,14 +441,6 @@ bool WriteJson(const std::vector<BenchResult>& results,
     if (build_4t > 0) {
       json.KeyValue("build_classes_tuples_per_sec_" + size.first + "_4t",
                     size.second * 1e9 / build_4t);
-    }
-    if (legacy > 0 && build_1t > 0) {
-      json.KeyValue("build_classes_speedup_" + size.first,
-                    legacy / build_1t);
-    }
-    if (legacy > 0 && build_4t > 0) {
-      json.KeyValue("build_classes_speedup_" + size.first + "_4t",
-                    legacy / build_4t);
     }
     const double parallel_ingest_4t =
         find_ns("IngestEncodeParallel" + size.first, 4);

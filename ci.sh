@@ -25,21 +25,22 @@
 #   - ASAN stage         columnar storage/ingest suites plus the lookahead
 #                        pick parity + minimax suite (CutoffParity) under
 #                        address
-#   - UBSAN stage        integer-kernel + storage suites AND the
-#                        deterministic fuzz driver (5000 mutated JIMC
-#                        images / goal strings / request lines /
-#                        checkpoint files) under
+#   - UBSAN stage        integer-kernel + storage + checkpoint-codec
+#                        suites AND the deterministic fuzz driver (5000
+#                        mutated JIMC images / goal strings / request
+#                        lines / checkpoint files) under
 #                        address+undefined
 #                        with every finding fatal (-fno-sanitize-recover);
-#                        the suites run the code → pair mask fill at
-#                        zero-, one- and two-word widths
+#                        the suites run the column-block class build at
+#                        zero-, one- and two-word mask widths and the
+#                        word-lane checksum over unaligned buffers
 #   - CRASH stage        fault-injection + crash-recovery suites under
 #                        address sanitizer: every syscall index during
 #                        WriteStore crashed and replayed,
 #                        old-XOR-new proven on each reopened image
 #   - SERVE stage        the serving daemon under address sanitizer:
 #                        protocol/session-manager suites, the checkpoint
-#                        crash-point enumeration, the 64-session TCP e2e
+#                        codec and crash-point enumeration, the 64-session TCP e2e
 #                        with kill+restart transcript diffing, plus the
 #                        trusted-reopen and JSON-reader suites, and a
 #                        jim_cli serve --stdio smoke against the round-trip
@@ -225,9 +226,9 @@ else
     core_tuple_store_test core_invariant_audit_test \
     relational_dictionary_test storage_jimc_format_test \
     storage_byte_reader_test storage_mapped_parity_test \
-    core_encoded_parity_test fuzz_jimc_main
+    core_encoded_parity_test serve_checkpoint_test fuzz_jimc_main
   (cd build-ubsan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Partition|Antichain|InferenceState|BruteForceAgreement|KernelParity|Enumeration|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|EncodedParity|InvariantAudit|fuzz_jimc_smoke')
+    -R 'Partition|Antichain|InferenceState|BruteForceAgreement|KernelParity|Enumeration|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|EncodedParity|CheckpointCodec|InvariantAudit|fuzz_jimc_smoke')
   # The deterministic fuzz driver, long run: 5000 mutated JIMC images, goal
   # strings, request lines and checkpoint files, every outcome a typed
   # Status, under ASAN+UBSAN with findings fatal. Reproduce any failure with
@@ -271,9 +272,9 @@ else
   cmake --build build-asan -j --target \
     serve_protocol_test serve_session_manager_test \
     serve_checkpoint_crash_test serve_server_test serve_server_e2e_test \
-    util_json_reader_test storage_trusted_reopen_test
+    serve_checkpoint_test util_json_reader_test storage_trusted_reopen_test
   (cd build-asan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Protocol|SessionManager|Serve|JsonReader|TrustedReopen')
+    -R 'Protocol|SessionManager|Serve|CheckpointCodec|JsonReader|TrustedReopen')
   # stdio smoke against the tier-1 build: one piped daemon run must answer
   # ping/stats and exit cleanly on the shutdown verb.
   printf '%s\n' '{"verb":"ping"}' '{"verb":"stats"}' '{"verb":"shutdown"}' | \

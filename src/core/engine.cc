@@ -159,26 +159,68 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
     }
   };
 
-  // Phase 1 (parallel): each chunk computes its tuples' Part(t) masks one at
-  // a time into a probe row and groups them in its own index, writing each
+  // Phase 1 (parallel): each chunk reads its tuples in blocks of kBlock, one
+  // column at a time, and ORs each attribute pair's equality bit into the
+  // block's word-major masks (masks[w * kBlock + k] is word w of tuple k's
+  // Part(t)), so every inner loop runs over contiguous tuples at any mask
+  // width. It then groups the block's masks in its own index, writing each
   // tuple's chunk-local id (first-occurrence order within the chunk) into
-  // class_of_tuple. No per-tuple mask is kept.
+  // class_of_tuple and counting each id's tuples into runs[j]; a tuple whose
+  // mask equals its predecessor's skips the lookup.
+  constexpr size_t kBlock = 1024;
   std::vector<MaskRowIndex> local(chunks, MaskRowIndex(words));
+  // Per chunk and local id: its tuple count, then (from phase 2 on) the
+  // position of its next member in the CSR member array.
+  std::vector<std::vector<uint32_t>> runs(chunks);
   for_each_chunk([&](size_t j) {
-    std::vector<uint32_t> codes(n);
-    std::vector<uint64_t> probe(words);
-    for (size_t t = chunk_begin(j); t < chunk_begin(j + 1); ++t) {
-      store_->TupleCodes(t, codes.data());
-      std::fill(probe.begin(), probe.end(), 0);  // the fill only ORs bits in
-      lat::FillCodePairMask(codes.data(), n, rel::kNullCode, probe.data());
-      class_of_tuple[t] = local[j].FindOrAdd(probe.data());
+    std::vector<uint32_t> codes(n * kBlock);
+    std::vector<uint64_t> masks(words * kBlock);
+    std::vector<uint64_t> last(words);  // the previous tuple's mask
+    std::vector<uint32_t>& counts = runs[j];
+    uint32_t last_id = 0;
+    const size_t end = chunk_begin(j + 1);
+    for (size_t first = chunk_begin(j); first < end; first += kBlock) {
+      const size_t count = std::min(kBlock, end - first);
+      for (size_t a = 0; a < n; ++a) {
+        store_->ColumnCodes(a, first, count, codes.data() + a * kBlock);
+      }
+      std::fill(masks.begin(), masks.end(), 0);
+      size_t bit = 0;  // pairs (a, b), a < b, in row-major order
+      for (size_t a = 0; a < n; ++a) {
+        const uint32_t* left = codes.data() + a * kBlock;
+        for (size_t b = a + 1; b < n; ++b, ++bit) {
+          const uint32_t* right = codes.data() + b * kBlock;
+          uint64_t* out = masks.data() + (bit >> 6) * kBlock;
+          const unsigned shift = bit & 63;
+          for (size_t k = 0; k < count; ++k) {
+            out[k] |= static_cast<uint64_t>((left[k] == right[k]) &
+                                            (left[k] != rel::kNullCode))
+                      << shift;
+          }
+        }
+      }
+      for (size_t k = 0; k < count; ++k) {
+        bool same = !counts.empty();
+        for (size_t w = 0; w < words; ++w) {
+          same &= masks[w * kBlock + k] == last[w];
+        }
+        if (!same) {
+          for (size_t w = 0; w < words; ++w) last[w] = masks[w * kBlock + k];
+          last_id = local[j].FindOrAdd(last.data());
+          if (last_id == counts.size()) counts.push_back(0);
+        }
+        class_of_tuple[first + k] = last_id;
+        ++counts[last_id];
+      }
     }
   });
 
   // Phase 2 (serial): merge the chunks' distinct rows in chunk order. A
   // class's first chunk holds its first tuple, and within a chunk local ids
   // follow first occurrence, so the global ids follow first-occurrence tuple
-  // order — bitwise-identical at any thread count.
+  // order — bitwise-identical at any thread count. The per-chunk counts
+  // give the CSR offsets, and each (chunk, local id) the position where its
+  // first member goes: after the class's members from earlier chunks.
   MaskRowIndex global(words);
   std::vector<std::vector<uint32_t>> remap(chunks);
   for (size_t j = 0; j < chunks; ++j) {
@@ -190,24 +232,34 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
   local.clear();
   const size_t num_classes = global.size();
   table->part_rows = global.Rows();
-
-  // Phase 3: remap to global ids (parallel), then lay the members out in
-  // CSR form with a counting pass (serial; ascending t keeps each class's
-  // members ascending).
-  for_each_chunk([&](size_t j) {
-    for (size_t t = chunk_begin(j); t < chunk_begin(j + 1); ++t) {
-      class_of_tuple[t] = remap[j][class_of_tuple[t]];
-    }
-  });
   std::vector<uint32_t>& offsets = table->offsets;
   offsets.assign(num_classes + 1, 0);
-  for (uint32_t c : class_of_tuple) ++offsets[c + 1];
-  for (size_t c = 0; c < num_classes; ++c) offsets[c + 1] += offsets[c];
-  std::vector<uint32_t> next(offsets.begin(), offsets.end() - 1);
-  table->members.resize(num_tuples);
-  for (size_t t = 0; t < num_tuples; ++t) {
-    table->members[next[class_of_tuple[t]]++] = static_cast<uint32_t>(t);
+  for (size_t j = 0; j < chunks; ++j) {
+    for (size_t id = 0; id < remap[j].size(); ++id) {
+      offsets[remap[j][id] + 1] += runs[j][id];
+    }
   }
+  for (size_t c = 0; c < num_classes; ++c) offsets[c + 1] += offsets[c];
+  std::vector<uint32_t> fill(offsets.begin(), offsets.end() - 1);
+  for (size_t j = 0; j < chunks; ++j) {
+    for (size_t id = 0; id < remap[j].size(); ++id) {
+      const uint32_t members = runs[j][id];
+      runs[j][id] = fill[remap[j][id]];
+      fill[remap[j][id]] += members;
+    }
+  }
+
+  // Phase 3 (parallel): one pass per chunk places each tuple in its class's
+  // member run (ascending t keeps every run ascending) and remaps it to its
+  // global id.
+  table->members.resize(num_tuples);
+  for_each_chunk([&](size_t j) {
+    for (size_t t = chunk_begin(j); t < chunk_begin(j + 1); ++t) {
+      const uint32_t id = class_of_tuple[t];
+      table->members[runs[j][id]++] = static_cast<uint32_t>(t);
+      class_of_tuple[t] = remap[j][id];
+    }
+  });
   JIM_GAUGE_SET(obs::kGaugeEngineClassTableBytes,
                 static_cast<int64_t>(
                     sizeof(uint32_t) * (table->class_of_tuple.capacity() +

@@ -169,31 +169,6 @@ std::string JoinPredicate::ToSqlWhere() const {
   return util::Join(parts, " AND ");
 }
 
-lat::Partition TuplePartition(const rel::Tuple& tuple) {
-  const size_t n = tuple.size();
-  std::vector<int> labels(n);
-  // Group attributes by pairwise Equals. NULLs never group (Equals is false
-  // for them), which is exactly SQL join semantics. Quadratic in n, which is
-  // fine: n is the attribute count (small), not the tuple count.
-  int next = 0;
-  std::vector<bool> assigned(n, false);
-  for (size_t i = 0; i < n; ++i) {
-    if (assigned[i]) continue;
-    labels[i] = next;
-    assigned[i] = true;
-    if (!tuple[i].is_null()) {
-      for (size_t j = i + 1; j < n; ++j) {
-        if (!assigned[j] && tuple[i].Equals(tuple[j])) {
-          labels[j] = next;
-          assigned[j] = true;
-        }
-      }
-    }
-    ++next;
-  }
-  return lat::Partition::FromLabels(labels);
-}
-
 bool InstanceEquivalent(const rel::Relation& relation, const JoinPredicate& p1,
                         const JoinPredicate& p2) {
   return p1.SelectedRows(relation) == p2.SelectedRows(relation);

@@ -81,11 +81,6 @@ class JoinPredicate {
   lat::Partition partition_;
 };
 
-/// The value-induced partition Part(t): attributes i, j are co-block iff
-/// t[i].Equals(t[j]). Each NULL forms its own singleton (NULL ≠ NULL).
-/// This is the object the whole inference works on: θ selects t ⇔ θ ≤ Part(t).
-lat::Partition TuplePartition(const rel::Tuple& tuple);
-
 /// True iff p1 and p2 select exactly the same rows of `relation`
 /// ("instance-equivalence" in the paper; the inference goal is identification
 /// up to this relation).

@@ -1,5 +1,6 @@
 #include "core/tuple_store.h"
 
+#include <algorithm>
 #include <cmath>
 #include <unordered_map>
 #include <unordered_set>
@@ -13,6 +14,11 @@ namespace jim::core {
 void TupleStore::TupleCodes(size_t t, uint32_t* out) const {
   const size_t n = num_attributes();
   for (size_t a = 0; a < n; ++a) out[a] = code(t, a);
+}
+
+void TupleStore::ColumnCodes(size_t a, size_t first, size_t count,
+                             uint32_t* out) const {
+  for (size_t k = 0; k < count; ++k) out[k] = code(first + k, a);
 }
 
 rel::Tuple TupleStore::DecodeTuple(size_t t) const {
@@ -129,6 +135,21 @@ void CheckStoreInvariants(const TupleStore& store) {
       JIM_CHECK(fresh_value || value_it->second == code)
           << "value '" << value.ToString() << "' carries two codes at cell ("
           << t << ", " << a << ")";
+    }
+  }
+  // Column blocks of a size no caller uses, so every block starts at a new
+  // offset and the last one is ragged.
+  constexpr size_t kAuditBlock = 7;
+  std::vector<uint32_t> block(kAuditBlock);
+  for (size_t a = 0; a < n; ++a) {
+    for (size_t first = 0; first < num_tuples; first += kAuditBlock) {
+      const size_t count = std::min(kAuditBlock, num_tuples - first);
+      store.ColumnCodes(a, first, count, block.data());
+      for (size_t k = 0; k < count; ++k) {
+        JIM_CHECK_EQ(block[k], store.code(first + k, a))
+            << "ColumnCodes disagrees with code() at cell (" << first + k
+            << ", " << a << ")";
+      }
     }
   }
 }

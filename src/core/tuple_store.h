@@ -52,9 +52,17 @@ class TupleStore {
   virtual uint32_t code(size_t t, size_t a) const = 0;
 
   /// Bulk variant: writes all num_attributes() codes of tuple `t` into
-  /// `out`. One virtual call per tuple on the ingest hot loop; overridden by
-  /// implementations that can amortize the per-tuple address computation.
+  /// `out`. Overridden by implementations that can amortize the per-tuple
+  /// address computation; the JIMC writer numbers shared codes through it,
+  /// row by row.
   virtual void TupleCodes(size_t t, uint32_t* out) const;
+
+  /// Column-bulk variant: writes code(first + k, a) for k < `count` into
+  /// `out`. The engine's class build reads tuples in column blocks through
+  /// it; the JIMC mapping overrides it with a memcpy and the factorized
+  /// store with a mixed-radix walk.
+  virtual void ColumnCodes(size_t a, size_t first, size_t count,
+                           uint32_t* out) const;
 
   /// The cell's Value (decoded on demand — display, oracles, provenance).
   virtual rel::Value DecodeValue(size_t t, size_t a) const = 0;
@@ -118,7 +126,8 @@ class RelationTupleStore final : public TupleStore {
 /// Invariant audit of the TupleStore *contract* on any backend (see
 /// util/check.h): decodes every cell once and JIM_CHECK-fails unless
 ///   - code == rel::kNullCode exactly for NULL cells;
-///   - TupleCodes agrees with per-cell code() tuple by tuple;
+///   - TupleCodes and ColumnCodes agree with per-cell code(), tuple by
+///     tuple and in column blocks of every offset;
 ///   - code equality is strict Value equality across all cells: equal codes
 ///     decode to Equals values, each non-NaN value maps to exactly one code,
 ///     and NaN cells (never equal, themselves included) all carry distinct

@@ -17,30 +17,17 @@ size_t FirstCoBlock(const uint64_t* mask, size_t n, size_t j) {
   return j;
 }
 
-/// Sets, in the zeroed `mask`, the bit of every pair (i, j) of the `n`
-/// elements with keys[i] == keys[j] != `excluded`.
-template <typename Key>
-void FillEqualPairs(const Key* keys, size_t n, Key excluded, uint64_t* mask) {
-  size_t bit = 0;
-  for (size_t i = 0; i < n; ++i) {
-    for (size_t j = i + 1; j < n; ++j, ++bit) {
-      if (keys[i] == keys[j] && keys[i] != excluded) {
-        mask[bit >> 6] |= uint64_t{1} << (bit & 63);
-      }
-    }
-  }
-}
-
 }  // namespace
 
 void FillPairMask(const Partition& p, uint64_t* mask) {
-  // Block labels are never negative, so no pair is excluded.
-  FillEqualPairs(p.labels().data(), p.num_elements(), -1, mask);
-}
-
-void FillCodePairMask(const uint32_t* codes, size_t n, uint32_t null_code,
-                      uint64_t* mask) {
-  FillEqualPairs(codes, n, null_code, mask);
+  const std::vector<int>& labels = p.labels();
+  const size_t n = p.num_elements();
+  size_t bit = 0;
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t j = i + 1; j < n; ++j, ++bit) {
+      if (labels[i] == labels[j]) mask[bit >> 6] |= uint64_t{1} << (bit & 63);
+    }
+  }
 }
 
 Partition PairMaskToPartition(const uint64_t* mask, size_t n) {

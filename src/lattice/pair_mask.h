@@ -28,12 +28,6 @@ inline size_t PairMaskWords(size_t n) {
 /// Sets the bit of every co-block pair of `p` in the zeroed mask at `mask`.
 void FillPairMask(const Partition& p, uint64_t* mask);
 
-/// Sets, in the zeroed mask at `mask`, the bit of every pair (i, j) of the
-/// `n` elements whose `codes` are equal and not `null_code`: the pair mask
-/// of the partition grouping elements by code, each null its own block.
-void FillCodePairMask(const uint32_t* codes, size_t n, uint32_t null_code,
-                      uint64_t* mask);
-
 /// The partition over `n` elements whose pair mask is `mask`.
 Partition PairMaskToPartition(const uint64_t* mask, size_t n);
 

@@ -178,9 +178,4 @@ void Partition::CheckInvariants() const {
       << "stale fingerprint on " << ToString();
 }
 
-size_t Partition::Hash() const {
-  // The construction-time fingerprint: hashing is O(1) instead of a rescan.
-  return static_cast<size_t>(fingerprint_);
-}
-
 }  // namespace jim::lat

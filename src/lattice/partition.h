@@ -87,8 +87,6 @@ class Partition {
   /// The raw restricted growth string.
   const std::vector<int>& labels() const { return block_of_; }
 
-  size_t Hash() const;
-
   friend bool operator==(const Partition& a, const Partition& b) {
     return a.fingerprint_ == b.fingerprint_ && a.block_of_ == b.block_of_;
   }
@@ -107,11 +105,6 @@ class Partition {
   /// canonical RGS, length-seeded): equal partitions have equal
   /// fingerprints, so a mismatch rejects equality in O(1).
   uint64_t fingerprint_ = 0xcbf29ce484222325ull;  // fingerprint of empty RGS
-};
-
-/// Hash functor for unordered containers keyed by Partition.
-struct PartitionHash {
-  size_t operator()(const Partition& p) const { return p.Hash(); }
 };
 
 }  // namespace jim::lat

@@ -85,8 +85,8 @@ class FactorizedTupleStore final : public core::TupleStore {
   }
 
   void TupleCodes(size_t t, uint32_t* out) const override {
-    // One radix decomposition per occurrence, then a straight column walk —
-    // this is the ingest inner loop of the engine's class construction.
+    // One radix decomposition per occurrence, then a straight column walk
+    // (the JIMC writer's row-major scan).
     for (size_t i = 0; i < occurrences_.size(); ++i) {
       const Occurrence& source = occurrences_[i];
       const size_t row = SourceRow(t, i);
@@ -97,6 +97,37 @@ class FactorizedTupleStore final : public core::TupleStore {
         const uint32_t local = source.encoded->code(row, c);
         cell[c] = local == rel::kNullCode ? rel::kNullCode
                                           : translation[c][local];
+      }
+    }
+  }
+
+  void ColumnCodes(size_t a, size_t first, size_t count,
+                   uint32_t* out) const override {
+    // The class build's column walk. In dense mode consecutive tuples step
+    // the occurrence's mixed-radix digit along, so no cell divides.
+    const auto& [occurrence, column] = attr_source_[a];
+    const Occurrence& source = occurrences_[occurrence];
+    const std::vector<uint32_t>& local =
+        source.encoded->column(column).codes;
+    const std::vector<uint32_t>& translation = (*source.shared_codes)[column];
+    const auto shared = [&](size_t row) {
+      const uint32_t code = local[row];
+      return code == rel::kNullCode ? rel::kNullCode : translation[code];
+    };
+    if (!dense_) {
+      for (size_t k = 0; k < count; ++k) {
+        out[k] = shared(SourceRow(first + k, occurrence));
+      }
+      return;
+    }
+    size_t digit = (first / source.stride) % source.size;
+    size_t step = first % source.stride;  // tuples into the digit's run
+    for (size_t k = 0; k < count; ++k) {
+      out[k] = shared(source.kept_rows == nullptr ? digit
+                                                  : (*source.kept_rows)[digit]);
+      if (++step == source.stride) {
+        step = 0;
+        if (++digit == source.size) digit = 0;
       }
     }
   }

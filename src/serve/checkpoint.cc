@@ -22,40 +22,42 @@ std::string EncodeCheckpoint(const SessionCheckpoint& checkpoint) {
     storage::AppendU32(out, step.tuple_index);
     storage::AppendU8(out, step.answer);
   }
-  storage::AppendU64(out, storage::Fnv1a64(out.data(), out.size()));
+  storage::AppendU64(out, storage::Checksum(out.data(), out.size()));
   return out;
 }
 
 util::StatusOr<SessionCheckpoint> DecodeCheckpoint(std::string_view bytes,
                                                    const std::string& context) {
   const auto* data = reinterpret_cast<const uint8_t*>(bytes.data());
-  if (bytes.size() < sizeof(uint64_t)) {
-    return util::InvalidArgumentError(
-        util::StrFormat("%s: checkpoint too short (%zu bytes)",
-                        context.c_str(), bytes.size()));
-  }
-  size_t body_size = bytes.size() - sizeof(uint64_t);
-  storage::ByteReader trailer(data + body_size, sizeof(uint64_t), context);
-  ASSIGN_OR_RETURN(uint64_t stored_checksum, trailer.ReadU64());
-  uint64_t actual_checksum = storage::Fnv1a64(data, body_size);
-  if (stored_checksum != actual_checksum) {
-    return util::InvalidArgumentError(
-        util::StrFormat("%s: checkpoint checksum mismatch", context.c_str()));
-  }
-
-  storage::ByteReader reader(data, body_size, context);
-  ASSIGN_OR_RETURN(uint32_t magic, reader.ReadU32());
+  // Magic and version come before the checksum: a file of another version
+  // may checksum differently, and must fail as unsupported, not as corrupt.
+  storage::ByteReader header(data, bytes.size(), context);
+  ASSIGN_OR_RETURN(uint32_t magic, header.ReadU32());
   if (magic != kCheckpointMagic) {
     return util::InvalidArgumentError(
         util::StrFormat("%s: not a JIMS checkpoint (bad magic)",
                         context.c_str()));
   }
-  ASSIGN_OR_RETURN(uint32_t version, reader.ReadU32());
+  ASSIGN_OR_RETURN(uint32_t version, header.ReadU32());
   if (version != kCheckpointVersion) {
     return util::InvalidArgumentError(
         util::StrFormat("%s: unsupported checkpoint version %u",
                         context.c_str(), version));
   }
+  if (header.remaining() < sizeof(uint64_t)) {
+    return util::InvalidArgumentError(
+        util::StrFormat("%s: checkpoint too short (%zu bytes)",
+                        context.c_str(), bytes.size()));
+  }
+  const size_t body_size = bytes.size() - sizeof(uint64_t);
+  storage::ByteReader trailer(data + body_size, sizeof(uint64_t), context);
+  ASSIGN_OR_RETURN(uint64_t stored_checksum, trailer.ReadU64());
+  if (stored_checksum != storage::Checksum(data, body_size)) {
+    return util::InvalidArgumentError(
+        util::StrFormat("%s: checkpoint checksum mismatch", context.c_str()));
+  }
+  storage::ByteReader reader(data + header.position(),
+                            body_size - header.position(), context);
   SessionCheckpoint checkpoint;
   ASSIGN_OR_RETURN(checkpoint.session_id, reader.ReadLengthPrefixed());
   ASSIGN_OR_RETURN(checkpoint.instance, reader.ReadLengthPrefixed());

@@ -23,11 +23,16 @@ namespace jim::serve {
 /// On-disk format (`session_<id>.jims`, little-endian, storage/format.h
 /// primitives): magic "JIMS", version, length-prefixed session id /
 /// instance / strategy / goal, seed, max_steps, step count, steps, then a
-/// trailing FNV-1a 64 over everything before it. Files are written with the
-/// storage tier's atomic-persist recipe, so a crash mid-checkpoint leaves
-/// either the previous transcript or the new one — never a torn file.
+/// trailing storage::Checksum over everything before it. Files are written
+/// with the storage tier's atomic-persist recipe, so a crash mid-checkpoint
+/// leaves either the previous transcript or the new one — never a torn file.
+///
+/// Version 2 replaced version 1's byte-wise FNV-1a trailer with
+/// storage::Checksum. There is no version-1 reader: the decoder reads magic
+/// and version before the checksum, so an old file fails as an unsupported
+/// version, not as a corrupt one.
 inline constexpr uint32_t kCheckpointMagic = 0x534D494Au;  // "JIMS"
-inline constexpr uint32_t kCheckpointVersion = 1;
+inline constexpr uint32_t kCheckpointVersion = 2;
 
 /// `suggested_class` sentinel for a label that was not preceded by a
 /// suggest on the same step (mode-1 style direct labeling).
@@ -52,7 +57,8 @@ struct SessionCheckpoint {
 
 std::string EncodeCheckpoint(const SessionCheckpoint& checkpoint);
 
-/// Decodes and verifies (magic, version, trailing checksum, exact length).
+/// Decodes and verifies (magic and version first, then the trailing
+/// checksum, then the fields and the exact length).
 /// kInvalidArgument with `context` named on any mismatch.
 util::StatusOr<SessionCheckpoint> DecodeCheckpoint(std::string_view bytes,
                                                    const std::string& context);

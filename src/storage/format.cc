@@ -6,13 +6,28 @@
 
 namespace jim::storage {
 
-uint64_t Fnv1a64(const void* data, size_t size) {
+uint64_t Checksum(const void* data, size_t size) {
+  constexpr uint64_t kOffsetBasis = 14695981039346656037ull;
+  constexpr uint64_t kPrime = 1099511628211ull;
+  constexpr size_t kLanes = 8;
+  constexpr size_t kBlockBytes = kLanes * sizeof(uint64_t);
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  uint64_t hash = 14695981039346656037ull;
-  for (size_t i = 0; i < size; ++i) {
-    hash ^= bytes[i];
-    hash *= 1099511628211ull;
+  uint64_t lanes[kLanes];
+  for (uint64_t& lane : lanes) lane = kOffsetBasis;
+  const size_t blocks_end = size - size % kBlockBytes;
+  for (size_t i = 0; i < blocks_end; i += kBlockBytes) {
+    for (size_t l = 0; l < kLanes; ++l) {
+      uint64_t word;
+      std::memcpy(&word, bytes + i + l * sizeof(uint64_t), sizeof(word));
+#if defined(__BYTE_ORDER__) && (__BYTE_ORDER__ == __ORDER_BIG_ENDIAN__)
+      word = __builtin_bswap64(word);
+#endif
+      lanes[l] = (lanes[l] ^ word) * kPrime;
+    }
   }
+  uint64_t hash = (kOffsetBasis ^ static_cast<uint64_t>(size)) * kPrime;
+  for (const uint64_t lane : lanes) hash = (hash ^ lane) * kPrime;
+  for (size_t i = blocks_end; i < size; ++i) hash = (hash ^ bytes[i]) * kPrime;
   return hash;
 }
 

@@ -9,10 +9,10 @@
 
 namespace jim::storage {
 
-/// The JIMC on-disk columnar tuple-store format, version 1.
+/// The JIMC on-disk columnar tuple-store format, version 2.
 ///
 /// A JIMC file is the persistent form of a core::TupleStore: everything the
-/// engine needs to serve `code()` / `TupleCodes()` straight out of an mmap
+/// engine needs to serve `code()` / `ColumnCodes()` straight out of an mmap
 /// and to decode `Value`s lazily, and nothing else. All integers are
 /// little-endian regardless of host; doubles are their IEEE-754 bit pattern
 /// (NaN payloads survive a round trip).
@@ -22,7 +22,7 @@ namespace jim::storage {
 ///   │   num_attributes, num_sections, shared_dict_size, file_bytes │
 ///   ├──────────────────────────────────────────────────────────────┤
 ///   │ section table: num_sections × {id, column, offset, length,   │
-///   │   checksum}  (offsets 8-byte aligned, FNV-1a 64 per section) │
+///   │   checksum}  (offsets 8-byte aligned, Checksum per section)  │
 ///   ├──────────────────────────────────────────────────────────────┤
 ///   │ NAME    store name                                           │
 ///   │ SCHEMA  attributes: type, name, qualifier                    │
@@ -40,8 +40,12 @@ namespace jim::storage {
 /// their distinct codes; NULL is the kNullCode sentinel and never equal).
 /// The per-column dictionary pages exist so a reader can decode lazily with
 /// column locality.
+///
+/// Version 2 replaced version 1's byte-wise FNV-1a section checksum with the
+/// word-lane Checksum below; there is no version-1 reader, so an old file
+/// fails as "unsupported format version".
 inline constexpr uint32_t kMagic = 0x434D494Au;  // "JIMC" little-endian
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 inline constexpr size_t kHeaderBytes = 48;
 inline constexpr size_t kSectionEntryBytes = 32;
 /// Section payload offsets are aligned to this (so u32 code arrays can be
@@ -61,13 +65,20 @@ inline constexpr uint32_t kNoColumn = 0xFFFFFFFFu;
 /// Value-record type tags (NULL never appears in a dictionary page).
 enum class ValueTag : uint8_t { kInt64 = 1, kDouble = 2, kString = 3 };
 
-/// FNV-1a 64-bit over `size` bytes — the per-section checksum.
+/// The checksum of JIMC sections and JIMS checkpoints: eight FNV-1a lanes,
+/// each step `lane = (lane ^ word) * prime`, over the little-endian 64-bit
+/// words of every whole 64-byte block; the lanes are then folded, in order,
+/// into an FNV-1a hash seeded with `size`, and the < 64-byte tail is hashed
+/// into it byte by byte. Each step is a bijection of its lane (or of the
+/// fold) for fixed other inputs, so any single-byte change is always
+/// detected; eight independent multiply chains make a pass over a mapping
+/// run at memory speed instead of one multiply latency per byte.
 ///
-/// Deliberately NOT delegated to util::Fnv1a64 (which today happens to be
-/// byte-identical over uint8_t ranges): that one is a general-purpose
-/// in-memory hash free to evolve, while this one is pinned by every JIMC
-/// file ever written. Do not merge them.
-uint64_t Fnv1a64(const void* data, size_t size);
+/// Deliberately separate from util::Fnv1a64, the in-memory fingerprint of
+/// lat::Partition, which is free to change with the code: this function is
+/// fixed by kFormatVersion and kCheckpointVersion, and changing it means
+/// bumping both.
+uint64_t Checksum(const void* data, size_t size);
 
 // The atomic-persist recipe (WriteFileAtomicallyWith) and the fsync/rename
 // primitives live behind the storage::Env seam (env.h) so fault-injection

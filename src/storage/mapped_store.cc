@@ -146,7 +146,7 @@ util::Status MappedTupleStore::Parse(bool trusted) {
     // but never the bounds checks above.
     if (trusted) continue;
     const uint64_t actual =
-        Fnv1a64(data_ + section.offset, static_cast<size_t>(section.length));
+        Checksum(data_ + section.offset, static_cast<size_t>(section.length));
     if (actual != section.checksum) {
       return Corrupt(path_, util::StrFormat(
           "checksum mismatch in section id=%u column=%u (stored "

@@ -2,6 +2,7 @@
 #define JIM_STORAGE_MAPPED_STORE_H_
 
 #include <cstdint>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,10 +29,11 @@ struct OpenOptions {
 };
 
 /// A TupleStore served straight from an mmap'd JIMC file (see
-/// storage/format.h): `code()` / `TupleCodes()` are zero-copy loads from the
-/// mapped per-column code arrays, and `DecodeValue()` parses the value
-/// record out of the mapped dictionary pages on demand — no Value ever
-/// materializes before someone asks for it. An engine built over a mapped
+/// storage/format.h): `code()` / `TupleCodes()` / `ColumnCodes()` read
+/// straight from the mapped per-column code arrays (ColumnCodes is one
+/// memcpy), and `DecodeValue()` parses the value record out of the mapped
+/// dictionary pages on demand — no Value ever materializes before someone
+/// asks for it. An engine built over a mapped
 /// store therefore starts in O(sections + distinct values) work after one
 /// sequential validation pass, not the O(N·n) hash-heavy ingest of the
 /// in-memory path, and any number of sessions (BatchSessionRunner fan-outs
@@ -76,6 +78,10 @@ class MappedTupleStore final : public core::TupleStore {
   void TupleCodes(size_t t, uint32_t* out) const override {
     const size_t n = column_codes_.size();
     for (size_t a = 0; a < n; ++a) out[a] = column_codes_[a][t];
+  }
+  void ColumnCodes(size_t a, size_t first, size_t count,
+                   uint32_t* out) const override {
+    std::memcpy(out, column_codes_[a] + first, count * sizeof(uint32_t));
   }
   rel::Value DecodeValue(size_t t, size_t a) const override;
 

@@ -169,7 +169,7 @@ util::Status WriteStore(const core::TupleStore& store, const std::string& path,
     AppendU32(table, sections[i].column);
     AppendU64(table, offsets[i]);
     AppendU64(table, sections[i].length());
-    AppendU64(table, Fnv1a64(sections[i].data(), sections[i].length()));
+    AppendU64(table, Checksum(sections[i].data(), sections[i].length()));
   }
 
   Env& env = options.env != nullptr ? *options.env : *DefaultEnv();

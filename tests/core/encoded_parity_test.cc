@@ -9,14 +9,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
 #include "core/jim.h"
 #include "exec/thread_pool.h"
+#include "lattice/pair_mask.h"
 #include "query/universal_table.h"
 #include "relational/catalog.h"
 #include "support/core_views.h"
@@ -50,10 +51,12 @@ struct ReferenceClasses {
 
 ReferenceClasses BuildReferenceClasses(const rel::Relation& relation) {
   ReferenceClasses reference;
-  std::unordered_map<lat::Partition, size_t, lat::PartitionHash> ids;
+  // Keyed by the canonical block labels, which determine the partition.
+  std::map<std::vector<int>, size_t> ids;
   for (size_t t = 0; t < relation.num_rows(); ++t) {
     lat::Partition part = TuplePartition(relation.row(t));
-    auto [it, inserted] = ids.emplace(part, reference.partitions.size());
+    auto [it, inserted] =
+        ids.emplace(part.labels(), reference.partitions.size());
     if (inserted) reference.partitions.push_back(std::move(part));
     reference.class_of_tuple.push_back(it->second);
   }
@@ -183,6 +186,60 @@ TEST(EncodedParityTest, ClassTableIdenticalOnPoolsOfOneToFourThreads) {
         EXPECT_EQ(std::vector<uint32_t>(members.begin(), members.end()),
                   reference_members[c])
             << context << " class " << c;
+      }
+    }
+  }
+}
+
+TEST(EncodedParityTest, ColumnBlocksMatchValueRowReferenceAtBlockEdges) {
+  // The class build reads tuples in column blocks of 1024: tuple counts on
+  // either side of one and three blocks (each chunk of a pool starts its
+  // own blocks), at one- and two-word masks, with NULLs. class_of_tuple,
+  // the CSR offsets and members, and every Part(c) row (read right after
+  // construction, while K_c = ⊤ ∧ Part(c) is Part(c) bit for bit) equal a
+  // grouping by the Value-level TuplePartition.
+  for (size_t n : {5u, 12u}) {
+    for (size_t tuples : {1u, 1023u, 1024u, 1025u, 3u * 1024u + 7u}) {
+      const auto relation = IntRelation(n, tuples, 0, 7 * n + tuples);
+      const auto store = MakeRelationStore(relation, /*pool=*/nullptr);
+      const ReferenceClasses reference = BuildReferenceClasses(*relation);
+      std::vector<std::vector<uint32_t>> reference_members(
+          reference.partitions.size());
+      for (size_t t = 0; t < tuples; ++t) {
+        reference_members[reference.class_of_tuple[t]].push_back(
+            static_cast<uint32_t>(t));
+      }
+      const size_t words = lat::PairMaskWords(n);
+      for (size_t threads : {1u, 2u, 4u}) {
+        exec::ThreadPool pool(threads);
+        const InferenceEngine engine(store, &pool);
+        const std::string context = util::StrFormat(
+            "n=%zu tuples=%zu threads=%zu", n, tuples, threads);
+        ExpectClassesMatchReference(engine, *relation, context);
+        ASSERT_EQ(engine.num_classes(), reference.partitions.size())
+            << context;
+        size_t offset = 0;
+        for (size_t c = 0; c < engine.num_classes(); ++c) {
+          const ClassMembers members = engine.tuple_class(c).tuple_indices;
+          // Runs are contiguous and in class order: offsets[c] is the sum
+          // of the earlier classes' sizes.
+          if (c > 0) {
+            EXPECT_EQ(members.begin(),
+                      engine.tuple_class(c - 1).tuple_indices.end())
+                << context << " class " << c;
+          }
+          offset += members.size();
+          EXPECT_EQ(std::vector<uint32_t>(members.begin(), members.end()),
+                    reference_members[c])
+              << context << " class " << c;
+          std::vector<uint64_t> part(words, 0);
+          lat::FillPairMask(reference.partitions[c], part.data());
+          EXPECT_EQ(std::vector<uint64_t>(engine.KnowledgeRow(c),
+                                          engine.KnowledgeRow(c) + words),
+                    part)
+              << context << " class " << c;
+        }
+        EXPECT_EQ(offset, tuples) << context;
       }
     }
   }

@@ -14,15 +14,18 @@
 #include "core/tuple_store.h"
 #include "gtest/gtest.h"
 #include "lattice/partition.h"
+#include "query/universal_table.h"
 #include "relational/dictionary.h"
 #include "relational/relation.h"
 #include "storage/mapped_store.h"
 #include "storage/store_writer.h"
 #include "support/core_views.h"
+#include "support/fault_env.h"
 #include "support/refinements.h"
 #include "util/check.h"
 #include "util/rng.h"
 #include "workload/synthetic.h"
+#include "workload/travel.h"
 
 namespace jim::core {
 namespace {
@@ -97,6 +100,21 @@ TEST(InvariantAuditTest, EveryStoreBackendPassesTheContractAudit) {
   ASSERT_TRUE(mapped.ok()) << mapped.status();
   (*mapped)->CheckInvariants();
   CheckStoreInvariants(**mapped);
+
+  // The heap copy a refused mapping degrades to.
+  storage::FaultInjectionEnv refusing;
+  refusing.set_refuse_mmap(true);
+  const auto heap = storage::MappedTupleStore::Open(path, &refusing);
+  ASSERT_TRUE(heap.ok()) << heap.status();
+  ASSERT_FALSE((*heap)->zero_copy());
+  CheckStoreInvariants(**heap);
+
+  // The factorized store behind a universal table (Figure 1's Flights ×
+  // Hotels), whose ColumnCodes walks the mixed-radix row ids.
+  const auto table = query::UniversalTable::Build(workload::TravelCatalog(),
+                                                  {"Flights", "Hotels"});
+  ASSERT_TRUE(table.ok()) << table.status();
+  CheckStoreInvariants(*table->store());
 }
 
 TEST(InvariantAuditTest, EngineAuditHoldsThroughASessionOnEveryPath) {
@@ -151,12 +169,12 @@ TEST(InvariantAuditDeathTest, CheckMacrosDieWithTheStreamedDiagnostic) {
 }
 
 TEST(InvariantAuditDeathTest, ViolatedStoreContractIsFatal) {
-  // A backend that lies: TupleCodes reports a different code than code().
-  // The contract audit must catch it and say which cell.
+  // A backend that lies: TupleCodes or ColumnCodes reports a different code
+  // than code(). The contract audit must catch either and say which cell.
   class LyingStore final : public TupleStore {
    public:
-    explicit LyingStore(std::shared_ptr<const TupleStore> base)
-        : base_(std::move(base)) {}
+    LyingStore(std::shared_ptr<const TupleStore> base, bool lie_in_columns)
+        : base_(std::move(base)), lie_in_columns_(lie_in_columns) {}
     const std::string& name() const override { return base_->name(); }
     const rel::Schema& schema() const override { return base_->schema(); }
     size_t num_tuples() const override { return base_->num_tuples(); }
@@ -165,7 +183,14 @@ TEST(InvariantAuditDeathTest, ViolatedStoreContractIsFatal) {
     }
     void TupleCodes(size_t t, uint32_t* out) const override {
       base_->TupleCodes(t, out);
-      if (t == 1) out[0] ^= 1;
+      if (t == 1 && !lie_in_columns_) out[0] ^= 1;
+    }
+    void ColumnCodes(size_t a, size_t first, size_t count,
+                     uint32_t* out) const override {
+      base_->ColumnCodes(a, first, count, out);
+      if (a == 0 && first <= 1 && first + count > 1 && lie_in_columns_) {
+        out[1 - first] ^= 1;
+      }
     }
     rel::Value DecodeValue(size_t t, size_t a) const override {
       return base_->DecodeValue(t, a);
@@ -174,9 +199,13 @@ TEST(InvariantAuditDeathTest, ViolatedStoreContractIsFatal) {
 
    private:
     std::shared_ptr<const TupleStore> base_;
+    bool lie_in_columns_;
   };
-  const LyingStore lying(MakeRelationStore(MixedRelation()));
-  EXPECT_DEATH(CheckStoreInvariants(lying), "TupleCodes disagrees");
+  const auto honest = MakeRelationStore(MixedRelation());
+  EXPECT_DEATH(CheckStoreInvariants(LyingStore(honest, false)),
+               "TupleCodes disagrees");
+  EXPECT_DEATH(CheckStoreInvariants(LyingStore(honest, true)),
+               "ColumnCodes disagrees with code\\(\\) at cell \\(1, 0\\)");
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "lattice/enumeration.h"
+#include "support/core_views.h"
 #include "support/refinements.h"
 #include "util/rng.h"
 #include "workload/travel.h"

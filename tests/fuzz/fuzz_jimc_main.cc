@@ -126,8 +126,8 @@ void FixChecksums(Image& image) {
     std::memcpy(&length, image.data() + entry + 16, sizeof(length));
     if (offset > image.size() || length > image.size() - offset) continue;
     StoreU64(image, entry + 24,
-             storage::Fnv1a64(image.data() + offset,
-                              static_cast<size_t>(length)));
+             storage::Checksum(image.data() + offset,
+                               static_cast<size_t>(length)));
   }
 }
 
@@ -365,7 +365,7 @@ std::string MutateCheckpoint(util::Rng& rng,
   }
   if (bytes.size() >= sizeof(uint64_t) && rng.Bernoulli(0.5)) {
     const size_t body = bytes.size() - sizeof(uint64_t);
-    const uint64_t checksum = storage::Fnv1a64(bytes.data(), body);
+    const uint64_t checksum = storage::Checksum(bytes.data(), body);
     for (size_t b = 0; b < sizeof(checksum); ++b) {  // little-endian
       bytes[body + b] = static_cast<char>(checksum >> (8 * b));
     }

@@ -80,6 +80,14 @@ int FuzzJimcImage(const uint8_t* data, size_t size,
       if (!value.is_null()) mix += value.ToString().size();
     }
   }
+  std::vector<uint32_t> column(store.num_tuples());
+  for (size_t a = 0; a < columns; ++a) {
+    store.ColumnCodes(a, 0, column.size(), column.data());
+    for (size_t t = 0; t < column.size(); ++t) {
+      JIM_CHECK_EQ(column[t], store.code(t, a))
+          << "ColumnCodes vs code() drift at (" << t << ", " << a << ")";
+    }
+  }
   store.CheckInvariants();
   // Volatile sink: the cell scan above must not be dead-read-eliminated.
   volatile uint64_t sink = mix;

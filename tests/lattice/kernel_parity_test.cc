@@ -78,7 +78,7 @@ TEST(KernelParityTest, MeetIntoMatchesMeet) {
       const Partition decoded = PairMaskToPartition(out.data(), n);
       EXPECT_EQ(decoded, reference);
       EXPECT_EQ(decoded.num_blocks(), reference.num_blocks());
-      EXPECT_EQ(decoded.Hash(), reference.Hash());
+      decoded.CheckInvariants();
     }
   }
 }
@@ -159,11 +159,13 @@ TEST(KernelParityTest, FingerprintIsContentDetermined) {
       std::vector<int> shifted(a.labels());
       for (int& v : shifted) v += 1000;
       const Partition b = Partition::FromLabels(shifted);
+      // (Equality compares the fingerprints first.)
       ASSERT_EQ(a, b);
-      EXPECT_EQ(a.Hash(), b.Hash());
+      b.CheckInvariants();
       // A copy carries the fingerprint along.
       const Partition c = a;
-      EXPECT_EQ(c.Hash(), a.Hash());
+      EXPECT_EQ(c, a);
+      c.CheckInvariants();
     }
   }
 }

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -118,6 +119,20 @@ void ExpectParity(const rel::Catalog& catalog,
             codes[a] != rel::kNullCode && codes[a] == codes[b];
         EXPECT_EQ(codes_equal, row[a].Equals(row[b]))
             << context << " t=" << t << " (" << a << "," << b << ")";
+      }
+    }
+  }
+  // The column walk the class build reads (ColumnCodes), in blocks of 7 so
+  // that blocks start inside a mixed-radix digit's run, agrees with code().
+  constexpr size_t kBlock = 7;
+  std::vector<uint32_t> column(kBlock);
+  for (size_t a = 0; a < store.num_attributes(); ++a) {
+    for (size_t first = 0; first < store.num_tuples(); first += kBlock) {
+      const size_t count = std::min(kBlock, store.num_tuples() - first);
+      store.ColumnCodes(a, first, count, column.data());
+      for (size_t k = 0; k < count; ++k) {
+        EXPECT_EQ(column[k], store.code(first + k, a))
+            << context << " t=" << first + k << " a=" << a;
       }
     }
   }

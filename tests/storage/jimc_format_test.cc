@@ -160,6 +160,9 @@ class FileImage {
       bytes_[offset + i] = static_cast<char>((v >> (8 * i)) & 0xFF);
     }
   }
+  uint8_t ReadByte(size_t offset) const {
+    return static_cast<uint8_t>(bytes_[offset]);
+  }
   void WriteByte(size_t offset, uint8_t v) {
     bytes_[offset] = static_cast<char>(v);
   }
@@ -191,11 +194,13 @@ class FileImage {
   }
 
   /// Recomputes entry i's checksum from its (possibly mutated) payload.
-  void FixChecksum(int i) {
-    const size_t entry = EntryOffset(static_cast<size_t>(i));
-    const uint64_t checksum =
-        Fnv1a64(bytes_.data() + SectionPayloadOffset(i), SectionLength(i));
-    WriteU64(entry + 24, checksum);
+  void FixChecksum(int i) { FixChecksumWith(i, Checksum); }
+
+  /// As FixChecksum, with another checksum function.
+  void FixChecksumWith(int i, uint64_t (*checksum)(const void*, size_t)) {
+    WriteU64(EntryOffset(static_cast<size_t>(i)) + 24,
+             checksum(bytes_.data() + SectionPayloadOffset(i),
+                      SectionLength(i)));
   }
 
   void Truncate(size_t new_size) { bytes_.resize(new_size); }
@@ -209,6 +214,14 @@ class FileImage {
   std::string path_;
   std::vector<char> bytes_;
 };
+
+/// The version-1 section checksum: FNV-1a 64 one byte at a time.
+uint64_t ByteWiseFnv1a64(const void* data, size_t size) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  uint64_t hash = 14695981039346656037ull;
+  for (size_t i = 0; i < size; ++i) hash = (hash ^ bytes[i]) * 1099511628211ull;
+  return hash;
+}
 
 /// Writes a fresh valid file, applies `mutate`, and asserts Open fails with
 /// kInvalidArgument and a message containing `expect_substring`.
@@ -250,6 +263,20 @@ TEST(JimcCorruptionTest, BadMagic) {
 TEST(JimcCorruptionTest, UnsupportedVersion) {
   ExpectCorruption("version", [](FileImage& f) { f.WriteU32(4, 99); },
                    "unsupported format version");
+}
+
+TEST(JimcCorruptionTest, VersionOneFileIsUnsupported) {
+  // A well-formed version-1 file: its byte-wise FNV-1a section checksums
+  // all hold, and it still fails on its version, not on a checksum.
+  ExpectCorruption(
+      "version_one",
+      [](FileImage& f) {
+        f.WriteU32(4, 1);
+        for (int i = 0; i < static_cast<int>(f.ReadU32(20)); ++i) {
+          f.FixChecksumWith(i, ByteWiseFnv1a64);
+        }
+      },
+      "unsupported format version 1");
 }
 
 TEST(JimcCorruptionTest, TruncatedFile) {
@@ -459,6 +486,88 @@ TEST(JimcCorruptionTest, SharedCodeNeverDefined) {
         f.FixChecksum(i);
       },
       "never defined");
+}
+
+TEST(JimcCorruptionTest, EveryFlippedSectionByteIsRejected) {
+  // Every byte of every section's payload, flipped one at a time: the
+  // section checksum must catch each one (none is re-fixed).
+  const std::string path = TestPath("flip_every_byte");
+  ASSERT_TRUE(
+      WriteStore(*core::MakeRelationStore(MixedRelation()), path).ok());
+  const FileImage pristine(path);
+  const size_t sections = pristine.ReadU32(20);
+  size_t flipped = 0;
+  for (int i = 0; i < static_cast<int>(sections); ++i) {
+    const size_t payload = pristine.SectionPayloadOffset(i);
+    for (size_t b = 0; b < pristine.SectionLength(i); ++b) {
+      FileImage image = pristine;
+      image.WriteByte(payload + b, ~image.ReadByte(payload + b));
+      image.Save();
+      const auto opened = MappedTupleStore::Open(path);
+      ASSERT_FALSE(opened.ok()) << "section " << i << " byte " << b;
+      EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
+      EXPECT_NE(opened.status().message().find("checksum mismatch"),
+                std::string::npos)
+          << opened.status();
+      ++flipped;
+    }
+  }
+  EXPECT_GT(flipped, 100u);
+}
+
+// ---------------------------------------------------------------------------
+// The checksum itself. Lengths 0-200 cover no whole 64-byte block, one,
+// two and three, each with every tail length.
+// ---------------------------------------------------------------------------
+
+std::vector<uint8_t> PseudoRandomBytes(size_t size) {
+  std::vector<uint8_t> bytes(size);
+  uint64_t state = 0x9E3779B97F4A7C15ull;
+  for (uint8_t& byte : bytes) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    byte = static_cast<uint8_t>(state >> 56);
+  }
+  return bytes;
+}
+
+TEST(JimcChecksumTest, EverySingleByteChangeChangesTheValue) {
+  constexpr size_t kMaxLength = 200;
+  std::vector<uint8_t> bytes = PseudoRandomBytes(kMaxLength);
+  for (size_t length = 0; length <= kMaxLength; ++length) {
+    const uint64_t original = Checksum(bytes.data(), length);
+    for (size_t at = 0; at < length; ++at) {
+      const uint8_t kept = bytes[at];
+      for (int delta = 1; delta < 256; ++delta) {
+        bytes[at] = static_cast<uint8_t>(kept + delta);
+        ASSERT_NE(Checksum(bytes.data(), length), original)
+            << "length " << length << " byte " << at << " delta " << delta;
+      }
+      bytes[at] = kept;
+    }
+  }
+}
+
+TEST(JimcChecksumTest, EveryOneByteTruncationChangesTheValue) {
+  constexpr size_t kMaxLength = 200;
+  // All-zero bytes too: a truncation there changes only the length.
+  for (const std::vector<uint8_t>& bytes :
+       {PseudoRandomBytes(kMaxLength), std::vector<uint8_t>(kMaxLength, 0)}) {
+    for (size_t length = 1; length <= kMaxLength; ++length) {
+      EXPECT_NE(Checksum(bytes.data(), length),
+                Checksum(bytes.data(), length - 1))
+          << "length " << length;
+    }
+  }
+}
+
+TEST(JimcChecksumTest, ValueDoesNotDependOnAlignment) {
+  const std::vector<uint8_t> bytes = PseudoRandomBytes(200);
+  for (size_t shift = 1; shift < 8; ++shift) {
+    std::vector<uint8_t> shifted(shift, 0);
+    shifted.insert(shifted.end(), bytes.begin(), bytes.end());
+    EXPECT_EQ(Checksum(shifted.data() + shift, bytes.size()),
+              Checksum(bytes.data(), bytes.size()));
+  }
 }
 
 }  // namespace

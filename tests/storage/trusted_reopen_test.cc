@@ -137,7 +137,7 @@ TEST(TrustedReopenTest, OutOfRangeCodeRejectedFullCheckedTrusted) {
   // recompute the section checksum so only the range scan can see it.
   const uint32_t evil = 0x7FFFFFFFu;
   std::memcpy(bytes.data() + codes->offset, &evil, sizeof(evil));
-  const uint64_t checksum = Fnv1a64(
+  const uint64_t checksum = Checksum(
       reinterpret_cast<const uint8_t*>(bytes.data()) + codes->offset,
       static_cast<size_t>(codes->length));
   std::memcpy(bytes.data() + codes->entry_offset + 24, &checksum,

@@ -66,6 +66,31 @@ std::string CanonicalKey(const InferenceState& state) {
   return out + "]";
 }
 
+lat::Partition TuplePartition(const rel::Tuple& tuple) {
+  const size_t n = tuple.size();
+  std::vector<int> labels(n);
+  // Group attributes by pairwise Equals. NULLs never group (Equals is false
+  // for them), which is exactly SQL join semantics. Quadratic in n, which is
+  // fine: n is the attribute count (small), not the tuple count.
+  int next = 0;
+  std::vector<bool> assigned(n, false);
+  for (size_t i = 0; i < n; ++i) {
+    if (assigned[i]) continue;
+    labels[i] = next;
+    assigned[i] = true;
+    if (!tuple[i].is_null()) {
+      for (size_t j = i + 1; j < n; ++j) {
+        if (!assigned[j] && tuple[i].Equals(tuple[j])) {
+          labels[j] = next;
+          assigned[j] = true;
+        }
+      }
+    }
+    ++next;
+  }
+  return lat::Partition::FromLabels(labels);
+}
+
 lat::Partition ClassKnowledge(const InferenceEngine& engine,
                               size_t class_id) {
   return lat::PairMaskToPartition(engine.KnowledgeRow(class_id),

@@ -9,6 +9,7 @@
 #include "core/inference_state.h"
 #include "core/session.h"
 #include "lattice/partition.h"
+#include "relational/relation.h"
 #include "util/bitset.h"
 #include "util/status.h"
 
@@ -31,6 +32,12 @@ std::vector<lat::Partition> Forbidden(const InferenceState& state);
 
 /// Human-readable canonical rendering: θ_P, then the forbidden members.
 std::string CanonicalKey(const InferenceState& state);
+
+/// The value-induced partition Part(t): attributes i, j are co-block iff
+/// t[i].Equals(t[j]). Each NULL forms its own singleton (NULL ≠ NULL). The
+/// Value-level reference the engine's code-level class build is checked
+/// against: θ selects t ⇔ θ ≤ Part(t).
+lat::Partition TuplePartition(const rel::Tuple& tuple);
 
 /// Knowledge K_c = θ_P ∧ Part(c) of an informative class, decoded from the
 /// engine's cached row (InferenceEngine::KnowledgeRow).
