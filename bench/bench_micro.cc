@@ -359,7 +359,8 @@ struct WorkCounts {
   /// costs on the 10k instance: its sampled candidate count.
   uint64_t simulate_calls_per_pick = 0;
   /// engine.class_table_bytes of the instance behind each BuildClasses* row,
-  /// by row name: a count of the class table's layout that, unlike the
+  /// by row name: the class table's layout (4 B per tuple plus a first
+  /// tuple, a size and a Part(c) row per class), a count that, unlike the
   /// rows' timings, repeats exactly run to run.
   std::unordered_map<std::string, int64_t> class_table_bytes;
 };

@@ -22,18 +22,21 @@
 #                        plus a guard that every tsan.supp suppression still
 #                        matches a symbol the instrumented binaries
 #                        actually reference
-#   - ASAN stage         columnar storage/ingest suites plus the lookahead
-#                        pick parity + minimax suite (CutoffParity) under
-#                        address
-#   - UBSAN stage        integer-kernel + storage + checkpoint-codec
-#                        suites AND the deterministic fuzz driver (5000
+#   - ASAN stage         columnar storage/ingest suites, the engine suites
+#                        (the class table's uninitialised class_of_tuple
+#                        allocation) and the lookahead pick parity +
+#                        minimax suite (CutoffParity) under address
+#   - UBSAN stage        integer-kernel + storage + engine +
+#                        checkpoint-codec suites AND the deterministic
+#                        fuzz driver (5000
 #                        mutated JIMC images / goal strings / request
 #                        lines / checkpoint files) under
 #                        address+undefined
 #                        with every finding fatal (-fno-sanitize-recover);
 #                        the suites run the column-block class build at
 #                        zero-, one- and two-word mask widths and the
-#                        word-lane checksum over unaligned buffers
+#                        word-lane checksum (and the code-range bound it
+#                        keeps) over unaligned buffers
 #   - CRASH stage        fault-injection + crash-recovery suites under
 #                        address sanitizer: every syscall index during
 #                        WriteStore crashed and replayed,
@@ -204,10 +207,10 @@ else
   cmake --build build-asan -j --target \
     relational_dictionary_test core_tuple_store_test \
     query_factorized_parity_test core_encoded_parity_test query_query_test \
-    core_engine_copy_test core_cutoff_parity_test storage_jimc_format_test \
-    storage_mapped_parity_test
+    core_engine_test core_engine_copy_test core_cutoff_parity_test \
+    storage_jimc_format_test storage_mapped_parity_test
   (cd build-asan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|CutoffParity|UniversalTable|EngineCopy|Jimc|MappedParity|ParallelEncode')
+    -R 'Dictionary|EncodeColumn|EncodedRelation|TupleStore|FactorizedParity|EncodedParity|CutoffParity|UniversalTable|Engine|Jimc|MappedParity|ParallelEncode')
 fi
 
 # --- UBSAN stage (address+undefined, findings fatal) ---------------------
@@ -226,9 +229,10 @@ else
     core_tuple_store_test core_invariant_audit_test \
     relational_dictionary_test storage_jimc_format_test \
     storage_byte_reader_test storage_mapped_parity_test \
-    core_encoded_parity_test serve_checkpoint_test fuzz_jimc_main
+    core_encoded_parity_test core_engine_test serve_checkpoint_test \
+    fuzz_jimc_main
   (cd build-ubsan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Partition|Antichain|InferenceState|BruteForceAgreement|KernelParity|Enumeration|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|EncodedParity|CheckpointCodec|InvariantAudit|fuzz_jimc_smoke')
+    -R 'Partition|Antichain|InferenceState|BruteForceAgreement|KernelParity|Enumeration|TupleStore|Dictionary|Jimc|ByteReader|MappedParity|EncodedParity|Engine|CheckpointCodec|InvariantAudit|fuzz_jimc_smoke')
   # The deterministic fuzz driver, long run: 5000 mutated JIMC images, goal
   # strings, request lines and checkpoint files, every outcome a typed
   # Status, under ASAN+UBSAN with findings fatal. Reproduce any failure with

@@ -143,8 +143,8 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
   mask_words_ = lat::PairMaskWords(n);
   const size_t words = mask_words_;
   auto table = std::make_shared<ClassTable>();
-  std::vector<uint32_t>& class_of_tuple = table->class_of_tuple;
-  class_of_tuple.resize(num_tuples);
+  table->class_of_tuple.reset(new uint32_t[num_tuples]);
+  uint32_t* class_of_tuple = table->class_of_tuple.get();
 
   // The tuples split into static contiguous chunks, one per pool thread.
   const size_t chunks =
@@ -165,18 +165,16 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
   // Part(t)), so every inner loop runs over contiguous tuples at any mask
   // width. It then groups the block's masks in its own index, writing each
   // tuple's chunk-local id (first-occurrence order within the chunk) into
-  // class_of_tuple and counting each id's tuples into runs[j]; a tuple whose
-  // mask equals its predecessor's skips the lookup.
+  // class_of_tuple and recording each id's first tuple and size in
+  // found[j]; a tuple whose mask equals its predecessor's skips the lookup.
   constexpr size_t kBlock = 1024;
   std::vector<MaskRowIndex> local(chunks, MaskRowIndex(words));
-  // Per chunk and local id: its tuple count, then (from phase 2 on) the
-  // position of its next member in the CSR member array.
-  std::vector<std::vector<uint32_t>> runs(chunks);
+  std::vector<std::vector<TupleClass>> found(chunks);
   for_each_chunk([&](size_t j) {
     std::vector<uint32_t> codes(n * kBlock);
     std::vector<uint64_t> masks(words * kBlock);
     std::vector<uint64_t> last(words);  // the previous tuple's mask
-    std::vector<uint32_t>& counts = runs[j];
+    std::vector<TupleClass>& ids = found[j];
     uint32_t last_id = 0;
     const size_t end = chunk_begin(j + 1);
     for (size_t first = chunk_begin(j); first < end; first += kBlock) {
@@ -200,17 +198,19 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
         }
       }
       for (size_t k = 0; k < count; ++k) {
-        bool same = !counts.empty();
+        bool same = !ids.empty();
         for (size_t w = 0; w < words; ++w) {
           same &= masks[w * kBlock + k] == last[w];
         }
         if (!same) {
           for (size_t w = 0; w < words; ++w) last[w] = masks[w * kBlock + k];
           last_id = local[j].FindOrAdd(last.data());
-          if (last_id == counts.size()) counts.push_back(0);
+          if (last_id == ids.size()) {
+            ids.push_back(TupleClass{{static_cast<uint32_t>(first + k)}, 0});
+          }
         }
         class_of_tuple[first + k] = last_id;
-        ++counts[last_id];
+        ++ids[last_id].count;
       }
     }
   });
@@ -218,53 +218,40 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
   // Phase 2 (serial): merge the chunks' distinct rows in chunk order. A
   // class's first chunk holds its first tuple, and within a chunk local ids
   // follow first occurrence, so the global ids follow first-occurrence tuple
-  // order — bitwise-identical at any thread count. The per-chunk counts
-  // give the CSR offsets, and each (chunk, local id) the position where its
-  // first member goes: after the class's members from earlier chunks.
+  // order — bitwise-identical at any thread count. A class takes its first
+  // tuple from the earliest chunk that holds it and its size from all of
+  // them. A chunk's remap is the identity when its local ids already are
+  // the global ones, which chunk 0's always are.
   MaskRowIndex global(words);
   std::vector<std::vector<uint32_t>> remap(chunks);
+  std::vector<bool> identity(chunks, true);
+  std::vector<TupleClass>& classes = table->classes;
   for (size_t j = 0; j < chunks; ++j) {
-    remap[j].resize(local[j].size());
     for (size_t id = 0; id < local[j].size(); ++id) {
-      remap[j][id] = global.FindOrAdd(local[j].row(id));
+      const uint32_t c = global.FindOrAdd(local[j].row(id));
+      remap[j].push_back(c);
+      identity[j] = identity[j] && c == id;
+      const TupleClass& in_chunk = found[j][id];
+      if (c == classes.size()) classes.push_back({in_chunk.tuple_indices, 0});
+      classes[c].count += in_chunk.count;
     }
   }
-  local.clear();
-  const size_t num_classes = global.size();
+  classes.shrink_to_fit();
+  const size_t num_classes = classes.size();
   table->part_rows = global.Rows();
-  std::vector<uint32_t>& offsets = table->offsets;
-  offsets.assign(num_classes + 1, 0);
-  for (size_t j = 0; j < chunks; ++j) {
-    for (size_t id = 0; id < remap[j].size(); ++id) {
-      offsets[remap[j][id] + 1] += runs[j][id];
-    }
-  }
-  for (size_t c = 0; c < num_classes; ++c) offsets[c + 1] += offsets[c];
-  std::vector<uint32_t> fill(offsets.begin(), offsets.end() - 1);
-  for (size_t j = 0; j < chunks; ++j) {
-    for (size_t id = 0; id < remap[j].size(); ++id) {
-      const uint32_t members = runs[j][id];
-      runs[j][id] = fill[remap[j][id]];
-      fill[remap[j][id]] += members;
-    }
-  }
 
-  // Phase 3 (parallel): one pass per chunk places each tuple in its class's
-  // member run (ascending t keeps every run ascending) and remaps it to its
-  // global id.
-  table->members.resize(num_tuples);
+  // Phase 3 (parallel): chunks whose remap is not the identity rewrite their
+  // tuples' local ids to global ones.
   for_each_chunk([&](size_t j) {
+    if (identity[j]) return;
     for (size_t t = chunk_begin(j); t < chunk_begin(j + 1); ++t) {
-      const uint32_t id = class_of_tuple[t];
-      table->members[runs[j][id]++] = static_cast<uint32_t>(t);
-      class_of_tuple[t] = remap[j][id];
+      class_of_tuple[t] = remap[j][class_of_tuple[t]];
     }
   });
   JIM_GAUGE_SET(obs::kGaugeEngineClassTableBytes,
                 static_cast<int64_t>(
-                    sizeof(uint32_t) * (table->class_of_tuple.capacity() +
-                                        table->members.capacity() +
-                                        table->offsets.capacity()) +
+                    sizeof(uint32_t) * num_tuples +
+                    sizeof(TupleClass) * classes.capacity() +
                     sizeof(uint64_t) * table->part_rows.capacity()));
 
   // Initially θ_P = ⊤, so K_c = ⊤ ∧ Part(c) = Part(c); every class starts on
@@ -522,7 +509,7 @@ void InferenceEngine::PrepareLookaheadColumns(
   columns.class_tuples.resize(size);
   for (size_t i = 0; i < size; ++i) {
     const size_t c = informative_[i];
-    columns.class_tuples[i] = static_cast<uint32_t>(tuple_class(c).size());
+    columns.class_tuples[i] = table_->classes[c].count;
     // Position i is bit i % 64 of word i / 64, which is lane word % kTile
     // of tile word / kTile.
     const size_t word = i / 64;
@@ -660,41 +647,34 @@ void InferenceEngine::CheckInvariants() const {
   // The class table and the per-class arrays sized for this instance.
   JIM_CHECK(store_ != nullptr && table_ != nullptr);
   const size_t num_tuples = store_->num_tuples();
-  JIM_CHECK(!table_->offsets.empty());
-  const size_t num_classes = table_->offsets.size() - 1;
-  JIM_CHECK_EQ(table_->class_of_tuple.size(), num_tuples);
-  JIM_CHECK_EQ(table_->members.size(), num_tuples);
+  const size_t num_classes = table_->classes.size();
   JIM_CHECK_EQ(class_status_.size(), num_classes);
   JIM_CHECK_EQ(mask_words_, lat::PairMaskWords(store_->num_attributes()));
   JIM_CHECK_EQ(table_->part_rows.size(), num_classes * mask_words_);
   JIM_CHECK_EQ(knowledge_rows_.size(), num_classes * mask_words_);
   JIM_CHECK_EQ(knowledge_rank_.size(), num_classes);
 
-  // Classes partition the tuple set, in agreement with class_of_tuple:
-  // non-empty runs of ascending members covering the permutation, with
-  // class ids in first-occurrence order.
-  JIM_CHECK_EQ(table_->offsets.front(), 0u);
-  JIM_CHECK_EQ(table_->offsets.back(), num_tuples)
-      << "classes do not partition the tuple set";
+  // Re-derived from class_of_tuple alone: class ids in first-occurrence
+  // order, no empty class, and each class's first tuple and size.
+  std::vector<uint32_t> sizes(num_classes, 0);
+  size_t seen = 0;  // classes met so far, = the next new id
+  for (size_t t = 0; t < num_tuples; ++t) {
+    const size_t c = class_of_tuple(t);
+    JIM_CHECK_LT(c, num_classes) << "tuple " << t << " in no class";
+    if (c == seen) {
+      JIM_CHECK_EQ(tuple_class(c).tuple_indices[0], t)
+          << "class " << c << " does not start at its first tuple";
+      ++seen;
+    }
+    JIM_CHECK_LT(c, seen)
+        << "class " << c << " is out of first-occurrence order at tuple "
+        << t;
+    ++sizes[c];
+  }
+  JIM_CHECK_EQ(seen, num_classes) << "empty class " << seen;
   for (size_t c = 0; c < num_classes; ++c) {
-    JIM_CHECK_LT(table_->offsets[c], table_->offsets[c + 1])
-        << "empty class " << c;
-    const ClassMembers members = tuple_class(c).tuple_indices;
-    if (c > 0) {
-      JIM_CHECK_LT(tuple_class(c - 1).tuple_indices.front(), members.front())
-          << "class " << c << " is out of first-occurrence order";
-    }
-    for (size_t i = 0; i < members.size(); ++i) {
-      const size_t t = members[i];
-      JIM_CHECK_LT(t, num_tuples);
-      if (i > 0) {
-        JIM_CHECK_LT(members[i - 1], t)
-            << "class " << c << " members not strictly ascending";
-      }
-      JIM_CHECK_EQ(class_of_tuple(t), c)
-          << "tuple " << t << " listed in class " << c
-          << " but mapped elsewhere";
-    }
+    JIM_CHECK_EQ(tuple_class(c).size(), sizes[c])
+        << "class " << c << " has the wrong size";
   }
 
   // Worklist = ascending ids of exactly the kInformative classes.

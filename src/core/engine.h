@@ -2,6 +2,7 @@
 #define JIM_CORE_ENGINE_H_
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -18,45 +19,18 @@
 
 namespace jim::core {
 
-/// The member tuple ids of one class: a read-only view over a contiguous
-/// run of the class table's member permutation (see InferenceEngine's
-/// ClassTable). Valid while the engine — or any copy sharing its table —
-/// lives.
-class ClassMembers {
- public:
-  using const_iterator = const uint32_t*;
-
-  ClassMembers(const uint32_t* begin, const uint32_t* end)
-      : begin_(begin), end_(end) {}
-
-  const uint32_t* begin() const { return begin_; }
-  const uint32_t* end() const { return end_; }
-  const uint32_t* data() const { return begin_; }
-  size_t size() const { return static_cast<size_t>(end_ - begin_); }
-  uint32_t operator[](size_t i) const { return begin_[i]; }
-  uint32_t front() const { return *begin_; }
-
-  friend bool operator==(const ClassMembers& a, const ClassMembers& b) {
-    return std::equal(a.begin_, a.end_, b.begin_, b.end_);
-  }
-
- private:
-  const uint32_t* begin_;
-  const uint32_t* end_;
-};
-
 /// An equivalence class of tuples: all tuples of the instance sharing the
 /// same value partition Part(t), i.e. the same pair mask. Tuples in one class
 /// are interchangeable for inference — labeling any member forces the labels
 /// of all the others — so the engine reasons over classes and the paper's
 /// "label propagation" (graying out uninformative tuples) falls out for
-/// free. A TupleClass is a view into the engine's class table: its members
-/// are a run of the table's member permutation, and Part(c) is a mask row
-/// of the table, decoded by InferenceEngine::ClassPartition.
+/// free. The class table keeps a class's first tuple (the one shown to the
+/// user) and size; its members are the tuples t with class_of_tuple(t) == c.
 struct TupleClass {
-  ClassMembers tuple_indices;  ///< members, ascending
+  std::array<uint32_t, 1> tuple_indices;  ///< [0]: the first tuple
+  uint32_t count;                         ///< members
 
-  size_t size() const { return tuple_indices.size(); }
+  size_t size() const { return count; }
 };
 
 /// Lifecycle of a class during a session.
@@ -132,14 +106,14 @@ class InferenceEngine {
   explicit InferenceEngine(std::shared_ptr<const rel::Relation> relation);
 
   /// An engine is a plain value over one shared, immutable class table
-  /// (members, tuple → class map, Part(c) rows) and one shared store: a
-  /// copy shares those two outright and copies the per-class session state
-  /// — statuses, worklist, worklist positions, K_c rows and ranks —
-  /// O(classes), never O(tuples). This is what lets BatchSessionRunner fan
-  /// independent sessions out over copies of one built engine. Copies share
-  /// nothing they write, so they may be labeled from different threads
-  /// concurrently; copying an engine *while another thread mutates that same
-  /// engine* is a race, so copy before fanning out.
+  /// (tuple → class map, first tuple and size per class, Part(c) rows) and
+  /// one shared store: a copy shares those two outright and copies the
+  /// per-class session state — statuses, worklist, worklist positions, K_c
+  /// rows and ranks — O(classes), never O(tuples). This is what lets
+  /// BatchSessionRunner fan independent sessions out over copies of one
+  /// built engine. Copies share nothing they write, so they may be labeled
+  /// from different threads concurrently; copying an engine *while another
+  /// thread mutates that same engine* is a race, so copy before fanning out.
   InferenceEngine(const InferenceEngine&) = default;
   InferenceEngine& operator=(const InferenceEngine&) = default;
 
@@ -151,12 +125,10 @@ class InferenceEngine {
   const InferenceState& state() const { return state_; }
 
   size_t num_tuples() const { return store_->num_tuples(); }
-  size_t num_classes() const { return table_->offsets.size() - 1; }
-  /// The class's members, a view into the shared class table.
-  TupleClass tuple_class(size_t class_id) const {
-    const uint32_t* members = table_->members.data();
-    return TupleClass{ClassMembers(members + table_->offsets[class_id],
-                                   members + table_->offsets[class_id + 1])};
+  size_t num_classes() const { return table_->classes.size(); }
+  /// The class's first tuple and size, in the shared class table.
+  const TupleClass& tuple_class(size_t class_id) const {
+    return table_->classes[class_id];
   }
   /// Part(c), decoded from the class table's mask row.
   lat::Partition ClassPartition(size_t class_id) const;
@@ -310,8 +282,9 @@ class InferenceEngine {
   /// Invariant audit (see util/check.h), re-deriving the engine's contracts
   /// from scratch and JIM_CHECK-failing on any disagreement:
   ///   - the inference state is internally consistent (θ_P / antichain);
-  ///   - classes partition the tuple set and agree with class_of_tuple,
-  ///     and every Part(c) row is the mask of a partition;
+  ///   - class ids follow first occurrence in class_of_tuple, and each
+  ///     class's first tuple and size are those class_of_tuple gives it;
+  ///   - every Part(c) row is the mask of a partition;
   ///   - the worklist is exactly the ascending list of kInformative classes;
   ///   - for every informative class, the cached row equals the pair mask
   ///     of a from-scratch θ_P ∧ Part(c) recompute, and the incremental
@@ -356,14 +329,12 @@ class InferenceEngine {
   void RemoveFromWorklist(size_t class_id);
 
   /// The class table, immutable once BuildClasses returns, so every copy of
-  /// an engine shares it outright. Membership is in CSR form: class c's
-  /// members are members[offsets[c], offsets[c + 1]), ascending, so the
-  /// whole table is 8 bytes per tuple plus (4 + 8 · mask_words_) bytes per
-  /// class, plus 4.
+  /// an engine shares it outright: 4 bytes per tuple plus (8 + 8 ·
+  /// mask_words_) bytes per class. class_of_tuple is not value-initialised:
+  /// the build's parallel chunks touch its pages first.
   struct ClassTable {
-    std::vector<uint32_t> class_of_tuple;  ///< by tuple index
-    std::vector<uint32_t> members;    ///< tuple ids, grouped by class
-    std::vector<uint32_t> offsets;    ///< num_classes + 1 run starts
+    std::unique_ptr<uint32_t[]> class_of_tuple;  ///< by tuple index
+    std::vector<TupleClass> classes;             ///< by class id
     std::vector<uint64_t> part_rows;  ///< Part(c), mask_words_ per class
   };
 

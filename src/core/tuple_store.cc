@@ -116,11 +116,11 @@ void CheckStoreInvariants(const TupleStore& store) {
       if (value.is_null()) continue;
       if (value.type() == rel::ValueType::kDouble &&
           std::isnan(value.AsDouble())) {
-        // NaN ≠ NaN: every NaN cell must carry its own code, and that code
-        // can never also serve a comparable value.
-        JIM_CHECK(nan_codes.insert(code).second)
-            << "NaN cells share code " << code << " at (" << t << ", " << a
-            << ")";
+        // NaN ≠ NaN: no other cell of the tuple may carry a NaN cell's code,
+        // and that code can never also serve a comparable value.
+        JIM_CHECK_EQ(std::count(row.begin(), row.end(), code), 1)
+            << "NaN cell (" << t << ", " << a << ") shares its code " << code;
+        nan_codes.insert(code);
         JIM_CHECK(value_of_code.find(code) == value_of_code.end())
             << "code " << code << " serves both NaN and a comparable value";
         continue;

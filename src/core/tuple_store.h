@@ -20,12 +20,17 @@ namespace jim::core {
 /// needs from an instance of candidate tuples, and nothing more.
 ///
 /// Tuples are exposed as *codes*, not values: `code(t, a)` returns a dense
-/// integer such that, within one store,
+/// integer such that, within one store, for cells that are not NaN,
 ///
 ///   code(t, a) == code(t', a')  ⇔  the two cells hold strictly equal Values
 ///                                  (rel::Value::Equals),
 ///   code(t, a) == rel::kNullCode ⇔ the cell is NULL (never equal to
 ///                                  anything, itself included).
+///
+/// A NaN cell's code is carried by no other cell of its tuple and by no
+/// non-NaN cell; NaN cells of different tuples may share one (the factorized
+/// store and the JIMC writer repeat a source NaN's code), which suffices
+/// because the engine compares codes only within a tuple.
 ///
 /// Codes are comparable ACROSS attributes — the property Part(t) extraction
 /// needs — because every implementation funnels its per-column dictionaries
@@ -128,10 +133,9 @@ class RelationTupleStore final : public TupleStore {
 ///   - code == rel::kNullCode exactly for NULL cells;
 ///   - TupleCodes and ColumnCodes agree with per-cell code(), tuple by
 ///     tuple and in column blocks of every offset;
-///   - code equality is strict Value equality across all cells: equal codes
-///     decode to Equals values, each non-NaN value maps to exactly one code,
-///     and NaN cells (never equal, themselves included) all carry distinct
-///     codes.
+///   - code equality is strict Value equality across all non-NaN cells:
+///     equal codes decode to Equals values and each value maps to exactly
+///     one code, and a NaN cell's code is its own (see the class comment).
 /// O(N·n) decodes + hashing — test/audit-mode cost, not a hot path. The
 /// parity and storage suites run it over every backend (relation-backed,
 /// factorized, mapped).

@@ -1,19 +1,36 @@
 #include "storage/format.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "util/string_util.h"
 
 namespace jim::storage {
 
-uint64_t Checksum(const void* data, size_t size) {
+namespace {
+
+/// The one lane loop of Checksum and, with kCodes, of ChecksumCodes.
+template <bool kCodes>
+uint64_t LaneChecksum(const void* data, size_t size, uint32_t* code_end) {
   constexpr uint64_t kOffsetBasis = 14695981039346656037ull;
   constexpr uint64_t kPrime = 1099511628211ull;
   constexpr size_t kLanes = 8;
   constexpr size_t kBlockBytes = kLanes * sizeof(uint64_t);
+  constexpr size_t kBlockCodes = kBlockBytes / sizeof(uint32_t);
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
   uint64_t lanes[kLanes];
   for (uint64_t& lane : lanes) lane = kOffsetBasis;
+  uint32_t ends[kBlockCodes] = {};  // by code position within a block
+  const auto keep_ends = [&ends](const uint8_t* codes, size_t count) {
+    for (size_t k = 0; k < count; ++k) {
+      uint32_t code;
+      std::memcpy(&code, codes + k * sizeof(code), sizeof(code));
+#if defined(__BYTE_ORDER__) && (__BYTE_ORDER__ == __ORDER_BIG_ENDIAN__)
+      code = __builtin_bswap32(code);
+#endif
+      ends[k] = std::max(ends[k], code + 1);
+    }
+  };
   const size_t blocks_end = size - size % kBlockBytes;
   for (size_t i = 0; i < blocks_end; i += kBlockBytes) {
     for (size_t l = 0; l < kLanes; ++l) {
@@ -24,11 +41,26 @@ uint64_t Checksum(const void* data, size_t size) {
 #endif
       lanes[l] = (lanes[l] ^ word) * kPrime;
     }
+    if constexpr (kCodes) keep_ends(bytes + i, kBlockCodes);
   }
   uint64_t hash = (kOffsetBasis ^ static_cast<uint64_t>(size)) * kPrime;
   for (const uint64_t lane : lanes) hash = (hash ^ lane) * kPrime;
   for (size_t i = blocks_end; i < size; ++i) hash = (hash ^ bytes[i]) * kPrime;
+  if constexpr (kCodes) {
+    keep_ends(bytes + blocks_end, (size - blocks_end) / sizeof(uint32_t));
+    *code_end = *std::max_element(ends, ends + kBlockCodes);
+  }
   return hash;
+}
+
+}  // namespace
+
+uint64_t Checksum(const void* data, size_t size) {
+  return LaneChecksum<false>(data, size, nullptr);
+}
+
+uint64_t ChecksumCodes(const void* data, size_t size, uint32_t* code_end) {
+  return LaneChecksum<true>(data, size, code_end);
 }
 
 void AppendU8(std::string& out, uint8_t v) {

@@ -80,6 +80,12 @@ enum class ValueTag : uint8_t { kInt64 = 1, kDouble = 2, kString = 3 };
 /// bumping both.
 uint64_t Checksum(const void* data, size_t size);
 
+/// Checksum(data, size) of a code array that, in the same pass, sets
+/// `*code_end` to the max of `code + 1` over its little-endian u32 codes (0
+/// for none; kNullCode wraps to 0): every code is NULL or below D iff
+/// `*code_end <= D`.
+uint64_t ChecksumCodes(const void* data, size_t size, uint32_t* code_end);
+
 // The atomic-persist recipe (WriteFileAtomicallyWith) and the fsync/rename
 // primitives live behind the storage::Env seam (env.h) so fault-injection
 // tests can interpose on every one of them.

@@ -26,6 +26,7 @@ struct SectionEntry {
   uint64_t offset = 0;
   uint64_t length = 0;
   uint64_t checksum = 0;
+  uint32_t code_end = 0;  ///< ChecksumCodes' bound; 0 when not computed
 };
 
 }  // namespace
@@ -142,11 +143,15 @@ util::Status MappedTupleStore::Parse(bool trusted) {
           static_cast<unsigned long long>(section.offset),
           static_cast<unsigned long long>(section.length), size_));
     }
-    // Trusted reopen skips the checksum pass — the O(file) sequential read —
-    // but never the bounds checks above.
+    // Trusted reopen skips the checksum pass — the O(file) sequential read
+    // that also bounds every code — but never the bounds checks above.
     if (trusted) continue;
+    const uint8_t* payload = data_ + section.offset;
+    const size_t length = static_cast<size_t>(section.length);
     const uint64_t actual =
-        Checksum(data_ + section.offset, static_cast<size_t>(section.length));
+        static_cast<SectionId>(section.id) == SectionId::kCodes
+            ? ChecksumCodes(payload, length, &section.code_end)
+            : Checksum(payload, length);
     if (actual != section.checksum) {
       return Corrupt(path_, util::StrFormat(
           "checksum mismatch in section id=%u column=%u (stored "
@@ -312,9 +317,10 @@ util::Status MappedTupleStore::Parse(bool trusted) {
     }
     const uint32_t* codes =
         reinterpret_cast<const uint32_t*>(data_ + section.offset);
-    // The O(N·n) range scan is the other cost trusted reopen trades away; a
-    // code it would have caught trips DecodeValue's JIM_CHECK instead.
-    if (!trusted) {
+    // The checksum pass bounded the codes; only an array holding one out of
+    // range is read again, to name it. Trusted reopen leaves code_end 0: a
+    // code full validation would have caught trips DecodeValue's JIM_CHECK.
+    if (section.code_end > dict_size) {
       for (size_t t = 0; t < num_tuples_; ++t) {
         if (codes[t] >= dict_size && codes[t] != rel::kNullCode) {
           return Corrupt(path_, util::StrFormat(

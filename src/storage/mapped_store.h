@@ -17,13 +17,13 @@ namespace jim::storage {
 struct OpenOptions {
   /// Filesystem to read through (nullptr → DefaultEnv()).
   Env* env = nullptr;
-  /// Trusted reopen: skip the per-section checksum pass and the per-cell
-  /// code-range scan, keeping only the structural checks (header, section
+  /// Trusted reopen: skip the per-section checksum pass (which also bounds
+  /// every code), keeping only the structural checks (header, section
   /// bounds, name/schema parse, dictionary-page parse, code-array
   /// alignment/length). Meant for reopening files this process (or a
   /// previous incarnation of it, e.g. a restarting daemon) already opened
-  /// under full validation — O(sections + distinct values) instead of a
-  /// full sequential read of the file. A corrupt code that full validation
+  /// under full validation — O(sections + distinct values) instead of one
+  /// sequential read of the file. A corrupt code that full validation
   /// would have rejected instead trips DecodeValue's JIM_CHECK backstop.
   bool trusted = false;
 };
@@ -43,9 +43,9 @@ struct OpenOptions {
 /// per-section checksums, dictionary-page structure, and code ranges are all
 /// verified before the first access, and every failure is a typed
 /// util::Status naming the offending section — corrupt input can never reach
-/// undefined behavior. The validation pass reads the file once,
-/// sequentially; it is still far cheaper than re-encoding (no hashing, no
-/// allocation per cell).
+/// undefined behavior. The validation pass reads the file once (a code
+/// array's checksum also bounds its codes); it is still far cheaper than
+/// re-encoding (no hashing, no allocation per cell).
 class MappedTupleStore final : public core::TupleStore {
  public:
   /// Maps and validates `path` through `env` (nullptr → DefaultEnv()).

@@ -110,8 +110,7 @@ TEST(EncodedParityTest, ClassesMatchValueRowReferenceAtAnyThreadCount) {
       ASSERT_EQ(parallel.num_classes(), serial.num_classes());
       for (size_t c = 0; c < serial.num_classes(); ++c) {
         EXPECT_EQ(ClassKnowledge(parallel, c), ClassKnowledge(serial, c));
-        EXPECT_EQ(parallel.tuple_class(c).tuple_indices,
-                  serial.tuple_class(c).tuple_indices);
+        EXPECT_EQ(MembersOf(parallel, c), MembersOf(serial, c));
       }
       EXPECT_EQ(parallel.InformativeClasses(), serial.InformativeClasses());
     }
@@ -151,7 +150,7 @@ TEST(EncodedParityTest, ClassTableIdenticalOnPoolsOfOneToFourThreads) {
   // Zero-, one- and two-word masks (n = 1, 5, 12) at 0, 1, 2, 3 (= threads
   // − 1 for some pool) and 10007 tuples, plus an instance whose later
   // classes first occur in the last chunk at every thread count: class ids,
-  // ascending members, class_of_tuple and Part(c) all match the
+  // members, class_of_tuple and Part(c) all match the
   // TuplePartition reference on pools of 1-4 threads.
   struct Input {
     std::string name;
@@ -182,9 +181,7 @@ TEST(EncodedParityTest, ClassTableIdenticalOnPoolsOfOneToFourThreads) {
       ExpectClassesMatchReference(engine, *input.relation, context);
       ASSERT_EQ(engine.num_classes(), reference_members.size()) << context;
       for (size_t c = 0; c < engine.num_classes(); ++c) {
-        const ClassMembers members = engine.tuple_class(c).tuple_indices;
-        EXPECT_EQ(std::vector<uint32_t>(members.begin(), members.end()),
-                  reference_members[c])
+        EXPECT_EQ(MembersOf(engine, c), reference_members[c])
             << context << " class " << c;
       }
     }
@@ -195,9 +192,9 @@ TEST(EncodedParityTest, ColumnBlocksMatchValueRowReferenceAtBlockEdges) {
   // The class build reads tuples in column blocks of 1024: tuple counts on
   // either side of one and three blocks (each chunk of a pool starts its
   // own blocks), at one- and two-word masks, with NULLs. class_of_tuple,
-  // the CSR offsets and members, and every Part(c) row (read right after
-  // construction, while K_c = ⊤ ∧ Part(c) is Part(c) bit for bit) equal a
-  // grouping by the Value-level TuplePartition.
+  // each class's first tuple, size and members, and every Part(c) row (read
+  // right after construction, while K_c = ⊤ ∧ Part(c) is Part(c) bit for
+  // bit) equal a grouping by the Value-level TuplePartition.
   for (size_t n : {5u, 12u}) {
     for (size_t tuples : {1u, 1023u, 1024u, 1025u, 3u * 1024u + 7u}) {
       const auto relation = IntRelation(n, tuples, 0, 7 * n + tuples);
@@ -220,17 +217,16 @@ TEST(EncodedParityTest, ColumnBlocksMatchValueRowReferenceAtBlockEdges) {
             << context;
         size_t offset = 0;
         for (size_t c = 0; c < engine.num_classes(); ++c) {
-          const ClassMembers members = engine.tuple_class(c).tuple_indices;
-          // Runs are contiguous and in class order: offsets[c] is the sum
-          // of the earlier classes' sizes.
-          if (c > 0) {
-            EXPECT_EQ(members.begin(),
-                      engine.tuple_class(c - 1).tuple_indices.end())
-                << context << " class " << c;
-          }
+          const std::vector<uint32_t> members = MembersOf(engine, c);
+          // The table's first tuple and size are the scan's: the classes'
+          // sizes sum to the tuple count.
+          ASSERT_FALSE(members.empty()) << context << " class " << c;
+          EXPECT_EQ(engine.tuple_class(c).tuple_indices[0], members.front())
+              << context << " class " << c;
+          EXPECT_EQ(engine.tuple_class(c).size(), members.size())
+              << context << " class " << c;
           offset += members.size();
-          EXPECT_EQ(std::vector<uint32_t>(members.begin(), members.end()),
-                    reference_members[c])
+          EXPECT_EQ(members, reference_members[c])
               << context << " class " << c;
           std::vector<uint64_t> part(words, 0);
           lat::FillPairMask(reference.partitions[c], part.data());

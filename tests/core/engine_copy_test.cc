@@ -41,8 +41,7 @@ TEST(EngineCopyTest, CloneSharesTheImmutableClassTable) {
   // The shared class table is observable through accessor addresses: same
   // objects, not equal copies.
   const size_t c = AnyInformative(prototype);
-  EXPECT_EQ(clone.tuple_class(c).tuple_indices.data(),
-            prototype.tuple_class(c).tuple_indices.data());
+  EXPECT_EQ(&clone.tuple_class(c), &prototype.tuple_class(c));
 }
 
 TEST(EngineCopyTest, PositiveLabelOnCloneLeavesPrototypeUntouched) {
@@ -56,8 +55,7 @@ TEST(EngineCopyTest, PositiveLabelOnCloneLeavesPrototypeUntouched) {
   ASSERT_TRUE(clone.SubmitClassLabel(labeled, Label::kPositive).ok());
 
   // The class table is immutable and stays shared.
-  EXPECT_EQ(clone.tuple_class(labeled).tuple_indices.data(),
-            prototype.tuple_class(labeled).tuple_indices.data());
+  EXPECT_EQ(&clone.tuple_class(labeled), &prototype.tuple_class(labeled));
 
   // The prototype saw nothing: same informative pool, no history, and its
   // K_c is still the construction-time value Part(c) (θ_P = ⊤).
@@ -170,7 +168,7 @@ TEST(EngineCopyTest, RepeatedLabelOnCloneIsSeenOnlyByTheClone) {
   InferenceEngine prototype(workload.instance);
   const size_t c = MultiMemberInformative(prototype);
   ASSERT_TRUE(prototype.SubmitClassLabel(c, Label::kPositive).ok());
-  const size_t mate = prototype.tuple_class(c).tuple_indices[1];
+  const size_t mate = MembersOf(prototype, c)[1];
   ASSERT_EQ(prototype.tuple_status(mate), TupleStatus::kForcedPositive);
 
   InferenceEngine clone = prototype;
@@ -193,7 +191,7 @@ TEST(EngineCopyTest, CloneTupleStatusesStayIsolated) {
   InferenceEngine b = prototype;
   // a: a fresh label plus a relabel of a class-mate of the shared label.
   ASSERT_TRUE(a.SubmitClassLabel(AnyInformative(a), Label::kNegative).ok());
-  const size_t mate = prototype.tuple_class(shared).tuple_indices[1];
+  const size_t mate = MembersOf(prototype, shared)[1];
   ASSERT_TRUE(a.SubmitTupleLabel(mate, Label::kPositive).ok());
   // b: a rejected contradiction, then a different fresh label.
   EXPECT_FALSE(b.SubmitTupleLabel(mate, Label::kNegative).ok());

@@ -39,8 +39,8 @@ TEST(EngineTest, BuildsClassesByValuePartition) {
 }
 
 TEST(EngineTest, ClassTableBytesStayWithinTheCsrLayout) {
-  // 4 B of class_of_tuple and 4 B of member permutation per tuple; an
-  // offset and a Part(c) row per class; one closing offset.
+  // 4 B of class_of_tuple per tuple; a first tuple, a size and a Part(c)
+  // row per class, and no member permutation.
   const bool was_enabled = obs::MetricsEnabled();
   obs::SetMetricsEnabled(true);
   for (size_t n : {3u, 6u, 12u}) {
@@ -56,10 +56,9 @@ TEST(EngineTest, ClassTableBytesStayWithinTheCsrLayout) {
                               .Value();
     const size_t tuples = engine.num_tuples();
     const size_t classes = engine.num_classes();
-    EXPECT_GE(bytes, static_cast<int64_t>(8 * tuples)) << "n=" << n;
-    EXPECT_LE(bytes, static_cast<int64_t>(
-                         8 * tuples +
-                         (4 + 8 * lat::PairMaskWords(n)) * classes + 4))
+    EXPECT_EQ(bytes, static_cast<int64_t>(
+                         4 * tuples +
+                         (8 + 8 * lat::PairMaskWords(n)) * classes))
         << "n=" << n;
   }
   obs::SetMetricsEnabled(was_enabled);

@@ -1,6 +1,7 @@
 #include "fuzz/fuzz_targets.h"
 
 #include <fstream>
+#include <string>
 #include <vector>
 
 #include "core/join_predicate.h"
@@ -11,6 +12,7 @@
 #include "storage/mapped_store.h"
 #include "util/check.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace jim::fuzz {
 
@@ -30,6 +32,54 @@ const rel::Schema& GoalSchema() {
     return s;
   }();
   return *schema;
+}
+
+uint64_t LittleEndian(const uint8_t* bytes, size_t width) {
+  uint64_t v = 0;
+  for (size_t i = 0; i < width; ++i) v |= uint64_t{bytes[i]} << (8 * i);
+  return v;
+}
+
+/// The range rejection full validation owes `image`, found by reading its
+/// code sections byte by byte: the message naming the first code at or past
+/// the shared dictionary's size (NULL excepted) in the lowest column that
+/// holds one, or "" when every code is in range. Independent of the
+/// checksum pass that bounds the codes inside Open.
+std::string ExpectedRangeRejection(const uint8_t* image, size_t size) {
+  constexpr size_t kHeader = 48;
+  constexpr size_t kEntry = 32;
+  if (size < kHeader) return "";
+  const uint64_t num_attributes = LittleEndian(image + 16, 4);
+  const uint64_t num_sections = LittleEndian(image + 20, 4);
+  const uint64_t dict_size = LittleEndian(image + 24, 8);
+  std::string expected;
+  uint64_t expected_column = num_attributes;
+  for (uint64_t i = 0; i < num_sections && i < (size - kHeader) / kEntry;
+       ++i) {
+    const uint8_t* entry = image + kHeader + i * kEntry;
+    const uint64_t column = LittleEndian(entry + 4, 4);
+    const uint64_t offset = LittleEndian(entry + 8, 8);
+    const uint64_t length = LittleEndian(entry + 16, 8);
+    if (LittleEndian(entry, 4) != 4 /* CODES */ ||
+        column >= expected_column || offset > size ||
+        length > size - offset) {
+      continue;
+    }
+    for (uint64_t t = 0; t < length / 4; ++t) {
+      const uint64_t code = LittleEndian(image + offset + 4 * t, 4);
+      if (code >= dict_size && code != rel::kNullCode) {
+        expected = util::StrFormat(
+            "code array %u tuple %zu holds code %u outside the shared "
+            "dictionary of %llu entries",
+            static_cast<unsigned>(column), static_cast<size_t>(t),
+            static_cast<unsigned>(code),
+            static_cast<unsigned long long>(dict_size));
+        expected_column = column;
+        break;
+      }
+    }
+  }
+  return expected;
 }
 
 }  // namespace
@@ -57,6 +107,18 @@ int FuzzJimcImage(const uint8_t* data, size_t size,
         << "unexpected rejection code: " << status.ToString();
     JIM_CHECK(!status.message().empty())
         << "rejection without a diagnostic message";
+    // A range rejection must name a code that really is out of range: the
+    // bound Open keeps during its checksum pass can never reject a valid
+    // file.
+    if (status.message().find("outside the shared dictionary") !=
+        std::string::npos) {
+      const std::string expected = ExpectedRangeRejection(data, size);
+      JIM_CHECK(!expected.empty() &&
+                status.message().find(expected) != std::string::npos)
+          << "range rejection '" << status.message()
+          << "' not confirmed by a byte scan (expected '" << expected
+          << "')";
+    }
     return 0;
   }
 

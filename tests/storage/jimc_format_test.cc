@@ -20,6 +20,7 @@
 #include "storage/mapped_store.h"
 #include "storage/store_writer.h"
 #include "util/status.h"
+#include "util/string_util.h"
 
 namespace jim::storage {
 namespace {
@@ -466,6 +467,67 @@ TEST(JimcCorruptionTest, CodeOutOfDictionaryRange) {
                      f.FixChecksum(i);
                    },
                    "outside the shared dictionary");
+}
+
+TEST(JimcCorruptionTest, CodeRangeEdgesAtEveryTuple) {
+  // 37 tuples: each code array is two 64-byte blocks and a 20-byte tail,
+  // so the range check is exercised in the blocks and in the tail. One code
+  // at a time is set to a value at an edge of the shared dictionary and the
+  // checksum re-fixed: dict_size, 0xFFFFFFFE and 0x7FFFFFFF are rejected
+  // naming that very (column, tuple), while dict_size − 1 and kNullCode
+  // are accepted.
+  constexpr size_t kTuples = 37;
+  rel::Relation relation{"edges", rel::Schema::FromNames({"a", "b"})};
+  for (size_t t = 0; t < kTuples; ++t) {
+    relation.AddRowUnchecked({Value(static_cast<int64_t>(t % 5)),
+                              Value(static_cast<int64_t>(t % 3))});
+  }
+  const std::string path = TestPath("code_range_edges");
+  ASSERT_TRUE(WriteStore(*core::MakeRelationStore(
+                             std::make_shared<const rel::Relation>(
+                                 std::move(relation))),
+                         path)
+                  .ok());
+  const FileImage pristine(path);
+  const uint64_t dict_size = pristine.ReadU64(24);
+  ASSERT_GT(dict_size, 0u);
+  const uint32_t dict = static_cast<uint32_t>(dict_size);
+  for (uint32_t column : {0u, 1u}) {
+    const int i = pristine.FindSection(SectionId::kCodes, column);
+    ASSERT_GE(i, 0);
+    ASSERT_EQ(pristine.SectionLength(i), kTuples * sizeof(uint32_t));
+    for (size_t t = 0; t < kTuples; ++t) {
+      const size_t cell = pristine.SectionPayloadOffset(i) + 4 * t;
+      for (uint32_t code : {dict, 0xFFFFFFFEu, 0x7FFFFFFFu}) {
+        FileImage image = pristine;
+        image.WriteU32(cell, code);
+        image.FixChecksum(i);
+        image.Save();
+        const auto opened = MappedTupleStore::Open(path);
+        ASSERT_FALSE(opened.ok()) << "column " << column << " tuple " << t
+                                  << " code " << code;
+        EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
+        const std::string expected = util::StrFormat(
+            "code array %u tuple %zu holds code %u outside the shared "
+            "dictionary of %llu entries",
+            column, t, code, static_cast<unsigned long long>(dict_size));
+        EXPECT_NE(opened.status().message().find(expected), std::string::npos)
+            << "got '" << opened.status().message() << "', expected '"
+            << expected << "'";
+      }
+      for (uint32_t code : {dict - 1, rel::kNullCode}) {
+        FileImage image = pristine;
+        image.WriteU32(cell, code);
+        image.FixChecksum(i);
+        image.Save();
+        const auto opened = MappedTupleStore::Open(path);
+        ASSERT_TRUE(opened.ok()) << "column " << column << " tuple " << t
+                                 << " code " << code << ": "
+                                 << opened.status();
+        EXPECT_EQ((*opened)->code(t, column), code);
+      }
+    }
+  }
 }
 
 TEST(JimcCorruptionTest, SharedCodeNeverDefined) {

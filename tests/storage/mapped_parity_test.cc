@@ -79,8 +79,7 @@ void ExpectSameClasses(const InferenceEngine& expected,
   for (size_t c = 0; c < expected.num_classes(); ++c) {
     EXPECT_EQ(expected.ClassPartition(c), actual.ClassPartition(c))
         << context << " class " << c;
-    EXPECT_EQ(expected.tuple_class(c).tuple_indices,
-              actual.tuple_class(c).tuple_indices)
+    EXPECT_EQ(MembersOf(expected, c), MembersOf(actual, c))
         << context << " class " << c;
     EXPECT_EQ(ClassKnowledge(expected, c), ClassKnowledge(actual, c))
         << context << " class " << c;

@@ -97,6 +97,17 @@ lat::Partition ClassKnowledge(const InferenceEngine& engine,
                                   engine.state().num_attributes());
 }
 
+std::vector<uint32_t> MembersOf(const InferenceEngine& engine,
+                                size_t class_id) {
+  std::vector<uint32_t> members;
+  for (size_t t = 0; t < engine.num_tuples(); ++t) {
+    if (engine.class_of_tuple(t) == class_id) {
+      members.push_back(static_cast<uint32_t>(t));
+    }
+  }
+  return members;
+}
+
 util::DynamicBitset CertainResultTuples(const InferenceEngine& engine) {
   return TuplesWithStatus(engine, IsPositive);
 }
