@@ -13,7 +13,7 @@
 //       List the available question-selection strategies.
 //   serve [--load-instance=FILE.jimc] [--port=N | --stdio]
 //         [--checkpoint-dir=DIR] [--max-sessions=N] [--max-steps=N]
-//         [--trusted-reopen] [--max-connections=N]
+//         [--max-connections=N]
 //       Run the inference daemon (newline-delimited JSON verbs: create,
 //       suggest, label, status, result, close, stats, ping, shutdown).
 //       --port listens on localhost TCP (0 = ephemeral; the bound address
@@ -294,7 +294,6 @@ int CmdServe(const Flags& flags) {
   serve::ServeOptions serve_options;
   serve_options.env = CliEnv();
   serve_options.checkpoint_dir = flags.Get("checkpoint-dir");
-  serve_options.trusted_reopen = flags.Has("trusted-reopen");
   if (flags.Has("max-sessions")) {
     auto parsed = util::ParseInt64(flags.Get("max-sessions"));
     if (!parsed.ok() || *parsed < 1) return Fail("--max-sessions: bad value");
@@ -413,9 +412,9 @@ const std::vector<Subcommand>& Subcommands() {
       {"serve",
        "serve [--load-instance=FILE.jimc] [--port=N | --stdio] "
        "[--checkpoint-dir=DIR] [--max-sessions=N] [--max-steps=N] "
-       "[--trusted-reopen] [--max-connections=N]",
+       "[--max-connections=N]",
        {"load-instance", "port", "stdio", "checkpoint-dir", "max-sessions",
-        "max-steps", "trusted-reopen", "max-connections"},
+        "max-steps", "max-connections"},
        CmdServe},
       {"call", "call --port=N '<json-line>' ['<json-line>' ...]", {"port"},
        CmdCall},

@@ -119,9 +119,6 @@ class InferenceEngine {
 
   /// The instance, through the storage seam.
   const TupleStore& store() const { return *store_; }
-  const std::shared_ptr<const TupleStore>& store_ptr() const {
-    return store_;
-  }
   const InferenceState& state() const { return state_; }
 
   size_t num_tuples() const { return store_->num_tuples(); }

@@ -34,8 +34,6 @@ class ExactOracle : public Oracle {
     return goal_.Selects(tuple) ? Label::kPositive : Label::kNegative;
   }
 
-  const JoinPredicate& goal() const { return goal_; }
-
  private:
   JoinPredicate goal_;
 };

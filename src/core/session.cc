@@ -94,10 +94,15 @@ uint64_t SimulateCallsSoFar() {
   return counter.Value();
 }
 
-void RecordTraceStep(obs::SessionTracer& tracer, size_t index,
-                     const SessionStep& step, bool accepted,
-                     size_t worklist_before, size_t worklist_after,
-                     uint64_t simulate_calls) {
+}  // namespace
+
+StepTrace::StepTrace(const InferenceEngine& engine)
+    : worklist_before_(engine.InformativeClasses().size()),
+      simulate_before_(SimulateCallsSoFar()) {}
+
+void StepTrace::Record(obs::SessionTracer& tracer, size_t index,
+                       const SessionStep& step, bool accepted,
+                       const InferenceEngine& engine) const {
   obs::TraceStep event;
   event.step = index;
   event.class_id = step.class_id;
@@ -106,14 +111,12 @@ void RecordTraceStep(obs::SessionTracer& tracer, size_t index,
   event.accepted = accepted;
   event.pruned_classes = step.pruned_classes;
   event.pruned_tuples = step.pruned_tuples;
-  event.worklist_before = worklist_before;
-  event.worklist_after = worklist_after;
-  event.simulate_label_calls = simulate_calls;
+  event.worklist_before = worklist_before_;
+  event.worklist_after = engine.InformativeClasses().size();
+  event.simulate_label_calls = SimulateCallsSoFar() - simulate_before_;
   event.micros = step.micros;
   tracer.RecordStep(event);
 }
-
-}  // namespace
 
 SessionResult RunSession(std::shared_ptr<const TupleStore> store,
                          const JoinPredicate& goal, Strategy& strategy,
@@ -147,8 +150,8 @@ SessionResult RunSessionOnEngine(InferenceEngine& engine,
     JIM_CHECK_LT(result.steps.size(), options.max_steps)
         << "session exceeded max_steps — engine failed to make progress";
     util::Stopwatch step_clock;
-    const uint64_t simulate_before =
-        options.tracer != nullptr ? SimulateCallsSoFar() : 0;
+    std::optional<StepTrace> trace;
+    if (options.tracer != nullptr) trace.emplace(engine);
     const std::optional<size_t> choice =
         ChooseClass(engine, strategy, options, user_rng, tuple_labeled);
     if (!choice.has_value()) {
@@ -159,10 +162,6 @@ SessionResult RunSessionOnEngine(InferenceEngine& engine,
     }
     const size_t class_id = *choice;
     const size_t tuple_index = engine.tuple_class(class_id).tuple_indices[0];
-    const uint64_t simulate_spent =
-        options.tracer != nullptr ? SimulateCallsSoFar() - simulate_before : 0;
-
-    const size_t worklist_before = engine.InformativeClasses().size();
     // Decode-on-demand: the only Value materialization in a session is the
     // tuple actually shown to the (simulated) user.
     const Label label = oracle.LabelFor(store.DecodeTuple(tuple_index));
@@ -181,10 +180,9 @@ SessionResult RunSessionOnEngine(InferenceEngine& engine,
       ++result.wasted_interactions;
       step.micros = step_clock.ElapsedMicros();
       result.steps.push_back(step);
-      if (options.tracer != nullptr) {
-        RecordTraceStep(*options.tracer, result.steps.size() - 1, step,
-                        /*accepted=*/false, worklist_before, worklist_before,
-                        simulate_spent);
+      if (trace) {
+        trace->Record(*options.tracer, result.steps.size() - 1, step,
+                      /*accepted=*/false, engine);
       }
       continue;
     }
@@ -192,10 +190,9 @@ SessionResult RunSessionOnEngine(InferenceEngine& engine,
     step.pruned_tuples = impact.pruned_tuples;
     step.micros = step_clock.ElapsedMicros();
     result.steps.push_back(step);
-    if (options.tracer != nullptr) {
-      RecordTraceStep(*options.tracer, result.steps.size() - 1, step,
-                      /*accepted=*/true, worklist_before,
-                      engine.InformativeClasses().size(), simulate_spent);
+    if (trace) {
+      trace->Record(*options.tracer, result.steps.size() - 1, step,
+                    /*accepted=*/true, engine);
     }
   }
 

@@ -114,6 +114,25 @@ SessionResult RunSessionOnEngine(InferenceEngine& engine,
 SessionResult RunSession(std::shared_ptr<const TupleStore> store,
                          const JoinPredicate& goal, Strategy& strategy);
 
+/// The trace side of one traced session step, shared by RunSession and the
+/// console demo: construct it before the question is chosen, and Record
+/// the step once its label was submitted.
+class StepTrace {
+ public:
+  explicit StepTrace(const InferenceEngine& engine);
+
+  /// Appends step `index` to `tracer`: `step` as submitted, whether the
+  /// engine accepted it, the worklist `engine` holds now, and the
+  /// SimulateLabelBoth calls made since construction (0 with metrics off).
+  void Record(obs::SessionTracer& tracer, size_t index,
+              const SessionStep& step, bool accepted,
+              const InferenceEngine& engine) const;
+
+ private:
+  size_t worklist_before_;
+  uint64_t simulate_before_;
+};
+
 }  // namespace jim::core
 
 #endif  // JIM_CORE_SESSION_H_

@@ -122,19 +122,15 @@ class LookaheadStrategy : public Strategy {
     use_shared_pool_ = false;
   }
 
-  /// The aggregate objective itself, exposed so tests can score naive
-  /// impacts the way Score does.
-  double ObjectiveValue(size_t n_plus, size_t n_minus) const {
-    return Aggregate(n_plus, n_minus);
-  }
+  /// The objective over a candidate's two impacts (tuples a positive and a
+  /// negative answer would prune), the value Score maximizes.
+  double Aggregate(size_t n_plus, size_t n_minus) const;
 
   /// Candidates the most recent Score (or PickClass) call evaluated: the
   /// sampled count, min(|candidates|, max_candidates).
   size_t last_evaluated() const { return last_evaluated_; }
 
  private:
-  double Aggregate(size_t n_plus, size_t n_minus) const;
-
   Objective objective_;
   double alpha_;
   size_t max_candidates_;

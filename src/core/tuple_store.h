@@ -114,12 +114,6 @@ class RelationTupleStore final : public TupleStore {
   }
   size_t ApproxBytes() const override;
 
-  const std::shared_ptr<const rel::Relation>& relation() const {
-    return relation_;
-  }
-  /// Distinct non-NULL values across all columns (bench/diagnostics).
-  size_t num_distinct_values() const { return dictionary_.size(); }
-
  private:
   std::shared_ptr<const rel::Relation> relation_;
   rel::Dictionary dictionary_;

@@ -43,10 +43,6 @@ class Partition {
   size_t num_elements() const { return block_of_.size(); }
   size_t num_blocks() const { return num_blocks_; }
 
-  /// Block id of element `i` (ids are 0..num_blocks()-1, in order of first
-  /// occurrence).
-  int block_of(size_t i) const { return block_of_[i]; }
-
   /// Number of merges relative to the singleton partition:
   /// rank = n - num_blocks. 0 for the bottom, n-1 for the top. This is the
   /// lattice-theoretic rank function used by the local strategies.
@@ -84,14 +80,12 @@ class Partition {
   /// e.g. "{0,3|1|2,4}". Stable canonical rendering.
   std::string ToString() const;
 
-  /// The raw restricted growth string.
+  /// The raw restricted growth string: element i's block id (ids are
+  /// 0..num_blocks()-1, in order of first occurrence).
   const std::vector<int>& labels() const { return block_of_; }
 
   friend bool operator==(const Partition& a, const Partition& b) {
     return a.fingerprint_ == b.fingerprint_ && a.block_of_ == b.block_of_;
-  }
-  friend bool operator!=(const Partition& a, const Partition& b) {
-    return !(a == b);
   }
 
  private:

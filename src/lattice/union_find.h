@@ -14,7 +14,7 @@ namespace jim::lat {
 /// transitive-closure step when building predicates from attribute pairs.
 class UnionFind {
  public:
-  explicit UnionFind(size_t n) : parent_(n), size_(n, 1), num_sets_(n) {
+  explicit UnionFind(size_t n) : parent_(n), size_(n, 1) {
     std::iota(parent_.begin(), parent_.end(), 0);
   }
 
@@ -38,19 +38,14 @@ class UnionFind {
     if (size_[ra] < size_[rb]) std::swap(ra, rb);
     parent_[rb] = ra;
     size_[ra] += size_[rb];
-    --num_sets_;
     return true;
   }
 
   bool Connected(size_t a, size_t b) { return Find(a) == Find(b); }
 
-  size_t num_elements() const { return parent_.size(); }
-  size_t num_sets() const { return num_sets_; }
-
  private:
   std::vector<size_t> parent_;
   std::vector<size_t> size_;
-  size_t num_sets_;
 };
 
 }  // namespace jim::lat

@@ -13,19 +13,10 @@ namespace jim::query {
 
 /// A column of one of the query's relations.
 struct QualifiedColumn {
-  /// Index into JoinQuery::relations().
+  /// Index into the query's relations.
   size_t relation_index = 0;
   /// Column index within that relation.
   size_t column_index = 0;
-
-  friend bool operator==(const QualifiedColumn& a, const QualifiedColumn& b) {
-    return a.relation_index == b.relation_index &&
-           a.column_index == b.column_index;
-  }
-  friend bool operator<(const QualifiedColumn& a, const QualifiedColumn& b) {
-    return std::pair(a.relation_index, a.column_index) <
-           std::pair(b.relation_index, b.column_index);
-  }
 };
 
 /// An equality condition between two columns.
@@ -45,10 +36,6 @@ class JoinQuery {
   explicit JoinQuery(std::vector<std::string> relations)
       : relations_(std::move(relations)) {}
 
-  const std::vector<std::string>& relations() const { return relations_; }
-  const std::vector<ColumnEquality>& equalities() const { return equalities_; }
-
-  void AddRelation(std::string name) { relations_.push_back(std::move(name)); }
   void AddEquality(QualifiedColumn a, QualifiedColumn b) {
     equalities_.emplace_back(a, b);
   }

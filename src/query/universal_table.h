@@ -72,8 +72,6 @@ class UniversalTable {
   const rel::Schema& schema() const { return store_->schema(); }
   size_t num_tuples() const { return store_->num_tuples(); }
 
-  /// Provenance of attribute `i` of schema().
-  const Provenance& provenance(size_t i) const { return provenance_[i]; }
   size_t num_attributes() const { return provenance_.size(); }
 
   /// Whether the instance is a sample (true when the full product exceeded

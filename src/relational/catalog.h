@@ -25,12 +25,6 @@ namespace jim::rel {
 /// this is the "encode at catalog time" half of the columnar ingest path.
 class Catalog {
  public:
-  Catalog() = default;
-  Catalog(Catalog&&) = default;
-  Catalog& operator=(Catalog&&) = default;
-  Catalog(const Catalog&) = delete;
-  Catalog& operator=(const Catalog&) = delete;
-
   /// Registers `relation` under its name. Errors on duplicates.
   util::Status Add(Relation relation);
 
@@ -49,14 +43,8 @@ class Catalog {
   util::StatusOr<std::shared_ptr<const EncodedRelation>> GetEncoded(
       const std::string& name) const;
 
-  bool Contains(const std::string& name) const {
-    return relations_.count(name) > 0;
-  }
-
   /// Names in lexicographic order.
   std::vector<std::string> Names() const;
-
-  size_t size() const { return relations_.size(); }
 
  private:
   /// Lazily built encodings, guarded by `mutex` (GetEncoded may be called

@@ -125,7 +125,6 @@ EncodedColumn EncodeColumn(const Relation& relation, size_t column,
 EncodedRelation EncodedRelation::FromRelation(const Relation& relation,
                                               exec::ThreadPool* pool) {
   EncodedRelation encoded;
-  encoded.num_rows_ = relation.num_rows();
   encoded.columns_.reserve(relation.num_attributes());
   for (size_t c = 0; c < relation.num_attributes(); ++c) {
     encoded.columns_.push_back(EncodeColumn(relation, c, pool));

@@ -59,8 +59,6 @@ struct EncodedColumn {
   Dictionary dictionary;
   std::vector<uint32_t> codes;
 
-  size_t num_rows() const { return codes.size(); }
-  size_t num_distinct() const { return dictionary.size(); }
   size_t ApproxBytes() const {
     return codes.capacity() * sizeof(uint32_t) + dictionary.ApproxBytes();
   }
@@ -102,7 +100,6 @@ class EncodedRelation {
   static EncodedRelation FromRelation(const Relation& relation,
                                       exec::ThreadPool* pool);
 
-  size_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
   const EncodedColumn& column(size_t c) const { return columns_[c]; }
   uint32_t code(size_t row, size_t c) const { return columns_[c].codes[row]; }
@@ -111,7 +108,6 @@ class EncodedRelation {
 
  private:
   std::vector<EncodedColumn> columns_;
-  size_t num_rows_ = 0;
 };
 
 }  // namespace jim::rel

@@ -36,7 +36,6 @@ class Relation {
 
   size_t num_rows() const { return rows_.size(); }
   size_t num_attributes() const { return schema_.num_attributes(); }
-  bool empty() const { return rows_.empty(); }
 
   const Tuple& row(size_t i) const { return rows_[i]; }
   const std::vector<Tuple>& rows() const { return rows_; }

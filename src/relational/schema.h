@@ -24,10 +24,6 @@ struct Attribute {
   std::string QualifiedName() const {
     return qualifier.empty() ? name : qualifier + "." + name;
   }
-
-  friend bool operator==(const Attribute& a, const Attribute& b) {
-    return a.name == b.name && a.type == b.type && a.qualifier == b.qualifier;
-  }
 };
 
 /// An ordered list of attributes. Lookup accepts either the bare name (when
@@ -60,10 +56,6 @@ class Schema {
   /// side (pass "" to keep existing qualifiers).
   static Schema Concat(const Schema& left, std::string_view left_qualifier,
                        const Schema& right, std::string_view right_qualifier);
-
-  friend bool operator==(const Schema& a, const Schema& b) {
-    return a.attributes_ == b.attributes_;
-  }
 
   std::string ToString() const;
 

@@ -44,14 +44,11 @@ util::Status SessionManager::EnsureCheckpointDir() {
 }
 
 util::StatusOr<SessionManager::Instance*> SessionManager::GetOrOpenInstance(
-    const std::string& name, bool trusted) {
+    const std::string& name) {
   auto it = instances_.find(name);
   if (it != instances_.end()) return &it->second;
-  storage::OpenOptions open_options;
-  open_options.env = env_;
-  open_options.trusted = trusted;
   ASSIGN_OR_RETURN(std::shared_ptr<const core::TupleStore> store,
-                   storage::OpenStore(name, open_options));
+                   storage::OpenStore(name, env_));
   Instance instance;
   instance.prototype = std::make_shared<core::InferenceEngine>(store);
   instance.store = std::move(store);
@@ -101,7 +98,7 @@ util::StatusOr<SessionManager::CreateResult> SessionManager::Create(
           options_.max_sessions));
     }
     ASSIGN_OR_RETURN(Instance * inst,
-                     GetOrOpenInstance(instance_name, /*trusted=*/false));
+                     GetOrOpenInstance(instance_name));
     session = std::make_shared<Session>(*inst->prototype,
                                         std::move(strategy_impl));
     if (!goal.empty()) {
@@ -416,8 +413,7 @@ util::Status SessionManager::RecoverSessions() {
     std::lock_guard<std::mutex> lock(mutex_);
     for (size_t i = 0; i < checkpoints.size(); ++i) {
       ASSIGN_OR_RETURN(Instance * instance,
-                       GetOrOpenInstance(checkpoints[i].instance,
-                                         options_.trusted_reopen));
+                       GetOrOpenInstance(checkpoints[i].instance));
       instance_of[i] = instance;
     }
   }

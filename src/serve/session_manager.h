@@ -30,11 +30,6 @@ struct ServeOptions {
   /// Default per-session accepted-label cap (a `create` may lower-or-raise
   /// it per session); labels past the cap are kResourceExhausted.
   uint64_t default_max_steps = 4096;
-  /// Reopen instances named by recovered checkpoints in trusted mode
-  /// (storage::MappedTupleStore header/table/dict-page checks only) — the
-  /// O(sections) warm-restart path for files this daemon already validated
-  /// in a previous life.
-  bool trusted_reopen = false;
   /// Instance used when `create` does not name one ("" = none; `create`
   /// must then always pass an instance).
   std::string default_instance;
@@ -143,8 +138,6 @@ class SessionManager {
   };
   Stats GetStats() const;
 
-  const ServeOptions& options() const { return options_; }
-
  private:
   struct Instance {
     std::shared_ptr<const core::TupleStore> store;
@@ -172,9 +165,7 @@ class SessionManager {
 
   util::Status EnsureCheckpointDir();
   /// Looks `name` up, opening (and caching) the JIMC file on miss.
-  /// `trusted` selects the trusted-reopen validation level for that open.
-  util::StatusOr<Instance*> GetOrOpenInstance(const std::string& name,
-                                              bool trusted);
+  util::StatusOr<Instance*> GetOrOpenInstance(const std::string& name);
   util::StatusOr<std::shared_ptr<Session>> FindSession(
       const std::string& session_id);
   /// Builds a session from its checkpoint: clone, replay every step

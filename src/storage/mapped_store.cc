@@ -26,7 +26,7 @@ struct SectionEntry {
   uint64_t offset = 0;
   uint64_t length = 0;
   uint64_t checksum = 0;
-  uint32_t code_end = 0;  ///< ChecksumCodes' bound; 0 when not computed
+  uint32_t code_end = 0;  ///< ChecksumCodes' bound (code arrays only)
 };
 
 }  // namespace
@@ -71,11 +71,11 @@ util::StatusOr<std::shared_ptr<const MappedTupleStore>> MappedTupleStore::Open(
   }
   store->data_ = store->region_->data();
   store->size_ = store->region_->size();
-  RETURN_IF_ERROR(store->Parse(options.trusted));
+  RETURN_IF_ERROR(store->Parse());
   return std::shared_ptr<const MappedTupleStore>(std::move(store));
 }
 
-util::Status MappedTupleStore::Parse(bool trusted) {
+util::Status MappedTupleStore::Parse() {
   if (size_ < kHeaderBytes) {
     return Corrupt(path_, util::StrFormat(
         "file of %zu bytes is smaller than the %zu-byte header", size_,
@@ -143,9 +143,6 @@ util::Status MappedTupleStore::Parse(bool trusted) {
           static_cast<unsigned long long>(section.offset),
           static_cast<unsigned long long>(section.length), size_));
     }
-    // Trusted reopen skips the checksum pass — the O(file) sequential read
-    // that also bounds every code — but never the bounds checks above.
-    if (trusted) continue;
     const uint8_t* payload = data_ + section.offset;
     const size_t length = static_cast<size_t>(section.length);
     const uint64_t actual =
@@ -318,8 +315,7 @@ util::Status MappedTupleStore::Parse(bool trusted) {
     const uint32_t* codes =
         reinterpret_cast<const uint32_t*>(data_ + section.offset);
     // The checksum pass bounded the codes; only an array holding one out of
-    // range is read again, to name it. Trusted reopen leaves code_end 0: a
-    // code full validation would have caught trips DecodeValue's JIM_CHECK.
+    // range is read again, to name it.
     if (section.code_end > dict_size) {
       for (size_t t = 0; t < num_tuples_; ++t) {
         if (codes[t] >= dict_size && codes[t] != rel::kNullCode) {

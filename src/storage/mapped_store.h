@@ -17,15 +17,6 @@ namespace jim::storage {
 struct OpenOptions {
   /// Filesystem to read through (nullptr → DefaultEnv()).
   Env* env = nullptr;
-  /// Trusted reopen: skip the per-section checksum pass (which also bounds
-  /// every code), keeping only the structural checks (header, section
-  /// bounds, name/schema parse, dictionary-page parse, code-array
-  /// alignment/length). Meant for reopening files this process (or a
-  /// previous incarnation of it, e.g. a restarting daemon) already opened
-  /// under full validation — O(sections + distinct values) instead of one
-  /// sequential read of the file. A corrupt code that full validation
-  /// would have rejected instead trips DecodeValue's JIM_CHECK backstop.
-  bool trusted = false;
 };
 
 /// A TupleStore served straight from an mmap'd JIMC file (see
@@ -61,7 +52,7 @@ class MappedTupleStore final : public core::TupleStore {
   static util::StatusOr<std::shared_ptr<const MappedTupleStore>> Open(
       const std::string& path, Env* env = nullptr);
 
-  /// As above, with explicit options (trusted reopen lives here).
+  /// As above, with explicit options.
   static util::StatusOr<std::shared_ptr<const MappedTupleStore>> Open(
       const std::string& path, const OpenOptions& options);
 
@@ -101,9 +92,6 @@ class MappedTupleStore final : public core::TupleStore {
 
   /// Total size of the backing file.
   size_t file_bytes() const { return size_; }
-  /// Distinct non-NULL values in the file's shared dictionary.
-  size_t shared_dictionary_size() const { return value_offsets_.size(); }
-  const std::string& path() const { return path_; }
   /// True when the bytes are served from an actual mapping (shared page
   /// cache); false on the graceful-degradation heap fallback.
   bool zero_copy() const { return region_->zero_copy(); }
@@ -111,7 +99,7 @@ class MappedTupleStore final : public core::TupleStore {
  private:
   MappedTupleStore() = default;
 
-  util::Status Parse(bool trusted);
+  util::Status Parse();
 
   std::string path_;
   /// Owns the bytes: an mmap region or its heap-copy fallback. `data_` /

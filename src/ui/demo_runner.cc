@@ -4,8 +4,6 @@
 #include <sstream>
 #include <vector>
 
-#include "obs/metric_names.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/rng.h"
 #include "util/stopwatch.h"
@@ -73,14 +71,6 @@ std::optional<ParsedAnswer> ParseAnswer(const std::string& command) {
   return answer;
 }
 
-/// Simulate-counter reading for per-step trace attribution; 0 with metrics
-/// off (the trace is still structurally complete, just uncosted).
-uint64_t SimulateCallsSoFar() {
-  if (!obs::MetricsEnabled()) return 0;
-  return obs::MetricsRegistry::Instance().CounterValue(
-      obs::kCounterEngineSimulateLabelBoth);
-}
-
 }  // namespace
 
 util::StatusOr<core::JoinPredicate> RunConsoleDemo(
@@ -119,11 +109,10 @@ util::StatusOr<core::JoinPredicate> RunConsoleDemo(
     // Trace bookkeeping is tracer-gated so an untraced demo never reads the
     // clock or the metrics registry.
     std::optional<util::Stopwatch> step_clock;
-    const size_t worklist_before = engine.InformativeClasses().size();
-    uint64_t simulate_before = 0;
+    std::optional<core::StepTrace> trace;
     if (options.tracer != nullptr) {
       step_clock.emplace();
-      simulate_before = SimulateCallsSoFar();
+      trace.emplace(engine);
     }
 
     // What is being asked this round?
@@ -239,20 +228,12 @@ util::StatusOr<core::JoinPredicate> RunConsoleDemo(
       submitted_tuple = engine.tuple_class(submitted_class).tuple_indices[0];
       status = engine.SubmitClassLabel(submitted_class, answer->label, &impact);
     }
-    if (options.tracer != nullptr) {
-      obs::TraceStep event;
-      event.step = trace_steps++;
-      event.class_id = submitted_class;
-      event.tuple_index = submitted_tuple;
-      event.positive = answer->label == Label::kPositive;
-      event.accepted = status.ok();
-      event.pruned_classes = impact.pruned_classes;
-      event.pruned_tuples = impact.pruned_tuples;
-      event.worklist_before = worklist_before;
-      event.worklist_after = engine.InformativeClasses().size();
-      event.simulate_label_calls = SimulateCallsSoFar() - simulate_before;
-      event.micros = step_clock->ElapsedMicros();
-      options.tracer->RecordStep(event);
+    if (trace) {
+      const core::SessionStep step{submitted_class, submitted_tuple,
+                                   answer->label,   impact.pruned_classes,
+                                   impact.pruned_tuples,
+                                   step_clock->ElapsedMicros()};
+      trace->Record(*options.tracer, trace_steps++, step, status.ok(), engine);
     }
     if (!status.ok()) {
       out << "rejected: " << status.message() << "\n";

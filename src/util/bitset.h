@@ -13,15 +13,12 @@ namespace jim::util {
 /// (JoinPredicate::SelectedRows), one bit per tuple.
 class DynamicBitset {
  public:
-  DynamicBitset() : size_(0) {}
   explicit DynamicBitset(size_t size, bool initial = false)
       : size_(size),
         words_((size + kBitsPerWord - 1) / kBitsPerWord,
                initial ? ~uint64_t{0} : 0) {
     ClearPadding();
   }
-
-  size_t size() const { return size_; }
 
   bool Test(size_t pos) const {
     JIM_DCHECK(pos < size_);
@@ -38,16 +35,6 @@ class DynamicBitset {
     }
   }
 
-  void Reset(size_t pos) { Set(pos, false); }
-
-  void SetAll() {
-    for (auto& w : words_) w = ~uint64_t{0};
-    ClearPadding();
-  }
-  void ResetAll() {
-    for (auto& w : words_) w = 0;
-  }
-
   /// Number of set bits.
   size_t Count() const {
     size_t total = 0;
@@ -55,10 +42,10 @@ class DynamicBitset {
     return total;
   }
 
-  /// Index of the first set bit, or size() if none.
+  /// Index of the first set bit, or the bitset's size if none.
   size_t FindFirst() const { return FindNext(0); }
 
-  /// Index of the first set bit at position >= from, or size() if none.
+  /// Index of the first set bit at position >= from, or the size if none.
   size_t FindNext(size_t from) const {
     if (from >= size_) return size_;
     size_t word_index = from / kBitsPerWord;

@@ -22,8 +22,6 @@ namespace jim::util {
 /// is_number(), and an array a bare is_array().
 class JsonValue {
  public:
-  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
-
   JsonValue() : kind_(Kind::kNull) {}
   static JsonValue Null() { return JsonValue(); }
   static JsonValue Bool(bool b);
@@ -34,7 +32,6 @@ class JsonValue {
   static JsonValue Array();
   static JsonValue Object();
 
-  Kind kind() const { return kind_; }
   bool is_null() const { return kind_ == Kind::kNull; }
   bool is_bool() const { return kind_ == Kind::kBool; }
   bool is_number() const { return kind_ == Kind::kNumber; }
@@ -63,6 +60,8 @@ class JsonValue {
   bool GetBool(std::string_view key, bool fallback) const;
 
  private:
+  enum class Kind { kNull, kBool, kNumber, kString, kArray, kObject };
+
   Kind kind_;
   bool bool_ = false;
   bool int_valid_ = false;

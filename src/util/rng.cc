@@ -50,7 +50,8 @@ int64_t Rng::UniformInt(int64_t lo, int64_t hi) {
     return static_cast<int64_t>(Next());
   }
   // Rejection sampling to avoid modulo bias.
-  const uint64_t limit = max() - max() % range;
+  const uint64_t all = ~uint64_t{0};
+  const uint64_t limit = all - all % range;
   uint64_t draw;
   do {
     draw = Next();

@@ -12,24 +12,17 @@ namespace jim::util {
 ///
 /// Every randomized component in JIM (random strategy, workload generators,
 /// noisy crowd workers) takes an explicit `Rng`, so entire experiments are
-/// reproducible from a single seed. The generator satisfies the C++
-/// UniformRandomBitGenerator concept and can be used with <random>
-/// distributions, but the convenience methods below are preferred because
-/// their results are identical across standard library implementations.
+/// reproducible from a single seed. The methods below stand in for <random>
+/// distributions because their results are identical across standard
+/// library implementations.
 class Rng {
  public:
-  using result_type = uint64_t;
-
   /// Seeds the state with splitmix64 applied to `seed`, per the xoshiro
   /// authors' recommendation. Distinct seeds give decorrelated streams.
   explicit Rng(uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~uint64_t{0}; }
-
   /// Next 64 uniformly random bits.
   uint64_t Next();
-  result_type operator()() { return Next(); }
 
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   int64_t UniformInt(int64_t lo, int64_t hi);

@@ -47,18 +47,12 @@ class Status {
   Status(Status&&) = default;
   Status& operator=(Status&&) = default;
 
-  static Status OK() { return Status(); }
-
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
   const std::string& message() const { return message_; }
 
   /// "OK" or "<CODE>: <message>".
   std::string ToString() const;
-
-  friend bool operator==(const Status& a, const Status& b) {
-    return a.code_ == b.code_ && a.message_ == b.message_;
-  }
 
  private:
   StatusCode code_;

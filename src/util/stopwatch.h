@@ -13,10 +13,7 @@ class Stopwatch {
  public:
   Stopwatch() : start_(Clock::now()) {}
 
-  /// Restarts the stopwatch.
-  void Reset() { start_ = Clock::now(); }
-
-  /// Elapsed time since construction or the last Reset().
+  /// Elapsed time since construction.
   double ElapsedSeconds() const {
     return std::chrono::duration<double>(Clock::now() - start_).count();
   }

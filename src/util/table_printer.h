@@ -28,8 +28,6 @@ class TablePrinter {
   /// Inserts a horizontal rule before the next added row.
   void AddSeparator();
 
-  size_t num_rows() const { return rows_.size(); }
-
   std::string ToString() const;
 
  private:

@@ -285,7 +285,7 @@ TEST(IncrementalParityTest, PairMaskScanMatchesNaiveAcrossMaskWidths) {
           size_t best = 0;
           for (size_t i = 1; i < informative.size(); ++i) {
             const auto score = [&](size_t j) {
-              return reference.ObjectiveValue(naive[j].positive.pruned_tuples,
+              return reference.Aggregate(naive[j].positive.pruned_tuples,
                                               naive[j].negative.pruned_tuples);
             };
             if (score(i) > score(best)) best = i;

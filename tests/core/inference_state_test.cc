@@ -9,6 +9,7 @@
 #include "core/join_predicate.h"
 #include "lattice/enumeration.h"
 #include "support/core_views.h"
+#include "support/equality.h"
 #include "support/refinements.h"
 #include "util/rng.h"
 

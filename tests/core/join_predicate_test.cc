@@ -18,7 +18,7 @@ rel::Schema TravelSchema() {
 TEST(ParseTest, SingleEquality) {
   const auto p = JoinPredicate::Parse(TravelSchema(), "To=City").value();
   EXPECT_EQ(p.NumConstraints(), 1u);
-  EXPECT_EQ(p.partition().block_of(1), p.partition().block_of(3));
+  EXPECT_EQ(p.partition().labels()[1], p.partition().labels()[3]);
 }
 
 TEST(ParseTest, ConjunctionsInAllSpellings) {
@@ -48,7 +48,7 @@ TEST(ParseTest, TransitiveChains) {
   const auto p =
       JoinPredicate::Parse(TravelSchema(), "From=To && To=City").value();
   // From ~ City by transitivity.
-  EXPECT_EQ(p.partition().block_of(0), p.partition().block_of(3));
+  EXPECT_EQ(p.partition().labels()[0], p.partition().labels()[3]);
   EXPECT_EQ(p.NumConstraints(), 2u);
 }
 

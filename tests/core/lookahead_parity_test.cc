@@ -1,6 +1,5 @@
 // The lookahead pick and the minimax solver, pinned against their naive
-// references (the suite is named for the cutoff-pruned scan these cases
-// first pinned; every candidate is now scored in full):
+// references:
 //   - PickClass returns the class an argmax over naive SimulateLabel
 //     scores returns, serially and at 1/2/8 threads, for every objective —
 //     Tsallis α < 0 (not monotone in the pruning counts) included;
@@ -58,7 +57,7 @@ std::vector<std::pair<LookaheadStrategy::Objective, double>> AllObjectives() {
           {LookaheadStrategy::Objective::kEntropy, -0.5}};
 }
 
-TEST(CutoffParityTest, PickMatchesExhaustiveAcrossThreadCounts) {
+TEST(LookaheadParityTest, PickMatchesExhaustiveAcrossThreadCounts) {
   for (uint64_t seed : {3u, 7u, 14u, 21u, 77u, 159u}) {
     const auto workload = MakeWorkload(seed);
     const InferenceEngine engine(workload.instance);
@@ -87,7 +86,7 @@ TEST(CutoffParityTest, PickMatchesExhaustiveAcrossThreadCounts) {
   }
 }
 
-TEST(CutoffParityTest, TranscriptsMatchExhaustiveAcrossThreadCounts) {
+TEST(LookaheadParityTest, TranscriptsMatchExhaustiveAcrossThreadCounts) {
   for (uint64_t seed : {11u, 97u}) {
     const auto workload = MakeWorkload(seed);
 
@@ -166,7 +165,7 @@ class NaiveMinimaxReference {
   std::unordered_map<std::string, size_t> memo_;
 };
 
-TEST(CutoffParityTest, TrailMinimaxMatchesNaiveReference) {
+TEST(LookaheadParityTest, TrailMinimaxMatchesNaiveReference) {
   // Small instances keep the naive reference tractable.
   {
     auto instance = workload::Figure1InstancePtr();
@@ -190,7 +189,7 @@ TEST(CutoffParityTest, TrailMinimaxMatchesNaiveReference) {
   }
 }
 
-TEST(CutoffParityTest, OptimalStrategyScoresUnchangedOnFigure1) {
+TEST(LookaheadParityTest, OptimalStrategyScoresUnchangedOnFigure1) {
   // End-to-end: the rewritten solver drives OptimalStrategy::Score; its
   // per-candidate worst cases must match state-copy recomputation.
   auto instance = workload::Figure1InstancePtr();

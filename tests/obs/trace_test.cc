@@ -49,6 +49,7 @@ TEST(SessionTracerTest, StepsMirrorTheSessionResult) {
   EXPECT_EQ(tracer.interactions(), result.interactions);
   EXPECT_EQ(tracer.wasted_interactions(), result.wasted_interactions);
   EXPECT_EQ(tracer.identified_goal(), result.identified_goal);
+  EXPECT_EQ(tracer.total_seconds(), result.total_seconds);
   ASSERT_EQ(tracer.steps().size(), result.steps.size());
   for (size_t i = 0; i < result.steps.size(); ++i) {
     const TraceStep& traced = tracer.steps()[i];

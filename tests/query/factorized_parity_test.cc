@@ -21,6 +21,7 @@
 #include "relational/relation.h"
 #include "storage/mapped_store.h"
 #include "storage/store_writer.h"
+#include "support/equality.h"
 #include "support/materialize.h"
 #include "util/rng.h"
 #include "util/string_util.h"

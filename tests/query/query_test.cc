@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "core/jim.h"
 #include "query/universal_table.h"
 #include "relational/join.h"
@@ -89,11 +92,14 @@ TEST(UniversalTableTest, TravelFullProduct) {
   EXPECT_FALSE(table.is_sampled());
   EXPECT_EQ(table.full_product_size(), 12u);
   EXPECT_EQ(table.num_attributes(), 5u);
-  // Provenance: first 3 attributes from Flights (occurrence 0).
-  EXPECT_EQ(table.provenance(0).relation_name, "Flights");
-  EXPECT_EQ(table.provenance(0).column_index, 0u);
-  EXPECT_EQ(table.provenance(4).relation_name, "Hotels");
-  EXPECT_EQ(table.provenance(4).column_index, 1u);
+  // Provenance: first 3 attributes from Flights (occurrence 0), and each
+  // qualified name names its relation and source column.
+  const auto source_name = [&](const char* relation, size_t column) {
+    return std::string(relation) + "." +
+           catalog.Get(relation).value()->schema().attribute(column).name;
+  };
+  EXPECT_EQ(table.schema().Names()[0], source_name("Flights", 0));
+  EXPECT_EQ(table.schema().Names()[4], source_name("Hotels", 1));
   // Schema is qualified.
   EXPECT_EQ(table.schema().Names()[0], "Flights.From");
   // The factorized table decodes to exactly the Figure 1 instance.
@@ -123,10 +129,10 @@ TEST(UniversalTableTest, RoundTripPredicateToQuery) {
           "Flights.To = Hotels.City && Flights.Airline = Hotels.Discount")
           .value();
   const JoinQuery query = table.ToJoinQuery(predicate);
-  EXPECT_EQ(query.relations(),
-            (std::vector<std::string>{"Flights", "Hotels"}));
-  ASSERT_EQ(query.equalities().size(), 2u);
   const auto sql = query.ToSql(catalog).value();
+  // Both relations, in order, and exactly two join conditions.
+  EXPECT_EQ(sql.rfind("SELECT * FROM Flights, Hotels WHERE ", 0), 0u) << sql;
+  ASSERT_EQ(std::count(sql.begin(), sql.end(), '='), 2) << sql;
   EXPECT_NE(sql.find("Flights.To = Hotels.City"), std::string::npos);
   EXPECT_NE(sql.find("Flights.Airline = Hotels.Discount"), std::string::npos);
   // Evaluating the query equals filtering the universal table by the

@@ -65,9 +65,9 @@ Relation TwoColumnRelation() {
 TEST(EncodeColumnTest, NullGetsTheSentinelAndNoDictionaryEntry) {
   const Relation relation = TwoColumnRelation();
   const EncodedColumn column = EncodeColumn(relation, 1);
-  ASSERT_EQ(column.num_rows(), 3u);
+  ASSERT_EQ(column.codes.size(), 3u);
   EXPECT_EQ(column.codes[1], kNullCode);
-  EXPECT_EQ(column.num_distinct(), 2u);  // "y" and "x"; no NULL entry
+  EXPECT_EQ(column.dictionary.size(), 2u);  // "y" and "x"; no NULL entry
   EXPECT_EQ(column.dictionary.value(column.codes[0]).AsString(), "y");
 }
 
@@ -82,8 +82,10 @@ TEST(EncodedRelationTest, RoundTripsEveryCell) {
   const Relation relation = TwoColumnRelation();
   const EncodedRelation encoded =
       EncodedRelation::FromRelation(relation, /*pool=*/nullptr);
-  ASSERT_EQ(encoded.num_rows(), relation.num_rows());
   ASSERT_EQ(encoded.num_columns(), relation.num_attributes());
+  for (size_t c = 0; c < encoded.num_columns(); ++c) {
+    ASSERT_EQ(encoded.column(c).codes.size(), relation.num_rows());
+  }
   for (size_t r = 0; r < relation.num_rows(); ++r) {
     for (size_t c = 0; c < relation.num_attributes(); ++c) {
       const Value& original = relation.row(r)[c];

@@ -74,7 +74,7 @@ TEST(CatalogTest, AddAndGet) {
   EXPECT_TRUE(catalog.Get("t").ok());
   EXPECT_EQ(catalog.Get("nope").status().code(), util::StatusCode::kNotFound);
   EXPECT_EQ(catalog.Names(), (std::vector<std::string>{"t"}));
-  EXPECT_EQ(catalog.size(), 1u);
+  EXPECT_EQ(catalog.Names().size(), 1u);
 }
 
 TEST(CsvIoTest, TypeInference) {

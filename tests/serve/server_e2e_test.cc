@@ -113,12 +113,11 @@ Request CreateRequestFor(size_t i,
 /// selected by the goal predicate.
 class Oracle {
  public:
-  explicit Oracle(const Instance& instance) {
-    store_ = instance.store;
-    const auto goal =
-        core::JoinPredicate::Parse(store_->schema(), instance.goal).value();
-    selected_ = goal.SelectedRows(*store_);
-  }
+  explicit Oracle(const Instance& instance)
+      : store_(instance.store),
+        selected_(core::JoinPredicate::Parse(store_->schema(), instance.goal)
+                      .value()
+                      .SelectedRows(*store_)) {}
   bool Answer(const std::string& suggest_line) const {
     auto parsed = util::ParseJson(suggest_line);
     EXPECT_TRUE(parsed.ok()) << suggest_line;

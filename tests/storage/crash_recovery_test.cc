@@ -27,6 +27,7 @@
 #include "storage/env.h"
 #include "storage/mapped_store.h"
 #include "storage/store_writer.h"
+#include "support/equality.h"
 #include "support/fault_env.h"
 #include "support/tally_env.h"
 #include "util/status.h"

@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <functional>
 #include <memory>
@@ -16,9 +17,11 @@
 #include "core/tuple_store.h"
 #include "relational/dictionary.h"
 #include "relational/relation.h"
+#include "storage/env.h"
 #include "storage/format.h"
 #include "storage/mapped_store.h"
 #include "storage/store_writer.h"
+#include "support/equality.h"
 #include "util/status.h"
 #include "util/string_util.h"
 
@@ -101,7 +104,14 @@ TEST(JimcFormatTest, RoundTripPreservesContract) {
     }
   }
   EXPECT_GT(mapped.file_bytes(), kHeaderBytes);
-  EXPECT_GT(mapped.shared_dictionary_size(), 0u);
+  // The header's shared dictionary size (bytes 24–31) counts the file's
+  // distinct non-NULL values.
+  auto bytes = DefaultEnv()->ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok()) << bytes.status();
+  uint64_t shared_dictionary_size = 0;
+  std::memcpy(&shared_dictionary_size, bytes->data() + 24,
+              sizeof(shared_dictionary_size));
+  EXPECT_GT(shared_dictionary_size, 0u);
 }
 
 TEST(JimcFormatTest, EmptySliceRoundTrips) {
@@ -332,6 +342,15 @@ TEST(JimcCorruptionTest, ChecksumMismatch) {
                      f.WriteByte(payload, 0xAB);
                    },
                    "checksum mismatch");
+  // The stored checksum scribbled instead, payload untouched: rejected the
+  // same way, and through the OpenStore factory too.
+  ExpectCorruption("stored_checksum",
+                   [](FileImage& f) {
+                     f.WriteByte(f.EntryOffset(0) + 24,
+                                 f.ReadByte(f.EntryOffset(0) + 24) ^ 0x01);
+                   },
+                   "checksum mismatch");
+  EXPECT_FALSE(OpenStore(TestPath("corrupt_stored_checksum")).ok());
 }
 
 TEST(JimcCorruptionTest, DuplicateSection) {

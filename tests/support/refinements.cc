@@ -40,7 +40,7 @@ bool VisitRefinements(const Partition& p,
     const std::vector<size_t>& block = blocks[block_index];
     return VisitAllPartitions(block.size(), [&](const Partition& split) {
       for (size_t k = 0; k < block.size(); ++k) {
-        labels[block[k]] = label_offset + split.block_of(k);
+        labels[block[k]] = label_offset + split.labels()[k];
       }
       return recurse(block_index + 1,
                      label_offset + static_cast<int>(split.num_blocks()));

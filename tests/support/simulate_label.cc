@@ -44,7 +44,7 @@ std::vector<double> NaiveLookaheadStrategy::Score(
   std::vector<double> scores(n, -std::numeric_limits<double>::infinity());
   for (size_t j = 0; j < cap; ++j) {
     const size_t i = j * n / cap;
-    scores[i] = objective_.ObjectiveValue(
+    scores[i] = objective_.Aggregate(
         SimulateLabel(engine, candidates[i], Label::kPositive).pruned_tuples,
         SimulateLabel(engine, candidates[i], Label::kNegative).pruned_tuples);
   }

@@ -21,7 +21,7 @@ InferenceEngine::LabelImpact SimulateLabel(const InferenceEngine& engine,
 /// LookaheadStrategy from first principles: Score runs SimulateLabel for
 /// both answers of the same evenly spaced sample of at most
 /// `max_candidates` candidates (0 = all) and aggregates the counts with
-/// LookaheadStrategy::ObjectiveValue; unsampled slots stay −∞. Its
+/// LookaheadStrategy::Aggregate; unsampled slots stay −∞. Its
 /// PickClass — Strategy's argmax over Score — is therefore the pick a
 /// LookaheadStrategy with the same arguments must make.
 class NaiveLookaheadStrategy final : public Strategy {
@@ -34,7 +34,7 @@ class NaiveLookaheadStrategy final : public Strategy {
                             const std::vector<size_t>& candidates) override;
 
  private:
-  LookaheadStrategy objective_;  ///< read for ObjectiveValue only
+  LookaheadStrategy objective_;  ///< read for Aggregate only
   size_t max_candidates_;
 };
 

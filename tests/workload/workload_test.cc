@@ -122,7 +122,7 @@ TEST(TpchTest, CatalogShapeAndKeys) {
   util::Rng rng(6);
   const TpchSpec spec;
   const rel::Catalog catalog = MakeTpchCatalog(spec, rng);
-  EXPECT_EQ(catalog.size(), 8u);
+  EXPECT_EQ(catalog.Names().size(), 8u);
   const rel::Relation& nation = *catalog.Get("nation").value();
   EXPECT_EQ(nation.num_rows(), spec.num_nations);
   const rel::Relation& orders = *catalog.Get("orders").value();

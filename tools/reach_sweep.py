@@ -7,17 +7,28 @@ package (perfbench and its harness tests) — with one section per function
 and no inlining, links them with --gc-sections, and lists every `jim::`
 function that libjim.a defines but no linked binary keeps:
 
-  compile  -O1 -fno-inline -fno-ipa-icf -ffunction-sections -fdata-sections
+  compile  -O1 -g -fno-inline -fkeep-inline-functions -fno-ipa-icf
+           -ffunction-sections -fdata-sections
   link     -Wl,--gc-sections
 
 -fno-inline keeps every called function as a symbol of its own, so a call
 inlined away (a function called once, say) cannot make a reached function
 look unreached; -fno-ipa-icf stops identical bodies from folding into one
-symbol. Only functions declared in namespace jim count, header-inline ones
-included when libjim.a emits them. GCC's clone suffixes ([clone .isra.0],
-[clone .cold], [clone .constprop.0], ...) are stripped before comparing,
-and symbols are compared by demangled name, so constructor/destructor
-variants count as one function.
+symbol. -fkeep-inline-functions is the inline pass: libjim.a then emits
+every header-inline function of every translation unit, called or not, so
+an accessor written in a header that nothing calls is a finding like any
+other. Only functions declared in namespace jim count. GCC's clone
+suffixes ([clone .isra.0], [clone .cold], [clone .constprop.0], ...) are
+stripped before comparing, and symbols are compared by demangled name, so
+constructor/destructor variants count as one function.
+
+The inline pass also emits the members the compiler writes itself:
+implicit constructors, destructors and assignments, and lambda call
+operators and conversions. -g lets the sweep drop exactly those: a
+function libjim.a's DWARF describes as a DW_TAG_subprogram with
+DW_AT_artificial is not a finding (no name heuristics). A libjim.a with no
+DWARF subprogram at all (a build that lost -g) fails the sweep with exit
+status 2 rather than reporting every such member.
 
 Findings are suppressed only through the checked-in allowlist
 (tools/reach_sweep_allowlist.txt), one demangled signature per line:
@@ -27,14 +38,18 @@ Findings are suppressed only through the checked-in allowlist
 Every entry needs the "  # why" justification (two spaces before the
 hash: lambda names contain '#'), and must still match a finding — stale
 entries fail the sweep, so the allowlist can only shrink or stay
-justified.
+justified. Two reasons qualify: a test hook (an audit or reset the suites
+call, or a read accessor of private state a named suite asserts on and no
+reached function exposes), or a GCC false positive (the function runs in a
+shipped binary, and the entry names the reached caller GCC folded it
+into). A function only tests use as a reference belongs in tests/support/.
 
 Usage:
   python3 tools/reach_sweep.py [--build-dir DIR] [--jobs N]
 
 The build trees go to DIR (default: build-reach/ in the repository).
 Exit status: 0 clean, 1 unlisted findings or stale entries, 2 usage or
-build error.
+build error, or a libjim.a without debug info.
 """
 
 import argparse
@@ -46,7 +61,7 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 ALLOWLIST_PATH = os.path.join(REPO_ROOT, "tools", "reach_sweep_allowlist.txt")
 
-COMPILE_FLAGS = ("-O1 -fno-inline -fno-ipa-icf "
+COMPILE_FLAGS = ("-O1 -g -fno-inline -fkeep-inline-functions -fno-ipa-icf "
                  "-ffunction-sections -fdata-sections")
 LINK_FLAGS = "-Wl,--gc-sections"
 
@@ -57,6 +72,8 @@ FUNCTION_TYPES = frozenset("TtWw")
 # enclosing function, and std templates merely instantiated on jim types
 # (_ZSt..., _ZNSt...) are not libjim's code.
 JIM_FUNCTION_RE = re.compile(r"^_ZN[rVKRO]*3jim")
+# The first line of a DIE in readelf's dump: " <depth><offset>: Abbrev ...".
+DIE_RE = re.compile(r"^ <\d+><[0-9a-f]+>: ")
 
 
 def run(cmd, **kwargs):
@@ -94,6 +111,54 @@ def defined_functions(path):
         if (len(parts) == 3 and parts[1] in FUNCTION_TYPES and
                 JIM_FUNCTION_RE.match(parts[2])):
             mangled.add(parts[2].split(".", 1)[0])
+    demangled = run(["c++filt"], input="\n".join(sorted(mangled)),
+                    stdout=subprocess.PIPE, text=True).stdout
+    return set(demangled.split("\n")) - {""}
+
+
+def artificial_functions(path):
+    """Demangled names of the compiler-generated functions `path` describes.
+
+    These are the DW_TAG_subprogram entries of its DWARF that carry
+    DW_AT_artificial: implicit constructors, destructors and assignments,
+    and lambda call operators and conversions. Exits 2 when `path` has no
+    DWARF subprogram at all (a build without -g), since every such member
+    would then read as an unreached finding.
+    """
+    proc = subprocess.Popen(["readelf", "--wide", "--debug-dump=info", path],
+                            stdout=subprocess.PIPE,
+                            stderr=subprocess.DEVNULL, text=True)
+    subprograms = 0
+    mangled = set()
+    in_subprogram = artificial = False
+    linkage = None
+
+    def close():
+        if in_subprogram and artificial and linkage:
+            mangled.add(linkage)
+
+    for line in proc.stdout:
+        if DIE_RE.match(line):
+            close()
+            in_subprogram = line.rstrip().endswith("(DW_TAG_subprogram)")
+            subprograms += in_subprogram
+            artificial = False
+            linkage = None
+        elif in_subprogram:
+            if "DW_AT_artificial" in line:
+                artificial = True
+            elif "DW_AT_linkage_name" in line:
+                linkage = line.rsplit(": ", 1)[1].strip()
+    close()
+    if proc.wait() != 0:
+        print("reach_sweep: command failed: readelf --debug-dump=info "
+              + path, file=sys.stderr)
+        sys.exit(2)
+    if subprograms == 0:
+        print("reach_sweep: %s has no DWARF subprograms; the sweep needs a "
+              "-g build to tell compiler-generated members apart" % path,
+              file=sys.stderr)
+        sys.exit(2)
     demangled = run(["c++filt"], input="\n".join(sorted(mangled)),
                     stdout=subprocess.PIPE, text=True).stdout
     return set(demangled.split("\n")) - {""}
@@ -144,7 +209,8 @@ def main():
     configure_and_build(os.path.join(REPO_ROOT, "perfbench"), bench_build,
                         args.jobs, [])
 
-    library = defined_functions(os.path.join(jim_build, "libjim.a"))
+    archive = os.path.join(jim_build, "libjim.a")
+    library = defined_functions(archive) - artificial_functions(archive)
     binaries = executables(jim_build) + executables(bench_build)
     if not any(os.path.basename(b) == "perfbench" for b in binaries):
         print("reach_sweep: perfbench was not built", file=sys.stderr)
