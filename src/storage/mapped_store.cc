@@ -33,18 +33,11 @@ struct SectionEntry {
 
 util::StatusOr<std::shared_ptr<const MappedTupleStore>> MappedTupleStore::Open(
     const std::string& path, Env* env) {
-  OpenOptions options;
-  options.env = env;
-  return Open(path, options);
-}
-
-util::StatusOr<std::shared_ptr<const MappedTupleStore>> MappedTupleStore::Open(
-    const std::string& path, const OpenOptions& options) {
 #if defined(__BYTE_ORDER__) && (__BYTE_ORDER__ != __ORDER_LITTLE_ENDIAN__)
   return util::UnimplementedError(
       "JIMC mapping requires a little-endian host");
 #endif
-  Env& fs = options.env != nullptr ? *options.env : *DefaultEnv();
+  Env& fs = env != nullptr ? *env : *DefaultEnv();
   // Private ctor, so no make_shared; the aliasing around mutable Parse state
   // stays local to Open.
   std::shared_ptr<MappedTupleStore> store(new MappedTupleStore());
@@ -395,8 +388,7 @@ util::StatusOr<std::shared_ptr<const core::TupleStore>> OpenStore(
 
 util::StatusOr<std::shared_ptr<const core::TupleStore>> OpenStore(
     const std::string& path, const OpenOptions& options) {
-  ASSIGN_OR_RETURN(auto store, MappedTupleStore::Open(path, options));
-  return std::shared_ptr<const core::TupleStore>(std::move(store));
+  return OpenStore(path, options.env);
 }
 
 }  // namespace jim::storage

@@ -52,10 +52,6 @@ class MappedTupleStore final : public core::TupleStore {
   static util::StatusOr<std::shared_ptr<const MappedTupleStore>> Open(
       const std::string& path, Env* env = nullptr);
 
-  /// As above, with explicit options.
-  static util::StatusOr<std::shared_ptr<const MappedTupleStore>> Open(
-      const std::string& path, const OpenOptions& options);
-
   ~MappedTupleStore() override = default;
   MappedTupleStore(const MappedTupleStore&) = delete;
   MappedTupleStore& operator=(const MappedTupleStore&) = delete;
