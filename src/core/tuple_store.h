@@ -114,6 +114,9 @@ class RelationTupleStore final : public TupleStore {
   }
   size_t ApproxBytes() const override;
 
+  /// Distinct non-NULL values across all columns: the dictionary size.
+  size_t num_distinct_values() const { return dictionary_.size(); }
+
  private:
   std::shared_ptr<const rel::Relation> relation_;
   rel::Dictionary dictionary_;

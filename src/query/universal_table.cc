@@ -264,7 +264,7 @@ util::StatusOr<UniversalTable> UniversalTable::Build(
     const rel::Relation& relation = *occurrences[i].relation;
     occurrences[i].attr_offset = attr_offset;
     for (size_t c = 0; c < relation.num_attributes(); ++c) {
-      table.provenance_.push_back(Provenance{i, relation_names[i], c});
+      table.provenance_.push_back(Provenance{i, c});
       rel::Attribute attribute = relation.schema().attribute(c);
       attribute.qualifier = aliases[i];
       schema.AddAttribute(std::move(attribute));

@@ -52,7 +52,6 @@ class UniversalTable {
   struct Provenance {
     /// Index into the `relation_names` list passed to Build.
     size_t relation_occurrence = 0;
-    std::string relation_name;
     size_t column_index = 0;
   };
 

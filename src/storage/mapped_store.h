@@ -88,6 +88,8 @@ class MappedTupleStore final : public core::TupleStore {
 
   /// Total size of the backing file.
   size_t file_bytes() const { return size_; }
+  /// Distinct non-NULL values in the file's shared dictionary.
+  size_t shared_dictionary_size() const { return value_offsets_.size(); }
   /// True when the bytes are served from an actual mapping (shared page
   /// cache); false on the graceful-degradation heap fallback.
   bool zero_copy() const { return region_->zero_copy(); }

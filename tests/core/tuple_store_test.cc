@@ -4,7 +4,6 @@
 
 #include <cmath>
 #include <memory>
-#include <set>
 #include <string>
 
 #include "core/join_predicate.h"
@@ -16,18 +15,6 @@
 
 namespace jim::core {
 namespace {
-
-/// Distinct non-NULL codes across every cell: the store's dictionary size,
-/// since each dictionary entry is some cell's code.
-size_t DistinctValues(const TupleStore& store) {
-  std::set<uint32_t> codes;
-  for (size_t t = 0; t < store.num_tuples(); ++t) {
-    for (size_t a = 0; a < store.num_attributes(); ++a) {
-      if (store.code(t, a) != rel::kNullCode) codes.insert(store.code(t, a));
-    }
-  }
-  return codes.size();
-}
 
 std::shared_ptr<const rel::Relation> MixedRelation() {
   using rel::Value;
@@ -143,7 +130,7 @@ TEST(RelationTupleStoreTest, ParallelIngestIsBitwiseIdenticalToSerial) {
   for (const size_t threads : {2u, 8u}) {
     exec::ThreadPool pool(threads);
     const RelationTupleStore parallel(shared, &pool);
-    ASSERT_EQ(DistinctValues(parallel), DistinctValues(serial))
+    ASSERT_EQ(parallel.num_distinct_values(), serial.num_distinct_values())
         << threads << " threads";
     for (size_t t = 0; t < serial.num_tuples(); ++t) {
       for (size_t a = 0; a < serial.num_attributes(); ++a) {

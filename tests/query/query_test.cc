@@ -92,14 +92,14 @@ TEST(UniversalTableTest, TravelFullProduct) {
   EXPECT_FALSE(table.is_sampled());
   EXPECT_EQ(table.full_product_size(), 12u);
   EXPECT_EQ(table.num_attributes(), 5u);
-  // Provenance: first 3 attributes from Flights (occurrence 0), and each
-  // qualified name names its relation and source column.
-  const auto source_name = [&](const char* relation, size_t column) {
-    return std::string(relation) + "." +
-           catalog.Get(relation).value()->schema().attribute(column).name;
-  };
-  EXPECT_EQ(table.schema().Names()[0], source_name("Flights", 0));
-  EXPECT_EQ(table.schema().Names()[4], source_name("Hotels", 1));
+  // Provenance: attribute 0 is Flights' column 0 and attribute 4 is Hotels'
+  // column 1, as the translation back to a join query reads it.
+  JoinQuery query({"Flights", "Hotels"});
+  query.AddEquality(QualifiedColumn{0, 0}, QualifiedColumn{1, 1});
+  const core::JoinPredicate predicate(
+      table.schema(), lat::Partition::FromPairs(5, {{0, 4}}).value());
+  EXPECT_EQ(table.ToJoinQuery(predicate).ToSql(catalog).value(),
+            query.ToSql(catalog).value());
   // Schema is qualified.
   EXPECT_EQ(table.schema().Names()[0], "Flights.From");
   // The factorized table decodes to exactly the Figure 1 instance.
