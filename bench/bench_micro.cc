@@ -26,6 +26,7 @@
 #include "obs/metric_names.h"
 #include "obs/metrics.h"
 #include "exec/thread_pool.h"
+#include "query/universal_table.h"
 #include "lattice/enumeration.h"
 #include "lattice/partition.h"
 #include "storage/mapped_store.h"
@@ -189,6 +190,31 @@ void RegisterAll(std::vector<BenchResult>& results) {
       core::InferenceEngine engine(mapped, /*pool=*/nullptr);
       DoNotOptimize(engine.num_classes());
     }));
+    std::remove(path.c_str());
+  }
+  // The factored path of the same build: a JIMC file of a dense two-factor
+  // universal table (the shape of perfbench's travel-durable instance,
+  // flights × hotels), whose class build walks the factors instead of the
+  // product. MmapBuildClasses above is the one-factor path.
+  {
+    util::Rng rng(2014);
+    const rel::Catalog catalog = workload::LargeTravelCatalog(
+        /*num_flights=*/1000, /*num_hotels=*/1000, /*num_cities=*/256,
+        /*num_airlines=*/16, rng);
+    query::UniversalTableOptions options;
+    options.sample_cap = 0;
+    const auto table = query::UniversalTable::Build(
+                           catalog, {"Flights", "Hotels"}, options)
+                           .value();
+    const std::string path = "bench_micro_factored_tmp.jimc";
+    JIM_CHECK_OK(storage::WriteStore(*table.store(), path));
+    const auto mapped = storage::OpenStore(path).value();
+    JIM_CHECK_EQ(mapped->Factors().size(), 2u);
+    results.push_back(RunBench(
+        "FactorBuildClasses", static_cast<int64_t>(mapped->num_tuples()), [&] {
+          core::InferenceEngine engine(mapped, /*pool=*/nullptr);
+          DoNotOptimize(engine.num_classes());
+        }));
     std::remove(path.c_str());
   }
   for (size_t tuples : {1000, 10000}) {
@@ -359,9 +385,10 @@ struct WorkCounts {
   /// costs on the 10k instance: its sampled candidate count.
   uint64_t simulate_calls_per_pick = 0;
   /// engine.class_table_bytes of the instance behind each BuildClasses* row,
-  /// by row name: the class table's layout (4 B per tuple plus a first
-  /// tuple, a size and a Part(c) row per class), a count that, unlike the
-  /// rows' timings, repeats exactly run to run.
+  /// by row name: the class table's layout (a first tuple, a size and a
+  /// Part(c) row per class, plus the Part(c) index's slots; nothing per
+  /// tuple), a count that, unlike the rows' timings, repeats exactly run to
+  /// run.
   std::unordered_map<std::string, int64_t> class_table_bytes;
 };
 

@@ -15,7 +15,9 @@
 #                        with JIM_METRICS=1, CLI transcripts diffed with
 #                        metrics + tracing on vs off, and the emitted
 #                        snapshot checked for engine/exec/storage metrics
-#   - TSAN stage         parallel exec + parity suites, the concurrent
+#   - TSAN stage         parallel exec + parity suites (the class build's
+#                        chunked factor walk at 2 and 4 threads), the
+#                        concurrent
 #                        metrics-registry test, the session manager
 #                        (concurrent sessions on one shared lookahead pool)
 #                        and the server's connection handlers (unit suite
@@ -23,10 +25,11 @@
 #                        plus a guard that every tsan.supp suppression still
 #                        matches a symbol the instrumented binaries
 #                        actually reference
-#   - ASAN stage         columnar storage/ingest suites, the engine suites
-#                        (the class table's uninitialised class_of_tuple
-#                        allocation) and the lookahead pick parity +
-#                        minimax suite (LookaheadParity) under address
+#   - ASAN stage         columnar storage/ingest suites (one-, two- and
+#                        three-factor JIMC files), the engine suites
+#                        (the factor walk's posting lists and stamps) and
+#                        the lookahead pick parity + minimax suite
+#                        (LookaheadParity) under address
 #   - UBSAN stage        integer-kernel + storage + engine +
 #                        checkpoint-codec suites AND the deterministic
 #                        fuzz driver (5000
@@ -43,7 +46,9 @@
 #                        WriteStore crashed and replayed,
 #                        old-XOR-new proven on each reopened image
 #   - SERVE stage        the serving daemon under address sanitizer:
-#                        protocol/session-manager suites, the checkpoint
+#                        protocol/session-manager suites, sessions over a
+#                        two-factor JIMC file against the in-memory table
+#                        (FactoredInstance), the checkpoint
 #                        codec and crash-point enumeration, the 64-session TCP e2e
 #                        with kill+restart transcript diffing, plus the
 #                        JSON-reader suite, and a
@@ -87,7 +92,7 @@ warn_skip() {
 
 # --- tier-1: full build + full suite -------------------------------------
 cmake -B build -S .
-cmake --build build -j
+cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")
 
 # --- determinism lint ----------------------------------------------------
@@ -175,11 +180,12 @@ elif ! sanitizer_available thread; then
 else
   cmake -B build-tsan -S . -DJIM_SANITIZE=thread -DJIM_WERROR=ON \
     -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
-  cmake --build build-tsan -j --target \
+  cmake --build build-tsan -j"$(nproc)" --target \
     exec_thread_pool_test exec_batch_runner_test \
     core_parallel_parity_test core_lookahead_parity_test core_engine_copy_test \
     core_encoded_parity_test relational_dictionary_test \
-    core_tuple_store_test query_query_test obs_metrics_test \
+    core_tuple_store_test query_query_test query_factorized_parity_test \
+    obs_metrics_test \
     serve_session_manager_test serve_server_test serve_server_e2e_test
   # Stale-suppression guard: every race: pattern in tsan.supp must still
   # match a symbol some instrumented test binary references (nm -C), or the
@@ -197,7 +203,7 @@ else
   (cd build-tsan && \
     TSAN_OPTIONS="suppressions=$(pwd)/../tsan.supp ${TSAN_OPTIONS:-}" \
     ctest --output-on-failure -j"$(nproc)" \
-    -R 'ThreadPool|BatchSessionRunner|ParallelParity|LookaheadParity|EngineCopy|EncodedParity|ParallelEncode|ParallelIngest|ParallelScan|UniversalTable|Catalog|MetricsTest|SessionManager|Server')
+    -R 'ThreadPool|BatchSessionRunner|ParallelParity|LookaheadParity|EngineCopy|EncodedParity|FactorizedParity|ParallelEncode|ParallelIngest|ParallelScan|UniversalTable|Catalog|MetricsTest|SessionManager|Server')
 fi
 
 # --- ASAN stage ----------------------------------------------------------
@@ -209,7 +215,7 @@ elif ! sanitizer_available address; then
 else
   cmake -B build-asan -S . -DJIM_SANITIZE=address -DJIM_WERROR=ON \
     -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
-  cmake --build build-asan -j --target \
+  cmake --build build-asan -j"$(nproc)" --target \
     relational_dictionary_test core_tuple_store_test \
     query_factorized_parity_test core_encoded_parity_test query_query_test \
     core_engine_test core_engine_copy_test core_lookahead_parity_test \
@@ -228,7 +234,7 @@ elif ! sanitizer_available address,undefined; then
 else
   cmake -B build-ubsan -S . -DJIM_SANITIZE="address;undefined" \
     -DJIM_WERROR=ON -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
-  cmake --build build-ubsan -j --target \
+  cmake --build build-ubsan -j"$(nproc)" --target \
     lattice_partition_test lattice_kernel_parity_test \
     lattice_enumeration_test core_inference_state_test \
     core_tuple_store_test core_invariant_audit_test \
@@ -258,7 +264,7 @@ elif ! sanitizer_available address; then
 else
   cmake -B build-asan -S . -DJIM_SANITIZE=address -DJIM_WERROR=ON \
     -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
-  cmake --build build-asan -j --target jim_test_support \
+  cmake --build build-asan -j"$(nproc)" --target jim_test_support \
     storage_fault_env_test storage_crash_recovery_test
   (cd build-asan && ctest --output-on-failure -j"$(nproc)" \
     -R 'FaultEnv|PosixEnv|CrashRecovery')
@@ -278,12 +284,12 @@ elif ! sanitizer_available address; then
 else
   cmake -B build-asan -S . -DJIM_SANITIZE=address -DJIM_WERROR=ON \
     -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
-  cmake --build build-asan -j --target \
+  cmake --build build-asan -j"$(nproc)" --target \
     serve_protocol_test serve_session_manager_test \
     serve_checkpoint_crash_test serve_server_test serve_server_e2e_test \
-    serve_checkpoint_test util_json_reader_test
+    serve_checkpoint_test serve_factored_instance_test util_json_reader_test
   (cd build-asan && ctest --output-on-failure -j"$(nproc)" \
-    -R 'Protocol|SessionManager|Serve|CheckpointCodec|JsonReader')
+    -R 'Protocol|SessionManager|Serve|CheckpointCodec|FactoredInstance|JsonReader')
   # stdio smoke against the tier-1 build: one piped daemon run must answer
   # ping/stats and exit cleanly on the shutdown verb.
   printf '%s\n' '{"verb":"ping"}' '{"verb":"stats"}' '{"verb":"shutdown"}' | \
@@ -314,7 +320,7 @@ if [[ "${JIM_SKIP_AUDIT:-0}" == "1" ]]; then
 else
   cmake -B build-audit -S . -DJIM_AUDIT_INVARIANTS=ON -DJIM_WERROR=ON \
     -DJIM_BUILD_BENCHES=OFF -DJIM_BUILD_EXAMPLES=OFF
-  cmake --build build-audit -j --target \
+  cmake --build build-audit -j"$(nproc)" --target \
     core_invariant_audit_test core_parallel_parity_test \
     core_lookahead_parity_test core_encoded_parity_test \
     core_incremental_parity_test lattice_kernel_parity_test \

@@ -25,24 +25,51 @@ std::shared_ptr<const TupleStore> CheckedStore(
   return store;
 }
 
+constexpr uint32_t kNoSlot = 0xFFFFFFFFu;
+
+size_t HashMaskRow(const uint64_t* words, size_t count) {
+  uint64_t h = util::kFnv1a64OffsetBasis;
+  for (size_t w = 0; w < count; ++w) {
+    h = (h ^ words[w]) * 0x9e3779b97f4a7c15ull;
+    h ^= h >> 29;
+  }
+  return static_cast<size_t>(h);
+}
+
+/// The slot of `slots` (ids into `rows`, `words` words each; a power-of-two
+/// count, linear probing) that holds the row equal to `probe`, or the empty
+/// slot where it belongs.
+size_t ProbeSlot(const std::vector<uint32_t>& slots,
+                 const std::vector<uint64_t>& rows, size_t words,
+                 const uint64_t* probe) {
+  size_t slot = HashMaskRow(probe, words) & (slots.size() - 1);
+  for (; slots[slot] != kNoSlot; slot = (slot + 1) & (slots.size() - 1)) {
+    if (std::equal(probe, probe + words, rows.data() + slots[slot] * words)) {
+      break;
+    }
+  }
+  return slot;
+}
+
 /// The distinct pair-mask rows seen so far, each under the id of its first
 /// FindOrAdd (0, 1, …): an open-addressing table of ids over one flat row
 /// buffer.
 class MaskRowIndex {
  public:
-  explicit MaskRowIndex(size_t words) : words_(words), slots_(16, kEmpty) {}
+  explicit MaskRowIndex(size_t words) : words_(words), slots_(16, kNoSlot) {}
 
   size_t size() const { return size_; }
   const uint64_t* row(size_t id) const { return rows_.data() + id * words_; }
 
+  /// The id of `probe` (`words` words), or kNoSlot.
+  uint32_t Find(const uint64_t* probe) const {
+    return slots_[ProbeSlot(slots_, rows_, words_, probe)];
+  }
+
   /// The id of `probe` (`words` words), added under the next id if new.
   uint32_t FindOrAdd(const uint64_t* probe) {
-    size_t slot = Hash(probe) & (slots_.size() - 1);
-    for (; slots_[slot] != kEmpty; slot = (slot + 1) & (slots_.size() - 1)) {
-      if (std::equal(probe, probe + words_, row(slots_[slot]))) {
-        return slots_[slot];
-      }
-    }
+    const size_t slot = ProbeSlot(slots_, rows_, words_, probe);
+    if (slots_[slot] != kNoSlot) return slots_[slot];
     const uint32_t id = static_cast<uint32_t>(size_++);
     slots_[slot] = id;
     rows_.insert(rows_.end(), probe, probe + words_);
@@ -50,26 +77,19 @@ class MaskRowIndex {
     return id;
   }
 
-  /// Every row, by id, in a vector sized exactly.
-  std::vector<uint64_t> Rows() const { return {rows_.begin(), rows_.end()}; }
-
- private:
-  static constexpr uint32_t kEmpty = 0xFFFFFFFFu;
-
-  size_t Hash(const uint64_t* words) const {
-    uint64_t h = util::kFnv1a64OffsetBasis;
-    for (size_t w = 0; w < words_; ++w) {
-      h = (h ^ words[w]) * 0x9e3779b97f4a7c15ull;
-      h ^= h >> 29;
-    }
-    return static_cast<size_t>(h);
+  /// Moves the rows (by id) and the slots out, for a lookup by ProbeSlot.
+  void Release(std::vector<uint64_t>& rows, std::vector<uint32_t>& slots) {
+    rows_.shrink_to_fit();
+    rows = std::move(rows_);
+    slots = std::move(slots_);
   }
 
+ private:
   void Grow() {
-    std::vector<uint32_t> slots(2 * slots_.size(), kEmpty);
+    std::vector<uint32_t> slots(2 * slots_.size(), kNoSlot);
     for (uint32_t id = 0; id < size_; ++id) {
-      size_t slot = Hash(row(id)) & (slots.size() - 1);
-      while (slots[slot] != kEmpty) slot = (slot + 1) & (slots.size() - 1);
+      size_t slot = HashMaskRow(row(id), words_) & (slots.size() - 1);
+      while (slots[slot] != kNoSlot) slot = (slot + 1) & (slots.size() - 1);
       slots[slot] = id;
     }
     slots_ = std::move(slots);
@@ -80,6 +100,437 @@ class MaskRowIndex {
   std::vector<uint64_t> rows_;   ///< words_ per id
   size_t size_ = 0;
 };
+
+/// The bit of attribute pair (a, b), a < b, in a pair mask over n
+/// attributes (row-major pair order, lattice/pair_mask.h).
+size_t PairBit(size_t a, size_t b, size_t n) {
+  return a * (2 * n - a - 1) / 2 + (b - a - 1);
+}
+
+/// ORs into `mask` the bit of every pair lo ≤ a < b < hi of attributes whose
+/// codes in `codes` (indexed by attribute) are equal and not NULL.
+void OrPairBits(const uint32_t* codes, size_t lo, size_t hi, size_t n,
+                uint64_t* mask) {
+  for (size_t a = lo; a < hi; ++a) {
+    if (codes[a] == rel::kNullCode) continue;
+    for (size_t b = a + 1; b < hi; ++b) {
+      if (codes[a] == codes[b]) {
+        const size_t bit = PairBit(a, b, n);
+        mask[bit >> 6] |= uint64_t{1} << (bit & 63);
+      }
+    }
+  }
+}
+
+/// Distinct masks found by the chunks of one pass, each chunk's under its
+/// local ids (first-occurrence order within the chunk), with the first
+/// member and size of each.
+struct ChunkGroups {
+  std::vector<MaskRowIndex> index;
+  std::vector<std::vector<TupleClass>> found;
+
+  ChunkGroups(size_t chunks, size_t words)
+      : index(chunks, MaskRowIndex(words)), found(chunks) {}
+
+  /// Merges the chunks in chunk order into `global` and `classes`. A mask's
+  /// first chunk holds its first member, and within a chunk local ids
+  /// follow first occurrence, so the global ids follow first occurrence —
+  /// the same at any chunk count. A mask takes its first member from the
+  /// earliest chunk that holds it and its size from all of them. Returns
+  /// each chunk's local → global id map.
+  std::vector<std::vector<uint32_t>> Merge(
+      MaskRowIndex& global, std::vector<TupleClass>& classes) const {
+    std::vector<std::vector<uint32_t>> remap(index.size());
+    for (size_t j = 0; j < index.size(); ++j) {
+      for (size_t id = 0; id < index[j].size(); ++id) {
+        const uint32_t c = global.FindOrAdd(index[j].row(id));
+        remap[j].push_back(c);
+        if (c == classes.size()) {
+          classes.push_back({found[j][id].tuple_indices, 0});
+        }
+        classes[c].count += found[j][id].count;
+      }
+    }
+    return remap;
+  }
+};
+
+/// Runs body(j) for each of `chunks` chunks, on `pool` when there are
+/// several.
+template <typename Body>
+void ForEachChunk(exec::ThreadPool* pool, size_t chunks, const Body& body) {
+  if (chunks > 1) {
+    pool->ParallelFor(chunks, [&](size_t j, size_t) { body(j); });
+  } else {
+    body(0);
+  }
+}
+
+size_t ChunkCount(exec::ThreadPool* pool, size_t items) {
+  return pool == nullptr
+             ? 1
+             : std::max<size_t>(1, std::min(pool->threads(), items));
+}
+
+/// Step 1 of the class build: groups the rows [0, rows) of `store` by
+/// their pair mask over the attributes [lo, n) (the store's last factor,
+/// whose rows are tuples 0 … rows − 1). The rows split into static
+/// contiguous chunks, one per pool thread. Each chunk reads its rows in
+/// blocks of kBlock, one column at a time, and ORs each attribute pair's
+/// equality bit into the block's word-major masks (masks[w * kBlock + k] is
+/// word w of row k's mask), so every inner loop runs over contiguous rows at
+/// any mask width. It then groups the block's masks in its own index; a row
+/// whose mask equals its predecessor's skips the lookup. With
+/// `group_of_row`, each row's local id is written there, and rewritten to
+/// its global id after the merge.
+void GroupRows(const TupleStore& store, size_t rows, size_t lo,
+               exec::ThreadPool* pool, MaskRowIndex& global,
+               std::vector<TupleClass>& groups, uint32_t* group_of_row) {
+  const size_t n = store.num_attributes();
+  const size_t words = lat::PairMaskWords(n);
+  const size_t width = n - lo;
+  const size_t chunks = ChunkCount(pool, rows);
+  const auto chunk_begin = [&](size_t j) { return j * rows / chunks; };
+  constexpr size_t kBlock = 1024;
+  ChunkGroups local(chunks, words);
+  ForEachChunk(pool, chunks, [&](size_t j) {
+    std::vector<uint32_t> codes(width * kBlock);
+    std::vector<uint64_t> masks(words * kBlock);
+    std::vector<uint64_t> last(words);  // the previous row's mask
+    std::vector<TupleClass>& ids = local.found[j];
+    uint32_t last_id = 0;
+    const size_t end = chunk_begin(j + 1);
+    for (size_t first = chunk_begin(j); first < end; first += kBlock) {
+      const size_t count = std::min(kBlock, end - first);
+      for (size_t a = lo; a < n; ++a) {
+        store.ColumnCodes(a, first, count, codes.data() + (a - lo) * kBlock);
+      }
+      std::fill(masks.begin(), masks.end(), 0);
+      for (size_t a = lo; a < n; ++a) {
+        const uint32_t* left = codes.data() + (a - lo) * kBlock;
+        for (size_t b = a + 1; b < n; ++b) {
+          const uint32_t* right = codes.data() + (b - lo) * kBlock;
+          const size_t bit = PairBit(a, b, n);
+          uint64_t* out = masks.data() + (bit >> 6) * kBlock;
+          const unsigned shift = bit & 63;
+          for (size_t k = 0; k < count; ++k) {
+            out[k] |= static_cast<uint64_t>((left[k] == right[k]) &
+                                            (left[k] != rel::kNullCode))
+                      << shift;
+          }
+        }
+      }
+      for (size_t k = 0; k < count; ++k) {
+        bool same = !ids.empty();
+        for (size_t w = 0; w < words; ++w) {
+          same &= masks[w * kBlock + k] == last[w];
+        }
+        if (!same) {
+          for (size_t w = 0; w < words; ++w) last[w] = masks[w * kBlock + k];
+          last_id = local.index[j].FindOrAdd(last.data());
+          if (last_id == ids.size()) {
+            ids.push_back(TupleClass{{static_cast<uint32_t>(first + k)}, 0});
+          }
+        }
+        if (group_of_row != nullptr) group_of_row[first + k] = last_id;
+        ++ids[last_id].count;
+      }
+    }
+  });
+  const std::vector<std::vector<uint32_t>> remap = local.Merge(global, groups);
+  if (group_of_row == nullptr) return;
+  for (size_t j = 1; j < chunks; ++j) {
+    for (size_t r = chunk_begin(j); r < chunk_begin(j + 1); ++r) {
+      group_of_row[r] = remap[j][group_of_row[r]];
+    }
+  }
+}
+
+/// One last-factor attribute's posting lists: for each non-NULL code, the
+/// rows holding it (ascending), and how many of those rows each group has.
+struct Postings {
+  std::vector<uint32_t> keys;         ///< distinct codes, ascending
+  std::vector<uint32_t> row_begin;    ///< per key, into rows; one extra
+  std::vector<uint32_t> rows;         ///< by key, ascending
+  std::vector<uint32_t> tally_begin;  ///< per key, into tallies; one extra
+  /// By key, (group, rows of the key in that group), ascending groups.
+  std::vector<std::pair<uint32_t, uint32_t>> tallies;
+
+  /// The index of `code` in keys, or keys.size().
+  size_t Find(uint32_t code) const {
+    const auto it = std::lower_bound(keys.begin(), keys.end(), code);
+    if (it == keys.end() || *it != code) return keys.size();
+    return static_cast<size_t>(it - keys.begin());
+  }
+};
+
+Postings BuildPostings(const uint32_t* column, size_t rows,
+                       const std::vector<uint32_t>& group_of_row) {
+  std::vector<std::pair<uint32_t, uint32_t>> entries;  // (code, row)
+  for (size_t r = 0; r < rows; ++r) {
+    if (column[r] != rel::kNullCode) {
+      entries.emplace_back(column[r], static_cast<uint32_t>(r));
+    }
+  }
+  std::sort(entries.begin(), entries.end());
+  Postings postings;
+  std::vector<uint32_t> groups;
+  for (size_t i = 0; i < entries.size();) {
+    const uint32_t code = entries[i].first;
+    postings.keys.push_back(code);
+    postings.row_begin.push_back(static_cast<uint32_t>(postings.rows.size()));
+    postings.tally_begin.push_back(
+        static_cast<uint32_t>(postings.tallies.size()));
+    groups.clear();
+    for (; i < entries.size() && entries[i].first == code; ++i) {
+      postings.rows.push_back(entries[i].second);
+      groups.push_back(group_of_row[entries[i].second]);
+    }
+    std::sort(groups.begin(), groups.end());
+    for (size_t k = 0; k < groups.size(); ++k) {
+      if (k == 0 || groups[k] != groups[k - 1]) {
+        postings.tallies.emplace_back(groups[k], 0);
+      }
+      ++postings.tallies.back().second;
+    }
+  }
+  postings.row_begin.push_back(static_cast<uint32_t>(postings.rows.size()));
+  postings.tally_begin.push_back(
+      static_cast<uint32_t>(postings.tallies.size()));
+  return postings;
+}
+
+/// Step 2 of the class build over a store of k ≥ 2 factors: tuple t is
+/// (p, r) = (t / rows, t % rows), where r is a row of the last factor
+/// (attributes [lo, n)) and p a tuple of the product of the others, the
+/// prefix. t's mask is p's own mask (pairs inside [0, lo)), r's group's mask
+/// (pairs inside [lo, n)), and the cross pairs (a < lo ≤ b) on which p and r
+/// hold one non-NULL code. For each prefix tuple p, in tuple order:
+///   - each prefix attribute a and last attribute b with a posting list for
+///     p's code at a give a run: the rows sharing that code, whose cross
+///     pairs include (a, b). Marking the runs' rows finds the rows in two
+///     runs or more;
+///   - a row in several runs is its own candidate; the rows of group g in
+///     exactly one run are one candidate per (run, g), counted from the
+///     posting list's group tallies; and the rows of g in no run are one
+///     candidate, g's size less its touched rows;
+///   - a candidate whose mask the chunk already holds only adds its count.
+///     New masks are numbered once p is done, in ascending order of their
+///     candidates' first rows (for a (run, g) candidate, the smallest row of
+///     g in the run and no other; for the untouched one, the smallest
+///     untouched row of g), which is first-occurrence tuple order.
+/// So a prefix tuple costs its runs' rows and groups, not the last factor's
+/// rows. Prefix chunks merge as GroupRows' chunks do.
+void WalkPrefixes(const TupleStore& store, size_t rows, size_t lo,
+                  exec::ThreadPool* pool, const MaskRowIndex& group_masks,
+                  const std::vector<TupleClass>& groups,
+                  const std::vector<uint32_t>& group_of_row,
+                  MaskRowIndex& global, std::vector<TupleClass>& classes) {
+  const size_t n = store.num_attributes();
+  const size_t words = lat::PairMaskWords(n);
+  const size_t prefixes = store.num_tuples() / rows;
+  const size_t num_groups = groups.size();
+
+  // Each group's members, ascending: a counting sort of the rows.
+  std::vector<uint32_t> member_begin(num_groups + 1, 0);
+  for (const uint32_t g : group_of_row) ++member_begin[g + 1];
+  for (size_t g = 0; g < num_groups; ++g) {
+    member_begin[g + 1] += member_begin[g];
+  }
+  std::vector<uint32_t> members(rows);
+  {
+    std::vector<uint32_t> next(member_begin.begin(), member_begin.end() - 1);
+    for (size_t r = 0; r < rows; ++r) {
+      members[next[group_of_row[r]]++] = static_cast<uint32_t>(r);
+    }
+  }
+  std::vector<Postings> postings;
+  {
+    std::vector<uint32_t> column(rows);
+    for (size_t b = lo; b < n; ++b) {
+      store.ColumnCodes(b, 0, rows, column.data());
+      postings.push_back(BuildPostings(column.data(), rows, group_of_row));
+    }
+  }
+
+  const size_t chunks = ChunkCount(pool, prefixes);
+  const auto chunk_begin = [&](size_t j) { return j * prefixes / chunks; };
+  ChunkGroups local(chunks, words);
+  ForEachChunk(pool, chunks, [&](size_t j) {
+    struct Run {
+      const Postings* postings;
+      size_t key;
+      size_t bit;
+    };
+    std::vector<uint32_t> codes(n);
+    std::vector<uint64_t> prefix_mask(words);
+    std::vector<uint64_t> mask(words);
+    std::vector<uint64_t> run_bit(words);
+    std::vector<Run> runs;
+    std::vector<uint32_t> run_of_bit(n * (n - 1) / 2);
+    // Row r is touched at prefix p iff touched_at[r] == p + 1, and then
+    // cross[r] holds its cross pairs; multi_at likewise marks rows in
+    // several runs.
+    std::vector<uint64_t> cross(rows * words);
+    std::vector<size_t> touched_at(rows, 0);
+    std::vector<size_t> multi_at(rows, 0);
+    std::vector<uint32_t> multi;
+    std::vector<uint32_t> touched_in_group(num_groups, 0);
+    std::vector<uint32_t> touched_groups;
+    // (run, group) of each multi-run row's runs, to take out of the runs'
+    // group tallies.
+    std::vector<std::pair<uint32_t, uint32_t>> in_other_runs;
+    // Candidates with a mask the chunk has not seen yet: (first row, count)
+    // and the mask.
+    std::vector<std::pair<uint32_t, uint32_t>> pending;
+    std::vector<uint64_t> pending_masks;
+    std::vector<size_t> order;
+    MaskRowIndex& index = local.index[j];
+    std::vector<TupleClass>& ids = local.found[j];
+    for (size_t p = chunk_begin(j); p < chunk_begin(j + 1); ++p) {
+      const size_t stamp = p + 1;
+      const size_t first_tuple = p * rows;
+      store.TupleCodes(first_tuple, codes.data());
+      std::fill(prefix_mask.begin(), prefix_mask.end(), 0);
+      OrPairBits(codes.data(), 0, lo, n, prefix_mask.data());
+
+      // The runs, and their rows marked.
+      runs.clear();
+      multi.clear();
+      for (size_t a = 0; a < lo; ++a) {
+        if (codes[a] == rel::kNullCode) continue;
+        for (size_t b = lo; b < n; ++b) {
+          const Postings& list = postings[b - lo];
+          const size_t key = list.Find(codes[a]);
+          if (key == list.keys.size()) continue;
+          const size_t bit = PairBit(a, b, n);
+          run_of_bit[bit] = static_cast<uint32_t>(runs.size());
+          runs.push_back({&list, key, bit});
+          const uint64_t bit_word = uint64_t{1} << (bit & 63);
+          for (uint32_t i = list.row_begin[key]; i < list.row_begin[key + 1];
+               ++i) {
+            const uint32_t r = list.rows[i];
+            uint64_t* row_cross = cross.data() + r * words;
+            if (touched_at[r] != stamp) {
+              touched_at[r] = stamp;
+              std::fill(row_cross, row_cross + words, 0);
+            } else if (multi_at[r] != stamp) {
+              multi_at[r] = stamp;
+              multi.push_back(r);
+            }
+            row_cross[bit >> 6] |= bit_word;
+          }
+          for (uint32_t i = list.tally_begin[key];
+               i < list.tally_begin[key + 1]; ++i) {
+            const auto [g, count] = list.tallies[i];
+            if (touched_in_group[g] == 0) touched_groups.push_back(g);
+            touched_in_group[g] += count;
+          }
+        }
+      }
+
+      // A mask the chunk already holds only adds to its count. A new mask
+      // waits in `pending`, with its candidate's first row, which
+      // `first_row` finds.
+      const auto add = [&](uint32_t count, const auto& first_row) {
+        const uint32_t id = index.Find(mask.data());
+        if (id != kNoSlot) {
+          ids[id].count += count;
+          return;
+        }
+        pending.emplace_back(first_row(), count);
+        pending_masks.insert(pending_masks.end(), mask.begin(), mask.end());
+      };
+      const auto set_mask = [&](const uint64_t* own, const uint64_t* extra) {
+        for (size_t w = 0; w < words; ++w) {
+          mask[w] = prefix_mask[w] | own[w] | (extra ? extra[w] : 0);
+        }
+      };
+
+      // Rows in several runs, one by one.
+      in_other_runs.clear();
+      for (const uint32_t r : multi) {
+        const uint32_t g = group_of_row[r];
+        const uint64_t* row_cross = cross.data() + r * words;
+        size_t runs_of_row = 0;
+        for (size_t w = 0; w < words; ++w) {
+          for (uint64_t rest = row_cross[w]; rest != 0; rest &= rest - 1) {
+            const size_t bit = w * 64 + __builtin_ctzll(rest);
+            in_other_runs.emplace_back(run_of_bit[bit], g);
+            ++runs_of_row;
+          }
+        }
+        touched_in_group[g] -= static_cast<uint32_t>(runs_of_row - 1);
+        set_mask(group_masks.row(g), row_cross);
+        add(1, [r] { return r; });
+      }
+      std::sort(in_other_runs.begin(), in_other_runs.end());
+
+      // The rows of each group in exactly one run, run by run.
+      for (size_t i = 0; i < runs.size(); ++i) {
+        const Run& run = runs[i];
+        const Postings& list = *run.postings;
+        std::fill(run_bit.begin(), run_bit.end(), 0);
+        run_bit[run.bit >> 6] = uint64_t{1} << (run.bit & 63);
+        auto shared = std::lower_bound(
+            in_other_runs.begin(), in_other_runs.end(),
+            std::pair<uint32_t, uint32_t>{static_cast<uint32_t>(i), 0});
+        for (uint32_t t = list.tally_begin[run.key];
+             t < list.tally_begin[run.key + 1]; ++t) {
+          const auto [g, tally] = list.tallies[t];
+          uint32_t count = tally;
+          for (; shared != in_other_runs.end() && shared->first == i &&
+                 shared->second <= g;
+               ++shared) {
+            if (shared->second == g) --count;
+          }
+          if (count == 0) continue;
+          set_mask(group_masks.row(g), run_bit.data());
+          add(count, [&, g = g] {
+            for (uint32_t k = list.row_begin[run.key];; ++k) {
+              const uint32_t r = list.rows[k];
+              if (group_of_row[r] == g && multi_at[r] != stamp) return r;
+            }
+          });
+        }
+      }
+
+      // The rows of each group in no run.
+      for (uint32_t g = 0; g < num_groups; ++g) {
+        if (touched_in_group[g] == groups[g].count) continue;
+        set_mask(group_masks.row(g), nullptr);
+        add(groups[g].count - touched_in_group[g], [&] {
+          const uint32_t* member = members.data() + member_begin[g];
+          while (touched_at[*member] == stamp) ++member;
+          return *member;
+        });
+      }
+      for (const uint32_t g : touched_groups) touched_in_group[g] = 0;
+      touched_groups.clear();
+
+      // The classes first seen at p, numbered in ascending row order: first
+      // occurrence in tuple order.
+      if (!pending.empty()) {
+        order.resize(pending.size());
+        for (size_t i = 0; i < order.size(); ++i) order[i] = i;
+        std::sort(order.begin(), order.end(), [&](size_t x, size_t y) {
+          return pending[x].first < pending[y].first;
+        });
+        for (const size_t i : order) {
+          const uint32_t id = index.FindOrAdd(pending_masks.data() + i * words);
+          if (id == ids.size()) {
+            ids.push_back(TupleClass{
+                {static_cast<uint32_t>(first_tuple + pending[i].first)}, 0});
+          }
+          ids[id].count += pending[i].second;
+        }
+        pending.clear();
+        pending_masks.clear();
+      }
+    }
+  });
+  local.Merge(global, classes);
+}
 
 }  // namespace
 
@@ -143,116 +594,40 @@ void InferenceEngine::BuildClasses(exec::ThreadPool* pool) {
   mask_words_ = lat::PairMaskWords(n);
   const size_t words = mask_words_;
   auto table = std::make_shared<ClassTable>();
-  table->class_of_tuple.reset(new uint32_t[num_tuples]);
-  uint32_t* class_of_tuple = table->class_of_tuple.get();
-
-  // The tuples split into static contiguous chunks, one per pool thread.
-  const size_t chunks =
-      pool == nullptr ? 1 : std::max<size_t>(1, std::min(pool->threads(),
-                                                         num_tuples));
-  const auto chunk_begin = [&](size_t j) { return j * num_tuples / chunks; };
-  const auto for_each_chunk = [&](const auto& body) {
-    if (chunks > 1) {
-      pool->ParallelFor(chunks, [&](size_t j, size_t) { body(j); });
-    } else {
-      body(0);
-    }
-  };
-
-  // Phase 1 (parallel): each chunk reads its tuples in blocks of kBlock, one
-  // column at a time, and ORs each attribute pair's equality bit into the
-  // block's word-major masks (masks[w * kBlock + k] is word w of tuple k's
-  // Part(t)), so every inner loop runs over contiguous tuples at any mask
-  // width. It then groups the block's masks in its own index, writing each
-  // tuple's chunk-local id (first-occurrence order within the chunk) into
-  // class_of_tuple and recording each id's first tuple and size in
-  // found[j]; a tuple whose mask equals its predecessor's skips the lookup.
-  constexpr size_t kBlock = 1024;
-  std::vector<MaskRowIndex> local(chunks, MaskRowIndex(words));
-  std::vector<std::vector<TupleClass>> found(chunks);
-  for_each_chunk([&](size_t j) {
-    std::vector<uint32_t> codes(n * kBlock);
-    std::vector<uint64_t> masks(words * kBlock);
-    std::vector<uint64_t> last(words);  // the previous tuple's mask
-    std::vector<TupleClass>& ids = found[j];
-    uint32_t last_id = 0;
-    const size_t end = chunk_begin(j + 1);
-    for (size_t first = chunk_begin(j); first < end; first += kBlock) {
-      const size_t count = std::min(kBlock, end - first);
-      for (size_t a = 0; a < n; ++a) {
-        store_->ColumnCodes(a, first, count, codes.data() + a * kBlock);
-      }
-      std::fill(masks.begin(), masks.end(), 0);
-      size_t bit = 0;  // pairs (a, b), a < b, in row-major order
-      for (size_t a = 0; a < n; ++a) {
-        const uint32_t* left = codes.data() + a * kBlock;
-        for (size_t b = a + 1; b < n; ++b, ++bit) {
-          const uint32_t* right = codes.data() + b * kBlock;
-          uint64_t* out = masks.data() + (bit >> 6) * kBlock;
-          const unsigned shift = bit & 63;
-          for (size_t k = 0; k < count; ++k) {
-            out[k] |= static_cast<uint64_t>((left[k] == right[k]) &
-                                            (left[k] != rel::kNullCode))
-                      << shift;
-          }
-        }
-      }
-      for (size_t k = 0; k < count; ++k) {
-        bool same = !ids.empty();
-        for (size_t w = 0; w < words; ++w) {
-          same &= masks[w * kBlock + k] == last[w];
-        }
-        if (!same) {
-          for (size_t w = 0; w < words; ++w) last[w] = masks[w * kBlock + k];
-          last_id = local[j].FindOrAdd(last.data());
-          if (last_id == ids.size()) {
-            ids.push_back(TupleClass{{static_cast<uint32_t>(first + k)}, 0});
-          }
-        }
-        class_of_tuple[first + k] = last_id;
-        ++ids[last_id].count;
-      }
-    }
-  });
-
-  // Phase 2 (serial): merge the chunks' distinct rows in chunk order. A
-  // class's first chunk holds its first tuple, and within a chunk local ids
-  // follow first occurrence, so the global ids follow first-occurrence tuple
-  // order — bitwise-identical at any thread count. A class takes its first
-  // tuple from the earliest chunk that holds it and its size from all of
-  // them. A chunk's remap is the identity when its local ids already are
-  // the global ones, which chunk 0's always are.
-  MaskRowIndex global(words);
-  std::vector<std::vector<uint32_t>> remap(chunks);
-  std::vector<bool> identity(chunks, true);
   std::vector<TupleClass>& classes = table->classes;
-  for (size_t j = 0; j < chunks; ++j) {
-    for (size_t id = 0; id < local[j].size(); ++id) {
-      const uint32_t c = global.FindOrAdd(local[j].row(id));
-      remap[j].push_back(c);
-      identity[j] = identity[j] && c == id;
-      const TupleClass& in_chunk = found[j][id];
-      if (c == classes.size()) classes.push_back({in_chunk.tuple_indices, 0});
-      classes[c].count += in_chunk.count;
-    }
+  MaskRowIndex global(words);
+
+  // The build walks the store's factors (TupleStore::Factors). Step 1 groups
+  // the last factor's rows by their own pair mask. With one factor those
+  // rows are the tuples and the groups are the classes; otherwise step 2
+  // walks the product of the other factors (WalkPrefixes).
+  const std::vector<StoreFactor> factors = store_->Factors();
+  JIM_CHECK(!factors.empty());
+  const StoreFactor& last = factors.back();
+  JIM_CHECK_EQ(last.first_attribute + last.num_attributes, n);
+  JIM_CHECK_EQ(last.stride, 1u);
+  if (factors.size() == 1) {
+    JIM_CHECK_EQ(last.rows, num_tuples);
+    GroupRows(*store_, num_tuples, 0, pool, global, classes, nullptr);
+  } else {
+    JIM_CHECK(last.rows > 0 && num_tuples % last.rows == 0)
+        << "factor rows do not divide the tuple count";
+    MaskRowIndex group_masks(words);
+    std::vector<TupleClass> groups;
+    std::vector<uint32_t> group_of_row(last.rows);
+    GroupRows(*store_, last.rows, last.first_attribute, pool, group_masks,
+              groups, group_of_row.data());
+    WalkPrefixes(*store_, last.rows, last.first_attribute, pool, group_masks,
+                 groups, group_of_row, global, classes);
   }
   classes.shrink_to_fit();
   const size_t num_classes = classes.size();
-  table->part_rows = global.Rows();
-
-  // Phase 3 (parallel): chunks whose remap is not the identity rewrite their
-  // tuples' local ids to global ones.
-  for_each_chunk([&](size_t j) {
-    if (identity[j]) return;
-    for (size_t t = chunk_begin(j); t < chunk_begin(j + 1); ++t) {
-      class_of_tuple[t] = remap[j][class_of_tuple[t]];
-    }
-  });
+  global.Release(table->part_rows, table->part_slots);
   JIM_GAUGE_SET(obs::kGaugeEngineClassTableBytes,
                 static_cast<int64_t>(
-                    sizeof(uint32_t) * num_tuples +
                     sizeof(TupleClass) * classes.capacity() +
-                    sizeof(uint64_t) * table->part_rows.capacity()));
+                    sizeof(uint64_t) * table->part_rows.capacity() +
+                    sizeof(uint32_t) * table->part_slots.capacity()));
 
   // Initially θ_P = ⊤, so K_c = ⊤ ∧ Part(c) = Part(c); every class starts on
   // the worklist.
@@ -366,6 +741,19 @@ size_t InferenceEngine::NumInformativeTuples() const {
 }
 
 bool InferenceEngine::IsDone() const { return informative_.empty(); }
+
+size_t InferenceEngine::class_of_tuple(size_t tuple_index) const {
+  JIM_CHECK_LT(tuple_index, store_->num_tuples());
+  const size_t n = store_->num_attributes();
+  std::vector<uint32_t> codes(n);
+  store_->TupleCodes(tuple_index, codes.data());
+  std::vector<uint64_t> mask(mask_words_, 0);
+  OrPairBits(codes.data(), 0, n, n, mask.data());
+  const uint32_t class_id = table_->part_slots[ProbeSlot(
+      table_->part_slots, table_->part_rows, mask_words_, mask.data())];
+  JIM_CHECK(class_id != kNoSlot) << "tuple " << tuple_index << " in no class";
+  return class_id;
+}
 
 lat::Partition InferenceEngine::ClassPartition(size_t class_id) const {
   return lat::PairMaskToPartition(
@@ -654,8 +1042,9 @@ void InferenceEngine::CheckInvariants() const {
   JIM_CHECK_EQ(knowledge_rows_.size(), num_classes * mask_words_);
   JIM_CHECK_EQ(knowledge_rank_.size(), num_classes);
 
-  // Re-derived from class_of_tuple alone: class ids in first-occurrence
-  // order, no empty class, and each class's first tuple and size.
+  // Re-derived from class_of_tuple, which computes each tuple's mask from
+  // its codes: class ids in first-occurrence order, no empty class, and
+  // each class's first tuple and size.
   std::vector<uint32_t> sizes(num_classes, 0);
   size_t seen = 0;  // classes met so far, = the next new id
   for (size_t t = 0; t < num_tuples; ++t) {

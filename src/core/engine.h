@@ -25,7 +25,8 @@ namespace jim::core {
 /// of all the others — so the engine reasons over classes and the paper's
 /// "label propagation" (graying out uninformative tuples) falls out for
 /// free. The class table keeps a class's first tuple (the one shown to the
-/// user) and size; its members are the tuples t with class_of_tuple(t) == c.
+/// user) and size; its members are the tuples t with class_of_tuple(t) == c,
+/// which no table stores.
 struct TupleClass {
   std::array<uint32_t, 1> tuple_indices;  ///< [0]: the first tuple
   uint32_t count;                         ///< members
@@ -90,11 +91,15 @@ inline bool IsPositive(ClassStatus status) {
 class InferenceEngine {
  public:
   /// Builds the engine over `store` (JIM_CHECK-fails on a null store or one
-  /// of 2^32 tuples or more, before anything is allocated). `pool` runs the
-  /// class construction (nullptr = serial): each static chunk of tuples
-  /// groups its own Part(t) masks, and a short serial merge of the chunks'
-  /// distinct masks assigns class ids in first-occurrence tuple order, so
-  /// the result is bitwise-identical at any thread count.
+  /// of 2^32 tuples or more, before anything is allocated). The class build
+  /// walks the store's factors (TupleStore::Factors): it groups the last
+  /// factor's rows by their own Part masks and, when there are other
+  /// factors, walks their product, touching only the last-factor rows that
+  /// share a code with each prefix tuple — a dense join is never visited
+  /// tuple by tuple. `pool` runs it (nullptr = serial): each static chunk
+  /// groups its own masks, and a short serial merge of the chunks' distinct
+  /// masks assigns class ids in first-occurrence tuple order, so the result
+  /// is bitwise-identical at any thread count.
   InferenceEngine(std::shared_ptr<const TupleStore> store,
                   exec::ThreadPool* pool);
 
@@ -106,7 +111,7 @@ class InferenceEngine {
   explicit InferenceEngine(std::shared_ptr<const rel::Relation> relation);
 
   /// An engine is a plain value over one shared, immutable class table
-  /// (tuple → class map, first tuple and size per class, Part(c) rows) and
+  /// (first tuple and size per class, Part(c) rows and their index) and
   /// one shared store: a copy shares those two outright and copies the
   /// per-class session state — statuses, worklist, worklist positions, K_c
   /// rows and ranks — O(classes), never O(tuples). This is what lets
@@ -132,9 +137,10 @@ class InferenceEngine {
   ClassStatus class_status(size_t class_id) const {
     return class_status_[class_id];
   }
-  size_t class_of_tuple(size_t tuple_index) const {
-    return table_->class_of_tuple[tuple_index];
-  }
+  /// The class of a tuple, computed: the tuple's pair mask from its codes
+  /// (TupleStore::TupleCodes), looked up in the class table's Part(c)
+  /// index. O(n² + mask_words); no per-tuple array is kept.
+  size_t class_of_tuple(size_t tuple_index) const;
 
   /// Status of an individual tuple (see TupleStatus). This is what the demo
   /// UI renders: explicit labels as +/−, forced tuples grayed out (a labeled
@@ -279,8 +285,10 @@ class InferenceEngine {
   /// Invariant audit (see util/check.h), re-deriving the engine's contracts
   /// from scratch and JIM_CHECK-failing on any disagreement:
   ///   - the inference state is internally consistent (θ_P / antichain);
-  ///   - class ids follow first occurrence in class_of_tuple, and each
-  ///     class's first tuple and size are those class_of_tuple gives it;
+  ///   - class ids follow first occurrence in class_of_tuple (computed
+  ///     from each tuple's codes, so this re-derives the whole build), and
+  ///     each class's first tuple and size are those class_of_tuple gives
+  ///     it;
   ///   - every Part(c) row is the mask of a partition;
   ///   - the worklist is exactly the ascending list of kInformative classes;
   ///   - for every informative class, the cached row equals the pair mask
@@ -289,9 +297,9 @@ class InferenceEngine {
   ///   - every history() entry sits in a class labeled the same way;
   ///   - the worklist position index matches the worklist;
   ///   - the class table and the per-class arrays are correctly sized.
-  /// O(classes · n²); tests call it directly, and every construction/
-  /// labeling runs it under JIM_AUDIT (the parity suites and the ci.sh audit
-  /// stage enable that mode).
+  /// O((tuples + classes) · n²); tests call it directly, and every
+  /// construction/labeling runs it under JIM_AUDIT (the parity suites and
+  /// the ci.sh audit stage enable that mode).
   void CheckInvariants() const;
 
  private:
@@ -326,13 +334,15 @@ class InferenceEngine {
   void RemoveFromWorklist(size_t class_id);
 
   /// The class table, immutable once BuildClasses returns, so every copy of
-  /// an engine shares it outright: 4 bytes per tuple plus (8 + 8 ·
-  /// mask_words_) bytes per class. class_of_tuple is not value-initialised:
-  /// the build's parallel chunks touch its pages first.
+  /// an engine shares it outright: (8 + 8 · mask_words_) bytes per class,
+  /// 4 bytes per index slot (a power of two, at least 16, at most four per
+  /// class past that), and nothing per tuple.
   struct ClassTable {
-    std::unique_ptr<uint32_t[]> class_of_tuple;  ///< by tuple index
-    std::vector<TupleClass> classes;             ///< by class id
+    std::vector<TupleClass> classes;  ///< by class id
     std::vector<uint64_t> part_rows;  ///< Part(c), mask_words_ per class
+    /// Class ids over part_rows, open addressing (a power-of-two count, at
+    /// most half full): the Part(c) → c index class_of_tuple probes.
+    std::vector<uint32_t> part_slots;
   };
 
   std::shared_ptr<const TupleStore> store_;

@@ -21,6 +21,10 @@ void TupleStore::ColumnCodes(size_t a, size_t first, size_t count,
   for (size_t k = 0; k < count; ++k) out[k] = code(first + k, a);
 }
 
+std::vector<StoreFactor> TupleStore::Factors() const {
+  return {StoreFactor{0, num_attributes(), num_tuples(), 1}};
+}
+
 rel::Tuple TupleStore::DecodeTuple(size_t t) const {
   const size_t n = num_attributes();
   rel::Tuple tuple;
@@ -137,6 +141,41 @@ void CheckStoreInvariants(const TupleStore& store) {
           << t << ", " << a << ")";
     }
   }
+  // The factorization: attribute ranges tile the schema in order, strides
+  // are the products of the later factors' rows, the rows multiply to the
+  // tuple count, and every cell holds its factor row's code.
+  const std::vector<StoreFactor> factors = store.Factors();
+  JIM_CHECK(!factors.empty());
+  size_t next_attribute = n;
+  size_t stride = 1;
+  for (size_t f = factors.size(); f-- > 0;) {
+    const StoreFactor& factor = factors[f];
+    JIM_CHECK_EQ(factor.first_attribute + factor.num_attributes,
+                 next_attribute)
+        << "factor " << f << " does not end where factor " << f + 1
+        << " starts";
+    JIM_CHECK_EQ(factor.stride, stride) << "factor " << f << " stride";
+    if (factors.size() > 1) {
+      JIM_CHECK_GT(factor.rows, 0u) << "factor " << f << " is empty";
+      JIM_CHECK_GT(factor.num_attributes, 0u)
+          << "factor " << f << " has no attributes";
+    }
+    next_attribute = factor.first_attribute;
+    stride *= factor.rows;
+  }
+  JIM_CHECK_EQ(next_attribute, 0u) << "factors do not start at attribute 0";
+  JIM_CHECK_EQ(stride, num_tuples) << "factor rows do not multiply out";
+  for (const StoreFactor& factor : factors) {
+    const size_t end = factor.first_attribute + factor.num_attributes;
+    for (size_t t = 0; t < num_tuples; ++t) {
+      const size_t row_tuple = (t / factor.stride) % factor.rows * factor.stride;
+      for (size_t a = factor.first_attribute; a < end; ++a) {
+        JIM_CHECK_EQ(store.code(t, a), store.code(row_tuple, a))
+            << "cell (" << t << ", " << a << ") is not its factor row's";
+      }
+    }
+  }
+
   // Column blocks of a size no caller uses, so every block starts at a new
   // offset and the last one is ragged.
   constexpr size_t kAuditBlock = 7;

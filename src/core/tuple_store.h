@@ -16,6 +16,17 @@ class ThreadPool;
 
 namespace jim::core {
 
+/// One factor of a TupleStore's factorization (TupleStore::Factors): the
+/// attributes [first_attribute, first_attribute + num_attributes), whose
+/// codes depend only on the tuple's digit in this factor.
+struct StoreFactor {
+  size_t first_attribute = 0;
+  size_t num_attributes = 0;
+  size_t rows = 0;
+  /// Product of the later factors' rows: tuples per step of this digit.
+  size_t stride = 1;
+};
+
 /// The narrow seam between storage and inference: everything the engine
 /// needs from an instance of candidate tuples, and nothing more.
 ///
@@ -38,11 +49,16 @@ namespace jim::core {
 /// a pure integer kernel; `Values` only materialize on demand (question
 /// prompts, oracles, rendering) via DecodeValue/DecodeTuple.
 ///
+/// A store may also report a factorization (Factors): the instance as the
+/// product of a few small factors, which lets the engine's class build and
+/// the JIMC writer walk the factors instead of the product.
+///
 /// Implementations: RelationTupleStore (a materialized denormalized
-/// relation, encoded once at wrap time) and the factorized store behind
-/// query::UniversalTable (mixed-radix row ids over the source relations'
-/// encoded columns — no materialized rows at all), plus the mmap'd JIMC
-/// file behind storage::MappedTupleStore.
+/// relation, encoded once at wrap time; one factor), the factorized store
+/// behind query::UniversalTable (a dense product is one factor per source
+/// occurrence, its tuples mixed-radix ids over the sources' encoded columns;
+/// a sampled one is one factor of row-id draws), and the mmap'd JIMC file
+/// behind storage::MappedTupleStore (the factors the file was written with).
 class TupleStore {
  public:
   virtual ~TupleStore() = default;
@@ -63,11 +79,25 @@ class TupleStore {
   virtual void TupleCodes(size_t t, uint32_t* out) const;
 
   /// Column-bulk variant: writes code(first + k, a) for k < `count` into
-  /// `out`. The engine's class build reads tuples in column blocks through
-  /// it; the JIMC mapping overrides it with a memcpy and the factorized
-  /// store with a mixed-radix walk.
+  /// `out`. The engine's class build reads its last factor's rows (tuples
+  /// 0 … rows − 1) in column blocks through it; the JIMC mapping overrides
+  /// it with a memcpy and the factorized store with a walk of source rows.
   virtual void ColumnCodes(size_t a, size_t first, size_t count,
                            uint32_t* out) const;
+
+  /// The store as a product of factors F_0 … F_{k−1} (see StoreFactor):
+  /// their attribute ranges tile [0, num_attributes()) in order, their rows
+  /// multiply to num_tuples(), and the last factor varies fastest. Tuple
+  /// t's row in F_f is its digit (t / stride_f) % rows_f, and its codes on
+  /// F_f's attributes are that row's alone:
+  ///
+  ///   code(t, a) == code(digit_f(t) · stride_f, a)   for a in F_f,
+  ///
+  /// so F_f's row r reads as tuple r · stride_f, and the last factor's rows
+  /// are tuples 0 … rows − 1. With more than one factor no factor is empty
+  /// and none has zero attributes. The default is the whole store as one
+  /// factor.
+  virtual std::vector<StoreFactor> Factors() const;
 
   /// The cell's Value (decoded on demand — display, oracles, provenance).
   virtual rel::Value DecodeValue(size_t t, size_t a) const = 0;
@@ -132,7 +162,9 @@ class RelationTupleStore final : public TupleStore {
 ///     tuple and in column blocks of every offset;
 ///   - code equality is strict Value equality across all non-NaN cells:
 ///     equal codes decode to Equals values and each value maps to exactly
-///     one code, and a NaN cell's code is its own (see the class comment).
+///     one code, and a NaN cell's code is its own (see the class comment);
+///   - Factors() tiles the attributes, multiplies to num_tuples(), carries
+///     consistent strides, and every cell's code is its factor row's.
 /// O(N·n) decodes + hashing — test/audit-mode cost, not a hot path. The
 /// parity and storage suites run it over every backend (relation-backed,
 /// factorized, mapped).

@@ -103,33 +103,36 @@ class FactorizedTupleStore final : public core::TupleStore {
 
   void ColumnCodes(size_t a, size_t first, size_t count,
                    uint32_t* out) const override {
-    // The class build's column walk. In dense mode consecutive tuples step
-    // the occurrence's mixed-radix digit along, so no cell divides.
+    // The class build reads one factor's rows through it (tuples 0 … rows −
+    // 1 of the last occurrence), or every tuple of a sample.
     const auto& [occurrence, column] = attr_source_[a];
     const Occurrence& source = occurrences_[occurrence];
     const std::vector<uint32_t>& local =
         source.encoded->column(column).codes;
     const std::vector<uint32_t>& translation = (*source.shared_codes)[column];
-    const auto shared = [&](size_t row) {
-      const uint32_t code = local[row];
-      return code == rel::kNullCode ? rel::kNullCode : translation[code];
-    };
-    if (!dense_) {
-      for (size_t k = 0; k < count; ++k) {
-        out[k] = shared(SourceRow(first + k, occurrence));
-      }
-      return;
-    }
-    size_t digit = (first / source.stride) % source.size;
-    size_t step = first % source.stride;  // tuples into the digit's run
     for (size_t k = 0; k < count; ++k) {
-      out[k] = shared(source.kept_rows == nullptr ? digit
-                                                  : (*source.kept_rows)[digit]);
-      if (++step == source.stride) {
-        step = 0;
-        if (++digit == source.size) digit = 0;
-      }
+      const uint32_t code = local[SourceRow(first + k, occurrence)];
+      out[k] = code == rel::kNullCode ? rel::kNullCode : translation[code];
     }
+  }
+
+  std::vector<core::StoreFactor> Factors() const override {
+    // A dense product is one factor per occurrence. A sample, an empty
+    // product and an occurrence without attributes are one factor.
+    const bool factored =
+        dense_ && num_tuples_ > 0 &&
+        std::all_of(occurrences_.begin(), occurrences_.end(),
+                    [](const Occurrence& source) {
+                      return source.relation->num_attributes() > 0;
+                    });
+    if (!factored) return TupleStore::Factors();
+    std::vector<core::StoreFactor> factors;
+    for (const Occurrence& source : occurrences_) {
+      factors.push_back({source.attr_offset,
+                         source.relation->num_attributes(), source.size,
+                         source.stride});
+    }
+    return factors;
   }
 
   rel::Value DecodeValue(size_t t, size_t a) const override {

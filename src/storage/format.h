@@ -9,7 +9,7 @@
 
 namespace jim::storage {
 
-/// The JIMC on-disk columnar tuple-store format, version 2.
+/// The JIMC on-disk columnar tuple-store format, version 3.
 ///
 /// A JIMC file is the persistent form of a core::TupleStore: everything the
 /// engine needs to serve `code()` / `ColumnCodes()` straight out of an mmap
@@ -26,26 +26,38 @@ namespace jim::storage {
 ///   ├──────────────────────────────────────────────────────────────┤
 ///   │ NAME    store name                                           │
 ///   │ SCHEMA  attributes: type, name, qualifier                    │
+///   │ FACTORS k, then per factor {first_attribute, num_attributes, │
+///   │   rows}: the instance as a product of k factors              │
 ///   │ DICT a  per-column dictionary page, one per attribute:       │
 ///   │   entries in local-code order, each {shared_code (the remap  │
 ///   │   into the file's shared dictionary), value record}          │
-///   │ CODES a per-column code array, one per attribute:            │
-///   │   num_tuples × u32 *shared* codes (kNullCode for NULL)       │
+///   │ CODES a per-column code array, one per attribute: rows_f ×   │
+///   │   u32 *shared* codes (kNullCode for NULL), one per row of    │
+///   │   the factor f that holds attribute a                        │
 ///   └──────────────────────────────────────────────────────────────┘
 ///
+/// The factors are core::TupleStore::Factors: their attribute ranges tile
+/// the schema in order, their rows multiply to num_tuples, and tuple t's
+/// row in factor f is its mixed-radix digit (t / stride_f) % rows_f, the
+/// last factor varying fastest. A CSV, synthetic or sampled instance is one
+/// factor of num_tuples rows; a dense universal table is one factor per
+/// source occurrence, so its file holds the sources' kept rows and never
+/// the product. With more than one factor, no factor is empty.
+///
 /// Code arrays hold codes in the file's *shared* dictionary space — a dense
-/// renumbering (first occurrence wins, row-major scan order) of the source
-/// store's codes — so within one file, code equality across any two cells of
-/// any two columns is exactly strict Value equality (NaN occurrences keep
-/// their distinct codes; NULL is the kNullCode sentinel and never equal).
-/// The per-column dictionary pages exist so a reader can decode lazily with
-/// column locality.
+/// renumbering (first occurrence wins, factor by factor, rows in order) of
+/// the source store's codes — so within one file, code equality across any
+/// two cells of any two columns is exactly strict Value equality (NaN
+/// occurrences keep their distinct codes; NULL is the kNullCode sentinel
+/// and never equal). The per-column dictionary pages exist so a reader can
+/// decode lazily with column locality.
 ///
 /// Version 2 replaced version 1's byte-wise FNV-1a section checksum with the
-/// word-lane Checksum below; there is no version-1 reader, so an old file
-/// fails as "unsupported format version".
+/// word-lane Checksum below, and version 3 added the FACTORS section. There
+/// is one reader, for version 3, so an older file fails as "unsupported
+/// format version".
 inline constexpr uint32_t kMagic = 0x434D494Au;  // "JIMC" little-endian
-inline constexpr uint32_t kFormatVersion = 2;
+inline constexpr uint32_t kFormatVersion = 3;
 inline constexpr size_t kHeaderBytes = 48;
 inline constexpr size_t kSectionEntryBytes = 32;
 /// Section payload offsets are aligned to this (so u32 code arrays can be
@@ -59,6 +71,7 @@ enum class SectionId : uint32_t {
   kSchema = 2,
   kDictionary = 3,
   kCodes = 4,
+  kFactors = 5,
 };
 inline constexpr uint32_t kNoColumn = 0xFFFFFFFFu;
 

@@ -99,19 +99,20 @@ util::Status MappedTupleStore::Parse() {
   if (num_attributes == 0) {
     return Corrupt(path_, "zero attributes");
   }
-  if (num_sections != 2 + 2 * static_cast<uint64_t>(num_attributes)) {
+  if (num_sections != 3 + 2 * static_cast<uint64_t>(num_attributes)) {
     return Corrupt(path_, util::StrFormat(
         "expected %llu sections for %u attributes, header claims %u",
-        2 + 2 * static_cast<unsigned long long>(num_attributes),
+        3 + 2 * static_cast<unsigned long long>(num_attributes),
         num_attributes, num_sections));
   }
   if ((size_ - kHeaderBytes) / kSectionEntryBytes < num_sections) {
     return Corrupt(path_, "section table extends past end of file");
   }
-  if (num_tuples > size_ / sizeof(uint32_t)) {
+  if (num_tuples >= uint64_t{1} << 32) {
     return Corrupt(path_, util::StrFormat(
-        "tuple count %llu cannot fit in a %zu-byte file",
-        static_cast<unsigned long long>(num_tuples), size_));
+        "tuple count %llu is 2^32 or more, past what uint32_t tuple ids "
+        "address",
+        static_cast<unsigned long long>(num_tuples)));
   }
   if (dict_size > size_) {
     return Corrupt(path_, "shared dictionary size exceeds file size");
@@ -154,6 +155,7 @@ util::Status MappedTupleStore::Parse() {
   // Locate the singleton name/schema sections and the per-column pair.
   const SectionEntry* name_section = nullptr;
   const SectionEntry* schema_section = nullptr;
+  const SectionEntry* factor_section = nullptr;
   std::vector<const SectionEntry*> dict_sections(num_attributes, nullptr);
   std::vector<const SectionEntry*> code_sections(num_attributes, nullptr);
   for (const SectionEntry& section : sections) {
@@ -167,6 +169,12 @@ util::Status MappedTupleStore::Parse() {
           return Corrupt(path_, "duplicate schema section");
         }
         schema_section = &section;
+        continue;
+      case SectionId::kFactors:
+        if (factor_section != nullptr) {
+          return Corrupt(path_, "duplicate factor section");
+        }
+        factor_section = &section;
         continue;
       case SectionId::kDictionary:
       case SectionId::kCodes: {
@@ -192,6 +200,9 @@ util::Status MappedTupleStore::Parse() {
   if (name_section == nullptr) return Corrupt(path_, "missing name section");
   if (schema_section == nullptr) {
     return Corrupt(path_, "missing schema section");
+  }
+  if (factor_section == nullptr) {
+    return Corrupt(path_, "missing factor section");
   }
   for (uint32_t a = 0; a < num_attributes; ++a) {
     if (dict_sections[a] == nullptr || code_sections[a] == nullptr) {
@@ -230,6 +241,9 @@ util::Status MappedTupleStore::Parse() {
       schema_.AddAttribute(std::move(attribute));
     }
   }
+
+  RETURN_IF_ERROR(ParseFactors(data_ + factor_section->offset,
+                               static_cast<size_t>(factor_section->length)));
 
   // The header is the one region no checksum covers, so bound the
   // shared-dictionary size against the pages that would have to define it
@@ -289,43 +303,143 @@ util::Status MappedTupleStore::Parse() {
     }
   }
 
-  // Code arrays: alignment, exact length, and every code in range — after
-  // this loop, serving codes is a bare load and decode a bare table index.
-  column_codes_.resize(num_attributes);
+  // Code arrays: alignment, exact length (one code per row of the factor
+  // holding the column), and every code in range — after this loop,
+  // serving codes is a digit and a load, and decode a bare table index.
   for (uint32_t a = 0; a < num_attributes; ++a) {
     const SectionEntry& section = *code_sections[a];
+    Column& column = columns_[a];
     if (section.offset % alignof(uint32_t) != 0) {
       return Corrupt(path_, util::StrFormat(
           "code array %u is misaligned (offset %llu)", a,
           static_cast<unsigned long long>(section.offset)));
     }
-    if (section.length != num_tuples_ * sizeof(uint32_t)) {
+    if (section.length != column.rows * sizeof(uint32_t)) {
       return Corrupt(path_, util::StrFormat(
-          "code array %u holds %llu bytes, expected %zu for %zu tuples", a,
-          static_cast<unsigned long long>(section.length),
-          num_tuples_ * sizeof(uint32_t), num_tuples_));
+          "code array %u holds %llu bytes, expected %zu for the %zu rows of "
+          "its factor", a, static_cast<unsigned long long>(section.length),
+          column.rows * sizeof(uint32_t), column.rows));
     }
     const uint32_t* codes =
         reinterpret_cast<const uint32_t*>(data_ + section.offset);
     // The checksum pass bounded the codes; only an array holding one out of
     // range is read again, to name it.
     if (section.code_end > dict_size) {
-      for (size_t t = 0; t < num_tuples_; ++t) {
-        if (codes[t] >= dict_size && codes[t] != rel::kNullCode) {
+      for (size_t r = 0; r < column.rows; ++r) {
+        if (codes[r] >= dict_size && codes[r] != rel::kNullCode) {
           return Corrupt(path_, util::StrFormat(
-              "code array %u tuple %zu holds code %u outside the shared "
-              "dictionary of %llu entries", a, t, codes[t],
+              "code array %u row %zu holds code %u outside the shared "
+              "dictionary of %llu entries", a, r, codes[r],
               static_cast<unsigned long long>(dict_size)));
         }
       }
     }
-    column_codes_[a] = codes;
+    column.codes = codes;
   }
   return util::OkStatus();
 }
 
+util::Status MappedTupleStore::ParseFactors(const uint8_t* payload,
+                                            size_t length) {
+  // Every factor is checked against the schema and the header's tuple
+  // count before any column is sized from it.
+  const size_t n = schema_.num_attributes();
+  ByteReader reader(payload, length, "factor section");
+  ASSIGN_OR_RETURN(const uint32_t count, reader.ReadU32());
+  if (count == 0 || count > n) {
+    return Corrupt(path_, util::StrFormat(
+        "%u factors for %zu attributes", count, n));
+  }
+  factors_.resize(count);
+  size_t next_attribute = 0;
+  uint64_t product = 1;
+  for (uint32_t f = 0; f < count; ++f) {
+    ASSIGN_OR_RETURN(const uint32_t first, reader.ReadU32());
+    ASSIGN_OR_RETURN(const uint32_t width, reader.ReadU32());
+    ASSIGN_OR_RETURN(const uint64_t rows, reader.ReadU64());
+    if (first > next_attribute) {
+      return Corrupt(path_, util::StrFormat(
+          "factor %u starts at attribute %u, leaving a gap at attribute %zu",
+          f, first, next_attribute));
+    }
+    if (first < next_attribute) {
+      return Corrupt(path_, util::StrFormat(
+          "factor %u starts at attribute %u and overlaps the factor before "
+          "it, which ends at %zu", f, first, next_attribute));
+    }
+    if (width == 0) {
+      return Corrupt(path_, util::StrFormat(
+          "factor %u has no attributes", f));
+    }
+    if (width > n - first) {
+      return Corrupt(path_, util::StrFormat(
+          "factor %u covers %u attributes from %u, past the %zu attributes "
+          "of the schema", f, width, first, n));
+    }
+    if (rows == 0 && count > 1) {
+      return Corrupt(path_, util::StrFormat("factor %u has zero rows", f));
+    }
+    if (rows != 0 && product > (uint64_t{1} << 32) / rows) {
+      return Corrupt(path_, util::StrFormat(
+          "the product of the factor rows overflows at factor %u", f));
+    }
+    product *= rows;
+    factors_[f] = core::StoreFactor{first, width, static_cast<size_t>(rows), 1};
+    next_attribute = first + width;
+  }
+  if (reader.remaining() != 0) {
+    return Corrupt(path_, util::StrFormat(
+        "factor section has %zu trailing bytes", reader.remaining()));
+  }
+  if (next_attribute != n) {
+    return Corrupt(path_, util::StrFormat(
+        "factors cover %zu of %zu attributes", next_attribute, n));
+  }
+  if (product != num_tuples_) {
+    return Corrupt(path_, util::StrFormat(
+        "the product of the factor rows is %llu, but the header claims %zu "
+        "tuples", static_cast<unsigned long long>(product), num_tuples_));
+  }
+  columns_.resize(n);
+  size_t stride = 1;
+  for (size_t f = count; f-- > 0;) {
+    core::StoreFactor& factor = factors_[f];
+    factor.stride = stride;
+    stride *= factor.rows;
+    for (size_t a = factor.first_attribute;
+         a < factor.first_attribute + factor.num_attributes; ++a) {
+      columns_[a].rows = factor.rows;
+      columns_[a].stride = factor.stride;
+    }
+  }
+  return util::OkStatus();
+}
+
+void MappedTupleStore::TupleCodes(size_t t, uint32_t* out) const {
+  for (const core::StoreFactor& factor : factors_) {
+    const size_t row = t / factor.stride % factor.rows;
+    const size_t end = factor.first_attribute + factor.num_attributes;
+    for (size_t a = factor.first_attribute; a < end; ++a) {
+      out[a] = columns_[a].codes[row];
+    }
+  }
+}
+
+void MappedTupleStore::ColumnCodes(size_t a, size_t first, size_t count,
+                                   uint32_t* out) const {
+  // Tuples inside the factor's first run of rows (every tuple of a
+  // one-factor file, and the last factor's rows the class build reads) are
+  // one copy; any other block goes cell by cell.
+  const Column& column = columns_[a];
+  if (column.stride == 1 && first + count <= column.rows) {
+    std::memcpy(out, column.codes + first, count * sizeof(uint32_t));
+  } else {
+    TupleStore::ColumnCodes(a, first, count, out);
+  }
+}
+
 rel::Value MappedTupleStore::DecodeValue(size_t t, size_t a) const {
-  const uint32_t code = column_codes_[a][t];
+  const uint32_t code = this->code(t, a);
   if (code == rel::kNullCode) return rel::Value::Null();
   JIM_CHECK_LT(code, value_offsets_.size());
   const uint64_t offset = value_offsets_[code];
@@ -341,7 +455,21 @@ rel::Value MappedTupleStore::DecodeValue(size_t t, size_t a) const {
 void MappedTupleStore::CheckInvariants() const {
   JIM_CHECK(data_ != nullptr);
   JIM_CHECK_GE(size_, kHeaderBytes);
-  JIM_CHECK_EQ(column_codes_.size(), schema_.num_attributes());
+  JIM_CHECK_EQ(columns_.size(), schema_.num_attributes());
+  // Each column carries its factor's rows and stride, and the rows
+  // multiply to the tuple count (CheckStoreInvariants audits the rest of
+  // the factor contract).
+  size_t product = 1;
+  for (const core::StoreFactor& factor : factors_) {
+    const size_t end = factor.first_attribute + factor.num_attributes;
+    JIM_CHECK_LE(end, columns_.size());
+    for (size_t a = factor.first_attribute; a < end; ++a) {
+      JIM_CHECK_EQ(columns_[a].rows, factor.rows) << "column " << a;
+      JIM_CHECK_EQ(columns_[a].stride, factor.stride) << "column " << a;
+    }
+    product *= factor.rows;
+  }
+  JIM_CHECK_EQ(product, num_tuples_) << "factor rows do not multiply out";
   // Every dictionary offset points at a record strictly inside the file and
   // past the header (no value record can live in the header region).
   for (size_t code = 0; code < value_offsets_.size(); ++code) {
@@ -354,16 +482,17 @@ void MappedTupleStore::CheckInvariants() const {
   // codes (or the NULL sentinel) — the precondition that makes DecodeValue's
   // bare table index safe.
   const uint8_t* const end = data_ + size_;
-  for (size_t a = 0; a < column_codes_.size(); ++a) {
+  for (size_t a = 0; a < columns_.size(); ++a) {
+    const Column& column = columns_[a];
     const uint8_t* const first =
-        reinterpret_cast<const uint8_t*>(column_codes_[a]);
+        reinterpret_cast<const uint8_t*>(column.codes);
     JIM_CHECK(first >= data_ &&
-              first + num_tuples_ * sizeof(uint32_t) <= end)
+              first + column.rows * sizeof(uint32_t) <= end)
         << "code array " << a << " escapes the mapping";
-    for (size_t t = 0; t < num_tuples_; ++t) {
-      const uint32_t c = column_codes_[a][t];
+    for (size_t r = 0; r < column.rows; ++r) {
+      const uint32_t c = column.codes[r];
       JIM_CHECK(c == rel::kNullCode || c < value_offsets_.size())
-          << "code array " << a << " tuple " << t
+          << "code array " << a << " row " << r
           << " holds out-of-range code " << c;
     }
   }
@@ -371,7 +500,8 @@ void MappedTupleStore::CheckInvariants() const {
 
 size_t MappedTupleStore::ApproxBytes() const {
   size_t bytes = value_offsets_.capacity() * sizeof(uint64_t) +
-                 column_codes_.capacity() * sizeof(const uint32_t*) +
+                 columns_.capacity() * sizeof(Column) +
+                 factors_.capacity() * sizeof(core::StoreFactor) +
                  name_.size() + path_.size();
   for (const rel::Attribute& attribute : schema_.attributes()) {
     bytes += sizeof(rel::Attribute) + attribute.name.size() +

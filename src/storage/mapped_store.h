@@ -2,7 +2,6 @@
 #define JIM_STORAGE_MAPPED_STORE_H_
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -20,18 +19,24 @@ struct OpenOptions {
 };
 
 /// A TupleStore served straight from an mmap'd JIMC file (see
-/// storage/format.h): `code()` / `TupleCodes()` / `ColumnCodes()` read
-/// straight from the mapped per-column code arrays (ColumnCodes is one
-/// memcpy), and `DecodeValue()` parses the value record out of the mapped
-/// dictionary pages on demand — no Value ever materializes before someone
-/// asks for it. An engine built over a mapped
-/// store therefore starts in O(sections + distinct values) work after one
-/// sequential validation pass, not the O(N·n) hash-heavy ingest of the
-/// in-memory path, and any number of sessions (BatchSessionRunner fan-outs
-/// included) share one read-only mapping.
+/// storage/format.h). The file holds the instance as factors, and each
+/// attribute's code array holds one code per row of its factor:
+/// `code(t, a)` reads the row at t's digit in that factor, `TupleCodes()`
+/// takes one digit per factor, and `ColumnCodes()` is one memcpy for a
+/// one-factor file (and for the last factor's rows) and a digit walk
+/// otherwise. `Factors()` reports the file's factors, so the engine's class
+/// build walks them instead of the product. `DecodeValue()` parses the
+/// value record out of the mapped dictionary pages on demand — no Value
+/// ever materializes before someone asks for it. An engine built over a
+/// mapped store therefore starts in O(sections + distinct values + Σ
+/// factor cells) work after one sequential validation pass, not the O(N·n)
+/// hash-heavy ingest of the in-memory path, and any number of sessions
+/// (BatchSessionRunner fan-outs included) share one read-only mapping.
 ///
 /// Open is strict: magic, version, header/section bounds, truncation,
-/// per-section checksums, dictionary-page structure, and code ranges are all
+/// per-section checksums, the factor table (ranges that tile the schema,
+/// non-empty factors whose rows multiply to the tuple count),
+/// dictionary-page structure, code-array lengths and code ranges are all
 /// verified before the first access, and every failure is a typed
 /// util::Status naming the offending section — corrupt input can never reach
 /// undefined behavior. The validation pass reads the file once (a code
@@ -60,16 +65,13 @@ class MappedTupleStore final : public core::TupleStore {
   const rel::Schema& schema() const override { return schema_; }
   size_t num_tuples() const override { return num_tuples_; }
   uint32_t code(size_t t, size_t a) const override {
-    return column_codes_[a][t];
+    const Column& column = columns_[a];
+    return column.codes[t / column.stride % column.rows];
   }
-  void TupleCodes(size_t t, uint32_t* out) const override {
-    const size_t n = column_codes_.size();
-    for (size_t a = 0; a < n; ++a) out[a] = column_codes_[a][t];
-  }
+  void TupleCodes(size_t t, uint32_t* out) const override;
   void ColumnCodes(size_t a, size_t first, size_t count,
-                   uint32_t* out) const override {
-    std::memcpy(out, column_codes_[a] + first, count * sizeof(uint32_t));
-  }
+                   uint32_t* out) const override;
+  std::vector<core::StoreFactor> Factors() const override { return factors_; }
   rel::Value DecodeValue(size_t t, size_t a) const override;
 
   /// Resident bytes: the open-time index structures only — the mapped file
@@ -78,12 +80,13 @@ class MappedTupleStore final : public core::TupleStore {
   size_t ApproxBytes() const override;
 
   /// Invariant audit (see util/check.h): the open-time index structures are
-  /// coherent with the mapping — one code array per attribute, every mapped
-  /// code inside the shared dictionary (or kNullCode), every dictionary
-  /// offset inside the file, and every shared code decodable. Open already
-  /// validated the bytes once; this re-derives the index-side contract, so
-  /// tests can pin that validation and indexing never drift apart.
-  /// O(N·n) integer reads + O(distinct) decodes.
+  /// coherent with the mapping — factors whose rows multiply to the tuple
+  /// count, one code array per attribute sized to its factor,
+  /// every mapped code inside the shared dictionary (or kNullCode), and
+  /// every dictionary offset inside the file. Open already validated the
+  /// bytes once; this re-derives the index-side contract, so tests can pin
+  /// that validation and indexing never drift apart. O(Σ factor cells)
+  /// integer reads.
   void CheckInvariants() const;
 
   /// Total size of the backing file.
@@ -98,6 +101,15 @@ class MappedTupleStore final : public core::TupleStore {
   MappedTupleStore() = default;
 
   util::Status Parse();
+  /// Reads the FACTORS payload into factors_ and sizes columns_ from it.
+  util::Status ParseFactors(const uint8_t* payload, size_t length);
+
+  /// One attribute's mapped code array: a code per row of its factor.
+  struct Column {
+    const uint32_t* codes = nullptr;  ///< shared codes, kNullCode = NULL
+    size_t rows = 0;    ///< its factor's rows
+    size_t stride = 1;  ///< its factor's stride
+  };
 
   std::string path_;
   /// Owns the bytes: an mmap region or its heap-copy fallback. `data_` /
@@ -109,8 +121,8 @@ class MappedTupleStore final : public core::TupleStore {
   std::string name_;
   rel::Schema schema_;
   size_t num_tuples_ = 0;
-  /// Per attribute, the mapped code array (shared codes, kNullCode = NULL).
-  std::vector<const uint32_t*> column_codes_;
+  std::vector<core::StoreFactor> factors_;
+  std::vector<Column> columns_;  ///< by attribute
   /// Shared code → absolute file offset of its value record, filled from the
   /// dictionary pages at open time (O(distinct values), the only index a
   /// lazy decode needs).

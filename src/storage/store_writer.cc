@@ -68,10 +68,13 @@ util::Status WriteStore(const core::TupleStore& store, const std::string& path,
         "WriteStore: store has no attributes (nothing to persist)");
   }
 
-  // One row-major scan assigns the file's shared codes (dense renumbering of
-  // the source codes, first occurrence wins) and fills the columnar code
-  // matrix; the first occurrence of each source code decodes its Value into
-  // the owning column's dictionary page.
+  // One scan of every factor's rows, factor by factor, assigns the file's
+  // shared codes (a dense renumbering of the source codes, first occurrence
+  // wins) and fills the factor's columnar code arrays; the first occurrence
+  // of each source code decodes its Value into the owning column's
+  // dictionary page. Factor f's row r is tuple r · stride_f (see
+  // TupleStore::Factors), so a dense join is written without its product.
+  const std::vector<core::StoreFactor> factors = store.Factors();
   std::unordered_map<uint32_t, uint32_t> shared_of_source;
   struct DictionaryPage {
     /// Entry count (local codes are dense 0..n-1 in append order).
@@ -81,31 +84,37 @@ util::Status WriteStore(const core::TupleStore& store, const std::string& path,
   };
   std::vector<DictionaryPage> dictionary_pages(columns);
   std::vector<std::vector<uint32_t>> code_arrays(columns);
-  for (auto& codes : code_arrays) codes.reserve(rows);
   std::vector<uint32_t> row(columns);
-  for (size_t t = 0; t < rows; ++t) {
-    store.TupleCodes(t, row.data());
-    for (size_t a = 0; a < columns; ++a) {
-      const uint32_t source = row[a];
-      if (source == rel::kNullCode) {
-        code_arrays[a].push_back(rel::kNullCode);
-        continue;
+  for (const core::StoreFactor& factor : factors) {
+    const size_t first = factor.first_attribute;
+    const size_t end = first + factor.num_attributes;
+    for (size_t a = first; a < end; ++a) code_arrays[a].reserve(factor.rows);
+    for (size_t r = 0; r < factor.rows; ++r) {
+      const size_t t = r * factor.stride;
+      store.TupleCodes(t, row.data());
+      for (size_t a = first; a < end; ++a) {
+        const uint32_t source = row[a];
+        if (source == rel::kNullCode) {
+          code_arrays[a].push_back(rel::kNullCode);
+          continue;
+        }
+        const auto [it, inserted] = shared_of_source.emplace(
+            source, static_cast<uint32_t>(shared_of_source.size()));
+        if (inserted) {
+          DictionaryPage& page = dictionary_pages[a];
+          AppendU32(page.entries, it->second);
+          AppendValueRecord(page.entries, store.DecodeValue(t, a));
+          ++page.num_entries;
+        }
+        code_arrays[a].push_back(it->second);
       }
-      const auto [it, inserted] = shared_of_source.emplace(
-          source, static_cast<uint32_t>(shared_of_source.size()));
-      if (inserted) {
-        DictionaryPage& page = dictionary_pages[a];
-        AppendU32(page.entries, it->second);
-        AppendValueRecord(page.entries, store.DecodeValue(t, a));
-        ++page.num_entries;
-      }
-      code_arrays[a].push_back(it->second);
     }
   }
   const size_t shared_dict_size = shared_of_source.size();
 
-  // Assemble the section list in a fixed order: name, schema, then per
-  // column its dictionary page and code array (column locality on disk).
+  // Assemble the section list in a fixed order: name, schema, factors, then
+  // per column its dictionary page and code array (column locality on
+  // disk).
   std::vector<SectionRecord> sections;
   {
     SectionRecord name;
@@ -116,6 +125,19 @@ util::Status WriteStore(const core::TupleStore& store, const std::string& path,
   }
   sections.push_back(
       {SectionId::kSchema, kNoColumn, BuildSchemaPayload(store.schema())});
+  {
+    SectionRecord factor_table;
+    factor_table.id = SectionId::kFactors;
+    AppendU32(factor_table.payload, static_cast<uint32_t>(factors.size()));
+    for (const core::StoreFactor& factor : factors) {
+      AppendU32(factor_table.payload,
+                static_cast<uint32_t>(factor.first_attribute));
+      AppendU32(factor_table.payload,
+                static_cast<uint32_t>(factor.num_attributes));
+      AppendU64(factor_table.payload, factor.rows);
+    }
+    sections.push_back(std::move(factor_table));
+  }
   for (size_t a = 0; a < columns; ++a) {
     SectionRecord dictionary;
     dictionary.id = SectionId::kDictionary;

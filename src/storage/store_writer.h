@@ -27,16 +27,23 @@ struct StoreWriterOptions {
 /// renamed over the target only after a successful flush, so a crashed or
 /// failed write never leaves a half-written file under the final name.
 ///
-/// The file's shared-dictionary code space is a dense renumbering of the
-/// codes the store actually uses (first occurrence wins, row-major scan
-/// order), so the file is self-contained: equality structure — the only
-/// thing the inference engine consumes — is preserved exactly, including
-/// NULL sentinels and the one-fresh-code-per-occurrence NaN discipline.
-/// Values are decoded from the source store once per distinct code.
+/// The file keeps the store's factorization (TupleStore::Factors): each
+/// factor's rows are read once, as tuple r · stride, and written as that
+/// factor's code arrays, so a dense universal table is written as its
+/// sources' kept rows and never as the product.
 ///
-/// Writer memory is O(distinct codes + num_tuples × num_attributes × 4 B)
-/// (the code matrix is staged columnar before writing); the *reader* side is
-/// the memory-scalable one.
+/// The file's shared-dictionary code space is a dense renumbering of the
+/// codes the store actually uses (first occurrence wins, factor by factor,
+/// rows in order), so the file is self-contained: equality structure — the
+/// only thing the inference engine consumes — is preserved exactly,
+/// including NULL sentinels and the one-fresh-code-per-occurrence NaN
+/// discipline. Values are decoded from the source store once per distinct
+/// code.
+///
+/// Writer memory is O(distinct codes + Σ factor rows × attributes × 4 B):
+/// the factors' code arrays are staged before writing. That is the
+/// sources' cells for a dense join, and the whole code matrix for a
+/// one-factor store.
 util::Status WriteStore(const core::TupleStore& store, const std::string& path,
                         const StoreWriterOptions& options = {});
 

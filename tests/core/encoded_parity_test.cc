@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -23,6 +22,7 @@
 #include "support/core_views.h"
 #include "support/materialize.h"
 #include "support/noisy_oracle.h"
+#include "support/reference_classes.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "workload/synthetic.h"
@@ -41,41 +41,13 @@ const bool kAuditInvariantsOn = [] {
   return true;
 }();
 
-/// Reference class construction: the pre-columnar engine's algorithm —
-/// Part(t) via TuplePartition over Value rows, classes keyed by partition in
-/// first-occurrence order.
-struct ReferenceClasses {
-  std::vector<lat::Partition> partitions;
-  std::vector<size_t> class_of_tuple;
-};
-
-ReferenceClasses BuildReferenceClasses(const rel::Relation& relation) {
-  ReferenceClasses reference;
-  // Keyed by the canonical block labels, which determine the partition.
-  std::map<std::vector<int>, size_t> ids;
-  for (size_t t = 0; t < relation.num_rows(); ++t) {
-    lat::Partition part = TuplePartition(relation.row(t));
-    auto [it, inserted] =
-        ids.emplace(part.labels(), reference.partitions.size());
-    if (inserted) reference.partitions.push_back(std::move(part));
-    reference.class_of_tuple.push_back(it->second);
-  }
-  return reference;
-}
-
+/// The engine's class table against the Value-level reference
+/// (support/reference_classes.h): Part(t) via TuplePartition over decoded
+/// rows, classes keyed by partition in first-occurrence order.
 void ExpectClassesMatchReference(const InferenceEngine& engine,
-                                 const rel::Relation& relation,
+                                 const ReferenceClasses& reference,
                                  const std::string& context) {
-  const ReferenceClasses reference = BuildReferenceClasses(relation);
-  ASSERT_EQ(engine.num_classes(), reference.partitions.size()) << context;
-  for (size_t c = 0; c < engine.num_classes(); ++c) {
-    EXPECT_EQ(engine.ClassPartition(c), reference.partitions[c])
-        << context << " class " << c;
-  }
-  for (size_t t = 0; t < relation.num_rows(); ++t) {
-    EXPECT_EQ(engine.class_of_tuple(t), reference.class_of_tuple[t])
-        << context << " tuple " << t;
-  }
+  EXPECT_EQ(DiffFromReference(engine, reference), "") << context;
 }
 
 TEST(EncodedParityTest, ClassesMatchValueRowReferenceAtAnyThreadCount) {
@@ -95,22 +67,23 @@ TEST(EncodedParityTest, ClassesMatchValueRowReferenceAtAnyThreadCount) {
     spec.goal_constraints = std::min<size_t>(2, n - 1);
     const auto workload = workload::MakeSyntheticWorkload(spec, rng);
 
+    const ReferenceClasses reference = BuildReferenceClasses(*workload.store);
     const InferenceEngine serial(workload.store, /*pool=*/nullptr);
-    ExpectClassesMatchReference(serial, *workload.instance,
+    ExpectClassesMatchReference(serial, reference,
                                 util::StrFormat("seed=%zu n=%zu serial",
                                                 size_t{seed}, n));
     for (size_t threads : {2u, 8u}) {
       exec::ThreadPool pool(threads);
       const InferenceEngine parallel(workload.store, &pool);
       ExpectClassesMatchReference(
-          parallel, *workload.instance,
+          parallel, reference,
           util::StrFormat("seed=%zu n=%zu threads=%zu", size_t{seed}, n,
                           size_t{threads}));
       // Bitwise-identical knowledge too, not just equal partitions.
       ASSERT_EQ(parallel.num_classes(), serial.num_classes());
+      EXPECT_EQ(ClassMembers(parallel), ClassMembers(serial));
       for (size_t c = 0; c < serial.num_classes(); ++c) {
         EXPECT_EQ(ClassKnowledge(parallel, c), ClassKnowledge(serial, c));
-        EXPECT_EQ(MembersOf(parallel, c), MembersOf(serial, c));
       }
       EXPECT_EQ(parallel.InformativeClasses(), serial.InformativeClasses());
     }
@@ -166,24 +139,14 @@ TEST(EncodedParityTest, ClassTableIdenticalOnPoolsOfOneToFourThreads) {
   inputs.push_back({"late classes", IntRelation(5, 1000, 900, 5)});
   for (const Input& input : inputs) {
     const auto store = MakeRelationStore(input.relation, /*pool=*/nullptr);
-    const ReferenceClasses reference = BuildReferenceClasses(*input.relation);
-    std::vector<std::vector<uint32_t>> reference_members(
-        reference.partitions.size());
-    for (size_t t = 0; t < reference.class_of_tuple.size(); ++t) {
-      reference_members[reference.class_of_tuple[t]].push_back(
-          static_cast<uint32_t>(t));
-    }
+    const ReferenceClasses reference = BuildReferenceClasses(*store);
     for (size_t threads = 1; threads <= 4; ++threads) {
       exec::ThreadPool pool(threads);
       const InferenceEngine engine(store, &pool);
       const std::string context =
           util::StrFormat("%s threads=%zu", input.name.c_str(), threads);
-      ExpectClassesMatchReference(engine, *input.relation, context);
-      ASSERT_EQ(engine.num_classes(), reference_members.size()) << context;
-      for (size_t c = 0; c < engine.num_classes(); ++c) {
-        EXPECT_EQ(MembersOf(engine, c), reference_members[c])
-            << context << " class " << c;
-      }
+      ExpectClassesMatchReference(engine, reference, context);
+      EXPECT_EQ(ClassMembers(engine), reference.members) << context;
     }
   }
 }
@@ -199,25 +162,21 @@ TEST(EncodedParityTest, ColumnBlocksMatchValueRowReferenceAtBlockEdges) {
     for (size_t tuples : {1u, 1023u, 1024u, 1025u, 3u * 1024u + 7u}) {
       const auto relation = IntRelation(n, tuples, 0, 7 * n + tuples);
       const auto store = MakeRelationStore(relation, /*pool=*/nullptr);
-      const ReferenceClasses reference = BuildReferenceClasses(*relation);
-      std::vector<std::vector<uint32_t>> reference_members(
-          reference.partitions.size());
-      for (size_t t = 0; t < tuples; ++t) {
-        reference_members[reference.class_of_tuple[t]].push_back(
-            static_cast<uint32_t>(t));
-      }
+      const ReferenceClasses reference = BuildReferenceClasses(*store);
       const size_t words = lat::PairMaskWords(n);
       for (size_t threads : {1u, 2u, 4u}) {
         exec::ThreadPool pool(threads);
         const InferenceEngine engine(store, &pool);
         const std::string context = util::StrFormat(
             "n=%zu tuples=%zu threads=%zu", n, tuples, threads);
-        ExpectClassesMatchReference(engine, *relation, context);
+        ExpectClassesMatchReference(engine, reference, context);
         ASSERT_EQ(engine.num_classes(), reference.partitions.size())
             << context;
+        const std::vector<std::vector<uint32_t>> all_members =
+            ClassMembers(engine);
         size_t offset = 0;
         for (size_t c = 0; c < engine.num_classes(); ++c) {
-          const std::vector<uint32_t> members = MembersOf(engine, c);
+          const std::vector<uint32_t>& members = all_members[c];
           // The table's first tuple and size are the scan's: the classes'
           // sizes sum to the tuple count.
           ASSERT_FALSE(members.empty()) << context << " class " << c;
@@ -226,7 +185,7 @@ TEST(EncodedParityTest, ColumnBlocksMatchValueRowReferenceAtBlockEdges) {
           EXPECT_EQ(engine.tuple_class(c).size(), members.size())
               << context << " class " << c;
           offset += members.size();
-          EXPECT_EQ(members, reference_members[c])
+          EXPECT_EQ(members, reference.members[c])
               << context << " class " << c;
           std::vector<uint64_t> part(words, 0);
           lat::FillPairMask(reference.partitions[c], part.data());
@@ -251,9 +210,11 @@ TEST(EncodedParityTest, NullsAndTypeCollisionsPartitionLikeValues) {
       {Value(int64_t{1}), Value("1"), Value(1.0), Value(int64_t{1})});
   relation.AddRowUnchecked(
       {Value::Null(), Value("x"), Value("x"), Value::Null()});
-  auto shared = std::make_shared<const rel::Relation>(std::move(relation));
-  const InferenceEngine engine(MakeRelationStore(shared), nullptr);
-  ExpectClassesMatchReference(engine, *shared, "nulls-and-types");
+  const auto store = MakeRelationStore(
+      std::make_shared<const rel::Relation>(std::move(relation)));
+  const InferenceEngine engine(store, nullptr);
+  ExpectClassesMatchReference(engine, BuildReferenceClasses(*store),
+                              "nulls-and-types");
 }
 
 /// Session transcript with the timing column zeroed (wall-clock is the one

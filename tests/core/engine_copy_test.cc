@@ -168,7 +168,7 @@ TEST(EngineCopyTest, RepeatedLabelOnCloneIsSeenOnlyByTheClone) {
   InferenceEngine prototype(workload.instance);
   const size_t c = MultiMemberInformative(prototype);
   ASSERT_TRUE(prototype.SubmitClassLabel(c, Label::kPositive).ok());
-  const size_t mate = MembersOf(prototype, c)[1];
+  const size_t mate = ClassMembers(prototype)[c][1];
   ASSERT_EQ(prototype.tuple_status(mate), TupleStatus::kForcedPositive);
 
   InferenceEngine clone = prototype;
@@ -191,7 +191,7 @@ TEST(EngineCopyTest, CloneTupleStatusesStayIsolated) {
   InferenceEngine b = prototype;
   // a: a fresh label plus a relabel of a class-mate of the shared label.
   ASSERT_TRUE(a.SubmitClassLabel(AnyInformative(a), Label::kNegative).ok());
-  const size_t mate = MembersOf(prototype, shared)[1];
+  const size_t mate = ClassMembers(prototype)[shared][1];
   ASSERT_TRUE(a.SubmitTupleLabel(mate, Label::kPositive).ok());
   // b: a rejected contradiction, then a different fresh label.
   EXPECT_FALSE(b.SubmitTupleLabel(mate, Label::kNegative).ok());

@@ -4,9 +4,9 @@
 // No fuzzing runtime, no wall clock, no address-dependent state: the whole
 // run is a pure function of (--seed, --iterations), so any finding
 // reproduces from the two numbers in the failure output. Each iteration
-// mutates one of a few WriteStore-produced seed images (byte flips,
+// mutates one of four WriteStore-produced seed images (byte flips,
 // truncations, extensions, header scribbles, cross-image splices, window
-// zeroing — the 18-case corruption matrix of jimc_format_test generalized
+// zeroing — the corruption matrix of jimc_format_test generalized
 // to arbitrary damage), one goal string, one request line and one
 // checkpoint file, then drives the fuzz targets, which JIM_CHECK the
 // "typed Status or safe object" contract. ci.sh runs
@@ -14,22 +14,16 @@
 // keeps it from bit-rotting in plain builds.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <fstream>
-#include <memory>
 #include <string>
 #include <vector>
 
-#include "core/tuple_store.h"
 #include "fuzz/fuzz_targets.h"
-#include "relational/relation.h"
 #include "serve/checkpoint.h"
 #include "storage/format.h"
-#include "storage/store_writer.h"
 #include "util/check.h"
 #include "util/rng.h"
 
@@ -46,64 +40,6 @@ uint32_t LoadU32(const Image& image, size_t offset) {
 
 void StoreU64(Image& image, size_t offset, uint64_t value) {
   std::memcpy(image.data() + offset, &value, sizeof(value));
-}
-
-/// Two seed relations with different shapes: the mixed-type relation the
-/// format tests use (NULLs, NaN, strings with separators) and a wider
-/// integer relation, so splices between the two images cross section
-/// layouts, not just values.
-// GCC 12 falsely flags the moved-from std::variant<..., std::string> inside
-// rel::Value as maybe-uninitialized when this function inlines into
-// SeedImage (gcc bug 105562 family); the values are all initialized above.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-std::shared_ptr<const rel::Relation> SeedRelation(int variant) {
-  using rel::Value;
-  if (variant == 0) {
-    rel::Schema schema;
-    schema.AddAttribute({"i", rel::ValueType::kInt64, ""});
-    schema.AddAttribute({"d", rel::ValueType::kDouble, ""});
-    schema.AddAttribute({"s", rel::ValueType::kString, "Q"});
-    rel::Relation relation{"fuzz_mixed", schema};
-    relation.AddRowUnchecked({Value(int64_t{7}), Value(1.5), Value("x")});
-    relation.AddRowUnchecked(
-        {Value(int64_t{7}), Value(std::nan("")), Value("a,b\tc")});
-    relation.AddRowUnchecked({Value::Null(), Value(2.5), Value("")});
-    return std::make_shared<const rel::Relation>(std::move(relation));
-  }
-  rel::Schema schema;
-  for (int a = 0; a < 6; ++a) {
-    schema.AddAttribute(
-        {"c" + std::to_string(a), rel::ValueType::kInt64, ""});
-  }
-  rel::Relation relation{"fuzz_wide", schema};
-  for (int64_t t = 0; t < 8; ++t) {
-    rel::Tuple row;
-    for (int64_t a = 0; a < 6; ++a) {
-      row.push_back(rel::Value(int64_t{(t * a) % 5}));
-    }
-    relation.AddRowUnchecked(std::move(row));
-  }
-  return std::make_shared<const rel::Relation>(std::move(relation));
-}
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
-
-Image SeedImage(int variant, const std::string& scratch_path) {
-  const auto store = core::MakeRelationStore(SeedRelation(variant));
-  const util::Status written = storage::WriteStore(*store, scratch_path);
-  JIM_CHECK(written.ok()) << written.ToString();
-  std::ifstream in(scratch_path, std::ios::binary | std::ios::ate);
-  JIM_CHECK(in.good()) << "cannot reopen seed image " << scratch_path;
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  Image image(static_cast<size_t>(size));
-  JIM_CHECK(
-      in.read(reinterpret_cast<char*>(image.data()), size).good());
-  return image;
 }
 
 /// Re-fixes the self-describing fields a structural mutation breaks first —
@@ -379,9 +315,7 @@ int Run(uint64_t seed, int64_t iterations) {
       std::string(tmpdir != nullptr && *tmpdir != '\0' ? tmpdir : "/tmp") +
       "/fuzz_jimc_seed" + std::to_string(seed) + ".jimc";
 
-  std::vector<Image> seeds;
-  seeds.push_back(SeedImage(0, scratch));
-  seeds.push_back(SeedImage(1, scratch));
+  const std::vector<Image> seeds = JimcSeedImages(scratch);
 
   const std::vector<std::string> checkpoint_seeds = SeedCheckpoints();
 

@@ -1,22 +1,34 @@
 #include "fuzz/fuzz_targets.h"
 
+#include <algorithm>
+#include <cmath>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/join_predicate.h"
+#include "core/tuple_store.h"
+#include "query/universal_table.h"
+#include "relational/catalog.h"
 #include "relational/dictionary.h"
+#include "relational/relation.h"
 #include "relational/schema.h"
 #include "serve/checkpoint.h"
 #include "serve/protocol.h"
 #include "storage/mapped_store.h"
+#include "storage/store_writer.h"
 #include "util/check.h"
 #include "util/status.h"
 #include "util/string_util.h"
+#include "workload/travel.h"
 
 namespace jim::fuzz {
 
 namespace {
+
+using Image = std::vector<uint8_t>;
 
 /// The schema every goal-parse iteration runs against: the paper's running
 /// example plus a qualified attribute, so bare and qualified spellings both
@@ -69,7 +81,7 @@ std::string ExpectedRangeRejection(const uint8_t* image, size_t size) {
       const uint64_t code = LittleEndian(image + offset + 4 * t, 4);
       if (code >= dict_size && code != rel::kNullCode) {
         expected = util::StrFormat(
-            "code array %u tuple %zu holds code %u outside the shared "
+            "code array %u row %zu holds code %u outside the shared "
             "dictionary of %llu entries",
             static_cast<unsigned>(column), static_cast<size_t>(t),
             static_cast<unsigned>(code),
@@ -82,7 +94,93 @@ std::string ExpectedRangeRejection(const uint8_t* image, size_t size) {
   return expected;
 }
 
+/// Two seed relations with different shapes: the mixed-type relation the
+/// format tests use (NULLs, NaN, strings with separators) and a wider
+/// integer relation, so splices between the images cross section layouts,
+/// not just values.
+// GCC 12 falsely flags the moved-from std::variant<..., std::string> inside
+// rel::Value as maybe-uninitialized when this function inlines into
+// SeedImage (gcc bug 105562 family); the values are all initialized above.
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+#endif
+std::shared_ptr<const rel::Relation> SeedRelation(int variant) {
+  using rel::Value;
+  if (variant == 0) {
+    rel::Schema schema;
+    schema.AddAttribute({"i", rel::ValueType::kInt64, ""});
+    schema.AddAttribute({"d", rel::ValueType::kDouble, ""});
+    schema.AddAttribute({"s", rel::ValueType::kString, "Q"});
+    rel::Relation relation{"fuzz_mixed", schema};
+    relation.AddRowUnchecked({Value(int64_t{7}), Value(1.5), Value("x")});
+    relation.AddRowUnchecked(
+        {Value(int64_t{7}), Value(std::nan("")), Value("a,b\tc")});
+    relation.AddRowUnchecked({Value::Null(), Value(2.5), Value("")});
+    return std::make_shared<const rel::Relation>(std::move(relation));
+  }
+  rel::Schema schema;
+  for (int a = 0; a < 6; ++a) {
+    schema.AddAttribute(
+        {"c" + std::to_string(a), rel::ValueType::kInt64, ""});
+  }
+  rel::Relation relation{"fuzz_wide", schema};
+  for (int64_t t = 0; t < 8; ++t) {
+    rel::Tuple row;
+    for (int64_t a = 0; a < 6; ++a) {
+      row.push_back(rel::Value(int64_t{(t * a) % 5}));
+    }
+    relation.AddRowUnchecked(std::move(row));
+  }
+  return std::make_shared<const rel::Relation>(std::move(relation));
+}
+#if defined(__GNUC__) && !defined(__clang__)
+#pragma GCC diagnostic pop
+#endif
+
+/// The store behind seed image `variant`: the two relations above (one
+/// factor each), Figure 1's Flights × Hotels (two factors) and a three-way
+/// self-join of the mixed relation (three factors).
+std::shared_ptr<const core::TupleStore> SeedStore(int variant) {
+  if (variant < 2) return core::MakeRelationStore(SeedRelation(variant));
+  if (variant == 2) {
+    return query::UniversalTable::Build(workload::TravelCatalog(),
+                                        {"Flights", "Hotels"})
+        .value()
+        .store();
+  }
+  rel::Catalog catalog;
+  JIM_CHECK_OK(catalog.Add(*SeedRelation(0)));
+  return query::UniversalTable::Build(
+             catalog, {"fuzz_mixed", "fuzz_mixed", "fuzz_mixed"})
+      .value()
+      .store();
+}
+
+Image SeedImage(int variant, const std::string& scratch_path) {
+  const auto store = SeedStore(variant);
+  const util::Status written = storage::WriteStore(*store, scratch_path);
+  JIM_CHECK(written.ok()) << written.ToString();
+  std::ifstream in(scratch_path, std::ios::binary | std::ios::ate);
+  JIM_CHECK(in.good()) << "cannot reopen seed image " << scratch_path;
+  const std::streamsize size = in.tellg();
+  in.seekg(0);
+  Image image(static_cast<size_t>(size));
+  JIM_CHECK(
+      in.read(reinterpret_cast<char*>(image.data()), size).good());
+  return image;
+}
+
 }  // namespace
+
+std::vector<std::vector<uint8_t>> JimcSeedImages(
+    const std::string& scratch_path) {
+  std::vector<Image> images;
+  for (int variant = 0; variant < 4; ++variant) {
+    images.push_back(SeedImage(variant, scratch_path));
+  }
+  return images;
+}
 
 int FuzzJimcImage(const uint8_t* data, size_t size,
                   const std::string& scratch_path) {
@@ -129,8 +227,12 @@ int FuzzJimcImage(const uint8_t* data, size_t size,
   JIM_CHECK_EQ(store.num_attributes(), store.schema().num_attributes());
   uint64_t mix = store.name().size();
   const size_t columns = store.num_attributes();
+  // A product of valid factors can be far larger than the file; the scan
+  // and the engine build below stop at kMaxScannedTuples.
+  constexpr size_t kMaxScannedTuples = size_t{1} << 16;
+  const size_t scanned = std::min(store.num_tuples(), kMaxScannedTuples);
   std::vector<uint32_t> row(columns);
-  for (size_t t = 0; t < store.num_tuples(); ++t) {
+  for (size_t t = 0; t < scanned; ++t) {
     store.TupleCodes(t, row.data());
     for (size_t a = 0; a < columns; ++a) {
       JIM_CHECK_EQ(row[a], store.code(t, a))
@@ -142,7 +244,7 @@ int FuzzJimcImage(const uint8_t* data, size_t size,
       if (!value.is_null()) mix += value.ToString().size();
     }
   }
-  std::vector<uint32_t> column(store.num_tuples());
+  std::vector<uint32_t> column(scanned);
   for (size_t a = 0; a < columns; ++a) {
     store.ColumnCodes(a, 0, column.size(), column.data());
     for (size_t t = 0; t < column.size(); ++t) {
@@ -151,6 +253,13 @@ int FuzzJimcImage(const uint8_t* data, size_t size,
     }
   }
   store.CheckInvariants();
+  // The class build walks the file's factors; its audit re-derives every
+  // tuple's class from the codes.
+  if (store.num_tuples() <= kMaxScannedTuples) {
+    const core::InferenceEngine engine(*opened, /*pool=*/nullptr);
+    engine.CheckInvariants();
+    mix += engine.num_classes();
+  }
   // Volatile sink: the cell scan above must not be dead-read-eliminated.
   volatile uint64_t sink = mix;
   (void)sink;

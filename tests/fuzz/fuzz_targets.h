@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 // The fuzz targets behind both drivers (the deterministic
 // fuzz_jimc_main and the optional libFuzzer entry point). Each target's
@@ -14,11 +15,21 @@
 // failure is a finding and a clean return is a pass.
 namespace jim::fuzz {
 
+/// The JIMC images both drivers start from, written through
+/// `scratch_path`: a mixed-type relation (NULLs, NaN, separator-bearing
+/// strings) and a wide integer relation, one factor each; Figure 1's
+/// Flights × Hotels, two factors; and a three-way self-join of the mixed
+/// relation, three factors.
+std::vector<std::vector<uint8_t>> JimcSeedImages(
+    const std::string& scratch_path);
+
 /// Writes `size` bytes to `scratch_path` and feeds the file to
 /// storage::MappedTupleStore::Open. Rejections must carry a known
 /// StatusCode and a non-empty message; accepted stores get every cell read
 /// through code()/TupleCodes()/DecodeValue() with the NULL sentinel
-/// cross-checked. Returns 1 if the image was accepted, 0 if rejected.
+/// cross-checked (the first 2^16 tuples of a larger product), and an
+/// engine built over them passes its invariant audit. Returns 1 if the
+/// image was accepted, 0 if rejected.
 int FuzzJimcImage(const uint8_t* data, size_t size,
                   const std::string& scratch_path);
 

@@ -13,7 +13,9 @@
 #include <string>
 #include <vector>
 
+#include "core/engine.h"
 #include "core/tuple_store.h"
+#include "exec/thread_pool.h"
 #include "query/universal_table.h"
 #include "relational/catalog.h"
 #include "relational/join.h"
@@ -23,6 +25,7 @@
 #include "storage/store_writer.h"
 #include "support/equality.h"
 #include "support/materialize.h"
+#include "support/reference_classes.h"
 #include "util/rng.h"
 #include "util/string_util.h"
 #include "workload/tpch.h"
@@ -94,6 +97,45 @@ void ExpectSameRows(const rel::Relation& expected, const rel::Relation& actual,
   }
 }
 
+/// The engine's class table over `table`, in memory and over a JIMC file
+/// written from it, at 1, 2 and 4 pool threads, against the Value-level
+/// reference (support/reference_classes.h): ids, first tuples, sizes,
+/// Part(c) and class_of_tuple(t) for every t. A dense product of several
+/// occurrences is one factor per occurrence, in memory and on disk, so
+/// this pins the factor walk of the class build against the oracle.
+void ExpectClassesMatchOracle(const UniversalTable& table,
+                              size_t occurrences,
+                              const std::string& context) {
+  const std::shared_ptr<const core::TupleStore>& store = table.store();
+  const core::ReferenceClasses reference =
+      core::BuildReferenceClasses(*store);
+  // Per test: ctest runs this file's tests as concurrent processes.
+  const std::string path =
+      ::testing::TempDir() + "factorized_parity_classes_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+      ".jimc";
+  ASSERT_TRUE(storage::WriteStore(*store, path).ok()) << context;
+  const auto mapped = storage::MappedTupleStore::Open(path);
+  ASSERT_TRUE(mapped.ok()) << context << ": " << mapped.status();
+  (*mapped)->CheckInvariants();
+  core::CheckStoreInvariants(**mapped);
+  core::CheckStoreInvariants(*store);
+  const size_t factors =
+      !table.is_sampled() && table.num_tuples() > 0 ? occurrences : 1;
+  EXPECT_EQ(store->Factors().size(), factors) << context;
+  EXPECT_EQ((*mapped)->Factors().size(), factors) << context;
+  for (size_t threads : {1u, 2u, 4u}) {
+    exec::ThreadPool pool(threads);
+    for (const std::shared_ptr<const core::TupleStore>& instance :
+         {store, std::shared_ptr<const core::TupleStore>(*mapped)}) {
+      const core::InferenceEngine engine(instance, &pool);
+      EXPECT_EQ(core::DiffFromReference(engine, reference), "")
+          << context << " threads=" << threads
+          << (instance == store ? " in memory" : " mapped");
+    }
+  }
+}
+
 void ExpectParity(const rel::Catalog& catalog,
                   const std::vector<std::string>& names,
                   const UniversalTableOptions& options,
@@ -126,6 +168,8 @@ void ExpectParity(const rel::Catalog& catalog,
       }
     }
   }
+  ExpectClassesMatchOracle(*table, names.size(), context);
+
   // The column walk the class build reads (ColumnCodes), in blocks of 7 so
   // that blocks start inside a mixed-radix digit's run, agrees with code().
   constexpr size_t kBlock = 7;
@@ -197,8 +241,35 @@ TEST(FactorizedParityTest, RandomizedCatalogsDenseAndSampled) {
       ExpectParity(catalog, {"A", "B"}, options, context + " A×B");
       ExpectParity(catalog, {"A", "B", "C"}, options, context + " A×B×C");
       ExpectParity(catalog, {"B", "B"}, options, context + " B×B");
+      ExpectParity(catalog, {"C", "C", "C"}, options, context + " C×C×C");
       ExpectParity(catalog, {"A"}, options, context + " A");
     }
+  }
+}
+
+TEST(FactorizedParityTest, FactorWalkMatchesOracleAcrossBlocksAndChunks) {
+  // Larger dense products over small, type-colliding domains with NULLs:
+  // a last factor past one 1024-row block (so its grouping spans several
+  // pool chunks), prefixes enough for every pool chunk, and three factors.
+  util::Rng rng(424242);
+  rel::Catalog catalog;
+  ASSERT_TRUE(catalog.Add(RandomRelation("A", 20, 2, rng)).ok());
+  ASSERT_TRUE(catalog.Add(RandomRelation("B", 1500, 4, rng)).ok());
+  ASSERT_TRUE(catalog.Add(RandomRelation("C", 9, 1, rng)).ok());
+  ASSERT_TRUE(catalog.Add(RandomRelation("D", 60, 3, rng)).ok());
+  UniversalTableOptions options;
+  options.sample_cap = 0;
+  for (const std::vector<std::string>& names :
+       {std::vector<std::string>{"A", "B"},
+        std::vector<std::string>{"A", "C", "D"},
+        std::vector<std::string>{"D", "D"}}) {
+    const auto table = UniversalTable::Build(catalog, names, options);
+    ASSERT_TRUE(table.ok());
+    ASSERT_FALSE(table->is_sampled());
+    ExpectClassesMatchOracle(*table, names.size(),
+                             util::StrFormat("%zu occurrences, %zu tuples",
+                                             names.size(),
+                                             table->num_tuples()));
   }
 }
 

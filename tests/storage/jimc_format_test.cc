@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "core/tuple_store.h"
+#include "query/universal_table.h"
 #include "relational/dictionary.h"
 #include "relational/relation.h"
 #include "storage/format.h"
@@ -22,6 +23,7 @@
 #include "support/equality.h"
 #include "util/status.h"
 #include "util/string_util.h"
+#include "workload/travel.h"
 
 namespace jim::storage {
 namespace {
@@ -103,6 +105,24 @@ TEST(JimcFormatTest, RoundTripPreservesContract) {
   }
   EXPECT_GT(mapped.file_bytes(), kHeaderBytes);
   EXPECT_GT(mapped.shared_dictionary_size(), 0u);
+}
+
+/// Figure 1's Flights × Hotels as a dense universal table: two factors
+/// (4 flights × 3 hotels, 3 + 2 attributes).
+std::shared_ptr<const core::TupleStore> TwoFactorStore() {
+  return query::UniversalTable::Build(workload::TravelCatalog(),
+                                      {"Flights", "Hotels"})
+      .value()
+      .store();
+}
+
+/// (first attribute, attributes, rows, stride) of each factor.
+std::vector<std::vector<size_t>> FactorShapes(const core::TupleStore& store) {
+  std::vector<std::vector<size_t>> shapes;
+  for (const core::StoreFactor& f : store.Factors()) {
+    shapes.push_back({f.first_attribute, f.num_attributes, f.rows, f.stride});
+  }
+  return shapes;
 }
 
 TEST(JimcFormatTest, EmptySliceRoundTrips) {
@@ -225,13 +245,16 @@ uint64_t ByteWiseFnv1a64(const void* data, size_t size) {
   return hash;
 }
 
-/// Writes a fresh valid file, applies `mutate`, and asserts Open fails with
-/// kInvalidArgument and a message containing `expect_substring`.
+/// Writes a fresh valid file of `store` (default: MixedRelation, one
+/// factor), applies `mutate`, and asserts Open fails with kInvalidArgument
+/// and a message containing `expect_substring`.
 void ExpectCorruption(const std::string& tag,
                       const std::function<void(FileImage&)>& mutate,
-                      const std::string& expect_substring) {
+                      const std::string& expect_substring,
+                      std::shared_ptr<const core::TupleStore> store = nullptr) {
   const std::string path = TestPath("corrupt_" + tag);
-  const auto original = core::MakeRelationStore(MixedRelation());
+  const auto original =
+      store != nullptr ? store : core::MakeRelationStore(MixedRelation());
   ASSERT_TRUE(WriteStore(*original, path).ok());
   FileImage image(path);
   mutate(image);
@@ -244,6 +267,51 @@ void ExpectCorruption(const std::string& tag,
             std::string::npos)
       << tag << ": got '" << opened.status().message() << "', expected it to "
       << "mention '" << expect_substring << "'";
+}
+
+TEST(JimcFormatTest, FactoredRoundTripKeepsTheFactorsAndNotTheProduct) {
+  // A two-factor join and a three-factor self-join: the file holds one code
+  // per factor row, serves every tuple's codes by digit, and decodes the
+  // same values as the store it was written from.
+  const rel::Catalog catalog = workload::TravelCatalog();
+  for (const std::vector<std::string>& names :
+       {std::vector<std::string>{"Flights", "Hotels"},
+        std::vector<std::string>{"Hotels", "Hotels", "Hotels"}}) {
+    const auto table = query::UniversalTable::Build(catalog, names).value();
+    const core::TupleStore& original = *table.store();
+    ASSERT_EQ(original.Factors().size(), names.size());
+    const std::string path =
+        TestPath("factored_" + std::to_string(names.size()));
+    ASSERT_TRUE(WriteStore(original, path).ok());
+    const auto opened = MappedTupleStore::Open(path);
+    ASSERT_TRUE(opened.ok()) << opened.status();
+    const MappedTupleStore& mapped = **opened;
+    EXPECT_EQ(FactorShapes(mapped), FactorShapes(original));
+    ASSERT_EQ(mapped.num_tuples(), original.num_tuples());
+    (*opened)->CheckInvariants();
+    core::CheckStoreInvariants(mapped);
+    size_t factor_cells = 0;
+    for (const core::StoreFactor& f : original.Factors()) {
+      factor_cells += f.rows * f.num_attributes;
+    }
+    size_t code_bytes = 0;
+    const FileImage image(path);
+    for (uint32_t a = 0; a < original.num_attributes(); ++a) {
+      code_bytes += image.SectionLength(image.FindSection(SectionId::kCodes, a));
+    }
+    EXPECT_EQ(code_bytes, factor_cells * sizeof(uint32_t));
+    for (size_t t = 0; t < original.num_tuples(); ++t) {
+      for (size_t a = 0; a < original.num_attributes(); ++a) {
+        EXPECT_EQ(mapped.DecodeValue(t, a).ToString(),
+                  original.DecodeValue(t, a).ToString())
+            << "cell (" << t << ", " << a << ")";
+        for (size_t b = 0; b < original.num_attributes(); ++b) {
+          EXPECT_EQ(original.code(t, a) == original.code(t, b),
+                    mapped.code(t, a) == mapped.code(t, b));
+        }
+      }
+    }
+  }
 }
 
 TEST(JimcCorruptionTest, MissingFileIsNotFound) {
@@ -298,9 +366,11 @@ TEST(JimcCorruptionTest, SectionCountMismatch) {
 }
 
 TEST(JimcCorruptionTest, AbsurdTupleCount) {
+  // A count no uint32_t tuple id can address is refused from the header,
+  // before any factor is read.
   ExpectCorruption("tuple_count",
                    [](FileImage& f) { f.WriteU64(8, ~uint64_t{0} / 2); },
-                   "cannot fit");
+                   "2^32 or more");
 }
 
 TEST(JimcCorruptionTest, DictionarySizeBeyondWhatPagesCouldDefine) {
@@ -518,7 +588,7 @@ TEST(JimcCorruptionTest, CodeRangeEdgesAtEveryTuple) {
                                   << " code " << code;
         EXPECT_EQ(opened.status().code(), util::StatusCode::kInvalidArgument);
         const std::string expected = util::StrFormat(
-            "code array %u tuple %zu holds code %u outside the shared "
+            "code array %u row %zu holds code %u outside the shared "
             "dictionary of %llu entries",
             column, t, code, static_cast<unsigned long long>(dict_size));
         EXPECT_NE(opened.status().message().find(expected), std::string::npos)
@@ -585,6 +655,142 @@ TEST(JimcCorruptionTest, EveryFlippedSectionByteIsRejected) {
     }
   }
   EXPECT_GT(flipped, 100u);
+}
+
+// ---------------------------------------------------------------------------
+// The factor table (TwoFactorStore: factor 0 = Flights, attributes 0-2, 4
+// rows; factor 1 = Hotels, attributes 3-4, 3 rows). The FACTORS payload is
+// u32 count, then per factor {u32 first, u32 width, u64 rows}.
+// ---------------------------------------------------------------------------
+
+/// Byte offset of factor `f`'s entry in the FACTORS payload.
+size_t FactorEntry(const FileImage& f, size_t factor) {
+  const int i = f.FindSection(SectionId::kFactors, kNoColumn);
+  EXPECT_GE(i, 0);
+  return f.SectionPayloadOffset(i) + 4 + 16 * factor;
+}
+
+/// Applies `edit` to the FACTORS payload and re-fixes its checksum, so the
+/// factor validation is the branch that fires.
+std::function<void(FileImage&)> EditFactors(
+    std::function<void(FileImage&)> edit) {
+  return [edit](FileImage& f) {
+    ASSERT_EQ(f.ReadU32(FactorEntry(f, 0) - 4), 2u);
+    edit(f);
+    f.FixChecksum(f.FindSection(SectionId::kFactors, kNoColumn));
+  };
+}
+
+TEST(JimcCorruptionTest, FactorRowsMustMultiplyToTheTupleCount) {
+  // The header (unchecksummed) disagrees with the factors' product.
+  ExpectCorruption("factor_product",
+                   [](FileImage& f) { f.WriteU64(8, f.ReadU64(8) - 1); },
+                   "the product of the factor rows is 12, but the header "
+                   "claims 11 tuples",
+                   TwoFactorStore());
+  // A product that overflows the uint32_t tuple ids.
+  ExpectCorruption("factor_overflow", EditFactors([](FileImage& f) {
+                     f.WriteU64(FactorEntry(f, 0) + 8, uint64_t{1} << 31);
+                     f.WriteU64(FactorEntry(f, 1) + 8, 4);
+                   }),
+                   "the product of the factor rows overflows at factor 1",
+                   TwoFactorStore());
+  ExpectCorruption("factor_rows_u64", EditFactors([](FileImage& f) {
+                     f.WriteU64(FactorEntry(f, 1) + 8, ~uint64_t{0});
+                   }),
+                   "overflows", TwoFactorStore());
+}
+
+TEST(JimcCorruptionTest, FactorRangesMustTileTheSchema) {
+  ExpectCorruption("factor_gap", EditFactors([](FileImage& f) {
+                     f.WriteU32(FactorEntry(f, 1), 4);
+                     f.WriteU32(FactorEntry(f, 1) + 4, 1);
+                   }),
+                   "factor 1 starts at attribute 4, leaving a gap at attribute 3",
+                   TwoFactorStore());
+  ExpectCorruption("factor_overlap", EditFactors([](FileImage& f) {
+                     f.WriteU32(FactorEntry(f, 1), 2);
+                     f.WriteU32(FactorEntry(f, 1) + 4, 3);
+                   }),
+                   "factor 1 starts at attribute 2 and overlaps",
+                   TwoFactorStore());
+  ExpectCorruption("factor_past_n", EditFactors([](FileImage& f) {
+                     f.WriteU32(FactorEntry(f, 1) + 4, 3);
+                   }),
+                   "factor 1 covers 3 attributes from 3, past the 5 "
+                   "attributes",
+                   TwoFactorStore());
+  ExpectCorruption("factor_short", EditFactors([](FileImage& f) {
+                     f.WriteU32(FactorEntry(f, 1) + 4, 1);
+                   }),
+                   "factors cover 4 of 5 attributes", TwoFactorStore());
+  ExpectCorruption("factor_width_zero", EditFactors([](FileImage& f) {
+                     f.WriteU32(FactorEntry(f, 1) + 4, 0);
+                   }),
+                   "factor 1 has no attributes", TwoFactorStore());
+  ExpectCorruption("factor_count", EditFactors([](FileImage& f) {
+                     f.WriteU32(FactorEntry(f, 0) - 4, 6);
+                   }),
+                   "6 factors for 5 attributes", TwoFactorStore());
+}
+
+TEST(JimcCorruptionTest, FactorCodeArrayOfTheWrongLength) {
+  // A code section one code short of its factor's rows.
+  ExpectCorruption("factor_codes_length",
+                   [](FileImage& f) {
+                     const int i = f.FindSection(SectionId::kCodes, 3);
+                     ASSERT_GE(i, 0);
+                     f.WriteU64(f.EntryOffset(static_cast<size_t>(i)) + 16,
+                                f.SectionLength(i) - 4);
+                     f.FixChecksum(i);
+                   },
+                   "code array 3 holds 8 bytes, expected 12 for the 3 rows "
+                   "of its factor",
+                   TwoFactorStore());
+  // Factor rows and the header agree (2 × 6 = 12), but the code arrays
+  // were written for 4 × 3.
+  ExpectCorruption("factor_rows_vs_codes", EditFactors([](FileImage& f) {
+                     f.WriteU64(FactorEntry(f, 0) + 8, 2);
+                     f.WriteU64(FactorEntry(f, 1) + 8, 6);
+                   }),
+                   "code array 0 holds 16 bytes, expected 8 for the 2 rows",
+                   TwoFactorStore());
+}
+
+TEST(JimcCorruptionTest, FactorCodeOutOfDictionaryRange) {
+  for (uint32_t column : {1u, 4u}) {
+    ExpectCorruption(
+        "factor_code_range_" + std::to_string(column),
+        [column](FileImage& f) {
+          const int i = f.FindSection(SectionId::kCodes, column);
+          ASSERT_GE(i, 0);
+          f.WriteU32(f.SectionPayloadOffset(i) + 4 * 2, 0x7FFFFFFF);
+          f.FixChecksum(i);
+        },
+        util::StrFormat("code array %u row 2 holds code 2147483647 outside "
+                        "the shared dictionary",
+                        column),
+        TwoFactorStore());
+  }
+}
+
+TEST(JimcCorruptionTest, FactorWithZeroRows) {
+  // With the header's count patched to the product (0), the empty factor
+  // itself is what is refused.
+  ExpectCorruption("factor_zero_rows", EditFactors([](FileImage& f) {
+                     f.WriteU64(FactorEntry(f, 1) + 8, 0);
+                     f.WriteU64(8, 0);
+                   }),
+                   "factor 1 has zero rows", TwoFactorStore());
+}
+
+TEST(JimcCorruptionTest, VersionTwoFileIsUnsupported) {
+  // Version 2 had the same checksum and no factor section; a file stamped
+  // version 2 fails on its version before any section is read.
+  ExpectCorruption("version_two", [](FileImage& f) { f.WriteU32(4, 2); },
+                   "unsupported format version 2 (this build reads version "
+                   "3)",
+                   TwoFactorStore());
 }
 
 // ---------------------------------------------------------------------------

@@ -76,10 +76,12 @@ void ExpectSameClasses(const InferenceEngine& expected,
                        const InferenceEngine& actual,
                        const std::string& context) {
   ASSERT_EQ(expected.num_classes(), actual.num_classes()) << context;
+  const auto expected_members = ClassMembers(expected);
+  const auto actual_members = ClassMembers(actual);
   for (size_t c = 0; c < expected.num_classes(); ++c) {
     EXPECT_EQ(expected.ClassPartition(c), actual.ClassPartition(c))
         << context << " class " << c;
-    EXPECT_EQ(MembersOf(expected, c), MembersOf(actual, c))
+    EXPECT_EQ(expected_members[c], actual_members[c])
         << context << " class " << c;
     EXPECT_EQ(ClassKnowledge(expected, c), ClassKnowledge(actual, c))
         << context << " class " << c;

@@ -97,13 +97,11 @@ lat::Partition ClassKnowledge(const InferenceEngine& engine,
                                   engine.state().num_attributes());
 }
 
-std::vector<uint32_t> MembersOf(const InferenceEngine& engine,
-                                size_t class_id) {
-  std::vector<uint32_t> members;
+std::vector<std::vector<uint32_t>> ClassMembers(
+    const InferenceEngine& engine) {
+  std::vector<std::vector<uint32_t>> members(engine.num_classes());
   for (size_t t = 0; t < engine.num_tuples(); ++t) {
-    if (engine.class_of_tuple(t) == class_id) {
-      members.push_back(static_cast<uint32_t>(t));
-    }
+    members[engine.class_of_tuple(t)].push_back(static_cast<uint32_t>(t));
   }
   return members;
 }

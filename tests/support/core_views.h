@@ -43,10 +43,11 @@ lat::Partition TuplePartition(const rel::Tuple& tuple);
 /// engine's cached row (InferenceEngine::KnowledgeRow).
 lat::Partition ClassKnowledge(const InferenceEngine& engine, size_t class_id);
 
-/// The members of class `class_id`, ascending: a scan of class_of_tuple
-/// (the class table keeps only each class's first tuple and size).
-std::vector<uint32_t> MembersOf(const InferenceEngine& engine,
-                                size_t class_id);
+/// Every class's members, ascending, by class id: one scan of
+/// class_of_tuple (the class table keeps only each class's first tuple and
+/// size).
+std::vector<std::vector<uint32_t>> ClassMembers(
+    const InferenceEngine& engine);
 
 /// Tuples certain to belong to the final join result (their class is
 /// labeled or forced positive). Monotone as labels arrive.
